@@ -9,15 +9,13 @@ Two entry points:
 * ``pytest benchmarks/bench_engine_perf.py`` — pytest-benchmark suite; the
   engine-latency subset is also tagged ``-m perf_smoke``.
 * ``python benchmarks/bench_engine_perf.py --quick`` — standalone runner
-  that times the engine queries with the planner on and off (and, for the
-  traversal-bound queries, with the CSR snapshot on and off) and writes
+  that times the engine queries with the planner on and off and writes
   ``BENCH_engine.json`` (median latencies plus speedups over the
   pre-planner seed baselines).
 """
 
 import argparse
 import json
-import os
 import statistics
 import sys
 import time
@@ -57,12 +55,6 @@ ENGINE_QUERIES = {
         "MATCH (a:AS) RETURN a.asn AS asn ORDER BY a.asn LIMIT 10"
     ),
 }
-
-#: Traversal-bound queries also timed against ``csr_snapshot=False`` on the
-#: same run, so BENCH_engine.json carries a machine-portable CSR-on/off
-#: ratio for the gate to protect (the other queries are anchor- or
-#: scan-bound and don't exercise the snapshot).
-CSR_GATED_QUERIES = ("two_hop", "var_length")
 
 #: Expression-compilation entries: timed on the same run against an engine
 #: with ``compile_expressions=False``, so the committed ratio is a
@@ -207,33 +199,6 @@ def _median_latency_ms(engine: CypherEngine, query: str, batches: int, runs: int
     return statistics.median(samples)
 
 
-def _median_latency_pair_ms(
-    engine_a: CypherEngine, engine_b: CypherEngine, query: str, batches: int, runs: int
-) -> tuple[float, float]:
-    """Like :func:`_median_latency_ms` for two engines, batch-interleaved.
-
-    Alternating the engines within each batch puts both medians under the
-    same load profile, so their *ratio* stays meaningful even when the
-    machine drifts mid-measurement — sequential timing lets a background
-    spike land entirely on one side and fake a regression (or a win).
-    """
-    engine_a.run(query)
-    engine_b.run(query)
-    samples_a: list[float] = []
-    samples_b: list[float] = []
-    for _ in range(batches):
-        start = time.perf_counter()
-        for _ in range(runs):
-            engine_a.run(query)
-        mid = time.perf_counter()
-        for _ in range(runs):
-            engine_b.run(query)
-        end = time.perf_counter()
-        samples_a.append((mid - start) / runs * 1000.0)
-        samples_b.append((end - mid) / runs * 1000.0)
-    return statistics.median(samples_a), statistics.median(samples_b)
-
-
 def _memory_scan(store) -> dict:
     """Peak intermediate-row count for the memory benchmark query.
 
@@ -260,7 +225,6 @@ def run_quick(output: Path | None, batches: int = 10, runs: int = 20) -> dict:
     store = load_dataset("medium").store
     planned = CypherEngine(store)
     unplanned = CypherEngine(store, planner=False)
-    csr_off = CypherEngine(store, csr_snapshot=False)
 
     results = {}
     for name, query in ENGINE_QUERIES.items():
@@ -275,13 +239,6 @@ def run_quick(output: Path | None, batches: int = 10, runs: int = 20) -> dict:
             "speedup_vs_seed": round(seed_ms / planned_ms, 2) if seed_ms else None,
             "speedup_planner": round(unplanned_ms / planned_ms, 2),
         }
-        if name in CSR_GATED_QUERIES:
-            csr_on_ms, csr_off_ms = _median_latency_pair_ms(
-                planned, csr_off, query, batches, runs
-            )
-            results[name]["median_ms_csr_on"] = round(csr_on_ms, 4)
-            results[name]["median_ms_csr_off"] = round(csr_off_ms, 4)
-            results[name]["speedup_csr"] = round(csr_off_ms / csr_on_ms, 2)
         print(
             f"{name:22s} planner={planned_ms:8.4f} ms  "
             f"off={unplanned_ms:8.4f} ms  seed={seed_ms} ms",
@@ -354,16 +311,6 @@ def _compiled_ratio(entry: dict) -> float | None:
     return off / on
 
 
-def _csr_ratio(entry: dict) -> float | None:
-    # Both sides come from the batch-interleaved pair measurement; the
-    # headline median_ms is timed separately and would skew the ratio.
-    on = entry.get("median_ms_csr_on")
-    off = entry.get("median_ms_csr_off")
-    if not on or not off:
-        return None
-    return off / on
-
-
 def check_regressions(
     payload: dict, baseline_path: Path, tolerance: float = 0.30
 ) -> list[str]:
@@ -425,29 +372,6 @@ def check_regressions(
                     f"{name}: compiled speedup {current_compiled:.2f}x < {floor:.2f}x "
                     f"(committed {committed_compiled:.2f}x, tolerance {tolerance:.0%})"
                 )
-        # Same-run csr-on vs csr-off ratio for the traversal-bound queries:
-        # committed wins get the log-space floor, and csr-on must never be
-        # materially slower than dict adjacency (the snapshot is supposed
-        # to be a pure win — "slower with CSR" means a fallback or a
-        # staleness loop crept into the hot path).
-        committed_csr = _csr_ratio(committed)
-        current_csr = _csr_ratio(entry)
-        if committed_csr is not None and current_csr is not None:
-            if committed_csr >= _PROTECTED_WIN:
-                floor = committed_csr ** (1.0 - tolerance)
-                if current_csr < floor:
-                    failures.append(
-                        f"{name}: csr speedup {current_csr:.2f}x < {floor:.2f}x "
-                        f"(committed {committed_csr:.2f}x, tolerance {tolerance:.0%})"
-                    )
-            elif (
-                entry.get("median_ms_csr_off", 0.0) >= _NO_HARM_FLOOR_MS
-                and current_csr < 1.0 / (1.0 + _NO_HARM_SLACK)
-            ):
-                failures.append(
-                    f"{name}: csr snapshot makes this query {1.0 / current_csr:.2f}x "
-                    f"slower than dict adjacency (> {_NO_HARM_SLACK:.0%} slack)"
-                )
     committed_memory = baseline.get("memory_scan")
     current_memory = payload.get("memory_scan")
     if committed_memory and current_memory:
@@ -462,34 +386,6 @@ def check_regressions(
                 f"bound {bound} for {committed_memory.get('query')!r}"
             )
     return failures
-
-
-def write_csr_summary(payload: dict, path: Path) -> None:
-    """Append the fresh csr-on/off comparison as a markdown table.
-
-    Wired to ``$GITHUB_STEP_SUMMARY`` so the perf-gate job surface shows
-    what the snapshot bought on this exact runner, not just pass/fail.
-    """
-    lines = [
-        "### CSR snapshot on/off (same run, batch-interleaved)",
-        "",
-        "| query | csr on (ms) | csr off (ms) | speedup |",
-        "|---|---|---|---|",
-    ]
-    rows = 0
-    for name in CSR_GATED_QUERIES:
-        entry = payload.get("queries", {}).get(name, {})
-        on = entry.get("median_ms_csr_on")
-        off = entry.get("median_ms_csr_off")
-        ratio = _csr_ratio(entry)
-        if on is None or off is None or ratio is None:
-            continue
-        lines.append(f"| {name} | {on:.4f} | {off:.4f} | {ratio:.2f}x |")
-        rows += 1
-    if not rows:
-        return
-    with path.open("a") as handle:
-        handle.write("\n".join(lines) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -518,9 +414,6 @@ def main(argv: list[str] | None = None) -> int:
         if not baseline_path.exists():
             parser.error(f"--check needs a committed baseline at {baseline_path}")
         payload = run_quick(None, batches=args.batches, runs=args.runs)
-        summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
-        if summary_path:
-            write_csr_summary(payload, Path(summary_path))
         failures = check_regressions(payload, baseline_path, tolerance=args.tolerance)
         if failures:
             for failure in failures:

@@ -101,11 +101,7 @@ class ChatIYP:
             self.config.dataset_size, self.config.dataset_seed
         )
         self.store = self.dataset.store
-        self.engine = CypherEngine(
-            self.store,
-            compile_expressions=self.config.compile_expressions,
-            csr_snapshot=self.config.csr_snapshot,
-        )
+        self.engine = CypherEngine(self.store)
         self.schema_text = introspect_schema(self.store).describe()
 
         gazetteer = Gazetteer.from_dataset(self.dataset)
@@ -154,7 +150,6 @@ class ChatIYP:
         # the registry as deltas so /metrics stays monotonic even when the
         # engine is also exercised outside the pipeline (run_cypher, evals).
         self._compile_reported: dict[str, int] = {}
-        self._csr_reported: dict[str, int] = {}
         # Serving hardening: circuit breaker around the symbolic path
         # (state transitions are counted in the metrics registry), retry
         # with seeded jittered backoff for transient LLM-stage failures,
@@ -237,15 +232,6 @@ class ChatIYP:
             if delta > 0:
                 self.metrics.increment(key, by=delta)
                 self._compile_reported[key] = total
-        self._sync_csr_metrics()
-
-    def _sync_csr_metrics(self) -> None:
-        """Push engine/store ``csr.*`` counter deltas into the registry."""
-        for key, total in self.engine.csr_metrics().items():
-            delta = total - self._csr_reported.get(key, 0)
-            if delta > 0:
-                self.metrics.increment(key, by=delta)
-                self._csr_reported[key] = total
 
     def _request_key(self, text: str) -> tuple:
         """Identity of a request for caching/coalescing purposes."""
@@ -410,9 +396,7 @@ class ChatIYP:
             # Cumulative expression-compilation counters straight from the
             # engine (cache hits, fused operators, fast-path executions).
             "compile": self.engine.compile_metrics(),
-            # CSR snapshot lifecycle (builds, hits, invalidations) plus how
-            # often executions actually traversed the columnar arrays.
-            "csr": self.engine.csr_metrics(),
+            "csr": {},  # stub: benchmarks/e2e/workloads.py still reads this key
             "cache": self.answer_cache.stats() if self.answer_cache else None,
             "breaker": self.breaker.snapshot() if self.breaker else None,
             "inflight": self.inflight.snapshot() if self.inflight else None,

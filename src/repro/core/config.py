@@ -70,16 +70,6 @@ class ChatIYPConfig:
     # tree (rows + wall-time per operator) under
     # diagnostics["cypher_profile"]. Cheap but chatty; off by default.
     capture_cypher_profile: bool = False
-    # Compile Cypher expressions to Python closures (and fuse hot
-    # Filter->Project chains) instead of walking the AST per row. Purely a
-    # performance knob — results are bit-identical either way; the
-    # interpreter remains the semantic reference and the escape hatch.
-    compile_expressions: bool = True
-    # Traverse read-only Cypher over the store's immutable CSR snapshot
-    # (columnar adjacency arrays, rebuilt lazily after mutations) instead
-    # of dict-of-set adjacency. Purely a performance knob — row order and
-    # results are bit-identical either way; False is the escape hatch.
-    csr_snapshot: bool = True
     # Single-flight coalescing of concurrent duplicate questions: when N
     # identical questions are in flight at once, one executes the pipeline
     # and the rest wait on its result (the concurrent counterpart of the

@@ -144,10 +144,6 @@ class _FastPath:
     #: ungrouped single-aggregate specialization: (name, arg_fn, distinct)
     #: with arg_fn None for count(*) — streams straight into call_aggregate
     simple_aggregate: Optional[tuple] = None
-    #: hops may traverse the CSR snapshot (planner's PartPlan.use_csr)
-    use_csr: bool = False
-    #: lazily-built ops.CSRChain, reused while the snapshot stays live
-    csr_chain: Any = None
 
 
 class CypherEngine:
@@ -168,8 +164,10 @@ class CypherEngine:
         cache_size: int = 1024,
         row_budget: Optional[int] = None,
         compile_expressions: bool = True,
-        csr_snapshot: bool = True,
+        csr_snapshot: bool = False,  # stub: benchmarks/e2e/checks.py passes False
     ) -> None:
+        if csr_snapshot:
+            raise ValueError("snapshot traversal was removed; only False is accepted")
         self.store = store
         self.max_var_length = max_var_length
         self.planner = planner
@@ -177,12 +175,8 @@ class CypherEngine:
         self.row_budget = row_budget
         #: expression compiler shared across executions (None = interpret)
         self.compiler = ExpressionCompiler() if compile_expressions else None
-        #: traverse read-only queries over the store's CSR snapshot
-        self.csr = csr_snapshot
         self._fastpath_hits = 0
         self._fused_operators = 0
-        self._csr_expand_operators = 0
-        self._csr_part_scans = 0
         self._ast_cache: _LRUCache = _LRUCache(cache_size)
         self._plan_cache: _LRUCache = _LRUCache(cache_size)
         # id(clause) -> (clause, items, keys, aggregated, grouping_indices);
@@ -198,13 +192,6 @@ class CypherEngine:
         )
         metrics["compile.fastpath_hits"] = self._fastpath_hits
         metrics["compile.fused_operators"] = self._fused_operators
-        return metrics
-
-    def csr_metrics(self) -> dict[str, int]:
-        """CSR snapshot counters (store build/hit/invalidation + engine use)."""
-        metrics = self.store.csr_metrics()
-        metrics["csr.expand_operators"] = self._csr_expand_operators
-        metrics["csr.part_scans"] = self._csr_part_scans
         return metrics
 
     def run(self, query: str, **params: Any) -> ResultSet:
@@ -272,11 +259,7 @@ class CypherEngine:
 
     def run_ast(self, tree: ast.Query, params: dict[str, Any] | None = None) -> ResultSet:
         """Execute an already-parsed query (plans computed, not cached)."""
-        plans = (
-            plan_query(tree, self.store.statistics(), csr=self.csr)
-            if self.planner
-            else None
-        )
+        plans = plan_query(tree, self.store.statistics()) if self.planner else None
         result, _ = self._execute(tree, params or {}, plans)
         return result
 
@@ -295,7 +278,7 @@ class CypherEngine:
             entry = _PlanEntry(
                 tree=tree,
                 stats_version=version,
-                plans=plan_query(tree, self.store.statistics(), csr=self.csr),
+                plans=plan_query(tree, self.store.statistics()),
             )
             self._plan_cache[query] = entry
         return entry
@@ -317,7 +300,7 @@ class CypherEngine:
         """
         context = _ExecutionContext(
             self.store, params, self.max_var_length, plans, self._projection_meta,
-            self.compiler, csr=self.csr and not _tree_has_writes(tree),
+            self.compiler,
         )
         state = RuntimeState(deadline=deadline, budget=row_budget, profiled=profiled)
         state.check_deadline()
@@ -362,11 +345,7 @@ class CypherEngine:
         predicates pushed down to bind time.
         """
         tree = parse(query)
-        plans = (
-            plan_query(tree, self.store.statistics(), csr=self.csr)
-            if self.planner
-            else None
-        )
+        plans = plan_query(tree, self.store.statistics()) if self.planner else None
         queries = tree.queries if isinstance(tree, ast.UnionQuery) else (tree,)
         lines = []
         for qindex, single in enumerate(queries):
@@ -444,12 +423,11 @@ class CypherEngine:
         first, last = nodes[0], nodes[-1]
         if plan is not None:
             anchor_node = last if plan.reverse else first
-            csr = " [csr]" if plan.use_csr and part.hop_count else ""
             return (
                 f"pattern({len(nodes)} nodes, {part.hop_count} hops) "
                 f"anchor={self._node_text(anchor_node)} via {plan.anchor.describe()} "
                 f"est≈{plan.anchor.est_rows:.0f}, expand {plan.direction} "
-                f"est≈{plan.est_rows:.0f} rows{csr}"
+                f"est≈{plan.est_rows:.0f} rows"
             )
         empty_row: Row = {}
         reverse = len(part.elements) > 1 and (
@@ -602,18 +580,7 @@ class CypherEngine:
         emit_row: bool,
         update_used: bool,
     ) -> ops.PhysicalOperator:
-        """One planned pattern part as an ``AnchorScan → Expand* → Match`` chain.
-
-        When the planner marked the part CSR-eligible and a fresh snapshot
-        is available, hops traverse the snapshot's adjacency arrays.  Two
-        shapes exist: unobserved executions (no PROFILE, deadline or row
-        budget watching individual operators) fuse the whole part — anchor,
-        every hop, emit — into one :class:`~repro.cypher.operators.CSRPartScan`,
-        eliminating per-hop operator dispatch; observed executions keep the
-        per-hop chain with ``[csr]``-marked Expand operators so PROFILE
-        still shows one line per hop.  Both produce rows in exactly the
-        order of the dict-adjacency chain.
-        """
+        """One planned pattern part as an ``AnchorScan → Expand* → Match`` chain."""
         elements = list(part.elements)
         if part_plan.reverse:
             elements = _reverse_elements(elements)
@@ -622,18 +589,6 @@ class CypherEngine:
         anchor = part_plan.anchor
         track_path = part.path_variable is not None
         maintain_used = update_used or part_plan.needs_used
-        snapshot = context.csr_snapshot() if part_plan.use_csr else None
-        if snapshot is not None and len(elements) > 1:
-            if not state.profiled and state.budget is None and state.deadline is None:
-                scan = ops.CSRPartScan(
-                    state, child, context, part, part_plan, elements, filters,
-                    snapshot, from_rows=from_rows, emit_row=emit_row,
-                    maintain_used=maintain_used,
-                    detail=f"{len(part.nodes)} nodes, {part.hop_count} hops",
-                )
-                scan.estimate = part_plan.est_rows
-                self._csr_part_scans += 1
-                return scan
         name, detail = anchor.physical_operator()
         op: ops.PhysicalOperator = ops.AnchorScan(
             state, child, context, first, anchor, filters,
@@ -645,30 +600,13 @@ class CypherEngine:
             node_pattern = elements[index + 1]
             assert isinstance(rel_pattern, ast.RelPattern)
             assert isinstance(node_pattern, ast.NodePattern)
+            expand_cls = ops.VarLengthExpand if rel_pattern.var_length else ops.Expand
             types = "|".join(rel_pattern.types) if rel_pattern.types else ""
             arrow = {"out": "->", "in": "<-", "both": "--"}[rel_pattern.direction]
-            hop_detail = f"[:{types}]{arrow}" if types else arrow
-            if snapshot is not None:
-                # Planner eligibility (use_csr) already guarantees every hop
-                # binds no rel variable and checks no rel properties.
-                expand_cls = (
-                    ops.CSRVarLengthExpand
-                    if rel_pattern.var_length
-                    else ops.CSRExpand
-                )
-                op = expand_cls(
-                    state, op, context, rel_pattern, node_pattern, filters,
-                    maintain_used, snapshot, detail=hop_detail,
-                )
-                self._csr_expand_operators += 1
-            else:
-                expand_cls = (
-                    ops.VarLengthExpand if rel_pattern.var_length else ops.Expand
-                )
-                op = expand_cls(
-                    state, op, context, rel_pattern, node_pattern, filters,
-                    maintain_used, detail=hop_detail,
-                )
+            op = expand_cls(
+                state, op, context, rel_pattern, node_pattern, filters,
+                maintain_used, detail=f"[:{types}]{arrow}" if types else arrow,
+            )
         emit = ops.PartEmit(
             state, op, part, part_plan.reverse, emit_row,
             detail=f"{len(part.nodes)} nodes, {part.hop_count} hops",
@@ -968,7 +906,6 @@ class CypherEngine:
             distinct=ret.distinct,
             aggregate=aggregate,
             simple_aggregate=simple_aggregate,
-            use_csr=part_plan.use_csr and len(elements) > 1,
         )
 
     def _run_fastpath(self, fp: _FastPath, params: dict[str, Any]) -> ResultSet:
@@ -982,7 +919,7 @@ class CypherEngine:
         """
         ctx = _ExecutionContext(
             self.store, params, self.max_var_length, None, self._projection_meta,
-            self.compiler, csr=self.csr,
+            self.compiler,
         )
         skip = ctx._bounded_int(fp.skip_expr, "SKIP") if fp.skip_expr is not None else 0
         limit = (
@@ -1043,25 +980,6 @@ class CypherEngine:
                 values_rows.append([fn(ctx, row) for fn in item_fns])
                 if needed is not None and len(values_rows) >= needed:
                     break
-        elif (chain := self._fastpath_chain(fp, ctx)) is not None:
-            ordinal_of = chain.ordinal_of
-            done = False
-            for start in ctx._node_candidates(first, empty, fp.anchor):
-                start_row = ctx._bind_node(first, start, empty, fp.filters)
-                if start_row is None:
-                    continue
-                ordinal = ordinal_of.get(start.node_id)
-                if ordinal is None:  # pragma: no cover - fresh snapshot covers all ids
-                    continue
-                for row in chain.descend(0, start_row, frozenset(), ordinal, True):
-                    if where_fn is not None and is_truthy(where_fn(ctx, row)) is not True:
-                        continue
-                    values_rows.append([fn(ctx, row) for fn in item_fns])
-                    if needed is not None and len(values_rows) >= needed:
-                        done = True
-                        break
-                if done:
-                    break
         else:
             buffer: list = []
             done = False
@@ -1085,33 +1003,6 @@ class CypherEngine:
                     break
         records = [Record.of(keys, values) for values in values_rows[skip:]]
         return ResultSet(keys, records, **ctx.counters())
-
-    def _fastpath_chain(self, fp: _FastPath, ctx: "_ExecutionContext"):
-        """The fast path's :class:`~repro.cypher.operators.CSRChain`, or None.
-
-        None routes the caller to the dict-adjacency chain (CSR disabled,
-        the part isn't CSR-eligible, or the snapshot failed to build).  A
-        built chain is cached on the fast path while its snapshot stays
-        live, but only reused as-is when every hop is a simple bind —
-        hops that bind through the context (pattern properties, pushed
-        filters) read this run's parameters, so those rebuild per run
-        rather than mutate a chain another thread may be traversing.
-        """
-        if not fp.use_csr:
-            return None
-        snapshot = ctx.csr_snapshot()
-        if snapshot is None:
-            return None
-        chain = fp.csr_chain
-        if (
-            chain is not None
-            and chain.snapshot is snapshot
-            and (chain.ctx is ctx or all(hop[4] for hop in chain.hops))
-        ):
-            return chain
-        chain = ops.CSRChain(ctx, snapshot, fp.elements, fp.filters, fp.maintain_used)
-        fp.csr_chain = chain
-        return chain
 
     def _fastpath_match(self, fp: _FastPath, ctx: "_ExecutionContext") -> Iterator[Row]:
         """Matched (bind → WHERE) rows of the fast path's single part.
@@ -1157,21 +1048,6 @@ class CypherEngine:
                 if where_fn is not None and is_truthy(where_fn(ctx, row)) is not True:
                     continue
                 yield row
-            return
-        chain = self._fastpath_chain(fp, ctx)
-        if chain is not None:
-            ordinal_of = chain.ordinal_of
-            for start in ctx._node_candidates(first, empty, fp.anchor):
-                start_row = ctx._bind_node(first, start, empty, fp.filters)
-                if start_row is None:
-                    continue
-                ordinal = ordinal_of.get(start.node_id)
-                if ordinal is None:  # pragma: no cover - fresh snapshot covers all ids
-                    continue
-                for row in chain.descend(0, start_row, frozenset(), ordinal, True):
-                    if where_fn is not None and is_truthy(where_fn(ctx, row)) is not True:
-                        continue
-                    yield row
             return
         buffer: list = []
         for start in ctx._node_candidates(first, empty, fp.anchor):
@@ -1273,17 +1149,12 @@ class _ExecutionContext:
         plans: Optional[dict[int, MatchPlan]] = None,
         projection_meta: Optional[dict[int, tuple]] = None,
         compiler: Optional[ExpressionCompiler] = None,
-        csr: bool = False,
     ):
         self.store = store
         self.params = params
         self.max_var_length = max_var_length
         self.plans = plans
         self.compiler = compiler
-        #: whether this (read-only) execution may traverse the CSR snapshot
-        self.csr = csr
-        self._csr_snapshot_ready = False
-        self._csr_snapshot_cached: Any = None
         self.evaluator = _Evaluator(self)
         # id(part) -> whether the part needs used-relationship tracking
         self._part_unique: dict[int, bool] = {}
@@ -1303,20 +1174,6 @@ class _ExecutionContext:
         if self.compiler is None or expr is None:
             return None
         return self.compiler.compile(expr)
-
-    def csr_snapshot(self):
-        """The store's CSR snapshot, or None (disabled / build failed).
-
-        Resolved at most once per execution: lowering may consult it for
-        several pattern parts, and a failed build must not be retried
-        per part.
-        """
-        if not self.csr:
-            return None
-        if not self._csr_snapshot_ready:
-            self._csr_snapshot_cached = self.store.csr_snapshot()
-            self._csr_snapshot_ready = True
-        return self._csr_snapshot_cached
 
     def _filter_value(self, expr: ast.Expr) -> Any:
         """Memoised evaluation of a pushed filter's row-independent value."""
@@ -1508,25 +1365,6 @@ class _ExecutionContext:
         max_hops = rel_pattern.max_hops if rel_pattern.max_hops is not None else self.max_var_length
         if min_hops == 0 and start.node_id == end.node_id:
             return [([start], [])]
-        if not rel_pattern.properties:
-            # CSR precheck: a frontier BFS over the snapshot's arrays gives
-            # the exact minimum depth (a minimal walk never repeats a vertex,
-            # so edge-uniqueness cannot change it; the object-level BFS below
-            # also never re-reaches a node below min_hops).  Unreachable or
-            # out-of-range endpoints return [] without touching any
-            # Relationship objects.
-            snapshot = self.csr_snapshot()
-            if snapshot is not None:
-                start_ord = snapshot.ordinal_of.get(start.node_id)
-                end_ord = snapshot.ordinal_of.get(end.node_id)
-                if start_ord is not None and end_ord is not None:
-                    levels = snapshot.bfs_levels(
-                        start_ord, rel_pattern.direction,
-                        rel_pattern.types or None, max_hops,
-                    )
-                    found_depth = int(levels[end_ord])
-                    if found_depth < min_hops:  # includes -1 = unreachable
-                        return []
         # Level-synchronous BFS keeping every parent edge at the found depth
         # so all shortest paths can be reconstructed.
         frontier: dict[int, list[tuple[list[Node], list[Relationship]]]] = {
@@ -2502,31 +2340,6 @@ class _Evaluator:
 # repro.cypher.operators with the projection/ordering machinery; math_fmod
 # and the concat kernel moved to repro.cypher.compile, shared with the
 # compiled expression closures.)
-
-_WRITE_CLAUSES = (
-    ast.CreateClause,
-    ast.MergeClause,
-    ast.SetClause,
-    ast.DeleteClause,
-    ast.RemoveClause,
-)
-
-
-def _tree_has_writes(tree: ast.Query) -> bool:
-    """Whether any clause of ``tree`` (or any UNION branch) mutates the graph.
-
-    CSR traversal is only wired up for read-only queries: a write clause
-    bumps the store's stats version mid-execution, which would force every
-    CSR operator onto its staleness fallback anyway — skipping the snapshot
-    up front keeps the plumbing out of the write path entirely.
-    """
-    queries = tree.queries if isinstance(tree, ast.UnionQuery) else (tree,)
-    return any(
-        isinstance(clause, _WRITE_CLAUSES)
-        for single in queries
-        for clause in single.clauses
-    )
-
 
 def _pattern_variables(pattern: ast.Pattern) -> list[str]:
     """All variable names a pattern can introduce (for OPTIONAL padding)."""

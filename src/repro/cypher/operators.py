@@ -66,10 +66,6 @@ __all__ = [
     "IndexOrderedScan",
     "Expand",
     "VarLengthExpand",
-    "CSRExpand",
-    "CSRVarLengthExpand",
-    "CSRChain",
-    "CSRPartScan",
     "ShortestPath",
     "PartEmit",
     "PartMatch",
@@ -495,458 +491,6 @@ class VarLengthExpand(Expand):
     """Variable-length hop (``-[*m..n]->``); shares :class:`Expand`'s body."""
 
     name = "VarLengthExpand"
-
-
-#: sentinel distinguishing "variable absent" from "variable bound to None"
-_MISSING = object()
-
-
-class CSRExpand(Expand):
-    """Single hop over the CSR snapshot's adjacency arrays.
-
-    Walks the snapshot's per-ordinal ``(neighbor, rel_id)`` list rows —
-    sorted by rel id, exactly the dict path's enumeration order — so the
-    emitted match states are bit-identical to :class:`Expand` while never
-    materialising :class:`Relationship` objects (the used-set holds plain
-    rel ids) unless a bound path needs them.  Only lowered for hops with
-    no relationship variable and no relationship properties; anything
-    else keeps the dict-path operator.  If the store mutates mid-query
-    (never for the read-only trees this is lowered for; defensive), the
-    operator degrades permanently to :class:`Expand`'s dict path.
-    """
-
-    name = "Expand"
-
-    def __init__(
-        self,
-        state: RuntimeState,
-        child: PhysicalOperator,
-        ctx,
-        rel_pattern: ast.RelPattern,
-        node_pattern: ast.NodePattern,
-        filters,
-        maintain_used: bool,
-        snapshot,
-        detail: str = "",
-    ) -> None:
-        super().__init__(
-            state, child, ctx, rel_pattern, node_pattern, filters, maintain_used, detail
-        )
-        self.snapshot = snapshot
-        self.marker = "[csr]"
-        self._neighbor_rows, self._rel_rows = snapshot.lists(
-            rel_pattern.direction, rel_pattern.types or None
-        )
-        self._nodes_by_ordinal = snapshot.nodes
-        self._ordinal_of = snapshot.ordinal_of
-        self._label_ok = snapshot.label_row(node_pattern.labels)
-        self._relationships = ctx.store._relationships
-        self._var = node_pattern.variable
-        self._simple_bind = not node_pattern.properties and not (
-            filters and self._var is not None and filters.get(self._var)
-        )
-
-    def _open(self) -> None:
-        super()._open()
-        self._stale = False
-        self._cur_others: Optional[list[int]] = None
-        self._cur_rels: Optional[list[int]] = None
-        self._cur_index = 0
-
-    def _bind_target(self, node: Node, row: Row) -> Optional[Row]:
-        """Bind the hop's target node; the fast path inlines ``_bind_node``."""
-        if self._simple_bind:
-            var = self._var
-            if var is None:
-                return row
-            existing = row.get(var, _MISSING)
-            if existing is _MISSING:
-                bound = dict(row)
-                bound[var] = node
-                return bound
-            if isinstance(existing, Node) and existing.node_id == node.node_id:
-                return row
-            return None
-        return self.ctx._bind_node(self.node_pattern, node, row, self.filters)
-
-    def _next(self) -> Any:
-        if self._stale:
-            return Expand._next(self)
-        ctx = self.ctx
-        child = self.children[0]
-        while True:
-            others = self._cur_others
-            if others is not None:
-                row, used, _current, nodes, rels_path = self._base
-                rels = self._cur_rels
-                label_ok = self._label_ok
-                nodes_by_ordinal = self._nodes_by_ordinal
-                index = self._cur_index
-                count = len(others)
-                while index < count:
-                    rel_id = rels[index]
-                    ordinal = others[index]
-                    index += 1
-                    if rel_id in used:
-                        continue
-                    if label_ok is not None and not label_ok[ordinal]:
-                        continue
-                    node = nodes_by_ordinal[ordinal]
-                    end_row = self._bind_target(node, row)
-                    if end_row is None:
-                        continue
-                    self._cur_index = index
-                    new_used = used | {rel_id} if self.maintain_used else used
-                    if nodes is None:
-                        return (end_row, new_used, node, None, None)
-                    rel = self._relationships[rel_id]
-                    return (end_row, new_used, node, nodes + [node], rels_path + [rel])
-                self._cur_others = None
-            item = child.next()
-            if item is None:
-                return None
-            self._base = item
-            row, used, current, _nodes, _rels = item
-            if ctx.store._stats_version != self.snapshot.version:
-                # Mutated mid-query: finish on the live dict path.
-                self._stale = True
-                self._steps = iter(ctx._expand_single(self.rel_pattern, current, row, used))
-                return Expand._next(self)
-            ordinal = self._ordinal_of[current.node_id]
-            self._cur_others = self._neighbor_rows[ordinal]
-            self._cur_rels = self._rel_rows[ordinal]
-            self._cur_index = 0
-
-
-class CSRVarLengthExpand(CSRExpand):
-    """Variable-length hop walked over the CSR snapshot's list rows.
-
-    The depth-first walk visits edges in the snapshot's rel-id row order —
-    identical to the dict path's ``adjacent_relationships`` order — with
-    per-path edge uniqueness tracked as a plain rel-id tuple, so path
-    enumeration (and every downstream DISTINCT/aggregate) is
-    bit-identical.  Lowering eligibility matches :class:`CSRExpand`
-    (no rel variable, no rel properties) plus no bound path variable.
-    """
-
-    name = "VarLengthExpand"
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        rel_pattern = self.rel_pattern
-        limit = self.ctx.max_var_length
-        self._min_hops = rel_pattern.min_hops if rel_pattern.min_hops is not None else 1
-        max_hops = rel_pattern.max_hops if rel_pattern.max_hops is not None else limit
-        self._max_hops = min(max_hops, limit)
-
-    def _open(self) -> None:
-        super()._open()
-        self._csr_steps: Optional[Iterator] = None
-
-    def _walk_steps(self, start_ordinal: int, used) -> Iterator[tuple[tuple, int]]:
-        """Yield ``(rel_id_tuple, target_ordinal)`` in dict-path DFS order."""
-        if self._min_hops == 0:
-            yield (), start_ordinal
-        neighbor_rows = self._neighbor_rows
-        rel_rows = self._rel_rows
-        min_hops = self._min_hops
-        max_hops = self._max_hops
-
-        def walk(ordinal: int, taken: tuple) -> Iterator[tuple[tuple, int]]:
-            if len(taken) >= max_hops:
-                return
-            others = neighbor_rows[ordinal]
-            rels = rel_rows[ordinal]
-            for index in range(len(others)):
-                rel_id = rels[index]
-                if rel_id in used or rel_id in taken:
-                    continue
-                target = others[index]
-                extended = taken + (rel_id,)
-                if len(extended) >= min_hops:
-                    yield extended, target
-                yield from walk(target, extended)
-
-        yield from walk(start_ordinal, ())
-
-    def _next(self) -> Any:
-        if self._stale:
-            return Expand._next(self)
-        ctx = self.ctx
-        child = self.children[0]
-        while True:
-            steps = self._csr_steps
-            if steps is not None:
-                row, used, _current, _nodes, _rels = self._base
-                label_ok = self._label_ok
-                nodes_by_ordinal = self._nodes_by_ordinal
-                maintain_used = self.maintain_used
-                for rel_ids, ordinal in steps:
-                    if label_ok is not None and not label_ok[ordinal]:
-                        continue
-                    node = nodes_by_ordinal[ordinal]
-                    end_row = self._bind_target(node, row)
-                    if end_row is None:
-                        continue
-                    new_used = used | set(rel_ids) if maintain_used else used
-                    return (end_row, new_used, node, None, None)
-                self._csr_steps = None
-            item = child.next()
-            if item is None:
-                return None
-            self._base = item
-            row, used, current, _nodes, _rels = item
-            if ctx.store._stats_version != self.snapshot.version:
-                self._stale = True
-                self._steps = ctx._expand_var_length(self.rel_pattern, current, row, used)
-                return Expand._next(self)
-            ordinal = self._ordinal_of[current.node_id]
-            self._csr_steps = self._walk_steps(ordinal, used)
-
-
-class CSRChain:
-    """The hop chain of a CSR-eligible pattern part — the shared traversal core.
-
-    Owns the per-hop metadata (adjacency list rows, label bitsets, bind
-    strategy) and the depth-first descend over them.  Both
-    :class:`CSRPartScan` and the engine's compiled fast path traverse
-    through one of these, so their enumeration order is identical by
-    construction: every hop visits edges in the snapshot's rel-id row
-    order, exactly the dict path's ``adjacent_relationships`` order.
-    """
-
-    __slots__ = (
-        "ctx", "filters", "maintain_used", "snapshot",
-        "nodes_by_ordinal", "ordinal_of", "hops",
-    )
-
-    def __init__(self, ctx, snapshot, elements: list, filters, maintain_used: bool):
-        self.ctx = ctx
-        self.filters = filters
-        self.maintain_used = maintain_used
-        self.snapshot = snapshot
-        self.nodes_by_ordinal = snapshot.nodes
-        self.ordinal_of = snapshot.ordinal_of
-        limit = ctx.max_var_length
-        hops = []
-        for index in range(1, len(elements), 2):
-            rel_pattern = elements[index]
-            node_pattern = elements[index + 1]
-            assert isinstance(rel_pattern, ast.RelPattern)
-            assert isinstance(node_pattern, ast.NodePattern)
-            neighbor_rows, rel_rows = snapshot.lists(
-                rel_pattern.direction, rel_pattern.types or None
-            )
-            var = node_pattern.variable
-            simple_bind = not node_pattern.properties and not (
-                filters and var is not None and filters.get(var)
-            )
-            if rel_pattern.var_length:
-                min_hops = rel_pattern.min_hops if rel_pattern.min_hops is not None else 1
-                max_hops = rel_pattern.max_hops if rel_pattern.max_hops is not None else limit
-                max_hops = min(max_hops, limit)
-            else:
-                min_hops = max_hops = 1
-            hops.append((
-                neighbor_rows,
-                rel_rows,
-                snapshot.label_row(node_pattern.labels),
-                var,
-                simple_bind,
-                node_pattern,
-                rel_pattern.var_length,
-                min_hops,
-                max_hops,
-            ))
-        self.hops = hops
-
-    def descend(
-        self, hop_index: int, row: Row, used, ordinal: int, emit_row: bool
-    ) -> Iterator:
-        """Depth-first walk of the remaining hops from ``ordinal``.
-
-        Yields plain rows (``emit_row``) or ``(row, used)`` pairs, in the
-        exact order the unfused ``Expand`` chain would emit them.
-        """
-        if hop_index == len(self.hops):
-            yield row if emit_row else (row, used)
-            return
-        hop = self.hops[hop_index]
-        (neighbor_rows, rel_rows, label_ok, var, simple_bind, node_pattern,
-         var_length, min_hops, max_hops) = hop
-        nodes_by_ordinal = self.nodes_by_ordinal
-        maintain_used = self.maintain_used
-        next_hop = hop_index + 1
-        if var_length:
-            steps = self._var_steps(
-                neighbor_rows, rel_rows, ordinal, used, min_hops, max_hops
-            )
-            for rel_ids, target in steps:
-                if label_ok is not None and not label_ok[target]:
-                    continue
-                node = nodes_by_ordinal[target]
-                bound = self._bind_hop(simple_bind, var, node_pattern, node, row)
-                if bound is None:
-                    continue
-                new_used = used | set(rel_ids) if maintain_used else used
-                yield from self.descend(next_hop, bound, new_used, target, emit_row)
-            return
-        others = neighbor_rows[ordinal]
-        rels = rel_rows[ordinal]
-        for index in range(len(others)):
-            rel_id = rels[index]
-            if rel_id in used:
-                continue
-            target = others[index]
-            if label_ok is not None and not label_ok[target]:
-                continue
-            node = nodes_by_ordinal[target]
-            bound = self._bind_hop(simple_bind, var, node_pattern, node, row)
-            if bound is None:
-                continue
-            new_used = used | {rel_id} if maintain_used else used
-            yield from self.descend(next_hop, bound, new_used, target, emit_row)
-
-    def _bind_hop(self, simple_bind, var, node_pattern, node, row) -> Optional[Row]:
-        if simple_bind:
-            if var is None:
-                return row
-            existing = row.get(var, _MISSING)
-            if existing is _MISSING:
-                bound = dict(row)
-                bound[var] = node
-                return bound
-            if isinstance(existing, Node) and existing.node_id == node.node_id:
-                return row
-            return None
-        return self.ctx._bind_node(node_pattern, node, row, self.filters)
-
-    @staticmethod
-    def _var_steps(
-        neighbor_rows, rel_rows, start_ordinal, used, min_hops, max_hops
-    ) -> Iterator[tuple[tuple, int]]:
-        if min_hops == 0:
-            yield (), start_ordinal
-
-        def walk(ordinal: int, taken: tuple) -> Iterator[tuple[tuple, int]]:
-            if len(taken) >= max_hops:
-                return
-            others = neighbor_rows[ordinal]
-            rels = rel_rows[ordinal]
-            for index in range(len(others)):
-                rel_id = rels[index]
-                if rel_id in used or rel_id in taken:
-                    continue
-                target = others[index]
-                extended = taken + (rel_id,)
-                if len(extended) >= min_hops:
-                    yield extended, target
-                yield from walk(target, extended)
-
-        yield from walk(start_ordinal, ())
-
-
-class CSRPartScan(PhysicalOperator):
-    """One whole planned pattern part fused over the CSR snapshot.
-
-    Collapses the ``AnchorScan → Expand* → Match`` chain into a single
-    operator that walks the snapshot's adjacency rows directly: anchor
-    candidates still come from the planner's access path (and are fully
-    verified by ``_bind_node``), but every hop then runs as a tight loop
-    over CSR list rows with int rel ids — no per-hop operator boundary,
-    no ``Relationship`` materialisation, no intermediate match-state
-    tuples.  Enumeration order equals the unfused chain's depth-first
-    order, so output rows are bit-identical.
-
-    Only lowered when nothing observes the per-operator stream: no
-    PROFILE, no deadline, no row budget (those modes keep the per-hop
-    ``[csr]`` operators), and only for parts with no path variable, no
-    relationship variables and no relationship properties.
-    """
-
-    name = "PartScan"
-
-    def __init__(
-        self,
-        state: RuntimeState,
-        child: PhysicalOperator,
-        ctx,
-        part: ast.PatternPart,
-        part_plan,
-        elements: list,
-        filters,
-        snapshot,
-        from_rows: bool,
-        emit_row: bool,
-        maintain_used: bool,
-        detail: str = "",
-    ) -> None:
-        super().__init__(state, (child,))
-        self.ctx = ctx
-        self.part = part
-        self.part_plan = part_plan
-        self.anchor = part_plan.anchor
-        self.filters = filters
-        self.snapshot = snapshot
-        self.from_rows = from_rows
-        self.emit_row = emit_row
-        self.maintain_used = maintain_used
-        self.detail = detail
-        self.marker = "[csr]"
-        first = elements[0]
-        assert isinstance(first, ast.NodePattern)
-        self.anchor_pattern = first
-        self._chain = CSRChain(ctx, snapshot, elements, filters, maintain_used)
-
-    def _open(self) -> None:
-        self._gen: Optional[Iterator] = None
-
-    def _next(self) -> Any:
-        child = self.children[0]
-        while True:
-            gen = self._gen
-            if gen is not None:
-                emitted = next(gen, None)
-                if emitted is not None:
-                    return emitted
-                self._gen = None
-            item = child.next()
-            if item is None:
-                return None
-            if self.from_rows:
-                row, used = item, frozenset()
-            else:
-                row, used = item
-            if self.ctx.store._stats_version != self.snapshot.version:
-                # Mutated mid-query (defensive): dict-path part matcher.
-                self._gen = iter(self._fallback(row, used))
-            else:
-                self._gen = self._run(row, used)
-
-    def _fallback(self, row: Row, used) -> list:
-        results = []
-        for matched, used_after in self.ctx._match_part(
-            self.part, row, used, self.part_plan, self.filters,
-            update_used=self.maintain_used,
-        ):
-            results.append(matched if self.emit_row else (matched, used_after))
-        return results
-
-    def _run(self, row: Row, used) -> Iterator:
-        ctx = self.ctx
-        anchor_pattern = self.anchor_pattern
-        chain = self._chain
-        ordinal_of = chain.ordinal_of
-        filters = self.filters
-        emit_row = self.emit_row
-        for node in ctx._node_candidates(anchor_pattern, row, self.anchor):
-            bound = ctx._bind_node(anchor_pattern, node, row, filters)
-            if bound is None:
-                continue
-            ordinal = ordinal_of.get(node.node_id)
-            if ordinal is None:  # pragma: no cover - fresh snapshots cover all ids
-                continue
-            yield from chain.descend(0, bound, used, ordinal, emit_row)
 
 
 class ShortestPath(PhysicalOperator):

@@ -149,13 +149,6 @@ class PartPlan:
     # Whether execution must maintain the used-relationship set for Cypher's
     # rel-uniqueness; False when the part's hop types are provably disjoint.
     needs_used: bool = True
-    # Whether the part's hops should run over the CSR snapshot's adjacency
-    # arrays.  Deliberately NOT a cost input: CSR scales the constant factor
-    # of both traversal directions equally, so letting it discount hop costs
-    # could flip the direction choice — and with it row order — between
-    # csr-on and csr-off runs.  Recording availability on the plan keeps
-    # lowering and EXPLAIN informed while direction stays identical.
-    use_csr: bool = False
 
     @property
     def direction(self) -> str:
@@ -568,60 +561,36 @@ def needs_used_tracking(part: ast.PatternPart) -> bool:
     return len(all_types) != len(set(all_types))
 
 
-def csr_part_eligible(part: ast.PatternPart) -> bool:
-    """Whether ``part``'s hops can run over CSR adjacency arrays.
-
-    CSR expansion keeps only rel *ids* in flight, so a hop that binds a
-    relationship variable or checks relationship properties (both need
-    materialised ``Relationship`` objects with row-dependent semantics)
-    stays on the dict path, as do shortest-path parts and parts binding a
-    whole path variable.
-    """
-    if part.shortest is not None or part.path_variable is not None:
-        return False
-    return all(
-        rel.variable is None and not rel.properties for rel in part.relationships
-    )
-
-
 def plan_part(
     part: ast.PatternPart,
     stats: GraphStatistics,
     bound: frozenset[str],
     filters: dict[str, tuple[PushedFilter, ...]],
-    csr: bool = False,
 ) -> PartPlan:
     """Plan one pattern part: pick anchor end, direction, access path.
 
     Direction is chosen by total estimated work (anchor rows examined plus
     edges enumerated over every hop), not just anchor cardinality — a tiny
     anchor can still lose if expanding from it touches many more edges.
-    ``csr`` marks whether the engine may traverse a CSR snapshot; it is
-    recorded on eligible parts but never enters the cost comparison (see
-    :class:`PartPlan.use_csr`).
     """
     nodes = part.nodes
     first, last = nodes[0], nodes[-1]
     needs_used = needs_used_tracking(part)
-    use_csr = csr and csr_part_eligible(part)
     forward = plan_anchor(first, stats, bound, filters)
     forward_cost, forward_rows = _walk_estimate(part, forward, False, stats, filters)
     if part.shortest is not None or len(part.elements) == 1:
         return PartPlan(
-            reverse=False, anchor=forward, est_rows=forward_rows,
-            needs_used=needs_used, use_csr=use_csr,
+            reverse=False, anchor=forward, est_rows=forward_rows, needs_used=needs_used
         )
     backward = plan_anchor(last, stats, bound, filters)
     backward_cost, backward_rows = _walk_estimate(part, backward, True, stats, filters)
     reverse = (backward_cost, *_cost(backward)) < (forward_cost, *_cost(forward))
     if reverse:
         return PartPlan(
-            reverse=True, anchor=backward, est_rows=backward_rows,
-            needs_used=needs_used, use_csr=use_csr,
+            reverse=True, anchor=backward, est_rows=backward_rows, needs_used=needs_used
         )
     return PartPlan(
-        reverse=False, anchor=forward, est_rows=forward_rows,
-        needs_used=needs_used, use_csr=use_csr,
+        reverse=False, anchor=forward, est_rows=forward_rows, needs_used=needs_used
     )
 
 
@@ -629,7 +598,6 @@ def plan_match(
     clause: ast.MatchClause,
     stats: GraphStatistics,
     bound: frozenset[str] = frozenset(),
-    csr: bool = False,
 ) -> MatchPlan:
     """Plan a whole MATCH clause against ``stats``.
 
@@ -640,7 +608,7 @@ def plan_match(
     parts: list[PartPlan] = []
     visible = set(bound)
     for part in clause.pattern.parts:
-        parts.append(plan_part(part, stats, frozenset(visible), filters, csr))
+        parts.append(plan_part(part, stats, frozenset(visible), filters))
         for element in part.elements:
             if element.variable:
                 visible.add(element.variable)
@@ -652,9 +620,7 @@ def plan_match(
 
 
 def plan_query(
-    tree: Union[ast.SingleQuery, ast.UnionQuery],
-    stats: GraphStatistics,
-    csr: bool = False,
+    tree: Union[ast.SingleQuery, ast.UnionQuery], stats: GraphStatistics
 ) -> dict[int, MatchPlan]:
     """Plan every MATCH clause of ``tree``; returns ``id(clause) -> plan``.
 
@@ -668,7 +634,7 @@ def plan_query(
         bound: set[str] = set()
         for clause in single.clauses:
             if isinstance(clause, ast.MatchClause):
-                plans[id(clause)] = plan_match(clause, stats, frozenset(bound), csr)
+                plans[id(clause)] = plan_match(clause, stats, frozenset(bound))
                 for part in clause.pattern.parts:
                     for element in part.elements:
                         if element.variable:

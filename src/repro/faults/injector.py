@@ -51,7 +51,6 @@ SITE_CATALOGUE = (
     "llm.rerank",        # simulated backbone, rerank head (fires per candidate)
     "llm.judge",         # simulated backbone, judge head (eval only)
     "graph.execute",     # CypherEngine.execute — the symbolic hot path
-    "graph.csr.build",   # GraphStore.csr_snapshot — columnar snapshot build
     "vector.search",     # VectorStore.search — the semantic hot path
     "cache.get",         # AnswerCache lookup
     "singleflight.begin",  # SingleFlight registration (leader handoff)

@@ -1,6 +1,5 @@
 """In-memory property graph store (the repo's Neo4j substitute)."""
 
-from .csr import CSRAdjacency, CSRSnapshot, StaleSnapshotError, adjacency_key
 from .model import Node, Path, Relationship
 from .schema import GraphSchema, SchemaRelationship, introspect_schema
 from .store import EntityNotFound, GraphError, GraphStatistics, GraphStore
@@ -16,8 +15,4 @@ __all__ = [
     "GraphSchema",
     "SchemaRelationship",
     "introspect_schema",
-    "CSRSnapshot",
-    "CSRAdjacency",
-    "StaleSnapshotError",
-    "adjacency_key",
 ]

@@ -15,8 +15,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Optional
 
-from ..faults import fault_point
-from .csr import CSRSnapshot
 from .model import Node, Relationship, validate_properties
 
 __all__ = ["GraphStore", "GraphStatistics", "GraphError", "EntityNotFound"]
@@ -246,18 +244,6 @@ class GraphStore:
         # opens a fresh label scan per anchor row, so this sort is per-row
         # work without the cache.
         self._label_scan_cache: dict[str, tuple[int, ...]] = {}
-        # Read-optimised CSR snapshot (see repro.graph.csr), valid for one
-        # stats version; dropped on mutation like the adjacency cache.  A
-        # failed build is remembered per version so a broken snapshot can't
-        # retry on every query.
-        self._csr: Optional["CSRSnapshot"] = None
-        self._csr_failed_version: Optional[int] = None
-        self._csr_counters = {
-            "csr.builds": 0,
-            "csr.build_failures": 0,
-            "csr.hits": 0,
-            "csr.invalidations": 0,
-        }
 
     # ------------------------------------------------------------------
     # Creation / mutation
@@ -744,19 +730,12 @@ class GraphStore:
     ) -> int:
         """Number of attached relationships.
 
-        With a live CSR snapshot the count is an ``indptr`` difference —
-        O(1), no adjacency-dict walks.  Otherwise it is counted from the
-        (typed) adjacency indexes without materialising or sorting
-        relationship objects; directed counts are simple length sums,
-        ``"both"`` unions the two sides so self-loops count once.
+        Counted from the (typed) adjacency indexes without materialising or
+        sorting relationship objects; directed counts are simple length
+        sums, ``"both"`` unions the two sides so self-loops count once.
         """
         if direction not in ("out", "in", "both"):
             raise ValueError(f"invalid direction {direction!r}")
-        snapshot = self._csr
-        if snapshot is not None and snapshot.version == self._stats_version:
-            memoised = snapshot.degree_of(node_id, direction, rel_types)
-            if memoised is not None:
-                return memoised
         if direction == "both":
             return len(self._adjacent_ids(node_id, "both", rel_types))
         if rel_types is None:
@@ -771,43 +750,8 @@ class GraphStore:
             return 0
         return sum(len(buckets.get(rel_type, ())) for rel_type in set(rel_types))
 
-    # ------------------------------------------------------------------
-    # CSR snapshot (read-optimised columnar view)
-    # ------------------------------------------------------------------
-
-    def csr_snapshot(self) -> Optional[CSRSnapshot]:
-        """The CSR snapshot for the current graph version (built lazily).
-
-        Returns None — degrading callers to the dict-adjacency path — when
-        the build fails (including injected ``graph.csr.build`` faults) or
-        the graph mutated mid-build; the failure is remembered per version
-        so a broken build never retries on every query.
-        """
-        snapshot = self._csr
-        version = self._stats_version
-        if snapshot is not None and snapshot.version == version:
-            self._csr_counters["csr.hits"] += 1
-            return snapshot
-        if self._csr_failed_version == version:
-            return None
-        try:
-            # Fault-injection site: build failures must degrade, not error.
-            fault_point("graph.csr.build")
-            snapshot = CSRSnapshot(self)
-        except Exception:
-            self._csr_failed_version = version
-            self._csr_counters["csr.build_failures"] += 1
-            return None
-        if self._stats_version != version:  # mutated underneath the build
-            self._csr_counters["csr.build_failures"] += 1
-            return None
-        self._csr = snapshot
-        self._csr_counters["csr.builds"] += 1
-        return snapshot
-
-    def csr_metrics(self) -> dict[str, int]:
-        """Snapshot build/hit/invalidation counters (``csr.*`` keys)."""
-        return dict(self._csr_counters)
+    def csr_metrics(self) -> dict[str, int]:  # stub: benchmarks/e2e/workloads.py calls it
+        return {}
 
     # ------------------------------------------------------------------
     # Derived graphs
@@ -861,9 +805,6 @@ class GraphStore:
             self._adjacency_cache.clear()
         if self._label_scan_cache:
             self._label_scan_cache.clear()
-        if self._csr is not None:
-            self._csr = None
-            self._csr_counters["csr.invalidations"] += 1
 
     @staticmethod
     def _index_key(value: Any) -> Any:

@@ -7,6 +7,8 @@ the end-to-end guarantee that cost-based planning is semantics-preserving.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.cypher import CypherEngine, parse, plan_match, render_value
@@ -282,6 +284,30 @@ class TestExplainAndProfile:
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture()
+def diamond_store():
+    """A tiny hand-built graph with fan-out, a self-loop and parallel edges.
+
+        a --P--> b --P--> d        a --P--> c --P--> d
+        a --P--> b   (parallel)    d --P--> d (self-loop)
+        b --C--> x (cross-typed)
+    """
+    store = GraphStore()
+    a = store.create_node(["AS"], {"asn": 1})
+    b = store.create_node(["AS"], {"asn": 2})
+    c = store.create_node(["AS"], {"asn": 3})
+    d = store.create_node(["AS", "Tier1"], {"asn": 4})
+    x = store.create_node(["Country"], {"country_code": "GR"})
+    store.create_relationship(a.node_id, "PEERS_WITH", b.node_id)
+    store.create_relationship(a.node_id, "PEERS_WITH", b.node_id)  # parallel
+    store.create_relationship(a.node_id, "PEERS_WITH", c.node_id)
+    store.create_relationship(b.node_id, "PEERS_WITH", d.node_id)
+    store.create_relationship(c.node_id, "PEERS_WITH", d.node_id)
+    store.create_relationship(d.node_id, "PEERS_WITH", d.node_id)  # self-loop
+    store.create_relationship(b.node_id, "COUNTRY", x.node_id)
+    return store
+
+
 class TestPlanCaching:
     def test_ast_cache_is_bounded(self, tiny_store):
         engine = CypherEngine(tiny_store, cache_size=8)
@@ -298,6 +324,49 @@ class TestPlanCaching:
         # The cached plan was built for the old statistics version; the
         # engine must replan (and, more importantly, still see the node).
         assert engine.run(query).single()["n"] == 3
+
+    def test_queries_see_mutations_immediately(self, diamond_store):
+        engine = CypherEngine(diamond_store)
+        count = "MATCH (a:AS) RETURN count(a) AS n"
+        base = engine.run(count).single()["n"]
+        diamond_store.create_node(["AS"], {"asn": 123})
+        assert engine.run(count).single()["n"] == base + 1
+        node = diamond_store.create_node(["AS"], {"asn": 124})
+        peer = next(iter(diamond_store.nodes_by_label("AS")))
+        diamond_store.create_relationship(node.node_id, "PEERS_WITH", peer.node_id)
+        two_hop = "MATCH (a:AS {asn: 124})-[:PEERS_WITH]-(b:AS) RETURN count(b) AS n"
+        assert engine.run(two_hop).single()["n"] == 1
+
+    def test_threaded_readers_survive_mutations(self, diamond_store):
+        """Readers race a writer: every result must be a count the store
+        held at some point, with no errors from replanning mid-race."""
+        engine = CypherEngine(diamond_store)
+        query = "MATCH (a:AS)-[:PEERS_WITH]-(b:AS) RETURN count(*) AS n"
+        errors: list[Exception] = []
+        observed: list[int] = []
+        stop = threading.Event()
+
+        def reader():
+            while not stop.is_set():
+                try:
+                    observed.append(engine.run(query).single()["n"])
+                except Exception as exc:  # pragma: no cover - the failure mode
+                    errors.append(exc)
+                    return
+
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        anchor = next(iter(diamond_store.nodes_by_label("AS"))).node_id
+        for i in range(30):
+            node = diamond_store.create_node(["AS"], {"asn": 1000 + i})
+            diamond_store.create_relationship(node.node_id, "PEERS_WITH", anchor)
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not errors, errors
+        assert observed
+        assert max(observed) <= engine.run(query).single()["n"]
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +394,19 @@ def _comparable(result):
     ]
 
 
+def _assert_equivalent(planned_engine, unplanned_engine, query):
+    """Same keys and rows; row order must match only under ORDER BY."""
+    planned = planned_engine.run(query)
+    unplanned = unplanned_engine.run(query)
+    assert planned.keys == unplanned.keys, query
+    planned_rows = _comparable(planned)
+    unplanned_rows = _comparable(unplanned)
+    if "ORDER BY" in query.upper():
+        assert planned_rows == unplanned_rows, query
+    else:
+        assert sorted(planned_rows) == sorted(unplanned_rows), query
+
+
 class TestCypherEvalEquivalence:
     @pytest.mark.parametrize("shard", range(_EQUIVALENCE_SHARDS))
     def test_gold_queries_identical_rows(self, gold_questions, engine_pair, shard):
@@ -332,13 +414,44 @@ class TestCypherEvalEquivalence:
         questions = gold_questions[shard::_EQUIVALENCE_SHARDS]
         assert questions, "empty shard — CypherEval generation regressed"
         for question in questions:
+            _assert_equivalent(planned_engine, unplanned_engine, question.gold_cypher)
+
+    @pytest.mark.parametrize("shard", [0, 2])
+    def test_profiled_runs_stay_identical(self, gold_questions, engine_pair, shard):
+        """PROFILE times every operator; the rows must not change."""
+        planned_engine, _ = engine_pair
+        for question in gold_questions[shard::_EQUIVALENCE_SHARDS]:
             query = question.gold_cypher
-            planned = planned_engine.run(query)
-            unplanned = unplanned_engine.run(query)
-            assert planned.keys == unplanned.keys, query
-            planned_rows = _comparable(planned)
-            unplanned_rows = _comparable(unplanned)
-            if "ORDER BY" in query.upper():
-                assert planned_rows == unplanned_rows, query
-            else:
-                assert sorted(planned_rows) == sorted(unplanned_rows), query
+            plain = _comparable(planned_engine.run(query))
+            profiled = planned_engine.execute(query, profile=True)
+            assert _comparable(profiled) == plain, query
+
+
+class TestEdgeTopologies:
+    """Planned vs ``planner=False`` on graph shapes the gold set never has."""
+
+    QUERIES = [
+        "MATCH (a:AS)-[:PEERS_WITH]->(b:AS) RETURN a.asn AS x, b.asn AS y ORDER BY x, y",
+        "MATCH (a:AS)-[:PEERS_WITH]-(b:AS)-[:COUNTRY]->(c:Country) "
+        "RETURN DISTINCT c.country_code AS cc",
+        "MATCH (a:AS)-[:PEERS_WITH*1..3]->(b:AS) RETURN count(DISTINCT b) AS n",
+        "MATCH (a:AS) RETURN count(*) AS n",
+    ]
+
+    def _assert_identical(self, store):
+        planned = CypherEngine(store)
+        unplanned = CypherEngine(store, planner=False)
+        for query in self.QUERIES:
+            _assert_equivalent(planned, unplanned, query)
+
+    def test_empty_graph(self):
+        self._assert_identical(GraphStore())
+
+    def test_self_loops_and_parallel_edges(self, diamond_store):
+        self._assert_identical(diamond_store)
+
+    def test_isolated_nodes(self):
+        store = GraphStore()
+        for asn in range(5):
+            store.create_node(["AS"], {"asn": asn})
+        self._assert_identical(store)

@@ -327,19 +327,15 @@ def test_compiler_identity_cache(small_store):
 
 
 def test_config_escape_hatch(small_dataset):
-    on = ChatIYP(
-        dataset=small_dataset, config=ChatIYPConfig(dataset_size="small")
-    )
-    off = ChatIYP(
-        dataset=small_dataset,
-        config=ChatIYPConfig(dataset_size="small", compile_expressions=False),
-    )
-    assert on.engine.compiler is not None
-    assert off.engine.compiler is None
-    assert on.config.fingerprint() != off.config.fingerprint()
-    question = "Which prefixes does AS2497 originate?"
-    assert on.ask(question).answer == off.ask(question).answer
-    snapshot = on.serving_snapshot()
+    """The interpreter is an engine switch; ChatIYP always runs compiled."""
+    app = ChatIYP(dataset=small_dataset, config=ChatIYPConfig(dataset_size="small"))
+    interpreted = CypherEngine(small_dataset.store, compile_expressions=False)
+    assert app.engine.compiler is not None
+    assert interpreted.compiler is None
+    cypher = app.ask("Which prefixes does AS2497 originate?").cypher
+    assert cypher is not None
+    assert app.run_cypher(cypher).to_dicts() == interpreted.run(cypher).to_dicts()
+    snapshot = app.serving_snapshot()
     assert snapshot["compile"]["compile.compiled"] > 0
-    counters = on.metrics.snapshot()["counters"]
+    counters = app.metrics.snapshot()["counters"]
     assert counters.get("compile.compiled", 0) > 0
