@@ -56,23 +56,6 @@ ENGINE_QUERIES = {
     ),
 }
 
-#: Expression-compilation entries: timed on the same run against an engine
-#: with ``compile_expressions=False``, so the committed ratio is a
-#: machine-portable measure of what closure compilation (plus the anchored
-#: fast path) buys over per-row AST interpretation.  ``compiled_filter_scan``
-#: uses a top-level OR that defeats index pushdown — every row pays the
-#: predicate; ``projection_heavy`` pays per-row projection arithmetic.
-COMPILED_QUERIES = {
-    "compiled_filter_scan": (
-        "MATCH (a:AS) WHERE a.asn % 7 = 3 OR (a.asn % 5 = 1 AND a.name CONTAINS 'A') "
-        "RETURN a.asn"
-    ),
-    "projection_heavy": (
-        "MATCH (a:AS) RETURN a.asn + 1 AS x, a.asn * 2 AS y, a.asn % 10 AS m, "
-        "a.name AS name"
-    ),
-}
-
 #: Memory benchmark query: with streaming execution the peak per-operator
 #: row count stays bounded by LIMIT, where the seed executor's
 #: clause-boundary lists materialized the whole label scan.
@@ -154,20 +137,6 @@ def test_perf_order_by_limit(benchmark, engine):
     assert len(result) == 10
 
 
-@pytest.mark.perf_smoke
-def test_perf_compiled_filter_scan(benchmark, engine):
-    # Unpushable OR filter: every AS row runs the compiled predicate.
-    result = benchmark(engine.run, COMPILED_QUERIES["compiled_filter_scan"])
-    assert len(result) >= 1
-
-
-@pytest.mark.perf_smoke
-def test_perf_projection_heavy(benchmark, engine):
-    # Four projected expressions per row: compiled projection closures.
-    result = benchmark(engine.run, COMPILED_QUERIES["projection_heavy"])
-    assert len(result) >= 1
-
-
 def test_perf_query_parse_cached(benchmark, engine):
     # Repeated execution of identical text hits the AST cache (the RAG hot path).
     query = "MATCH (a:AS) WHERE a.asn > 100000 RETURN count(a)"
@@ -245,22 +214,6 @@ def run_quick(output: Path | None, batches: int = 10, runs: int = 20) -> dict:
             file=sys.stderr,
         )
 
-    uncompiled = CypherEngine(store, compile_expressions=False)
-    for name, query in COMPILED_QUERIES.items():
-        compiled_ms = _median_latency_ms(planned, query, batches, runs)
-        uncompiled_ms = _median_latency_ms(uncompiled, query, batches, runs)
-        results[name] = {
-            "query": query,
-            "median_ms": round(compiled_ms, 4),
-            "median_ms_compiled_off": round(uncompiled_ms, 4),
-            "speedup_compiled": round(uncompiled_ms / compiled_ms, 2),
-        }
-        print(
-            f"{name:22s} compiled={compiled_ms:8.4f} ms  "
-            f"off={uncompiled_ms:8.4f} ms",
-            file=sys.stderr,
-        )
-
     memory_scan = _memory_scan(store)
     print(
         f"{'memory_scan':22s} peak={memory_scan['peak_operator_rows']} rows  "
@@ -298,14 +251,6 @@ _NO_HARM_FLOOR_MS = 0.5
 def _planner_ratio(entry: dict) -> float | None:
     on = entry.get("median_ms")
     off = entry.get("median_ms_planner_off")
-    if not on or not off:
-        return None
-    return off / on
-
-
-def _compiled_ratio(entry: dict) -> float | None:
-    on = entry.get("median_ms")
-    off = entry.get("median_ms_compiled_off")
     if not on or not off:
         return None
     return off / on
@@ -355,22 +300,6 @@ def check_regressions(
                 failures.append(
                     f"{name}: planner makes this query {1.0 / current_ratio:.2f}x "
                     f"slower than planner-off (> {_NO_HARM_SLACK:.0%} slack)"
-                )
-        # Same-run compiled-on vs compiled-off ratio: the same log-space
-        # floor protects the expression-compilation wins (the ratio is
-        # machine-portable for exactly the same reason the planner one is).
-        committed_compiled = _compiled_ratio(committed)
-        current_compiled = _compiled_ratio(entry)
-        if (
-            committed_compiled is not None
-            and current_compiled is not None
-            and committed_compiled >= _PROTECTED_WIN
-        ):
-            floor = committed_compiled ** (1.0 - tolerance)
-            if current_compiled < floor:
-                failures.append(
-                    f"{name}: compiled speedup {current_compiled:.2f}x < {floor:.2f}x "
-                    f"(committed {committed_compiled:.2f}x, tolerance {tolerance:.0%})"
                 )
     committed_memory = baseline.get("memory_scan")
     current_memory = payload.get("memory_scan")

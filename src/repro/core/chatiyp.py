@@ -146,10 +146,6 @@ class ChatIYP:
         # aggregates + routing counters); the HTTP server serves it under
         # /metrics, and callers can attach further observers (tracing, ...).
         self.metrics = MetricsRegistry()
-        # Engine-side compilation counters are cumulative; mirror them into
-        # the registry as deltas so /metrics stays monotonic even when the
-        # engine is also exercised outside the pipeline (run_cypher, evals).
-        self._compile_reported: dict[str, int] = {}
         # Serving hardening: circuit breaker around the symbolic path
         # (state transitions are counted in the metrics registry), retry
         # with seeded jittered backoff for transient LLM-stage failures,
@@ -225,14 +221,6 @@ class ChatIYP:
             diagnostics=diagnostics,
         )
 
-    def _sync_compile_metrics(self) -> None:
-        """Push engine ``compile.*`` counter deltas into the registry."""
-        for key, total in self.engine.compile_metrics().items():
-            delta = total - self._compile_reported.get(key, 0)
-            if delta > 0:
-                self.metrics.increment(key, by=delta)
-                self._compile_reported[key] = total
-
     def _request_key(self, text: str) -> tuple:
         """Identity of a request for caching/coalescing purposes."""
         return AnswerCache.key(text, self._config_fingerprint, self.store.stats_version)
@@ -262,7 +250,6 @@ class ChatIYP:
             result=pipeline_response.result,
             diagnostics=pipeline_response.diagnostics,
         )
-        self._sync_compile_metrics()
         # Degraded answers are artifacts of load/deadline pressure, not the
         # question — never let them shadow a full answer in the cache.
         if self.answer_cache is not None and cache_key is not None and not degraded:
@@ -391,11 +378,8 @@ class ChatIYP:
     def serving_snapshot(self) -> dict[str, Any]:
         """Live state of the serving-hardening layer (for ``/metrics``)."""
         injector = active_injector()
-        self._sync_compile_metrics()
         return {
-            # Cumulative expression-compilation counters straight from the
-            # engine (cache hits, fused operators, fast-path executions).
-            "compile": self.engine.compile_metrics(),
+            "compile": {},  # stub: benchmarks/e2e/workloads.py still reads this key
             "csr": {},  # stub: benchmarks/e2e/workloads.py still reads this key
             "cache": self.answer_cache.stats() if self.answer_cache else None,
             "breaker": self.breaker.snapshot() if self.breaker else None,

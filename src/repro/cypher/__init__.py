@@ -8,7 +8,6 @@ Public surface::
     result = engine.run("MATCH (a:AS {asn: $asn}) RETURN a.name", asn=2497)
 """
 
-from .compile import ExpressionCompiler, expression_variables
 from .errors import (
     CypherDeadlineExceeded,
     CypherError,
@@ -19,7 +18,7 @@ from .errors import (
     UnknownFunctionError,
 )
 from .executor import CypherEngine, execute
-from .operators import PhysicalOperator, profile_tree, render_profile
+from .operators import PhysicalOperator, expression_variables, profile_tree, render_profile
 from .parser import parse, parse_expression
 from .planner import (
     AnchorPlan,
@@ -36,7 +35,6 @@ from .safety import is_read_only
 __all__ = [
     "CypherEngine",
     "execute",
-    "ExpressionCompiler",
     "expression_variables",
     "AnchorPlan",
     "MatchPlan",

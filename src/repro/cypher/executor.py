@@ -9,8 +9,8 @@ lookups and bind-time filters — and each planned part becomes an explicit
 ``AnchorScan → Expand* → Match`` operator chain.  The tree executes
 Volcano-style (``open()/next()/close()``), so a downstream LIMIT/top-k
 stops pulling and the whole upstream pipeline terminates early; only
-blocking operators (Sort, Aggregate, ``RETURN *``, write barriers)
-materialise rows.  Plans (and parsed ASTs) are cached in a bounded LRU
+blocking operators (Sort, Aggregate, write barriers) materialise
+rows.  Plans (and parsed ASTs) are cached in a bounded LRU
 keyed by query text; ``planner=False`` is the escape hatch that falls
 back to the naive shape-only heuristics (via a row-at-a-time ``Match``
 fallback operator, so results stay bit-identical to planned execution).
@@ -24,6 +24,7 @@ execution, and ``engine.profile(query, **params)`` for the per-operator
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional, Union
@@ -33,19 +34,18 @@ from ..graph.model import Node, Path, Relationship
 from ..graph.store import GraphStore
 from . import ast_nodes as ast
 from . import operators as ops
-from .compile import ExpressionCompiler, binary_operation, compare_once
 from .errors import CypherRuntimeError, CypherSyntaxError, CypherTypeError
 from .functions import (
+    binary_operation,
     call_aggregate,
     call_scalar,
+    compare_once,
     is_aggregate_function,
     percentile,
 )
 from .operators import (
     RuntimeState,
     _contains_aggregate,
-    _Descending,
-    _freeze,
     _same_rel_binding,
     profile_tree,
     render_profile,
@@ -53,7 +53,7 @@ from .operators import (
 from .parser import parse
 from .planner import AnchorPlan, MatchPlan, PartPlan, PushedFilter, plan_query
 from .result import Record, ResultSet
-from .values import cypher_compare, cypher_equals, is_truthy, sort_key
+from .values import cypher_compare, cypher_equals, is_truthy
 
 __all__ = ["CypherEngine", "execute"]
 
@@ -66,29 +66,39 @@ def execute(store: GraphStore, query: str, **params: Any) -> ResultSet:
     return CypherEngine(store).run(query, **params)
 
 
+_MISSING = object()
+
+
 class _LRUCache(OrderedDict):
     """Bounded mapping with least-recently-used eviction.
 
     A thin :class:`OrderedDict` wrapper: hits move to the back, inserts
     evict from the front once ``capacity`` is exceeded.  Sustained mixed
     workloads stay warm instead of thrashing on a clear-everything reset.
+    One engine serves every HTTP worker thread, so lookups and inserts
+    hold a lock: an insert can otherwise evict a key between a reader's
+    membership test and its ``move_to_end``.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
         super().__init__()
         self.capacity = capacity
+        self._lock = threading.Lock()
 
     def get(self, key: Any, default: Any = None) -> Any:
-        if key not in self:
-            return default
-        self.move_to_end(key)
-        return super().__getitem__(key)
+        with self._lock:
+            value = super().get(key, _MISSING)
+            if value is _MISSING:
+                return default
+            self.move_to_end(key)
+            return value
 
     def __setitem__(self, key: Any, value: Any) -> None:
-        super().__setitem__(key, value)
-        self.move_to_end(key)
-        while len(self) > self.capacity:
-            self.popitem(last=False)
+        with self._lock:
+            super().__setitem__(key, value)
+            self.move_to_end(key)
+            while len(self) > self.capacity:
+                self.popitem(last=False)
 
 
 @dataclass
@@ -101,49 +111,6 @@ class _PlanEntry:
     tree: ast.Query
     stats_version: int
     plans: dict[int, MatchPlan] = field(default_factory=dict)
-    #: compiled single-node point-lookup fast path (None = shape ineligible)
-    fastpath: Any = None
-    fastpath_ready: bool = False
-
-
-@dataclass
-class _FastPath:
-    """A fully-anchored ``MATCH ... RETURN ...`` compiled to closures.
-
-    Cached on the :class:`_PlanEntry`, so repeated executions of the same
-    query text skip operator-tree construction entirely and run a flat
-    bind → WHERE → project loop.  Only eligible shapes whose per-row
-    pipeline is exactly that sequence — optionally followed by DISTINCT
-    and/or aggregation, which reuse the operator layer's ``_freeze`` and
-    ``_project_grouped`` verbatim — are built (no ORDER BY, ``RETURN *``,
-    OPTIONAL or multi-part patterns), so output — including error order —
-    matches the operator tree row for row.
-    """
-
-    elements: list
-    anchor: AnchorPlan
-    filters: Optional[Filters]
-    maintain_used: bool
-    where_fn: Any
-    item_fns: tuple
-    keys: list[str]
-    skip_expr: Optional[ast.Expr]
-    limit_expr: Optional[ast.Expr]
-    # Single-element specialization: the checks _bind_node would repeat per
-    # candidate, pre-split so the hot loop only runs the ones the anchor's
-    # access path doesn't already guarantee.
-    variable: Optional[str] = None
-    check_labels: tuple = ()
-    prop_fns: tuple = ()
-    var_filters: Any = None
-    #: RETURN DISTINCT — dedup projected values exactly like ops.Distinct
-    distinct: bool = False
-    #: aggregated RETURN: (items, grouping_indices, grouping_fns) for
-    #: ops._project_grouped; None for plain projections
-    aggregate: Optional[tuple] = None
-    #: ungrouped single-aggregate specialization: (name, arg_fn, distinct)
-    #: with arg_fn None for count(*) — streams straight into call_aggregate
-    simple_aggregate: Optional[tuple] = None
 
 
 class CypherEngine:
@@ -163,9 +130,11 @@ class CypherEngine:
         planner: bool = True,
         cache_size: int = 1024,
         row_budget: Optional[int] = None,
-        compile_expressions: bool = True,
+        compile_expressions: bool = False,  # stub: benchmarks/e2e/checks.py passes False
         csr_snapshot: bool = False,  # stub: benchmarks/e2e/checks.py passes False
     ) -> None:
+        if compile_expressions:  # stub
+            raise ValueError("expression compilation was removed; only False is accepted")
         if csr_snapshot:
             raise ValueError("snapshot traversal was removed; only False is accepted")
         self.store = store
@@ -173,26 +142,14 @@ class CypherEngine:
         self.planner = planner
         #: default intermediate-row budget for every execution (None = off)
         self.row_budget = row_budget
-        #: expression compiler shared across executions (None = interpret)
-        self.compiler = ExpressionCompiler() if compile_expressions else None
-        self._fastpath_hits = 0
-        self._fused_operators = 0
         self._ast_cache: _LRUCache = _LRUCache(cache_size)
         self._plan_cache: _LRUCache = _LRUCache(cache_size)
         # id(clause) -> (clause, items, keys, aggregated, grouping_indices);
         # holding the clause reference keeps its id stable for the cache key
         self._projection_meta: dict[int, tuple] = {}
 
-    def compile_metrics(self) -> dict[str, int]:
-        """Expression-compilation counters for the metrics registry."""
-        metrics = (
-            self.compiler.metrics()
-            if self.compiler is not None
-            else {"compile.compiled": 0, "compile.cache_hits": 0, "compile.fallbacks": 0}
-        )
-        metrics["compile.fastpath_hits"] = self._fastpath_hits
-        metrics["compile.fused_operators"] = self._fused_operators
-        return metrics
+    def compile_metrics(self) -> dict[str, int]:  # stub: benchmarks/e2e/workloads.py calls it
+        return {}
 
     def run(self, query: str, **params: Any) -> ResultSet:
         """Parse and plan (both cached) then execute ``query``."""
@@ -228,29 +185,12 @@ class CypherEngine:
         if tree is None:
             tree = parse(query)
             self._ast_cache[query] = tree
-        entry = self._entry_for(query, tree)
-        plans = entry.plans if entry is not None else None
-        budget = row_budget if row_budget is not None else self.row_budget
-        if (
-            entry is not None
-            and self.compiler is not None
-            and not profile
-            and deadline is None
-            and budget is None
-        ):
-            # Fully-anchored point lookups skip operator-tree construction
-            # entirely; the shape check is cached on the plan entry.
-            if not entry.fastpath_ready:
-                entry.fastpath = self._build_fastpath(tree, entry.plans)
-                entry.fastpath_ready = True
-            if entry.fastpath is not None:
-                return self._run_fastpath(entry.fastpath, params or {})
         result, root = self._execute(
             tree,
             params or {},
-            plans,
+            self._plans_for(query, tree),
             deadline=deadline,
-            row_budget=budget,
+            row_budget=row_budget if row_budget is not None else self.row_budget,
             profiled=profile,
         )
         if profile:
@@ -265,11 +205,6 @@ class CypherEngine:
 
     def _plans_for(self, query: str, tree: ast.Query) -> Optional[dict[int, MatchPlan]]:
         """Cached match plans for ``query``, replanned when the graph changed."""
-        entry = self._entry_for(query, tree)
-        return entry.plans if entry is not None else None
-
-    def _entry_for(self, query: str, tree: ast.Query) -> Optional[_PlanEntry]:
-        """The cached plan entry for ``query``, replanned when the graph changed."""
         if not self.planner:
             return None
         version = self.store.stats_version
@@ -281,7 +216,7 @@ class CypherEngine:
                 plans=plan_query(tree, self.store.statistics()),
             )
             self._plan_cache[query] = entry
-        return entry
+        return entry.plans
 
     def _execute(
         self,
@@ -299,8 +234,7 @@ class CypherEngine:
         ``PROFILE`` rendering and the ``cypher_profile`` diagnostics).
         """
         context = _ExecutionContext(
-            self.store, params, self.max_var_length, plans, self._projection_meta,
-            self.compiler,
+            self.store, params, self.max_var_length, plans, self._projection_meta
         )
         state = RuntimeState(deadline=deadline, budget=row_budget, profiled=profiled)
         state.check_deadline()
@@ -351,25 +285,8 @@ class CypherEngine:
         for qindex, single in enumerate(queries):
             if len(queries) > 1:
                 lines.append(f"UNION branch {qindex + 1}:")
-            pending_filter = False
             for clause in single.clauses:
-                clause_lines = self._explain_clause(clause, plans)
-                if (
-                    pending_filter
-                    and isinstance(clause, ast.ProjectionClause)
-                    and not clause.star
-                    and not any(_contains_aggregate(i.expression) for i in clause.items)
-                ):
-                    # The compiled WHERE filter and this projection execute
-                    # as one FusedFilterProject operator.
-                    clause_lines[-1] += " [fused]"
-                pending_filter = (
-                    self.compiler is not None
-                    and isinstance(clause, ast.MatchClause)
-                    and not clause.optional
-                    and clause.where is not None
-                )
-                lines.extend(clause_lines)
+                lines.extend(self._explain_clause(clause, plans))
         return "\n".join(lines)
 
     def _explain_clause(
@@ -396,8 +313,7 @@ class CypherEngine:
                             op = "STARTS WITH"
                         lines.append(f"  Pushdown {variable}.{filt.key} {op} ...")
             if clause.where is not None:
-                marker = " [compiled]" if self.compiler is not None else ""
-                lines.append(f"  Filter (WHERE){marker}")
+                lines.append("  Filter (WHERE)")
             return lines
         if isinstance(clause, ast.ProjectionClause):
             detail = []
@@ -474,26 +390,34 @@ class CypherEngine:
         if fused is not None:
             return fused
         op: ops.PhysicalOperator = ops.Init(state)
+        # Variables the clauses so far bind: what ``WITH *``/``RETURN *``
+        # expand to, known before any row exists.
+        scope: set[str] = set()
         clauses = tree.clauses
         for index, clause in enumerate(clauses):
             if isinstance(clause, ast.MatchClause):
                 op = self._lower_match(op, clause, context, state)
+                scope.update(_pattern_variables(clause.pattern.parts))
             elif isinstance(clause, ast.UnwindClause):
                 op = ops.Unwind(state, op, context, clause)
+                scope.add(clause.variable)
             elif isinstance(clause, ast.WithClause):
-                op, projection = self._lower_projection(op, clause, context, state)
+                op, projection = self._lower_projection(op, clause, context, state, scope)
                 op = ops.AsRows(state, op, projection)
                 if clause.where is not None:
                     op = ops.Filter(state, op, context, clause.where, pairs_in=False)
+                scope = set(projection.keys)
             elif isinstance(clause, ast.ReturnClause):
                 if index != len(clauses) - 1:
                     raise CypherSyntaxError("RETURN must be the final clause")
-                op, projection = self._lower_projection(op, clause, context, state)
+                op, projection = self._lower_projection(op, clause, context, state, scope)
                 return ops.ProduceResults(state, op, projection)
             elif isinstance(clause, ast.CreateClause):
                 op = ops.Create(state, op, context, clause)
+                scope.update(_pattern_variables(clause.pattern.parts))
             elif isinstance(clause, ast.MergeClause):
                 op = ops.Merge(state, op, context, clause)
+                scope.update(_pattern_variables((clause.part,)))
             elif isinstance(clause, ast.SetClause):
                 op = ops.SetProperties(state, op, context, clause)
             elif isinstance(clause, ast.DeleteClause):
@@ -524,7 +448,7 @@ class CypherEngine:
         if clause.where is not None:
             sub = ops.Filter(state, sub, context, clause.where, pairs_in=False)
         return ops.OptionalMatch(
-            state, child, sub, source, _pattern_variables(clause.pattern)
+            state, child, sub, source, _pattern_variables(clause.pattern.parts)
         )
 
     def _lower_parts(
@@ -620,65 +544,35 @@ class CypherEngine:
         clause: ast.ProjectionClause,
         context: "_ExecutionContext",
         state: RuntimeState,
+        scope: Iterable[str] = (),
     ) -> tuple[ops.PhysicalOperator, ops.PhysicalOperator]:
         """Lower WITH/RETURN into project → distinct → sort → skip → limit.
 
-        Returns the pipeline top plus the projection operator itself —
-        downstream operators (Sort, AsRows, ProduceResults) read its
-        items/keys lazily, since ``RETURN *`` only resolves its scope when
-        the projection opens.
+        ``scope`` is the set of variables bound before the clause, which
+        ``*`` expands to.  Returns the pipeline top plus the projection
+        operator itself, whose items/keys Sort, AsRows and ProduceResults
+        read.
         """
-        aggregated_items = any(
-            _contains_aggregate(item.expression) for item in clause.items
-        )
-        projection: ops.PhysicalOperator
-        if clause.star:
-            if aggregated_items:
-                projection = ops.Aggregate(state, child, context, clause, meta=None)
-            else:
-                projection = ops.StarProject(state, child, context, clause)
+        # Projection metadata depends only on the clause (and, for ``*``,
+        # on the clauses before it in the same tree); cache it per clause
+        # so repeated runs of a cached AST skip the re-derivation.
+        meta = context._projection_meta.get(id(clause))
+        if meta is None:
+            items, keys, aggregated, grouping = ops.derive_projection(
+                clause, sorted(scope)
+            )
+            if len(context._projection_meta) > 4096:
+                context._projection_meta.clear()
+            context._projection_meta[id(clause)] = (
+                clause, items, keys, aggregated, grouping,
+            )
         else:
-            # Projection metadata only depends on the clause, not the rows;
-            # cache it per clause so repeated runs of a cached AST skip the
-            # re-derivation (``RETURN *`` is row-scoped and never cached).
-            meta = context._projection_meta.get(id(clause))
-            if meta is None:
-                items, keys, aggregated, grouping = ops.derive_projection(clause, [])
-                if len(context._projection_meta) > 4096:
-                    context._projection_meta.clear()
-                context._projection_meta[id(clause)] = (
-                    clause, items, keys, aggregated, grouping,
-                )
-            else:
-                _, items, keys, aggregated, grouping = meta
-            if aggregated:
-                projection = ops.Aggregate(
-                    state, child, context, clause,
-                    meta=(items, keys, aggregated, grouping),
-                )
-            else:
-                # Fuse an adjacent chain of compiled Filters into the
-                # projection: one callable per row instead of one operator
-                # wrapper (budget charge, deadline stride, timer) apiece.
-                fused_child = child
-                predicate_fns: list = []
-                while (
-                    isinstance(fused_child, ops.Filter)
-                    and fused_child.predicate_fn is not None
-                    and not fused_child.pairs_in
-                ):
-                    predicate_fns.append(fused_child.predicate_fn)
-                    fused_child = fused_child.children[0]
-                if predicate_fns:
-                    predicate_fns.reverse()  # innermost filter evaluates first
-                    item_fns = tuple(context.compile(item.expression) for item in items)
-                    projection = ops.FusedFilterProject(
-                        state, fused_child, context, items, keys,
-                        tuple(predicate_fns), item_fns,
-                    )
-                    self._fused_operators += 1
-                else:
-                    projection = ops.Project(state, child, context, items, keys)
+            _, items, keys, aggregated, grouping = meta
+        projection: ops.PhysicalOperator
+        if aggregated:
+            projection = ops.Aggregate(state, child, context, items, keys, grouping)
+        else:
+            projection = ops.Project(state, child, context, items, keys)
         op: ops.PhysicalOperator = projection
         if clause.distinct:
             op = ops.Distinct(state, (op,))
@@ -801,338 +695,6 @@ class CypherEngine:
             needed += context._bounded_int(ret.skip, "SKIP")
         return needed
 
-    # -- point-lookup fast path -------------------------------------------
-
-    def _build_fastpath(
-        self, tree: ast.Query, plans: dict[int, MatchPlan]
-    ) -> Optional[_FastPath]:
-        """Compile an eligible ``MATCH ... RETURN ...`` into a :class:`_FastPath`.
-
-        Returns None whenever any part of the query needs operator
-        machinery beyond a flat bind → WHERE → project loop.
-        """
-        if not isinstance(tree, ast.SingleQuery) or len(tree.clauses) != 2:
-            return None
-        match, ret = tree.clauses
-        if not isinstance(match, ast.MatchClause) or not isinstance(ret, ast.ReturnClause):
-            return None
-        if match.optional or len(match.pattern.parts) != 1:
-            return None
-        part = match.pattern.parts[0]
-        if part.shortest is not None or part.path_variable is not None:
-            return None
-        if ret.star or ret.order_by:
-            return None
-        meta = self._projection_meta.get(id(ret))
-        if meta is None:
-            items, keys, aggregated, grouping = ops.derive_projection(ret, [])
-            if len(self._projection_meta) > 4096:
-                self._projection_meta.clear()
-            self._projection_meta[id(ret)] = (ret, items, keys, aggregated, grouping)
-        else:
-            _, items, keys, aggregated, grouping = meta
-        plan = plans.get(id(match))
-        if plan is None:
-            return None
-        part_plan = plan.parts[0]
-        if part_plan.anchor.kind == "bound":
-            return None
-        elements = list(part.elements)
-        if part_plan.reverse:
-            elements = _reverse_elements(elements)
-        compiler = self.compiler
-        aggregate = None
-        simple_aggregate = None
-        if aggregated:
-            # Mirror ops.Aggregate._open: grouping keys run compiled only
-            # when every one of them compiles.
-            fns = [compiler.compile(items[i].expression) for i in grouping]
-            grouping_fns = tuple(fns) if grouping and all(f is not None for f in fns) else None
-            aggregate = (items, grouping, grouping_fns)
-            if not grouping and len(items) == 1:
-                # One group, one aggregate: stream the compiled argument
-                # straight into call_aggregate — same values, same dedup,
-                # same reducer as evaluate_aggregate, minus the per-row
-                # grouping machinery.
-                expr = items[0].expression
-                if isinstance(expr, ast.CountStar):
-                    simple_aggregate = ("count", None, False)
-                elif (
-                    isinstance(expr, ast.FunctionCall)
-                    and is_aggregate_function(expr.name)
-                    and expr.name.lower() not in ("percentilecont", "percentiledisc")
-                    and len(expr.args) == 1
-                ):
-                    arg_fn = compiler.compile(expr.args[0])
-                    if arg_fn is not None:
-                        simple_aggregate = (expr.name, arg_fn, expr.distinct)
-        anchor = part_plan.anchor
-        first = elements[0]
-        variable = None
-        check_labels: tuple = ()
-        prop_fns: tuple = ()
-        var_filters = None
-        if len(elements) == 1:
-            variable = first.variable
-            # Every anchor access path except "all" yields nodes already
-            # scoped to anchor.label; only the other labels need rechecking
-            # per candidate.
-            guaranteed = {anchor.label} if anchor.kind != "all" else set()
-            check_labels = tuple(
-                label for label in first.labels if label not in guaranteed
-            )
-            if first.properties:
-                prop_fns = compiler.pattern_props(first)
-            if plan.filters and variable is not None:
-                var_filters = plan.filters.get(variable)
-        return _FastPath(
-            elements=elements,
-            anchor=anchor,
-            filters=plan.filters,
-            maintain_used=part_plan.needs_used,
-            where_fn=compiler.compile(match.where) if match.where is not None else None,
-            item_fns=(
-                ()
-                if aggregated
-                else tuple(compiler.compile(item.expression) for item in items)
-            ),
-            keys=keys,
-            skip_expr=ret.skip,
-            limit_expr=ret.limit,
-            variable=variable,
-            check_labels=check_labels,
-            prop_fns=prop_fns,
-            var_filters=var_filters,
-            distinct=ret.distinct,
-            aggregate=aggregate,
-            simple_aggregate=simple_aggregate,
-        )
-
-    def _run_fastpath(self, fp: _FastPath, params: dict[str, Any]) -> ResultSet:
-        """Run a compiled :class:`_FastPath`: flat bind → WHERE → project.
-
-        Mirrors the operator pipeline's evaluation order exactly: SKIP and
-        LIMIT evaluate before any matching (as the lowering does), the
-        projection still runs for skipped rows (the ``Skip`` operator
-        discards post-projection entries), and ``LIMIT 0`` pulls nothing
-        upstream.
-        """
-        ctx = _ExecutionContext(
-            self.store, params, self.max_var_length, None, self._projection_meta,
-            self.compiler,
-        )
-        skip = ctx._bounded_int(fp.skip_expr, "SKIP") if fp.skip_expr is not None else 0
-        limit = (
-            ctx._bounded_int(fp.limit_expr, "LIMIT")
-            if fp.limit_expr is not None
-            else None
-        )
-        self._fastpath_hits += 1
-        keys = fp.keys
-        if limit == 0:
-            return ResultSet(keys, [], **ctx.counters())
-        needed = None if limit is None else skip + limit
-        if fp.distinct or fp.aggregate is not None:
-            return self._run_fastpath_grouped(fp, ctx, keys, skip, needed)
-        where_fn = fp.where_fn
-        item_fns = fp.item_fns
-        first = fp.elements[0]
-        values_rows: list[list[Any]] = []
-        empty: Row = {}
-        if len(fp.elements) == 1:
-            # Inlined _bind_node: the anchor access path already guarantees
-            # its own label, and pattern properties only see params here (the
-            # row is empty), so their values are evaluated once — lazily, on
-            # the first candidate, so an empty access path raises exactly
-            # where the generic path would (never).
-            var = fp.variable
-            check_labels = fp.check_labels
-            prop_fns = fp.prop_fns
-            var_filters = fp.var_filters
-            wanted: Optional[list] = None
-            for node in ctx._node_candidates(first, empty, fp.anchor):
-                if check_labels:
-                    matched = True
-                    for label in check_labels:
-                        if label not in node.labels:
-                            matched = False
-                            break
-                    if not matched:
-                        continue
-                if prop_fns:
-                    if wanted is None:
-                        wanted = [(key, fn(ctx, empty)) for key, fn in prop_fns]
-                    properties = node.properties
-                    matched = True
-                    for key, want in wanted:
-                        if cypher_equals(properties.get(key), want) is not True:
-                            matched = False
-                            break
-                    if not matched:
-                        continue
-                if var_filters is not None and not ctx._passes_filters(
-                    node.properties, var_filters
-                ):
-                    continue
-                row = {var: node} if var is not None else empty
-                if where_fn is not None and is_truthy(where_fn(ctx, row)) is not True:
-                    continue
-                values_rows.append([fn(ctx, row) for fn in item_fns])
-                if needed is not None and len(values_rows) >= needed:
-                    break
-        else:
-            buffer: list = []
-            done = False
-            for start in ctx._node_candidates(first, empty, fp.anchor):
-                start_row = ctx._bind_node(first, start, empty, fp.filters)
-                if start_row is None:
-                    continue
-                buffer.clear()
-                ctx._match_chain(
-                    fp.elements, 1, start_row, frozenset(), start, None, None,
-                    fp.filters, fp.maintain_used, buffer,
-                )
-                for row, _used in buffer:
-                    if where_fn is not None and is_truthy(where_fn(ctx, row)) is not True:
-                        continue
-                    values_rows.append([fn(ctx, row) for fn in item_fns])
-                    if needed is not None and len(values_rows) >= needed:
-                        done = True
-                        break
-                if done:
-                    break
-        records = [Record.of(keys, values) for values in values_rows[skip:]]
-        return ResultSet(keys, records, **ctx.counters())
-
-    def _fastpath_match(self, fp: _FastPath, ctx: "_ExecutionContext") -> Iterator[Row]:
-        """Matched (bind → WHERE) rows of the fast path's single part.
-
-        The row source for the DISTINCT/aggregated tail: identical checks
-        to the flat projection loops, yielding the bound rows instead of
-        projecting them.
-        """
-        where_fn = fp.where_fn
-        first = fp.elements[0]
-        empty: Row = {}
-        if len(fp.elements) == 1:
-            var = fp.variable
-            check_labels = fp.check_labels
-            prop_fns = fp.prop_fns
-            var_filters = fp.var_filters
-            wanted: Optional[list] = None
-            for node in ctx._node_candidates(first, empty, fp.anchor):
-                if check_labels:
-                    matched = True
-                    for label in check_labels:
-                        if label not in node.labels:
-                            matched = False
-                            break
-                    if not matched:
-                        continue
-                if prop_fns:
-                    if wanted is None:
-                        wanted = [(key, fn(ctx, empty)) for key, fn in prop_fns]
-                    properties = node.properties
-                    matched = True
-                    for key, want in wanted:
-                        if cypher_equals(properties.get(key), want) is not True:
-                            matched = False
-                            break
-                    if not matched:
-                        continue
-                if var_filters is not None and not ctx._passes_filters(
-                    node.properties, var_filters
-                ):
-                    continue
-                row = {var: node} if var is not None else empty
-                if where_fn is not None and is_truthy(where_fn(ctx, row)) is not True:
-                    continue
-                yield row
-            return
-        buffer: list = []
-        for start in ctx._node_candidates(first, empty, fp.anchor):
-            start_row = ctx._bind_node(first, start, empty, fp.filters)
-            if start_row is None:
-                continue
-            buffer.clear()
-            ctx._match_chain(
-                fp.elements, 1, start_row, frozenset(), start, None, None,
-                fp.filters, fp.maintain_used, buffer,
-            )
-            for row, _used in buffer:
-                if where_fn is not None and is_truthy(where_fn(ctx, row)) is not True:
-                    continue
-                yield row
-
-    def _run_fastpath_grouped(
-        self,
-        fp: _FastPath,
-        ctx: "_ExecutionContext",
-        keys: list[str],
-        skip: int,
-        needed: Optional[int],
-    ) -> ResultSet:
-        """DISTINCT / aggregated tail of the compiled fast path.
-
-        Matching runs the same flat bind → WHERE loop; the projection tail
-        reuses the operator layer's machinery verbatim — ``_freeze`` for
-        DISTINCT identity, ``_project_grouped`` for grouping and aggregate
-        evaluation — so output is row-identical to Distinct/Aggregate.
-        """
-        if fp.aggregate is None:
-            # RETURN DISTINCT: streaming dedup with the Limit-driven early
-            # exit counting distinct rows, exactly as Limit pulls through
-            # Distinct in the operator pipeline.
-            item_fns = fp.item_fns
-            seen: set = set()
-            values_rows: list[list[Any]] = []
-            for row in self._fastpath_match(fp, ctx):
-                values = [fn(ctx, row) for fn in item_fns]
-                frozen = _freeze(values)
-                if frozen in seen:
-                    continue
-                seen.add(frozen)
-                values_rows.append(values)
-                if needed is not None and len(values_rows) >= needed:
-                    break
-        elif fp.simple_aggregate is not None:
-            name, arg_fn, agg_distinct = fp.simple_aggregate
-            if arg_fn is None:
-                # count(*): row count, mirroring evaluate_aggregate's
-                # CountStar branch (len of the single group).
-                total = 0
-                for _row in self._fastpath_match(fp, ctx):
-                    total += 1
-                values_rows = [[total]]
-            else:
-                agg_values = [
-                    arg_fn(ctx, row) for row in self._fastpath_match(fp, ctx)
-                ]
-                values_rows = [[call_aggregate(name, agg_values, distinct=agg_distinct)]]
-            if needed is not None:
-                values_rows = values_rows[:needed]
-        else:
-            items, grouping_indices, grouping_fns = fp.aggregate
-            rows = list(self._fastpath_match(fp, ctx))
-            produced = ops._project_grouped(
-                ctx, rows, items, grouping_indices, grouping_fns
-            )
-            values_rows = [values for values, _group in produced]
-            if fp.distinct:
-                seen = set()
-                deduped: list[list[Any]] = []
-                for values in values_rows:
-                    frozen = _freeze(values)
-                    if frozen in seen:
-                        continue
-                    seen.add(frozen)
-                    deduped.append(values)
-                values_rows = deduped
-            if needed is not None:
-                values_rows = values_rows[:needed]
-        records = [Record.of(keys, values) for values in values_rows[skip:]]
-        return ResultSet(keys, records, **ctx.counters())
-
 
 # ---------------------------------------------------------------------------
 # Execution context: clause operators
@@ -1148,13 +710,11 @@ class _ExecutionContext:
         max_var_length: int,
         plans: Optional[dict[int, MatchPlan]] = None,
         projection_meta: Optional[dict[int, tuple]] = None,
-        compiler: Optional[ExpressionCompiler] = None,
     ):
         self.store = store
         self.params = params
         self.max_var_length = max_var_length
         self.plans = plans
-        self.compiler = compiler
         self.evaluator = _Evaluator(self)
         # id(part) -> whether the part needs used-relationship tracking
         self._part_unique: dict[int, bool] = {}
@@ -1168,12 +728,6 @@ class _ExecutionContext:
         self.properties_set = 0
         self.nodes_deleted = 0
         self.relationships_deleted = 0
-
-    def compile(self, expr: Optional[ast.Expr]):
-        """Compile ``expr`` to a closure (None when compilation is off)."""
-        if self.compiler is None or expr is None:
-            return None
-        return self.compiler.compile(expr)
 
     def _filter_value(self, expr: ast.Expr) -> Any:
         """Memoised evaluation of a pushed filter's row-independent value."""
@@ -1573,11 +1127,6 @@ class _ExecutionContext:
     def _rel_properties_match(
         self, rel_pattern: ast.RelPattern, rel: Relationship, row: Row
     ) -> bool:
-        if self.compiler is not None:
-            for key, fn in self.compiler.pattern_props(rel_pattern):
-                if cypher_equals(rel.properties.get(key), fn(self, row)) is not True:
-                    return False
-            return True
         for key, expr in rel_pattern.properties:
             wanted = self.evaluator.evaluate(expr, row)
             if cypher_equals(rel.properties.get(key), wanted) is not True:
@@ -1700,16 +1249,10 @@ class _ExecutionContext:
         for label in node_pattern.labels:
             if label not in node.labels:
                 return None
-        if node_pattern.properties:
-            if self.compiler is not None:
-                for key, fn in self.compiler.pattern_props(node_pattern):
-                    if cypher_equals(node.properties.get(key), fn(self, row)) is not True:
-                        return None
-            else:
-                for key, expr in node_pattern.properties:
-                    wanted = self.evaluator.evaluate(expr, row)
-                    if cypher_equals(node.properties.get(key), wanted) is not True:
-                        return None
+        for key, expr in node_pattern.properties:
+            wanted = self.evaluator.evaluate(expr, row)
+            if cypher_equals(node.properties.get(key), wanted) is not True:
+                return None
         if (
             filters
             and node_pattern.variable is not None
@@ -2081,8 +1624,6 @@ class _Evaluator:
         return -value if expr.op == "-" else +value
 
     def _eval_BinaryOp(self, expr: ast.BinaryOp, row: Row) -> Any:
-        # The arithmetic/concatenation kernel is shared with the compiled
-        # closures (repro.cypher.compile) so both paths stay bit-identical.
         left = self.evaluate(expr.left, row)
         right = self.evaluate(expr.right, row)
         return binary_operation(expr.op, left, right)
@@ -2091,16 +1632,12 @@ class _Evaluator:
         values = [self.evaluate(operand, row) for operand in expr.operands]
         result: Optional[bool] = True
         for op, left, right in zip(expr.ops, values, values[1:]):
-            outcome = self._compare_once(op, left, right)
+            outcome = compare_once(op, left, right)
             if outcome is False:
                 return False
             if outcome is None:
                 result = None
         return result
-
-    def _compare_once(self, op: str, left: Any, right: Any) -> Optional[bool]:
-        # Shared with the compiled closures — see repro.cypher.compile.
-        return compare_once(op, left, right)
 
     def _eval_BooleanOp(self, expr: ast.BooleanOp, row: Row) -> Optional[bool]:
         saw_null = False
@@ -2336,15 +1873,10 @@ class _Evaluator:
 # Helpers
 # ---------------------------------------------------------------------------
 
-# (_Descending, _freeze, _contains_aggregate and _same_rel_binding moved to
-# repro.cypher.operators with the projection/ordering machinery; math_fmod
-# and the concat kernel moved to repro.cypher.compile, shared with the
-# compiled expression closures.)
-
-def _pattern_variables(pattern: ast.Pattern) -> list[str]:
-    """All variable names a pattern can introduce (for OPTIONAL padding)."""
+def _pattern_variables(parts: Iterable[ast.PatternPart]) -> list[str]:
+    """All variable names pattern parts can introduce."""
     names: list[str] = []
-    for part in pattern.parts:
+    for part in parts:
         if part.path_variable:
             names.append(part.path_variable)
         for element in part.elements:

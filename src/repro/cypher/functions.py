@@ -5,7 +5,8 @@ execution context (for graph-touching functions like ``labels`` and
 ``degree``).  Aggregates receive the full list of per-row values collected
 over a group.
 
-Function names are case-insensitive, as in Neo4j.
+Function names are case-insensitive, as in Neo4j.  The arithmetic and
+comparison operator kernels the expression evaluator calls live here too.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ __all__ = [
     "is_aggregate_function",
     "call_scalar",
     "call_aggregate",
+    "binary_operation",
+    "compare_once",
 ]
 
 ScalarFn = Callable[..., Any]
@@ -514,3 +517,97 @@ def regex_match(value: str, pattern: str) -> bool:
         compiled = re.compile(pattern)
         _REGEX_CACHE[pattern] = compiled
     return compiled.fullmatch(value) is not None
+
+
+# ---------------------------------------------------------------------------
+# Operator kernels (arithmetic, concatenation, one comparison step)
+# ---------------------------------------------------------------------------
+
+def math_fmod(left: float | int, right: float | int) -> float | int:
+    """Cypher ``%``: sign follows the dividend, ints stay ints."""
+    result = abs(left) % abs(right)
+    if left < 0:
+        result = -result
+    if isinstance(left, int) and isinstance(right, int):
+        return int(result)
+    return float(result)
+
+
+def concat_text(value: Any) -> str:
+    """Render a value for string concatenation the way Neo4j does."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float) and value.is_integer():
+        return f"{value:.1f}"
+    return str(value)
+
+
+def binary_operation(op: str, left: Any, right: Any) -> Any:
+    """Cypher arithmetic on two already-evaluated operands."""
+    if left is None or right is None:
+        return None
+    if op == "+":
+        if isinstance(left, str) and isinstance(right, str):
+            return left + right
+        if isinstance(left, list) and isinstance(right, list):
+            return left + right
+        if isinstance(left, list):
+            return left + [right]
+        if isinstance(right, list):
+            return [left] + right
+        if isinstance(left, str) or isinstance(right, str):
+            # Neo4j allows string + number concatenation
+            return f"{concat_text(left)}{concat_text(right)}"
+    if isinstance(left, bool) or isinstance(right, bool):
+        raise CypherTypeError(f"operator {op} does not accept booleans")
+    if not isinstance(left, (int, float)) or not isinstance(right, (int, float)):
+        raise CypherTypeError(f"operator {op} expects numbers, got {left!r}, {right!r}")
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if op == "/":
+        if right == 0:
+            if isinstance(left, int) and isinstance(right, int):
+                raise CypherRuntimeError("integer division by zero")
+            return float("inf") if left > 0 else float("-inf") if left < 0 else float("nan")
+        if isinstance(left, int) and isinstance(right, int):
+            quotient = abs(left) // abs(right)
+            return quotient if (left >= 0) == (right >= 0) else -quotient
+        return left / right
+    if op == "%":
+        if right == 0:
+            raise CypherRuntimeError("modulo by zero")
+        return math_fmod(left, right)
+    if op == "^":
+        return float(left) ** float(right)
+    raise CypherRuntimeError(f"unknown operator {op}")
+
+
+def compare_once(op: str, left: Any, right: Any) -> Optional[bool]:
+    """One ternary-logic comparison step on already-evaluated operands."""
+    if op == "=":
+        return cypher_equals(left, right)
+    if op == "<>":
+        equal = cypher_equals(left, right)
+        return None if equal is None else not equal
+    if op == "=~":
+        if left is None or right is None:
+            return None
+        if not isinstance(left, str) or not isinstance(right, str):
+            raise CypherTypeError("=~ expects string operands")
+        return regex_match(left, right)
+    comparison = cypher_compare(left, right)
+    if comparison is None:
+        return None
+    if op == "<":
+        return comparison < 0
+    if op == ">":
+        return comparison > 0
+    if op == "<=":
+        return comparison <= 0
+    if op == ">=":
+        return comparison >= 0
+    raise CypherRuntimeError(f"unknown comparison {op}")

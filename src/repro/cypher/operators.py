@@ -8,8 +8,8 @@ operator implements the iterator protocol —
 — and pulls its input lazily from its children, so a downstream
 ``Limit``/``TopK`` terminates the entire upstream pipeline early instead
 of materialising every intermediate row at each clause boundary.  Only
-the genuinely blocking operators (``Sort``, ``Aggregate``, ``StarProject``
-and the write barriers) buffer rows; everything else streams.
+the genuinely blocking operators (``Sort``, ``Aggregate`` and the write
+barriers) buffer rows; everything else streams.
 
 Cross-cutting runtime concerns live on the shared :class:`RuntimeState`
 threaded through every operator:
@@ -40,6 +40,7 @@ Operator rows come in three shapes, matched to the pipeline stage:
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 from operator import itemgetter
 from time import perf_counter
@@ -53,7 +54,6 @@ from .errors import (
     CypherTypeError,
     ResourceExhausted,
 )
-from .compile import expression_variables
 from .functions import is_aggregate_function
 from .values import is_truthy, sort_key
 
@@ -71,10 +71,8 @@ __all__ = [
     "PartMatch",
     "OptionalMatch",
     "Filter",
-    "FusedFilterProject",
     "Unwind",
     "Project",
-    "StarProject",
     "Aggregate",
     "Distinct",
     "Sort",
@@ -91,6 +89,7 @@ __all__ = [
     "render_profile",
     "profile_tree",
     "derive_projection",
+    "expression_variables",
 ]
 
 Row = dict[str, Any]
@@ -140,13 +139,10 @@ class PhysicalOperator:
         self.detail = ""
         #: planner cardinality estimate (None = unplanned)
         self.estimate: Optional[float] = None
-        #: compilation-state tag shown in EXPLAIN/PROFILE ("[compiled]", "[fused]")
-        self.marker = ""
 
     @property
     def label(self) -> str:
-        base = f"{self.name}({self.detail})" if self.detail else self.name
-        return f"{base} {self.marker}" if self.marker else base
+        return f"{self.name}({self.detail})" if self.detail else self.name
 
     def open(self) -> None:
         for child in self.children:
@@ -336,10 +332,6 @@ class IndexOrderedScan(PhysicalOperator):
         self.descending = descending
         self.needed = needed
         self.detail = detail
-        self.where_fn = ctx.compile(where)
-        self.order_fn = ctx.compile(order_expr)
-        if self.order_fn is not None:
-            self.marker = "[compiled]"
 
     def _open(self) -> None:
         self._count = 0
@@ -351,23 +343,13 @@ class IndexOrderedScan(PhysicalOperator):
             return None
         ctx = self.ctx
         evaluate = ctx.evaluator.evaluate
-        where_fn = self.where_fn
-        order_fn = self.order_fn
         for node in self._stream:
             row = ctx._bind_node(self.node_pattern, node, {}, self.filters)
             if row is None:
                 continue
-            if self.where is not None:
-                passed = (
-                    where_fn(ctx, row) if where_fn is not None
-                    else evaluate(self.where, row)
-                )
-                if is_truthy(passed) is not True:
-                    continue
-            if order_fn is not None:
-                key = sort_key(order_fn(ctx, row))
-            else:
-                key = sort_key(evaluate(self.order_expr, row))
+            if self.where is not None and is_truthy(evaluate(self.where, row)) is not True:
+                continue
+            key = sort_key(evaluate(self.order_expr, row))
             if self.descending:
                 key = _Descending(key)
             if self._count >= self.needed and self._boundary < key:
@@ -721,24 +703,11 @@ class Filter(PhysicalOperator):
         self.predicate = predicate
         self.pairs_in = pairs_in
         self.detail = detail
-        self.predicate_fn = ctx.compile(predicate)
-        if self.predicate_fn is not None:
-            self.marker = "[compiled]"
 
     def _next(self) -> Optional[Row]:
         child = self.children[0]
-        ctx = self.ctx
         pairs = self.pairs_in
-        predicate_fn = self.predicate_fn
-        if predicate_fn is not None:
-            while True:
-                item = child.next()
-                if item is None:
-                    return None
-                row = item[0] if pairs else item
-                if is_truthy(predicate_fn(ctx, row)) is True:
-                    return row
-        evaluate = ctx.evaluator.evaluate
+        evaluate = self.ctx.evaluator.evaluate
         predicate = self.predicate
         while True:
             item = child.next()
@@ -747,60 +716,6 @@ class Filter(PhysicalOperator):
             row = item[0] if pairs else item
             if is_truthy(evaluate(predicate, row)) is True:
                 return row
-
-
-class FusedFilterProject(PhysicalOperator):
-    """Fused Filter→…→Project chain: one compiled callable per row.
-
-    The lowering collapses a run of adjacent compiled ``Filter`` operators
-    directly feeding a non-aggregated projection into this single
-    operator, eliding the per-operator ``next()`` wrapper (budget charge,
-    deadline stride, profiling timer) between them.  ``predicate_fns``
-    are in evaluation order (innermost filter first), preserving WHERE
-    side-effect/error order.  Emits ``(values, [row])`` projection
-    entries, exactly like :class:`Project`.
-    """
-
-    name = "FilterProject"
-
-    def __init__(
-        self,
-        state: RuntimeState,
-        child: PhysicalOperator,
-        ctx,
-        items: list,
-        keys: list[str],
-        predicate_fns: tuple,
-        item_fns: tuple,
-        detail: str = "",
-    ) -> None:
-        super().__init__(state, (child,))
-        self.ctx = ctx
-        self.items = items
-        self.keys = keys
-        self.aggregated = False
-        self.predicate_fns = predicate_fns
-        self.item_fns = item_fns
-        self.detail = detail or ", ".join(keys)
-        self.marker = "[fused]"
-
-    def _next(self) -> Any:
-        child = self.children[0]
-        ctx = self.ctx
-        predicate_fns = self.predicate_fns
-        item_fns = self.item_fns
-        while True:
-            row = child.next()
-            if row is None:
-                return None
-            ok = True
-            for fn in predicate_fns:
-                if is_truthy(fn(ctx, row)) is not True:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            return ([fn(ctx, row) for fn in item_fns], [row])
 
 
 class Unwind(PhysicalOperator):
@@ -813,9 +728,6 @@ class Unwind(PhysicalOperator):
         self.ctx = ctx
         self.clause = clause
         self.detail = clause.variable
-        self.expression_fn = ctx.compile(clause.expression)
-        if self.expression_fn is not None:
-            self.marker = "[compiled]"
 
     def _open(self) -> None:
         self._items: Optional[list] = None
@@ -838,11 +750,7 @@ class Unwind(PhysicalOperator):
             row = child.next()
             if row is None:
                 return None
-            fn = self.expression_fn
-            if fn is not None:
-                value = fn(self.ctx, row)
-            else:
-                value = self.ctx.evaluator.evaluate(clause.expression, row)
+            value = self.ctx.evaluator.evaluate(clause.expression, row)
             if value is None:
                 continue
             if not isinstance(value, list):
@@ -900,56 +808,11 @@ class Project(PhysicalOperator):
         self.keys = keys
         self.aggregated = False
         self.detail = ", ".join(keys)
-        fns = [ctx.compile(item.expression) for item in items]
-        self.item_fns = tuple(fns) if all(fn is not None for fn in fns) else None
-        if self.item_fns is not None:
-            self.marker = "[compiled]"
 
     def _next(self) -> Any:
         row = self.children[0].next()
         if row is None:
             return None
-        ctx = self.ctx
-        item_fns = self.item_fns
-        if item_fns is not None:
-            return ([fn(ctx, row) for fn in item_fns], [row])
-        evaluate = ctx.evaluator.evaluate
-        return ([evaluate(item.expression, row) for item in self.items], [row])
-
-
-class StarProject(PhysicalOperator):
-    """``RETURN *`` projection: blocking, because the output columns are
-    the union of variable names across *all* input rows."""
-
-    name = "Project"
-
-    def __init__(self, state: RuntimeState, child: PhysicalOperator, ctx, clause) -> None:
-        super().__init__(state, (child,))
-        self.ctx = ctx
-        self.clause = clause
-        self.items: list = []
-        self.keys: list[str] = []
-        self.aggregated = False
-        self.detail = "*"
-
-    def _open(self) -> None:
-        child = self.children[0]
-        rows: list[Row] = []
-        while (row := child.next()) is not None:
-            rows.append(row)
-        in_scope = sorted({name for row in rows for name in row})
-        self.items, self.keys, self.aggregated, _ = derive_projection(
-            self.clause, in_scope
-        )
-        self._rows = rows
-        self._index = 0
-
-    def _next(self) -> Any:
-        i = self._index
-        if i >= len(self._rows):
-            return None
-        self._index = i + 1
-        row = self._rows[i]
         evaluate = self.ctx.evaluator.evaluate
         return ([evaluate(item.expression, row) for item in self.items], [row])
 
@@ -969,40 +832,25 @@ class Aggregate(PhysicalOperator):
         state: RuntimeState,
         child: PhysicalOperator,
         ctx,
-        clause,
-        meta: Optional[tuple] = None,
+        items: list,
+        keys: list[str],
+        grouping_indices: list[int],
     ) -> None:
         super().__init__(state, (child,))
         self.ctx = ctx
-        self.clause = clause
-        self.meta = meta
-        self.items: list = []
-        self.keys: list[str] = []
+        self.items = items
+        self.keys = keys
+        self.grouping_indices = grouping_indices
         self.aggregated = True
-        if meta is not None:
-            self.items, self.keys = meta[0], meta[1]
-            self.detail = ", ".join(self.keys)
+        self.detail = ", ".join(keys)
 
     def _open(self) -> None:
         child = self.children[0]
         rows: list[Row] = []
         while (row := child.next()) is not None:
             rows.append(row)
-        if self.meta is not None:
-            items, keys, _, grouping_indices = self.meta
-        else:
-            in_scope = sorted({name for row in rows for name in row})
-            items, keys, _, grouping_indices = derive_projection(self.clause, in_scope)
-        self.items = items
-        self.keys = keys
-        grouping_fns = None
-        if grouping_indices:
-            fns = [self.ctx.compile(items[i].expression) for i in grouping_indices]
-            if all(fn is not None for fn in fns):
-                grouping_fns = tuple(fns)
-                self.marker = "[compiled]"
         self._produced = _project_grouped(
-            self.ctx, rows, items, grouping_indices, grouping_fns
+            self.ctx, rows, self.items, self.grouping_indices
         )
         self._index = 0
 
@@ -1058,14 +906,11 @@ class Sort(PhysicalOperator):
         super().__init__(state, (child,))
         self.ctx = ctx
         self.order_by = order_by
-        #: the Project/Aggregate feeding this sort; its items/keys may only
-        #: resolve at open time (``RETURN *``), so they are read lazily
+        #: the Project/Aggregate feeding this sort (its items/keys/aggregated)
         self.projection = projection
         self.top = top
         self.name = "TopK" if top is not None else "Sort"
         self.detail = f"{len(order_by)} keys" + (f", top {top}" if top is not None else "")
-        if getattr(ctx, "compiler", None) is not None:
-            self.marker = "[compiled]"
 
     def _open(self) -> None:
         self._buffer: Optional[list] = None
@@ -1384,8 +1229,6 @@ def profile_tree(op: PhysicalOperator) -> dict:
         "time_ms": round(time_ms, 4),
         "self_time_ms": round(self_ms, 4),
     }
-    if op.marker:
-        payload["marker"] = op.marker.strip("[]")
     if op.estimate is not None:
         payload["estimate"] = round(op.estimate, 1)
     if children:
@@ -1430,22 +1273,13 @@ def _project_grouped(
     rows: list[Row],
     items: list,
     grouping_indices: list[int],
-    grouping_fns: Optional[tuple] = None,
 ) -> list[tuple[list[Any], list[Row]]]:
-    """Group ``rows`` by the non-aggregate items and evaluate aggregates.
-
-    ``grouping_fns`` (compiled closures aligned with ``grouping_indices``)
-    replace tree-walking evaluation of the grouping keys — one call per
-    row per key either way.
-    """
+    """Group ``rows`` by the non-aggregate items and evaluate aggregates."""
     groups: dict[Any, tuple[list[Any], list[Row]]] = {}
     order: list[Any] = []
     evaluate = ctx.evaluator.evaluate
     for row in rows:
-        if grouping_fns is not None:
-            group_values = [fn(ctx, row) for fn in grouping_fns]
-        else:
-            group_values = [evaluate(items[i].expression, row) for i in grouping_indices]
+        group_values = [evaluate(items[i].expression, row) for i in grouping_indices]
         group_key = _freeze(group_values)
         if group_key not in groups:
             groups[group_key] = (group_values, [])
@@ -1494,12 +1328,11 @@ def _order(
 
     # Decide once per ORDER BY item how its value is obtained, instead of
     # re-walking the expression for every entry:
-    #   ("reuse", j, _)     — the projection already evaluated this exact
-    #                         expression (or the item is a plain output
-    #                         alias); read values[j], no re-evaluation
-    #   ("agg", expr, _)    — aggregate over the group's env rows
-    #   ("eval", expr, fn)  — evaluate against the alias-extended row,
-    #                         via the compiled closure when available
+    #   ("reuse", j)     — the projection already evaluated this exact
+    #                      expression (or the item is a plain output
+    #                      alias); read values[j], no re-evaluation
+    #   ("agg", expr)    — aggregate over the group's env rows
+    #   ("eval", expr)   — evaluate against the alias-extended row
     key_set = set(keys)
     plans: list[tuple] = []
     needs_env = False
@@ -1512,16 +1345,16 @@ def _order(
                     reused = j
                     break
             if reused is not None:
-                plans.append(("reuse", reused, None))
+                plans.append(("reuse", reused))
             else:
-                plans.append(("agg", expr, None))
+                plans.append(("agg", expr))
             continue
         if isinstance(expr, ast.Variable) and expr.name in key_set:
             # Aliases shadow pattern variables in ORDER BY scope; the
             # dict(zip(...)) env made the *last* duplicate key win.
             for j in range(len(keys) - 1, -1, -1):
                 if keys[j] == expr.name:
-                    plans.append(("reuse", j, None))
+                    plans.append(("reuse", j))
                     break
             continue
         reused = None
@@ -1533,11 +1366,9 @@ def _order(
                     reused = j
                     break
         if reused is not None:
-            plans.append(("reuse", reused, None))
+            plans.append(("reuse", reused))
             continue
-        compile_expr = getattr(ctx, "compile", None)
-        fn = compile_expr(expr) if compile_expr is not None else None
-        plans.append(("eval", expr, fn))
+        plans.append(("eval", expr))
         needs_env = True
 
     def order_values(entry: tuple[list[Any], list[Row]]) -> tuple:
@@ -1548,13 +1379,11 @@ def _order(
         else:
             base = None
         sort_parts = []
-        for (kind, payload, fn), order_item in zip(plans, order_by):
+        for (kind, payload), order_item in zip(plans, order_by):
             if kind == "reuse":
                 value = values[payload]
             elif kind == "agg":
                 value = evaluate_aggregate(payload, env_rows)
-            elif fn is not None:
-                value = fn(ctx, base)
             else:
                 value = evaluate(payload, base)
             key = sort_key(value)
@@ -1603,6 +1432,37 @@ def _freeze(value: Any) -> Any:
     if isinstance(value, float) and value.is_integer():
         return float(value)
     return value
+
+
+#: dataclass string fields that name variables a pattern/comprehension binds
+#: or references; collected conservatively (extra names only disable a reuse
+#: optimisation, never change results).
+_NAME_FIELDS = frozenset({"variable", "path_variable", "accumulator"})
+
+
+def expression_variables(expr: Any) -> frozenset[str]:
+    """Every variable name ``expr`` may read (conservative over-estimate)."""
+    names: set[str] = set()
+    _collect_variables(expr, names)
+    return frozenset(names)
+
+
+def _collect_variables(obj: Any, names: set[str]) -> None:
+    if isinstance(obj, ast.Variable):
+        names.add(obj.name)
+        return
+    if isinstance(obj, (tuple, list)):
+        for item in obj:
+            _collect_variables(item, names)
+        return
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for field in dataclasses.fields(obj):
+            value = getattr(obj, field.name)
+            if isinstance(value, str):
+                if field.name in _NAME_FIELDS:
+                    names.add(value)
+                continue
+            _collect_variables(value, names)
 
 
 def _contains_aggregate(expr: ast.Expr) -> bool:

@@ -1,5 +1,8 @@
 """Edge-case tests for the Cypher engine (caching, config, odd shapes)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.cypher import CypherEngine, CypherSyntaxError, execute, parse
@@ -39,6 +42,48 @@ class TestEngineMachinery:
             engine._ast_cache[f"fake {i}"] = parse("RETURN 1")
         engine.run("RETURN 2")
         assert len(engine._ast_cache) < 1030
+
+    def test_lru_cache_survives_concurrent_eviction(self):
+        """A reader never sees KeyError when a writer evicts its key."""
+        from repro.cypher.executor import _LRUCache
+
+        cache = _LRUCache(4)
+        errors: list[Exception] = []
+        stop = threading.Event()
+
+        def reader() -> None:
+            try:
+                while not stop.is_set():
+                    for key in range(8):
+                        cache.get(key)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def writer() -> None:
+            try:
+                for _ in range(5000):
+                    for key in range(8):
+                        cache[key] = key
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            finally:
+                stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(2)]
+            threads.append(threading.Thread(target=writer))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, f"concurrent cache access raised {errors[0]!r}"
+        assert len(cache) == 4
 
 
 class TestProjectionEdgeCases:

@@ -178,6 +178,32 @@ class TestWithChaining:
         record = result.single()
         assert record["double"] == record["p.v"] * 2
 
+    def test_star_over_zero_rows(self, people):
+        """``*`` expands to the bound variables even when no row exists."""
+        result = execute(people, "MATCH (p:P {v: -1}) RETURN *")
+        assert result.keys == ["p"]
+        assert len(result) == 0
+        result = execute(people, "MATCH (p:P {v: -1}) WITH * RETURN count(*) AS c")
+        assert result.single()["c"] == 0
+        result = execute(
+            people,
+            "MATCH (p:P {v: -1}) OPTIONAL MATCH (p)-[r]->(q) "
+            "UNWIND [1] AS u WITH *, count(*) AS c RETURN *",
+        )
+        assert result.keys == ["c", "p", "q", "r", "u"]
+        assert len(result) == 0
+
+    def test_star_keeps_optional_nulls(self, people):
+        result = execute(
+            people, "MATCH (p:P {v: 1}) OPTIONAL MATCH (p)-[r]->(q) RETURN *"
+        )
+        assert result.keys == ["p", "q", "r"]
+        assert result.single()["q"] is None
+
+    def test_star_with_nothing_bound_is_rejected(self, people):
+        with pytest.raises(CypherSyntaxError):
+            execute(people, "RETURN *")
+
     def test_variables_not_carried_are_dropped(self, people):
         with pytest.raises(CypherRuntimeError):
             execute(people, "MATCH (p:P) WITH p.g AS g RETURN p")

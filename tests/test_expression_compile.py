@@ -1,11 +1,12 @@
-"""Compiled-vs-interpreted oracle for the expression-compilation layer.
+"""Planner-on vs planner-off oracle for expression evaluation.
 
-The compiled path (``compile_expressions=True``, the default) must be
-bit-identical to the tree-walking interpreter on every query: same keys,
-same rows in the same order, and the same exception type + message when a
-query fails.  The oracle runs every probe through four engines — compiled
-and interpreted, each with the planner on and off — and requires all four
-outcomes to agree.
+Every query runs through one interpreted operator tree; the planner only
+chooses access paths, join order and pushdown.  The planned engine — with
+and without a serving deadline — must be bit-identical to the unplanned
+engine (``planner=False``) on every probe: same keys, same rows in the
+same order, and the same exception type + message when a query fails.
+The probes include the single-part ``MATCH ... RETURN`` shapes served
+requests send most, plus null/ternary, arithmetic and error edges.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ChatIYP, ChatIYPConfig
-from repro.cypher import CypherEngine, ExpressionCompiler, expression_variables
+from repro.cypher import CypherEngine, expression_variables
 from repro.cypher.errors import CypherError
 from repro.cypher.functions import SCALAR_FUNCTIONS
 from repro.cypher.parser import parse_expression
 from repro.eval.cyphereval import build_cyphereval
+from repro.serving import Deadline
 
 # ---------------------------------------------------------------------------
 # Oracle harness
@@ -26,21 +28,23 @@ from repro.eval.cyphereval import build_cyphereval
 
 @pytest.fixture(scope="module")
 def oracle_engines(small_store):
-    """(label, engine) pairs covering compiled × planner combinations."""
+    """(label, run) pairs: planned, planned under a deadline, unplanned."""
+    planned = CypherEngine(small_store)
     return [
-        ("compiled", CypherEngine(small_store)),
-        ("interpreted", CypherEngine(small_store, compile_expressions=False)),
-        ("compiled/no-planner", CypherEngine(small_store, planner=False)),
+        ("planned", planned.execute),
         (
-            "interpreted/no-planner",
-            CypherEngine(small_store, planner=False, compile_expressions=False),
+            "planned/deadline",
+            lambda query, params: planned.execute(
+                query, params, deadline=Deadline.start(60000)
+            ),
         ),
+        ("no-planner", CypherEngine(small_store, planner=False).execute),
     ]
 
 
-def _outcome(engine, query, params):
+def _outcome(run, query, params):
     try:
-        result = engine.execute(query, params)
+        result = run(query, params)
     except CypherError as exc:
         return ("error", type(exc).__name__, str(exc))
     return ("ok", tuple(result.keys), result.to_dicts())
@@ -48,10 +52,10 @@ def _outcome(engine, query, params):
 
 def assert_oracle(engines, query, params=None):
     params = params or {}
-    reference_label, reference_engine = engines[0]
-    reference = _outcome(reference_engine, query, params)
-    for label, engine in engines[1:]:
-        outcome = _outcome(engine, query, params)
+    reference_label, reference_run = engines[0]
+    reference = _outcome(reference_run, query, params)
+    for label, run in engines[1:]:
+        outcome = _outcome(run, query, params)
         assert outcome == reference, (
             f"{label} diverged from {reference_label} on {query!r}:\n"
             f"  {reference_label}: {reference}\n  {label}: {outcome}"
@@ -65,7 +69,7 @@ def assert_oracle(engines, query, params=None):
 
 
 def test_gold_queries_bit_identical(small_dataset, oracle_engines):
-    """Every CypherEval gold query agrees across all four engines."""
+    """Every CypherEval gold query agrees across all three engines."""
     questions = build_cyphereval(small_dataset, seed=7, per_template=3)
     assert questions, "gold set must not be empty"
     for question in questions:
@@ -126,11 +130,11 @@ ADVERSARIAL_QUERIES = [
     "MATCH (a:AS) WHERE a.name STARTS WITH 'A' RETURN a.asn ORDER BY a.asn",
     "MATCH (a:AS) WHERE a.name ENDS WITH 'm' RETURN a.asn ORDER BY a.asn",
     "MATCH (a:AS) WHERE a.name CONTAINS 'net' RETURN a.asn ORDER BY a.asn",
-    # Compiled-filter bench shape: top-level OR defeats index pushdown.
+    # Filter-scan bench shape: top-level OR defeats index pushdown.
     "MATCH (a:AS) WHERE a.asn % 7 = 3 OR (a.asn % 5 = 1 AND a.name CONTAINS 'A') "
     "RETURN a.asn ORDER BY a.asn",
-    # Fully-anchored fast-path shapes (compiled engine takes the fast path;
-    # the interpreter builds the operator tree — rows must still agree).
+    # Fully-anchored single-part shapes (anchored lookups, inline property
+    # maps, SKIP/LIMIT, LIMIT 0, one hop).
     "MATCH (a:AS {asn: 2497}) RETURN a.name",
     "MATCH (a:AS {asn: 2497}) RETURN a.name AS n, a.asn * 2 AS d",
     "MATCH (a:AS {country: 'JP'}) RETURN a.asn SKIP 1 LIMIT 3",
@@ -144,7 +148,7 @@ ADVERSARIAL_QUERIES = [
     "MATCH (a:AS) RETURN count(DISTINCT a.country) AS n",
     "MATCH (a:AS) RETURN min(a.asn) AS lo, max(a.asn) AS hi, avg(a.asn) AS mean",
     "MATCH (a:AS) RETURN a.country AS c UNION MATCH (a:AS) RETURN a.country AS c",
-    # Zero-row queries must not raise lazily-compiled runtime errors.
+    # Zero-row queries must not raise: projections never evaluate.
     "MATCH (a:AS {asn: -999999}) RETURN a.asn / 0 AS x",
     "MATCH (a:AS {asn: -999999}) RETURN count(a.asn) + 0 AS x",
     # Errors must match exactly: type and message.
@@ -191,10 +195,10 @@ class _CountingScalar:
         return self.fn(*args)
 
 
-@pytest.mark.parametrize("compile_expressions", [True, False])
-def test_sort_key_evaluated_once_per_row(small_store, monkeypatch, compile_expressions):
+@pytest.mark.parametrize("planner", [True, False])
+def test_sort_key_evaluated_once_per_row(small_store, monkeypatch, planner):
     """ORDER BY on a projected expression reuses the projected value."""
-    engine = CypherEngine(small_store, compile_expressions=compile_expressions)
+    engine = CypherEngine(small_store, planner=planner)
     rows = len(engine.run("MATCH (a:AS) RETURN a.asn").records)
     probe = _CountingScalar(SCALAR_FUNCTIONS["toupper"])
     monkeypatch.setitem(SCALAR_FUNCTIONS, "toupper", probe)
@@ -206,12 +210,10 @@ def test_sort_key_evaluated_once_per_row(small_store, monkeypatch, compile_expre
     assert probe.calls == rows
 
 
-@pytest.mark.parametrize("compile_expressions", [True, False])
-def test_grouping_key_evaluated_once_per_row(
-    small_store, monkeypatch, compile_expressions
-):
+@pytest.mark.parametrize("planner", [True, False])
+def test_grouping_key_evaluated_once_per_row(small_store, monkeypatch, planner):
     """ORDER BY on a grouping key reuses the grouped value (no re-eval)."""
-    engine = CypherEngine(small_store, compile_expressions=compile_expressions)
+    engine = CypherEngine(small_store, planner=planner)
     rows = len(engine.run("MATCH (a:AS) RETURN a.asn").records)
     probe = _CountingScalar(SCALAR_FUNCTIONS["toupper"])
     monkeypatch.setitem(SCALAR_FUNCTIONS, "toupper", probe)
@@ -223,86 +225,46 @@ def test_grouping_key_evaluated_once_per_row(
 
 
 # ---------------------------------------------------------------------------
-# Compilation state: EXPLAIN / PROFILE markers and metrics
+# EXPLAIN / PROFILE: WHERE and projection are separate operators
 # ---------------------------------------------------------------------------
 
 FILTER_QUERY = "MATCH (a:AS) WHERE a.asn % 7 = 3 RETURN a.asn + 1 AS x"
 
 
 def test_explain_markers(small_store):
-    compiled = CypherEngine(small_store)
-    interpreted = CypherEngine(small_store, compile_expressions=False)
-    plan = compiled.explain(FILTER_QUERY)
-    assert "[compiled]" in plan
-    assert "[fused]" in plan
-    off_plan = interpreted.explain(FILTER_QUERY)
-    assert "[compiled]" not in off_plan
-    assert "[fused]" not in off_plan
+    plan = CypherEngine(small_store).explain(FILTER_QUERY)
+    assert "  Filter (WHERE)" in plan.splitlines()
+    assert "[compiled]" not in plan
+    assert "[fused]" not in plan
 
 
-def _profile_markers(node, found):
-    if node.get("marker"):
-        found.append((node["operator"], node["marker"]))
+def _operators(node, found):
+    found.append(node["operator"])
+    assert "marker" not in node
     for child in node.get("children", []):
-        _profile_markers(child, found)
+        _operators(child, found)
 
 
 def test_profile_markers(small_store):
-    compiled = CypherEngine(small_store)
-    result = compiled.execute(FILTER_QUERY, profile=True)
+    """The profiled tree is the served tree: Filter feeds Project."""
+    result = CypherEngine(small_store).execute(FILTER_QUERY, profile=True)
     found = []
-    _profile_markers(result.profile, found)
-    markers = {marker for _, marker in found}
-    assert "fused" in markers or "compiled" in markers
-
-    interpreted = CypherEngine(small_store, compile_expressions=False)
-    result = interpreted.execute(FILTER_QUERY, profile=True)
-    found = []
-    _profile_markers(result.profile, found)
-    assert not found
+    _operators(result.profile, found)
+    assert found.index("Project") < found.index("Filter")
+    assert "FilterProject" not in found
 
 
 def test_compile_metrics_counters(small_store):
+    """The removed compiler's counters survive only as an empty stub."""
     engine = CypherEngine(small_store)
-    baseline = engine.compile_metrics()
-    assert set(baseline) == {
-        "compile.compiled",
-        "compile.cache_hits",
-        "compile.fallbacks",
-        "compile.fastpath_hits",
-        "compile.fused_operators",
-    }
-    # FILTER_QUERY is fast-path eligible (anchored MATCH + plain RETURN):
-    # it executes without building an operator tree at all.
+    assert engine.compile_metrics() == {}
     engine.run(FILTER_QUERY)
-    after = engine.compile_metrics()
-    assert after["compile.compiled"] > baseline["compile.compiled"]
-    assert after["compile.fastpath_hits"] == 1
     engine.run("MATCH (a:AS {asn: 2497}) RETURN a.name")
-    assert engine.compile_metrics()["compile.fastpath_hits"] == 2
-
-    # ORDER BY defeats the fast path, so this run lowers to operators and
-    # fuses the compiled Filter into the projection.
-    engine.run(FILTER_QUERY + " ORDER BY x")
-    assert engine.compile_metrics()["compile.fused_operators"] > 0
-
-    off = CypherEngine(small_store, compile_expressions=False)
-    off.run(FILTER_QUERY)
-    assert all(value == 0 for value in off.compile_metrics().values())
-
-
-def test_compiler_cache_hits(small_store):
-    engine = CypherEngine(small_store)
-    engine.run("MATCH (a:AS) WHERE a.asn > 1 RETURN a.asn LIMIT 1")
-    hits = engine.compile_metrics()["compile.cache_hits"]
-    # Same query → cached plan carries the already-compiled closures, so no
-    # recompilation happens; a textually fresh equivalent recompiles.
-    engine.run("MATCH (a:AS) WHERE a.asn > 1  RETURN a.asn LIMIT 1")
-    assert engine.compile_metrics()["compile.cache_hits"] >= hits
+    assert engine.compile_metrics() == {}
 
 
 # ---------------------------------------------------------------------------
-# Compiler unit surface
+# Variable discovery
 # ---------------------------------------------------------------------------
 
 
@@ -312,30 +274,21 @@ def test_expression_variables():
     assert expression_variables(parse_expression("1 + 2")) == frozenset()
 
 
-def test_compiler_identity_cache(small_store):
-    compiler = ExpressionCompiler()
-    expr = parse_expression("1 + 2")
-    first = compiler.compile(expr)
-    second = compiler.compile(expr)
-    assert first is second
-    assert compiler.metrics()["compile.cache_hits"] >= 1
-
-
 # ---------------------------------------------------------------------------
 # Config plumbing
 # ---------------------------------------------------------------------------
 
 
 def test_config_escape_hatch(small_dataset):
-    """The interpreter is an engine switch; ChatIYP always runs compiled."""
+    """ChatIYP's engine matches the unplanned engine; ``compile_expressions``
+    is a stub that accepts only False."""
     app = ChatIYP(dataset=small_dataset, config=ChatIYPConfig(dataset_size="small"))
-    interpreted = CypherEngine(small_dataset.store, compile_expressions=False)
-    assert app.engine.compiler is not None
-    assert interpreted.compiler is None
+    unplanned = CypherEngine(small_dataset.store, planner=False, compile_expressions=False)
+    with pytest.raises(ValueError):
+        CypherEngine(small_dataset.store, compile_expressions=True)
     cypher = app.ask("Which prefixes does AS2497 originate?").cypher
     assert cypher is not None
-    assert app.run_cypher(cypher).to_dicts() == interpreted.run(cypher).to_dicts()
-    snapshot = app.serving_snapshot()
-    assert snapshot["compile"]["compile.compiled"] > 0
+    assert app.run_cypher(cypher).to_dicts() == unplanned.run(cypher).to_dicts()
+    assert app.serving_snapshot()["compile"] == {}
     counters = app.metrics.snapshot()["counters"]
-    assert counters.get("compile.compiled", 0) > 0
+    assert not any(key.startswith("compile.") for key in counters)

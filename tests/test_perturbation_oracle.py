@@ -1,16 +1,20 @@
-"""Perturbation oracle: the engine's execution paths agree on LLM-shaped errors.
+"""Perturbation oracle: planned and unplanned execution agree on LLM-shaped errors.
 
 ChatIYP executes whatever Cypher the text-to-Cypher head produces, and that
 head is wrong in characteristic ways (wrong relationship type, flipped
 direction, dropped filter, wrong entity, broken syntax).  Every CypherEval
-gold query and each of its perturbations runs on three engines:
+gold query and each of its perturbations runs three ways:
 
-* the default engine without a deadline (the compiled fast path),
-* the same engine with a deadline (the operator tree served requests run),
-* the tree-walking interpreter (no planner, no compiled expressions).
+* the planned engine without a deadline,
+* the same engine with a deadline (what served requests run),
+* the unplanned engine (``planner=False``), the semantic reference.
 
 All three must return the same keys and rows (in order under ``ORDER BY``,
 as a multiset otherwise) or raise the same :class:`CypherError` class.
+
+A metamorphic check rides along: inserting ``WITH * WHERE true`` before
+the final ``RETURN`` of a gold query is a no-op rewrite, so it must not
+change the outcome either.
 """
 
 from __future__ import annotations
@@ -62,11 +66,11 @@ def _outcome(query, run):
 
 def test_perturbed_queries_agree_across_execution_paths(small_store, perturbed_queries):
     engine = CypherEngine(small_store)
-    interpreter = CypherEngine(small_store, planner=False, compile_expressions=False)
+    unplanned = CypherEngine(small_store, planner=False)
     paths = {
-        "fast path": engine.execute,
-        "operator tree": lambda q: engine.execute(q, deadline=Deadline.start(60000)),
-        "interpreter": interpreter.execute,
+        "planned": engine.execute,
+        "planned/deadline": lambda q: engine.execute(q, deadline=Deadline.start(60000)),
+        "no-planner": unplanned.execute,
     }
     assert len(perturbed_queries) > 1000, "perturbation set shrank; generator regressed"
     mismatches = []
@@ -75,3 +79,27 @@ def test_perturbed_queries_agree_across_execution_paths(small_store, perturbed_q
         if len({repr(outcome) for outcome in outcomes.values()}) > 1:
             mismatches.append((query, outcomes))
     assert not mismatches, f"{len(mismatches)} queries diverged; first: {mismatches[0]}"
+
+
+def _with_star_passthrough(query):
+    """``query`` with ``WITH * WHERE true`` before its final RETURN."""
+    head, _, tail = query.rpartition("RETURN ")
+    return f"{head}WITH * WHERE true RETURN {tail}"
+
+
+def test_with_star_passthrough_is_a_no_op(small_dataset, small_store):
+    engine = CypherEngine(small_store)
+    golds = {
+        question.gold_cypher: None
+        for question in build_cyphereval(small_dataset, seed=7, per_template=9)
+        if " UNION " not in question.gold_cypher.upper()
+    }
+    assert len(golds) > 300, "gold set shrank; generator regressed"
+    mismatches = []
+    for gold in golds:
+        rewritten = _with_star_passthrough(gold)
+        expected = _outcome(gold, engine.execute)
+        actual = _outcome(rewritten, engine.execute)
+        if actual != expected:
+            mismatches.append((rewritten, expected, actual))
+    assert not mismatches, f"{len(mismatches)} rewrites diverged; first: {mismatches[0]}"
