@@ -156,16 +156,28 @@ def test_perf_full_pipeline_ask(benchmark, chatiyp_medium):
     assert response.answer
 
 
-def _median_latency_ms(engine: CypherEngine, query: str, batches: int, runs: int) -> float:
-    """Median over ``batches`` of the mean per-run latency of ``runs`` runs."""
-    engine.run(query)  # warm the AST/plan caches out of the measurement
-    samples = []
-    for _ in range(batches):
-        start = time.perf_counter()
-        for _ in range(runs):
-            engine.run(query)
-        samples.append((time.perf_counter() - start) / runs * 1000.0)
-    return statistics.median(samples)
+def _paired_median_latency_ms(
+    planned: CypherEngine, unplanned: CypherEngine, query: str, batches: int, runs: int
+) -> tuple[float, float]:
+    """Median per-run latency of each engine, timed in alternating batches.
+
+    Each of ``batches`` rounds times one batch of ``runs`` runs per engine,
+    back to back, alternating which engine goes first — so a load swing on
+    the host hits both engines instead of skewing their same-run ratio.
+    """
+    engines = (planned, unplanned)
+    for engine in engines:
+        engine.run(query)  # warm the AST/plan caches out of the measurement
+    samples: tuple[list[float], list[float]] = ([], [])
+    for batch in range(batches):
+        order = (0, 1) if batch % 2 == 0 else (1, 0)
+        for index in order:
+            engine = engines[index]
+            start = time.perf_counter()
+            for _ in range(runs):
+                engine.run(query)
+            samples[index].append((time.perf_counter() - start) / runs * 1000.0)
+    return statistics.median(samples[0]), statistics.median(samples[1])
 
 
 def _memory_scan(store) -> dict:
@@ -197,8 +209,9 @@ def run_quick(output: Path | None, batches: int = 10, runs: int = 20) -> dict:
 
     results = {}
     for name, query in ENGINE_QUERIES.items():
-        planned_ms = _median_latency_ms(planned, query, batches, runs)
-        unplanned_ms = _median_latency_ms(unplanned, query, batches, runs)
+        planned_ms, unplanned_ms = _paired_median_latency_ms(
+            planned, unplanned, query, batches, runs
+        )
         seed_ms = SEED_MEDIANS_MS.get(name)
         results[name] = {
             "query": query,
@@ -224,7 +237,10 @@ def run_quick(output: Path | None, batches: int = 10, runs: int = 20) -> dict:
     payload = {
         "benchmark": "engine_perf_quick",
         "dataset": "medium",
-        "protocol": f"median of {batches} batches x {runs} runs, warm caches",
+        "protocol": (
+            f"median of {batches} alternating planner-on/off batches"
+            f" x {runs} runs, warm caches"
+        ),
         "queries": results,
         "memory_scan": memory_scan,
     }

@@ -18,7 +18,7 @@ from typing import Any, Callable, Optional
 from ..graph.model import Node, Path, Relationship
 from ..graph.store import GraphStore
 from .errors import CypherRuntimeError, CypherTypeError, UnknownFunctionError
-from .values import cypher_compare, cypher_equals, ensure_number, sort_key
+from .values import cypher_compare, cypher_equals, ensure_number, equality_key, sort_key
 
 __all__ = [
     "SCALAR_FUNCTIONS",
@@ -496,12 +496,16 @@ def call_aggregate(name: str, values: list[Any], distinct: bool = False) -> Any:
     if fn is None:
         raise UnknownFunctionError(name)
     if distinct:
-        seen: list[Any] = []
+        # First occurrence of each equality class, in input order; values
+        # equal to nothing (null, NaN, lists/maps holding one) all stay.
+        seen: set[Any] = set()
         unique: list[Any] = []
         for value in values:
-            if any(cypher_equals(value, other) is True for other in seen):
-                continue
-            seen.append(value)
+            key = equality_key(value)
+            if key is not None:
+                if key in seen:
+                    continue
+                seen.add(key)
             unique.append(value)
         values = unique
     return fn(values)

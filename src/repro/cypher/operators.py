@@ -1413,8 +1413,11 @@ def _order(
 def _freeze(value: Any) -> Any:
     """Convert a value into a hashable group/dedup key."""
     cls = value.__class__
-    if cls is str or cls is int or cls is bool or value is None:
+    if cls is str or cls is int or value is None:
         return value
+    if cls is bool:
+        # Tagged: ``True == 1`` in Python, but ``true <> 1`` in Cypher.
+        return ("bool", value)
     if isinstance(value, list):
         return ("list", tuple(_freeze(item) for item in value))
     if isinstance(value, dict):

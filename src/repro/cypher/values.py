@@ -15,6 +15,7 @@ from .errors import CypherTypeError
 
 __all__ = [
     "cypher_equals",
+    "equality_key",
     "cypher_compare",
     "sort_key",
     "is_truthy",
@@ -62,6 +63,42 @@ def cypher_equals(left: Any, right: Any) -> Optional[bool]:
     ):
         return left == right if type(left) is type(right) else False
     return False
+
+
+def equality_key(value: Any) -> Any:
+    """Hashable key with ``equality_key(a) == equality_key(b)`` exactly when
+    ``cypher_equals(a, b) is True``.
+
+    Returns None for values equal to nothing: null, NaN, and any list or
+    map holding one.  Numbers key on ``float(v)`` (so ``1 = 1.0``) and
+    booleans carry their own tag (so ``true <> 1``).
+    """
+    if value is None or isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return ("bool", value)
+    if isinstance(value, (int, float)):
+        key = float(value)
+        return None if key != key else key
+    if isinstance(value, list):
+        keys = []
+        for item in value:
+            key = equality_key(item)
+            if key is None:
+                return None
+            keys.append(key)
+        return ("list", tuple(keys))
+    if isinstance(value, dict):
+        entries = []
+        for name, item in value.items():
+            key = equality_key(item)
+            if key is None:
+                return None
+            entries.append((name, key))
+        return ("map", frozenset(entries))
+    if isinstance(value, (Node, Relationship, Path)):
+        return value
+    return None
 
 
 def cypher_compare(left: Any, right: Any) -> Optional[int]:

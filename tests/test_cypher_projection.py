@@ -98,6 +98,11 @@ class TestAggregation:
         ).single()
         assert record["lo"] == 1
 
+    def test_grouping_keeps_booleans_apart_from_numbers(self, people):
+        result = execute(people, "UNWIND [0, false, 1, true] AS x RETURN x, count(*) AS c")
+        rows = [(record["x"], type(record["x"]), record["c"]) for record in result]
+        assert rows == [(0, int, 1), (False, bool, 1), (1, int, 1), (True, bool, 1)]
+
     def test_aggregate_in_where_rejected(self, people):
         with pytest.raises(CypherSyntaxError):
             execute(people, "MATCH (p:P) WHERE count(*) > 1 RETURN p")
@@ -154,6 +159,11 @@ class TestDistinctOrderLimit:
     def test_return_star(self, people):
         result = execute(people, "MATCH (p:P) RETURN * LIMIT 1")
         assert result.keys == ["p"]
+
+    def test_distinct_keeps_true_apart_from_one(self, people):
+        result = execute(people, "UNWIND [1, true] AS x RETURN DISTINCT x")
+        assert result.values() == [1, True]
+        assert [type(v) for v in result.values()] == [int, bool]
 
 
 class TestWithChaining:
@@ -256,6 +266,11 @@ class TestUnion:
             people, "RETURN 1 AS x UNION ALL RETURN 1 AS x"
         )
         assert result.values() == [1, 1]
+
+    def test_union_keeps_true_apart_from_one(self, people):
+        result = execute(people, "RETURN 1 AS x UNION RETURN true AS x")
+        assert result.values() == [1, True]
+        assert [type(v) for v in result.values()] == [int, bool]
 
     def test_union_requires_same_columns(self, people):
         with pytest.raises(CypherSyntaxError):
