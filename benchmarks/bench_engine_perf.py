@@ -47,13 +47,6 @@ ENGINE_QUERIES = {
         "MATCH (:AS {asn: 2497})-[:DEPENDS_ON*1..2]->(t:AS) "
         "RETURN count(DISTINCT t) AS n"
     ),
-    "range_scan": (
-        "MATCH (a:AS) WHERE a.asn >= 1000 AND a.asn < 10000 "
-        "RETURN count(a) AS n"
-    ),
-    "order_by_limit": (
-        "MATCH (a:AS) RETURN a.asn AS asn ORDER BY a.asn LIMIT 10"
-    ),
 }
 
 #: Memory benchmark query: with streaming execution the peak per-operator
@@ -71,7 +64,6 @@ SEED_MEDIANS_MS = {
     "two_hop": 0.086,
     "grouped_aggregation": 4.17,
     "var_length": 0.092,
-    # range_scan / order_by_limit postdate the seed revision (no baseline).
 }
 
 
@@ -121,20 +113,6 @@ def test_perf_grouped_aggregation(benchmark, engine):
 def test_perf_var_length_expansion(benchmark, engine):
     result = benchmark(engine.run, ENGINE_QUERIES["var_length"])
     assert result.single()["n"] >= 1
-
-
-@pytest.mark.perf_smoke
-def test_perf_range_scan(benchmark, engine):
-    # Comparison conjunction pushed into the sorted property index.
-    result = benchmark(engine.run, ENGINE_QUERIES["range_scan"])
-    assert result.single()["n"] >= 1
-
-
-@pytest.mark.perf_smoke
-def test_perf_order_by_limit(benchmark, engine):
-    # Top-k over a sorted index: index-ordered scan, no full sort.
-    result = benchmark(engine.run, ENGINE_QUERIES["order_by_limit"])
-    assert len(result) == 10
 
 
 def test_perf_query_parse_cached(benchmark, engine):

@@ -233,10 +233,10 @@ class CypherEngine:
         Returns the result plus the executed tree root (its counters feed
         ``PROFILE`` rendering and the ``cypher_profile`` diagnostics).
         """
-        context = _ExecutionContext(
-            self.store, params, self.max_var_length, plans, self._projection_meta
-        )
         state = RuntimeState(deadline=deadline, budget=row_budget, profiled=profiled)
+        context = _ExecutionContext(
+            self.store, params, self.max_var_length, state, plans, self._projection_meta
+        )
         state.check_deadline()
         root = self._lower_query(tree, context, state)
         root.open()
@@ -307,10 +307,8 @@ class CypherEngine:
                             op = "="
                         elif filt.kind == "in":
                             op = "IN"
-                        elif filt.kind == "range":
-                            op = filt.ops[0]
                         else:
-                            op = "STARTS WITH"
+                            op = filt.ops[0]
                         lines.append(f"  Pushdown {variable}.{filt.key} {op} ...")
             if clause.where is not None:
                 lines.append("  Filter (WHERE)")
@@ -386,9 +384,6 @@ class CypherEngine:
     def _lower_single(
         self, tree: ast.SingleQuery, context: "_ExecutionContext", state: RuntimeState
     ) -> ops.ProduceResults:
-        fused = self._lower_index_ordered(tree, context, state)
-        if fused is not None:
-            return fused
         op: ops.PhysicalOperator = ops.Init(state)
         # Variables the clauses so far bind: what ``WITH *``/``RETURN *``
         # expand to, known before any row exists.
@@ -590,130 +585,28 @@ class CypherEngine:
             op = ops.Limit(state, op, end - start)
         return op, projection
 
-    def _lower_index_ordered(
-        self, tree: ast.SingleQuery, context: "_ExecutionContext", state: RuntimeState
-    ) -> Optional[ops.ProduceResults]:
-        """Fused top-k pipeline for ``MATCH (n:L) ... RETURN ... ORDER BY n.key LIMIT k``.
-
-        When a single-node MATCH feeds straight into an ordered, limited
-        RETURN and a sorted index covers the ORDER BY key, rows stream in
-        index order through an :class:`~repro.cypher.operators.IndexOrderedScan`
-        that stops as soon as the top ``SKIP + LIMIT`` rows (plus their
-        whole tie group on the primary key, which the canonical tie-break
-        may still reorder) are out — skipping both the full label scan and
-        the full sort.  The scanned prefix then flows through the ordinary
-        projection pipeline, so output is row-for-row identical to the
-        unfused plan.
-        """
-        if context.plans is None or len(tree.clauses) != 2:
-            return None
-        match, ret = tree.clauses
-        if not isinstance(match, ast.MatchClause) or not isinstance(ret, ast.ReturnClause):
-            return None
-        if match.optional or len(match.pattern.parts) != 1:
-            return None
-        part = match.pattern.parts[0]
-        if part.shortest is not None or part.path_variable is not None:
-            return None
-        if len(part.elements) != 1:
-            return None
-        node_pattern = part.elements[0]
-        assert isinstance(node_pattern, ast.NodePattern)
-        variable = node_pattern.variable
-        if variable is None:
-            return None
-        if ret.star or ret.distinct or ret.limit is None or len(ret.order_by) != 1:
-            return None
-        order_item = ret.order_by[0]
-        order_expr = order_item.expression
-        if not (
-            isinstance(order_expr, ast.PropertyAccess)
-            and isinstance(order_expr.subject, ast.Variable)
-            and order_expr.subject.name == variable
-        ):
-            return None
-        if any(_contains_aggregate(item.expression) for item in ret.items):
-            return None
-        plan = context.plans.get(id(match))
-        if plan is None:
-            return None
-        anchor = plan.parts[0].anchor
-        descending = order_item.descending
-        if anchor.kind == "label":
-            stream = self.store.nodes_in_order(
-                anchor.label, order_expr.key, descending
-            )
-            if stream is None:
-                return None
-        elif anchor.kind in ("range", "prefix") and anchor.key == order_expr.key:
-            # Range/prefix scans already stream in key order (ascending);
-            # nodes with a null/unorderable key can never pass the pushed
-            # conjunct the anchor came from, so there is no null band.
-            stream = self._anchor_stream(node_pattern, anchor, context)
-            if stream is None:
-                return None
-            if descending:
-                materialised = list(stream)
-                materialised.reverse()
-                stream = iter(materialised)
-        else:
-            return None
-
-        needed = self._fused_row_budget(ret, context)
-        direction = " DESC" if descending else ""
-        scan = ops.IndexOrderedScan(
-            state, context, stream, node_pattern, plan.filters, match.where,
-            order_expr, descending, needed,
-            detail=f"{anchor.describe()} ORDER BY {variable}.{order_expr.key}{direction}",
-        )
-        scan.estimate = plan.parts[0].est_rows
-        op, projection = self._lower_projection(scan, ret, context, state)
-        return ops.ProduceResults(state, op, projection)
-
-    def _anchor_stream(
-        self,
-        node_pattern: ast.NodePattern,
-        anchor: AnchorPlan,
-        context: "_ExecutionContext",
-    ) -> Optional[Iterator[Node]]:
-        """The range/prefix anchor's key-ordered node stream (None = no index)."""
-        if anchor.kind == "range":
-            bounds = context._range_bounds(anchor, {})
-            if bounds is None:
-                return None
-            return self.store.nodes_in_range(anchor.label, anchor.key, **bounds)
-        prefix = context.evaluator.evaluate(anchor.values[0], {})
-        if not isinstance(prefix, str):
-            return None
-        return self.store.nodes_by_prefix(anchor.label, anchor.key, prefix)
-
-    @staticmethod
-    def _fused_row_budget(ret: ast.ReturnClause, context: "_ExecutionContext") -> int:
-        """SKIP + LIMIT row count the fused scan must fully tie-resolve."""
-        needed = context._bounded_int(ret.limit, "LIMIT")
-        if ret.skip is not None:
-            needed += context._bounded_int(ret.skip, "SKIP")
-        return needed
-
 
 # ---------------------------------------------------------------------------
 # Execution context: clause operators
 # ---------------------------------------------------------------------------
 
 class _ExecutionContext:
-    """Holds the store, parameters, plans and write counters for one run."""
+    """Holds the store, parameters, runtime state, plans and write counters for one run."""
 
     def __init__(
         self,
         store: GraphStore,
         params: dict[str, Any],
         max_var_length: int,
+        state: RuntimeState,
         plans: Optional[dict[int, MatchPlan]] = None,
         projection_meta: Optional[dict[int, tuple]] = None,
     ):
         self.store = store
         self.params = params
         self.max_var_length = max_var_length
+        # the run's row budget and deadline, charged by the pattern matcher
+        self.state = state
         self.plans = plans
         self.evaluator = _Evaluator(self)
         # id(part) -> whether the part needs used-relationship tracking
@@ -754,33 +647,19 @@ class _ExecutionContext:
     # operators, pattern-predicate evaluation and MERGE.)
 
     def match_pattern(
-        self, pattern: ast.Pattern, row: Row, plan: Optional[MatchPlan] = None
-    ) -> Iterable[Row]:
-        """Match all parts of ``pattern`` (cartesian, rel-unique) from ``row``."""
-        filters = plan.filters if plan is not None else None
-        if len(pattern.parts) == 1:
-            # Single-part fast path: no cross-part rel-uniqueness to enforce,
-            # so the used-set only matters within the part itself.
-            part_plan = plan.parts[0] if plan is not None else None
-            return [
-                matched
-                for matched, _ in self._match_part(
-                    pattern.parts[0], row, frozenset(), part_plan, filters,
-                    update_used=False,
-                )
-            ]
+        self, part: ast.PatternPart, row: Row, limit: Optional[int] = None
+    ) -> list[Row]:
+        """Rows binding ``part`` from ``row`` (pattern predicates).
 
-        def match_parts(index: int, current: Row, used: frozenset[int]) -> Iterator[Row]:
-            if index == len(pattern.parts):
-                yield current
-                return
-            part_plan = plan.parts[index] if plan is not None else None
-            for matched, used_after in self._match_part(
-                pattern.parts[index], current, used, part_plan, filters
-            ):
-                yield from match_parts(index + 1, matched, used_after)
-
-        return match_parts(0, row, frozenset())
+        ``limit`` stops the search once that many matches are found, so
+        ``EXISTS`` stops at the first one.
+        """
+        return [
+            matched
+            for matched, _ in self._match_part(
+                part, row, frozenset(), update_used=False, limit=limit
+            )
+        ]
 
     def _part_needs_used(self, part: ast.PatternPart) -> bool:
         """Whether matching ``part`` must maintain the used-relationship set.
@@ -812,33 +691,31 @@ class _ExecutionContext:
         part: ast.PatternPart,
         row: Row,
         used: frozenset[int],
-        plan: Optional[PartPlan] = None,
-        filters: Optional[Filters] = None,
         update_used: bool = True,
+        limit: Optional[int] = None,
     ) -> Iterable[tuple[Row, frozenset[int]]]:
+        """Row-at-a-time matcher for one unplanned pattern part.
+
+        Every candidate and expansion step is charged to the run's row
+        budget and deadline; ``limit`` ends the search after that many
+        matches.
+        """
         if part.shortest is not None:
-            return self._match_shortest(part, row, used, filters)
+            return self._match_shortest(part, row, used)
         elements = list(part.elements)
-        if plan is not None:
-            reversed_part = plan.reverse
-        else:
-            reversed_part = len(elements) > 1 and self._should_reverse(elements, row)
+        reversed_part = len(elements) > 1 and self._should_reverse(elements, row)
         if reversed_part:
             elements = _reverse_elements(elements)
 
         first = elements[0]
         assert isinstance(first, ast.NodePattern)
-        anchor = plan.anchor if plan is not None else None
         track_path = part.path_variable is not None
-        if update_used:
-            maintain_used = True
-        elif plan is not None:
-            maintain_used = plan.needs_used
-        else:
-            maintain_used = self._part_needs_used(part)
+        maintain_used = update_used or self._part_needs_used(part)
         chained: list[Any] = []
-        for start in self._node_candidates(first, row, anchor):
-            start_row = self._bind_node(first, start, row, filters)
+        charge = self.state.charge
+        for start in self._node_candidates(first, row):
+            charge()
+            start_row = self._bind_node(first, start, row)
             if start_row is None:
                 continue
             self._match_chain(
@@ -849,10 +726,12 @@ class _ExecutionContext:
                 start,
                 [start] if track_path else None,
                 [] if track_path else None,
-                filters,
                 maintain_used,
                 chained,
+                limit,
             )
+            if limit is not None and len(chained) >= limit:
+                break
         if not track_path:
             return chained
         results: list[tuple[Row, frozenset[int]]] = []
@@ -974,16 +853,16 @@ class _ExecutionContext:
         current: Node,
         nodes: Optional[list[Node]],
         rels: Optional[list[Relationship]],
-        filters: Optional[Filters],
         maintain_used: bool,
         out: list[Any],
+        limit: Optional[int] = None,
     ) -> None:
         """Recursively match the rel/node chain, appending results to ``out``.
 
         Appends ``(row, used)`` tuples, or ``(row, used, nodes, rels)`` when
         path tracking is on (``nodes``/``rels`` non-None).  Building a list
         instead of yielding avoids a generator resumption per consumer level
-        on the hot path.
+        on the hot path.  Returns early once ``out`` holds ``limit`` entries.
         """
         if index >= len(elements):
             if nodes is None:
@@ -1001,7 +880,9 @@ class _ExecutionContext:
         else:
             steps = self._expand_single(rel_pattern, current, row, used)
 
+        charge = self.state.charge
         for step_rels, end_node in steps:
+            charge()
             if maintain_used:
                 new_used = used | {rel.rel_id for rel in step_rels}
             else:
@@ -1014,19 +895,11 @@ class _ExecutionContext:
                         continue
                     rel_row = row
                 else:
-                    if (
-                        filters
-                        and not rel_pattern.var_length
-                        and not self._passes_filters(
-                            step_rels[0].properties, filters.get(rel_pattern.variable)
-                        )
-                    ):
-                        continue
                     rel_row = dict(row)
                     rel_row[rel_pattern.variable] = bound_value
             else:
                 rel_row = row
-            end_row = self._bind_node(node_pattern, end_node, rel_row, filters)
+            end_row = self._bind_node(node_pattern, end_node, rel_row)
             if end_row is None:
                 continue
             if nodes is None:
@@ -1056,10 +929,12 @@ class _ExecutionContext:
                 end_node,
                 next_nodes,
                 next_rels,
-                filters,
                 maintain_used,
                 out,
+                limit,
             )
+            if limit is not None and len(out) >= limit:
+                return
 
     def _expand_single(
         self,
@@ -1164,22 +1039,6 @@ class _ExecutionContext:
                         seen.add(node.node_id)
                         yield node
             return
-        if anchor is not None and anchor.kind == "range":
-            bounds = self._range_bounds(anchor, row)
-            if bounds is None:
-                # A null/odd bound can't bisect; the label scan plus the
-                # residual WHERE still produces the right (empty) rows.
-                yield from self.store.nodes_by_label(anchor.label)
-            else:
-                yield from self.store.nodes_in_range(anchor.label, anchor.key, **bounds)
-            return
-        if anchor is not None and anchor.kind == "prefix":
-            prefix = self.evaluator.evaluate(anchor.values[0], row)
-            if isinstance(prefix, str):
-                yield from self.store.nodes_by_prefix(anchor.label, anchor.key, prefix)
-            else:
-                yield from self.store.nodes_by_label(anchor.label)
-            return
         if anchor is not None and anchor.kind == "label":
             yield from self.store.nodes_by_label(anchor.label)
             return
@@ -1198,28 +1057,6 @@ class _ExecutionContext:
             yield from self.store.nodes_by_label(node_pattern.labels[0])
             return
         yield from self.store.all_nodes()
-
-    def _range_bounds(
-        self, anchor: "AnchorPlan", row: Row
-    ) -> Optional[dict[str, Any]]:
-        """Evaluate a range anchor's bounds into ``nodes_in_range`` kwargs.
-
-        Returns None when any bound evaluates to null (no row can compare
-        true against it, but the caller falls back to a verified label scan
-        rather than reasoning about ternary logic here).
-        """
-        bounds: dict[str, Any] = {}
-        for op, expr in zip(anchor.ops, anchor.values):
-            value = self.evaluator.evaluate(expr, row)
-            if value is None:
-                return None
-            if op in (">", ">="):
-                bounds["lower"] = value
-                bounds["include_lower"] = op == ">="
-            else:
-                bounds["upper"] = value
-                bounds["include_upper"] = op == "<="
-        return bounds
 
     def _pick_lookup_property(
         self, node_pattern: ast.NodePattern
@@ -1275,7 +1112,7 @@ class _ExecutionContext:
         properties: dict[str, Any],
         filters: Optional[tuple[PushedFilter, ...]],
     ) -> bool:
-        """Apply pushed WHERE equality/IN filters to an entity's properties.
+        """Apply pushed WHERE equality/IN/range filters to an entity's properties.
 
         Mirrors WHERE ternary logic: a row survives only when the pushed
         conjunct would evaluate to true.  ``IN $param`` with a non-list
@@ -1304,13 +1141,6 @@ class _ExecutionContext:
                         return False
                     if op == ">=" and not comparison >= 0:
                         return False
-                continue
-            if filt.kind == "prefix":
-                wanted = self._filter_value(filt.values[0])
-                if not isinstance(actual, str) or not isinstance(wanted, str):
-                    return False
-                if not actual.startswith(wanted):
-                    return False
                 continue
             candidates = self._filter_candidates(filt)
             if candidates is None:
@@ -1605,6 +1435,9 @@ class _Evaluator:
             raise CypherTypeError("slicing requires a list")
         start = self.evaluate(expr.start, row) if expr.start is not None else None
         end = self.evaluate(expr.end, row) if expr.end is not None else None
+        for bound in (start, end):
+            if bound is not None and (isinstance(bound, bool) or not isinstance(bound, int)):
+                raise CypherTypeError(f"list slice bounds must be integers, got {bound!r}")
         return subject[start:end]
 
     def _eval_ListLiteral(self, expr: ast.ListLiteral, row: Row) -> list[Any]:
@@ -1785,15 +1618,11 @@ class _Evaluator:
         return accumulator
 
     def _eval_PatternPredicate(self, expr: ast.PatternPredicate, row: Row) -> bool:
-        pattern = ast.Pattern(parts=(expr.pattern,))
-        for _ in self.context.match_pattern(pattern, row):
-            return True
-        return False
+        return bool(self.context.match_pattern(expr.pattern, row, limit=1))
 
     def _eval_PatternComprehension(self, expr: ast.PatternComprehension, row: Row) -> list[Any]:
-        pattern = ast.Pattern(parts=(expr.pattern,))
         output: list[Any] = []
-        for matched in self.context.match_pattern(pattern, row):
+        for matched in self.context.match_pattern(expr.pattern, row):
             if expr.predicate is not None:
                 if is_truthy(self.evaluate(expr.predicate, matched)) is not True:
                     continue
@@ -1802,10 +1631,7 @@ class _Evaluator:
 
     def _eval_ExistsExpr(self, expr: ast.ExistsExpr, row: Row) -> bool:
         if isinstance(expr.target, ast.PatternPart):
-            pattern = ast.Pattern(parts=(expr.target,))
-            for _ in self.context.match_pattern(pattern, row):
-                return True
-            return False
+            return bool(self.context.match_pattern(expr.target, row, limit=1))
         return self.evaluate(expr.target, row) is not None
 
     def _eval_CountStar(self, expr: ast.CountStar, row: Row) -> Any:

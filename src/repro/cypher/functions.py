@@ -488,6 +488,10 @@ def call_scalar(store: GraphStore, name: str, args: list[Any]) -> Any:
         return fn(store, *args)
     except TypeError as exc:
         raise CypherRuntimeError(f"bad arguments for {name}(): {exc}") from exc
+    except (ValueError, ArithmeticError) as exc:
+        # Domain and range failures of the math/string kernels (sqrt(-1),
+        # exp(1000), floor(NaN), split(s, '')) are query errors.
+        raise CypherRuntimeError(f"{name}() failed: {exc}") from exc
 
 
 def call_aggregate(name: str, values: list[Any], distinct: bool = False) -> Any:
@@ -518,7 +522,10 @@ def regex_match(value: str, pattern: str) -> bool:
     """Full-string regex match (Cypher's ``=~``), with a compiled cache."""
     compiled = _REGEX_CACHE.get(pattern)
     if compiled is None:
-        compiled = re.compile(pattern)
+        try:
+            compiled = re.compile(pattern)
+        except re.error as exc:
+            raise CypherRuntimeError(f"invalid regular expression {pattern!r}: {exc}") from exc
         _REGEX_CACHE[pattern] = compiled
     return compiled.fullmatch(value) is not None
 
@@ -586,7 +593,10 @@ def binary_operation(op: str, left: Any, right: Any) -> Any:
             raise CypherRuntimeError("modulo by zero")
         return math_fmod(left, right)
     if op == "^":
-        return float(left) ** float(right)
+        try:
+            return math.pow(left, right)
+        except (ValueError, OverflowError) as exc:
+            raise CypherRuntimeError(f"{left!r} ^ {right!r} is undefined or out of range") from exc
     raise CypherRuntimeError(f"unknown operator {op}")
 
 

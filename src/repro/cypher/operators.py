@@ -63,7 +63,6 @@ __all__ = [
     "Init",
     "RowSource",
     "AnchorScan",
-    "IndexOrderedScan",
     "Expand",
     "VarLengthExpand",
     "ShortestPath",
@@ -117,6 +116,21 @@ class RuntimeState:
                 f"query exceeded its deadline after {self.rows} intermediate rows"
             )
 
+    def charge(self) -> None:
+        """Count one intermediate row against the budget and the deadline.
+
+        Operators charge every emitted row; the executor's pattern matcher
+        (pattern predicates, MERGE, planner-off MATCH) charges every step.
+        The deadline is read once per ``_DEADLINE_STRIDE_MASK + 1`` rows.
+        """
+        rows = self.rows = self.rows + 1
+        if self.budget is not None and rows > self.budget:
+            raise ResourceExhausted(
+                f"query exceeded its intermediate row budget ({self.budget} rows)"
+            )
+        if self.deadline is not None and not (rows & _DEADLINE_STRIDE_MASK):
+            self.check_deadline()
+
 
 class PhysicalOperator:
     """Base operator: children, row counter, wall-time, budget charging.
@@ -164,13 +178,7 @@ class PhysicalOperator:
             row = self._next()
         if row is not None:
             self.rows_out += 1
-            rows = state.rows = state.rows + 1
-            if state.budget is not None and rows > state.budget:
-                raise ResourceExhausted(
-                    f"query exceeded its intermediate row budget ({state.budget} rows)"
-                )
-            if state.deadline is not None and not (rows & _DEADLINE_STRIDE_MASK):
-                state.check_deadline()
+            state.charge()
         return row
 
     def close(self) -> None:
@@ -235,11 +243,11 @@ class RowSource(PhysicalOperator):
 class AnchorScan(PhysicalOperator):
     """Candidate scan for a pattern part's anchor node.
 
-    The concrete access path (label scan, hash lookup, range/prefix probe,
-    all-nodes scan, bound variable) comes from the planner's
+    The concrete access path (label scan, hash lookup, all-nodes scan,
+    bound variable) comes from the planner's
     :class:`~repro.cypher.planner.AnchorPlan`; the operator's ``name``
-    reflects it (``LabelScan``, ``HashLookup``, ``RangeLookup``,
-    ``PrefixLookup``, ``AllNodesScan``, ``BoundAnchor``).  Emits match
+    reflects it (``LabelScan``, ``HashLookup``, ``AllNodesScan``,
+    ``BoundAnchor``).  Emits match
     states; every candidate is still fully verified by the executor's
     ``_bind_node``, so a stale plan can never change results.
     """
@@ -295,71 +303,6 @@ class AnchorScan(PhysicalOperator):
             else:
                 self._row, self._used = item
             self._src = iter(ctx._node_candidates(pattern, self._row, self.anchor))
-
-
-class IndexOrderedScan(PhysicalOperator):
-    """Fused top-k scan streaming a sorted index in ORDER BY key order.
-
-    Emits verified rows straight from the index stream and stops as soon
-    as the top ``SKIP + LIMIT`` rows *plus their whole tie group* on the
-    primary key are out (the canonical tie-break downstream may still
-    reorder equal keys), so neither the full label scan nor the full sort
-    ever run.  ``needed == 0`` short-circuits the scan entirely.
-    """
-
-    name = "IndexOrderedScan"
-
-    def __init__(
-        self,
-        state: RuntimeState,
-        ctx,
-        stream: Iterator[Node],
-        node_pattern: ast.NodePattern,
-        filters,
-        where: Optional[ast.Expr],
-        order_expr: ast.Expr,
-        descending: bool,
-        needed: int,
-        detail: str = "",
-    ) -> None:
-        super().__init__(state)
-        self.ctx = ctx
-        self._stream = stream
-        self.node_pattern = node_pattern
-        self.filters = filters
-        self.where = where
-        self.order_expr = order_expr
-        self.descending = descending
-        self.needed = needed
-        self.detail = detail
-
-    def _open(self) -> None:
-        self._count = 0
-        self._boundary: Any = None
-        self._done = self.needed == 0
-
-    def _next(self) -> Optional[Row]:
-        if self._done:
-            return None
-        ctx = self.ctx
-        evaluate = ctx.evaluator.evaluate
-        for node in self._stream:
-            row = ctx._bind_node(self.node_pattern, node, {}, self.filters)
-            if row is None:
-                continue
-            if self.where is not None and is_truthy(evaluate(self.where, row)) is not True:
-                continue
-            key = sort_key(evaluate(self.order_expr, row))
-            if self.descending:
-                key = _Descending(key)
-            if self._count >= self.needed and self._boundary < key:
-                break
-            self._count += 1
-            if self._count == self.needed:
-                self._boundary = key
-            return row
-        self._done = True
-        return None
 
 
 class Expand(PhysicalOperator):
@@ -615,9 +558,7 @@ class PartMatch(PhysicalOperator):
                 return None
             row, used = (item, frozenset()) if self.from_rows else item
             self._pending = list(
-                self.ctx._match_part(
-                    self.part, row, used, None, None, update_used=self.update_used
-                )
+                self.ctx._match_part(self.part, row, used, update_used=self.update_used)
             )
             self._index = 0
 

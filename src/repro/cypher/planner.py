@@ -46,16 +46,16 @@ class PushedFilter:
     """One WHERE conjunct pushed to bind time.
 
     ``kind`` is ``"eq"`` (``var.key = expr``), ``"in"`` (``var.key IN
-    list``), ``"range"`` (one comparison bound ``var.key OP expr`` with
-    ``OP`` in ``< <= > >=``, the operator recorded in ``ops``) or
-    ``"prefix"`` (``var.key STARTS WITH expr``).  ``values`` holds one
-    expression for equality/range/prefix, or every list element for ``IN``.
+    list``) or ``"range"`` (one comparison bound ``var.key OP expr`` with
+    ``OP`` in ``< <= > >=``, the operator recorded in ``ops``).  ``values``
+    holds one expression for equality/range, or every list element for
+    ``IN``.
     All expressions are literals or parameters, so they evaluate without a
     row environment.
     """
 
     key: str
-    kind: str  # "eq" | "in" | "range" | "prefix"
+    kind: str  # "eq" | "in" | "range"
     values: tuple[ast.Expr, ...]
     ops: tuple[str, ...] = ()  # range only: comparison op per value
 
@@ -80,7 +80,6 @@ class AnchorPlan:
     label: Optional[str] = None
     key: Optional[str] = None
     values: tuple[ast.Expr, ...] = ()
-    ops: tuple[str, ...] = ()  # range only: comparison op per value
     indexed: bool = False
     est_rows: float = 1.0
     est_examined: float = 1.0
@@ -98,16 +97,6 @@ class AnchorPlan:
                 f"PropertyLookup(:{self.label}.{self.key}"
                 f" IN {len(self.values)} values) [{via}]"
             )
-        if self.kind == "range":
-            bounds = " AND ".join(
-                f"{op} {_expr_text(value)}" for op, value in zip(self.ops, self.values)
-            )
-            return f"RangeLookup(:{self.label}.{self.key} {bounds}) [sorted-index]"
-        if self.kind == "prefix":
-            return (
-                f"PrefixLookup(:{self.label}.{self.key}"
-                f" STARTS WITH {_expr_text(self.values[0])}) [sorted-index]"
-            )
         if self.kind == "label":
             return f"LabelScan(:{self.label})"
         return "AllNodesScan"
@@ -121,22 +110,9 @@ class AnchorPlan:
             return "HashLookup", f":{self.label}.{self.key}"
         if self.kind == "property-in":
             return "HashLookup", f":{self.label}.{self.key} IN {len(self.values)} values"
-        if self.kind == "range":
-            return "RangeLookup", f":{self.label}.{self.key}"
-        if self.kind == "prefix":
-            return "PrefixLookup", f":{self.label}.{self.key}"
         if self.kind == "label":
             return "LabelScan", f":{self.label}"
         return "AllNodesScan", ""
-
-
-def _expr_text(expr: ast.Expr) -> str:
-    """Render a pushable (literal/parameter) expression for EXPLAIN."""
-    if isinstance(expr, ast.Literal):
-        return repr(expr.value)
-    if isinstance(expr, ast.Parameter):
-        return f"${expr.name}"
-    return "..."
 
 
 @dataclass(frozen=True)
@@ -176,7 +152,7 @@ class MatchPlan:
 # ---------------------------------------------------------------------------
 
 def extract_pushdown(where: Optional[ast.Expr]) -> dict[str, tuple[PushedFilter, ...]]:
-    """Collect pushable WHERE conjuncts: equality, ``IN``, comparisons, prefix.
+    """Collect pushable WHERE conjuncts: equality, ``IN`` and comparisons.
 
     Only *top-level AND* conjuncts qualify (anything under OR/XOR/NOT must
     stay in the residual WHERE), and only with literal or parameter
@@ -230,12 +206,6 @@ def _pushable_filters(expr: ast.Expr) -> Iterable[tuple[str, PushedFilter]]:
                             key=key, kind="range", values=(value,), ops=(subject_op,)
                         )
                         break
-        return
-    if isinstance(expr, ast.StringPredicate) and expr.op == "STARTS":
-        target = _property_of_variable(expr.left)
-        if target is not None and isinstance(expr.right, _PUSHABLE):
-            variable, key = target
-            yield variable, PushedFilter(key=key, kind="prefix", values=(expr.right,))
         return
     if isinstance(expr, ast.InList):
         target = _property_of_variable(expr.value)
@@ -293,80 +263,6 @@ def _candidate_lookups(
     return lookups
 
 
-#: Assumed fraction of a label surviving one / two pushed range bounds.
-_RANGE_SELECTIVITY = {1: 0.4, 2: 0.15}
-#: Assumed fraction of a label surviving a pushed STARTS WITH prefix.
-_PREFIX_SELECTIVITY = 0.05
-
-
-def _candidate_ordered_lookups(
-    node: ast.NodePattern,
-    stats: GraphStatistics,
-    filters: dict[str, tuple[PushedFilter, ...]],
-) -> list[AnchorPlan]:
-    """Sorted-index anchor candidates (range / prefix scans) for ``node``.
-
-    Range filters on the same key merge into at most one lower and one
-    upper bound (extra bounds stay bind-time filters); a candidate is only
-    produced when some label of the node has a sorted index on the key —
-    without one, a range scan degenerates to the label scan it would have
-    to beat.
-    """
-    if node.variable is None:
-        return []
-    candidates: list[AnchorPlan] = []
-    bounds: dict[str, dict[str, tuple[ast.Expr, str]]] = {}
-    prefixes: dict[str, ast.Expr] = {}
-    for filt in filters.get(node.variable, ()):
-        if filt.kind == "range":
-            op = filt.ops[0]
-            side = "lower" if op in (">", ">=") else "upper"
-            bounds.setdefault(filt.key, {}).setdefault(side, (filt.values[0], op))
-        elif filt.kind == "prefix":
-            prefixes.setdefault(filt.key, filt.values[0])
-    for key, sides in bounds.items():
-        label = next(
-            (lbl for lbl in node.labels if stats.has_sorted_index(lbl, key)), None
-        )
-        if label is None:
-            continue
-        ordered = [sides[side] for side in ("lower", "upper") if side in sides]
-        est = max(1.0, stats.label_count(label) * _RANGE_SELECTIVITY[len(ordered)])
-        candidates.append(
-            AnchorPlan(
-                kind="range",
-                variable=node.variable,
-                label=label,
-                key=key,
-                values=tuple(value for value, _ in ordered),
-                ops=tuple(op for _, op in ordered),
-                indexed=True,
-                est_rows=est,
-                est_examined=est,
-            )
-        )
-    for key, value in prefixes.items():
-        label = next(
-            (lbl for lbl in node.labels if stats.has_sorted_index(lbl, key)), None
-        )
-        if label is None:
-            continue
-        est = max(1.0, stats.label_count(label) * _PREFIX_SELECTIVITY)
-        candidates.append(
-            AnchorPlan(
-                kind="prefix",
-                variable=node.variable,
-                label=label,
-                key=key,
-                values=(value,),
-                indexed=True,
-                est_rows=est,
-                est_examined=est,
-            )
-        )
-    return candidates
-
-
 def plan_anchor(
     node: ast.NodePattern,
     stats: GraphStatistics,
@@ -410,9 +306,6 @@ def plan_anchor(
             )
             if best is None or _cost(candidate) < _cost(best):
                 best = candidate
-        for candidate in _candidate_ordered_lookups(node, stats, filters):
-            if best is None or _cost(candidate) < _cost(best):
-                best = candidate
     if best is not None:
         return best
     if label is not None:
@@ -435,15 +328,7 @@ def plan_anchor(
 
 def _cost(anchor: AnchorPlan) -> tuple[float, float, int]:
     """Comparable cost: output rows first, then rows examined, then tier."""
-    tier = {
-        "bound": 0,
-        "property": 1,
-        "property-in": 1,
-        "range": 2,
-        "prefix": 2,
-        "label": 3,
-        "all": 4,
-    }
+    tier = {"bound": 0, "property": 1, "property-in": 1, "label": 2, "all": 3}
     return (anchor.est_rows, anchor.est_examined, tier[anchor.kind])
 
 

@@ -10,125 +10,13 @@ reproduction.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Optional
+from typing import Any, Iterable, Iterator, Mapping
 
 from .model import Node, Relationship, validate_properties
 
 __all__ = ["GraphStore", "GraphStatistics", "GraphError", "EntityNotFound"]
-
-# Mirrors repro.cypher.values._TYPE_RANK for the orderable scalar types a
-# sorted index can serve.  Kept local so the graph layer stays independent
-# of the Cypher value module (which imports graph.model).
-_ORDER_RANK: dict[type, int] = {int: 0, float: 0, str: 1, bool: 2}
-
-#: Sorts after any node id within the same key (bisect upper-bound sentinel).
-_ID_INF = float("inf")
-
-
-def _order_key(value: Any) -> Optional[tuple]:
-    """Total-order key for an indexable property value, or None if unorderable.
-
-    Numbers, strings and booleans get the same relative order Cypher's
-    ORDER BY gives them (rank bands, numeric coercion); lists of orderable
-    scalars order element-wise.  Anything else (maps, mixed nesting) is
-    unindexable and the owning node is left out of the sorted index —
-    range scans never need it because comparing such values yields null.
-    """
-    if isinstance(value, bool):
-        return (_ORDER_RANK[bool], value)
-    if isinstance(value, (int, float)):
-        return (_ORDER_RANK[int], float(value))
-    if isinstance(value, str):
-        return (_ORDER_RANK[str], value)
-    if isinstance(value, list):
-        keys = []
-        for item in value:
-            item_key = _order_key(item)
-            if item_key is None:
-                return None
-            keys.append(item_key)
-        return (3, tuple(keys))
-    return None
-
-
-class _SortedIndex:
-    """Sorted ``(order_key, node_id)`` pairs for one ``(label, key)``.
-
-    Built lazily from the live label index; ``ids`` tracks which nodes the
-    pairs cover so ordered scans can enumerate the *leftovers* (nodes of
-    the label whose property is missing or unorderable — the rows ORDER BY
-    puts in the null band).
-    """
-
-    __slots__ = ("pairs", "ids")
-
-    def __init__(self, pairs: list[tuple[tuple, int]], ids: set[int]) -> None:
-        self.pairs = pairs
-        self.ids = ids
-
-    def range_ids(
-        self,
-        lower: Any = None,
-        upper: Any = None,
-        include_lower: bool = True,
-        include_upper: bool = True,
-    ) -> Iterator[int]:
-        """Node ids with ``lower OP value OP upper``, in (value, id) order.
-
-        Bounds restrict the scan to the bound's type band (rank), exactly
-        the set of values Cypher can compare non-null against the bound.
-        """
-        pairs = self.pairs
-        if lower is None and upper is None:
-            # Unbounded: every orderable value qualifies.
-            yield from self.ordered_ids()
-            return
-        bound = lower if lower is not None else upper
-        bound_key = _order_key(bound)
-        if bound_key is None:
-            return
-        rank = bound_key[0]
-        if lower is not None and upper is not None:
-            upper_key = _order_key(upper)
-            if upper_key is None or upper_key[0] != rank:
-                return
-        lo = bisect_left(pairs, ((rank,),))
-        hi = bisect_left(pairs, ((rank + 1,),))
-        if lower is not None:
-            lower_key = _order_key(lower)
-            probe = (lower_key,) if include_lower else (lower_key, _ID_INF)
-            lo = max(lo, bisect_left(pairs, probe, lo, hi))
-        if upper is not None:
-            upper_key = _order_key(upper)
-            probe = (upper_key, _ID_INF) if include_upper else (upper_key,)
-            hi = min(hi, bisect_left(pairs, probe, lo, hi))
-        for index in range(lo, hi):
-            yield pairs[index][1]
-
-    def prefix_ids(self, prefix: str) -> Iterator[int]:
-        """Node ids whose string value starts with ``prefix``, value order.
-
-        Strings sharing a prefix are contiguous in the sorted band, so the
-        scan starts at the prefix and stops at the first non-match.
-        """
-        pairs = self.pairs
-        rank = _ORDER_RANK[str]
-        start = bisect_left(pairs, ((rank, prefix),))
-        for index in range(start, len(pairs)):
-            key, node_id = pairs[index]
-            if key[0] != rank or not key[1].startswith(prefix):
-                break
-            yield node_id
-
-    def ordered_ids(self, descending: bool = False) -> Iterator[int]:
-        """Every indexed node id in (value, id) order (reversed for DESC)."""
-        source = reversed(self.pairs) if descending else self.pairs
-        for _, node_id in source:
-            yield node_id
-
 
 class GraphError(Exception):
     """Base error for graph-store failures."""
@@ -155,7 +43,6 @@ class GraphStatistics:
     label_counts: Mapping[str, int] = field(default_factory=dict)
     rel_type_counts: Mapping[str, int] = field(default_factory=dict)
     indexes: frozenset[tuple[str, str]] = frozenset()
-    sorted_indexes: frozenset[tuple[str, str]] = frozenset()
     index_selectivity: Mapping[tuple[str, str], float] = field(default_factory=dict)
     # (rel_type, "out"|"in", label) -> edges of that type whose start ("out")
     # or end ("in") node carries the label.  Lets the planner see that e.g.
@@ -176,10 +63,6 @@ class GraphStatistics:
     def has_index(self, label: str, key: str) -> bool:
         """True when an exact-match property index exists for ``(label, key)``."""
         return (label, key) in self.indexes
-
-    def has_sorted_index(self, label: str, key: str) -> bool:
-        """True when an ordered (range-capable) index exists for ``(label, key)``."""
-        return (label, key) in self.sorted_indexes
 
     def lookup_estimate(self, label: str, key: str) -> float:
         """Expected rows from an index lookup on ``(label, key)``."""
@@ -227,10 +110,6 @@ class GraphStore:
         self._rel_endpoint_counts: Counter[tuple[str, str, str]] = Counter()
         # (label, property key, value) exact-match index, built lazily
         self._property_index: dict[tuple[str, str], dict[Any, set[int]]] = {}
-        # (label, property key) -> lazily built sorted index (None = stale).
-        # Invalidated per affected pair by the node mutation paths, so
-        # relationship churn never forces a rebuild.
-        self._sorted_index: dict[tuple[str, str], Optional[_SortedIndex]] = {}
         # bumped on every mutation; statistics()/plan caches key on it
         self._stats_version = 0
         self._stats_cache: GraphStatistics | None = None
@@ -267,7 +146,6 @@ class GraphStore:
                 index = self._property_index.get((label, key))
                 if index is not None:
                     index[self._index_key(node.properties[key])].add(node.node_id)
-                self._invalidate_sorted(label, key)
         self._touch()
         return node
 
@@ -307,7 +185,6 @@ class GraphStore:
         else:
             node.properties.update(validate_properties({key: value}))
         for label in node.labels:
-            self._invalidate_sorted(label, key)
             index = self._property_index.get((label, key))
             if index is None:
                 continue
@@ -380,7 +257,6 @@ class GraphStore:
                 index = self._property_index.get((label, key))
                 if index is not None:
                     index[self._index_key(value)].discard(node_id)
-                self._invalidate_sorted(label, key)
         self._outgoing.pop(node_id, None)
         self._incoming.pop(node_id, None)
         self._outgoing_typed.pop(node_id, None)
@@ -402,55 +278,6 @@ class GraphStore:
     def has_property_index(self, label: str, key: str) -> bool:
         """True when an exact-match index exists for ``(label, key)``."""
         return (label, key) in self._property_index
-
-    def create_sorted_index(self, label: str, key: str) -> None:
-        """Register an ordered index over ``(label, key)``.
-
-        The sorted array itself is built lazily on first range/ordered scan
-        and invalidated (not eagerly rebuilt) by node mutations touching the
-        pair, so registration and write-heavy phases stay cheap.  Counts as
-        a mutation for :attr:`stats_version`, replanning cached queries.
-        """
-        if (label, key) in self._sorted_index:
-            return
-        self._sorted_index[(label, key)] = None
-        self._touch()
-
-    def has_sorted_index(self, label: str, key: str) -> bool:
-        """True when an ordered index is registered for ``(label, key)``."""
-        return (label, key) in self._sorted_index
-
-    def _invalidate_sorted(self, label: str, key: str) -> None:
-        """Mark the sorted index for ``(label, key)`` stale, if registered."""
-        if (label, key) in self._sorted_index:
-            self._sorted_index[(label, key)] = None
-
-    def _sorted(self, label: str, key: str) -> Optional[_SortedIndex]:
-        """The (lazily re/built) sorted index, or None when not registered.
-
-        Building is a read-side operation: it must not bump
-        :attr:`stats_version`, or every rebuild would invalidate plan and
-        answer caches and re-stale itself.
-        """
-        if (label, key) not in self._sorted_index:
-            return None
-        built = self._sorted_index[(label, key)]
-        if built is None:
-            pairs: list[tuple[tuple, int]] = []
-            ids: set[int] = set()
-            for node_id in self._label_index.get(label, ()):
-                properties = self._nodes[node_id].properties
-                if key not in properties:
-                    continue
-                order_key = _order_key(properties[key])
-                if order_key is None:
-                    continue
-                pairs.append((order_key, node_id))
-                ids.add(node_id)
-            pairs.sort()
-            built = _SortedIndex(pairs, ids)
-            self._sorted_index[(label, key)] = built
-        return built
 
     # ------------------------------------------------------------------
     # Lookup
@@ -518,7 +345,6 @@ class GraphStore:
             },
             rel_type_counts=dict(self._rel_type_counts),
             indexes=frozenset(self._property_index),
-            sorted_indexes=frozenset(self._sorted_index),
             index_selectivity=selectivity,
             rel_endpoint_counts=dict(self._rel_endpoint_counts),
         )
@@ -567,91 +393,6 @@ class GraphStore:
         for node in self.nodes_by_label(label):
             if node.properties.get(key) == value:
                 yield node
-
-    def nodes_in_range(
-        self,
-        label: str,
-        key: str,
-        lower: Any = None,
-        upper: Any = None,
-        include_lower: bool = True,
-        include_upper: bool = True,
-    ) -> Iterator[Node]:
-        """Iterate nodes with ``label`` whose ``key`` lies within the bounds.
-
-        With a sorted index, a bisected slice in (value, id) order touching
-        only matching nodes; otherwise a label scan filtered in Python (id
-        order).  Matching follows Cypher comparison semantics: only values
-        of the bound's type band can match, everything else compares null.
-        """
-        index = self._sorted(label, key)
-        if index is not None:
-            for node_id in index.range_ids(lower, upper, include_lower, include_upper):
-                yield self._nodes[node_id]
-            return
-        lower_key = _order_key(lower) if lower is not None else None
-        upper_key = _order_key(upper) if upper is not None else None
-        for node in self.nodes_by_label(label):
-            if key not in node.properties:
-                continue
-            value_key = _order_key(node.properties[key])
-            if value_key is None:
-                continue
-            if lower_key is not None:
-                if value_key[0] != lower_key[0]:
-                    continue
-                if value_key < lower_key or (value_key == lower_key and not include_lower):
-                    continue
-            if upper_key is not None:
-                if value_key[0] != upper_key[0]:
-                    continue
-                if value_key > upper_key or (value_key == upper_key and not include_upper):
-                    continue
-            yield node
-
-    def nodes_by_prefix(self, label: str, key: str, prefix: str) -> Iterator[Node]:
-        """Iterate nodes with ``label`` whose string ``key`` starts with ``prefix``.
-
-        Served by a bisected run of the sorted index when one exists (value
-        order), else a filtered label scan (id order).
-        """
-        index = self._sorted(label, key)
-        if index is not None:
-            for node_id in index.prefix_ids(prefix):
-                yield self._nodes[node_id]
-            return
-        for node in self.nodes_by_label(label):
-            value = node.properties.get(key)
-            if isinstance(value, str) and value.startswith(prefix):
-                yield node
-
-    def nodes_in_order(
-        self, label: str, key: str, descending: bool = False
-    ) -> Optional[Iterator[Node]]:
-        """Iterate **all** nodes of ``label`` ordered by ``key`` (nulls last ASC).
-
-        Requires a sorted index on ``(label, key)``; returns None without
-        one.  Nodes whose ``key`` is missing or unorderable come after the
-        indexed run ascending and before it descending — the same band
-        placement Cypher's ORDER BY gives null keys, so an ordered LIMIT
-        scan can stream this directly.
-        """
-        index = self._sorted(label, key)
-        if index is None:
-            return None
-        leftovers = sorted(self._label_index.get(label, set()) - index.ids)
-
-        def stream() -> Iterator[Node]:
-            if descending:
-                for node_id in leftovers:
-                    yield self._nodes[node_id]
-            for node_id in index.ordered_ids(descending):
-                yield self._nodes[node_id]
-            if not descending:
-                for node_id in leftovers:
-                    yield self._nodes[node_id]
-
-        return stream()
 
     def relationships_of(
         self,

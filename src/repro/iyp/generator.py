@@ -617,10 +617,3 @@ def _build_indexes(dataset: IYPDataset) -> None:
     store.create_property_index(NodeLabel.RANKING, "name")
     store.create_property_index(NodeLabel.ORGANIZATION, "name")
     store.create_property_index(NodeLabel.IP, "ip")
-    # Ordered indexes for range / prefix / ORDER BY ... LIMIT access paths
-    # over the properties CypherEval's ranking and technical questions
-    # filter and sort on.
-    store.create_sorted_index(NodeLabel.AS, "asn")
-    store.create_sorted_index(NodeLabel.AS, "name")
-    store.create_sorted_index(NodeLabel.PREFIX, "prefix")
-    store.create_sorted_index(NodeLabel.DOMAIN_NAME, "name")

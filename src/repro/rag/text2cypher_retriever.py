@@ -48,7 +48,6 @@ class TextToCypherRetriever(Retriever):
         llm: LLM,
         schema_text: str = "",
         prompt_builder: Callable[[str, str], str] | None = None,
-        capture_plan: bool = False,
         capture_profile: bool = False,
         row_budget: int | None = None,
     ) -> None:
@@ -56,10 +55,6 @@ class TextToCypherRetriever(Retriever):
         self.llm = llm
         self.schema_text = schema_text
         self.prompt_builder = prompt_builder or default_text2cypher_prompt
-        # When on, successful retrievals carry the engine's EXPLAIN text in
-        # metadata["plan"] — chosen anchors, directions and row estimates
-        # for the generated query (cheap: the AST is already cached).
-        self.capture_plan = capture_plan
         # When on, every execution runs profiled and retrievals carry the
         # executed operator tree (rows + wall-time per operator) in
         # metadata["cypher_profile"].
@@ -102,8 +97,6 @@ class TextToCypherRetriever(Retriever):
                 error=f"{type(exc).__name__}: {exc}",
                 metadata=generation_meta,
             )
-        if self.capture_plan:
-            generation_meta["plan"] = self.engine.explain(cypher)
         if self.capture_profile and result.profile is not None:
             generation_meta["cypher_profile"] = result.profile
         return RetrievalResult(

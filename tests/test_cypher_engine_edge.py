@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.cypher import CypherEngine, CypherSyntaxError, execute, parse
+from repro.cypher.errors import CypherError
 from repro.cypher.result import render_value
 from repro.graph import GraphStore
 from repro.graph.model import Node, Path, Relationship
@@ -199,3 +200,24 @@ class TestErrorPaths:
         with pytest.raises(CypherSyntaxError) as exc_info:
             execute(tiny_store, "MATCH (a:AS)\nRETRUN a")
         assert "line 2" in str(exc_info.value)
+
+    @pytest.mark.parametrize(
+        "expression",
+        [
+            "sqrt(-1)",
+            "log(0)",
+            "toInteger(0.0/0.0)",
+            "floor(0.0/0.0)",
+            "split('a', '')",
+            "exp(1000)",
+            "10^1000",
+            "ceil(1.0/0.0)",
+            "'abc' =~ '['",
+            "[1,2,3][0..'a']",
+        ],
+    )
+    def test_python_failures_surface_as_cypher_errors(self, expression):
+        engine = CypherEngine(GraphStore())
+        with pytest.raises(CypherError):
+            engine.execute(f"RETURN {expression} AS x")
+

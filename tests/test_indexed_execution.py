@@ -1,10 +1,9 @@
-"""Sorted property indexes, range pushdown, top-k selection and vector top-k.
+"""Range pushdown, top-k selection and vector top-k.
 
-Covers the indexed execution layer end to end: the store's sorted indexes
-(point/range/prefix/ordered access, invalidation), the planner's range and
-prefix access paths (EXPLAIN + costing), planner-on/off equivalence for the
-new paths before and after mutation, the executor's heap / index-ordered
-ORDER BY LIMIT fast paths, and the vector store's argpartition selection.
+Covers the planner's range pushdown (EXPLAIN + costing), planner-on/off
+equivalence for range, prefix and ORDER BY ... LIMIT shapes before and
+after mutation, the executor's heap ORDER BY LIMIT path, and the vector
+store's argpartition selection.
 """
 
 from __future__ import annotations
@@ -18,139 +17,32 @@ from repro.embed.vector_store import SearchHit, VectorStore
 from repro.graph import GraphStore
 
 
-def _asns(nodes):
-    return [node.properties.get("asn") for node in nodes]
-
-
-@pytest.fixture()
-def indexed_store():
-    """Fresh store: 8 AS nodes with asn/name plus one node missing asn."""
-    store = GraphStore()
-    rows = [
-        (2497, "IIJ"),
-        (15169, "GOOGLE"),
-        (3320, "DTAG"),
-        (174, "COGENT-174"),
-        (701, "UUNET"),
-        (6939, "HURRICANE"),
-        (13335, "CLOUDFLARENET"),
-        (64512, "AS-PRIVATE"),
-    ]
-    for asn, name in rows:
-        store.create_node(["AS"], {"asn": asn, "name": name})
-    store.create_node(["AS"], {"name": "NO-ASN"})  # null band for asn
-    store.create_sorted_index("AS", "asn")
-    store.create_sorted_index("AS", "name")
-    return store
-
-
-class TestSortedIndexStore:
-    def test_range_inclusive_exclusive_bounds(self, indexed_store):
-        got = _asns(indexed_store.nodes_in_range("AS", "asn", 701, 13335))
-        assert got == [701, 2497, 3320, 6939, 13335]
-        got = _asns(
-            indexed_store.nodes_in_range(
-                "AS", "asn", 701, 13335, include_lower=False, include_upper=False
-            )
-        )
-        assert got == [2497, 3320, 6939]
-
-    def test_open_ended_ranges(self, indexed_store):
-        assert _asns(indexed_store.nodes_in_range("AS", "asn", lower=13335)) == [
-            13335,
-            15169,
-            64512,
-        ]
-        assert _asns(indexed_store.nodes_in_range("AS", "asn", upper=701)) == [174, 701]
-
-    def test_range_matches_label_scan_fallback(self, indexed_store):
-        plain = GraphStore()
-        for node in indexed_store.nodes_by_label("AS"):
-            plain.create_node(list(node.labels), dict(node.properties))
-        for lower, upper in ((None, None), (700, 7000), (2497, 2497), (99999, None)):
-            indexed = _asns(indexed_store.nodes_in_range("AS", "asn", lower, upper))
-            scanned = _asns(plain.nodes_in_range("AS", "asn", lower, upper))
-            # Index path yields value order, the fallback id order — the
-            # executor never relies on either, so compare as sets.
-            assert sorted(indexed) == sorted(scanned)
-
-    def test_prefix_lookup(self, indexed_store):
-        names = [
-            node.properties["name"]
-            for node in indexed_store.nodes_by_prefix("AS", "name", "C")
-        ]
-        assert names == ["CLOUDFLARENET", "COGENT-174"]
-        assert list(indexed_store.nodes_by_prefix("AS", "name", "ZZZ")) == []
-
-    def test_ordered_iteration_null_band(self, indexed_store):
-        ascending = _asns(indexed_store.nodes_in_order("AS", "asn"))
-        assert ascending[:-1] == sorted(a for a in ascending[:-1])
-        assert ascending[-1] is None  # missing key sorts last ascending
-        descending = _asns(indexed_store.nodes_in_order("AS", "asn", descending=True))
-        assert descending[0] is None  # ...and first descending
-        assert descending[1:] == ascending[:-1][::-1]
-
-    def test_ordered_iteration_requires_index(self, indexed_store):
-        assert indexed_store.nodes_in_order("AS", "country") is None
-        assert GraphStore().nodes_in_order("AS", "asn") is None
-
-    def test_mixed_type_bands_numbers_before_strings(self):
-        store = GraphStore()
-        for value in ("beta", 10, "alpha", 2, True):
-            store.create_node(["X"], {"v": value})
-        store.create_sorted_index("X", "v")
-        ordered = [node.properties["v"] for node in store.nodes_in_order("X", "v")]
-        assert ordered == [2, 10, "alpha", "beta", True]
-        # A numeric range never leaks strings or booleans.
-        in_range = [node.properties["v"] for node in store.nodes_in_range("X", "v", 0, 100)]
-        assert in_range == [2, 10]
-
-    def test_invalidated_by_node_mutations(self, indexed_store):
-        assert 4242 not in _asns(indexed_store.nodes_in_range("AS", "asn", 4000, 5000))
-        created = indexed_store.create_node(["AS"], {"asn": 4242, "name": "NEW"})
-        assert _asns(indexed_store.nodes_in_range("AS", "asn", 4000, 5000)) == [4242]
-        indexed_store.set_node_property(created.node_id, "asn", 4500)
-        assert _asns(indexed_store.nodes_in_range("AS", "asn", 4000, 5000)) == [4500]
-        indexed_store.delete_node(created.node_id)
-        assert _asns(indexed_store.nodes_in_range("AS", "asn", 4000, 5000)) == []
-
-    def test_relationship_churn_does_not_invalidate(self, indexed_store):
-        list(indexed_store.nodes_in_range("AS", "asn", 0, 99999))  # force build
-        built = indexed_store._sorted_index[("AS", "asn")]
-        assert built is not None
-        nodes = list(indexed_store.nodes_by_label("AS"))
-        rel = indexed_store.create_relationship(
-            nodes[0].node_id, "PEERS_WITH", nodes[1].node_id
-        )
-        indexed_store.delete_relationship(rel.rel_id)
-        assert indexed_store._sorted_index[("AS", "asn")] is built
-
-    def test_lazy_build_does_not_bump_stats_version(self, indexed_store):
-        before = indexed_store.statistics().version
-        list(indexed_store.nodes_in_range("AS", "asn", 0, 99999))
-        assert indexed_store.statistics().version == before
-
-    def test_statistics_expose_sorted_indexes(self, indexed_store):
-        stats = indexed_store.statistics()
-        assert stats.has_sorted_index("AS", "asn")
-        assert stats.has_sorted_index("AS", "name")
-        assert not stats.has_sorted_index("AS", "country")
-
-
 class TestRangePlanner:
     def test_explain_range_lookup(self, small_engine):
         plan = small_engine.explain(
             "MATCH (a:AS) WHERE a.asn > 1000 AND a.asn <= 200000 RETURN a.asn"
         )
-        assert "RangeLookup(:AS.asn" in plan
-        assert "[sorted-index]" in plan
-        assert "Pushdown a.asn >" in plan
+        assert "LabelScan(:AS)" in plan
+        assert "Pushdown a.asn > ..." in plan
+        assert "Pushdown a.asn <= ..." in plan
 
     def test_explain_prefix_lookup(self, small_engine):
         plan = small_engine.explain(
             "MATCH (a:AS) WHERE a.name STARTS WITH 'AS-' RETURN a.name"
         )
-        assert "PrefixLookup(:AS.name STARTS WITH" in plan
+        assert "LabelScan(:AS)" in plan
+        assert "Pushdown" not in plan
+        assert "Filter (WHERE)" in plan
+
+    def test_range_pushdown_keeps_type_bands(self):
+        store = GraphStore()
+        for value in ("beta", 10, "alpha", 2, True):
+            store.create_node(["X"], {"v": value})
+        query = "MATCH (x:X) WHERE x.v >= 0 AND x.v <= 100 RETURN x.v AS v ORDER BY v"
+        planned = list(CypherEngine(store).run(query))
+        # A numeric range never admits strings or booleans.
+        assert [record["v"] for record in planned] == [2, 10]
+        assert planned == list(CypherEngine(store, planner=False).run(query))
 
     def test_equality_still_beats_range(self, small_engine):
         plan = small_engine.explain(
@@ -163,7 +55,7 @@ class TestRangePlanner:
             "MATCH (c:Country) WHERE c.country_code >= 'A' RETURN c"
         )
         assert "LabelScan(:Country)" in plan
-        assert "RangeLookup" not in plan
+        assert "Pushdown c.country_code >= ..." in plan
 
 
 #: Queries whose rows must be identical with the planner on and off.
@@ -202,13 +94,16 @@ class TestIndexScanEquivalence:
         store, planned, unplanned = stores
         query = EQUIVALENCE_QUERIES[0]
         before = list(planned.run(query))
-        victim = next(iter(store.nodes_in_range("AS", "asn", 1001, 200000)))
+        victim = planned.run(
+            "MATCH (a:AS) WHERE a.asn > 1000 AND a.asn <= 200000 "
+            "RETURN a ORDER BY a.asn LIMIT 1"
+        ).single()["a"]
         created = store.create_node(["AS"], {"asn": 1500, "name": "FRESH"})
         store.set_node_property(victim.node_id, "asn", 123456)
         after_planned = list(planned.run(query))
         after_unplanned = list(unplanned.run(query))
         assert after_planned == after_unplanned
-        assert after_planned != before  # the index really was refreshed
+        assert after_planned != before  # the mutation is visible
         store.delete_node(created.node_id, detach=True)
         assert list(planned.run(query)) == list(unplanned.run(query))
 
@@ -224,7 +119,6 @@ class TestTopKSelection:
         ]:
             store.create_node(["Item"], {"rank": rank, "name": name})
         store.create_node(["Item"], {"name": "norank"})
-        store.create_sorted_index("Item", "rank")
         return CypherEngine(store), CypherEngine(store, planner=False)
 
     @pytest.mark.parametrize(

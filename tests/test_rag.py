@@ -113,20 +113,6 @@ class TestTextToCypherRetriever:
         result = symbolic.retrieve("Which ASes are registered in the US?")
         assert len(result.nodes) <= 25
 
-    def test_capture_plan_surfaces_explain_text(
-        self, small_store, reliable_llm, schema_text
-    ):
-        retriever = TextToCypherRetriever(
-            CypherEngine(small_store),
-            reliable_llm,
-            schema_text,
-            text2cypher_prompt,
-            capture_plan=True,
-        )
-        result = retriever.retrieve("Which country is AS2497 registered in?")
-        assert result.succeeded
-        assert "anchor=" in result.metadata["plan"]
-
     def test_plan_not_captured_by_default(self, symbolic):
         result = symbolic.retrieve("Which country is AS2497 registered in?")
         assert "plan" not in result.metadata

@@ -95,6 +95,14 @@ class TestCypherEndpoint:
         )
         assert status == 400
 
+    @pytest.mark.parametrize(
+        "query", ["RETURN sqrt(-1) AS x", "RETURN 'abc' =~ '[' AS x"]
+    )
+    def test_engine_domain_error_is_400(self, port, query):
+        status, payload = post(port, "/cypher", {"query": query})
+        assert status == 400
+        assert "query failed" in payload["error"]
+
     def test_missing_query_field(self, port):
         status, _ = post(port, "/cypher", {"nope": 1})
         assert status == 400

@@ -58,7 +58,6 @@ def chain_store():
         country = countries["JP" if asn % 2 == 0 else "US"]
         store.create_relationship(node.node_id, "COUNTRY", country.node_id)
     store.create_property_index("AS", "asn")
-    store.create_sorted_index("AS", "asn")
     return store
 
 
@@ -177,15 +176,6 @@ class TestEarlyTermination:
         assert len(result) == 0
         assert max_operator_rows(result.profile) <= 1  # only the Init row
 
-    def test_fused_topk_stops_after_tie_group(self, chain_store):
-        engine = CypherEngine(chain_store)
-        result = engine.execute(
-            "MATCH (a:AS) RETURN a.asn AS asn ORDER BY a.asn LIMIT 4", profile=True
-        )
-        assert [row["asn"] for row in result.to_dicts()] == [1, 2, 3, 4]
-        # asn is unique, so the index-ordered scan reads exactly 4 entries.
-        assert max_operator_rows(result.profile) <= 4
-
 
 class TestRowBudget:
     def test_budget_overrun_raises_resource_exhausted(self, chain_store):
@@ -241,6 +231,56 @@ class TestDeadlineCancellation:
         deadline = Deadline.start(60_000.0)
         result = engine.execute("MATCH (a:AS) RETURN count(a) AS n", deadline=deadline)
         assert result.single()["n"] == 20
+
+
+@pytest.fixture()
+def clique_store():
+    """Seven nodes, an X edge between every pair: 906 trails of 1..4 hops from each."""
+    store = GraphStore()
+    nodes = [store.create_node(["N"], {"i": i}) for i in range(7)]
+    for index, left in enumerate(nodes):
+        for right in nodes[index + 1:]:
+            store.create_relationship(left.node_id, "X", right.node_id)
+    return store
+
+
+#: Pattern predicates that enumerate every 1..4-hop trail from one node.
+_TRAIL_PREDICATES = [
+    "MATCH (a:N {i: 0}) RETURN size([(a)-[:X*1..4]-(b) | b]) AS n",
+    "MATCH (a:N {i: 0}) RETURN EXISTS((a)-[:X*1..4]-(:N {i: -1})) AS n",
+    "MATCH (a:N {i: 0}) RETURN size([(a)-[:X*1..4]-(b) WHERE b.i = -1 | b]) AS n",
+]
+
+
+class TestPatternPredicateLimits:
+    """Pattern predicates run the row-at-a-time matcher, which must obey the
+    same row budget and deadline as the operator tree."""
+
+    @pytest.mark.parametrize("query", _TRAIL_PREDICATES)
+    def test_row_budget_charges_matcher_steps(self, clique_store, query):
+        engine = CypherEngine(clique_store)
+        assert engine.run(query).single()["n"] in (906, False, 0)
+        with pytest.raises(ResourceExhausted, match="row budget"):
+            engine.execute(query, row_budget=500)
+
+    @pytest.mark.parametrize("query", _TRAIL_PREDICATES)
+    def test_deadline_checked_inside_matcher(self, clique_store, query):
+        engine = CypherEngine(clique_store)
+        # One clock reading per 256 charged rows: expires around row 512,
+        # long before the 906 trails are enumerated.
+        deadline = Deadline(3.0, clock=_SteppingClock(0.001))
+        with pytest.raises(CypherDeadlineExceeded):
+            engine.execute(query, deadline=deadline)
+
+    def test_exists_stops_at_first_match(self, clique_store):
+        engine = CypherEngine(clique_store)
+        exists = "MATCH (a:N {i: 0}) RETURN EXISTS((a)-[:X*1..4]-(b)) AS n"
+        assert engine.execute(exists, row_budget=50).single()["n"] is True
+        with pytest.raises(ResourceExhausted):
+            engine.execute(
+                "MATCH (a:N {i: 0}) RETURN size([(a)-[:X*1..4]-(b) | b]) AS n",
+                row_budget=50,
+            )
 
 
 def _walk(profile):
