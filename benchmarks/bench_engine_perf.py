@@ -223,11 +223,6 @@ def run_quick(output: Path | None, batches: int = 10, runs: int = 20) -> dict:
         "memory_scan": memory_scan,
     }
     if output is not None:
-        if output.exists():
-            # Other benchmarks (bench_batch.py) park their sections in the
-            # same file — carry any key this runner doesn't own across.
-            previous = json.loads(output.read_text())
-            payload = {**{k: v for k, v in previous.items() if k not in payload}, **payload}
         output.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {output}", file=sys.stderr)
     return payload

@@ -13,10 +13,10 @@ Run standalone::
 """
 
 import argparse
-import concurrent.futures
 import json
 import statistics
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -73,14 +73,24 @@ def bench_concurrent_throughput(chatiyp, threads=16, requests_per_thread=8):
     chatiyp.answer_cache.clear()
     chatiyp.metrics.reset()
 
-    def worker(tid):
-        for i in range(requests_per_thread):
-            chatiyp.ask(QUESTIONS[(tid + i) % len(QUESTIONS)], deadline_ms=30_000.0)
+    errors = []
 
+    def worker(tid):
+        try:
+            for i in range(requests_per_thread):
+                chatiyp.ask(QUESTIONS[(tid + i) % len(QUESTIONS)], deadline_ms=30_000.0)
+        except Exception as exc:  # noqa: BLE001 - re-raised on the main thread
+            errors.append(exc)
+
+    clients = [threading.Thread(target=worker, args=(tid,)) for tid in range(threads)]
     start = time.perf_counter()
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(worker, range(threads)))
+    for client in clients:
+        client.start()
+    for client in clients:
+        client.join()
     elapsed = time.perf_counter() - start
+    if errors:
+        raise errors[0]
     total = threads * requests_per_thread
     return {
         "threads": threads,

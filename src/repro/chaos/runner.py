@@ -120,7 +120,6 @@ class ChaosRunner:
         max_concurrency: Optional[int] = None,
         batch_every: int = 10,
         batch_size: int = 3,
-        batch_workers: int = 2,
     ) -> None:
         if requests < 1:
             raise ValueError("requests must be >= 1")
@@ -141,7 +140,6 @@ class ChaosRunner:
         )
         self.batch_every = batch_every
         self.batch_size = batch_size
-        self.batch_workers = batch_workers
         self._pool: Optional[tuple[str, ...]] = None
 
     # -- deterministic request stream --------------------------------------
@@ -284,7 +282,6 @@ class ChaosRunner:
                                 outcomes = chat.ask_batch(
                                     list(spec.questions),
                                     deadline_ms=self.deadline_ms,
-                                    workers=self.batch_workers,
                                 )
                             else:
                                 response = chat.ask(

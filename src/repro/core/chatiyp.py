@@ -22,7 +22,7 @@ from ..iyp.loader import load_dataset
 from ..llm.simulated import SimulatedLLM
 from ..llm.text2cypher import ErrorModel
 from ..nlp.entities import Gazetteer
-from ..parallel import BatchOutcome, ParallelRunner, SingleFlight
+from ..parallel import BatchOutcome, SingleFlight
 from ..parallel import singleflight as _singleflight
 from ..rag.observer import MetricsRegistry, PipelineObserver
 from ..rag.pipeline import PipelineResponse, RetrieverQueryEngine
@@ -332,9 +332,8 @@ class ChatIYP:
         self,
         questions: Iterable[str],
         deadline_ms: Union[float, Sequence[Optional[float]], None] = None,
-        workers: int = 4,
     ) -> list[BatchOutcome]:
-        """Answer many questions concurrently through the batch runner.
+        """Answer many questions, one after another on the calling thread.
 
         ``deadline_ms`` is either one budget applied to every question or a
         sequence aligned with ``questions`` (``None`` entries fall back to
@@ -344,8 +343,7 @@ class ChatIYP:
 
         Returns one :class:`~repro.parallel.BatchOutcome` per question, in
         input order; a failed item carries its exception instead of taking
-        the whole batch down.  Identical concurrent questions coalesce
-        through the single-flight layer like any other concurrent asks.
+        the whole batch down.
         """
         question_list = list(questions)
         self.metrics.increment("ask.batch_requests")
@@ -365,11 +363,15 @@ class ChatIYP:
         for budget in budgets:
             ms = budget if budget is not None else self.config.deadline_ms
             deadlines.append(Deadline.start(ms) if ms else None)
-        runner = ParallelRunner(workers=max(1, workers), thread_name_prefix="ask-batch")
-        return runner.map_outcomes(
-            lambda index: self.ask(question_list[index], deadline=deadlines[index]),
-            range(len(question_list)),
-        )
+        outcomes = []
+        for index, (question, deadline) in enumerate(zip(question_list, deadlines)):
+            try:
+                value = self.ask(question, deadline=deadline)
+            except BaseException as exc:  # noqa: BLE001 - captured per item by design
+                outcomes.append(BatchOutcome(index=index, error=exc))
+            else:
+                outcomes.append(BatchOutcome(index=index, value=value))
+        return outcomes
 
     def run_cypher(self, query: str, **params: Any) -> ResultSet:
         """Escape hatch: run raw Cypher against the underlying graph."""

@@ -44,11 +44,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--question-seed", type=int, default=7)
     parser.add_argument("--per-template", type=int, default=9)
     parser.add_argument("--limit", type=int, default=None, help="evaluate only the first N")
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="evaluate questions concurrently over N threads (1 = serial; "
-             "reports are bit-identical at any worker count)",
-    )
     parser.add_argument("--csv", type=Path, default=None, help="write per-question CSV here")
     parser.add_argument("--decompose", action="store_true",
                         help="enable the sub-question decomposition extension")
@@ -70,7 +65,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     print()
 
     harness = EvaluationHarness(chatiyp, questions)
-    report = harness.run(limit=args.limit, workers=max(1, args.workers))
+    report = harness.run(limit=args.limit)
     annotate_report(report)
 
     print(figure_2a_table(report, with_histograms=not args.no_histograms))

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 from ..core.chatiyp import ChatIYP
-from ..parallel import ParallelRunner
 from .cyphereval import EvalQuestion, build_cyphereval
 from .metrics.bertscore import BertScorer
 from .metrics.bleu import sentence_bleu
@@ -124,36 +123,20 @@ class EvaluationHarness:
         self,
         limit: Optional[int] = None,
         subset: Optional[Iterable[EvalQuestion]] = None,
-        workers: int = 1,
     ) -> EvaluationReport:
-        """Evaluate (a subset of) the benchmark; returns the full report.
-
-        ``workers`` fans the questions out over a bounded thread pool
-        (``1`` = the serial reference path, executed inline).  Every
-        question's answer and scores are pure functions of the question —
-        the backbone derives its RNG per question, scoring has no
-        cross-question state, and the runner collects results in input
-        order — so the report is **bit-identical** to the serial run at any
-        worker count (``tests/test_parallel.py`` asserts this).
-        """
+        """Evaluate (a subset of) the benchmark in order; returns the full report."""
         questions = list(subset) if subset is not None else self.questions
         if limit is not None:
             questions = questions[:limit]
-        if workers <= 1:
-            evaluations = [self.evaluate_question(question) for question in questions]
-        else:
-            runner = ParallelRunner(workers=workers, thread_name_prefix="cyphereval")
-            evaluations = runner.map(self.evaluate_question, questions)
-        return EvaluationReport(evaluations)
+        return EvaluationReport([self.evaluate_question(question) for question in questions])
 
     def evaluate(
         self,
         limit: Optional[int] = None,
         subset: Optional[Iterable[EvalQuestion]] = None,
-        workers: int = 1,
     ) -> EvaluationReport:
         """Alias of :meth:`run` (the name used by the serving docs)."""
-        return self.run(limit=limit, subset=subset, workers=workers)
+        return self.run(limit=limit, subset=subset)
 
     def evaluate_question(self, question: EvalQuestion) -> QuestionEvaluation:
         """Run one question through ChatIYP and score the answer."""

@@ -88,9 +88,11 @@ class ResultVerbalizer:
 
     def _single_column(self, question: str, result: ResultSet, rng: random.Random) -> str:
         column = _humanize(result.keys[0])
-        values = [render_value(record[0]) for record in result.records]
-        if len(values) == 1:
-            value = values[0]
+        count = len(result.records)
+        # render_value is pure: render only the values the answer shows.
+        shown = [render_value(record[0]) for record in result.records[:_MAX_LIST_ITEMS]]
+        if count == 1:
+            value = shown[0]
             templates = [
                 f"The {column} is {value}.",
                 f"{value} is the {column}.",
@@ -101,13 +103,12 @@ class ResultVerbalizer:
                 templates.append(f"It accounts for {value}% of the population.")
                 templates.append(f"The share is {value}%.")
             return rng.choice(templates)
-        shown = values[:_MAX_LIST_ITEMS]
-        more = len(values) - len(shown)
+        more = count - len(shown)
         joined = _join_values(shown)
         suffix = f" and {more} more" if more > 0 else ""
         templates = [
             f"The {column}s are: {joined}{suffix}.",
-            f"There are {len(values)} results: {joined}{suffix}.",
+            f"There are {count} results: {joined}{suffix}.",
             f"IYP lists the following {column}s: {joined}{suffix}.",
         ]
         return rng.choice(templates)

@@ -1,37 +1,26 @@
-"""Batch execution layer: concurrent fan-out over the staged pipeline.
+"""Batch results and in-flight request coalescing.
 
-The :mod:`repro.parallel` package is the serial→concurrent seam of the
-system.  Everything above the Cypher engine used to process exactly one
-question at a time; this layer lets the evaluation harness, the HTTP
-server's ``POST /ask_batch`` endpoint, and any caller with a list of
-questions fan out through the same code paths with bounded concurrency:
-
-* :class:`ParallelRunner` — a bounded thread pool that maps a function
-  over items, collecting results **in input order** regardless of
-  completion order.  ``workers=1`` runs inline on the calling thread
-  (zero threading machinery), which is what makes parallel-vs-serial
-  equivalence testable: the same runner API drives both paths.
-  An optional shared :class:`~repro.serving.deadline.Deadline` is
-  inherited by every task — items that would start after the budget is
-  exhausted fail fast instead of executing.
+* :class:`BatchOutcome` — the per-item result of
+  :meth:`~repro.core.chatiyp.ChatIYP.ask_batch` and ``POST /ask_batch``:
+  a value or a captured exception, so one bad question cannot take down
+  a whole batch.  Batches run serially, in input order, on the calling
+  thread.
 * :class:`SingleFlight` — an in-flight request coalescer.  When many
   concurrent callers ask for the same key, one becomes the **leader**
   and executes; the rest wait on the leader's result and never touch
   the pipeline.  The concurrent-duplicate analogue of the answer cache
-  (which only dedupes *sequential* repeats).
+  (which only dedupes *sequential* repeats); in the server, concurrent
+  ``/ask`` handler threads are the callers it coalesces.
 
-Everything here is stdlib-only and transport-agnostic: the runner knows
-nothing about HTTP or evaluation, and the coalescer knows nothing about
-what a "result" is.
+Everything here is stdlib-only and transport-agnostic: neither type
+knows anything about HTTP, evaluation, or what a "result" is.
 """
 
-from .runner import BatchDeadlineExceeded, BatchOutcome, ParallelRunner
+from .batch import BatchOutcome
 from .singleflight import Flight, SingleFlight
 
 __all__ = [
-    "BatchDeadlineExceeded",
     "BatchOutcome",
     "Flight",
-    "ParallelRunner",
     "SingleFlight",
 ]

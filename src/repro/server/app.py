@@ -34,12 +34,10 @@ beyond that is shed immediately with ``503`` + ``Retry-After``.  Bodies
 over 64 KiB are refused with ``413``.
 
 ``/ask_batch`` shares the same admission slots rather than bypassing
-them: a batch blocks for **one** slot like any ``/ask`` (shedding with
-``503`` when none arrives), then *opportunistically* takes extra free
-slots — never queued ones — to widen its fan-out.  Total concurrent
-question executions across ``/ask`` and ``/ask_batch`` therefore never
-exceed ``max_concurrency``, and a batch under load degrades to narrower
-(eventually serial) execution instead of stealing capacity.
+them: a batch blocks for exactly **one** slot like any ``/ask`` (shedding
+with ``503`` when none arrives) and answers its questions serially in
+that slot.  Total concurrent question executions across ``/ask`` and
+``/ask_batch`` therefore never exceed ``max_concurrency``.
 
 Start programmatically via :func:`make_server` (tests bind port 0), or from
 a shell::
@@ -263,13 +261,10 @@ class ChatIYPRequestHandler(BaseHTTPRequestHandler):
             self.server, "admission", None
         )
         # A batch is admitted like a single /ask: block for one slot (shed
-        # with 503 when none arrives).  Extra parallelism is taken from
-        # *free* slots only, after validation, so batches widen when the
-        # server is idle and degrade to serial under load.
+        # with 503 when none arrives) and answer its questions serially.
         if admission is not None and not admission.acquire():
             self._shed(admission.retry_after_s)
             return
-        extra_slots = 0
         try:
             payload = self._read_json_body()
             if payload is None:
@@ -300,22 +295,14 @@ class ChatIYPRequestHandler(BaseHTTPRequestHandler):
                 for index, (question, budget, error) in enumerate(parsed)
                 if error is None
             ]
-            workers = 1
-            if runnable:
-                if admission is not None:
-                    target = min(len(runnable), admission.max_concurrency)
-                    while 1 + extra_slots < target and admission.try_acquire():
-                        extra_slots += 1
-                    workers = 1 + extra_slots
-                else:
-                    workers = min(len(runnable), 8)
-                outcomes = self.chatiyp.ask_batch(
+            outcomes = (
+                self.chatiyp.ask_batch(
                     [question for _, question, _ in runnable],
                     deadline_ms=[budget for _, _, budget in runnable],
-                    workers=workers,
                 )
-            else:
-                outcomes = []
+                if runnable
+                else []
+            )
             results: list[dict] = [
                 {"ok": False, "error": error} for _, _, error in parsed
             ]
@@ -324,13 +311,12 @@ class ChatIYPRequestHandler(BaseHTTPRequestHandler):
                     results[index] = {"ok": True, "response": outcome.value.to_dict()}
                 else:
                     results[index] = {"ok": False, "error": str(outcome.error)}
-            body = {"results": results, "count": len(results), "workers": workers}
+            body = {"results": results, "count": len(results)}
         finally:
-            # As in _handle_ask: return every slot before the response goes
-            # out, so the client never races the handler for them.
+            # As in _handle_ask: return the slot before the response goes
+            # out, so the client never races the handler for it.
             if admission is not None:
-                for _ in range(1 + extra_slots):
-                    admission.release()
+                admission.release()
         self._send_json(body)
 
     def _handle_cypher(self) -> None:

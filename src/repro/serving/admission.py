@@ -82,21 +82,6 @@ class AdmissionController:
             self._accepted += 1
             return True
 
-    def try_acquire(self) -> bool:
-        """Take a slot only if one is immediately free; never queues.
-
-        Unlike :meth:`acquire` with a zero timeout, a refusal here is not
-        counted as a shed — callers use this to *opportunistically* widen
-        a batch fan-out, and an unavailable extra slot just means the
-        batch runs narrower, not that a request was refused.
-        """
-        with self._cond:
-            if self._active < self.max_concurrency:
-                self._active += 1
-                self._accepted += 1
-                return True
-            return False
-
     def release(self) -> None:
         """Return a slot taken by a successful :meth:`acquire`."""
         with self._cond:

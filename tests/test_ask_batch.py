@@ -1,8 +1,10 @@
-"""POST /ask_batch: schema, partial failure, deadlines, admission sharing."""
+"""POST /ask_batch and ChatIYP.ask_batch: schema, partial failure, deadlines,
+admission sharing, and the serial execution contract."""
 
 from __future__ import annotations
 
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -154,29 +156,42 @@ class TestAskBatchDeadlines:
 
 
 class TestAskBatchAdmission:
-    def test_workers_bounded_by_free_admission_slots(self, batch_server):
+    def test_batch_holds_exactly_one_admission_slot(
+        self, batch_server, batch_bot, monkeypatch
+    ):
         server, port = batch_server
         admission = server.admission
-        # Occupy 3 of 4 slots: the batch gets its one blocking slot and no
-        # free extras -> serial fan-out.
+        active_during = []
+        real_ask = batch_bot.ask
+
+        def observed_ask(question, **kwargs):
+            active_during.append(admission.snapshot()["active"])
+            return real_ask(question, **kwargs)
+
+        monkeypatch.setattr(batch_bot, "ask", observed_ask)
+        status, payload, _ = _post(
+            port, "/ask_batch", {"questions": ["q a", "q b", "q c"]}
+        )
+        assert status == 200
+        assert "workers" not in payload
+        assert all(item["ok"] for item in payload["results"])
+        assert active_during == [1, 1, 1]
+        assert admission.snapshot()["active"] == 0  # returned before responding
+
+        # With 3 of 4 slots taken elsewhere the batch takes the last one.
+        active_during.clear()
         for _ in range(3):
-            assert admission.try_acquire()
+            assert admission.acquire(timeout=0)
         try:
-            status, payload, _ = _post(
-                port, "/ask_batch", {"questions": ["q a", "q b", "q c"]}
+            status, _, _ = _post(
+                port, "/ask_batch", {"questions": ["q d", "q e", "q f"]}
             )
+            assert admission.snapshot()["active"] == 3
         finally:
             for _ in range(3):
                 admission.release()
         assert status == 200
-        assert payload["workers"] == 1
-        assert all(item["ok"] for item in payload["results"])
-        # Idle server: batch widens up to its item count.
-        status, payload, _ = _post(
-            port, "/ask_batch", {"questions": ["q d", "q e", "q f"]}
-        )
-        assert status == 200
-        assert payload["workers"] == 3
+        assert active_during == [4, 4, 4]
 
     def test_batch_is_shed_when_no_slot_frees_up(self, batch_bot, small_dataset):
         server, port = start_background(
@@ -187,7 +202,7 @@ class TestAskBatchAdmission:
             max_batch_size=4,
         )
         try:
-            assert server.admission.try_acquire()  # saturate the only slot
+            assert server.admission.acquire(timeout=0)  # saturate the only slot
             try:
                 status, payload, headers = _post(
                     port, "/ask_batch", {"questions": ["q x"]}
@@ -221,9 +236,68 @@ class TestAskBatchAPI:
             "Which country is AS2497 registered in?",
             "Which country is AS15169 registered in?",
         ]
-        outcomes = batch_bot.ask_batch(questions, workers=2)
+        outcomes = batch_bot.ask_batch(questions)
         assert [outcome.value.question for outcome in outcomes] == questions
         assert all(outcome.ok for outcome in outcomes)
+
+    def test_runs_on_calling_thread_without_starting_threads(
+        self, batch_bot, monkeypatch
+    ):
+        before = threading.active_count()
+        seen = []
+        real_ask = batch_bot.ask
+
+        def observed_ask(question, **kwargs):
+            seen.append((threading.active_count(), threading.current_thread()))
+            return real_ask(question, **kwargs)
+
+        monkeypatch.setattr(batch_bot, "ask", observed_ask)
+        outcomes = batch_bot.ask_batch(["q one", "q two", "q three", "q four"])
+        assert all(outcome.ok for outcome in outcomes)
+        assert seen == [(before, threading.current_thread())] * 4
+
+    def test_errors_captured_per_item(self, batch_bot, monkeypatch):
+        real_ask = batch_bot.ask
+
+        def flaky_ask(question, **kwargs):
+            if question == "boom":
+                raise KeyboardInterrupt("boom")  # BaseException, not Exception
+            return real_ask(question, **kwargs)
+
+        monkeypatch.setattr(batch_bot, "ask", flaky_ask)
+        outcomes = batch_bot.ask_batch(["q one", "boom", "q two"])
+        assert [outcome.ok for outcome in outcomes] == [True, False, True]
+        assert [outcome.index for outcome in outcomes] == [0, 1, 2]
+        assert isinstance(outcomes[1].error, KeyboardInterrupt)
+        assert outcomes[2].value.question == "q two"
+
+    @pytest.mark.parametrize("cache_size", [0, 16])
+    def test_repeated_question_in_batch_is_deterministic(
+        self, small_dataset, cache_size
+    ):
+        bot = ChatIYP(
+            dataset=small_dataset,
+            config=ChatIYPConfig(dataset_size="small", answer_cache_size=cache_size),
+        )
+        question = "Which country is AS2497 registered in?"
+        batch = [question, "Which IXPs is AS2497 a member of?", question, question]
+
+        def run():
+            if bot.answer_cache is not None:
+                bot.answer_cache.clear()
+            bodies = []
+            for outcome in bot.ask_batch(batch):
+                body = outcome.value.to_dict()
+                body["diagnostics"].pop("stage_timings")
+                bodies.append(body)
+            return bodies
+
+        first = run()
+        for _ in range(4):
+            assert run() == first
+        hits = [body["diagnostics"]["cache_hit"] for body in first]
+        assert hits == ([False, False, True, True] if cache_size else [False] * 4)
+        assert not any(body["diagnostics"]["coalesced"] for body in first)
 
     def test_deadlines_start_at_call_time(self, batch_bot):
         # An already-expired shared deadline should degrade, not hang.

@@ -1,6 +1,7 @@
 """Tests for the verbalizer, judge, reranker scorer and SimulatedLLM routing."""
 
 import json
+import random
 
 import pytest
 
@@ -39,6 +40,47 @@ class TestVerbalizer:
         rows = [[f"item{i}"] for i in range(30)]
         text = verbalizer.verbalize("q", make_result(["name"], rows))
         assert "more" in text
+
+    def test_long_single_column_matches_render_everything_oracle(self, monkeypatch):
+        from repro.llm import verbalize as vb
+
+        def oracle(verbalizer, question, result):
+            # The answer as built by rendering every row before slicing.
+            rng = verbalizer._rng(question)
+            column = vb._humanize(result.keys[0])
+            values = [vb.render_value(record[0]) for record in result.records]
+            shown = values[: vb._MAX_LIST_ITEMS]
+            more = len(values) - len(shown)
+            joined = vb._join_values(shown)
+            suffix = f" and {more} more" if more > 0 else ""
+            return rng.choice(
+                [
+                    f"The {column}s are: {joined}{suffix}.",
+                    f"There are {len(values)} results: {joined}{suffix}.",
+                    f"IYP lists the following {column}s: {joined}{suffix}.",
+                ]
+            )
+
+        for seed in range(6):
+            rng = random.Random(seed)
+            pool = [None, True, 2.5, "AS", [1, "x"], {"k": 1}]
+            rows = [
+                [rng.choice(pool + [rng.randint(0, 10**6), f"name-{i}"])]
+                for i in range(1_000 + rng.randint(0, 600))
+            ]
+            result = make_result(["dep.name"], rows)
+            verbalizer = ResultVerbalizer(seed=seed)
+            question = f"which networks, seed {seed}?"
+            expected = oracle(verbalizer, question, result)
+
+            rendered = []
+            real_render = vb.render_value
+            monkeypatch.setattr(
+                vb, "render_value", lambda value: rendered.append(value) or real_render(value)
+            )
+            assert verbalizer.verbalize(question, result) == expected
+            monkeypatch.undo()
+            assert len(rendered) == vb._MAX_LIST_ITEMS
 
     def test_single_row_multi_column(self, verbalizer):
         text = verbalizer.verbalize("q", make_result(["asn", "name"], [[2497, "IIJ"]]))

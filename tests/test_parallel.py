@@ -1,5 +1,5 @@
-"""Batch execution layer: runner, single-flight coalescing, and the
-parallel-vs-serial equivalence guarantees of the evaluation harness."""
+"""Concurrency guarantees: single-flight coalescing, cross-thread asks
+equal serial asks, and thread-safe vector retrieval."""
 
 from __future__ import annotations
 
@@ -13,96 +13,9 @@ from repro.embed.vector_store import VectorStore
 from repro.eval.cyphereval import build_cyphereval
 from repro.eval.harness import EvaluationHarness
 from repro.nlp.tokenize import word_tokenize
-from repro.parallel import (
-    BatchDeadlineExceeded,
-    ParallelRunner,
-    SingleFlight,
-)
+from repro.parallel import SingleFlight
 from repro.parallel import singleflight as sf
 from repro.rag.vector_retriever import VectorContextRetriever
-from repro.serving import Deadline
-
-
-# ---------------------------------------------------------------------------
-# ParallelRunner
-# ---------------------------------------------------------------------------
-
-
-class TestParallelRunner:
-    def test_results_preserve_input_order(self):
-        runner = ParallelRunner(workers=4)
-        # Later items finish first: without ordered collection this returns
-        # in completion order and the assertion fails.
-        delays = [0.03, 0.02, 0.01, 0.0]
-        results = runner.map(
-            lambda pair: (time.sleep(pair[1]), pair[0])[1],
-            list(enumerate(delays)),
-        )
-        assert results == [0, 1, 2, 3]
-
-    def test_workers_one_runs_inline_on_calling_thread(self):
-        runner = ParallelRunner(workers=1)
-        threads = runner.map(lambda _: threading.current_thread().name, range(3))
-        assert threads == [threading.current_thread().name] * 3
-
-    def test_single_item_runs_inline_even_with_many_workers(self):
-        runner = ParallelRunner(workers=8)
-        [name] = runner.map(lambda _: threading.current_thread().name, [0])
-        assert name == threading.current_thread().name
-
-    def test_map_outcomes_captures_errors_per_item(self):
-        runner = ParallelRunner(workers=3)
-
-        def flaky(n):
-            if n % 2:
-                raise ValueError(f"bad {n}")
-            return n * 10
-
-        outcomes = runner.map_outcomes(flaky, range(5))
-        assert [o.ok for o in outcomes] == [True, False, True, False, True]
-        assert [o.value for o in outcomes if o.ok] == [0, 20, 40]
-        assert str(outcomes[1].error) == "bad 1"
-        assert outcomes[3].index == 3
-        assert runner.tasks_failed == 2
-
-    def test_map_reraises_earliest_failure_by_index(self):
-        runner = ParallelRunner(workers=4)
-
-        def flaky(n):
-            if n >= 2:
-                raise ValueError(f"bad {n}")
-            return n
-
-        with pytest.raises(ValueError, match="bad 2"):
-            runner.map(flaky, range(6))
-
-    def test_expired_deadline_fails_items_fast(self):
-        clock = [0.0]
-        deadline = Deadline(5.0, clock=lambda: clock[0])
-        clock[0] = 10.0  # budget blown before the batch starts
-        runner = ParallelRunner(workers=2)
-        executed = []
-        outcomes = runner.map_outcomes(executed.append, range(4), deadline=deadline)
-        assert executed == []
-        assert all(isinstance(o.error, BatchDeadlineExceeded) for o in outcomes)
-
-    def test_live_deadline_lets_items_run(self):
-        deadline = Deadline(60_000.0)
-        runner = ParallelRunner(workers=2)
-        assert runner.map(lambda n: n + 1, range(3), deadline=deadline) == [1, 2, 3]
-
-    def test_empty_items(self):
-        assert ParallelRunner(workers=4).map_outcomes(lambda x: x, []) == []
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            ParallelRunner(workers=0)
-
-    def test_snapshot_counts(self):
-        runner = ParallelRunner(workers=2)
-        runner.map(lambda x: x, range(5))
-        snap = runner.snapshot()
-        assert snap == {"workers": 2, "tasks_run": 5, "tasks_failed": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -280,63 +193,77 @@ class TestAskCoalescing:
 
 
 # ---------------------------------------------------------------------------
-# Parallel-vs-serial evaluation equivalence
+# Cross-thread asks equal serial asks
 # ---------------------------------------------------------------------------
 
-#: diagnostics keys that legitimately differ between runs (wall-clock, and
-#: cache/coalescing provenance when duplicates overlap in time)
-_VOLATILE_DIAGNOSTICS = {"stage_timings", "cache_hit", "coalesced"}
+
+def _untimed(response):
+    body = response.to_dict()
+    body["diagnostics"].pop("stage_timings")
+    return body
 
 
-def _comparable(evaluation):
-    """Everything in a QuestionEvaluation that must be bit-identical."""
-    return {
-        "question": evaluation.question.question,
-        "answer": evaluation.answer,
-        "reference": evaluation.reference,
-        "cypher": evaluation.cypher,
-        "retrieval_source": evaluation.retrieval_source,
-        "used_fallback": evaluation.used_fallback,
-        "gold_empty": evaluation.gold_empty,
-        "gold_facts": sorted(evaluation.gold_facts),
-        "scores": evaluation.scores,
-        "geval_breakdown": evaluation.geval_breakdown,
-        "diagnostics": {
-            key: value
-            for key, value in evaluation.diagnostics.items()
-            if key not in _VOLATILE_DIAGNOSTICS
-        },
-    }
-
-
-class TestParallelEvalEquivalence:
+class TestCrossThreadAsks:
     @pytest.fixture(scope="class")
-    def eval_questions(self, small_dataset):
-        return build_cyphereval(small_dataset, seed=7, per_template=1)[:18]
+    def questions(self, small_dataset):
+        questions = [
+            q.question for q in build_cyphereval(small_dataset, seed=7, per_template=1)
+        ]
+        distinct = list(dict.fromkeys(questions))[:6]
+        assert len(distinct) == 6
+        return distinct
 
-    def _fresh_harness(self, small_dataset, eval_questions):
-        bot = ChatIYP(
-            dataset=small_dataset, config=ChatIYPConfig(dataset_size="small")
+    def _bot(self, small_dataset):
+        return ChatIYP(
+            dataset=small_dataset,
+            config=ChatIYPConfig(dataset_size="small", answer_cache_size=0),
         )
-        return EvaluationHarness(bot, list(eval_questions))
 
-    def test_workers8_report_is_bit_identical_to_serial(
-        self, small_dataset, eval_questions
-    ):
-        serial = self._fresh_harness(small_dataset, eval_questions).run(workers=1)
-        parallel = self._fresh_harness(small_dataset, eval_questions).run(workers=8)
+    def test_threaded_asks_match_serial(self, small_dataset, questions):
+        serial_bot = self._bot(small_dataset)
+        serial = [_untimed(serial_bot.ask(question)) for question in questions]
 
-        assert len(serial) == len(parallel)
-        for left, right in zip(serial.evaluations, parallel.evaluations):
-            assert _comparable(left) == _comparable(right)
-        for metric in ("bleu", "rouge1", "rouge2", "rougeL", "bertscore", "geval"):
-            assert serial.scores(metric) == parallel.scores(metric)
-            assert serial.mean(metric) == parallel.mean(metric)
+        bot = self._bot(small_dataset)
+        assert bot.answer_cache is None
+        start = threading.Barrier(len(questions))
+        bodies = [None] * len(questions)
+        errors = []
 
-    def test_evaluate_alias_accepts_workers(self, small_dataset, eval_questions):
-        harness = self._fresh_harness(small_dataset, eval_questions)
-        report = harness.evaluate(limit=4, workers=3)
-        assert len(report) == 4
+        def ask(index):
+            try:
+                start.wait(10.0)
+                bodies[index] = _untimed(bot.ask(questions[index]))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=ask, args=(i,)) for i in range(len(questions))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+        assert errors == []
+        assert bodies == serial
+
+
+class TestEvaluationHarness:
+    def test_evaluate_alias_matches_run(self, small_dataset):
+        questions = build_cyphereval(small_dataset, seed=7, per_template=1)[:4]
+
+        def harness():
+            bot = ChatIYP(
+                dataset=small_dataset, config=ChatIYPConfig(dataset_size="small")
+            )
+            return EvaluationHarness(bot, questions)
+
+        via_run = harness().run(limit=3)
+        via_evaluate = harness().evaluate(limit=3)
+        assert len(via_evaluate) == 3
+        assert [e.answer for e in via_evaluate.evaluations] == [
+            e.answer for e in via_run.evaluations
+        ]
+        assert via_evaluate.scores("bleu") == via_run.scores("bleu")
 
 
 # ---------------------------------------------------------------------------
