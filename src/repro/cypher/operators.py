@@ -41,8 +41,8 @@ Operator rows come in three shapes, matched to the pipeline stage:
 from __future__ import annotations
 
 import dataclasses
-import heapq
-from operator import itemgetter
+from itertools import compress, count
+from operator import eq
 from time import perf_counter
 from typing import Any, Iterator, Optional
 
@@ -828,11 +828,11 @@ class Distinct(PhysicalOperator):
 class Sort(PhysicalOperator):
     """ORDER BY: blocking sort of projection entries.
 
-    With ``top`` set (SKIP + LIMIT known) the operator is a TopK:
-    ``heapq.nsmallest`` bounded selection, never a full sort.  Every
-    entry's composite key — ORDER BY values plus the canonical projected-
-    value tie-break that keeps planner-on/off output identical — is
-    evaluated exactly once.
+    With ``top`` set (SKIP + LIMIT known) the operator is a TopK: the same
+    sort, sliced to its first ``top`` entries.  Every entry's ORDER BY values
+    are evaluated exactly once.  The canonical projected-value tie-break,
+    which keeps planner-on/off output identical, is computed only for
+    entries that tie on all of them (see :func:`_order`).
     """
 
     def __init__(
@@ -1194,21 +1194,6 @@ def max_operator_rows(profile: dict) -> int:
 # Shared projection / ordering machinery
 # ---------------------------------------------------------------------------
 
-class _Descending:
-    """Inverts comparison order for DESC sort keys."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: Any) -> None:
-        self.key = key
-
-    def __lt__(self, other: "_Descending") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Descending) and other.key == self.key
-
-
 def _project_grouped(
     ctx,
     rows: list[Row],
@@ -1257,12 +1242,13 @@ def _order(
 ) -> list[tuple[list[Any], list[Row]]]:
     """Sort ``produced``; with ``top`` set, only the first ``top`` rows.
 
-    Every row's full ORDER BY key (including the canonical tie-break) is
-    evaluated exactly once up front and reused by whichever selection
-    runs: ``heapq.nsmallest`` bounded selection when ``top`` covers less
-    than the input (O(n log k), never materialises a full sort), else a
-    plain stable sort.  Both are stable on equal keys, so the heap path
-    is row-for-row identical to sorting and slicing.
+    Every row's ORDER BY sort keys are evaluated exactly once, one column
+    per ORDER BY item.  A row-index permutation is then sorted once per
+    column, least significant first; ``list.sort`` stays stable under
+    ``reverse=True``, so DESC needs no key wrapper.  Rows that tie on every
+    column are ordered by the canonical tie-break (sort keys of the
+    projected values), computed for those rows only, and otherwise keep
+    input order.  ``top`` slices the same permutation.
     """
     evaluate = ctx.evaluator.evaluate
     evaluate_aggregate = ctx.evaluator.evaluate_aggregate
@@ -1280,75 +1266,77 @@ def _order(
     for order_item in order_by:
         expr = order_item.expression
         if aggregated and _contains_aggregate(expr):
-            reused = None
-            for j, item in enumerate(items):
-                if item.expression == expr:
-                    reused = j
-                    break
-            if reused is not None:
-                plans.append(("reuse", reused))
-            else:
-                plans.append(("agg", expr))
-            continue
-        if isinstance(expr, ast.Variable) and expr.name in key_set:
+            reused = next((j for j, item in enumerate(items) if item.expression == expr), None)
+            plans.append(("agg", expr) if reused is None else ("reuse", reused))
+        elif isinstance(expr, ast.Variable) and expr.name in key_set:
             # Aliases shadow pattern variables in ORDER BY scope; the
             # dict(zip(...)) env made the *last* duplicate key win.
-            for j in range(len(keys) - 1, -1, -1):
-                if keys[j] == expr.name:
-                    plans.append(("reuse", j))
-                    break
-            continue
-        reused = None
-        if expression_variables(expr).isdisjoint(key_set):
+            plans.append(("reuse", len(keys) - 1 - keys[::-1].index(expr.name)))
+        elif expression_variables(expr).isdisjoint(key_set) and (
+            reused := next((j for j, item in enumerate(items) if item.expression == expr), None)
+        ) is not None:
             # Safe only when no alias shadows a variable the expression
             # reads (`RETURN a.x AS a ORDER BY a.x` must re-evaluate).
-            for j, item in enumerate(items):
-                if item.expression == expr:
-                    reused = j
-                    break
-        if reused is not None:
             plans.append(("reuse", reused))
-            continue
-        plans.append(("eval", expr))
-        needs_env = True
+        else:
+            plans.append(("eval", expr))
+            needs_env = True
 
-    def order_values(entry: tuple[list[Any], list[Row]]) -> tuple:
-        values, env_rows = entry
+    columns: list[list[tuple]] = [[] for _ in plans]
+    appends = [column.append for column in columns]
+    for values, env_rows in produced:
         if needs_env:
             base = dict(env_rows[0]) if env_rows else {}
             base.update(zip(keys, values))
         else:
             base = None
-        sort_parts = []
-        for (kind, payload), order_item in zip(plans, order_by):
+        for (kind, payload), append in zip(plans, appends):
             if kind == "reuse":
                 value = values[payload]
             elif kind == "agg":
                 value = evaluate_aggregate(payload, env_rows)
             else:
                 value = evaluate(payload, base)
-            key = sort_key(value)
-            if order_item.descending:
-                sort_parts.append(_Descending(key))
-            else:
-                sort_parts.append(key)
-        # Canonical tie-break over the projected values: rows that compare
-        # equal on every ORDER BY key would otherwise keep match-order,
-        # which depends on the chosen plan.  This keeps ordered output
-        # identical whether the planner is on or off.
-        try:
-            sort_parts.append(tuple(sort_key(value) for value in values))
-        except CypherTypeError:
-            sort_parts.append(())
-        return tuple(sort_parts)
+            append(sort_key(value))
 
-    decorated = [(order_values(entry), entry) for entry in produced]
-    if top is not None and 0 <= top < len(decorated):
-        selected = heapq.nsmallest(top, decorated, key=itemgetter(0))
-    else:
-        decorated.sort(key=itemgetter(0))
-        selected = decorated
-    return [entry for _, entry in selected]
+    perm = list(range(len(produced)))
+    for column, order_item in zip(reversed(columns), reversed(order_by)):
+        perm.sort(key=column.__getitem__, reverse=order_item.descending)
+    limit = top if top is not None and 0 <= top < len(perm) else len(perm)
+
+    # Canonical tie-break over the projected values, only inside runs that
+    # tie on every ORDER BY key: those rows would otherwise keep match
+    # order, which depends on the chosen plan.  This keeps ordered output
+    # identical whether the planner is on or off.  Values an ORDER BY item
+    # reuses are equal across a run, so they are left out of the key.  The
+    # scan for ties runs in C (``compress``/``map``); only runs starting
+    # before ``limit`` count.
+    reused_columns = {payload for kind, payload in plans if kind == "reuse"}
+    tie_columns = [j for j in range(len(items)) if j not in reused_columns]
+    if not tie_columns:
+        return [produced[i] for i in perm[:limit]]
+    merged = columns[0] if len(columns) == 1 else list(zip(*columns))
+    ordered = [merged[i] for i in perm]
+    runs: list[list[int]] = []
+    for i in compress(count(1), map(eq, ordered[1:], ordered)):
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        elif i > limit:
+            break
+        else:
+            runs.append([i - 1, i + 1])
+    for start, stop in runs:
+        perm[start:stop] = sorted(
+            perm[start:stop], key=lambda i: _tie_break_key(produced[i][0], tie_columns)
+        )
+    return [produced[i] for i in perm[:limit]]
+
+
+def _tie_break_key(values: list[Any], columns: list[int]) -> tuple:
+    try:
+        return tuple(map(sort_key, map(values.__getitem__, columns)))
+    except CypherTypeError:
+        return ()
 
 
 def _freeze(value: Any) -> Any:

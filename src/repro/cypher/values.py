@@ -142,13 +142,26 @@ _TYPE_RANK = {
 }
 
 
+# NaN orders after every number, +Infinity included, and before strings
+# (Neo4j's rule); a plain ``float("nan")`` key would compare unordered with
+# everything and scramble the whole sort.
+_NAN_KEY = (_TYPE_RANK["number"], float("inf"), 1)
+
+
 def sort_key(value: Any) -> tuple:
     """Total-order key used by ORDER BY (nulls last, stable across types)."""
+    cls = value.__class__
+    if cls is float or cls is int:  # the common case, ahead of the bool check
+        return (_TYPE_RANK["number"], float(value)) if value == value else _NAN_KEY
+    if cls is str:
+        return (_TYPE_RANK["string"], value)
     if value is None:
         return (_TYPE_RANK["null"], 0)
     if isinstance(value, bool):
         return (_TYPE_RANK["boolean"], value)
     if isinstance(value, (int, float)):
+        if value != value:
+            return _NAN_KEY
         return (_TYPE_RANK["number"], float(value))
     if isinstance(value, str):
         return (_TYPE_RANK["string"], value)

@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 from typing import TextIO
 
-from .store import GraphStore
+from .store import GraphStore, _freeze_built_graph
 
 __all__ = ["export_graph", "import_graph", "export_to_directory", "import_from_directory"]
 
@@ -55,6 +55,8 @@ def import_graph(nodes_file: TextIO, rels_file: TextIO) -> GraphStore:
     """Read a CSV dump back into a fresh :class:`GraphStore`.
 
     Node ids are remapped to fresh store ids; relationships follow the map.
+    The finished graph is frozen out of the cyclic GC's scans (see
+    :func:`~repro.graph.store._freeze_built_graph`).
     """
     store = GraphStore()
     id_map: dict[int, int] = {}
@@ -85,6 +87,7 @@ def import_graph(nodes_file: TextIO, rels_file: TextIO) -> GraphStore:
             id_map[int(end_field)],
             json.loads(properties_field),
         )
+    _freeze_built_graph()
     return store
 
 

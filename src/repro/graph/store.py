@@ -10,6 +10,7 @@ reproduction.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
@@ -17,6 +18,22 @@ from typing import Any, Iterable, Iterator, Mapping
 from .model import Node, Relationship, validate_properties
 
 __all__ = ["GraphStore", "GraphStatistics", "GraphError", "EntityNotFound"]
+
+def _freeze_built_graph() -> None:
+    """Take a just-built, long-lived graph out of the cyclic collector's scans.
+
+    The last step of the bulk builders (``generate_iyp``, ``import_graph``).
+    A served process keeps its graph, some 300k nodes, relationships,
+    property dicts and index sets on the large preset, for its whole life;
+    without this every full collection walks all of it.  ``gc.freeze``
+    moves every object alive now (process-wide, not just the graph) into
+    the permanent generation.  Frozen objects are still freed by reference
+    counting, and the store holds ids rather than back-references, so a
+    dropped graph has no cycle left for the collector to find.
+    """
+    gc.collect()
+    gc.freeze()
+
 
 class GraphError(Exception):
     """Base error for graph-store failures."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..graph.model import Node
-from ..graph.store import GraphStore
+from ..graph.store import GraphStore, _freeze_built_graph
 from .names import (
     COUNTRIES,
     DOMAIN_TLDS,
@@ -131,7 +131,8 @@ def generate_iyp(config: Optional[IYPConfig] = None) -> IYPDataset:
     """Generate a complete synthetic IYP graph.
 
     Deterministic in ``config.seed``: the same configuration always yields
-    byte-identical graphs.
+    byte-identical graphs.  The finished graph is frozen out of the cyclic
+    GC's scans (see :func:`~repro.graph.store._freeze_built_graph`).
     """
     config = config or IYPConfig()
     rng = random.Random(config.seed)
@@ -151,6 +152,7 @@ def generate_iyp(config: Optional[IYPConfig] = None) -> IYPDataset:
     _build_ranks(dataset, rng)
     _build_probes(dataset, rng)
     _build_indexes(dataset)
+    _freeze_built_graph()
     return dataset
 
 

@@ -1,8 +1,13 @@
 """Tests for the synthetic IYP dataset generator."""
 
+import gc
+import io
+import weakref
+
 import pytest
 
 from repro.cypher import execute
+from repro.graph.csv_io import export_graph, import_graph
 from repro.iyp import (
     AS2497_JP_PERCENT,
     EDGE_PATTERNS,
@@ -219,3 +224,55 @@ class TestDistributionRealism:
         ).single()["c"]
         # Only the tier-1 clique has no upstream dependencies.
         assert orphaned <= small_dataset.config.n_tier1
+
+
+class TestGCFreeze:
+    """Bulk builds freeze the finished graph out of the cyclic GC's scans."""
+
+    @staticmethod
+    def _graph_size(store) -> int:
+        return store.node_count + store.relationship_count
+
+    def test_generate_freezes_and_a_dropped_graph_is_freed(self):
+        before = gc.get_freeze_count()
+        dataset = generate_iyp(IYPConfig.small(seed=11))
+        size = self._graph_size(dataset.store)
+        frozen = gc.get_freeze_count()
+        assert frozen - before >= size
+        store_ref = weakref.ref(dataset.store)
+        del dataset
+        # Refcounting alone frees the frozen graph: nothing leaks.
+        assert store_ref() is None
+        assert frozen - gc.get_freeze_count() >= size
+
+    def test_import_freezes_and_a_dropped_graph_is_freed(self):
+        source = generate_iyp(IYPConfig.small(seed=12)).store
+        nodes, rels = io.StringIO(), io.StringIO()
+        export_graph(source, nodes, rels)
+        nodes.seek(0)
+        rels.seek(0)
+        before = gc.get_freeze_count()
+        store = import_graph(nodes, rels)
+        size = self._graph_size(store)
+        assert size == self._graph_size(source)
+        frozen = gc.get_freeze_count()
+        assert frozen - before >= size
+        store_ref = weakref.ref(store)
+        del store
+        assert store_ref() is None
+        assert frozen - gc.get_freeze_count() >= size
+
+    def test_frozen_graph_still_takes_writes(self):
+        store = generate_iyp(IYPConfig.small(seed=13)).store
+        execute(store, "MATCH (a:AS {asn: 2497}) SET a.name = 'renamed'")
+        execute(
+            store,
+            "MATCH (a:AS {asn: 2497}) "
+            "CREATE (a)-[:ORIGINATE]->(:Prefix {prefix: '203.0.113.0/24'})",
+        )
+        row = execute(
+            store,
+            "MATCH (a:AS {asn: 2497})-[:ORIGINATE]->(p:Prefix {prefix: '203.0.113.0/24'}) "
+            "RETURN a.name AS name, count(p) AS c",
+        ).single()
+        assert (row["name"], row["c"]) == ("renamed", 1)
