@@ -47,6 +47,21 @@ ENGINE_QUERIES = {
         "MATCH (:AS {asn: 2497})-[:DEPENDS_ON*1..2]->(t:AS) "
         "RETURN count(DISTINCT t) AS n"
     ),
+    # The planner's remaining wins: a WHERE IN anchor probing the AS index
+    # instead of scanning every ranked AS, ...
+    "where_in_anchor": (
+        "MATCH (a:AS)-[r:RANK]->(:Ranking {name: 'CAIDA ASRank'}) "
+        "WHERE a.asn IN [247576, 121022] RETURN a.asn AS asn ORDER BY r.rank LIMIT 1"
+    ),
+    # ... the label-scan tie anchored at the end with fewer rows plus
+    # first-hop edges (the IXPs, not every AS), ...
+    "label_tie_direction": "MATCH (a:AS)-[:MEMBER_OF]->(:IXP) RETURN count(a) AS members",
+    # ... and a relationship range pushed down to bind time.
+    "rel_range": (
+        "MATCH (a:AS)-[r:RANK]->(:Ranking {name: 'CAIDA ASRank'}) WHERE r.rank <= 5 "
+        "MATCH (a)-[:ORIGINATE]->(p:Prefix) "
+        "RETURN a.asn AS asn, count(p) AS prefixes ORDER BY prefixes DESC LIMIT 1"
+    ),
 }
 
 #: Memory benchmark query: with streaming execution the peak per-operator

@@ -289,6 +289,12 @@ class PatternPart:
         return [e for e in self.elements if isinstance(e, RelPattern)]
 
     @property
+    def variables(self) -> list[str]:
+        """Every variable name the part can introduce, path variable first."""
+        names = [self.path_variable] if self.path_variable else []
+        return names + [e.variable for e in self.elements if e.variable]
+
+    @property
     def hop_count(self) -> int:
         """Number of relationship steps (var-length counts its max, min 1)."""
         hops = 0
@@ -305,6 +311,11 @@ class Pattern:
     """A comma-separated list of pattern parts, as in one MATCH clause."""
 
     parts: tuple[PatternPart, ...]
+
+    @property
+    def variables(self) -> list[str]:
+        """Every variable name the pattern's parts can introduce."""
+        return [name for part in self.parts for name in part.variables]
 
 
 # ---------------------------------------------------------------------------

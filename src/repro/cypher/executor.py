@@ -2,10 +2,13 @@
 
 The engine lowers each query into a tree of pull-based physical operators
 (:mod:`repro.cypher.operators`): MATCH clauses are planned by
-:mod:`repro.cypher.planner` against live graph statistics — the planner
-picks the cheapest anchor access path per pattern part, decides traversal
-direction, and pushes WHERE equality/IN predicates down into indexed
-lookups and bind-time filters — and each planned part becomes an explicit
+:mod:`repro.cypher.planner` against live graph statistics.  The planner
+ranks both ends of each pattern part (bound variable, then exact lookup,
+then smallest-label scan, then all-nodes scan) and anchors the better
+one; when both ends are label scans, the end with fewer label rows plus
+first-hop edges anchors, and every other tie goes left to right.  WHERE
+equality/IN/range predicates are pushed down into lookups and bind-time
+filters, and each planned part becomes an explicit
 ``AnchorScan → Expand* → Match`` operator chain.  The tree executes
 Volcano-style (``open()/next()/close()``), so a downstream LIMIT/top-k
 stops pulling and the whole upstream pipeline terminates early; only
@@ -51,14 +54,21 @@ from .operators import (
     render_profile,
 )
 from .parser import parse
-from .planner import AnchorPlan, MatchPlan, PartPlan, PushedFilter, plan_query
+from .planner import (
+    AnchorPlan,
+    Filters,
+    MatchPlan,
+    PartPlan,
+    PushedFilter,
+    needs_used_tracking,
+    plan_query,
+)
 from .result import Record, ResultSet
 from .values import cypher_compare, cypher_equals, is_truthy
 
 __all__ = ["CypherEngine", "execute"]
 
 Row = dict[str, Any]
-Filters = dict[str, tuple[PushedFilter, ...]]
 
 
 def execute(store: GraphStore, query: str, **params: Any) -> ResultSet:
@@ -119,8 +129,8 @@ class CypherEngine:
     The engine caches parsed ASTs and their match plans keyed by query
     text (bounded LRUs), so repeated execution of generated queries (the
     RAG hot path) skips both the parser and the planner.  ``planner=False``
-    disables cost-based planning entirely — the escape hatch used to
-    verify planned execution is semantics-preserving.
+    disables planning entirely: the semantic reference that planned
+    execution is checked against.
     """
 
     def __init__(
@@ -256,10 +266,9 @@ class CypherEngine:
         """Execute ``query`` and report the physical operator tree.
 
         Returns the normal result plus a text rendering of the executed
-        tree: one line per operator with its planner cardinality estimate
-        (when planned), the rows it actually produced, and its inclusive
-        wall-clock time — so both cardinality misestimates and hot
-        operators are visible at a glance.
+        tree: one line per operator with the rows it actually produced and
+        its inclusive wall-clock time, so hot operators are visible at a
+        glance.
         """
         tree = self._ast_cache.get(query)
         if tree is None:
@@ -274,9 +283,9 @@ class CypherEngine:
         """Describe how ``query`` would execute (clause pipeline + plans).
 
         With the planner on, each MATCH pattern part shows the chosen
-        anchor, its access path (index lookup, label scan, ...), the
-        estimated row count and the expansion direction, plus any WHERE
-        predicates pushed down to bind time.
+        anchor, its access path (index lookup, label scan, ...) and the
+        expansion direction, plus any WHERE predicates pushed down to bind
+        time.
         """
         tree = parse(query)
         plans = plan_query(tree, self.store.statistics()) if self.planner else None
@@ -337,11 +346,11 @@ class CypherEngine:
         first, last = nodes[0], nodes[-1]
         if plan is not None:
             anchor_node = last if plan.reverse else first
+            direction = "right-to-left" if plan.reverse else "left-to-right"
             return (
                 f"pattern({len(nodes)} nodes, {part.hop_count} hops) "
-                f"anchor={self._node_text(anchor_node)} via {plan.anchor.describe()} "
-                f"est≈{plan.anchor.est_rows:.0f}, expand {plan.direction} "
-                f"est≈{plan.est_rows:.0f} rows"
+                f"anchor={self._node_text(anchor_node)} via {plan.anchor.describe()}, "
+                f"expand {direction}"
             )
         empty_row: Row = {}
         reverse = len(part.elements) > 1 and (
@@ -392,7 +401,7 @@ class CypherEngine:
         for index, clause in enumerate(clauses):
             if isinstance(clause, ast.MatchClause):
                 op = self._lower_match(op, clause, context, state)
-                scope.update(_pattern_variables(clause.pattern.parts))
+                scope.update(clause.pattern.variables)
             elif isinstance(clause, ast.UnwindClause):
                 op = ops.Unwind(state, op, context, clause)
                 scope.add(clause.variable)
@@ -409,10 +418,10 @@ class CypherEngine:
                 return ops.ProduceResults(state, op, projection)
             elif isinstance(clause, ast.CreateClause):
                 op = ops.Create(state, op, context, clause)
-                scope.update(_pattern_variables(clause.pattern.parts))
+                scope.update(clause.pattern.variables)
             elif isinstance(clause, ast.MergeClause):
                 op = ops.Merge(state, op, context, clause)
-                scope.update(_pattern_variables((clause.part,)))
+                scope.update(clause.part.variables)
             elif isinstance(clause, ast.SetClause):
                 op = ops.SetProperties(state, op, context, clause)
             elif isinstance(clause, ast.DeleteClause):
@@ -443,7 +452,7 @@ class CypherEngine:
         if clause.where is not None:
             sub = ops.Filter(state, sub, context, clause.where, pairs_in=False)
         return ops.OptionalMatch(
-            state, child, sub, source, _pattern_variables(clause.pattern.parts)
+            state, child, sub, source, clause.pattern.variables
         )
 
     def _lower_parts(
@@ -507,13 +516,12 @@ class CypherEngine:
         assert isinstance(first, ast.NodePattern)
         anchor = part_plan.anchor
         track_path = part.path_variable is not None
-        maintain_used = update_used or part_plan.needs_used
+        maintain_used = update_used or needs_used_tracking(part)
         name, detail = anchor.physical_operator()
         op: ops.PhysicalOperator = ops.AnchorScan(
             state, child, context, first, anchor, filters,
             track_path, from_rows, name, detail,
         )
-        op.estimate = anchor.est_rows
         for index in range(1, len(elements), 2):
             rel_pattern = elements[index]
             node_pattern = elements[index + 1]
@@ -526,12 +534,10 @@ class CypherEngine:
                 state, op, context, rel_pattern, node_pattern, filters,
                 maintain_used, detail=f"[:{types}]{arrow}" if types else arrow,
             )
-        emit = ops.PartEmit(
+        return ops.PartEmit(
             state, op, part, part_plan.reverse, emit_row,
             detail=f"{len(part.nodes)} nodes, {part.hop_count} hops",
         )
-        emit.estimate = part_plan.est_rows
-        return emit
 
     def _lower_projection(
         self,
@@ -609,8 +615,6 @@ class _ExecutionContext:
         self.state = state
         self.plans = plans
         self.evaluator = _Evaluator(self)
-        # id(part) -> whether the part needs used-relationship tracking
-        self._part_unique: dict[int, bool] = {}
         # id(expr) -> value for pushed-filter expressions; those are
         # Literal/Parameter only, so their value is fixed per execution
         self._filter_values: dict[int, Any] = {}
@@ -661,31 +665,6 @@ class _ExecutionContext:
             )
         ]
 
-    def _part_needs_used(self, part: ast.PatternPart) -> bool:
-        """Whether matching ``part`` must maintain the used-relationship set.
-
-        Cypher's relationship-uniqueness only bites when two hops could bind
-        the same relationship: with a single hop, or hops whose declared
-        type sets are pairwise disjoint, duplicates are impossible and the
-        per-step frozenset unions can be skipped entirely.
-        """
-        cached = self._part_unique.get(id(part))
-        if cached is not None:
-            return cached
-        rel_patterns = [
-            element
-            for element in part.elements
-            if isinstance(element, ast.RelPattern)
-        ]
-        needs = True
-        if len(rel_patterns) <= 1:
-            needs = False
-        elif all(rel.types for rel in rel_patterns):
-            all_types = [t for rel in rel_patterns for t in rel.types]
-            needs = len(all_types) != len(set(all_types))
-        self._part_unique[id(part)] = needs
-        return needs
-
     def _match_part(
         self,
         part: ast.PatternPart,
@@ -710,7 +689,7 @@ class _ExecutionContext:
         first = elements[0]
         assert isinstance(first, ast.NodePattern)
         track_path = part.path_variable is not None
-        maintain_used = update_used or self._part_needs_used(part)
+        maintain_used = update_used or needs_used_tracking(part)
         chained: list[Any] = []
         charge = self.state.charge
         for start in self._node_candidates(first, row):
@@ -1225,7 +1204,7 @@ class _ExecutionContext:
         properties = {
             key: self.evaluator.evaluate(expr, row) for key, expr in node_pattern.properties
         }
-        node = self.store.create_node(node_pattern.labels, properties)
+        node = _store_write(self.store.create_node, node_pattern.labels, properties)
         self.nodes_created += 1
         self.properties_set += len([v for v in properties.values() if v is not None])
         if node_pattern.variable is not None:
@@ -1250,10 +1229,12 @@ class _ExecutionContext:
         properties = {
             key: self.evaluator.evaluate(expr, row) for key, expr in rel_pattern.properties
         }
-        if rel_pattern.direction == "out":
-            rel = self.store.create_relationship(start.node_id, rel_pattern.types[0], end.node_id, properties)
-        else:
-            rel = self.store.create_relationship(end.node_id, rel_pattern.types[0], start.node_id, properties)
+        if rel_pattern.direction == "in":
+            start, end = end, start
+        rel = _store_write(
+            self.store.create_relationship,
+            start.node_id, rel_pattern.types[0], end.node_id, properties,
+        )
         self.relationships_created += 1
         self.properties_set += len([v for v in properties.values() if v is not None])
         return rel
@@ -1305,9 +1286,9 @@ class _ExecutionContext:
 
     def _set_property(self, target: Any, key: str, value: Any) -> None:
         if isinstance(target, Node):
-            self.store.set_node_property(target.node_id, key, value)
+            _store_write(self.store.set_node_property, target.node_id, key, value)
         elif isinstance(target, Relationship):
-            self.store.set_relationship_property(target.rel_id, key, value)
+            _store_write(self.store.set_relationship_property, target.rel_id, key, value)
         else:
             raise CypherTypeError(f"cannot SET property on {target!r}")
         self.properties_set += 1
@@ -1699,17 +1680,14 @@ class _Evaluator:
 # Helpers
 # ---------------------------------------------------------------------------
 
-def _pattern_variables(parts: Iterable[ast.PatternPart]) -> list[str]:
-    """All variable names pattern parts can introduce."""
-    names: list[str] = []
-    for part in parts:
-        if part.path_variable:
-            names.append(part.path_variable)
-        for element in part.elements:
-            variable = element.variable
-            if variable:
-                names.append(variable)
-    return names
+def _store_write(write: Any, *args: Any) -> Any:
+    """Run one store mutation.  The store rejects a value outside the
+    property value space (a map, or a list holding one) with ``TypeError``;
+    Cypher reports that as a :class:`CypherTypeError`."""
+    try:
+        return write(*args)
+    except TypeError as exc:
+        raise CypherTypeError(str(exc)) from None
 
 
 def _node_selectivity(node_pattern: ast.NodePattern, row: Row) -> int:

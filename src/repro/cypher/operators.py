@@ -151,8 +151,6 @@ class PhysicalOperator:
         self.rows_out = 0
         self.elapsed_s = 0.0
         self.detail = ""
-        #: planner cardinality estimate (None = unplanned)
-        self.estimate: Optional[float] = None
 
     @property
     def label(self) -> str:
@@ -1128,18 +1126,16 @@ class UnionAppend(PhysicalOperator):
 def render_profile(root: PhysicalOperator) -> str:
     """Render the executed operator tree as an indented text profile.
 
-    One line per operator: label, planner estimate (when planned), rows
-    produced, and inclusive wall-clock time.  UNION branches are labelled
-    so per-branch sub-trees read separately.
+    One line per operator: label, rows produced, and inclusive wall-clock
+    time.  UNION branches are labelled so per-branch sub-trees read
+    separately.
     """
     lines: list[str] = []
 
     def walk(op: PhysicalOperator, depth: int) -> None:
         pad = "  " * depth
-        estimate = f" est≈{op.estimate:.0f}" if op.estimate is not None else ""
         lines.append(
-            f"{pad}+- {op.label}{estimate} -> {op.rows_out} rows"
-            f" ({op.elapsed_s * 1000.0:.3f} ms)"
+            f"{pad}+- {op.label} -> {op.rows_out} rows ({op.elapsed_s * 1000.0:.3f} ms)"
         )
         if isinstance(op, UnionAppend):
             for index, child in enumerate(op.children):
@@ -1170,8 +1166,6 @@ def profile_tree(op: PhysicalOperator) -> dict:
         "time_ms": round(time_ms, 4),
         "self_time_ms": round(self_ms, 4),
     }
-    if op.estimate is not None:
-        payload["estimate"] = round(op.estimate, 1)
     if children:
         payload["children"] = children
     return payload

@@ -1,22 +1,26 @@
-"""Cost-based planner for MATCH clauses.
+"""Rule-based planner for MATCH clauses.
 
-Given a MATCH clause and :class:`~repro.graph.store.GraphStatistics`, the
-planner chooses, per pattern part:
+Per pattern part, the planner picks the anchor end and its access path from
+:class:`~repro.graph.store.GraphStatistics`.  Each end ranks, best first:
 
-* the cheapest **anchor** access path — a bound variable beats an indexed
-  property lookup, which beats a filtered label scan, which beats a bare
-  label scan, which beats an all-nodes scan; ties break on estimated rows;
-* the **traversal direction** (anchor left or right end), replacing the
-  executor's old shape-only heuristic with cardinality estimates;
-* **predicate pushdown**: top-level ``WHERE`` equality / ``IN`` conjuncts
-  over literals or parameters become indexed anchor lookups and early
-  per-hop bind-time filters.  The full WHERE expression is still evaluated
-  on every matched row, so pushdown can only *narrow* candidate sets —
-  planned execution is semantics-preserving by construction.
+1. a **bound** variable;
+2. an **exact lookup**: an inline literal/parameter property, then a WHERE
+   ``=``, then a WHERE ``IN`` over a literal list; the first candidate whose
+   ``(label, key)`` is indexed, else the first candidate;
+3. a **label scan** of the node's smallest label;
+4. an **all-nodes scan**.
 
-Plans are plain frozen dataclasses; the executor consumes them, ``EXPLAIN``
-renders them, and ``profile()`` compares their estimates against actual
-row counts.
+The better-ranked end anchors.  When both ends are label scans, the end
+with the smaller ``label_count`` plus first-hop endpoint edges (summed
+from ``GraphStatistics.endpoint_count`` over the hop's types and sides)
+anchors: ``(:AS)-[:MEMBER_OF]->(:IXP)`` starts at the IXPs, while
+``(:AtlasProbe)-[:COUNTRY]->(:Country)`` stays on the probes because every
+labelled node's ``COUNTRY`` edge arrives at Country.  Every other tie,
+``shortestPath`` and single-node parts go left to right.
+
+Top-level WHERE equality, ``IN`` and range conjuncts over literals or
+parameters are also pushed down to per-hop bind-time filters; the full
+WHERE still runs on every matched row, so pushdown only narrows candidates.
 """
 
 from __future__ import annotations
@@ -27,15 +31,8 @@ from typing import Iterable, Optional, Union
 from ..graph.store import GraphStatistics
 from . import ast_nodes as ast
 
-__all__ = [
-    "AnchorPlan",
-    "PartPlan",
-    "MatchPlan",
-    "PushedFilter",
-    "plan_match",
-    "plan_query",
-    "extract_pushdown",
-]
+__all__ = ["AnchorPlan", "PartPlan", "MatchPlan", "PushedFilter",
+           "plan_match", "plan_query", "extract_pushdown"]
 
 # Pushable value expressions are row-independent: literals and parameters.
 _PUSHABLE = (ast.Literal, ast.Parameter)
@@ -49,9 +46,7 @@ class PushedFilter:
     list``) or ``"range"`` (one comparison bound ``var.key OP expr`` with
     ``OP`` in ``< <= > >=``, the operator recorded in ``ops``).  ``values``
     holds one expression for equality/range, or every list element for
-    ``IN``.
-    All expressions are literals or parameters, so they evaluate without a
-    row environment.
+    ``IN``; all are literals or parameters.
     """
 
     key: str
@@ -60,19 +55,19 @@ class PushedFilter:
     ops: tuple[str, ...] = ()  # range only: comparison op per value
 
 
+#: Pushed filters by the variable they constrain.
+Filters = dict[str, tuple[PushedFilter, ...]]
+
+
 @dataclass(frozen=True)
 class AnchorPlan:
     """Chosen access path for the anchor end of a pattern part.
 
-    ``kind`` is one of:
-
-    * ``"bound"`` — the anchor variable is already bound upstream;
-    * ``"property"`` — exact-match lookup ``nodes_by_property(label, key, v)``
-      (served by the property index when ``indexed``, else a filtered
-      label scan inside the store);
-    * ``"property-in"`` — the same lookup fanned out over an ``IN`` list;
-    * ``"label"`` — label scan;
-    * ``"all"`` — all-nodes scan.
+    ``kind`` is ``"bound"``, ``"property"`` (exact-match lookup
+    ``nodes_by_property(label, key, v)``, served by the property index when
+    ``indexed``, else a filtered label scan inside the store),
+    ``"property-in"`` (the same lookup fanned out over an ``IN`` list),
+    ``"label"`` or ``"all"``.
     """
 
     kind: str
@@ -81,35 +76,24 @@ class AnchorPlan:
     key: Optional[str] = None
     values: tuple[ast.Expr, ...] = ()
     indexed: bool = False
-    est_rows: float = 1.0
-    est_examined: float = 1.0
 
     def describe(self) -> str:
         """Access-path text used by EXPLAIN (stable, test-asserted)."""
         if self.kind == "bound":
             return f"BoundVariable({self.variable})"
-        if self.kind == "property":
-            via = "index" if self.indexed else "label-scan"
-            return f"PropertyLookup(:{self.label}.{self.key}) [{via}]"
-        if self.kind == "property-in":
-            via = "index" if self.indexed else "label-scan"
-            return (
-                f"PropertyLookup(:{self.label}.{self.key}"
-                f" IN {len(self.values)} values) [{via}]"
-            )
-        if self.kind == "label":
-            return f"LabelScan(:{self.label})"
-        return "AllNodesScan"
+        name, detail = self.physical_operator()
+        if name == "HashLookup":
+            return f"PropertyLookup({detail}) [{'index' if self.indexed else 'label-scan'}]"
+        return f"{name}({detail})" if detail else name
 
     def physical_operator(self) -> tuple[str, str]:
         """The ``(name, detail)`` pair the physical AnchorScan operator
         displays for this access path (PROFILE / ``cypher_profile``)."""
         if self.kind == "bound":
             return "BoundAnchor", self.variable or ""
-        if self.kind == "property":
-            return "HashLookup", f":{self.label}.{self.key}"
-        if self.kind == "property-in":
-            return "HashLookup", f":{self.label}.{self.key} IN {len(self.values)} values"
+        if self.kind in ("property", "property-in"):
+            fan_out = f" IN {len(self.values)} values" if self.kind == "property-in" else ""
+            return "HashLookup", f":{self.label}.{self.key}{fan_out}"
         if self.kind == "label":
             return "LabelScan", f":{self.label}"
         return "AllNodesScan", ""
@@ -121,14 +105,6 @@ class PartPlan:
 
     reverse: bool
     anchor: AnchorPlan
-    est_rows: float = 1.0
-    # Whether execution must maintain the used-relationship set for Cypher's
-    # rel-uniqueness; False when the part's hop types are provably disjoint.
-    needs_used: bool = True
-
-    @property
-    def direction(self) -> str:
-        return "right-to-left" if self.reverse else "left-to-right"
 
 
 @dataclass(frozen=True)
@@ -136,22 +112,11 @@ class MatchPlan:
     """Plan for one MATCH clause: per-part plans plus pushed filters."""
 
     parts: tuple[PartPlan, ...]
-    filters: dict[str, tuple[PushedFilter, ...]] = field(default_factory=dict)
+    filters: Filters = field(default_factory=dict)
     stats_version: int = -1
 
-    @property
-    def est_rows(self) -> float:
-        total = 1.0
-        for part in self.parts:
-            total *= max(part.est_rows, 0.0)
-        return total
 
-
-# ---------------------------------------------------------------------------
-# Predicate extraction
-# ---------------------------------------------------------------------------
-
-def extract_pushdown(where: Optional[ast.Expr]) -> dict[str, tuple[PushedFilter, ...]]:
+def extract_pushdown(where: Optional[ast.Expr]) -> Filters:
     """Collect pushable WHERE conjuncts: equality, ``IN`` and comparisons.
 
     Only *top-level AND* conjuncts qualify (anything under OR/XOR/NOT must
@@ -168,56 +133,42 @@ def extract_pushdown(where: Optional[ast.Expr]) -> dict[str, tuple[PushedFilter,
     return {variable: tuple(filters) for variable, filters in collected.items()}
 
 
-def _conjuncts(expr: ast.Expr) -> Iterable[ast.Expr]:
+def _conjuncts(expr: ast.Expr) -> list[ast.Expr]:
     if isinstance(expr, ast.BooleanOp) and expr.op == "AND":
-        for operand in expr.operands:
-            yield from _conjuncts(operand)
-    else:
-        yield expr
+        return [conjunct for operand in expr.operands for conjunct in _conjuncts(operand)]
+    return [expr]
 
 
-#: Mirror image of each pushable comparison operator (for ``value OP var.key``).
-_FLIPPED_OP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+#: Each pushable comparison and its mirror image (for ``value OP var.key``).
+_MIRRORED_OP = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def _pushable_filters(expr: ast.Expr) -> Iterable[tuple[str, PushedFilter]]:
     if isinstance(expr, ast.Comparison):
         # Each adjacent (left OP right) pair of a (possibly chained)
         # comparison is its own conjunct: pushing any qualifying pair only
-        # narrows candidates, the full chain still runs in the residual
-        # WHERE.
+        # narrows candidates, the full chain still runs in the residual WHERE.
         for op, left, right in zip(expr.ops, expr.operands, expr.operands[1:]):
-            if op == "=":
-                for subject, value in ((left, right), (right, left)):
-                    target = _property_of_variable(subject)
-                    if target is not None and isinstance(value, _PUSHABLE):
-                        variable, key = target
-                        yield variable, PushedFilter(key=key, kind="eq", values=(value,))
-                        break
-            elif op in _FLIPPED_OP:
-                for subject, value, subject_op in (
-                    (left, right, op),
-                    (right, left, _FLIPPED_OP[op]),
-                ):
-                    target = _property_of_variable(subject)
-                    if target is not None and isinstance(value, _PUSHABLE):
-                        variable, key = target
-                        yield variable, PushedFilter(
-                            key=key, kind="range", values=(value,), ops=(subject_op,)
-                        )
-                        break
-        return
-    if isinstance(expr, ast.InList):
+            if op not in _MIRRORED_OP:
+                continue
+            for subject, value, subject_op in ((left, right, op), (right, left, _MIRRORED_OP[op])):
+                target = _property_of_variable(subject)
+                if target is not None and isinstance(value, _PUSHABLE):
+                    kind, ops = ("eq", ()) if op == "=" else ("range", (subject_op,))
+                    yield target[0], PushedFilter(target[1], kind, (value,), ops)
+                    break
+    elif isinstance(expr, ast.InList):
         target = _property_of_variable(expr.value)
         if target is None:
             return
         variable, key = target
-        if isinstance(expr.container, ast.ListLiteral) and all(
-            isinstance(item, _PUSHABLE) for item in expr.container.items
+        container = expr.container
+        if isinstance(container, ast.ListLiteral) and all(
+            isinstance(item, _PUSHABLE) for item in container.items
         ):
-            yield variable, PushedFilter(key=key, kind="in", values=expr.container.items)
-        elif isinstance(expr.container, ast.Parameter):
-            yield variable, PushedFilter(key=key, kind="in", values=(expr.container,))
+            yield variable, PushedFilter(key=key, kind="in", values=container.items)
+        elif isinstance(container, ast.Parameter):
+            yield variable, PushedFilter(key=key, kind="in", values=(container,))
 
 
 def _property_of_variable(expr: ast.Expr) -> Optional[tuple[str, str]]:
@@ -226,264 +177,82 @@ def _property_of_variable(expr: ast.Expr) -> Optional[tuple[str, str]]:
     return None
 
 
-# ---------------------------------------------------------------------------
-# Anchor selection
-# ---------------------------------------------------------------------------
+#: Rank of each access path, best first.
+_TIER = {"bound": 0, "property": 1, "property-in": 1, "label": 2, "all": 3}
+_FLIP = {"out": "in", "in": "out", "both": "both"}
 
-def _scan_label(node: ast.NodePattern, stats: GraphStatistics) -> Optional[str]:
-    """The cheapest label to scan for ``node`` (smallest cardinality)."""
+
+def _anchor(node: ast.NodePattern, stats: GraphStatistics,
+            bound: frozenset[str], filters: Filters) -> AnchorPlan:
+    """The best-ranked access path for ``node`` as a part anchor."""
+    variable = node.variable
+    if variable is not None and variable in bound:
+        return AnchorPlan(kind="bound", variable=variable)
     if not node.labels:
-        return None
-    return min(node.labels, key=lambda label: (stats.label_count(label), label))
+        return AnchorPlan(kind="all", variable=variable)
+    pushed = filters.get(variable, ())
+    lookups = [("property", key, (expr,)) for key, expr in node.properties
+               if isinstance(expr, _PUSHABLE)]
+    lookups += [("property", f.key, f.values) for f in pushed if f.kind == "eq"]
+    # IN over a literal list fans out into probes; IN over a parameter stays
+    # a bind-time filter (its size is unknown at plan time).
+    lookups += [("property-in", f.key, f.values) for f in pushed
+                if f.kind == "in" and all(isinstance(v, ast.Literal) for v in f.values)]
+    for kind, key, values in lookups:
+        for label in node.labels:
+            if stats.has_index(label, key):
+                return AnchorPlan(kind=kind, variable=variable, label=label,
+                                  key=key, values=values, indexed=True)
+    smallest = min(node.labels, key=lambda label: (stats.label_count(label), label))
+    if lookups:
+        kind, key, values = lookups[0]
+        return AnchorPlan(kind=kind, variable=variable, label=smallest, key=key, values=values)
+    # Inline properties with non-pushable values are verified at bind time.
+    return AnchorPlan(kind="label", variable=variable, label=smallest)
 
 
-def _candidate_lookups(
-    node: ast.NodePattern,
-    filters: dict[str, tuple[PushedFilter, ...]],
-) -> list[tuple[str, str, tuple[ast.Expr, ...]]]:
-    """Exact-match lookup candidates ``(kind, key, values)`` for ``node``.
-
-    Inline pattern properties with pushable value expressions come first,
-    then WHERE filters pushed onto the node's variable.
-    """
-    lookups: list[tuple[str, str, tuple[ast.Expr, ...]]] = []
-    for key, expr in node.properties:
-        if isinstance(expr, _PUSHABLE):
-            lookups.append(("property", key, (expr,)))
-    if node.variable is not None:
-        for filt in filters.get(node.variable, ()):
-            if filt.kind == "eq":
-                lookups.append(("property", filt.key, filt.values))
-            elif filt.kind == "in" and all(
-                isinstance(value, ast.Literal) for value in filt.values
-            ):
-                # IN over literal lists fans out into index probes; IN over a
-                # parameter stays a bind-time filter (size unknown at plan time).
-                lookups.append(("property-in", filt.key, filt.values))
-    return lookups
-
-
-def plan_anchor(
-    node: ast.NodePattern,
-    stats: GraphStatistics,
-    bound: frozenset[str],
-    filters: dict[str, tuple[PushedFilter, ...]] | None = None,
-) -> AnchorPlan:
-    """Choose the cheapest access path for ``node`` as a part anchor."""
-    filters = filters or {}
-    if node.variable is not None and node.variable in bound:
-        return AnchorPlan(
-            kind="bound", variable=node.variable, est_rows=1.0, est_examined=0.0
-        )
-
-    label = _scan_label(node, stats)
-    label_rows = float(stats.label_count(label)) if label else float(stats.node_count)
-    lookups = _candidate_lookups(node, filters)
-
-    best: Optional[AnchorPlan] = None
-    if label is not None:
-        for kind, key, values in lookups:
-            indexed_label = next(
-                (lbl for lbl in node.labels if stats.has_index(lbl, key)), None
-            )
-            use_label = indexed_label or label
-            indexed = indexed_label is not None
-            per_probe = stats.lookup_estimate(use_label, key) if indexed else max(
-                1.0, label_rows / 10.0
-            )
-            probes = len(values) if kind == "property-in" else 1
-            est_rows = per_probe * probes
-            est_examined = est_rows if indexed else label_rows
-            candidate = AnchorPlan(
-                kind=kind,
-                variable=node.variable,
-                label=use_label,
-                key=key,
-                values=values,
-                indexed=indexed,
-                est_rows=est_rows,
-                est_examined=est_examined,
-            )
-            if best is None or _cost(candidate) < _cost(best):
-                best = candidate
-    if best is not None:
-        return best
-    if label is not None:
-        # No exact-match lookup available: plain label scan (inline
-        # properties with non-pushable values are verified at bind time).
-        est = max(1.0, label_rows / 10.0) if node.properties else label_rows
-        return AnchorPlan(
-            kind="label",
-            variable=node.variable,
-            label=label,
-            est_rows=est,
-            est_examined=label_rows,
-        )
-    total = float(stats.node_count)
-    est = max(1.0, total / 10.0) if node.properties else total
-    return AnchorPlan(
-        kind="all", variable=node.variable, est_rows=est, est_examined=total
-    )
-
-
-def _cost(anchor: AnchorPlan) -> tuple[float, float, int]:
-    """Comparable cost: output rows first, then rows examined, then tier."""
-    tier = {"bound": 0, "property": 1, "property-in": 1, "label": 2, "all": 3}
-    return (anchor.est_rows, anchor.est_examined, tier[anchor.kind])
-
-
-# ---------------------------------------------------------------------------
-# Part / clause planning
-# ---------------------------------------------------------------------------
-
-def _hop_edges(
-    rel: ast.RelPattern,
-    from_label: Optional[str],
-    direction: str,
-    stats: GraphStatistics,
-) -> tuple[float, float]:
-    """``(edges_per_row, type_total)`` for one hop leaving a ``from_label`` node.
-
-    ``edges_per_row`` is the average number of edges enumerated per source
-    row — the per-(type, direction, endpoint-label) statistics make this
-    asymmetric: e.g. ``COUNTRY`` edges *leave* each AS about once but
-    *arrive* at the 50 Country nodes from every labelled source, so the
-    reverse hop touches far more edges per anchor row.
-    """
+def _scan_work(anchor: AnchorPlan, rel: ast.RelPattern, direction: str,
+               stats: GraphStatistics) -> int:
+    """Label-scan rows plus the edges the first hop leaves them by."""
     types = rel.types or tuple(stats.rel_type_counts)
     sides = ("out", "in") if direction == "both" else (direction,)
-    type_total = float(sum(stats.rel_type_count(t) for t in types)) or 1.0
-    if from_label is None:
-        from_rows = float(max(stats.node_count, 1))
-        touched = type_total * (2.0 if direction == "both" else 1.0)
-    else:
-        from_rows = float(max(stats.label_count(from_label), 1))
-        touched = float(
-            sum(stats.endpoint_count(t, side, from_label) for t in types for side in sides)
-        )
-    return touched / from_rows, type_total
-
-
-def _node_narrowing(
-    node: ast.NodePattern, filters: dict[str, tuple[PushedFilter, ...]]
-) -> float:
-    """Selectivity factor for inline props / pushed filters on a hop target."""
-    has_filter = bool(node.properties) or bool(
-        node.variable and filters.get(node.variable)
+    return stats.label_count(anchor.label) + sum(
+        stats.endpoint_count(t, side, anchor.label) for t in types for side in sides
     )
-    return 0.1 if has_filter else 1.0
 
 
-def _walk_estimate(
-    part: ast.PatternPart,
-    anchor: AnchorPlan,
-    reverse: bool,
-    stats: GraphStatistics,
-    filters: dict[str, tuple[PushedFilter, ...]],
-) -> tuple[float, float]:
-    """``(cost, rows)`` of executing ``part`` anchored at one end.
-
-    Cost counts work actually done by the executor: anchor rows examined,
-    plus every edge enumerated (and bind-checked) at every hop.  Rows track
-    the estimated surviving bindings after each hop's label/filter checks.
-    """
-    nodes = list(part.nodes)
-    rels = list(part.relationships)
-    if reverse:
-        nodes.reverse()
-        rels.reverse()
-    flip = {"out": "in", "in": "out", "both": "both"}
-    rows = anchor.est_rows
-    cost = anchor.est_examined + anchor.est_rows
-    for index, rel in enumerate(rels):
-        direction = flip[rel.direction] if reverse else rel.direction
-        from_label = _scan_label(nodes[index], stats)
-        to_node = nodes[index + 1]
-        to_label = _scan_label(to_node, stats)
-        edges_per_row, type_total = _hop_edges(rel, from_label, direction, stats)
-        if rel.var_length:
-            hops = max(rel.max_hops or rel.min_hops or 1, 1)
-            if edges_per_row > 1.0:
-                edges_per_row = edges_per_row**hops
-        edges = rows * edges_per_row
-        cost += edges
-        if to_label is not None:
-            opposite = flip[direction]
-            if direction == "both":
-                matching = sum(
-                    stats.endpoint_count(t, side, to_label)
-                    for t in (rel.types or tuple(stats.rel_type_counts))
-                    for side in ("out", "in")
-                ) / 2.0
-            else:
-                matching = float(
-                    sum(
-                        stats.endpoint_count(t, opposite, to_label)
-                        for t in (rel.types or tuple(stats.rel_type_counts))
-                    )
-                )
-            rows = edges * min(matching / type_total, 1.0)
-        else:
-            rows = edges
-        rows *= _node_narrowing(to_node, filters)
-    return cost, rows
+def _orient(part: ast.PatternPart, stats: GraphStatistics,
+            bound: frozenset[str], filters: Filters) -> PartPlan:
+    """Anchor ``part`` at its better-ranked end (see the module docstring)."""
+    forward = _anchor(part.nodes[0], stats, bound, filters)
+    if part.shortest is not None or len(part.elements) == 1:
+        return PartPlan(reverse=False, anchor=forward)
+    backward = _anchor(part.nodes[-1], stats, bound, filters)
+    if forward.kind == backward.kind == "label":
+        first, last = part.relationships[0], part.relationships[-1]
+        reverse = (_scan_work(backward, last, _FLIP[last.direction], stats)
+                   < _scan_work(forward, first, first.direction, stats))
+    else:
+        reverse = _TIER[backward.kind] < _TIER[forward.kind]
+    return PartPlan(reverse=reverse, anchor=backward if reverse else forward)
 
 
 def needs_used_tracking(part: ast.PatternPart) -> bool:
     """Whether matching ``part`` must maintain the used-relationship set.
 
-    Cypher's relationship-uniqueness only bites when two hops of the part
-    could bind the same relationship: a single hop, or hops whose declared
-    type sets are pairwise disjoint, can never produce duplicates, so the
-    executor can skip the per-step used-set unions.
+    Relationship uniqueness only bites when two hops could bind the same
+    relationship; a single hop, or hops with pairwise disjoint declared
+    types, never can, so the executor skips the per-step used-set unions.
     """
     rels = part.relationships
     if len(rels) <= 1:
         return False
-    if not all(rel.types for rel in rels):
-        return True
-    all_types = [t for rel in rels for t in rel.types]
-    return len(all_types) != len(set(all_types))
+    types = [t for rel in rels for t in rel.types]
+    return not all(rel.types for rel in rels) or len(types) != len(set(types))
 
 
-def plan_part(
-    part: ast.PatternPart,
-    stats: GraphStatistics,
-    bound: frozenset[str],
-    filters: dict[str, tuple[PushedFilter, ...]],
-) -> PartPlan:
-    """Plan one pattern part: pick anchor end, direction, access path.
-
-    Direction is chosen by total estimated work (anchor rows examined plus
-    edges enumerated over every hop), not just anchor cardinality — a tiny
-    anchor can still lose if expanding from it touches many more edges.
-    """
-    nodes = part.nodes
-    first, last = nodes[0], nodes[-1]
-    needs_used = needs_used_tracking(part)
-    forward = plan_anchor(first, stats, bound, filters)
-    forward_cost, forward_rows = _walk_estimate(part, forward, False, stats, filters)
-    if part.shortest is not None or len(part.elements) == 1:
-        return PartPlan(
-            reverse=False, anchor=forward, est_rows=forward_rows, needs_used=needs_used
-        )
-    backward = plan_anchor(last, stats, bound, filters)
-    backward_cost, backward_rows = _walk_estimate(part, backward, True, stats, filters)
-    reverse = (backward_cost, *_cost(backward)) < (forward_cost, *_cost(forward))
-    if reverse:
-        return PartPlan(
-            reverse=True, anchor=backward, est_rows=backward_rows, needs_used=needs_used
-        )
-    return PartPlan(
-        reverse=False, anchor=forward, est_rows=forward_rows, needs_used=needs_used
-    )
-
-
-def plan_match(
-    clause: ast.MatchClause,
-    stats: GraphStatistics,
-    bound: frozenset[str] = frozenset(),
-) -> MatchPlan:
+def plan_match(clause: ast.MatchClause, stats: GraphStatistics,
+               bound: frozenset[str] = frozenset()) -> MatchPlan:
     """Plan a whole MATCH clause against ``stats``.
 
     ``bound`` names variables guaranteed bound by earlier clauses; pattern
@@ -493,20 +262,13 @@ def plan_match(
     parts: list[PartPlan] = []
     visible = set(bound)
     for part in clause.pattern.parts:
-        parts.append(plan_part(part, stats, frozenset(visible), filters))
-        for element in part.elements:
-            if element.variable:
-                visible.add(element.variable)
-        if part.path_variable:
-            visible.add(part.path_variable)
-    return MatchPlan(
-        parts=tuple(parts), filters=filters, stats_version=stats.version
-    )
+        parts.append(_orient(part, stats, frozenset(visible), filters))
+        visible.update(part.variables)
+    return MatchPlan(parts=tuple(parts), filters=filters, stats_version=stats.version)
 
 
-def plan_query(
-    tree: Union[ast.SingleQuery, ast.UnionQuery], stats: GraphStatistics
-) -> dict[int, MatchPlan]:
+def plan_query(tree: Union[ast.SingleQuery, ast.UnionQuery],
+               stats: GraphStatistics) -> dict[int, MatchPlan]:
     """Plan every MATCH clause of ``tree``; returns ``id(clause) -> plan``.
 
     Tracks which variables each clause binds so later MATCHes anchor on
@@ -520,27 +282,16 @@ def plan_query(
         for clause in single.clauses:
             if isinstance(clause, ast.MatchClause):
                 plans[id(clause)] = plan_match(clause, stats, frozenset(bound))
-                for part in clause.pattern.parts:
-                    for element in part.elements:
-                        if element.variable:
-                            bound.add(element.variable)
-                    if part.path_variable:
-                        bound.add(part.path_variable)
+                bound.update(clause.pattern.variables)
+            elif isinstance(clause, ast.CreateClause):
+                bound.update(clause.pattern.variables)
+            elif isinstance(clause, ast.MergeClause):
+                bound.update(clause.part.variables)
             elif isinstance(clause, ast.UnwindClause):
                 bound.add(clause.variable)
             elif isinstance(clause, (ast.WithClause, ast.ReturnClause)):
-                if clause.star:
-                    # WITH * keeps everything in scope; nothing to remove.
-                    bound.update(item.output_name() for item in clause.items)
-                else:
-                    bound = {item.output_name() for item in clause.items}
-            elif isinstance(clause, (ast.CreateClause,)):
-                for part in clause.pattern.parts:
-                    for element in part.elements:
-                        if element.variable:
-                            bound.add(element.variable)
-            elif isinstance(clause, ast.MergeClause):
-                for element in clause.part.elements:
-                    if element.variable:
-                        bound.add(element.variable)
+                names = {item.output_name() for item in clause.items}
+                # WITH * keeps everything in scope.
+                bound = bound | names if clause.star else names
     return plans
+

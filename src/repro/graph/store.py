@@ -49,9 +49,6 @@ class GraphStatistics:
 
     ``version`` increments on every mutation, so planners can cache plans
     keyed on it and replan only when the graph actually changed.
-    ``index_selectivity`` maps an indexed ``(label, key)`` pair to the
-    average number of nodes per distinct value — the expected row count of
-    an exact-match index lookup.
     """
 
     version: int
@@ -60,7 +57,6 @@ class GraphStatistics:
     label_counts: Mapping[str, int] = field(default_factory=dict)
     rel_type_counts: Mapping[str, int] = field(default_factory=dict)
     indexes: frozenset[tuple[str, str]] = frozenset()
-    index_selectivity: Mapping[tuple[str, str], float] = field(default_factory=dict)
     # (rel_type, "out"|"in", label) -> edges of that type whose start ("out")
     # or end ("in") node carries the label.  Lets the planner see that e.g.
     # COUNTRY edges arrive at Country nodes from many source labels, so
@@ -80,10 +76,6 @@ class GraphStatistics:
     def has_index(self, label: str, key: str) -> bool:
         """True when an exact-match property index exists for ``(label, key)``."""
         return (label, key) in self.indexes
-
-    def lookup_estimate(self, label: str, key: str) -> float:
-        """Expected rows from an index lookup on ``(label, key)``."""
-        return self.index_selectivity.get((label, key), 1.0)
 
     def endpoint_count(self, rel_type: str, direction: str, label: str | None) -> int:
         """Edges of ``rel_type`` whose ``direction``-side endpoint has ``label``.
@@ -349,10 +341,6 @@ class GraphStore:
         """
         if self._stats_cache is not None and self._stats_cache.version == self._stats_version:
             return self._stats_cache
-        selectivity = {
-            (label, key): (len(self._label_index.get(label, ())) / len(index)) if index else 1.0
-            for (label, key), index in self._property_index.items()
-        }
         self._stats_cache = GraphStatistics(
             version=self._stats_version,
             node_count=len(self._nodes),
@@ -362,7 +350,6 @@ class GraphStore:
             },
             rel_type_counts=dict(self._rel_type_counts),
             indexes=frozenset(self._property_index),
-            index_selectivity=selectivity,
             rel_endpoint_counts=dict(self._rel_endpoint_counts),
         )
         return self._stats_cache
@@ -566,9 +553,15 @@ class GraphStore:
 
     @staticmethod
     def _index_key(value: Any) -> Any:
-        """Normalise a value for exact-match indexing (lists become tuples)."""
+        """Normalise a value for exact-match indexing.
+
+        Lists become tuples.  Maps become frozensets of their items: no
+        stored property is a map, so a map lookup value matches no node.
+        """
         if isinstance(value, list):
             return tuple(GraphStore._index_key(item) for item in value)
+        if isinstance(value, dict):
+            return frozenset((key, GraphStore._index_key(item)) for key, item in value.items())
         return value
 
     def __repr__(self) -> str:

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.cypher import CypherEngine, CypherSyntaxError, execute, parse
+from repro.cypher import CypherEngine, CypherSyntaxError, CypherTypeError, execute, parse
 from repro.cypher.errors import CypherError
 from repro.cypher.result import render_value
 from repro.graph import GraphStore
@@ -221,3 +221,34 @@ class TestErrorPaths:
         with pytest.raises(CypherError):
             engine.execute(f"RETURN {expression} AS x")
 
+    @pytest.mark.parametrize("planner", [True, False])
+    @pytest.mark.parametrize(
+        "query, params",
+        [
+            ("MATCH (a:AS) WHERE a.asn = $x RETURN a.asn", {"x": {"k": 1}}),
+            ("MATCH (a:AS {asn: [1, {k: 1}]}) RETURN a.asn", {}),
+            (
+                "MATCH (a:AS)-[:COUNTRY]->(c:Country {country_code: $x}) RETURN a.asn",
+                {"x": {"k": 1}},
+            ),
+        ],
+    )
+    def test_map_lookup_value_matches_no_node(self, small_store, planner, query, params):
+        # No stored property is a map, so an indexed exact-match lookup by a
+        # map (or a list holding one) finds nothing, as the WHERE would say.
+        result = CypherEngine(small_store, planner=planner).execute(query, params)
+        assert len(result) == 0
+
+    @pytest.mark.parametrize("planner", [True, False])
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "CREATE (n:Tag {m: {k: 1}})",
+            "MERGE (n:Tag {m: {k: 1}})",
+            "CREATE (n:Tag) SET n.m = {k: 1}",
+            "CREATE (:Tag)-[:X {m: [{k: 1}]}]->(:Tag)",
+        ],
+    )
+    def test_map_property_write_is_cypher_type_error(self, planner, query):
+        with pytest.raises(CypherTypeError, match="unsupported property value type"):
+            CypherEngine(GraphStore(), planner=planner).execute(query)

@@ -1,8 +1,8 @@
-"""Cost-based planner: statistics, anchor/direction choice, pushdown, caching.
+"""Rule-based planner: statistics, anchor/direction rule, pushdown, caching.
 
 The closing class runs every CypherEval gold query through the planned
 executor and the ``planner=False`` escape hatch and asserts identical rows —
-the end-to-end guarantee that cost-based planning is semantics-preserving.
+the end-to-end guarantee that planning is semantics-preserving.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ class TestGraphStatistics:
         assert stats.has_index("AS", "asn")
         assert not stats.has_index("AS", "no_such_key")
         assert ("AS", "asn") in stats.indexes
-        assert stats.lookup_estimate("AS", "asn") >= 1.0
 
     def test_endpoint_counts_partition_rel_type(self, small_store):
         stats = small_store.statistics()
@@ -154,7 +153,7 @@ class TestAnchorChoice:
 
     def test_unindexed_property_still_preferred_over_bare_scan(self, tiny_engine):
         # tiny_store has no property indexes: the lookup routes through a
-        # filtered label scan but still estimates fewer output rows.
+        # filtered label scan but still outranks a bare one.
         plan = _first_match_plan(
             tiny_engine, "MATCH (a:AS {asn: 2497}) RETURN a.name"
         )
@@ -208,6 +207,60 @@ class TestDirectionChoice:
         plan = _first_match_plan(small_engine, "MATCH (a:AS) RETURN a.asn")
         assert not plan.parts[0].reverse
 
+    def test_label_tie_anchors_smaller_label_plus_edges(self, small_engine):
+        # Both ends are label scans: the few IXPs plus the MEMBER_OF edges
+        # arriving there cost less than every AS plus the same edges.
+        plan = _first_match_plan(
+            small_engine, "MATCH (a:AS)-[:MEMBER_OF]->(:IXP) RETURN count(a) AS members"
+        )
+        part = plan.parts[0]
+        assert part.reverse
+        assert part.anchor.describe() == "LabelScan(:IXP)"
+
+    def test_label_tie_counts_first_hop_edges_not_labels_alone(self):
+        # Country is the smaller label, but every labelled node's COUNTRY
+        # edge arrives there: 60 probes + 60 edges beat 5 countries + 160
+        # edges, so the part stays left to right.
+        store = GraphStore()
+        countries = [store.create_node(["Country"], {"country_code": f"C{i}"}) for i in range(5)]
+        for i in range(60):
+            probe = store.create_node(["AtlasProbe"], {"id": i})
+            store.create_relationship(probe.node_id, "COUNTRY", countries[i % 5].node_id)
+        for i in range(100):
+            as_node = store.create_node(["AS"], {"asn": i})
+            store.create_relationship(as_node.node_id, "COUNTRY", countries[i % 5].node_id)
+        plan = _first_match_plan(
+            CypherEngine(store), "MATCH (p:AtlasProbe)-[:COUNTRY]->(:Country) RETURN count(p)"
+        )
+        part = plan.parts[0]
+        assert not part.reverse
+        assert part.anchor.describe() == "LabelScan(:AtlasProbe)"
+
+    def test_where_in_anchor_wins_exact_lookup_tie(self, small_engine):
+        # Both ends are exact lookups: the tie goes left to right, onto the
+        # WHERE IN probes of the AS index.
+        query = (
+            "MATCH (a:AS)-[r:RANK]->(:Ranking {name: 'CAIDA ASRank'}) "
+            "WHERE a.asn IN [2497, 15169] RETURN a.asn AS asn ORDER BY r.rank LIMIT 1"
+        )
+        part = _first_match_plan(small_engine, query).parts[0]
+        assert not part.reverse
+        assert part.anchor.physical_operator() == ("HashLookup", ":AS.asn IN 2 values")
+        _, report = small_engine.profile(query)
+        assert "HashLookup(:AS.asn IN 2 values)" in report
+
+    def test_bound_variable_beats_inline_lookup(self, small_engine):
+        tree = parse(
+            "MATCH (a:AS {asn: 2497}) MATCH (b:AS {asn: 15169})-[:PEERS_WITH]-(a) "
+            "RETURN b.asn"
+        )
+        plan = plan_match(
+            tree.clauses[1], small_engine.store.statistics(), bound=frozenset({"a"})
+        )
+        part = plan.parts[0]
+        assert part.reverse
+        assert part.anchor.kind == "bound" and part.anchor.variable == "a"
+
     def test_shortest_path_never_reverses(self, small_engine):
         plan = _first_match_plan(
             small_engine,
@@ -254,7 +307,7 @@ class TestExplainAndProfile:
         assert "anchor=(p:Prefix" in text
         assert "PropertyLookup(:Prefix.prefix) [index]" in text
         assert "expand right-to-left" in text
-        assert "est≈" in text
+        assert "est≈" not in text  # the rule plans without cardinality estimates
 
     def test_explain_shows_pushdown(self, small_engine):
         text = small_engine.explain(
@@ -267,16 +320,16 @@ class TestExplainAndProfile:
         engine = CypherEngine(small_store, planner=False)
         text = engine.explain("MATCH (a:AS {asn: 2497}) RETURN a.name")
         assert "PropertyLookup(:AS.asn)" in text
-        # No cost estimates without the planner.
         assert "est≈" not in text
 
-    def test_profile_reports_estimates_and_actuals(self, small_engine):
+    def test_profile_reports_operators_and_actuals(self, small_engine):
         result, report = small_engine.profile(
             "MATCH (a:AS {asn: 2497}) RETURN a.name"
         )
         assert len(result) == 1
-        assert "est≈" in report
-        assert "-> 1 rows" in report
+        assert "+- HashLookup(:AS.asn) -> 1 rows (" in report
+        assert "+- ProduceResults(a.name) -> 1 rows (" in report
+        assert "est≈" not in report
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,15 @@ class TestCypherEndpoint:
         assert status == 400
         assert "query failed" in payload["error"]
 
+    def test_map_param_lookup_is_empty_result(self, port):
+        status, payload = post(
+            port, "/cypher",
+            {"query": "MATCH (a:AS) WHERE a.asn = $x RETURN a.asn AS asn",
+             "params": {"x": {"k": 1}}},
+        )
+        assert status == 200
+        assert payload["rows"] == [] and payload["row_count"] == 0
+
     def test_missing_query_field(self, port):
         status, _ = post(port, "/cypher", {"nope": 1})
         assert status == 400

@@ -306,13 +306,17 @@ class TestProfileTree:
             assert node["time_ms"] >= 0.0
             assert node["self_time_ms"] >= 0.0
 
-    def test_planned_anchor_carries_estimate(self, chain_store):
+    def test_planned_anchor_names_access_path(self, chain_store):
         engine = CypherEngine(chain_store)
         result = engine.execute(
             "MATCH (a:AS {asn: 3}) RETURN a.asn", profile=True
         )
-        estimates = [n for n in _walk(result.profile) if "estimate" in n]
-        assert estimates, "planned anchors must surface the planner estimate"
+        nodes = list(_walk(result.profile))
+        anchors = [n for n in nodes if n["operator"] == "HashLookup"]
+        assert [(n["detail"], n["rows"]) for n in anchors] == [(":AS.asn", 1)]
+        assert all(n["time_ms"] >= 0.0 for n in anchors)
+        # The rule planner keeps no cardinality estimates to report.
+        assert not any("estimate" in n for n in nodes)
 
     def test_render_profile_text(self, chain_store):
         engine = CypherEngine(chain_store)
