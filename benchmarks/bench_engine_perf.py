@@ -62,6 +62,17 @@ ENGINE_QUERIES = {
         "MATCH (a)-[:ORIGINATE]->(p:Prefix) "
         "RETURN a.asn AS asn, count(p) AS prefixes ORDER BY prefixes DESC LIMIT 1"
     ),
+    # Large-result shapes, where per-row operator overhead dominates: the
+    # dropped-filter ORDER BY without LIMIT from the served tail, and a
+    # global count over one hop.  Recorded so their planned-vs-unplanned
+    # ratios are on file; ``--check`` fails on them only when the planner
+    # is more than 1.5x slower than planner-off (the no-harm slack), so it
+    # does not catch a smaller planned slowdown.
+    "tail_order_by": (
+        "MATCH (:AS)-[d:DEPENDS_ON]->(t:AS) "
+        "RETURN t.asn AS asn, d.hege AS hegemony ORDER BY hegemony DESC"
+    ),
+    "global_count": "MATCH (:AS)-[:ORIGINATE]->(p:Prefix) RETURN count(p)",
 }
 
 #: Memory benchmark query: with streaming execution the peak per-operator

@@ -69,6 +69,7 @@ class ResourceExhausted(CypherRuntimeError):
 class CypherDeadlineExceeded(CypherRuntimeError):
     """The per-request serving deadline expired mid-execution.
 
-    Raised cooperatively between operator ``next()`` calls so long scans
-    abort close to the deadline instead of overrunning it.
+    Raised cooperatively by the row charge every operator makes for each
+    row it emits (the clock is read every 256 rows), so long scans abort
+    close to the deadline instead of overrunning it.
     """

@@ -10,8 +10,10 @@ first-hop edges anchors, and every other tie goes left to right.  WHERE
 equality/IN/range predicates are pushed down into lookups and bind-time
 filters, and each planned part becomes an explicit
 ``AnchorScan → Expand* → Match`` operator chain.  The tree executes
-Volcano-style (``open()/next()/close()``), so a downstream LIMIT/top-k
-stops pulling and the whole upstream pipeline terminates early; only
+Volcano-style, one generator per operator: each iterates its child's
+generator and charges every row it emits inline, so a row costs one
+generator resume per operator it crosses, and a downstream LIMIT/top-k
+stops pulling and the whole upstream pipeline terminates early.  Only
 blocking operators (Sort, Aggregate, write barriers) materialise
 rows.  Plans (and parsed ASTs) are cached in a bounded LRU
 keyed by query text; ``planner=False`` is the escape hatch that falls
@@ -178,7 +180,7 @@ class CypherEngine:
 
         ``deadline`` is an expiring-clock object with an ``expired``
         property (the serving layer's ``Deadline``), checked cooperatively
-        between operator ``next()`` calls; an overrun raises
+        as operators charge the rows they emit; an overrun raises
         :class:`~repro.cypher.errors.CypherDeadlineExceeded`.
         ``row_budget`` bounds total intermediate rows across all operators
         (falling back to the engine default), raising
@@ -249,14 +251,12 @@ class CypherEngine:
         )
         state.check_deadline()
         root = self._lower_query(tree, context, state)
-        root.open()
+        produced = iter(root)
         try:
-            rows: list[list[Any]] = []
-            while (values := root.next()) is not None:
-                rows.append(values)
-            keys = root.keys or []
+            rows = list(produced)
         finally:
-            root.close()
+            produced.close()
+        keys = root.keys or []
         # Adopt-without-copy: each values list is single-owner and the keys
         # list is shared read-only across every record of the result.
         records = [Record.of(keys, values) for values in rows]
@@ -397,6 +397,8 @@ class CypherEngine:
         # Variables the clauses so far bind: what ``WITH *``/``RETURN *``
         # expand to, known before any row exists.
         scope: set[str] = set()
+        # whether an updating clause runs below the current clause
+        writes = False
         clauses = tree.clauses
         for index, clause in enumerate(clauses):
             if isinstance(clause, ast.MatchClause):
@@ -406,7 +408,9 @@ class CypherEngine:
                 op = ops.Unwind(state, op, context, clause)
                 scope.add(clause.variable)
             elif isinstance(clause, ast.WithClause):
-                op, projection = self._lower_projection(op, clause, context, state, scope)
+                op, projection = self._lower_projection(
+                    op, clause, context, state, scope, writes
+                )
                 op = ops.AsRows(state, op, projection)
                 if clause.where is not None:
                     op = ops.Filter(state, op, context, clause.where, pairs_in=False)
@@ -414,20 +418,27 @@ class CypherEngine:
             elif isinstance(clause, ast.ReturnClause):
                 if index != len(clauses) - 1:
                     raise CypherSyntaxError("RETURN must be the final clause")
-                op, projection = self._lower_projection(op, clause, context, state, scope)
+                op, projection = self._lower_projection(
+                    op, clause, context, state, scope, writes
+                )
                 return ops.ProduceResults(state, op, projection)
             elif isinstance(clause, ast.CreateClause):
                 op = ops.Create(state, op, context, clause)
                 scope.update(clause.pattern.variables)
+                writes = True
             elif isinstance(clause, ast.MergeClause):
                 op = ops.Merge(state, op, context, clause)
                 scope.update(clause.part.variables)
+                writes = True
             elif isinstance(clause, ast.SetClause):
                 op = ops.SetProperties(state, op, context, clause)
+                writes = True
             elif isinstance(clause, ast.DeleteClause):
                 op = ops.Delete(state, op, context, clause)
+                writes = True
             elif isinstance(clause, ast.RemoveClause):
                 op = ops.Remove(state, op, context, clause)
+                writes = True
             else:  # pragma: no cover - parser cannot produce others
                 raise CypherRuntimeError(f"unsupported clause {clause!r}")
         return ops.ProduceResults(state, op, None)
@@ -446,7 +457,7 @@ class CypherEngine:
                 op = ops.Filter(state, op, context, clause.where, pairs_in=False)
             return op
         # OPTIONAL MATCH: the pattern (and its WHERE) runs as a sub-pipeline
-        # re-opened once per upstream row, padding with nulls on no match.
+        # re-run once per upstream row, padding with nulls on no match.
         source = ops.RowSource(state)
         sub = self._lower_parts(source, clause.pattern, plan, context, state)
         if clause.where is not None:
@@ -546,13 +557,15 @@ class CypherEngine:
         context: "_ExecutionContext",
         state: RuntimeState,
         scope: Iterable[str] = (),
+        writes: bool = False,
     ) -> tuple[ops.PhysicalOperator, ops.PhysicalOperator]:
         """Lower WITH/RETURN into project → distinct → sort → skip → limit.
 
         ``scope`` is the set of variables bound before the clause, which
-        ``*`` expands to.  Returns the pipeline top plus the projection
-        operator itself, whose items/keys Sort, AsRows and ProduceResults
-        read.
+        ``*`` expands to; ``writes`` says an updating clause runs below it
+        (its LIMIT is then exhaustive, see :class:`~.operators.Limit`).
+        Returns the pipeline top plus the projection operator itself, whose
+        items/keys Sort, AsRows and ProduceResults read.
         """
         # Projection metadata depends only on the clause (and, for ``*``,
         # on the clauses before it in the same tree); cache it per clause
@@ -588,7 +601,7 @@ class CypherEngine:
         if start:
             op = ops.Skip(state, op, start)
         if end is not None:
-            op = ops.Limit(state, op, end - start)
+            op = ops.Limit(state, op, end - start, writes)
         return op, projection
 
 
@@ -854,52 +867,46 @@ class _ExecutionContext:
         assert isinstance(rel_pattern, ast.RelPattern)
         assert isinstance(node_pattern, ast.NodePattern)
 
-        if rel_pattern.var_length:
-            steps = self._expand_var_length(rel_pattern, current, row, used)
+        var_length = rel_pattern.var_length
+        if var_length:
+            steps: Iterable[tuple[Any, Node]] = self._expand_var_length(
+                rel_pattern, current, row, used
+            )
         else:
             steps = self._expand_single(rel_pattern, current, row, used)
 
+        variable = rel_pattern.variable
         charge = self.state.charge
-        for step_rels, end_node in steps:
+        # A step is one relationship, or a list of them for a var-length hop.
+        for step, end_node in steps:
             charge()
-            if maintain_used:
-                new_used = used | {rel.rel_id for rel in step_rels}
+            if variable is None:
+                rel_row = row
             else:
-                new_used = used
-            if rel_pattern.variable is not None:
-                bound_value: Any = list(step_rels) if rel_pattern.var_length else step_rels[0]
-                existing = row.get(rel_pattern.variable)
-                if rel_pattern.variable in row:
-                    if not _same_rel_binding(existing, bound_value):
+                bound_value: Any = list(step) if var_length else step
+                if variable in row:
+                    if not _same_rel_binding(row[variable], bound_value):
                         continue
                     rel_row = row
                 else:
                     rel_row = dict(row)
-                    rel_row[rel_pattern.variable] = bound_value
-            else:
-                rel_row = row
+                    rel_row[variable] = bound_value
             end_row = self._bind_node(node_pattern, end_node, rel_row)
             if end_row is None:
                 continue
+            if not maintain_used:
+                new_used = used
+            elif var_length:
+                new_used = used | {rel.rel_id for rel in step}
+            else:
+                new_used = used | {step.rel_id}
             if nodes is None:
-                next_nodes = None
-                next_rels = None
-            elif rel_pattern.var_length:
-                # Include intermediate nodes so bound paths are complete.
-                step_nodes = []
-                cursor = current
-                for rel in step_rels:
-                    cursor = self.store.node(rel.other_end(cursor.node_id))
-                    step_nodes.append(cursor)
-                if not step_rels:
-                    step_nodes = []
-                next_nodes = nodes + step_nodes
-                if not step_rels and end_node.node_id != current.node_id:
-                    next_nodes = nodes + [end_node]
-                next_rels = rels + list(step_rels)
+                next_nodes = next_rels = None
+            elif var_length:
+                next_nodes, next_rels = self._var_length_path(nodes, rels, current, step)
             else:
                 next_nodes = nodes + [end_node]
-                next_rels = rels + list(step_rels)
+                next_rels = rels + [step]
             self._match_chain(
                 elements,
                 index + 2,
@@ -921,13 +928,13 @@ class _ExecutionContext:
         current: Node,
         row: Row,
         used: frozenset[int],
-    ) -> list[tuple[tuple[Relationship, ...], Node]]:
+    ) -> Iterator[tuple[Relationship, Node]]:
+        """``(rel, end_node)`` for every single hop from ``current``."""
         direction = rel_pattern.direction
         types = rel_pattern.types or None
         node_id = current.node_id
         nodes = self.store._nodes
         check_props = bool(rel_pattern.properties)
-        steps: list[tuple[tuple[Relationship, ...], Node]] = []
         # No direction re-check needed: the adjacency index is maintained per
         # direction, so an "out" query only ever returns rels starting here
         # (self-loops included on both sides).
@@ -937,8 +944,22 @@ class _ExecutionContext:
             if check_props and not self._rel_properties_match(rel_pattern, rel, row):
                 continue
             other = rel.end_id if rel.start_id == node_id else rel.start_id
-            steps.append(((rel,), nodes[other]))
-        return steps
+            yield rel, nodes[other]
+
+    def _var_length_path(
+        self,
+        nodes: list[Node],
+        rels: list[Relationship],
+        current: Node,
+        step_rels: list[Relationship],
+    ) -> tuple[list[Node], list[Relationship]]:
+        """Path lists extended by a var-length step, intermediate nodes included."""
+        step_nodes = []
+        cursor = current
+        for rel in step_rels:
+            cursor = self.store.node(rel.other_end(cursor.node_id))
+            step_nodes.append(cursor)
+        return nodes + step_nodes, rels + list(step_rels)
 
     def _expand_var_length(
         self,

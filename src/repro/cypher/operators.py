@@ -1,33 +1,33 @@
 """Physical operators: the pull-based (Volcano-style) execution layer.
 
 The executor lowers each query into a tree of these operators.  Every
-operator implements the iterator protocol —
-
-    ``open()`` → repeated ``next()`` (``None`` = exhausted) → ``close()``
-
-— and pulls its input lazily from its children, so a downstream
-``Limit``/``TopK`` terminates the entire upstream pipeline early instead
-of materialising every intermediate row at each clause boundary.  Only
-the genuinely blocking operators (``Sort``, ``Aggregate`` and the write
-barriers) buffer rows; everything else streams.
+operator is a generator: ``iter(op)`` starts one run of it, which
+iterates its children's generators and yields its own rows lazily, so a
+downstream ``Limit``/``TopK`` stops pulling and the entire upstream
+pipeline terminates early instead of materialising every intermediate row
+at each clause boundary.  Only the genuinely blocking operators (``Sort``,
+``Aggregate`` and the write barriers) buffer rows; everything else streams.
+Each emitted row costs one generator resume per operator it crosses.
 
 Cross-cutting runtime concerns live on the shared :class:`RuntimeState`
 threaded through every operator:
 
-* **row budget** — every row any operator emits is charged against an
-  optional budget; exceeding it raises :class:`ResourceExhausted`, which
-  the serving layer maps to graceful degradation instead of an OOM;
-* **deadline** — the per-request serving deadline is checked
-  cooperatively between ``next()`` calls (every 256 emitted rows), so a
-  runaway scan aborts with :class:`CypherDeadlineExceeded` instead of
-  blowing past its budget;
-* **profiling** — when on, every ``next()``/``open()`` is wall-clock
-  timed; rows-produced counters are always maintained.  The counters
-  feed the ``PROFILE`` tree rendering (:func:`render_profile`), the
-  ``diagnostics["cypher_profile"]`` payload (:func:`profile_tree`) and
-  the metrics registry's operator histograms.
+* **row budget** — every operator counts (``rows_out``) and charges every
+  row it emits, inline, just before yielding it; exceeding the budget
+  raises :class:`ResourceExhausted`, which the serving layer maps to
+  graceful degradation instead of an OOM;
+* **deadline** — the per-request serving deadline is checked by the same
+  charge, cooperatively (every 256 emitted rows), so a runaway scan aborts
+  with :class:`CypherDeadlineExceeded` instead of blowing past its budget;
+* **profiling** — when on, each operator's generator is wrapped by
+  :func:`_timed`, which adds the wall-clock time of every resume
+  (inclusive of the children it pulls from) to ``elapsed_s``.  The row
+  counters are always maintained.  Both feed the ``PROFILE`` tree
+  rendering (:func:`render_profile`), the ``diagnostics["cypher_profile"]``
+  payload (:func:`profile_tree`) and the metrics registry's operator
+  histograms.
 
-Operator rows come in three shapes, matched to the pipeline stage:
+Operator rows come in four shapes, matched to the pipeline stage:
 
 * plain binding dicts between clauses,
 * ``(row, used)`` pairs between pattern parts of one MATCH clause
@@ -96,6 +96,9 @@ Row = dict[str, Any]
 #: deadline checks happen every this many globally emitted rows
 _DEADLINE_STRIDE_MASK = 0xFF
 
+#: the relationship-uniqueness set a pattern part starts from
+_NO_RELS: frozenset = frozenset()
+
 
 class RuntimeState:
     """Per-execution shared state: row budget, deadline, profiling flag."""
@@ -133,14 +136,13 @@ class RuntimeState:
 
 
 class PhysicalOperator:
-    """Base operator: children, row counter, wall-time, budget charging.
+    """Base operator: children, row counter, wall-time.
 
-    Subclasses implement ``_open``/``_next``/``_close``; the public
-    ``next()`` wrapper counts every emitted row, charges the shared row
-    budget, checks the deadline cooperatively, and (in profile mode)
-    accumulates inclusive wall-clock time.  ``open()`` must fully reset
-    iteration state — :class:`OptionalMatch` re-opens its sub-pipeline
-    once per upstream row.
+    Subclasses implement ``_rows()``, a generator that iterates its
+    children (``for item in child``) and, for every row it emits, bumps
+    ``rows_out`` and calls ``state.charge()`` before yielding it.  Every
+    ``iter(op)`` is a fresh run: :class:`OptionalMatch` re-runs its
+    sub-pipeline once per upstream row.
     """
 
     name = "Operator"
@@ -156,42 +158,22 @@ class PhysicalOperator:
     def label(self) -> str:
         return f"{self.name}({self.detail})" if self.detail else self.name
 
-    def open(self) -> None:
-        for child in self.children:
-            child.open()
-        if self.state.profiled:
-            started = perf_counter()
-            self._open()
-            self.elapsed_s += perf_counter() - started
-        else:
-            self._open()
+    def __iter__(self) -> Iterator[Any]:
+        rows = self._rows()
+        return _timed(self, rows) if self.state.profiled else rows
 
-    def next(self) -> Any:
-        state = self.state
-        if state.profiled:
-            started = perf_counter()
-            row = self._next()
-            self.elapsed_s += perf_counter() - started
-        else:
-            row = self._next()
-        if row is not None:
-            self.rows_out += 1
-            state.charge()
-        return row
-
-    def close(self) -> None:
-        self._close()
-        for child in self.children:
-            child.close()
-
-    def _open(self) -> None:  # pragma: no cover - trivial default
-        pass
-
-    def _next(self) -> Any:
+    def _rows(self) -> Iterator[Any]:
         raise NotImplementedError
 
-    def _close(self) -> None:  # pragma: no cover - trivial default
-        pass
+
+def _timed(op: PhysicalOperator, rows: Iterator[Any]) -> Iterator[Any]:
+    """PROFILE only: add the time of every resume of ``rows`` to ``op``."""
+    started = perf_counter()
+    for row in rows:
+        op.elapsed_s += perf_counter() - started
+        yield row
+        started = perf_counter()
+    op.elapsed_s += perf_counter() - started
 
 
 # ---------------------------------------------------------------------------
@@ -203,35 +185,26 @@ class Init(PhysicalOperator):
 
     name = "Init"
 
-    def _open(self) -> None:
-        self._done = False
-
-    def _next(self) -> Optional[Row]:
-        if self._done:
-            return None
-        self._done = True
-        return {}
+    def _rows(self) -> Iterator[Row]:
+        self.rows_out += 1
+        self.state.charge()
+        yield {}
 
 
 class RowSource(PhysicalOperator):
     """Single-row leaf an :class:`OptionalMatch` feeds its sub-pipeline from.
 
-    Neo4j calls this ``Argument``: the operator yields exactly the one row
-    ``set()`` planted since the last ``open()``.
+    Neo4j calls this ``Argument``: each run yields exactly the one ``row``
+    the :class:`OptionalMatch` planted before starting it.
     """
 
     name = "Argument"
+    row: Optional[Row] = None
 
-    def _open(self) -> None:
-        self._item: Optional[Row] = None
-
-    def set(self, row: Row) -> None:
-        self._item = row
-
-    def _next(self) -> Optional[Row]:
-        item = self._item
-        self._item = None
-        return item
+    def _rows(self) -> Iterator[Row]:
+        self.rows_out += 1
+        self.state.charge()
+        yield self.row
 
 
 # ---------------------------------------------------------------------------
@@ -273,34 +246,23 @@ class AnchorScan(PhysicalOperator):
         self.name = name
         self.detail = detail
 
-    def _open(self) -> None:
-        self._src: Optional[Iterator[Node]] = None
-        self._row: Optional[Row] = None
-        self._used: frozenset = frozenset()
-
-    def _next(self) -> Any:
-        ctx = self.ctx
-        pattern = self.node_pattern
-        child = self.children[0]
-        while True:
-            src = self._src
-            if src is not None:
-                for node in src:
-                    bound = ctx._bind_node(pattern, node, self._row, self.filters)
-                    if bound is None:
-                        continue
-                    if self.track_path:
-                        return (bound, self._used, node, [node], [])
-                    return (bound, self._used, node, None, None)
-                self._src = None
-            item = child.next()
-            if item is None:
-                return None
-            if self.from_rows:
-                self._row, self._used = item, frozenset()
-            else:
-                self._row, self._used = item
-            self._src = iter(ctx._node_candidates(pattern, self._row, self.anchor))
+    def _rows(self) -> Iterator[Any]:
+        pattern, anchor, filters = self.node_pattern, self.anchor, self.filters
+        candidates = self.ctx._node_candidates
+        bind = self.ctx._bind_node
+        charge = self.state.charge
+        for item in self.children[0]:
+            row, used = (item, _NO_RELS) if self.from_rows else item
+            for node in candidates(pattern, row, anchor):
+                bound = bind(pattern, node, row, filters)
+                if bound is None:
+                    continue
+                self.rows_out += 1
+                charge()
+                if self.track_path:
+                    yield (bound, used, node, [node], [])
+                else:
+                    yield (bound, used, node, None, None)
 
 
 class Expand(PhysicalOperator):
@@ -333,87 +295,78 @@ class Expand(PhysicalOperator):
         self.maintain_used = maintain_used
         self.detail = detail
 
-    def _open(self) -> None:
-        self._steps: Optional[Iterator] = None
-        self._base: Any = None
-
-    def _next(self) -> Any:
+    def _rows(self) -> Iterator[Any]:
         ctx = self.ctx
-        rel_pattern = self.rel_pattern
-        node_pattern = self.node_pattern
-        filters = self.filters
-        child = self.children[0]
-        while True:
-            steps = self._steps
-            if steps is not None:
-                row, used, current, nodes, rels = self._base
-                for step_rels, end_node in steps:
-                    if self.maintain_used:
-                        new_used = used | {rel.rel_id for rel in step_rels}
-                    else:
-                        new_used = used
-                    if rel_pattern.variable is not None:
-                        bound_value: Any = (
-                            list(step_rels) if rel_pattern.var_length else step_rels[0]
-                        )
-                        if rel_pattern.variable in row:
-                            if not _same_rel_binding(row[rel_pattern.variable], bound_value):
-                                continue
-                            rel_row = row
-                        else:
-                            if (
-                                filters
-                                and not rel_pattern.var_length
-                                and not ctx._passes_filters(
-                                    step_rels[0].properties,
-                                    filters.get(rel_pattern.variable),
-                                )
-                            ):
-                                continue
-                            rel_row = dict(row)
-                            rel_row[rel_pattern.variable] = bound_value
-                    else:
-                        rel_row = row
-                    end_row = ctx._bind_node(node_pattern, end_node, rel_row, filters)
-                    if end_row is None:
+        rel_pattern, node_pattern, filters = self.rel_pattern, self.node_pattern, self.filters
+        variable = rel_pattern.variable
+        rel_filters = filters.get(variable) if filters and variable is not None else None
+        maintain_used = self.maintain_used
+        expand = ctx._expand_single
+        bind = ctx._bind_node
+        charge = self.state.charge
+        for row, used, current, nodes, rels in self.children[0]:
+            for rel, end_node in expand(rel_pattern, current, row, used):
+                if variable is None:
+                    rel_row = row
+                elif variable in row:
+                    if not _same_rel_binding(row[variable], rel):
                         continue
-                    if nodes is None:
-                        next_nodes = None
-                        next_rels = None
-                    elif rel_pattern.var_length:
-                        # Include intermediate nodes so bound paths are complete.
-                        step_nodes = []
-                        cursor = current
-                        for rel in step_rels:
-                            cursor = ctx.store.node(rel.other_end(cursor.node_id))
-                            step_nodes.append(cursor)
-                        if not step_rels:
-                            step_nodes = []
-                        next_nodes = nodes + step_nodes
-                        if not step_rels and end_node.node_id != current.node_id:
-                            next_nodes = nodes + [end_node]
-                        next_rels = rels + list(step_rels)
-                    else:
-                        next_nodes = nodes + [end_node]
-                        next_rels = rels + list(step_rels)
-                    return (end_row, new_used, end_node, next_nodes, next_rels)
-                self._steps = None
-                continue
-            item = child.next()
-            if item is None:
-                return None
-            self._base = item
-            row, used, current, _nodes, _rels = item
-            if rel_pattern.var_length:
-                self._steps = ctx._expand_var_length(rel_pattern, current, row, used)
-            else:
-                self._steps = iter(ctx._expand_single(rel_pattern, current, row, used))
+                    rel_row = row
+                else:
+                    if rel_filters and not ctx._passes_filters(rel.properties, rel_filters):
+                        continue
+                    rel_row = dict(row)
+                    rel_row[variable] = rel
+                end_row = bind(node_pattern, end_node, rel_row, filters)
+                if end_row is None:
+                    continue
+                self.rows_out += 1
+                charge()
+                yield (
+                    end_row,
+                    used | {rel.rel_id} if maintain_used else used,
+                    end_node,
+                    None if nodes is None else nodes + [end_node],
+                    None if nodes is None else rels + [rel],
+                )
 
 
 class VarLengthExpand(Expand):
-    """Variable-length hop (``-[*m..n]->``); shares :class:`Expand`'s body."""
+    """Variable-length hop (``-[*m..n]->``): binds the relationship list."""
 
     name = "VarLengthExpand"
+
+    def _rows(self) -> Iterator[Any]:
+        ctx = self.ctx
+        rel_pattern, node_pattern, filters = self.rel_pattern, self.node_pattern, self.filters
+        variable = rel_pattern.variable
+        charge = self.state.charge
+        for row, used, current, nodes, rels in self.children[0]:
+            for step_rels, end_node in ctx._expand_var_length(rel_pattern, current, row, used):
+                if variable is None:
+                    rel_row = row
+                elif variable in row:
+                    if not _same_rel_binding(row[variable], list(step_rels)):
+                        continue
+                    rel_row = row
+                else:
+                    rel_row = dict(row)
+                    rel_row[variable] = list(step_rels)
+                end_row = ctx._bind_node(node_pattern, end_node, rel_row, filters)
+                if end_row is None:
+                    continue
+                if self.maintain_used:
+                    new_used = used | {rel.rel_id for rel in step_rels}
+                else:
+                    new_used = used
+                self.rows_out += 1
+                charge()
+                if nodes is None:
+                    yield (end_row, new_used, end_node, None, None)
+                else:
+                    yield (end_row, new_used, end_node) + ctx._var_length_path(
+                        nodes, rels, current, step_rels
+                    )
 
 
 class ShortestPath(PhysicalOperator):
@@ -440,24 +393,16 @@ class ShortestPath(PhysicalOperator):
         self.emit_row = emit_row
         self.detail = detail
 
-    def _open(self) -> None:
-        self._gen: Optional[Iterator] = None
-
-    def _next(self) -> Any:
-        child = self.children[0]
-        while True:
-            gen = self._gen
-            if gen is not None:
-                for matched, used_after in gen:
-                    if self.emit_row:
-                        return matched
-                    return (matched, used_after)
-                self._gen = None
-            item = child.next()
-            if item is None:
-                return None
-            row, used = (item, frozenset()) if self.from_rows else item
-            self._gen = iter(self.ctx._match_shortest(self.part, row, used, self.filters))
+    def _rows(self) -> Iterator[Any]:
+        charge = self.state.charge
+        for item in self.children[0]:
+            row, used = (item, _NO_RELS) if self.from_rows else item
+            for matched, used_after in self.ctx._match_shortest(
+                self.part, row, used, self.filters
+            ):
+                self.rows_out += 1
+                charge()
+                yield matched if self.emit_row else (matched, used_after)
 
 
 class PartEmit(PhysicalOperator):
@@ -486,20 +431,19 @@ class PartEmit(PhysicalOperator):
         self.emit_row = emit_row
         self.detail = detail
 
-    def _next(self) -> Any:
-        item = self.children[0].next()
-        if item is None:
-            return None
-        row, used, _node, nodes, rels = item
+    def _rows(self) -> Iterator[Any]:
         path_variable = self.part.path_variable
-        if path_variable is not None:
-            path_nodes = list(reversed(nodes)) if self.reversed_part else nodes
-            path_rels = list(reversed(rels)) if self.reversed_part else rels
-            row = dict(row)
-            row[path_variable] = Path(path_nodes, path_rels)
-        if self.emit_row:
-            return row
-        return (row, used)
+        emit_row = self.emit_row
+        charge = self.state.charge
+        for row, used, _node, nodes, rels in self.children[0]:
+            if path_variable is not None:
+                path_nodes = list(reversed(nodes)) if self.reversed_part else nodes
+                path_rels = list(reversed(rels)) if self.reversed_part else rels
+                row = dict(row)
+                row[path_variable] = Path(path_nodes, path_rels)
+            self.rows_out += 1
+            charge()
+            yield row if emit_row else (row, used)
 
 
 class PartMatch(PhysicalOperator):
@@ -534,31 +478,17 @@ class PartMatch(PhysicalOperator):
         self.emit_row = emit_row
         self.detail = detail
 
-    def _open(self) -> None:
-        self._pending: Optional[list] = None
-        self._index = 0
-
-    def _next(self) -> Any:
-        child = self.children[0]
-        while True:
-            pending = self._pending
-            if pending is not None:
-                i = self._index
-                if i < len(pending):
-                    self._index = i + 1
-                    row, used = pending[i]
-                    if self.emit_row:
-                        return row
-                    return (row, used)
-                self._pending = None
-            item = child.next()
-            if item is None:
-                return None
-            row, used = (item, frozenset()) if self.from_rows else item
-            self._pending = list(
-                self.ctx._match_part(self.part, row, used, update_used=self.update_used)
-            )
-            self._index = 0
+    def _rows(self) -> Iterator[Any]:
+        charge = self.state.charge
+        for item in self.children[0]:
+            row, used = (item, _NO_RELS) if self.from_rows else item
+            # _match_part returns the row's whole fan-out as a list.
+            for matched, used_after in self.ctx._match_part(
+                self.part, row, used, update_used=self.update_used
+            ):
+                self.rows_out += 1
+                charge()
+                yield matched if self.emit_row else (matched, used_after)
 
 
 class OptionalMatch(PhysicalOperator):
@@ -566,7 +496,7 @@ class OptionalMatch(PhysicalOperator):
 
     The sub-pipeline (parts + residual WHERE) hangs off a
     :class:`RowSource` leaf; for each upstream row the operator plants the
-    row, re-opens the sub-tree and streams its matches.  When a row
+    row, runs the sub-tree afresh and streams its matches.  When a row
     produces none, it is emitted once padded with nulls for every
     variable the pattern could have bound.
     """
@@ -588,34 +518,23 @@ class OptionalMatch(PhysicalOperator):
         self.new_variables = new_variables
         self.detail = detail
 
-    def _open(self) -> None:
-        self._current: Optional[Row] = None
-        self._matched = False
-        self._active = False
-
-    def _next(self) -> Optional[Row]:
-        child = self.children[0]
-        while True:
-            if self._active:
-                out = self.subroot.next()
-                if out is not None:
-                    self._matched = True
-                    return out
-                self._active = False
-                if not self._matched:
-                    padded = dict(self._current)
-                    for name in self.new_variables:
-                        padded.setdefault(name, None)
-                    return padded
-                continue
-            row = child.next()
-            if row is None:
-                return None
-            self._current = row
-            self._matched = False
-            self._active = True
-            self.subroot.open()
-            self.source.set(row)
+    def _rows(self) -> Iterator[Row]:
+        charge = self.state.charge
+        for row in self.children[0]:
+            self.source.row = row
+            matched = False
+            for out in self.subroot:
+                matched = True
+                self.rows_out += 1
+                charge()
+                yield out
+            if not matched:
+                padded = dict(row)
+                for name in self.new_variables:
+                    padded.setdefault(name, None)
+                self.rows_out += 1
+                charge()
+                yield padded
 
 
 class Filter(PhysicalOperator):
@@ -643,18 +562,17 @@ class Filter(PhysicalOperator):
         self.pairs_in = pairs_in
         self.detail = detail
 
-    def _next(self) -> Optional[Row]:
-        child = self.children[0]
+    def _rows(self) -> Iterator[Row]:
         pairs = self.pairs_in
         evaluate = self.ctx.evaluator.evaluate
         predicate = self.predicate
-        while True:
-            item = child.next()
-            if item is None:
-                return None
+        charge = self.state.charge
+        for item in self.children[0]:
             row = item[0] if pairs else item
             if is_truthy(evaluate(predicate, row)) is True:
-                return row
+                self.rows_out += 1
+                charge()
+                yield row
 
 
 class Unwind(PhysicalOperator):
@@ -668,35 +586,20 @@ class Unwind(PhysicalOperator):
         self.clause = clause
         self.detail = clause.variable
 
-    def _open(self) -> None:
-        self._items: Optional[list] = None
-        self._row: Optional[Row] = None
-        self._index = 0
-
-    def _next(self) -> Optional[Row]:
-        child = self.children[0]
-        clause = self.clause
-        while True:
-            items = self._items
-            if items is not None:
-                i = self._index
-                if i < len(items):
-                    self._index = i + 1
-                    new_row = dict(self._row)
-                    new_row[clause.variable] = items[i]
-                    return new_row
-                self._items = None
-            row = child.next()
-            if row is None:
-                return None
-            value = self.ctx.evaluator.evaluate(clause.expression, row)
+    def _rows(self) -> Iterator[Row]:
+        expression, variable = self.clause.expression, self.clause.variable
+        evaluate = self.ctx.evaluator.evaluate
+        charge = self.state.charge
+        for row in self.children[0]:
+            value = evaluate(expression, row)
             if value is None:
                 continue
-            if not isinstance(value, list):
-                value = [value]
-            self._row = row
-            self._items = value
-            self._index = 0
+            for element in value if isinstance(value, list) else (value,):
+                new_row = dict(row)
+                new_row[variable] = element
+                self.rows_out += 1
+                charge()
+                yield new_row
 
 
 # ---------------------------------------------------------------------------
@@ -748,12 +651,15 @@ class Project(PhysicalOperator):
         self.aggregated = False
         self.detail = ", ".join(keys)
 
-    def _next(self) -> Any:
-        row = self.children[0].next()
-        if row is None:
-            return None
+    def _rows(self) -> Iterator[Any]:
         evaluate = self.ctx.evaluator.evaluate
-        return ([evaluate(item.expression, row) for item in self.items], [row])
+        expressions = [item.expression for item in self.items]
+        charge = self.state.charge
+        for row in self.children[0]:
+            entry = ([evaluate(expression, row) for expression in expressions], [row])
+            self.rows_out += 1
+            charge()
+            yield entry
 
 
 class Aggregate(PhysicalOperator):
@@ -783,22 +689,13 @@ class Aggregate(PhysicalOperator):
         self.aggregated = True
         self.detail = ", ".join(keys)
 
-    def _open(self) -> None:
-        child = self.children[0]
-        rows: list[Row] = []
-        while (row := child.next()) is not None:
-            rows.append(row)
-        self._produced = _project_grouped(
-            self.ctx, rows, self.items, self.grouping_indices
-        )
-        self._index = 0
-
-    def _next(self) -> Any:
-        i = self._index
-        if i >= len(self._produced):
-            return None
-        self._index = i + 1
-        return self._produced[i]
+    def _rows(self) -> Iterator[Any]:
+        rows = list(self.children[0])
+        charge = self.state.charge
+        for entry in _project_grouped(self.ctx, rows, self.items, self.grouping_indices):
+            self.rows_out += 1
+            charge()
+            yield entry
 
 
 class Distinct(PhysicalOperator):
@@ -806,21 +703,17 @@ class Distinct(PhysicalOperator):
 
     name = "Distinct"
 
-    def _open(self) -> None:
-        self._seen: set = set()
-
-    def _next(self) -> Any:
-        child = self.children[0]
-        seen = self._seen
-        while True:
-            entry = child.next()
-            if entry is None:
-                return None
-            frozen = _freeze(entry[0])
+    def _rows(self) -> Iterator[Any]:
+        seen: set = set()
+        charge = self.state.charge
+        for entry in self.children[0]:
+            frozen = tuple(map(_freeze, entry[0]))
             if frozen in seen:
                 continue
             seen.add(frozen)
-            return entry
+            self.rows_out += 1
+            charge()
+            yield entry
 
 
 class Sort(PhysicalOperator):
@@ -851,31 +744,22 @@ class Sort(PhysicalOperator):
         self.name = "TopK" if top is not None else "Sort"
         self.detail = f"{len(order_by)} keys" + (f", top {top}" if top is not None else "")
 
-    def _open(self) -> None:
-        self._buffer: Optional[list] = None
-        self._index = 0
-
-    def _next(self) -> Any:
-        if self._buffer is None:
-            child = self.children[0]
-            entries = []
-            while (entry := child.next()) is not None:
-                entries.append(entry)
-            projection = self.projection
-            self._buffer = _order(
-                self.ctx,
-                entries,
-                self.order_by,
-                projection.items,
-                projection.keys,
-                projection.aggregated,
-                self.top,
-            )
-        i = self._index
-        if i >= len(self._buffer):
-            return None
-        self._index = i + 1
-        return self._buffer[i]
+    def _rows(self) -> Iterator[Any]:
+        entries = list(self.children[0])
+        projection = self.projection
+        charge = self.state.charge
+        for entry in _order(
+            self.ctx,
+            entries,
+            self.order_by,
+            projection.items,
+            projection.keys,
+            projection.aggregated,
+            self.top,
+        ):
+            self.rows_out += 1
+            charge()
+            yield entry
 
 
 class Skip(PhysicalOperator):
@@ -888,17 +772,16 @@ class Skip(PhysicalOperator):
         self.count = count
         self.detail = str(count)
 
-    def _open(self) -> None:
-        self._remaining = self.count
-
-    def _next(self) -> Any:
-        child = self.children[0]
-        while self._remaining > 0:
-            self._remaining -= 1
-            if child.next() is None:
-                self._remaining = 0
-                return None
-        return child.next()
+    def _rows(self) -> Iterator[Any]:
+        remaining = self.count
+        charge = self.state.charge
+        for entry in self.children[0]:
+            if remaining:
+                remaining -= 1
+                continue
+            self.rows_out += 1
+            charge()
+            yield entry
 
 
 class Limit(PhysicalOperator):
@@ -907,23 +790,34 @@ class Limit(PhysicalOperator):
 
     name = "Limit"
 
-    def __init__(self, state: RuntimeState, child: PhysicalOperator, count: int) -> None:
+    def __init__(
+        self, state: RuntimeState, child: PhysicalOperator, count: int,
+        exhaustive: bool = False,
+    ) -> None:
         super().__init__(state, (child,))
         self.count = count
         self.detail = str(count)
+        #: set when an updating clause runs below: LIMIT never stops an
+        #: update's side effects, so a LIMIT 0 still pulls its input
+        #: through.  A larger LIMIT pulls at least once, which already runs
+        #: every write barrier below it in full.
+        self.exhaustive = exhaustive
 
-    def _open(self) -> None:
-        self._remaining = self.count
-
-    def _next(self) -> Any:
-        if self._remaining <= 0:
-            return None
-        entry = self.children[0].next()
-        if entry is None:
-            self._remaining = 0
-            return None
-        self._remaining -= 1
-        return entry
+    def _rows(self) -> Iterator[Any]:
+        remaining = self.count
+        if remaining <= 0:
+            if self.exhaustive:
+                for _ in self.children[0]:
+                    pass
+            return
+        charge = self.state.charge
+        for entry in self.children[0]:
+            self.rows_out += 1
+            charge()
+            yield entry
+            remaining -= 1
+            if not remaining:
+                return
 
 
 class AsRows(PhysicalOperator):
@@ -937,11 +831,14 @@ class AsRows(PhysicalOperator):
         super().__init__(state, (child,))
         self.projection = projection
 
-    def _next(self) -> Optional[Row]:
-        entry = self.children[0].next()
-        if entry is None:
-            return None
-        return dict(zip(self.projection.keys, entry[0]))
+    def _rows(self) -> Iterator[Row]:
+        keys = self.projection.keys
+        charge = self.state.charge
+        for values, _env_rows in self.children[0]:
+            row = dict(zip(keys, values))
+            self.rows_out += 1
+            charge()
+            yield row
 
 
 # ---------------------------------------------------------------------------
@@ -958,25 +855,16 @@ class _WriteBarrier(PhysicalOperator):
         self.ctx = ctx
         self.clause = clause
 
-    def _open(self) -> None:
-        self._out: Optional[list[Row]] = None
-        self._index = 0
-
     def apply(self, rows: list[Row]) -> list[Row]:
         raise NotImplementedError
 
-    def _next(self) -> Optional[Row]:
-        if self._out is None:
-            child = self.children[0]
-            rows: list[Row] = []
-            while (row := child.next()) is not None:
-                rows.append(row)
-            self._out = self.apply(rows)
-        i = self._index
-        if i >= len(self._out):
-            return None
-        self._index = i + 1
-        return self._out[i]
+    def _rows(self) -> Iterator[Row]:
+        written = self.apply(list(self.children[0]))
+        charge = self.state.charge
+        for row in written:
+            self.rows_out += 1
+            charge()
+            yield row
 
 
 class Create(_WriteBarrier):
@@ -1042,24 +930,25 @@ class ProduceResults(PhysicalOperator):
     def keys(self) -> list[str]:
         return list(self.projection.keys) if self.projection is not None else []
 
-    def _next(self) -> Optional[list[Any]]:
+    def _rows(self) -> Iterator[list[Any]]:
         child = self.children[0]
         if self.projection is None:
-            while child.next() is not None:
+            for _ in child:
                 pass
-            return None
-        entry = child.next()
-        if entry is None:
-            return None
-        return entry[0]
+            return
+        charge = self.state.charge
+        for values, _env_rows in child:
+            self.rows_out += 1
+            charge()
+            yield values
 
 
 class UnionAppend(PhysicalOperator):
     """UNION / UNION ALL: streams branch after branch, no per-branch copy.
 
-    Branches open lazily in textual order (so branch side effects keep
+    Branches start lazily in textual order (so branch side effects keep
     their sequencing) and their column names are validated as each branch
-    opens.  Plain UNION dedups across branches with the same value-
+    starts.  Plain UNION dedups across branches with the same value-
     freezing the projection DISTINCT uses; first occurrence wins, exactly
     as concatenating full branch results and deduping did.
     """
@@ -1077,46 +966,26 @@ class UnionAppend(PhysicalOperator):
         self.keys: Optional[list[str]] = None
         self.detail = "ALL" if union_all else ""
 
-    def open(self) -> None:
-        # Branches must not open eagerly: a later branch's blocking
-        # operators would otherwise run before an earlier branch streamed.
-        self._current = 0
-        self._opened = [False] * len(self.children)
-        self._seen: set = set()
+    def _rows(self) -> Iterator[list[Any]]:
         self.keys = None
-
-    def _next(self) -> Optional[list[Any]]:
-        while True:
-            i = self._current
-            if i >= len(self.children):
-                return None
-            branch = self.children[i]
-            if not self._opened[i]:
-                branch.open()
-                self._opened[i] = True
-                branch_keys = branch.keys
-                if self.keys is None:
-                    self.keys = branch_keys
-                elif branch_keys != self.keys:
-                    raise CypherSyntaxError(
-                        "all UNION sub-queries must return the same column names"
-                    )
-            values = branch.next()
-            if values is None:
-                self._current = i + 1
-                continue
-            if self.union_all:
-                return values
-            frozen = _freeze(values)
-            if frozen in self._seen:
-                continue
-            self._seen.add(frozen)
-            return values
-
-    def close(self) -> None:
-        for opened, branch in zip(self._opened, self.children):
-            if opened:
-                branch.close()
+        seen: set = set()
+        charge = self.state.charge
+        for branch in self.children:
+            if self.keys is None:
+                self.keys = branch.keys
+            elif branch.keys != self.keys:
+                raise CypherSyntaxError(
+                    "all UNION sub-queries must return the same column names"
+                )
+            for values in branch:
+                if not self.union_all:
+                    frozen = tuple(map(_freeze, values))
+                    if frozen in seen:
+                        continue
+                    seen.add(frozen)
+                self.rows_out += 1
+                charge()
+                yield values
 
 
 # ---------------------------------------------------------------------------
@@ -1195,25 +1064,25 @@ def _project_grouped(
     grouping_indices: list[int],
 ) -> list[tuple[list[Any], list[Row]]]:
     """Group ``rows`` by the non-aggregate items and evaluate aggregates."""
-    groups: dict[Any, tuple[list[Any], list[Row]]] = {}
-    order: list[Any] = []
     evaluate = ctx.evaluator.evaluate
-    for row in rows:
-        group_values = [evaluate(items[i].expression, row) for i in grouping_indices]
-        group_key = _freeze(group_values)
-        if group_key not in groups:
-            groups[group_key] = (group_values, [])
-            order.append(group_key)
-        groups[group_key][1].append(row)
-
-    if not rows and not grouping_indices:
-        # Aggregates over zero rows still produce one row (count(*) = 0).
-        groups[()] = ([], [])
-        order.append(())
+    if grouping_indices:
+        groups: dict[tuple, tuple[list[Any], list[Row]]] = {}
+        expressions = [items[i].expression for i in grouping_indices]
+        for row in rows:
+            group_values = [evaluate(expression, row) for expression in expressions]
+            group_key = tuple(map(_freeze, group_values))
+            group = groups.get(group_key)
+            if group is None:
+                groups[group_key] = (group_values, [row])
+            else:
+                group[1].append(row)
+        grouped: Any = groups.values()  # first-seen group order
+    else:
+        # A global aggregate is one group, even over zero rows (count(*) = 0).
+        grouped = [([], rows)]
 
     produced: list[tuple[list[Any], list[Row]]] = []
-    for group_key in order:
-        group_values, group_rows = groups[group_key]
+    for group_values, group_rows in grouped:
         values: list[Any] = []
         group_iter = iter(group_values)
         for i, item in enumerate(items):
@@ -1333,16 +1202,27 @@ def _tie_break_key(values: list[Any], columns: list[int]) -> tuple:
         return ()
 
 
+#: the one group/dedup key every NaN freezes to
+_NAN_KEY = ("nan",)
+
+
 def _freeze(value: Any) -> Any:
-    """Convert a value into a hashable group/dedup key."""
+    """Convert a value into a hashable group/dedup key.
+
+    Keys follow openCypher equivalence, not equality: NaN is equivalent
+    to NaN (one tagged key, whatever the float object), ``1`` to ``1.0``,
+    but ``true`` is not ``1``.
+    """
     cls = value.__class__
     if cls is str or cls is int or value is None:
         return value
     if cls is bool:
         # Tagged: ``True == 1`` in Python, but ``true <> 1`` in Cypher.
         return ("bool", value)
+    if isinstance(value, float):
+        return _NAN_KEY if value != value else value
     if isinstance(value, list):
-        return ("list", tuple(_freeze(item) for item in value))
+        return ("list", tuple(map(_freeze, value)))
     if isinstance(value, dict):
         return ("map", tuple(sorted((k, _freeze(v)) for k, v in value.items())))
     if isinstance(value, Node):
@@ -1355,8 +1235,6 @@ def _freeze(value: Any) -> Any:
             tuple(n.node_id for n in value.nodes),
             tuple(r.rel_id for r in value.relationships),
         )
-    if isinstance(value, float) and value.is_integer():
-        return float(value)
     return value
 
 

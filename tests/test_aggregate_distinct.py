@@ -189,6 +189,42 @@ class TestDistinctAggregateOracle:
             assert_matches_reference(values)
 
 
+_NAN_QUERIES = [
+    # (query, rows): NaN is equivalent to NaN for DISTINCT, grouping and
+    # UNION, whether or not the NaN values are the same Python object.
+    ("UNWIND [toFloat('NaN'), toFloat('NaN')] AS x RETURN DISTINCT x", 1),
+    ("WITH toFloat('NaN') AS n UNWIND [n, n] AS x RETURN DISTINCT x", 1),
+    ("RETURN toFloat('NaN') AS x UNION RETURN toFloat('NaN') AS x", 1),
+    ("RETURN toFloat('NaN') AS x UNION ALL RETURN toFloat('NaN') AS x", 2),
+    ("UNWIND [[toFloat('NaN'), 1], [toFloat('NaN'), 1], [1, 1]] AS x RETURN DISTINCT x", 2),
+    ("UNWIND [toFloat('NaN'), toFloat('NaN'), 1.5] AS x RETURN x, count(*) AS c", 2),
+    ("UNWIND [{a: toFloat('NaN')}, {a: toFloat('NaN')}] AS x RETURN DISTINCT x", 1),
+]
+
+
+class TestNaNEquivalence:
+    @pytest.mark.parametrize("planner", [True, False], ids=["planned", "unplanned"])
+    @pytest.mark.parametrize("query, rows", _NAN_QUERIES)
+    def test_nan_groups_with_nan(self, query, rows, planner):
+        result = CypherEngine(GraphStore(), planner=planner).run(query)
+        assert len(result) == rows
+
+    def test_nan_group_counts_every_member(self):
+        result = CypherEngine(GraphStore()).run(
+            "UNWIND [toFloat('NaN'), 1.5, toFloat('NaN')] AS x RETURN x, count(*) AS c"
+        )
+        counts = [row["c"] for row in result.to_dicts()]
+        assert counts == [2, 1]
+        assert math.isnan(result.to_dicts()[0]["x"])
+
+    def test_count_distinct_keeps_every_nan(self):
+        # count(DISTINCT) follows equality, where NaN equals nothing.
+        result = CypherEngine(GraphStore()).run(
+            "UNWIND [toFloat('NaN'), toFloat('NaN')] AS x RETURN count(DISTINCT x) AS c"
+        )
+        assert result.single()["c"] == 2
+
+
 _leaves = st.one_of(
     st.none(),
     st.booleans(),

@@ -158,6 +158,45 @@ class TestProjectionEdgeCases:
         assert record["big"] == 2
 
 
+_NODE = Node(3, ["Prefix", "AS"], {"asn": 2497, "name": "IIJ", "w": 0.5})
+_REL = Relationship(9, "ORIGINATE", 3, 4, {"count": 2, "src": ["bgp", None]})
+_PATH = Path(
+    [Node(0, ["N"]), Node(1, ["N"]), Node(2, ["N"])],
+    [Relationship(0, "X", 0, 1), Relationship(1, "X", 2, 1)],
+)
+
+#: (value, rendering) pairs recorded before the exact-class fast path for
+#: ``str``/``int`` went in; the fast path must not change any of them.
+_RENDERINGS = [
+    (None, "null"),
+    (True, "true"),
+    (False, "false"),
+    (0, "0"),
+    (-12, "-12"),
+    (2**70, "1180591620717411303424"),
+    (2.0, "2.0"),
+    (-3.0, "-3.0"),
+    (1e15, "1e+15"),
+    (0.5, "0.5"),
+    (-2.25, "-2.25"),
+    (1e-7, "1e-07"),
+    (float("inf"), "inf"),
+    (float("-inf"), "-inf"),
+    (float("nan"), "nan"),
+    ("", ""),
+    ("x y", "x y"),
+    ([], "[]"),
+    ([1, "a", None, 2.0], "[1, a, null, 2.0]"),
+    ({}, "{}"),
+    ({"b": 1, "a": [True]}, "{a: [true], b: 1}"),
+    (_NODE, "(:AS:Prefix {asn: 2497, name: IIJ, w: 0.5})"),
+    (_REL, "[:ORIGINATE {count: 2, src: [bgp, null]}]"),
+    (_PATH, "<path length=2>"),
+    ([_NODE, [1.0, float("nan")]], "[(:AS:Prefix {asn: 2497, name: IIJ, w: 0.5}), [1.0, nan]]"),
+    ({"k": _REL}, "{k: [:ORIGINATE {count: 2, src: [bgp, null]}]}"),
+]
+
+
 class TestRenderValue:
     def test_scalars(self):
         assert render_value(None) == "null"
@@ -167,6 +206,10 @@ class TestRenderValue:
         assert render_value(0.5) == "0.5"
         assert render_value("x") == "x"
         assert render_value(7) == "7"
+
+    @pytest.mark.parametrize("value, text", _RENDERINGS, ids=repr)
+    def test_rendering_is_unchanged(self, value, text):
+        assert render_value(value) == text
 
     def test_node_and_relationship(self):
         node = Node(1, ["AS"], {"asn": 2497})

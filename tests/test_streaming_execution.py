@@ -30,8 +30,7 @@ from repro.rag.text2cypher_retriever import TextToCypherRetriever
 from repro.serving import Deadline
 
 
-@pytest.fixture()
-def chain_store():
+def build_chain_store():
     """AS chain with ties, nulls and a country fan-in.
 
     20 AS nodes ``asn=1..20``; ``tier`` cycles 0,1,2 (ties for ORDER BY);
@@ -59,6 +58,11 @@ def chain_store():
         store.create_relationship(node.node_id, "COUNTRY", country.node_id)
     store.create_property_index("AS", "asn")
     return store
+
+
+@pytest.fixture()
+def chain_store():
+    return build_chain_store()
 
 
 def both_engines(store):
@@ -176,6 +180,53 @@ class TestEarlyTermination:
         assert len(result) == 0
         assert max_operator_rows(result.profile) <= 1  # only the Init row
 
+    def test_limit_zero_never_pulls_an_aggregate(self, chain_store):
+        # Blocking operators drain their input on the first pull, and
+        # LIMIT 0 never pulls: the scan under the count stays unread.
+        engine = CypherEngine(chain_store)
+        result = engine.execute(
+            "MATCH (a:AS) RETURN count(a) AS n LIMIT 0", profile=True, row_budget=0
+        )
+        assert len(result) == 0
+        assert max_operator_rows(result.profile) == 0
+
+    @pytest.mark.parametrize("planner", [True, False])
+    @pytest.mark.parametrize(
+        "query, created",
+        [
+            ("CREATE (n:T) RETURN count(n) AS c LIMIT 0", 1),
+            ("CREATE (n:T) RETURN n LIMIT 0", 1),
+            ("CREATE (n:T) RETURN n ORDER BY n.x LIMIT 0", 1),
+            ("CREATE (n:T) WITH n LIMIT 0 RETURN n", 1),
+            ("UNWIND [1, 2, 3] AS i CREATE (:T {i: i}) RETURN DISTINCT i LIMIT 0", 3),
+            ("CREATE (n:T) RETURN count(n) AS c SKIP 1 LIMIT 0", 1),
+        ],
+    )
+    def test_limit_zero_still_applies_writes(self, planner, query, created):
+        # LIMIT never stops an updating clause's side effects: a LIMIT 0
+        # above one still pulls its input through.
+        engine = CypherEngine(GraphStore(), planner=planner)
+        assert len(engine.execute(query)) == 0
+        count = engine.execute("MATCH (n:T) RETURN count(n) AS c").single()["c"]
+        assert count == created
+
+    @pytest.mark.parametrize("planner", [True, False])
+    def test_limit_zero_still_deletes(self, planner):
+        engine = CypherEngine(GraphStore(), planner=planner)
+        engine.execute("UNWIND range(1, 3) AS i CREATE (:X {i: i})")
+        engine.execute("MATCH (n:X) DETACH DELETE n RETURN count(*) AS c LIMIT 0")
+        assert engine.execute("MATCH (n:X) RETURN count(n) AS c").single()["c"] == 0
+
+    def test_limit_zero_below_a_write_is_not_exhaustive(self, chain_store):
+        # The write runs above the LIMIT: nothing below needs pulling.
+        engine = CypherEngine(chain_store)
+        result = engine.execute(
+            "MATCH (a:AS) WITH a LIMIT 0 CREATE (:T) RETURN count(*) AS c",
+            profile=True,
+        )
+        assert result.single()["c"] == 0
+        assert max_operator_rows(result.profile) <= 1
+
 
 class TestRowBudget:
     def test_budget_overrun_raises_resource_exhausted(self, chain_store):
@@ -194,6 +245,261 @@ class TestRowBudget:
             engine.execute("MATCH (a:AS) RETURN a.asn", row_budget=5)
         # ... and the engine default stays unbounded for plain calls.
         assert len(engine.run("MATCH (a:AS) RETURN a.asn")) == 20
+
+
+#: Execution contract per query shape: the smallest row budget that passes
+#: with the planner on and off, and the planned PROFILE tree as
+#: ``operator(detail) rows`` lines.  Any change to how operators count or
+#: charge rows shows up here.
+_CONTRACT = {
+    "scan_expand_return": (
+        "MATCH (a:AS)-[:COUNTRY]->(c:Country) RETURN a.asn AS asn, "
+        "c.country_code AS cc",
+        (79, 97),
+        [
+            "ProduceResults(asn, cc) 19",
+            "  Project(asn, cc) 19",
+            "    Match(2 nodes, 1 hops) 19",
+            "      Expand([:COUNTRY]<-) 19",
+            "        LabelScan(:Country) 2",
+            "          Init 1",
+        ],
+    ),
+    "order_by": (
+        "MATCH (a:AS) RETURN a.asn AS asn, a.tier AS tier ORDER BY tier, asn",
+        (101, 101),
+        [
+            "ProduceResults(asn, tier) 20",
+            "  Sort(2 keys) 20",
+            "    Project(asn, tier) 20",
+            "      Match(1 nodes, 0 hops) 20",
+            "        LabelScan(:AS) 20",
+            "          Init 1",
+        ],
+    ),
+    "order_by_limit": (
+        "MATCH (a:AS) RETURN a.asn AS asn ORDER BY a.tier DESC LIMIT 4",
+        (73, 73),
+        [
+            "ProduceResults(asn) 4",
+            "  Limit(4) 4",
+            "    TopK(1 keys, top 4) 4",
+            "      Project(asn) 20",
+            "        Match(1 nodes, 0 hops) 20",
+            "          LabelScan(:AS) 20",
+            "            Init 1",
+        ],
+    ),
+    "skip": (
+        "MATCH (a:AS) RETURN a.asn AS asn SKIP 15",
+        (71, 71),
+        [
+            "ProduceResults(asn) 5",
+            "  Skip(15) 5",
+            "    Project(asn) 20",
+            "      Match(1 nodes, 0 hops) 20",
+            "        LabelScan(:AS) 20",
+            "          Init 1",
+        ],
+    ),
+    "global_aggregate": (
+        "MATCH (a:AS) RETURN count(a) AS n, max(a.tier) AS top",
+        (43, 43),
+        [
+            "ProduceResults(n, top) 1",
+            "  Aggregate(n, top) 1",
+            "    Match(1 nodes, 0 hops) 20",
+            "      LabelScan(:AS) 20",
+            "        Init 1",
+        ],
+    ),
+    "grouped_aggregate": (
+        "MATCH (a:AS)-[:COUNTRY]->(c:Country) RETURN c.country_code AS cc, "
+        "count(a) AS n",
+        (45, 63),
+        [
+            "ProduceResults(cc, n) 2",
+            "  Aggregate(cc, n) 2",
+            "    Match(2 nodes, 1 hops) 19",
+            "      Expand([:COUNTRY]<-) 19",
+            "        LabelScan(:Country) 2",
+            "          Init 1",
+        ],
+    ),
+    "distinct": (
+        "MATCH (a:AS) RETURN DISTINCT a.tier AS tier",
+        (69, 69),
+        [
+            "ProduceResults(tier) 4",
+            "  Distinct 4",
+            "    Project(tier) 20",
+            "      Match(1 nodes, 0 hops) 20",
+            "        LabelScan(:AS) 20",
+            "          Init 1",
+        ],
+    ),
+    "optional_match": (
+        "MATCH (a:AS) WHERE a.asn >= 11 AND a.asn <= 14 OPTIONAL MATCH "
+        "(a)-[:COUNTRY]->(c:Country) RETURN a.asn AS asn, c.country_code AS cc",
+        (39, 71),
+        [
+            "ProduceResults(asn, cc) 4",
+            "  Project(asn, cc) 4",
+            "    OptionalMatch 4",
+            "      Filter(WHERE) 4",
+            "        Match(1 nodes, 0 hops) 4",
+            "          LabelScan(:AS) 4",
+            "            Init 1",
+            "      Match(2 nodes, 1 hops) 3",
+            "        Expand([:COUNTRY]->) 3",
+            "          BoundAnchor(a) 4",
+            "            Argument 4",
+        ],
+    ),
+    "union": (
+        "MATCH (a:AS) WHERE a.asn <= 3 RETURN a.asn AS n UNION MATCH (a:AS) "
+        "WHERE a.asn >= 2 AND a.asn <= 4 RETURN a.asn AS n",
+        (36, 104),
+        [
+            "Union 4",
+            "  ProduceResults(n) 3",
+            "    Project(n) 3",
+            "      Filter(WHERE) 3",
+            "        Match(1 nodes, 0 hops) 3",
+            "          LabelScan(:AS) 3",
+            "            Init 1",
+            "  ProduceResults(n) 3",
+            "    Project(n) 3",
+            "      Filter(WHERE) 3",
+            "        Match(1 nodes, 0 hops) 3",
+            "          LabelScan(:AS) 3",
+            "            Init 1",
+        ],
+    ),
+    "union_all": (
+        "MATCH (a:AS) WHERE a.asn <= 3 RETURN a.asn AS n UNION ALL MATCH (a:AS) "
+        "WHERE a.asn <= 2 RETURN a.asn AS n",
+        (32, 102),
+        [
+            "Union(ALL) 5",
+            "  ProduceResults(n) 3",
+            "    Project(n) 3",
+            "      Filter(WHERE) 3",
+            "        Match(1 nodes, 0 hops) 3",
+            "          LabelScan(:AS) 3",
+            "            Init 1",
+            "  ProduceResults(n) 2",
+            "    Project(n) 2",
+            "      Filter(WHERE) 2",
+            "        Match(1 nodes, 0 hops) 2",
+            "          LabelScan(:AS) 2",
+            "            Init 1",
+        ],
+    ),
+    "with_where": (
+        "MATCH (a:AS)-[:COUNTRY]->(c:Country) WITH c, count(a) AS n WHERE n > 9 "
+        "RETURN c.country_code AS cc, n",
+        (48, 66),
+        [
+            "ProduceResults(cc, n) 1",
+            "  Project(cc, n) 1",
+            "    Filter(WHERE) 1",
+            "      Rows 2",
+            "        Aggregate(c, n) 2",
+            "          Match(2 nodes, 1 hops) 19",
+            "            Expand([:COUNTRY]<-) 19",
+            "              LabelScan(:Country) 2",
+            "                Init 1",
+        ],
+    ),
+    "unwind": (
+        "UNWIND [1, 2, 3] AS x MATCH (a:AS {asn: x})-[:DEPENDS_ON]->(b:AS) "
+        "RETURN x, b.asn AS b",
+        (19, 19),
+        [
+            "ProduceResults(x, b) 3",
+            "  Project(x, b) 3",
+            "    Match(2 nodes, 1 hops) 3",
+            "      Expand([:DEPENDS_ON]->) 3",
+            "        LabelScan(:AS) 3",
+            "          Unwind(x) 3",
+            "            Init 1",
+        ],
+    ),
+    "var_length": (
+        "MATCH (a:AS {asn: 1})-[:DEPENDS_ON*1..4]->(b:AS) RETURN b.asn AS asn",
+        (18, 18),
+        [
+            "ProduceResults(asn) 4",
+            "  Project(asn) 4",
+            "    Match(2 nodes, 4 hops) 4",
+            "      VarLengthExpand([:DEPENDS_ON]->) 4",
+            "        HashLookup(:AS.asn) 1",
+            "          Init 1",
+        ],
+    ),
+    "shortest_path": (
+        "MATCH (a:AS {asn: 2}), (b:AS {asn: 6}) MATCH p = "
+        "shortestPath((a)-[:DEPENDS_ON*]->(b)) RETURN length(p) AS hops",
+        (8, 8),
+        [
+            "ProduceResults(hops) 1",
+            "  Project(hops) 1",
+            "    ShortestPath(shortestPath) 1",
+            "      Match(1 nodes, 0 hops) 1",
+            "        HashLookup(:AS.asn) 1",
+            "          Match(1 nodes, 0 hops) 1",
+            "            HashLookup(:AS.asn) 1",
+            "              Init 1",
+        ],
+    ),
+    "create": (
+        "MATCH (a:AS) WHERE a.asn <= 2 CREATE (a)-[:TAGGED]->(t:Tag {asn: "
+        "a.asn}) RETURN t.asn AS asn",
+        (13, 49),
+        [
+            "ProduceResults(asn) 2",
+            "  Project(asn) 2",
+            "    Create 2",
+            "      Filter(WHERE) 2",
+            "        Match(1 nodes, 0 hops) 2",
+            "          LabelScan(:AS) 2",
+            "            Init 1",
+        ],
+    ),
+}
+
+
+def _profile_lines(profile, depth=0):
+    label = profile["operator"]
+    if profile["detail"]:
+        label += f"({profile['detail']})"
+    lines = [f"{'  ' * depth}{label} {profile['rows']}"]
+    for child in profile.get("children", ()):
+        lines.extend(_profile_lines(child, depth + 1))
+    return lines
+
+
+class TestExecutionContract:
+    """Row budgets and PROFILE trees pinned per shape (fresh store per run,
+    so the CREATE shape starts from the same graph every time)."""
+
+    @pytest.mark.parametrize("shape", sorted(_CONTRACT))
+    @pytest.mark.parametrize("planner", [True, False], ids=["planned", "unplanned"])
+    def test_smallest_passing_row_budget(self, shape, planner):
+        query, budgets, _ = _CONTRACT[shape]
+        budget = budgets[0] if planner else budgets[1]
+        CypherEngine(build_chain_store(), planner=planner).execute(query, row_budget=budget)
+        with pytest.raises(ResourceExhausted):
+            CypherEngine(build_chain_store(), planner=planner).execute(
+                query, row_budget=budget - 1
+            )
+
+    @pytest.mark.parametrize("shape", sorted(_CONTRACT))
+    def test_profile_tree(self, shape):
+        query, _, expected = _CONTRACT[shape]
+        result = CypherEngine(build_chain_store()).execute(query, profile=True)
+        assert _profile_lines(result.profile) == expected
 
 
 class _SteppingClock:
@@ -305,6 +611,20 @@ class TestProfileTree:
             assert node["rows"] >= 0
             assert node["time_ms"] >= 0.0
             assert node["self_time_ms"] >= 0.0
+
+    def test_profile_times_are_positive_and_inclusive(self, chain_store):
+        engine = CypherEngine(chain_store)
+        result = engine.execute(
+            "MATCH (a:AS) RETURN a.asn AS asn ORDER BY a.tier DESC, asn", profile=True
+        )
+        nodes = list(_walk(result.profile))
+        assert [n["operator"] for n in nodes] == [
+            "ProduceResults", "Sort", "Project", "Match", "LabelScan", "Init",
+        ]
+        for node in nodes:
+            assert node["rows"] > 0 and node["time_ms"] > 0.0, node["operator"]
+            for child in node.get("children", ()):
+                assert node["time_ms"] >= child["time_ms"], (node["operator"], child["operator"])
 
     def test_planned_anchor_names_access_path(self, chain_store):
         engine = CypherEngine(chain_store)
