@@ -5,11 +5,11 @@ nearest graph-node descriptions.  Robust — it always says *something*
 related — but without executing queries it cannot produce the precise
 values (counts, percentages, ranks) most IYP questions ask for.
 
-Since the staged-pipeline refactor this baseline is no longer a bespoke
-code path: it is the standard :class:`~repro.rag.RetrieverQueryEngine`
-running under the :class:`~repro.rag.routing.VectorOnlyPolicy` route —
-the same kernel, observers and synthesis the full system uses, minus the
-symbolic stage.
+This baseline is not a bespoke code path: it is the standard
+:class:`~repro.rag.RetrieverQueryEngine` built without a text-to-Cypher
+retriever, which routes every question to vector retrieval — the same
+kernel, observers and synthesis the full system uses, minus the symbolic
+stage.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from ..iyp.loader import load_dataset
 from ..llm.simulated import SimulatedLLM
 from ..nlp.entities import Gazetteer
 from ..rag.pipeline import RetrieverQueryEngine
-from ..rag.routing import VectorOnlyPolicy
 from ..rag.synthesizer import ResponseSynthesizer
 from ..rag.vector_retriever import VectorContextRetriever
 
@@ -60,7 +59,6 @@ class VectorOnlyBaseline:
             text2cypher=None,
             vector=self.retriever,
             synthesizer=self.synthesizer,
-            routing_policy=VectorOnlyPolicy(),
         )
 
     @property

@@ -41,12 +41,11 @@ __all__ = [
     "InvariantChecker",
 ]
 
-#: every graceful-degradation marker a stage or routing policy may emit
+#: every graceful-degradation marker a pipeline stage may emit
 DEGRADED_MARKERS = frozenset(
     {
         "symbolic_skipped_deadline",
         "symbolic_skipped_breaker_open",
-        "hybrid_semantic_skipped_deadline",
         "rerank_skipped_deadline",
         "synthesis_partial_deadline",
     }

@@ -27,7 +27,6 @@ from ..parallel import singleflight as _singleflight
 from ..rag.observer import MetricsRegistry, PipelineObserver
 from ..rag.pipeline import PipelineResponse, RetrieverQueryEngine
 from ..rag.reranker import LLMReranker
-from ..rag.routing import make_routing_policy
 from ..rag.synthesizer import ResponseSynthesizer
 from ..rag.text2cypher_retriever import TextToCypherRetriever
 from ..rag.vector_retriever import VectorContextRetriever
@@ -128,9 +127,7 @@ class ChatIYP:
             row_budget=self.config.cypher_row_budget,
         )
         vector = None
-        # Non-default routing policies consult the vector retriever even
-        # when the symbolic-first fallback is switched off.
-        if self.config.use_vector_fallback or self.config.routing_policy != "symbolic-first":
+        if self.config.use_vector_fallback:
             vector = VectorContextRetriever(
                 self.store, top_k=self.config.vector_top_k
             )
@@ -187,9 +184,6 @@ class ChatIYP:
             vector=vector,
             reranker=reranker,
             synthesizer=synthesizer,
-            vector_fallback=self.config.use_vector_fallback,
-            sparse_row_threshold=self.config.sparse_row_threshold,
-            routing_policy=make_routing_policy(self.config.routing_policy),
             observers=[self.metrics, *(observers or [])],
             breaker=self.breaker,
             retry_policy=retry_policy,

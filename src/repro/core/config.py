@@ -27,11 +27,6 @@ class ChatIYPConfig:
     # questions (the poster's stated future-work direction). Off by default
     # so the baseline reproduces the published system.
     use_decomposition: bool = False
-    sparse_row_threshold: int = 0
-    # Routing policy of the staged pipeline: "symbolic-first" (the paper's
-    # Figure-1 behaviour), "vector-only", or "hybrid-merge" (run both
-    # retrievers and let the reranker arbitrate the merged candidates).
-    routing_policy: str = "symbolic-first"
     embedding_dim: int = 256
     # Error-model calibration of the simulated text-to-Cypher backbone.
     error_base: float = 0.28

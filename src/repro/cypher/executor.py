@@ -360,8 +360,9 @@ class CypherEngine:
         direction = "right-to-left" if reverse else "left-to-right"
         access = "AllNodesScan"
         if anchor.labels and anchor.properties:
-            key = anchor.properties[0][0]
-            access = f"PropertyLookup(:{anchor.labels[0]}.{key})"
+            key, _ = _pick_lookup_property(self.store, anchor)
+            label = _pick_lookup_label(self.store, anchor, key)
+            access = f"PropertyLookup(:{label}.{key})"
         elif anchor.labels:
             access = f"LabelScan(:{anchor.labels[0]})"
         hops = part.hop_count
@@ -1048,32 +1049,15 @@ class _ExecutionContext:
         # Unplanned path: property-equality lookup when available, preferring
         # a (label, key) pair that actually has a property index.
         if node_pattern.labels and node_pattern.properties:
-            key, expr = self._pick_lookup_property(node_pattern)
+            key, expr = _pick_lookup_property(self.store, node_pattern)
             value = self.evaluator.evaluate(expr, row)
-            label = self._pick_lookup_label(node_pattern, key)
+            label = _pick_lookup_label(self.store, node_pattern, key)
             yield from self.store.nodes_by_property(label, key, value)
             return
         if node_pattern.labels:
             yield from self.store.nodes_by_label(node_pattern.labels[0])
             return
         yield from self.store.all_nodes()
-
-    def _pick_lookup_property(
-        self, node_pattern: ast.NodePattern
-    ) -> tuple[str, ast.Expr]:
-        """The inline property to look up by: an indexed one when possible."""
-        for key, expr in node_pattern.properties:
-            for label in node_pattern.labels:
-                if self.store.has_property_index(label, key):
-                    return key, expr
-        return node_pattern.properties[0]
-
-    def _pick_lookup_label(self, node_pattern: ast.NodePattern, key: str) -> str:
-        """The label to pair with ``key`` (the indexed one when possible)."""
-        for label in node_pattern.labels:
-            if self.store.has_property_index(label, key):
-                return label
-        return node_pattern.labels[0]
 
     def _bind_node(
         self,
@@ -1709,6 +1693,25 @@ def _store_write(write: Any, *args: Any) -> Any:
         return write(*args)
     except TypeError as exc:
         raise CypherTypeError(str(exc)) from None
+
+
+def _pick_lookup_property(
+    store: GraphStore, node_pattern: ast.NodePattern
+) -> tuple[str, ast.Expr]:
+    """The inline property to look up by: an indexed one when possible."""
+    for key, expr in node_pattern.properties:
+        for label in node_pattern.labels:
+            if store.has_property_index(label, key):
+                return key, expr
+    return node_pattern.properties[0]
+
+
+def _pick_lookup_label(store: GraphStore, node_pattern: ast.NodePattern, key: str) -> str:
+    """The label to pair with ``key`` (the indexed one when possible)."""
+    for label in node_pattern.labels:
+        if store.has_property_index(label, key):
+            return label
+    return node_pattern.labels[0]
 
 
 def _node_selectivity(node_pattern: ast.NodePattern, row: Row) -> int:

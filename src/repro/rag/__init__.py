@@ -1,4 +1,12 @@
-"""Mini retrieval-augmented-generation framework (LlamaIndex substitute)."""
+"""Mini retrieval-augmented-generation framework (LlamaIndex substitute).
+
+:class:`RetrieverQueryEngine` runs the paper's Figure-1 flow as four
+stages: text-to-Cypher retrieval, routing, reranking and synthesis.  The
+route follows from the retrievers the engine is built with: symbolic rows
+when the generated query returned some, vector retrieval otherwise (when a
+vector retriever is given), and vector retrieval only when there is no
+text-to-Cypher retriever.
+"""
 
 from .decompose import DecomposingQueryEngine, DecompositionPlan, QuestionDecomposer
 from .describe import DESCRIBED_LABELS, build_description_corpus, describe_node
@@ -21,14 +29,6 @@ from .observer import (
 from .pipeline import PipelineResponse, RetrieverQueryEngine
 from .reranker import LLMReranker, default_rerank_prompt
 from .retriever import Retriever
-from .routing import (
-    HybridMergePolicy,
-    RouteDecision,
-    RoutingPolicy,
-    SymbolicFirstPolicy,
-    VectorOnlyPolicy,
-    make_routing_policy,
-)
 from .stages import (
     FallbackRoutingStage,
     QueryContext,
@@ -65,13 +65,6 @@ __all__ = [
     "FallbackRoutingStage",
     "RerankStage",
     "SynthesisStage",
-    # routing policies
-    "RoutingPolicy",
-    "RouteDecision",
-    "SymbolicFirstPolicy",
-    "VectorOnlyPolicy",
-    "HybridMergePolicy",
-    "make_routing_policy",
     # observability
     "PipelineObserver",
     "TracingObserver",

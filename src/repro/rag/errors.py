@@ -6,8 +6,8 @@ hit on its way through the stages maps to exactly one class:
 
 * :class:`SymbolicTranslationError` — the LLM produced no Cypher at all;
 * :class:`ExecutionError` — generated Cypher failed to parse or run;
-* :class:`EmptyResult` — the query ran but returned no more rows than the
-  configured sparsity threshold, so the router treats it as a miss;
+* :class:`EmptyResult` — the query ran but returned no rows (a sparse
+  result), so the router treats it as a miss;
 * :class:`DeadlineExceeded` — the per-request time budget ran out before
   the stage could run (serving hardening; the stage degrades instead);
 * :class:`CircuitOpen` — the symbolic path's circuit breaker refused the
@@ -102,14 +102,12 @@ class CircuitOpen(PipelineError):
     kind = "circuit_open"
 
 
-def classify_symbolic_failure(
-    retrieval: "RetrievalResult", sparse_row_threshold: int = 0
-) -> Optional[PipelineError]:
+def classify_symbolic_failure(retrieval: "RetrievalResult") -> Optional[PipelineError]:
     """Map a symbolic :class:`RetrievalResult` onto the taxonomy.
 
-    Returns ``None`` for a clean, non-sparse retrieval.  Sparsity follows
-    the engine's historical rule: a result set with at most
-    ``sparse_row_threshold`` rows counts as :class:`EmptyResult`.
+    Returns ``None`` for a clean retrieval with rows.  This is the one
+    place sparsity is decided: a result set with no rows counts as
+    :class:`EmptyResult`.
     """
     if retrieval.error == "translation_failed":
         return SymbolicTranslationError("the question could not be translated")
@@ -121,12 +119,8 @@ def classify_symbolic_failure(
         if retrieval.error.startswith("ResourceExhausted"):
             return ResourceExhausted(retrieval.error, cypher=retrieval.cypher)
         return ExecutionError(retrieval.error, cypher=retrieval.cypher)
-    if retrieval.result is not None and (
-        len(retrieval.result.records) <= sparse_row_threshold
-    ):
-        return EmptyResult(
-            f"query returned {len(retrieval.result.records)} row(s) "
-            f"(threshold {sparse_row_threshold})",
-            cypher=retrieval.cypher,
-        )
+    if retrieval.result is not None and not retrieval.result.records:
+        # The message is part of the diagnostics contract; its wording
+        # predates the single zero-row rule and is kept byte for byte.
+        return EmptyResult("query returned 0 row(s) (threshold 0)", cypher=retrieval.cypher)
     return None

@@ -199,7 +199,7 @@ class MetricsRegistry(PipelineObserver):
     """Timing/counter registry fed by kernel callbacks.
 
     Per-stage :class:`StageStats` plus free-form named counters
-    (``increment``), so stages and policies can count routing decisions
+    (``increment``), so stages can count routing decisions
     without knowing how the numbers are consumed.  When the symbolic stage
     surfaces an executed operator tree (``diagnostics["cypher_profile"]``)
     the registry also folds every operator into per-name

@@ -3,18 +3,21 @@
 Flow, exactly as the paper describes:
 
 1. the **TextToCypherRetriever** translates and executes a graph query;
-2. when symbolic translation fails, or returns sparse results, the
+2. when symbolic translation fails, or the query returns no rows, the
    **VectorContextRetriever** fetches semantically nearby node
    descriptions instead;
 3. the **LLMReranker** re-scores the retrieval candidates;
 4. the **ResponseSynthesizer** generates the answer, returning the refined
    Cypher query alongside for transparency.
 
-Since the staged refactor the engine is a thin composition root: it builds
-the four :mod:`~repro.rag.stages` stages around a pluggable
-:class:`~repro.rag.routing.RoutingPolicy` and hands them to the
-:class:`~repro.rag.stages.StagePipeline` kernel, which times each stage and
-drives the attached :class:`~repro.rag.observer.PipelineObserver` hooks.
+The engine is a thin composition root: it builds the four
+:mod:`~repro.rag.stages` stages from the retrievers it was given and hands
+them to the :class:`~repro.rag.stages.StagePipeline` kernel, which times
+each stage and drives the attached
+:class:`~repro.rag.observer.PipelineObserver` hooks.  The route follows
+from those retrievers: without a text-to-Cypher retriever every question
+goes to vector retrieval, and without a vector retriever there is no
+fallback.
 The public ``query()`` API and :class:`PipelineResponse` shape are
 unchanged; per-stage timings appear under ``diagnostics["stage_timings"]``.
 """
@@ -30,7 +33,6 @@ from ..serving.deadline import Deadline
 from ..serving.retry import RetryPolicy
 from .observer import PipelineObserver
 from .reranker import LLMReranker
-from .routing import RoutingPolicy, SymbolicFirstPolicy, VectorRetrieve
 from .stages import (
     FallbackRoutingStage,
     QueryContext,
@@ -74,27 +76,20 @@ class RetrieverQueryEngine:
         vector: Optional[VectorContextRetriever] = None,
         reranker: Optional[LLMReranker] = None,
         synthesizer: Optional[ResponseSynthesizer] = None,
-        vector_fallback: bool = True,
-        sparse_row_threshold: int = 0,
-        routing_policy: Optional[RoutingPolicy] = None,
         observers: Iterable[PipelineObserver] = (),
         breaker: Optional[CircuitBreaker] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         if synthesizer is None:
             raise ValueError("a ResponseSynthesizer is required")
-        self.routing_policy = routing_policy or SymbolicFirstPolicy()
-        if text2cypher is None and self.routing_policy.uses_symbolic:
+        if text2cypher is None and vector is None:
             raise ValueError(
-                f"routing policy {self.routing_policy.name!r} requires a "
-                "TextToCypherRetriever"
+                "a TextToCypherRetriever or a VectorContextRetriever is required"
             )
         self.text2cypher = text2cypher
         self.vector = vector
         self.reranker = reranker
         self.synthesizer = synthesizer
-        self.vector_fallback = vector_fallback
-        self.sparse_row_threshold = sparse_row_threshold
         self.observers = list(observers)
         # Serving hardening (all optional): a circuit breaker guarding the
         # symbolic path and a retry policy for the LLM-facing stages.
@@ -103,29 +98,19 @@ class RetrieverQueryEngine:
 
     # ------------------------------------------------------------------
 
-    def _vector_retrieve(self) -> VectorRetrieve:
-        """The vector hook handed to routing (None when disabled)."""
-        if self.vector is None:
-            return None
-        if not self.vector_fallback and self.routing_policy.uses_symbolic:
-            return None
-        return self.vector.retrieve
-
     def build_stages(self) -> list[Stage]:
         """The stage sequence for the current configuration.
 
-        Rebuilt per query so swapping ``reranker``/``vector``/policy on a
-        live engine takes effect immediately; stage construction is a few
+        Rebuilt per query so swapping ``reranker``/``vector``/``breaker`` on
+        a live engine takes effect immediately; stage construction is a few
         attribute assignments, far below retrieval cost.
         """
         stages: list[Stage] = []
-        if self.text2cypher is not None and self.routing_policy.uses_symbolic:
-            stages.append(
-                SymbolicRetrievalStage(
-                    self.text2cypher, self.sparse_row_threshold, breaker=self.breaker
-                )
-            )
-        stages.append(FallbackRoutingStage(self.routing_policy, self._vector_retrieve()))
+        if self.text2cypher is not None:
+            stages.append(SymbolicRetrievalStage(self.text2cypher, breaker=self.breaker))
+        stages.append(
+            FallbackRoutingStage(self.vector, symbolic=self.text2cypher is not None)
+        )
         stages.append(RerankStage(self.reranker, retry=self.retry_policy))
         stages.append(SynthesisStage(self.synthesizer, retry=self.retry_policy))
         return stages

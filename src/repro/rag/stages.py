@@ -6,12 +6,16 @@ The Figure-1 flow is decomposed into four composable stages —
 → ``SynthesisStage``
 
 — each a :class:`Stage` transforming an immutable-ish :class:`QueryContext`
-record.  The :class:`StagePipeline` kernel runs the sequence, times every
-stage, and notifies the attached :class:`~repro.rag.observer.PipelineObserver`
-hooks around each one.  Stages never share mutable state: context evolution
-goes through :meth:`QueryContext.evolve`, and retriever-owned metadata is
-deep-copied before it enters the diagnostics, so callers can mutate a
-response's diagnostics without corrupting retriever or LLM internals.
+record.  Routing applies the paper's one rule: symbolic rows when the
+generated query succeeded with rows, otherwise the vector retriever when
+one is wired in; an engine without a symbolic path routes everything to
+vector retrieval.  The :class:`StagePipeline` kernel runs the sequence,
+times every stage, and notifies the attached
+:class:`~repro.rag.observer.PipelineObserver` hooks around each one.
+Stages never share mutable state: context evolution goes through
+:meth:`QueryContext.evolve`, and retriever-owned metadata is deep-copied
+before it enters the diagnostics, so callers can mutate a response's
+diagnostics without corrupting retriever or LLM internals.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from ..serving.retry import RetryPolicy
 from .errors import (
     CircuitOpen,
     DeadlineExceeded,
+    EmptyResult,
     ExecutionError,
     PipelineError,
     classify_symbolic_failure,
@@ -37,8 +42,8 @@ from .errors import (
 from .observer import PipelineObserver, _ObserverFanout
 from .reranker import LLMReranker
 from .retriever import Retriever
-from .routing import RoutingPolicy, VectorRetrieve
 from .synthesizer import ResponseSynthesizer
+from .text2cypher_retriever import TextToCypherRetriever
 from .types import NodeWithScore, RetrievalResult
 
 __all__ = [
@@ -135,12 +140,10 @@ class SymbolicRetrievalStage:
 
     def __init__(
         self,
-        retriever: Retriever,
-        sparse_row_threshold: int = 0,
+        retriever: TextToCypherRetriever,
         breaker: Optional[CircuitBreaker] = None,
     ) -> None:
         self.retriever = retriever
-        self.sparse_row_threshold = sparse_row_threshold
         self.breaker = breaker
 
     def _skip(
@@ -160,7 +163,7 @@ class SymbolicRetrievalStage:
         return ctx.evolve(
             symbolic=symbolic,
             error=error,
-            sparse=True,
+            sparse=True,  # a skipped attempt has no rows
             source=symbolic.source,
             diagnostics=diagnostics,
         )
@@ -178,17 +181,13 @@ class SymbolicRetrievalStage:
                 CircuitOpen("symbolic circuit breaker is open"),
                 "symbolic_skipped_breaker_open",
             )
-        if ctx.deadline is not None and getattr(self.retriever, "supports_deadline", False):
-            # Deadline-aware retrievers check the clock cooperatively
-            # between operator next() calls inside the engine.
-            symbolic = self.retriever.retrieve(ctx.question, deadline=ctx.deadline)
-        else:
-            symbolic = self.retriever.retrieve(ctx.question)
+        # The engine checks the deadline cooperatively as it produces rows.
+        symbolic = self.retriever.retrieve(ctx.question, deadline=ctx.deadline)
         if symbolic.error is not None:
             logger.debug(
                 "symbolic retrieval failed for %r: %s", ctx.question, symbolic.error
             )
-        error = classify_symbolic_failure(symbolic, self.sparse_row_threshold)
+        error = classify_symbolic_failure(symbolic)
         if self.breaker is not None:
             # Execution-class failures are infrastructure signals; a clean
             # run heals the breaker.  Translation misses and sparse results
@@ -199,9 +198,6 @@ class SymbolicRetrievalStage:
                 self.breaker.record_success()
             else:
                 self.breaker.record_neutral()
-        sparse = symbolic.result is not None and (
-            len(symbolic.result.records) <= self.sparse_row_threshold
-        )
         generation = copy.deepcopy(dict(symbolic.metadata))
         # The executed operator tree is a top-level diagnostic (observers
         # aggregate per-operator stats from it), not generation metadata.
@@ -223,44 +219,64 @@ class SymbolicRetrievalStage:
             cypher=symbolic.cypher,
             source=symbolic.source,
             error=error,
-            sparse=sparse,
+            sparse=isinstance(error, EmptyResult),
             diagnostics=diagnostics,
         )
 
 
 class FallbackRoutingStage:
-    """Applies the :class:`RoutingPolicy` to pick the generation route."""
+    """Picks the retrieval that feeds generation (the Figure-1 rule).
+
+    With a symbolic path (``symbolic=True``), the symbolic result is used
+    when its query succeeded and returned rows; otherwise the vector
+    retriever, when one is given, fetches semantically nearby node
+    descriptions, and without one the answer comes from whatever the
+    symbolic path has.  Without a symbolic path every question routes to
+    the vector retriever.
+    """
 
     name = "routing"
 
-    def __init__(self, policy: RoutingPolicy, vector_retrieve: VectorRetrieve = None) -> None:
-        self.policy = policy
-        self.vector_retrieve = vector_retrieve
+    def __init__(self, vector: Optional[Retriever] = None, symbolic: bool = True) -> None:
+        self.vector = vector
+        self.symbolic = symbolic
 
     def run(self, ctx: QueryContext) -> QueryContext:
-        decision = self.policy.route(ctx, self.vector_retrieve)
-        diagnostics = {**ctx.diagnostics, **copy.deepcopy(decision.diagnostics)}
-        for reason in decision.degraded:
-            diagnostics = mark_degraded(diagnostics, reason)
-        if decision.fallback_used:
-            logger.debug(
-                "falling back to vector retrieval for %r (sparse=%s)",
-                ctx.question,
-                ctx.sparse,
+        if not self.symbolic:
+            semantic = self.vector.retrieve(ctx.question)
+            return ctx.evolve(
+                semantic=semantic,
+                retrieval=semantic,
+                candidates=list(semantic.nodes),
+                source=semantic.source,
+                cypher=None,
+                result=None,
+                diagnostics={**ctx.diagnostics, "route": "vector-only"},
             )
-            diagnostics["fallback_used"] = True
-        diagnostics["route"] = self.policy.name
-        semantic = ctx.semantic
-        if decision.fallback_used or decision.retrieval.source == "vector":
-            semantic = decision.retrieval
+        symbolic = ctx.symbolic or RetrievalResult(source="text2cypher")
+        chosen = symbolic
+        diagnostics = dict(ctx.diagnostics)
+        if not symbolic.succeeded or ctx.sparse:
+            diagnostics["sparse"] = ctx.sparse
+            if self.vector is not None:
+                logger.debug(
+                    "falling back to vector retrieval for %r (sparse=%s)",
+                    ctx.question,
+                    ctx.sparse,
+                )
+                chosen = self.vector.retrieve(ctx.question)
+                diagnostics["fallback_used"] = True
+        fallback = chosen is not symbolic
+        diagnostics["route"] = "symbolic-first"
         return ctx.evolve(
-            semantic=semantic,
-            retrieval=decision.retrieval,
-            candidates=list(decision.candidates),
-            source=decision.source,
-            cypher=decision.cypher,
-            result=decision.result,
-            fallback_used=decision.fallback_used,
+            semantic=chosen if fallback else ctx.semantic,
+            retrieval=chosen,
+            candidates=list(chosen.nodes),
+            source=chosen.source,
+            # the symbolic query is surfaced even when it failed, for transparency
+            cypher=symbolic.cypher,
+            result=None if fallback else symbolic.result,
+            fallback_used=fallback,
             diagnostics=diagnostics,
         )
 

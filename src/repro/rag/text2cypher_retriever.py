@@ -39,9 +39,6 @@ def default_text2cypher_prompt(question: str, schema: str) -> str:
 class TextToCypherRetriever(Retriever):
     """LLM → Cypher → graph execution → structured context."""
 
-    #: the symbolic stage passes its request deadline into retrieve()
-    supports_deadline = True
-
     def __init__(
         self,
         engine: CypherEngine,

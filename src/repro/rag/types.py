@@ -51,12 +51,3 @@ class RetrievalResult:
     def succeeded(self) -> bool:
         """True when retrieval executed without error."""
         return self.error is None
-
-    @property
-    def is_sparse(self) -> bool:
-        """True when the retriever came back (nearly) empty."""
-        if self.error is not None:
-            return True
-        if self.result is not None:
-            return len(self.result.records) == 0
-        return len(self.nodes) == 0

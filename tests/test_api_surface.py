@@ -44,10 +44,8 @@ PUBLIC_API = {
         # stage-execution kernel
         "Stage", "QueryContext", "StagePipeline", "SymbolicRetrievalStage",
         "FallbackRoutingStage", "RerankStage", "SynthesisStage",
-        # routing + observability + error taxonomy
-        "RoutingPolicy", "SymbolicFirstPolicy", "VectorOnlyPolicy",
-        "HybridMergePolicy", "make_routing_policy", "PipelineObserver",
-        "TracingObserver", "MetricsRegistry", "PipelineError",
+        # observability + error taxonomy
+        "PipelineObserver", "TracingObserver", "MetricsRegistry", "PipelineError",
         "SymbolicTranslationError", "ExecutionError", "EmptyResult",
         "DeadlineExceeded", "CircuitOpen",
     ],

@@ -8,11 +8,14 @@ serving bug.
 
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro.chaos import (
     DEGRADED_MARKERS,
     ChaosRunner,
@@ -20,6 +23,7 @@ from repro.chaos import (
     Violation,
     write_violation_dump,
 )
+from repro.chaos import invariants
 from repro.chaos.cli import main as chaos_main
 from repro.faults import FaultPlan
 from repro.parallel import BatchOutcome
@@ -185,10 +189,23 @@ class TestInvariantChecker:
         assert DEGRADED_MARKERS == {
             "symbolic_skipped_deadline",
             "symbolic_skipped_breaker_open",
-            "hybrid_semantic_skipped_deadline",
             "rerank_skipped_deadline",
             "synthesis_partial_deadline",
         }
+
+    def test_every_marker_has_a_producer(self):
+        # A marker no other module spells out has lost its producer and
+        # would silently widen what the checker accepts.
+        package = Path(repro.__file__).resolve().parent
+        defining = Path(invariants.__file__).resolve()
+        literals: set[str] = set()
+        for path in package.rglob("*.py"):
+            if path.resolve() == defining:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    literals.add(node.value)
+        assert sorted(DEGRADED_MARKERS - literals) == []
 
 
 # ---------------------------------------------------------------------------

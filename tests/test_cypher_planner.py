@@ -322,6 +322,18 @@ class TestExplainAndProfile:
         assert "PropertyLookup(:AS.asn)" in text
         assert "est≈" not in text
 
+    def test_explain_planner_off_names_the_executed_lookup(self, small_store):
+        # The unplanned executor looks up by the indexed key (asn), not by
+        # the first inline property (name); EXPLAIN must say the same.
+        engine = CypherEngine(small_store, planner=False)
+        query = (
+            "MATCH (a:AS {name: 'x', asn: 2497})-[:COUNTRY]->(c:Country) "
+            "RETURN c.name"
+        )
+        text = engine.explain(query)
+        assert "via PropertyLookup(:AS.asn)" in text
+        assert "PropertyLookup(:AS.name)" not in text
+
     def test_profile_reports_operators_and_actuals(self, small_engine):
         result, report = small_engine.profile(
             "MATCH (a:AS {asn: 2497}) RETURN a.name"

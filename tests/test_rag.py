@@ -89,7 +89,7 @@ class TestTextToCypherRetriever:
     def test_translation_failure_reported(self, symbolic):
         result = symbolic.retrieve("please sing a sea shanty")
         assert result.error == "translation_failed"
-        assert result.is_sparse
+        assert result.result is None and not result.nodes
 
     def test_execution_failure_reported(self, small_store, small_dataset, schema_text):
         broken_llm = SimulatedLLM(
@@ -236,7 +236,6 @@ class TestPipeline:
             vector=None,
             reranker=None,
             synthesizer=ResponseSynthesizer(reliable_llm, answer_prompt),
-            vector_fallback=False,
         )
         response = engine.query("what is interesting around here?")
         assert response.retrieval_source == "text2cypher"

@@ -254,7 +254,7 @@ class TestBreakerOverHttp:
         )
         retriever = bot.pipeline.text2cypher
 
-        def failing_retrieve(question):
+        def failing_retrieve(question, deadline=None):
             return RetrievalResult(
                 source="text2cypher",
                 cypher="MATCH (broken",

@@ -449,7 +449,7 @@ class TestBreakerReroute:
     def _force_execution_failures(self, bot, monkeypatch):
         retriever = bot.pipeline.text2cypher
 
-        def failing_retrieve(question):
+        def failing_retrieve(question, deadline=None):
             return RetrievalResult(
                 source="text2cypher",
                 cypher="MATCH (broken",
