@@ -103,9 +103,14 @@ def vector(chatiyp_medium):
     return VectorContextRetriever(chatiyp_medium.store, top_k=8)
 
 
+# The engine-latency benchmarks pass ``_execute=1``, a parameter no query
+# reads: a parameterised run always executes, so they time execution rather
+# than a memoised result.
+
+
 @pytest.mark.perf_smoke
 def test_perf_point_lookup(benchmark, engine):
-    result = benchmark(engine.run, ENGINE_QUERIES["point_lookup"])
+    result = benchmark(engine.run, ENGINE_QUERIES["point_lookup"], _execute=1)
     assert len(result) == 1
 
 
@@ -113,36 +118,37 @@ def test_perf_point_lookup(benchmark, engine):
 def test_perf_point_lookup_where(benchmark, engine):
     # Same lookup phrased as a WHERE equality: exercises predicate pushdown
     # into the property index instead of a label scan + filter.
-    result = benchmark(engine.run, ENGINE_QUERIES["point_lookup_where"])
+    result = benchmark(engine.run, ENGINE_QUERIES["point_lookup_where"], _execute=1)
     assert len(result) == 1
 
 
 @pytest.mark.perf_smoke
 def test_perf_one_hop_traversal(benchmark, engine):
-    result = benchmark(engine.run, ENGINE_QUERIES["one_hop"])
+    result = benchmark(engine.run, ENGINE_QUERIES["one_hop"], _execute=1)
     assert len(result) >= 1
 
 
 @pytest.mark.perf_smoke
 def test_perf_two_hop_traversal(benchmark, engine):
-    result = benchmark(engine.run, ENGINE_QUERIES["two_hop"])
+    result = benchmark(engine.run, ENGINE_QUERIES["two_hop"], _execute=1)
     assert len(result) >= 1
 
 
 @pytest.mark.perf_smoke
 def test_perf_grouped_aggregation(benchmark, engine):
-    result = benchmark(engine.run, ENGINE_QUERIES["grouped_aggregation"])
+    result = benchmark(engine.run, ENGINE_QUERIES["grouped_aggregation"], _execute=1)
     assert len(result) == 10
 
 
 @pytest.mark.perf_smoke
 def test_perf_var_length_expansion(benchmark, engine):
-    result = benchmark(engine.run, ENGINE_QUERIES["var_length"])
+    result = benchmark(engine.run, ENGINE_QUERIES["var_length"], _execute=1)
     assert result.single()["n"] >= 1
 
 
 def test_perf_query_parse_cached(benchmark, engine):
-    # Repeated execution of identical text hits the AST cache (the RAG hot path).
+    # Repeated identical read-only text is served from the engine's memo of
+    # its last result (the RAG hot path); no parse, plan or execution.
     query = "MATCH (a:AS) WHERE a.asn > 100000 RETURN count(a)"
     engine.run(query)
     benchmark(engine.run, query)
@@ -171,7 +177,8 @@ def _paired_median_latency_ms(
     """
     engines = (planned, unplanned)
     for engine in engines:
-        engine.run(query)  # warm the AST/plan caches out of the measurement
+        engine.run(query, _execute=1)  # warm the AST/plan caches out of the measurement
+    hits = [engine.cache_stats()["result_hits"] for engine in engines]
     samples: tuple[list[float], list[float]] = ([], [])
     for batch in range(batches):
         order = (0, 1) if batch % 2 == 0 else (1, 0)
@@ -179,8 +186,11 @@ def _paired_median_latency_ms(
             engine = engines[index]
             start = time.perf_counter()
             for _ in range(runs):
-                engine.run(query)
+                # A parameter the query never reads: every run executes
+                # instead of returning the engine's memoised result.
+                engine.run(query, _execute=1)
             samples[index].append((time.perf_counter() - start) / runs * 1000.0)
+    assert [engine.cache_stats()["result_hits"] for engine in engines] == hits
     return statistics.median(samples[0]), statistics.median(samples[1])
 
 

@@ -378,6 +378,8 @@ class ChatIYP:
             "compile": {},  # stub: benchmarks/e2e/workloads.py still reads this key
             "csr": {},  # stub: benchmarks/e2e/workloads.py still reads this key
             "cache": self.answer_cache.stats() if self.answer_cache else None,
+            # Cypher engine query cache: cached texts, result reuse, memo rows.
+            "cypher": self.engine.cache_stats(),
             "breaker": self.breaker.snapshot() if self.breaker else None,
             "inflight": self.inflight.snapshot() if self.inflight else None,
             "retry": (

@@ -15,10 +15,12 @@ generator and charges every row it emits inline, so a row costs one
 generator resume per operator it crosses, and a downstream LIMIT/top-k
 stops pulling and the whole upstream pipeline terminates early.  Only
 blocking operators (Sort, Aggregate, write barriers) materialise
-rows.  Plans (and parsed ASTs) are cached in a bounded LRU
-keyed by query text; ``planner=False`` is the escape hatch that falls
-back to the naive shape-only heuristics (via a row-at-a-time ``Match``
-fallback operator, so results stay bit-identical to planned execution).
+rows.  One bounded LRU keyed by query text holds each query's
+parsed tree, its plans and, for a read-only query, its last result,
+reused while the graph's statistics version is unchanged;
+``planner=False`` is the escape hatch that falls back to the naive
+shape-only heuristics (via a row-at-a-time ``Match`` fallback operator,
+so results stay bit-identical to planned execution).
 
 Entry points: :class:`CypherEngine` — ``engine.run(query, **params)``
 for the classic API, ``engine.execute(query, params, deadline=...,
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional, Union
 
 from ..faults import fault_point
@@ -66,6 +67,7 @@ from .planner import (
     plan_query,
 )
 from .result import Record, ResultSet
+from .safety import tree_is_read_only
 from .values import cypher_compare, cypher_equals, is_truthy
 
 __all__ = ["CypherEngine", "execute"]
@@ -85,16 +87,18 @@ class _LRUCache(OrderedDict):
     """Bounded mapping with least-recently-used eviction.
 
     A thin :class:`OrderedDict` wrapper: hits move to the back, inserts
-    evict from the front once ``capacity`` is exceeded.  Sustained mixed
-    workloads stay warm instead of thrashing on a clear-everything reset.
-    One engine serves every HTTP worker thread, so lookups and inserts
-    hold a lock: an insert can otherwise evict a key between a reader's
-    membership test and its ``move_to_end``.
+    evict from the front once ``capacity`` is exceeded, handing each
+    evicted value to ``on_evict``.  Sustained mixed workloads stay warm
+    instead of thrashing on a clear-everything reset.  One engine serves
+    every HTTP worker thread, so lookups and inserts hold a lock: an
+    insert can otherwise evict a key between a reader's membership test
+    and its ``move_to_end``.
     """
 
-    def __init__(self, capacity: int = 1024) -> None:
+    def __init__(self, capacity: int = 1024, on_evict: Any = None) -> None:
         super().__init__()
         self.capacity = capacity
+        self.on_evict = on_evict
         self._lock = threading.Lock()
 
     def get(self, key: Any, default: Any = None) -> Any:
@@ -110,29 +114,40 @@ class _LRUCache(OrderedDict):
             super().__setitem__(key, value)
             self.move_to_end(key)
             while len(self) > self.capacity:
-                self.popitem(last=False)
+                _, evicted = self.popitem(last=False)
+                if self.on_evict is not None:
+                    self.on_evict(evicted)
 
 
-@dataclass
-class _PlanEntry:
-    """Cached plans for one query text, valid for one statistics version.
+class _QueryEntry:
+    """Everything the engine keeps for one query text.
 
-    Holds the tree so the ``id(clause)`` plan keys can never dangle.
+    ``plans`` is ``(stats_version, plans)`` and ``memo`` is
+    ``(stats_version, result, rows_charged)``.  Each is replaced by one
+    assignment, so a concurrent reader sees a whole tuple or the old one.
+    The entry holds the tree, so the ``id(clause)`` plan keys never dangle.
     """
 
-    tree: ast.Query
-    stats_version: int
-    plans: dict[int, MatchPlan] = field(default_factory=dict)
+    __slots__ = ("tree", "read_only", "plans", "memo")
+
+    def __init__(self, tree: ast.Query) -> None:
+        self.tree = tree
+        self.read_only = tree_is_read_only(tree)
+        self.plans: Optional[tuple[int, dict[int, MatchPlan]]] = None
+        self.memo: Optional[tuple[int, ResultSet, int]] = None
 
 
 class CypherEngine:
     """Executes Cypher text against one :class:`GraphStore`.
 
-    The engine caches parsed ASTs and their match plans keyed by query
-    text (bounded LRUs), so repeated execution of generated queries (the
-    RAG hot path) skips both the parser and the planner.  ``planner=False``
-    disables planning entirely: the semantic reference that planned
-    execution is checked against.
+    The engine keeps one entry per query text in a bounded LRU: the parsed
+    tree, its match plans and, for a read-only query, the last result.
+    Repeated generated queries (the RAG hot path) skip the parser and the
+    planner, and a repeated read-only query without parameters or PROFILE
+    on an unchanged graph returns its last result without executing.  Every
+    store mutation bumps ``stats_version``, which replans and retires the
+    memo.  ``planner=False`` disables planning entirely: the semantic
+    reference that planned execution is checked against.
     """
 
     def __init__(
@@ -154,14 +169,29 @@ class CypherEngine:
         self.planner = planner
         #: default intermediate-row budget for every execution (None = off)
         self.row_budget = row_budget
-        self._ast_cache: _LRUCache = _LRUCache(cache_size)
-        self._plan_cache: _LRUCache = _LRUCache(cache_size)
+        self._entries: _LRUCache = _LRUCache(cache_size, on_evict=self._drop_memo)
+        # Entries holding a memo, oldest memo first, with its row count.
+        # Memoised rows stay at or below the graph's node + relationship
+        # count: a new memo drops the oldest ones until it fits.
+        self._memo_lock = threading.Lock()
+        self._memos: OrderedDict[_QueryEntry, int] = OrderedDict()
+        self._memoised_rows = 0
+        self._result_hits = 0
         # id(clause) -> (clause, items, keys, aggregated, grouping_indices);
         # holding the clause reference keeps its id stable for the cache key
         self._projection_meta: dict[int, tuple] = {}
 
     def compile_metrics(self) -> dict[str, int]:  # stub: benchmarks/e2e/workloads.py calls it
         return {}
+
+    def cache_stats(self) -> dict[str, int]:
+        """Query-cache counters: cached texts, memo hits, memoised rows."""
+        with self._memo_lock:
+            return {
+                "entries": len(self._entries),
+                "result_hits": self._result_hits,
+                "memoised_rows": self._memoised_rows,
+            }
 
     def run(self, query: str, **params: Any) -> ResultSet:
         """Parse and plan (both cached) then execute ``query``."""
@@ -187,26 +217,43 @@ class CypherEngine:
         :class:`~repro.cypher.errors.ResourceExhausted` beyond it.  With
         ``profile=True`` the result carries the executed operator tree
         (rows + wall-time per operator) on ``result.profile``.
+
+        A read-only query run without ``params`` or ``profile`` is served
+        from its last result when the graph's ``stats_version`` is the one
+        that result was computed at and ``row_budget`` covers the rows that
+        run charged.  The records (and the values in them) are then shared
+        with earlier results, so callers must not mutate them.
         """
         # Fault-injection site: latency spikes sleep here; injected engine
         # errors raise InjectedCypherError (a CypherRuntimeError), so they
         # travel the organic failure path through the symbolic retriever,
         # the error taxonomy and the circuit breaker.
         fault_point("graph.execute")
-        tree = self._ast_cache.get(query)
-        if tree is None:
-            tree = parse(query)
-            self._ast_cache[query] = tree
+        entry = self._entry(query)
+        # Read before executing: versions only grow, so a memo from a run
+        # that overlapped a write is tagged too old to ever match again.
+        version = self.store.stats_version
+        budget = row_budget if row_budget is not None else self.row_budget
+        reusable = entry.read_only and not params and not profile
+        if reusable:
+            memo = entry.memo
+            if memo is not None and memo[0] == version and (budget is None or budget >= memo[2]):
+                RuntimeState(deadline=deadline).check_deadline()
+                with self._memo_lock:
+                    self._result_hits += 1
+                return ResultSet(memo[1].keys, memo[1].records)
         result, root = self._execute(
-            tree,
+            entry.tree,
             params or {},
-            self._plans_for(query, tree),
+            self._plans_for(entry, version),
             deadline=deadline,
-            row_budget=row_budget if row_budget is not None else self.row_budget,
+            row_budget=budget,
             profiled=profile,
         )
         if profile:
             result.profile = profile_tree(root)
+        elif reusable:
+            self._memoise(entry, version, result, root.state.rows)
         return result
 
     def run_ast(self, tree: ast.Query, params: dict[str, Any] | None = None) -> ResultSet:
@@ -215,20 +262,49 @@ class CypherEngine:
         result, _ = self._execute(tree, params or {}, plans)
         return result
 
-    def _plans_for(self, query: str, tree: ast.Query) -> Optional[dict[int, MatchPlan]]:
-        """Cached match plans for ``query``, replanned when the graph changed."""
+    def _entry(self, query: str) -> _QueryEntry:
+        """The cache entry for ``query``, parsing it on a miss."""
+        entry = self._entries.get(query)
+        if entry is None:
+            entry = _QueryEntry(parse(query))
+            self._entries[query] = entry
+        return entry
+
+    def _plans_for(self, entry: _QueryEntry, version: int) -> Optional[dict[int, MatchPlan]]:
+        """The entry's match plans, replanned when the graph changed."""
         if not self.planner:
             return None
-        version = self.store.stats_version
-        entry: Optional[_PlanEntry] = self._plan_cache.get(query)
-        if entry is None or entry.tree is not tree or entry.stats_version != version:
-            entry = _PlanEntry(
-                tree=tree,
-                stats_version=version,
-                plans=plan_query(tree, self.store.statistics()),
-            )
-            self._plan_cache[query] = entry
-        return entry.plans
+        plans = entry.plans
+        if plans is None or plans[0] != version:
+            plans = (version, plan_query(entry.tree, self.store.statistics()))
+            entry.plans = plans
+        return plans[1]
+
+    def _memoise(
+        self, entry: _QueryEntry, version: int, result: ResultSet, rows_charged: int
+    ) -> None:
+        """Keep ``result`` as ``entry``'s memo if it fits under the row cap."""
+        rows = len(result.records)
+        cap = self.store.node_count + self.store.relationship_count
+        if rows > cap:
+            return
+        # A private copy: the caller may mutate its own records list.
+        memo = (version, ResultSet(result.keys, result.records), rows_charged)
+        with self._memo_lock:
+            self._memoised_rows -= self._memos.pop(entry, 0)
+            while self._memos and self._memoised_rows + rows > cap:
+                oldest, held = self._memos.popitem(last=False)
+                oldest.memo = None
+                self._memoised_rows -= held
+            entry.memo = memo
+            self._memos[entry] = rows
+            self._memoised_rows += rows
+
+    def _drop_memo(self, entry: _QueryEntry) -> None:
+        """Release an evicted entry's memo and its rows from the cap."""
+        with self._memo_lock:
+            self._memoised_rows -= self._memos.pop(entry, 0)
+            entry.memo = None
 
     def _execute(
         self,
@@ -270,12 +346,9 @@ class CypherEngine:
         its inclusive wall-clock time, so hot operators are visible at a
         glance.
         """
-        tree = self._ast_cache.get(query)
-        if tree is None:
-            tree = parse(query)
-            self._ast_cache[query] = tree
-        plans = self._plans_for(query, tree)
-        result, root = self._execute(tree, params or {}, plans, profiled=True)
+        entry = self._entry(query)
+        plans = self._plans_for(entry, self.store.stats_version)
+        result, root = self._execute(entry.tree, params or {}, plans, profiled=True)
         result.profile = profile_tree(root)
         return result, render_profile(root)
 
@@ -791,6 +864,8 @@ class _ExecutionContext:
         max_hops = rel_pattern.max_hops if rel_pattern.max_hops is not None else self.max_var_length
         if min_hops == 0 and start.node_id == end.node_id:
             return [([start], [])]
+        if not all_paths:
+            return self._bfs_first_path(start, end, rel_pattern, row, min_hops, max_hops)
         # Level-synchronous BFS keeping every parent edge at the found depth
         # so all shortest paths can be reconstructed.
         frontier: dict[int, list[tuple[list[Node], list[Relationship]]]] = {
@@ -803,17 +878,7 @@ class _ExecutionContext:
             depth += 1
             next_frontier: dict[int, list[tuple[list[Node], list[Relationship]]]] = {}
             for node_id, partials in frontier.items():
-                node = self.store.node(node_id)
-                for rel in self.store.adjacent_relationships(
-                    node_id, rel_pattern.direction, rel_pattern.types or None
-                ):
-                    if rel_pattern.direction == "out" and rel.start_id != node_id:
-                        continue
-                    if rel_pattern.direction == "in" and rel.end_id != node_id:
-                        continue
-                    if not self._rel_properties_match(rel_pattern, rel, row):
-                        continue
-                    other_id = rel.other_end(node_id)
+                for rel, other_id in self._bfs_steps(node_id, rel_pattern, row):
                     seen_at = visited_depth.get(other_id)
                     if seen_at is not None and seen_at < depth:
                         continue  # strictly shorter route exists
@@ -831,11 +896,68 @@ class _ExecutionContext:
                     else:
                         next_frontier.setdefault(other_id, []).extend(extensions)
             frontier = next_frontier
-        if not found:
-            return []
-        if all_paths:
-            return found
-        return found[:1]
+        return found
+
+    def _bfs_first_path(
+        self,
+        start: Node,
+        end: Node,
+        rel_pattern: ast.RelPattern,
+        row: Row,
+        min_hops: int,
+        max_hops: int,
+    ) -> list[tuple[list[Node], list[Relationship]]]:
+        """The first minimum-length path the all-paths BFS would find.
+
+        Keeps one parent per node, the one that discovered it first, so
+        the work is linear in the edges scanned however many equal-length
+        paths exist.  The all-paths search extends partial paths in that
+        same discovery order, so its first path is this one.
+        """
+        end_id = end.node_id
+        parents: dict[int, Optional[tuple[int, Relationship]]] = {start.node_id: None}
+        frontier = [start.node_id]
+        depth = 0
+        while frontier and depth < max_hops:
+            depth += 1
+            next_frontier = []
+            for node_id in frontier:
+                for rel, other_id in self._bfs_steps(node_id, rel_pattern, row):
+                    if other_id in parents:
+                        continue  # reached no later than this depth already
+                    if other_id == end_id and depth >= min_hops:
+                        nodes, rels = [end], [rel]
+                        current = node_id
+                        step = parents[current]
+                        while step is not None:
+                            nodes.append(self.store.node(current))
+                            current, parent_rel = step
+                            rels.append(parent_rel)
+                            step = parents[current]
+                        nodes.append(start)
+                        nodes.reverse()
+                        rels.reverse()
+                        return [(nodes, rels)]
+                    parents[other_id] = (node_id, rel)
+                    next_frontier.append(other_id)
+            frontier = next_frontier
+        return []
+
+    def _bfs_steps(
+        self, node_id: int, rel_pattern: ast.RelPattern, row: Row
+    ) -> Iterator[tuple[Relationship, int]]:
+        """``(relationship, other end)`` for each edge a BFS may take from ``node_id``."""
+        direction = rel_pattern.direction
+        for rel in self.store.adjacent_relationships(
+            node_id, direction, rel_pattern.types or None
+        ):
+            if direction == "out" and rel.start_id != node_id:
+                continue
+            if direction == "in" and rel.end_id != node_id:
+                continue
+            if not self._rel_properties_match(rel_pattern, rel, row):
+                continue
+            yield rel, rel.other_end(node_id)
 
     def _match_chain(
         self,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from . import ast_nodes as ast
 from .parser import parse
 
-__all__ = ["is_read_only", "WRITE_CLAUSES"]
+__all__ = ["is_read_only", "tree_is_read_only", "WRITE_CLAUSES"]
 
 WRITE_CLAUSES = (
     ast.CreateClause,
@@ -23,10 +23,12 @@ def is_read_only(query: str) -> bool:
         CypherSyntaxError: if the query does not parse at all (callers
             usually want to surface that as a 400, not treat it as a write).
     """
-    tree = parse(query)
+    return tree_is_read_only(parse(query))
+
+
+def tree_is_read_only(tree: ast.Query) -> bool:
+    """True when no UNION branch of the parsed ``tree`` has a write clause."""
     queries = tree.queries if isinstance(tree, ast.UnionQuery) else (tree,)
-    for single in queries:
-        for clause in single.clauses:
-            if isinstance(clause, WRITE_CLAUSES):
-                return False
-    return True
+    return not any(
+        isinstance(clause, WRITE_CLAUSES) for single in queries for clause in single.clauses
+    )

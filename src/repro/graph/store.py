@@ -210,6 +210,7 @@ class GraphStore:
             rel.properties.pop(key, None)
         else:
             rel.properties.update(validate_properties({key: value}))
+        self._touch()
 
     def delete_relationship(self, rel_id: int) -> None:
         """Remove a relationship from the store and its adjacency indexes."""

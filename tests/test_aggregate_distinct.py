@@ -251,12 +251,15 @@ def test_generated_lists_match_reference(values):
 
 
 def _best_time(engine: CypherEngine, query: str, expected: int) -> float:
+    """Best of three executions; the unused parameter bypasses result reuse."""
+    hits = engine.cache_stats()["result_hits"]
     best = math.inf
     for _ in range(3):
         start = time.perf_counter()
-        result = engine.execute(query)
+        result = engine.execute(query, {"_execute": 1})
         best = min(best, time.perf_counter() - start)
         assert result.single()["c"] == expected
+    assert engine.cache_stats()["result_hits"] == hits
     return best
 
 

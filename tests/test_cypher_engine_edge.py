@@ -17,9 +17,9 @@ class TestEngineMachinery:
         engine = CypherEngine(tiny_store)
         query = "MATCH (a:AS) RETURN count(*)"
         engine.run(query)
-        cached = engine._ast_cache[query]
+        cached = engine._entries[query]
         engine.run(query)
-        assert engine._ast_cache[query] is cached
+        assert engine._entries[query] is cached
 
     def test_run_ast_directly(self, tiny_store):
         engine = CypherEngine(tiny_store)
@@ -38,11 +38,12 @@ class TestEngineMachinery:
 
     def test_cache_eviction_on_overflow(self, tiny_store):
         engine = CypherEngine(tiny_store)
-        engine._ast_cache.clear()
+        engine._entries.clear()
         for i in range(1030):
-            engine._ast_cache[f"fake {i}"] = parse("RETURN 1")
+            engine.run(f"RETURN {i}")
         engine.run("RETURN 2")
-        assert len(engine._ast_cache) < 1030
+        assert len(engine._entries) == 1024
+        assert engine.cache_stats()["entries"] == 1024
 
     def test_lru_cache_survives_concurrent_eviction(self):
         """A reader never sees KeyError when a writer evicts its key."""

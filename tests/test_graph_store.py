@@ -167,6 +167,44 @@ class TestMutation:
         assert store.relationship(rel.rel_id)["w"] == 3
 
 
+class TestStatsVersion:
+    """Every public write bumps ``stats_version``: plan caches, result
+    memos and the answer cache all key on it."""
+
+    WRITES = {
+        "create_node": lambda s: s.create_node(["AS"], {"asn": 9}),
+        "create_relationship": lambda s: s.create_relationship(0, "X", 1),
+        "set_node_property": lambda s: s.set_node_property(0, "asn", 2),
+        "set_relationship_property": lambda s: s.set_relationship_property(0, "w", 3),
+        "delete_relationship": lambda s: s.delete_relationship(0),
+        "delete_node": lambda s: s.delete_node(1, detach=True),
+        "create_property_index": lambda s: s.create_property_index("AS", "asn"),
+    }
+
+    def test_writes_are_enumerated(self):
+        public = {
+            name for name in dir(GraphStore)
+            if name.startswith(("create_", "set_", "delete_"))
+        }
+        assert public == set(self.WRITES)
+
+    @pytest.mark.parametrize("write", sorted(WRITES))
+    def test_every_write_increases_version(self, store, write):
+        a = store.create_node(["AS"], {"asn": 1})
+        b = store.create_node(["AS"], {"asn": 2})
+        store.create_relationship(a.node_id, "X", b.node_id)
+        before = store.stats_version
+        self.WRITES[write](store)
+        assert store.stats_version > before
+
+    def test_relationship_property_removal_increases_version(self, store):
+        a = store.create_node(["AS"])
+        rel = store.create_relationship(a.node_id, "X", a.node_id, {"w": 1})
+        before = store.stats_version
+        store.set_relationship_property(rel.rel_id, "w", None)
+        assert store.stats_version > before
+
+
 class TestDeletion:
     def test_delete_relationship(self, store):
         a = store.create_node(["AS"])

@@ -211,12 +211,15 @@ class TestSortOracle:
 # ---------------------------------------------------------------------------
 
 def _best_time(engine: CypherEngine, query: str, n: int) -> float:
+    """Best of three executions; the unused parameter bypasses result reuse."""
+    hits = engine.cache_stats()["result_hits"]
     best = math.inf
     for _ in range(3):
         start = time.perf_counter()
-        result = engine.execute(query)
+        result = engine.execute(query, {"_execute": 1})
         best = min(best, time.perf_counter() - start)
         assert len(result) == n
+    assert engine.cache_stats()["result_hits"] == hits
     return best
 
 

@@ -555,6 +555,19 @@ class TestAnswerCacheIntegration:
         after_mutation = bot.ask(question)
         assert after_mutation.diagnostics.get("cache_hit") is None
 
+    def test_relationship_property_write_invalidates(self):
+        from repro.iyp import IYPConfig, generate_iyp
+
+        bot = ChatIYP(dataset=generate_iyp(IYPConfig.small(seed=42)))
+        question = "Which country is AS2497 registered in?"
+        bot.ask(question)
+        assert bot.ask(question).diagnostics.get("cache_hit") is True
+        result = bot.run_cypher(
+            "MATCH (:AS {asn: 2497})-[r:COUNTRY]->(:Country) SET r.hege = 0.5"
+        )
+        assert result.properties_set >= 1
+        assert bot.ask(question).diagnostics.get("cache_hit") is None
+
     def test_config_partition(self, small_dataset):
         question = "Which country is AS2497 registered in?"
         bot_a = ChatIYP(
