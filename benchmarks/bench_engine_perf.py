@@ -104,8 +104,9 @@ def vector(chatiyp_medium):
 
 
 # The engine-latency benchmarks pass ``_execute=1``, a parameter no query
-# reads: a parameterised run always executes, so they time execution rather
-# than a memoised result.
+# reads: a parameterised run always plans and executes (only the parsed tree
+# is reused), so they time planning plus execution rather than a memoised
+# result.
 
 
 @pytest.mark.perf_smoke
@@ -148,7 +149,7 @@ def test_perf_var_length_expansion(benchmark, engine):
 
 def test_perf_query_parse_cached(benchmark, engine):
     # Repeated identical read-only text is served from the engine's memo of
-    # its last result (the RAG hot path); no parse, plan or execution.
+    # its last result; no parse, plan or execution.
     query = "MATCH (a:AS) WHERE a.asn > 100000 RETURN count(a)"
     engine.run(query)
     benchmark(engine.run, query)
@@ -177,7 +178,7 @@ def _paired_median_latency_ms(
     """
     engines = (planned, unplanned)
     for engine in engines:
-        engine.run(query, _execute=1)  # warm the AST/plan caches out of the measurement
+        engine.run(query, _execute=1)  # parse once, out of the measurement
     hits = [engine.cache_stats()["result_hits"] for engine in engines]
     samples: tuple[list[float], list[float]] = ([], [])
     for batch in range(batches):
@@ -186,8 +187,8 @@ def _paired_median_latency_ms(
             engine = engines[index]
             start = time.perf_counter()
             for _ in range(runs):
-                # A parameter the query never reads: every run executes
-                # instead of returning the engine's memoised result.
+                # A parameter the query never reads: every run plans and
+                # executes instead of returning the engine's memoised result.
                 engine.run(query, _execute=1)
             samples[index].append((time.perf_counter() - start) / runs * 1000.0)
     assert [engine.cache_stats()["result_hits"] for engine in engines] == hits
@@ -253,7 +254,7 @@ def run_quick(output: Path | None, batches: int = 10, runs: int = 20) -> dict:
         "dataset": "medium",
         "protocol": (
             f"median of {batches} alternating planner-on/off batches"
-            f" x {runs} runs, warm caches"
+            f" x {runs} runs, parsed tree cached, planned per run"
         ),
         "queries": results,
         "memory_scan": memory_scan,

@@ -16,11 +16,12 @@ generator resume per operator it crosses, and a downstream LIMIT/top-k
 stops pulling and the whole upstream pipeline terminates early.  Only
 blocking operators (Sort, Aggregate, write barriers) materialise
 rows.  One bounded LRU keyed by query text holds each query's
-parsed tree, its plans and, for a read-only query, its last result,
-reused while the graph's statistics version is unchanged;
-``planner=False`` is the escape hatch that falls back to the naive
-shape-only heuristics (via a row-at-a-time ``Match`` fallback operator,
-so results stay bit-identical to planned execution).
+parsed tree and, for a read-only query, its last result, reused while
+the graph's statistics version is unchanged.  Every execution plans
+afresh against the current statistics; ``planner=False`` is the escape
+hatch that falls back to the naive shape-only heuristics (via a
+row-at-a-time ``Match`` fallback operator, so results stay bit-identical
+to planned execution).
 
 Entry points: :class:`CypherEngine` — ``engine.run(query, **params)``
 for the classic API, ``engine.execute(query, params, deadline=...,
@@ -68,7 +69,7 @@ from .planner import (
 )
 from .result import Record, ResultSet
 from .safety import tree_is_read_only
-from .values import cypher_compare, cypher_equals, is_truthy
+from .values import cypher_equals, is_truthy
 
 __all__ = ["CypherEngine", "execute"]
 
@@ -122,18 +123,15 @@ class _LRUCache(OrderedDict):
 class _QueryEntry:
     """Everything the engine keeps for one query text.
 
-    ``plans`` is ``(stats_version, plans)`` and ``memo`` is
-    ``(stats_version, result, rows_charged)``.  Each is replaced by one
+    ``memo`` is ``(stats_version, result, rows_charged)``, replaced by one
     assignment, so a concurrent reader sees a whole tuple or the old one.
-    The entry holds the tree, so the ``id(clause)`` plan keys never dangle.
     """
 
-    __slots__ = ("tree", "read_only", "plans", "memo")
+    __slots__ = ("tree", "read_only", "memo")
 
     def __init__(self, tree: ast.Query) -> None:
         self.tree = tree
         self.read_only = tree_is_read_only(tree)
-        self.plans: Optional[tuple[int, dict[int, MatchPlan]]] = None
         self.memo: Optional[tuple[int, ResultSet, int]] = None
 
 
@@ -141,13 +139,13 @@ class CypherEngine:
     """Executes Cypher text against one :class:`GraphStore`.
 
     The engine keeps one entry per query text in a bounded LRU: the parsed
-    tree, its match plans and, for a read-only query, the last result.
-    Repeated generated queries (the RAG hot path) skip the parser and the
-    planner, and a repeated read-only query without parameters or PROFILE
-    on an unchanged graph returns its last result without executing.  Every
-    store mutation bumps ``stats_version``, which replans and retires the
-    memo.  ``planner=False`` disables planning entirely: the semantic
-    reference that planned execution is checked against.
+    tree and, for a read-only query, the last result.  A repeated query
+    skips the parser, and a repeated read-only query without parameters or
+    PROFILE on an unchanged graph returns its last result without
+    executing.  Every execution that does run plans against the current
+    statistics; every store mutation bumps ``stats_version``, which
+    retires the memo.  ``planner=False`` disables planning entirely: the
+    semantic reference that planned execution is checked against.
     """
 
     def __init__(
@@ -177,9 +175,6 @@ class CypherEngine:
         self._memos: OrderedDict[_QueryEntry, int] = OrderedDict()
         self._memoised_rows = 0
         self._result_hits = 0
-        # id(clause) -> (clause, items, keys, aggregated, grouping_indices);
-        # holding the clause reference keeps its id stable for the cache key
-        self._projection_meta: dict[int, tuple] = {}
 
     def compile_metrics(self) -> dict[str, int]:  # stub: benchmarks/e2e/workloads.py calls it
         return {}
@@ -194,7 +189,7 @@ class CypherEngine:
             }
 
     def run(self, query: str, **params: Any) -> ResultSet:
-        """Parse and plan (both cached) then execute ``query``."""
+        """Execute ``query`` with ``params`` (see :meth:`execute`)."""
         return self.execute(query, params)
 
     def execute(
@@ -245,7 +240,6 @@ class CypherEngine:
         result, root = self._execute(
             entry.tree,
             params or {},
-            self._plans_for(entry, version),
             deadline=deadline,
             row_budget=budget,
             profiled=profile,
@@ -256,12 +250,6 @@ class CypherEngine:
             self._memoise(entry, version, result, root.state.rows)
         return result
 
-    def run_ast(self, tree: ast.Query, params: dict[str, Any] | None = None) -> ResultSet:
-        """Execute an already-parsed query (plans computed, not cached)."""
-        plans = plan_query(tree, self.store.statistics()) if self.planner else None
-        result, _ = self._execute(tree, params or {}, plans)
-        return result
-
     def _entry(self, query: str) -> _QueryEntry:
         """The cache entry for ``query``, parsing it on a miss."""
         entry = self._entries.get(query)
@@ -269,16 +257,6 @@ class CypherEngine:
             entry = _QueryEntry(parse(query))
             self._entries[query] = entry
         return entry
-
-    def _plans_for(self, entry: _QueryEntry, version: int) -> Optional[dict[int, MatchPlan]]:
-        """The entry's match plans, replanned when the graph changed."""
-        if not self.planner:
-            return None
-        plans = entry.plans
-        if plans is None or plans[0] != version:
-            plans = (version, plan_query(entry.tree, self.store.statistics()))
-            entry.plans = plans
-        return plans[1]
 
     def _memoise(
         self, entry: _QueryEntry, version: int, result: ResultSet, rows_charged: int
@@ -310,21 +288,19 @@ class CypherEngine:
         self,
         tree: ast.Query,
         params: dict[str, Any],
-        plans: Optional[dict[int, MatchPlan]],
         *,
         deadline: Any = None,
         row_budget: Optional[int] = None,
         profiled: bool = False,
     ) -> tuple[ResultSet, ops.PhysicalOperator]:
-        """Lower ``tree`` into a physical operator tree and drain it.
+        """Plan ``tree``, lower it into a physical operator tree and drain it.
 
         Returns the result plus the executed tree root (its counters feed
         ``PROFILE`` rendering and the ``cypher_profile`` diagnostics).
         """
+        plans = plan_query(tree, self.store.statistics()) if self.planner else None
         state = RuntimeState(deadline=deadline, budget=row_budget, profiled=profiled)
-        context = _ExecutionContext(
-            self.store, params, self.max_var_length, state, plans, self._projection_meta
-        )
+        context = _ExecutionContext(self.store, params, self.max_var_length, state, plans)
         state.check_deadline()
         root = self._lower_query(tree, context, state)
         produced = iter(root)
@@ -346,9 +322,7 @@ class CypherEngine:
         its inclusive wall-clock time, so hot operators are visible at a
         glance.
         """
-        entry = self._entry(query)
-        plans = self._plans_for(entry, self.store.stats_version)
-        result, root = self._execute(entry.tree, params or {}, plans, profiled=True)
+        result, root = self._execute(self._entry(query).tree, params, profiled=True)
         result.profile = profile_tree(root)
         return result, render_profile(root)
 
@@ -524,7 +498,8 @@ class CypherEngine:
         context: "_ExecutionContext",
         state: RuntimeState,
     ) -> ops.PhysicalOperator:
-        plan = context.plans.get(id(clause)) if context.plans is not None else None
+        plans = context.match_plans
+        plan = plans.get(id(clause)) if plans is not None else None
         if not clause.optional:
             op = self._lower_parts(child, clause.pattern, plan, context, state)
             if clause.where is not None:
@@ -641,21 +616,7 @@ class CypherEngine:
         Returns the pipeline top plus the projection operator itself, whose
         items/keys Sort, AsRows and ProduceResults read.
         """
-        # Projection metadata depends only on the clause (and, for ``*``,
-        # on the clauses before it in the same tree); cache it per clause
-        # so repeated runs of a cached AST skip the re-derivation.
-        meta = context._projection_meta.get(id(clause))
-        if meta is None:
-            items, keys, aggregated, grouping = ops.derive_projection(
-                clause, sorted(scope)
-            )
-            if len(context._projection_meta) > 4096:
-                context._projection_meta.clear()
-            context._projection_meta[id(clause)] = (
-                clause, items, keys, aggregated, grouping,
-            )
-        else:
-            _, items, keys, aggregated, grouping = meta
+        items, keys, aggregated, grouping = ops.derive_projection(clause, sorted(scope))
         projection: ops.PhysicalOperator
         if aggregated:
             projection = ops.Aggregate(state, child, context, items, keys, grouping)
@@ -692,21 +653,18 @@ class _ExecutionContext:
         params: dict[str, Any],
         max_var_length: int,
         state: RuntimeState,
-        plans: Optional[dict[int, MatchPlan]] = None,
-        projection_meta: Optional[dict[int, tuple]] = None,
+        match_plans: Optional[dict[int, MatchPlan]] = None,
     ):
         self.store = store
         self.params = params
         self.max_var_length = max_var_length
         # the run's row budget and deadline, charged by the pattern matcher
         self.state = state
-        self.plans = plans
+        self.match_plans = match_plans
         self.evaluator = _Evaluator(self)
         # id(expr) -> value for pushed-filter expressions; those are
         # Literal/Parameter only, so their value is fixed per execution
         self._filter_values: dict[int, Any] = {}
-        # engine-shared projection metadata cache (see CypherEngine)
-        self._projection_meta = projection_meta if projection_meta is not None else {}
         self.nodes_created = 0
         self.relationships_created = 0
         self.properties_set = 0
@@ -951,10 +909,6 @@ class _ExecutionContext:
         for rel in self.store.adjacent_relationships(
             node_id, direction, rel_pattern.types or None
         ):
-            if direction == "out" and rel.start_id != node_id:
-                continue
-            if direction == "in" and rel.end_id != node_id:
-                continue
             if not self._rel_properties_match(rel_pattern, rel, row):
                 continue
             yield rel, rel.other_end(node_id)
@@ -1108,10 +1062,6 @@ class _ExecutionContext:
             ):
                 if rel.rel_id in used or rel.rel_id in taken_ids:
                     continue
-                if rel_pattern.direction == "out" and rel.start_id != node.node_id:
-                    continue
-                if rel_pattern.direction == "in" and rel.end_id != node.node_id:
-                    continue
                 if not self._rel_properties_match(rel_pattern, rel, row):
                     continue
                 next_node = self.store.node(rel.other_end(node.node_id))
@@ -1235,17 +1185,7 @@ class _ExecutionContext:
                 continue
             if filt.kind == "range":
                 for op, expr in zip(filt.ops, filt.values):
-                    wanted = self._filter_value(expr)
-                    comparison = cypher_compare(actual, wanted)
-                    if comparison is None:
-                        return False
-                    if op == "<" and not comparison < 0:
-                        return False
-                    if op == "<=" and not comparison <= 0:
-                        return False
-                    if op == ">" and not comparison > 0:
-                        return False
-                    if op == ">=" and not comparison >= 0:
+                    if compare_once(op, actual, self._filter_value(expr)) is not True:
                         return False
                 continue
             candidates = self._filter_candidates(filt)

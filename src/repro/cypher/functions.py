@@ -515,19 +515,16 @@ def call_aggregate(name: str, values: list[Any], distinct: bool = False) -> Any:
     return fn(values)
 
 
-_REGEX_CACHE: dict[str, re.Pattern[str]] = {}
-
-
 def regex_match(value: str, pattern: str) -> bool:
-    """Full-string regex match (Cypher's ``=~``), with a compiled cache."""
-    compiled = _REGEX_CACHE.get(pattern)
-    if compiled is None:
-        try:
-            compiled = re.compile(pattern)
-        except re.error as exc:
-            raise CypherRuntimeError(f"invalid regular expression {pattern!r}: {exc}") from exc
-        _REGEX_CACHE[pattern] = compiled
-    return compiled.fullmatch(value) is not None
+    """Full-string regex match (Cypher's ``=~``).
+
+    Compiled patterns are reused through the ``re`` module's own bounded
+    cache, so a query with many distinct patterns cannot grow memory.
+    """
+    try:
+        return re.fullmatch(pattern, value) is not None
+    except re.error as exc:
+        raise CypherRuntimeError(f"invalid regular expression {pattern!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from ..faults import fault_point
-from ..nlp.tokenize import word_tokenize
 from .model import HashingEmbedding
 
 __all__ = ["VectorEntry", "SearchHit", "VectorStore"]
@@ -54,26 +53,13 @@ class VectorStore:
     sort: scores are exact and the returned order is identical to a full
     stable descending sort (ties broken by insertion order), but only the
     top candidates are ever ordered.
-
-    With ``token_prefilter=True`` an inverted token→row map narrows the
-    score computation to entries sharing at least one word token with the
-    query.  Scores stay exact for every candidate, but recall becomes
-    approximate: entries with no token overlap are skipped.  When *no*
-    entry overlaps the query the store falls back to a full scan rather
-    than returning nothing.
     """
 
-    def __init__(
-        self,
-        embedding: Optional[HashingEmbedding] = None,
-        token_prefilter: bool = False,
-    ) -> None:
+    def __init__(self, embedding: Optional[HashingEmbedding] = None) -> None:
         self.embedding = embedding or HashingEmbedding()
         self._entries: list[VectorEntry] = []
         self._matrix: Optional[np.ndarray] = None
         self._by_id: dict[str, VectorEntry] = {}
-        self._token_prefilter = bool(token_prefilter)
-        self._token_rows: dict[str, list[int]] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -87,7 +73,6 @@ class VectorStore:
             if entry_id in self._by_id:
                 raise ValueError(f"duplicate vector-store id: {entry_id}")
             entry = VectorEntry(entry_id, text, vector, dict(metadata or {}))
-            self._index_tokens(len(self._entries), text)
             self._entries.append(entry)
             self._by_id[entry_id] = entry
             self._matrix = None  # invalidate
@@ -112,17 +97,9 @@ class VectorStore:
                 fresh.add(entry_id)
             for (entry_id, text, metadata), vector in zip(items, vectors):
                 entry = VectorEntry(entry_id, text, vector, dict(metadata or {}))
-                self._index_tokens(len(self._entries), text)
                 self._entries.append(entry)
                 self._by_id[entry_id] = entry
             self._matrix = None  # invalidate; rebuilt lazily in one stack
-
-    def _index_tokens(self, row: int, text: str) -> None:
-        """Record ``row`` under each of ``text``'s word tokens (lock held)."""
-        if not self._token_prefilter:
-            return
-        for token in set(word_tokenize(text)):
-            self._token_rows.setdefault(token, []).append(row)
 
     def _snapshot(self) -> tuple[np.ndarray, list[VectorEntry]]:
         """(matrix, entries) consistent pair; caller must not mutate either.
@@ -140,21 +117,12 @@ class VectorStore:
                     self._matrix = np.zeros((0, self.embedding.dim), dtype=np.float64)
             return self._matrix, self._entries
 
-    def _ensure_matrix(self) -> np.ndarray:
-        matrix, _ = self._snapshot()
-        return matrix
-
     def search(
-        self,
-        query: str,
-        top_k: int = 5,
-        filter_fn: Callable[[VectorEntry], bool] | None = None,
-        min_score: float = 0.0,
+        self, query: str, top_k: int = 5, min_score: float = 0.0
     ) -> list[SearchHit]:
         """Top-k entries by cosine similarity to ``query``.
 
         Args:
-            filter_fn: optional metadata predicate applied before ranking.
             min_score: drop hits scoring at or below this threshold.
         """
         if top_k <= 0:
@@ -166,53 +134,17 @@ class VectorStore:
         matrix, entries = self._snapshot()
         if matrix.shape[0] == 0:
             return []
-        query_vector = self.embedding.embed(query)
-        rows = self._candidate_rows(query, matrix.shape[0])
-        if rows is None:
-            scores = matrix @ query_vector  # rows are unit-norm already
-        else:
-            scores = matrix[rows] @ query_vector
-        return self._rank(scores, entries, rows, top_k, filter_fn, min_score)
-
-    def _rank(
-        self,
-        scores: np.ndarray,
-        entries: list[VectorEntry],
-        rows: Optional[np.ndarray],
-        top_k: int,
-        filter_fn: Callable[[VectorEntry], bool] | None,
-        min_score: float,
-    ) -> list[SearchHit]:
-        """Select top hits from ``scores`` via partial selection.
-
-        ``scores[i]`` belongs to ``entries[rows[i]]`` (or ``entries[i]``
-        when ``rows`` is None).  Starts with a ``top_k``-sized partition
-        and doubles it whenever ``filter_fn`` starves the result below
-        ``top_k`` without the scan having hit the ``min_score`` floor —
-        so the output is always identical to ranking a full stable sort.
-        """
-        total = int(scores.shape[0])
-        limit = min(top_k, total)
-        while True:
-            exhausted = limit >= total
-            hits: list[SearchHit] = []
-            stopped = False
-            for index in self._top_indices(scores, limit):
-                score = float(scores[int(index)])
-                if score <= min_score:
-                    stopped = True
-                    break
-                row = int(index) if rows is None else int(rows[int(index)])
-                entry = entries[row]
-                if filter_fn is not None and not filter_fn(entry):
-                    continue
-                hits.append(SearchHit(entry.entry_id, entry.text, score, dict(entry.metadata)))
-                if len(hits) >= top_k:
-                    stopped = True
-                    break
-            if stopped or exhausted:
-                return hits
-            limit = min(total, limit * 2)
+        scores = matrix @ self.embedding.embed(query)  # rows are unit-norm already
+        hits: list[SearchHit] = []
+        for index in self._top_indices(scores, min(top_k, matrix.shape[0])):
+            score = float(scores[index])
+            if score <= min_score:
+                break
+            entry = entries[int(index)]
+            hits.append(SearchHit(entry.entry_id, entry.text, score, dict(entry.metadata)))
+            if len(hits) >= top_k:
+                break
+        return hits
 
     @staticmethod
     def _top_indices(scores: np.ndarray, limit: int) -> np.ndarray:
@@ -234,29 +166,6 @@ class VectorStore:
             greater = greater[np.argsort(-scores[greater], kind="stable")]
         equal = np.nonzero(scores == threshold)[0]  # ascending index = tie order
         return np.concatenate([greater, equal])
-
-    def _candidate_rows(self, query: str, row_limit: int) -> Optional[np.ndarray]:
-        """Rows sharing a word token with ``query`` (None → scan all rows).
-
-        Only consulted when the store was built with ``token_prefilter``;
-        falls back to a full scan when the query has no word tokens, when
-        nothing overlaps, or when the prefilter would not shrink the scan.
-        Rows at or beyond ``row_limit`` (appended after the matrix
-        snapshot) are excluded so score lookups stay in bounds.
-        """
-        if not self._token_prefilter:
-            return None
-        tokens = set(word_tokenize(query))
-        if not tokens:
-            return None
-        candidates: set[int] = set()
-        with self._lock:
-            for token in tokens:
-                candidates.update(self._token_rows.get(token, ()))
-        candidates = {row for row in candidates if row < row_limit}
-        if not candidates or len(candidates) >= row_limit:
-            return None
-        return np.fromiter(sorted(candidates), dtype=np.intp, count=len(candidates))
 
     def entries(self) -> list[VectorEntry]:
         """Stable snapshot of the indexed entries (do not mutate them)."""

@@ -47,8 +47,8 @@ class EntityNotFound(GraphError, KeyError):
 class GraphStatistics:
     """Snapshot of store-level statistics for query planning.
 
-    ``version`` increments on every mutation, so planners can cache plans
-    keyed on it and replan only when the graph actually changed.
+    ``version`` increments on every mutation, so anything derived from
+    the graph can be keyed on it and rebuilt only when the graph changed.
     """
 
     version: int
@@ -119,7 +119,7 @@ class GraphStore:
         self._rel_endpoint_counts: Counter[tuple[str, str, str]] = Counter()
         # (label, property key, value) exact-match index, built lazily
         self._property_index: dict[tuple[str, str], dict[Any, set[int]]] = {}
-        # bumped on every mutation; statistics()/plan caches key on it
+        # bumped on every mutation; statistics() and result memos key on it
         self._stats_version = 0
         self._stats_cache: GraphStatistics | None = None
         # (node id, direction, rel types) -> sorted relationship tuple,
@@ -331,7 +331,7 @@ class GraphStore:
 
     @property
     def stats_version(self) -> int:
-        """Monotone counter bumped by every mutation (plan-cache key)."""
+        """Monotone counter bumped by every mutation (result-memo key)."""
         return self._stats_version
 
     def statistics(self) -> GraphStatistics:
@@ -545,7 +545,7 @@ class GraphStore:
     # ------------------------------------------------------------------
 
     def _touch(self) -> None:
-        """Record a mutation (invalidates statistics, plan and scan caches)."""
+        """Record a mutation (invalidates statistics and scan caches)."""
         self._stats_version += 1
         if self._adjacency_cache:
             self._adjacency_cache.clear()

@@ -8,12 +8,14 @@ Stdlib-only HTTP server exposing:
 * ``POST /ask_batch`` — body ``{"questions": [...], "deadline_ms": 500}``
   → one result per question, in order.  Each list element is either a
   bare question string or ``{"question": "...", "deadline_ms": 250}``;
-  per-item budgets override the batch-level default.  At most
+  per-item budgets override the batch-level default, and every budget is
+  capped by the server default.  At most
   ``max_batch_size`` questions per request.  Results report partial
   failures individually (``{"ok": false, "error": ...}``) instead of
   failing the whole batch.
 * ``POST /cypher`` — body ``{"query": "...", "params": {...}}`` → rows
-  (read-only queries only; writes are rejected with 403)
+  (read-only queries only; writes are rejected with 403).  The query runs
+  under the server's default deadline; an overrun answers 400
 * ``GET  /health`` — liveness and graph stats
 * ``GET  /metrics`` — per-stage latency aggregates, routing/cache/shed
   counters from the pipeline's
@@ -55,7 +57,7 @@ from typing import Optional
 from ..core.chatiyp import ChatIYP
 from ..cypher import CypherError, CypherSyntaxError, is_read_only, render_value
 from ..iyp.queries import COOKBOOK
-from ..serving import AdmissionController
+from ..serving import AdmissionController, Deadline
 
 __all__ = ["make_server", "ChatIYPRequestHandler", "serve"]
 
@@ -217,13 +219,15 @@ class ChatIYPRequestHandler(BaseHTTPRequestHandler):
                     {"error": "'question' must be a non-empty string"}, status=400
                 )
                 return
-            deadline_ms = payload.get("deadline_ms", getattr(self.server, "deadline_ms", None))
+            deadline_ms = payload.get("deadline_ms")
             if self._bad_budget(deadline_ms):
                 self._send_json(
                     {"error": "'deadline_ms' must be a positive number"}, status=400
                 )
                 return
-            body = self.chatiyp.ask(question, deadline_ms=deadline_ms).to_dict()
+            body = self.chatiyp.ask(
+                question, deadline_ms=self._capped(deadline_ms)
+            ).to_dict()
         finally:
             # Slot goes back before the success response is written: a
             # client acting on the reply immediately (the tests poll the
@@ -241,6 +245,13 @@ class ChatIYPRequestHandler(BaseHTTPRequestHandler):
             or value <= 0
         )
 
+    def _capped(self, budget):
+        """A client budget capped at the server default (None = not set)."""
+        default = getattr(self.server, "deadline_ms", None)
+        if budget is None:
+            return default
+        return budget if default is None else min(budget, default)
+
     def _parse_batch_item(self, item, default_budget):
         """Normalize one batch element to ``(question, budget, error)``."""
         if isinstance(item, str):
@@ -254,7 +265,7 @@ class ChatIYPRequestHandler(BaseHTTPRequestHandler):
             return None, None, "'question' must be a non-empty string"
         if self._bad_budget(budget):
             return None, None, "'deadline_ms' must be a positive number"
-        return question, budget, None
+        return question, self._capped(budget), None
 
     def _handle_ask_batch(self) -> None:
         admission: Optional[AdmissionController] = getattr(
@@ -281,9 +292,7 @@ class ChatIYPRequestHandler(BaseHTTPRequestHandler):
                     {"error": f"batch exceeds {max_batch} questions"}, status=400
                 )
                 return
-            default_budget = payload.get(
-                "deadline_ms", getattr(self.server, "deadline_ms", None)
-            )
+            default_budget = payload.get("deadline_ms")
             if self._bad_budget(default_budget):
                 self._send_json(
                     {"error": "'deadline_ms' must be a positive number"}, status=400
@@ -337,7 +346,12 @@ class ChatIYPRequestHandler(BaseHTTPRequestHandler):
                     {"error": "write queries are not allowed over the API"}, status=403
                 )
                 return
-            result = self.chatiyp.run_cypher(query, **params)
+            deadline_ms = getattr(self.server, "deadline_ms", None)
+            result = self.chatiyp.engine.execute(
+                query,
+                params,
+                deadline=Deadline.start(deadline_ms) if deadline_ms else None,
+            )
         except CypherSyntaxError as exc:
             self._send_json({"error": f"syntax error: {exc}"}, status=400)
             return
@@ -371,8 +385,9 @@ def make_server(
     (``max_concurrency=0`` disables admission control entirely); shed
     requests answer ``503`` with a ``Retry-After: retry_after_s`` header.
     ``deadline_ms`` is the default per-request budget applied when the
-    client sends none; ``max_batch_size`` caps the questions one
-    ``/ask_batch`` request may carry.
+    client sends none, the cap on any budget a client sends, and the
+    deadline of every ``/cypher`` query; ``max_batch_size`` caps the
+    questions one ``/ask_batch`` request may carry.
     """
     server = _ChatIYPServer((host, port), ChatIYPRequestHandler)
     server.chatiyp = chatiyp  # type: ignore[attr-defined]

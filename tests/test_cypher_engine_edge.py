@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.cypher import CypherEngine, CypherSyntaxError, CypherTypeError, execute, parse
+from repro.cypher import CypherEngine, CypherSyntaxError, CypherTypeError, execute
 from repro.cypher.errors import CypherError
 from repro.cypher.result import render_value
 from repro.graph import GraphStore
@@ -21,10 +21,10 @@ class TestEngineMachinery:
         engine.run(query)
         assert engine._entries[query] is cached
 
-    def test_run_ast_directly(self, tiny_store):
+    def test_execute_with_params_dict(self, tiny_store):
         engine = CypherEngine(tiny_store)
-        tree = parse("MATCH (a:AS {asn: $asn}) RETURN a.name AS name")
-        result = engine.run_ast(tree, {"asn": 2497})
+        query = "MATCH (a:AS {asn: $asn}) RETURN a.name AS name"
+        result = engine.execute(query, {"asn": 2497})
         assert result.single()["name"] == "IIJ"
 
     def test_max_var_length_limits_expansion(self):

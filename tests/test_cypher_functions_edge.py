@@ -8,9 +8,12 @@ with a runtime error before any row is produced.
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
-from repro.cypher import CypherRuntimeError, execute
+from repro.cypher import CypherEngine, CypherRuntimeError, execute
 from repro.graph import GraphStore
 
 
@@ -127,3 +130,28 @@ class TestBoundedIntValidation:
     def test_zero_limit_yields_no_rows(self, store):
         result = execute(store, "UNWIND [1, 2, 3] AS x RETURN x LIMIT 0")
         assert result.values("x") == []
+
+
+class TestRegexMatch:
+    def test_invalid_pattern_is_runtime_error(self, store):
+        with pytest.raises(CypherRuntimeError, match="invalid regular expression"):
+            value_of(store, "'abc' =~ '['")
+
+    def test_distinct_patterns_are_not_retained(self, store):
+        # Every row matches against its own pattern; compiled patterns may
+        # only live in a bounded cache, not for the life of the process.
+        engine = CypherEngine(store)
+        query = (
+            "UNWIND range(1, $n) AS i WITH i WHERE 'x' =~ ('p' + toString(i)) "
+            "RETURN count(*) AS n"
+        )
+        engine.execute(query, {"n": 10})
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert engine.execute(query, {"n": 20_000}).single()["n"] == 0
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 2_000_000, f"{retained} bytes retained"

@@ -187,6 +187,33 @@ class TestVariableLength:
         result = execute(chain, "MATCH (a {i: 2})-[:X*1..1]-(b) RETURN b.i ORDER BY b.i")
         assert result.values() == [1, 3]
 
+    @pytest.mark.parametrize(
+        "left, right, reached, shortest",
+        [
+            ("-", "->", [0, 1, 1], [1]),
+            ("<-", "-", [0], []),
+            ("-", "-", [0, 1, 1], [1]),
+        ],
+        ids=["out", "in", "both"],
+    )
+    def test_self_loop_hop_each_direction(self, left, right, reached, shortest):
+        # (a)-[:X]->(a) and (a)-[:X]->(b): the adjacency lookup for each
+        # direction returns the self-loop exactly once.
+        store = GraphStore()
+        a = store.create_node(["N"], {"i": 0})
+        b = store.create_node(["N"], {"i": 1})
+        store.create_relationship(a.node_id, "X", a.node_id)
+        store.create_relationship(a.node_id, "X", b.node_id)
+        hops = f"{left}[:X*1..2]{right}"
+        result = execute(store, f"MATCH (s {{i: 0}}){hops}(t) RETURN t.i ORDER BY t.i")
+        assert result.values() == reached
+        result = execute(
+            store,
+            f"MATCH (s {{i: 0}}), (t {{i: 1}}) "
+            f"MATCH p = shortestPath((s){hops}(t)) RETURN length(p)",
+        )
+        assert result.values() == shortest
+
 
 class TestPaths:
     def test_path_length_and_functions(self, tiny_store):

@@ -125,12 +125,6 @@ class TestVectorStore:
     def test_top_k_bounded(self, store):
         assert len(store.search("internet", top_k=2)) <= 2
 
-    def test_filter_fn(self, store):
-        hits = store.search(
-            "internet exchange", top_k=5, filter_fn=lambda e: e.metadata["kind"] == "ixp"
-        )
-        assert [hit.entry_id for hit in hits] == ["b"]
-
     def test_min_score_cuts_noise(self, store):
         hits = store.search("AS2497 network operator", top_k=5, min_score=0.3)
         assert all(hit.score > 0.3 for hit in hits)

@@ -168,7 +168,7 @@ class TestMutation:
 
 
 class TestStatsVersion:
-    """Every public write bumps ``stats_version``: plan caches, result
+    """Every public write bumps ``stats_version``: the statistics snapshot, result
     memos and the answer cache all key on it."""
 
     WRITES = {

@@ -156,7 +156,7 @@ class TestTopKSelection:
         assert list(planned.run(query)) == list(unplanned.run(query))
 
 
-def _reference_search(store, query, top_k, filter_fn=None, min_score=0.0):
+def _reference_search(store, query, top_k, min_score=0.0):
     """The pre-argpartition full-stable-sort search, kept as an oracle."""
     matrix, entries = store._snapshot()
     if top_k <= 0 or matrix.shape[0] == 0:
@@ -168,8 +168,6 @@ def _reference_search(store, query, top_k, filter_fn=None, min_score=0.0):
         score = float(scores[int(index)])
         if score <= min_score:
             break
-        if filter_fn is not None and not filter_fn(entry):
-            continue
         hits.append(SearchHit(entry.entry_id, entry.text, score, dict(entry.metadata)))
         if len(hits) >= top_k:
             break
@@ -201,44 +199,8 @@ class TestVectorTopK:
             fast = store.search(query, top_k=top_k, min_score=min_score)
             assert fast == _reference_search(store, query, top_k, min_score=min_score)
 
-    def test_filter_fn_escalation_matches_full_sort(self, corpus):
-        store, _ = corpus
-        # The duplicate-heavy corpus guarantees score ties, and the parity
-        # filter rejects ~half the candidates, forcing partition escalation.
-        keep_odd = lambda entry: not entry.metadata["even"]  # noqa: E731
-        for top_k in (1, 5, 40, 120):
-            fast = store.search("asn prefix rank", top_k=top_k, filter_fn=keep_odd)
-            ref = _reference_search(store, "asn prefix rank", top_k, filter_fn=keep_odd)
-            assert fast == ref
-            assert all(not hit.metadata["even"] for hit in fast)
-
     def test_get_is_dict_backed_and_correct(self, corpus):
         store, texts = corpus
         assert store.get("e7").text == texts[7]
         assert store.get("missing") is None
         assert "e7" in store._by_id  # the O(1) path, not a scan
-
-    def test_token_prefilter_exact_scores(self, corpus):
-        _, texts = corpus
-        filtered = VectorStore(HashingEmbedding(dim=64), token_prefilter=True)
-        full = VectorStore(HashingEmbedding(dim=64))
-        for i, text in enumerate(texts):
-            filtered.add(f"e{i}", text, {})
-            full.add(f"e{i}", text, {})
-        full_hits = {h.entry_id: h.score for h in full.search("asn prefix", top_k=500)}
-        hits = filtered.search("asn prefix", top_k=500)
-        assert hits  # token overlap exists in this corpus
-        for hit in hits:
-            assert hit.score == pytest.approx(full_hits[hit.entry_id], abs=1e-12)
-        assert set(h.entry_id for h in hits) <= set(full_hits)
-
-    def test_token_prefilter_falls_back_on_no_overlap(self, corpus):
-        _, texts = corpus
-        filtered = VectorStore(HashingEmbedding(dim=64), token_prefilter=True)
-        for i, text in enumerate(texts):
-            filtered.add(f"e{i}", text, {})
-        with_overlap = filtered.search("qqq zzz www", top_k=3)
-        plain = VectorStore(HashingEmbedding(dim=64))
-        for i, text in enumerate(texts):
-            plain.add(f"e{i}", text, {})
-        assert with_overlap == plain.search("qqq zzz www", top_k=3)

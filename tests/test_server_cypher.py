@@ -1,6 +1,7 @@
 """Tests for the /cypher and /cookbook endpoints and query safety."""
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -22,14 +23,14 @@ def get(port, path):
         return resp.status, json.loads(resp.read())
 
 
-def post(port, path, payload):
+def post(port, path, payload, timeout=30):
     request = urllib.request.Request(
         f"http://127.0.0.1:{port}{path}",
         data=json.dumps(payload).encode(),
         headers={"Content-Type": "application/json"},
     )
     try:
-        with urllib.request.urlopen(request, timeout=30) as resp:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
@@ -127,6 +128,39 @@ class TestCypherEndpoint:
         assert status == 200
         assert len(payload["rows"]) == 200
         assert payload["row_count"] == 500
+
+    def test_parameter_named_query(self, port):
+        status, payload = post(
+            port, "/cypher", {"query": "RETURN $query AS q", "params": {"query": 1}}
+        )
+        assert status == 200
+        assert payload["rows"] == [{"q": "1"}]
+
+
+class TestCypherDeadline:
+    # Millions of intermediate rows on the small graph: seconds unbounded.
+    RUNAWAY = "MATCH (a:AS)-[:PEERS_WITH*1..6]-(b) RETURN count(*)"
+
+    @pytest.fixture(scope="class")
+    def deadline_port(self, chatiyp_small):
+        server, port = start_background(chatiyp_small, deadline_ms=200.0)
+        yield port
+        server.shutdown()
+
+    def test_runaway_query_stops_at_server_deadline(self, deadline_port):
+        started = time.monotonic()
+        status, payload = post(deadline_port, "/cypher", {"query": self.RUNAWAY}, timeout=10)
+        assert status == 400
+        assert "deadline" in payload["error"]
+        assert time.monotonic() - started < 5
+
+    def test_fast_query_unaffected(self, deadline_port):
+        status, payload = post(
+            deadline_port, "/cypher",
+            {"query": "MATCH (a:AS {asn: $asn}) RETURN a.asn AS asn", "params": {"asn": 2497}},
+        )
+        assert status == 200
+        assert payload["rows"] == [{"asn": "2497"}]
 
 
 class TestCookbookEndpoint:

@@ -19,6 +19,7 @@ import urllib.request
 import pytest
 
 from repro.core import ChatIYP, ChatIYPConfig
+from repro.faults import FaultPlan, FaultSpec, activated
 from repro.rag.types import RetrievalResult
 from repro.server import start_background
 
@@ -52,6 +53,53 @@ def hardened_bot(small_dataset):
             breaker_failure_threshold=4,
         ),
     )
+
+
+class TestClientBudgetCap:
+    """A client's ``deadline_ms`` never exceeds the server default."""
+
+    @pytest.fixture(scope="class")
+    def capped_port(self, small_dataset):
+        bot = ChatIYP(
+            dataset=small_dataset,
+            config=ChatIYPConfig(dataset_size="small", answer_cache_size=0),
+        )
+        server, port = start_background(bot, deadline_ms=100.0)
+        yield port
+        server.shutdown()
+
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/ask", {"question": "Which country is AS2497 registered in?", "deadline_ms": 1e9}),
+            ("/ask_batch", {"questions": ["Which country is AS2497 registered in?"],
+                            "deadline_ms": 1e9}),
+            ("/ask_batch", {"questions": [{"question": "Which country is AS2497 registered in?",
+                                           "deadline_ms": 1e9}]}),
+        ],
+        ids=["ask", "batch-default", "batch-item"],
+    )
+    def test_huge_client_budget_is_capped(self, capped_port, path, body):
+        # The translation sleeps past the 100 ms server default but far
+        # inside the client's budget: only the capped budget degrades.
+        plan = FaultPlan(
+            specs=(FaultSpec(site="llm.text2cypher", kind="latency", latency_ms=300.0),),
+        )
+        with activated(plan):
+            status, payload, _ = _post(capped_port, path, body)
+        assert status == 200
+        response = payload if path == "/ask" else payload["results"][0]["response"]
+        assert response["diagnostics"]["degraded"]
+
+    def test_smaller_client_budget_is_kept(self, capped_port):
+        plan = FaultPlan(
+            specs=(FaultSpec(site="llm.text2cypher", kind="latency", latency_ms=30.0),),
+        )
+        body = {"question": "Which country is AS2497 registered in?", "deadline_ms": 10.0}
+        with activated(plan):
+            status, payload, _ = _post(capped_port, "/ask", body)
+        assert status == 200
+        assert payload["diagnostics"]["degraded"]
 
 
 @pytest.fixture(scope="module")
