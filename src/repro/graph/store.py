@@ -6,14 +6,19 @@ Cypher executor is built on.  It is deliberately single-threaded and
 in-memory: IYP-scale synthetic graphs (tens of thousands of nodes) fit
 comfortably, and determinism matters more than concurrency for
 reproduction.
+
+Every scan returns entities in id order without sorting.  Ids only grow,
+a node's labels and a relationship's type and endpoints never change, and
+each index is a dict keyed by id, filled when the entity is created and
+trimmed when it is deleted; a dict keeps insertion order across deletes.
 """
 
 from __future__ import annotations
 
 import gc
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Collection, Iterable, Iterator, Mapping
 
 from .model import Node, Relationship, validate_properties
 
@@ -24,12 +29,13 @@ def _freeze_built_graph() -> None:
 
     The last step of the bulk builders (``generate_iyp``, ``import_graph``).
     A served process keeps its graph, some 300k nodes, relationships,
-    property dicts and index sets on the large preset, for its whole life;
+    property dicts and index dicts on the large preset, for its whole life;
     without this every full collection walks all of it.  ``gc.freeze``
     moves every object alive now (process-wide, not just the graph) into
     the permanent generation.  Frozen objects are still freed by reference
-    counting, and the store holds ids rather than back-references, so a
-    dropped graph has no cycle left for the collector to find.
+    counting, and nodes and relationships refer to each other by id, never
+    back to the store, so a dropped graph has no cycle left for the
+    collector to find.
     """
     gc.collect()
     gc.freeze()
@@ -104,34 +110,24 @@ class GraphStore:
         self._relationships: dict[int, Relationship] = {}
         self._next_node_id = 0
         self._next_rel_id = 0
-        # label -> set of node ids
-        self._label_index: dict[str, set[int]] = defaultdict(set)
-        # node id -> rel ids (by direction)
-        self._outgoing: dict[int, set[int]] = defaultdict(set)
-        self._incoming: dict[int, set[int]] = defaultdict(set)
-        # node id -> rel type -> rel ids (typed adjacency, both directions),
-        # so type-restricted expansion never filters in Python per edge
-        self._outgoing_typed: dict[int, dict[str, set[int]]] = {}
-        self._incoming_typed: dict[int, dict[str, set[int]]] = {}
+        # label -> {node id: node}, in id order; no empty entries
+        self._label_index: dict[str, dict[int, Node]] = {}
+        # node id -> rel type -> {rel id: rel}, one map per direction, in id
+        # order; empty buckets and maps are dropped.  An expansion that names
+        # one direction and one type reads a single bucket.
+        self._outgoing_typed: dict[int, dict[str, dict[int, Relationship]]] = {}
+        self._incoming_typed: dict[int, dict[str, dict[int, Relationship]]] = {}
         # rel type -> live relationship count (for planner statistics)
         self._rel_type_counts: Counter[str] = Counter()
         # (rel type, "out"|"in", endpoint label) -> live edge count
         self._rel_endpoint_counts: Counter[tuple[str, str, str]] = Counter()
-        # (label, property key, value) exact-match index, built lazily
+        # (label, property key) -> value -> node ids, built on request; no
+        # empty value buckets.  A SET can add a lower id to a bucket, so
+        # lookups sort.
         self._property_index: dict[tuple[str, str], dict[Any, set[int]]] = {}
         # bumped on every mutation; statistics() and result memos key on it
         self._stats_version = 0
         self._stats_cache: GraphStatistics | None = None
-        # (node id, direction, rel types) -> sorted relationship tuple,
-        # memoising the union+sort of adjacency sets; cleared on mutation
-        self._adjacency_cache: dict[
-            tuple[int, str, tuple[str, ...] | None], tuple[Relationship, ...]
-        ] = {}
-        # label -> id-ordered node-id tuple, memoising the per-scan sort of
-        # the label index; cleared on mutation.  The streaming executor
-        # opens a fresh label scan per anchor row, so this sort is per-row
-        # work without the cache.
-        self._label_scan_cache: dict[str, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # Creation / mutation
@@ -150,11 +146,11 @@ class GraphStore:
         self._next_node_id += 1
         self._nodes[node.node_id] = node
         for label in node.labels:
-            self._label_index[label].add(node.node_id)
-            for key in node.properties:
+            self._label_index.setdefault(label, {})[node.node_id] = node
+            for key, value in node.properties.items():
                 index = self._property_index.get((label, key))
                 if index is not None:
-                    index[self._index_key(node.properties[key])].add(node.node_id)
+                    index.setdefault(self._index_key(value), set()).add(node.node_id)
         self._touch()
         return node
 
@@ -173,10 +169,8 @@ class GraphStore:
         rel = Relationship(self._next_rel_id, rel_type, start_id, end_id, properties)
         self._next_rel_id += 1
         self._relationships[rel.rel_id] = rel
-        self._outgoing[start_id].add(rel.rel_id)
-        self._incoming[end_id].add(rel.rel_id)
-        self._outgoing_typed.setdefault(start_id, {}).setdefault(rel_type, set()).add(rel.rel_id)
-        self._incoming_typed.setdefault(end_id, {}).setdefault(rel_type, set()).add(rel.rel_id)
+        self._outgoing_typed.setdefault(start_id, {}).setdefault(rel_type, {})[rel.rel_id] = rel
+        self._incoming_typed.setdefault(end_id, {}).setdefault(rel_type, {})[rel.rel_id] = rel
         self._rel_type_counts[rel_type] += 1
         for label in self._nodes[start_id].labels:
             self._rel_endpoint_counts[(rel_type, "out", label)] += 1
@@ -198,9 +192,9 @@ class GraphStore:
             if index is None:
                 continue
             if old is not None:
-                index[self._index_key(old)].discard(node_id)
+                self._unindex(index, old, node_id)
             if value is not None:
-                index[self._index_key(value)].add(node_id)
+                index.setdefault(self._index_key(value), set()).add(node_id)
         self._touch()
 
     def set_relationship_property(self, rel_id: int, key: str, value: Any) -> None:
@@ -217,22 +211,22 @@ class GraphStore:
         rel = self._relationships.pop(rel_id, None)
         if rel is None:
             raise EntityNotFound(f"relationship {rel_id} does not exist")
-        self._outgoing[rel.start_id].discard(rel_id)
-        self._incoming[rel.end_id].discard(rel_id)
-        out_bucket = self._outgoing_typed.get(rel.start_id, {}).get(rel.rel_type)
-        if out_bucket is not None:
-            out_bucket.discard(rel_id)
-        in_bucket = self._incoming_typed.get(rel.end_id, {}).get(rel.rel_type)
-        if in_bucket is not None:
-            in_bucket.discard(rel_id)
+        for side, node_id in (
+            (self._outgoing_typed, rel.start_id),
+            (self._incoming_typed, rel.end_id),
+        ):
+            by_type = side[node_id]
+            bucket = by_type[rel.rel_type]
+            del bucket[rel_id]
+            if not bucket:
+                del by_type[rel.rel_type]
+                if not by_type:
+                    del side[node_id]
         self._rel_type_counts[rel.rel_type] -= 1
         if self._rel_type_counts[rel.rel_type] <= 0:
             del self._rel_type_counts[rel.rel_type]
         for side, node_id in (("out", rel.start_id), ("in", rel.end_id)):
-            node = self._nodes.get(node_id)
-            if node is None:
-                continue
-            for label in node.labels:
+            for label in self._nodes[node_id].labels:
                 key = (rel.rel_type, side, label)
                 self._rel_endpoint_counts[key] -= 1
                 if self._rel_endpoint_counts[key] <= 0:
@@ -250,38 +244,33 @@ class GraphStore:
         node = self._nodes.get(node_id)
         if node is None:
             raise EntityNotFound(f"node {node_id} does not exist")
-        attached = list(self._outgoing.get(node_id, ())) + list(
-            self._incoming.get(node_id, ())
-        )
+        attached = self.adjacent_relationships(node_id)
         if attached and not detach:
             raise GraphError(
                 f"cannot delete node {node_id}: it still has {len(attached)} relationships"
             )
-        for rel_id in attached:
-            if rel_id in self._relationships:
-                self.delete_relationship(rel_id)
+        for rel in attached:
+            self.delete_relationship(rel.rel_id)
         del self._nodes[node_id]
         for label in node.labels:
-            self._label_index[label].discard(node_id)
+            members = self._label_index[label]
+            del members[node_id]
+            if not members:
+                del self._label_index[label]
             for key, value in node.properties.items():
                 index = self._property_index.get((label, key))
                 if index is not None:
-                    index[self._index_key(value)].discard(node_id)
-        self._outgoing.pop(node_id, None)
-        self._incoming.pop(node_id, None)
-        self._outgoing_typed.pop(node_id, None)
-        self._incoming_typed.pop(node_id, None)
+                    self._unindex(index, value, node_id)
         self._touch()
 
     def create_property_index(self, label: str, key: str) -> None:
         """Build an exact-match index over ``(label, key)`` for fast lookups."""
         if (label, key) in self._property_index:
             return
-        index: dict[Any, set[int]] = defaultdict(set)
-        for node_id in self._label_index.get(label, ()):
-            node = self._nodes[node_id]
+        index: dict[Any, set[int]] = {}
+        for node_id, node in self._label_index.get(label, {}).items():
             if key in node.properties:
-                index[self._index_key(node.properties[key])].add(node_id)
+                index.setdefault(self._index_key(node.properties[key]), set()).add(node_id)
         self._property_index[(label, key)] = index
         self._touch()
 
@@ -323,7 +312,7 @@ class GraphStore:
 
     def labels(self) -> list[str]:
         """All labels with at least one node, sorted."""
-        return sorted(label for label, ids in self._label_index.items() if ids)
+        return sorted(self._label_index)
 
     def relationship_types(self) -> list[str]:
         """All relationship types present, sorted."""
@@ -346,9 +335,7 @@ class GraphStore:
             version=self._stats_version,
             node_count=len(self._nodes),
             relationship_count=len(self._relationships),
-            label_counts={
-                label: len(ids) for label, ids in self._label_index.items() if ids
-            },
+            label_counts={label: len(ids) for label, ids in self._label_index.items()},
             rel_type_counts=dict(self._rel_type_counts),
             indexes=frozenset(self._property_index),
             rel_endpoint_counts=dict(self._rel_endpoint_counts),
@@ -360,29 +347,20 @@ class GraphStore:
     # ------------------------------------------------------------------
 
     def all_nodes(self) -> Iterator[Node]:
-        """Iterate every node in insertion (id) order."""
-        for node_id in sorted(self._nodes):
-            yield self._nodes[node_id]
+        """Iterate a snapshot of every node in id order."""
+        return iter(tuple(self._nodes.values()))
 
     def all_relationships(self) -> Iterator[Relationship]:
-        """Iterate every relationship in insertion (id) order."""
-        for rel_id in sorted(self._relationships):
-            yield self._relationships[rel_id]
+        """Iterate a snapshot of every relationship in id order."""
+        return iter(tuple(self._relationships.values()))
 
     def nodes_by_label(self, label: str) -> Iterator[Node]:
-        """Iterate nodes carrying ``label`` in id order (lazily).
+        """Iterate a snapshot of the nodes carrying ``label``, in id order.
 
-        The id-ordered scan list is memoised per label (cleared on any
-        mutation), and iteration walks a stable snapshot — a streaming
-        consumer abandoning the scan early pays only for the rows pulled.
+        The snapshot is taken at the call, so writes made while a consumer
+        is still pulling rows neither show up nor break the scan.
         """
-        ordered = self._label_scan_cache.get(label)
-        if ordered is None:
-            ordered = tuple(sorted(self._label_index.get(label, ())))
-            self._label_scan_cache[label] = ordered
-        nodes = self._nodes
-        for node_id in ordered:
-            yield nodes[node_id]
+        return iter(tuple(self._label_index.get(label, {}).values()))
 
     def nodes_by_property(self, label: str, key: str, value: Any) -> Iterator[Node]:
         """Iterate nodes with ``label`` whose ``key`` equals ``value``.
@@ -399,102 +377,68 @@ class GraphStore:
             if node.properties.get(key) == value:
                 yield node
 
-    def relationships_of(
+    def adjacent_relationships(
         self,
         node_id: int,
         direction: str = "both",
-        rel_types: Iterable[str] | None = None,
-    ) -> Iterator[Relationship]:
-        """Iterate relationships attached to ``node_id``.
+        rel_types: Collection[str] | None = None,
+    ) -> tuple[Relationship, ...]:
+        """Relationships attached to ``node_id``, in id order.
 
         Args:
             direction: ``"out"``, ``"in"`` or ``"both"`` (from the node's
                 point of view).
             rel_types: restrict to these relationship types (any if None).
+
+        One direction and one type read a single adjacency bucket, which is
+        already in id order.  Anything else merges its buckets by id; a
+        self-loop appears once under ``"both"``.
         """
-        yield from self.adjacent_relationships(node_id, direction, rel_types)
-
-    def adjacent_relationships(
-        self,
-        node_id: int,
-        direction: str = "both",
-        rel_types: Iterable[str] | None = None,
-    ) -> tuple[Relationship, ...]:
-        """Like :meth:`relationships_of` but returns a cached sorted tuple.
-
-        The executor's expansion hot path calls this once per visited node
-        per hop; memoising the union+sort makes repeated traversals (and
-        BFS re-visits) allocation-free.  The cache is dropped on any
-        mutation.
-        """
-        if direction not in ("out", "in", "both"):
-            raise ValueError(f"invalid direction {direction!r}")
-        if rel_types is not None and not isinstance(rel_types, tuple):
-            rel_types = tuple(rel_types)
-        key = (node_id, direction, rel_types)
-        cached = self._adjacency_cache.get(key)
-        if cached is None:
-            cached = tuple(
-                self._relationships[rel_id]
-                for rel_id in sorted(self._adjacent_ids(node_id, direction, rel_types))
-            )
-            self._adjacency_cache[key] = cached
-        return cached
-
-    def _adjacent_ids(
-        self,
-        node_id: int,
-        direction: str,
-        rel_types: Iterable[str] | None,
-    ) -> set[int]:
-        """Rel ids attached to ``node_id``, using typed buckets when possible."""
-        if rel_types is None:
-            rel_ids: set[int] = set()
-            if direction in ("out", "both"):
-                rel_ids |= self._outgoing.get(node_id, set())
-            if direction in ("in", "both"):
-                rel_ids |= self._incoming.get(node_id, set())
-            return rel_ids
-        rel_ids = set()
-        if direction in ("out", "both"):
-            buckets = self._outgoing_typed.get(node_id)
-            if buckets:
-                for rel_type in rel_types:
-                    rel_ids |= buckets.get(rel_type, set())
-        if direction in ("in", "both"):
-            buckets = self._incoming_typed.get(node_id)
-            if buckets:
-                for rel_type in rel_types:
-                    rel_ids |= buckets.get(rel_type, set())
-        return rel_ids
+        buckets = self._buckets(node_id, direction, rel_types)
+        if len(buckets) < 2:
+            return tuple(buckets[0].values()) if buckets else ()
+        merged: dict[int, Relationship] = {}
+        for bucket in buckets:
+            merged.update(bucket)
+        return tuple(map(merged.__getitem__, sorted(merged)))
 
     def degree(
         self,
         node_id: int,
         direction: str = "both",
-        rel_types: Iterable[str] | None = None,
+        rel_types: Collection[str] | None = None,
     ) -> int:
-        """Number of attached relationships.
+        """Number of attached relationships; a self-loop counts once under ``"both"``."""
+        return len(self.adjacent_relationships(node_id, direction, rel_types))
 
-        Counted from the (typed) adjacency indexes without materialising or
-        sorting relationship objects; directed counts are simple length
-        sums, ``"both"`` unions the two sides so self-loops count once.
-        """
-        if direction not in ("out", "in", "both"):
+    def _buckets(
+        self,
+        node_id: int,
+        direction: str,
+        rel_types: Collection[str] | None,
+    ) -> list[dict[int, Relationship]]:
+        """The non-empty adjacency buckets a ``(direction, rel_types)`` call reads."""
+        if direction == "out":
+            sides = (self._outgoing_typed,)
+        elif direction == "in":
+            sides = (self._incoming_typed,)
+        elif direction == "both":
+            sides = (self._outgoing_typed, self._incoming_typed)
+        else:
             raise ValueError(f"invalid direction {direction!r}")
-        if direction == "both":
-            return len(self._adjacent_ids(node_id, "both", rel_types))
-        if rel_types is None:
-            side = self._outgoing if direction == "out" else self._incoming
-            return len(side.get(node_id, ()))
-        buckets = (
-            self._outgoing_typed.get(node_id)
-            if direction == "out"
-            else self._incoming_typed.get(node_id)
-        )
-        if not buckets:
-            return 0
-        return sum(len(buckets.get(rel_type, ())) for rel_type in set(rel_types))
+        buckets: list[dict[int, Relationship]] = []
+        for side in sides:
+            by_type = side.get(node_id)
+            if by_type is None:
+                continue
+            if rel_types is None:
+                buckets.extend(by_type.values())
+                continue
+            for rel_type in rel_types:
+                bucket = by_type.get(rel_type)
+                if bucket is not None:
+                    buckets.append(bucket)
+        return buckets
 
     def csr_metrics(self) -> dict[str, int]:  # stub: benchmarks/e2e/workloads.py calls it
         return {}
@@ -534,7 +478,7 @@ class GraphStore:
         for _ in range(hops):
             next_frontier: set[int] = set()
             for current in frontier:
-                for rel in self.relationships_of(current):
+                for rel in self.adjacent_relationships(current):
                     other = rel.other_end(current)
                     if other not in seen:
                         seen.add(other)
@@ -545,12 +489,17 @@ class GraphStore:
     # ------------------------------------------------------------------
 
     def _touch(self) -> None:
-        """Record a mutation (invalidates statistics and scan caches)."""
+        """Record a mutation (invalidates the statistics snapshot)."""
         self._stats_version += 1
-        if self._adjacency_cache:
-            self._adjacency_cache.clear()
-        if self._label_scan_cache:
-            self._label_scan_cache.clear()
+
+    @classmethod
+    def _unindex(cls, index: dict[Any, set[int]], value: Any, node_id: int) -> None:
+        """Drop ``node_id`` from ``value``'s bucket, and the bucket once empty."""
+        key = cls._index_key(value)
+        bucket = index.get(key, set())
+        bucket.discard(node_id)
+        if not bucket:
+            index.pop(key, None)
 
     @staticmethod
     def _index_key(value: Any) -> Any:

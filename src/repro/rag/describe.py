@@ -69,7 +69,7 @@ def describe_node(store: GraphStore, node: Node) -> str:
     phrases: list[str] = []
     grouped: dict[tuple[str, str], list[str]] = {}
     counts: Counter[tuple[str, str]] = Counter()
-    for rel in store.relationships_of(node.node_id, "both"):
+    for rel in store.adjacent_relationships(node.node_id):
         direction = "out" if rel.start_id == node.node_id else "in"
         key = (direction, rel.rel_type)
         if key not in _REL_PHRASES:

@@ -71,12 +71,11 @@ class TestGraphStatistics:
         tiny_store.create_node(["AS"], {"asn": 64512})
         assert tiny_store.statistics().version > before
 
-    def test_adjacent_relationships_memoised_and_invalidated(self, tiny_store):
+    def test_adjacent_relationships_see_new_relationships(self, tiny_store):
         iij = next(tiny_store.nodes_by_property("AS", "asn", 2497))
         first = tiny_store.adjacent_relationships(iij.node_id, "out", ("COUNTRY",))
         assert [rel.rel_type for rel in first] == ["COUNTRY"]
-        # Memoised: same tuple object until the graph changes.
-        assert tiny_store.adjacent_relationships(iij.node_id, "out", ("COUNTRY",)) is first
+        assert tiny_store.adjacent_relationships(iij.node_id, "in", ("COUNTRY",)) == ()
         google = next(tiny_store.nodes_by_property("AS", "asn", 15169))
         tiny_store.create_relationship(google.node_id, "COUNTRY", iij.node_id)
         incoming = tiny_store.adjacent_relationships(iij.node_id, "in", ("COUNTRY",))

@@ -1,6 +1,8 @@
 """Unit tests for the GraphStore."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import EntityNotFound, GraphError, GraphStore
 
@@ -115,24 +117,24 @@ class TestAdjacency:
 
     def test_outgoing(self, triangle):
         store, a, b, c, ab, bc, ca = triangle
-        assert list(store.relationships_of(a.node_id, "out")) == [ab]
+        assert list(store.adjacent_relationships(a.node_id, "out")) == [ab]
 
     def test_incoming(self, triangle):
         store, a, b, c, ab, bc, ca = triangle
-        assert list(store.relationships_of(a.node_id, "in")) == [ca]
+        assert list(store.adjacent_relationships(a.node_id, "in")) == [ca]
 
     def test_both(self, triangle):
         store, a, b, c, ab, bc, ca = triangle
-        assert list(store.relationships_of(a.node_id, "both")) == [ab, ca]
+        assert list(store.adjacent_relationships(a.node_id, "both")) == [ab, ca]
 
     def test_type_filter(self, triangle):
         store, a, b, c, ab, bc, ca = triangle
-        assert list(store.relationships_of(a.node_id, "both", ["DEPENDS_ON"])) == [ca]
+        assert list(store.adjacent_relationships(a.node_id, "both", ["DEPENDS_ON"])) == [ca]
 
     def test_bad_direction_rejected(self, triangle):
         store, a, *_ = triangle
         with pytest.raises(ValueError):
-            list(store.relationships_of(a.node_id, "sideways"))
+            list(store.adjacent_relationships(a.node_id, "sideways"))
 
     def test_degree(self, triangle):
         store, a, b, c, *_ = triangle
@@ -240,3 +242,157 @@ class TestDeletion:
             store.delete_node(9)
         with pytest.raises(EntityNotFound):
             store.delete_relationship(9)
+
+
+class TestEmptyBuckets:
+    """Writes that empty an index entry drop it, so churn retains nothing."""
+
+    def test_property_index_drops_empty_buckets(self, store):
+        a = store.create_node(["AS"], {"asn": 0})
+        store.create_property_index("AS", "asn")
+        index = store._property_index[("AS", "asn")]
+        for value in range(1, 10_001):
+            store.set_node_property(a.node_id, "asn", value)
+        assert list(index) == [10_000]
+        assert list(store.nodes_by_property("AS", "asn", 3)) == []
+        assert list(index) == [10_000]
+        store.delete_node(a.node_id)
+        assert index == {}
+
+    def test_deletes_drop_empty_adjacency_and_label_entries(self, store):
+        a = store.create_node(["AS"])
+        b = store.create_node(["AS"])
+        for i in range(1_000):
+            rel = store.create_relationship(a.node_id, f"T{i}", b.node_id)
+            store.delete_relationship(rel.rel_id)
+        assert a.node_id not in store._outgoing_typed
+        assert b.node_id not in store._incoming_typed
+        for _ in range(3):
+            tmp = store.create_node(["Tmp"])
+            store.create_relationship(tmp.node_id, "X", tmp.node_id)
+            store.delete_node(tmp.node_id, detach=True)
+        assert "Tmp" not in store._label_index
+        assert tmp.node_id not in store._outgoing_typed
+        assert tmp.node_id not in store._incoming_typed
+
+
+class TestScanSnapshot:
+    """A scan yields the entities present when it started, whatever is
+    written while the consumer is still pulling rows."""
+
+    @pytest.fixture()
+    def hub(self, store):
+        hub = store.create_node(["AS"])
+        for _ in range(5):
+            spoke = store.create_node(["AS"])
+            store.create_relationship(hub.node_id, "X", spoke.node_id)
+        return hub
+
+    @pytest.mark.parametrize("scan", ["all_nodes", "nodes_by_label"])
+    def test_node_scans(self, store, hub, scan):
+        scans = {"all_nodes": store.all_nodes, "nodes_by_label": lambda: store.nodes_by_label("AS")}
+        expected = [node.node_id for node in store.all_nodes()]
+        seen = []
+        for node in scans[scan]():
+            seen.append(node.node_id)
+            store.delete_node(node.node_id, detach=True)
+            store.create_node(["AS"])
+        assert seen == expected
+
+    def test_adjacency_scan(self, store, hub):
+        expected = [rel.rel_id for rel in store.adjacent_relationships(hub.node_id, "out", ["X"])]
+        seen = []
+        for rel in store.adjacent_relationships(hub.node_id, "out", ["X"]):
+            seen.append(rel.rel_id)
+            store.delete_relationship(rel.rel_id)
+            store.create_relationship(hub.node_id, "X", rel.end_id)
+        assert seen == expected
+
+
+_LABEL_SETS = [("A",), ("B",), ("A", "B")]
+_REL_TYPES = ["X", "Y", "Z"]
+_VALUES = [None, 0, 1]
+_TYPE_FILTERS = [None, ("X",), ("Y",), ("X", "Y")]
+
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("node"), st.sampled_from(_LABEL_SETS), st.sampled_from(_VALUES)),
+        st.tuples(
+            st.just("rel"), st.integers(0, 99), st.sampled_from(_REL_TYPES), st.integers(0, 99)
+        ),
+        st.tuples(st.just("loop"), st.integers(0, 99), st.sampled_from(_REL_TYPES)),
+        st.tuples(st.just("delete_rel"), st.integers(0, 99)),
+        st.tuples(st.just("delete_node"), st.integers(0, 99)),
+        st.tuples(st.just("set"), st.integers(0, 99), st.sampled_from(_VALUES)),
+    ),
+    max_size=40,
+)
+
+
+def _apply(store, step):
+    kind, *args = step
+    node_ids = sorted(store._nodes)
+    rel_ids = sorted(store._relationships)
+    if kind == "node":
+        labels, value = args
+        store.create_node(labels, {} if value is None else {"k": value})
+    elif kind == "rel" and node_ids:
+        start, rel_type, end = args
+        store.create_relationship(
+            node_ids[start % len(node_ids)], rel_type, node_ids[end % len(node_ids)]
+        )
+    elif kind == "loop" and node_ids:
+        pick, rel_type = args
+        node_id = node_ids[pick % len(node_ids)]
+        store.create_relationship(node_id, rel_type, node_id)
+    elif kind == "delete_rel" and rel_ids:
+        store.delete_relationship(rel_ids[args[0] % len(rel_ids)])
+    elif kind == "delete_node" and node_ids:
+        store.delete_node(node_ids[args[0] % len(node_ids)], detach=True)
+    elif kind == "set" and node_ids:
+        pick, value = args
+        store.set_node_property(node_ids[pick % len(node_ids)], "k", value)
+
+
+def _check_against_reference(store):
+    nodes = [store._nodes[i] for i in sorted(store._nodes)]
+    rels = [store._relationships[i] for i in sorted(store._relationships)]
+    assert list(store.all_nodes()) == nodes
+    assert list(store.all_relationships()) == rels
+    for label in ("A", "B"):
+        labelled = [node for node in nodes if label in node.labels]
+        assert list(store.nodes_by_label(label)) == labelled
+        for value in _VALUES[1:]:
+            assert list(store.nodes_by_property(label, "k", value)) == [
+                node for node in labelled if node.properties.get("k") == value
+            ]
+    sides = {
+        "out": lambda rel, node_id: rel.start_id == node_id,
+        "in": lambda rel, node_id: rel.end_id == node_id,
+        "both": lambda rel, node_id: node_id in (rel.start_id, rel.end_id),
+    }
+    for node in nodes:
+        for direction, attached in sides.items():
+            for types in _TYPE_FILTERS:
+                expected = [
+                    rel for rel in rels
+                    if attached(rel, node.node_id) and (types is None or rel.rel_type in types)
+                ]
+                found = store.adjacent_relationships(node.node_id, direction, types)
+                assert list(found) == expected
+                assert store.degree(node.node_id, direction, types) == len(expected)
+
+
+class TestIdOrderInvariant:
+    """Every scan equals a brute-force reference sorted by id, after any
+    sequence of writes (the ``A.k`` index exercises the indexed lookup,
+    ``B.k`` the label-scan fallback)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(steps=_steps)
+    def test_scans_match_reference(self, steps):
+        store = GraphStore()
+        store.create_property_index("A", "k")
+        for step in steps:
+            _apply(store, step)
+            _check_against_reference(store)
