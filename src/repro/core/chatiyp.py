@@ -124,7 +124,6 @@ class ChatIYP:
             schema_text=self.schema_text,
             prompt_builder=text2cypher_prompt,
             capture_profile=self.config.capture_cypher_profile,
-            row_budget=self.config.cypher_row_budget,
         )
         vector = None
         if self.config.use_vector_fallback:
@@ -377,7 +376,7 @@ class ChatIYP:
         return {
             "compile": {},  # stub: benchmarks/e2e/workloads.py still reads this key
             "csr": {},  # stub: benchmarks/e2e/workloads.py still reads this key
-            "cache": self.answer_cache.stats() if self.answer_cache else None,
+            "cache": self.answer_cache.stats() if self.answer_cache is not None else None,
             # Cypher engine query cache: cached texts, result reuse, memo rows.
             "cypher": self.engine.cache_stats(),
             "breaker": self.breaker.snapshot() if self.breaker else None,

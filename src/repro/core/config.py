@@ -14,6 +14,7 @@ class ChatIYPConfig:
 
     Defaults match the paper's architecture: symbolic retrieval first,
     vector fallback on failure/sparsity, LLM re-ranking before generation.
+    Generated Cypher's row budget is derived from the graph, not set here.
     """
 
     seed: int = 0
@@ -56,11 +57,6 @@ class ChatIYPConfig:
     # LLM-facing stages. Total tries per stage call; 1 = no retry.
     llm_retry_attempts: int = 2
     llm_retry_backoff_ms: float = 25.0
-    # Intermediate-row budget for every generated Cypher execution (None =
-    # unbounded). A query that blows through the budget is cancelled with
-    # a ResourceExhausted error and routes to the vector fallback like any
-    # other execution failure — a guard against runaway generated scans.
-    cypher_row_budget: int | None = None
     # Run every generated query profiled and surface the executed operator
     # tree (rows + wall-time per operator) under
     # diagnostics["cypher_profile"]. Cheap but chatty; off by default.

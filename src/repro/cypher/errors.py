@@ -58,7 +58,7 @@ class UnknownFunctionError(CypherRuntimeError):
 
 
 class ResourceExhausted(CypherRuntimeError):
-    """Execution exceeded its configured intermediate-row budget.
+    """Execution exceeded the intermediate-row budget passed to ``execute``.
 
     The serving layer maps this to graceful degradation (vector fallback)
     rather than letting one runaway scan hold memory for the whole

@@ -154,7 +154,6 @@ class CypherEngine:
         max_var_length: int = 32,
         planner: bool = True,
         cache_size: int = 1024,
-        row_budget: Optional[int] = None,
         compile_expressions: bool = False,  # stub: benchmarks/e2e/checks.py passes False
         csr_snapshot: bool = False,  # stub: benchmarks/e2e/checks.py passes False
     ) -> None:
@@ -165,8 +164,6 @@ class CypherEngine:
         self.store = store
         self.max_var_length = max_var_length
         self.planner = planner
-        #: default intermediate-row budget for every execution (None = off)
-        self.row_budget = row_budget
         self._entries: _LRUCache = _LRUCache(cache_size, on_evict=self._drop_memo)
         # Entries holding a memo, oldest memo first, with its row count.
         # Memoised rows stay at or below the graph's node + relationship
@@ -208,7 +205,7 @@ class CypherEngine:
         as operators charge the rows they emit; an overrun raises
         :class:`~repro.cypher.errors.CypherDeadlineExceeded`.
         ``row_budget`` bounds total intermediate rows across all operators
-        (falling back to the engine default), raising
+        (None, the default, leaves them unbounded), raising
         :class:`~repro.cypher.errors.ResourceExhausted` beyond it.  With
         ``profile=True`` the result carries the executed operator tree
         (rows + wall-time per operator) on ``result.profile``.
@@ -228,11 +225,12 @@ class CypherEngine:
         # Read before executing: versions only grow, so a memo from a run
         # that overlapped a write is tagged too old to ever match again.
         version = self.store.stats_version
-        budget = row_budget if row_budget is not None else self.row_budget
         reusable = entry.read_only and not params and not profile
         if reusable:
             memo = entry.memo
-            if memo is not None and memo[0] == version and (budget is None or budget >= memo[2]):
+            if memo is not None and memo[0] == version and (
+                row_budget is None or row_budget >= memo[2]
+            ):
                 RuntimeState(deadline=deadline).check_deadline()
                 with self._memo_lock:
                     self._result_hits += 1
@@ -241,7 +239,7 @@ class CypherEngine:
             entry.tree,
             params or {},
             deadline=deadline,
-            row_budget=budget,
+            row_budget=row_budget,
             profiled=profile,
         )
         if profile:

@@ -25,6 +25,14 @@ logger = logging.getLogger(__name__)
 
 _MAX_CONTEXT_ROWS = 25
 
+# Row budget of each generated query, so a runaway translation stops at a
+# row count fixed by the graph on any host: 2 rows per node plus
+# relationship, plus a floor for tiny graphs (an empty one would get 0).
+# Measured peak charge per query, CypherEval seeds 7 and 11, as a share of
+# nodes + relationships: gold 0.07x, dropped filters 0.59x; 2x leaves 3.4x.
+ROW_BUDGET_PER_ELEMENT = 2
+ROW_BUDGET_FLOOR = 10_000
+
 
 def default_text2cypher_prompt(question: str, schema: str) -> str:
     """Generic text-to-Cypher prompt (ChatIYP injects its own IYP chain)."""
@@ -46,7 +54,6 @@ class TextToCypherRetriever(Retriever):
         schema_text: str = "",
         prompt_builder: Callable[[str, str], str] | None = None,
         capture_profile: bool = False,
-        row_budget: int | None = None,
     ) -> None:
         self.engine = engine
         self.llm = llm
@@ -56,9 +63,6 @@ class TextToCypherRetriever(Retriever):
         # executed operator tree (rows + wall-time per operator) in
         # metadata["cypher_profile"].
         self.capture_profile = capture_profile
-        # Intermediate-row budget forwarded to every execution (None =
-        # engine default); overruns surface as a ResourceExhausted error.
-        self.row_budget = row_budget
 
     @property
     def name(self) -> str:
@@ -79,11 +83,12 @@ class TextToCypherRetriever(Retriever):
                 metadata=generation_meta,
             )
         logger.debug("generated cypher for %r: %s", query, cypher)
+        elements = self.engine.store.node_count + self.engine.store.relationship_count
         try:
             result = self.engine.execute(
                 cypher,
                 deadline=deadline,
-                row_budget=self.row_budget,
+                row_budget=ROW_BUDGET_PER_ELEMENT * elements + ROW_BUDGET_FLOOR,
                 profile=self.capture_profile,
             )
         except CypherError as exc:

@@ -162,7 +162,8 @@ class ChatIYPRequestHandler(BaseHTTPRequestHandler):
         self._send_json({"error": "not found"}, status=404)
 
     def _read_json_body(self) -> dict | None:
-        length = int(self.headers.get("Content-Length", 0))
+        header = self.headers.get("Content-Length", "")
+        length = int(header) if header.isdecimal() else 0
         if length > _MAX_BODY:
             self._send_json(
                 {"error": f"request body exceeds {_MAX_BODY} bytes"}, status=413
@@ -333,11 +334,11 @@ class ChatIYPRequestHandler(BaseHTTPRequestHandler):
         if payload is None:
             return
         query = payload.get("query")
-        params = payload.get("params") or {}
+        params = payload.get("params")
         if not isinstance(query, str) or not query.strip():
             self._send_json({"error": "'query' must be a non-empty string"}, status=400)
             return
-        if not isinstance(params, dict):
+        if params is not None and not isinstance(params, dict):
             self._send_json({"error": "'params' must be an object"}, status=400)
             return
         try:

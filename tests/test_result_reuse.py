@@ -201,15 +201,6 @@ class TestLimits:
         )
         assert hits(engine) == 1
 
-    def test_engine_default_budget_applies_to_hits(self, tiny_store):
-        unbudgeted = CypherEngine(tiny_store)
-        unbudgeted.execute(AS_ROWS)
-        charged = unbudgeted._entries[AS_ROWS].memo[2]
-        engine = CypherEngine(tiny_store, row_budget=charged - 1)
-        for _ in range(2):
-            with pytest.raises(ResourceExhausted):
-                engine.execute(AS_ROWS)
-
     def test_expired_deadline_raises_as_fresh(self, tiny_store):
         class Expired:
             expired = True

@@ -121,6 +121,18 @@ class TestCypherEndpoint:
         status, _ = post(port, "/cypher", {"query": "RETURN 1", "params": [1]})
         assert status == 400
 
+    @pytest.mark.parametrize("params", [[], 0, "", False, "x"])
+    def test_falsy_or_scalar_params_are_400(self, port, params):
+        status, payload = post(port, "/cypher", {"query": "RETURN 1 AS x", "params": params})
+        assert status == 400
+        assert payload["error"] == "'params' must be an object"
+
+    @pytest.mark.parametrize("body", [{}, {"params": None}, {"params": {}}])
+    def test_missing_or_null_params_are_empty(self, port, body):
+        status, payload = post(port, "/cypher", {"query": "RETURN 1 AS x", **body})
+        assert status == 200
+        assert payload["rows"] == [{"x": "1"}]
+
     def test_rows_capped(self, port):
         status, payload = post(
             port, "/cypher", {"query": "UNWIND range(1, 500) AS x RETURN x"}

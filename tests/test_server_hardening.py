@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -131,6 +132,21 @@ class TestErrorPaths:
     def test_non_object_json_is_400(self, hardened_port):
         status, _, _ = _post(hardened_port, "/ask", raw=b'["a", "b"]')
         assert status == 400
+
+    @pytest.mark.parametrize("path", ["/ask", "/cypher"])
+    @pytest.mark.parametrize("length", ["abc", "1e3", "+5", "-1", ""])
+    def test_malformed_content_length_is_400(self, hardened_port, path, length):
+        # urllib always sends a well-formed length, so write the request
+        # by hand and read whatever comes back before the server closes.
+        with socket.create_connection(("127.0.0.1", hardened_port), timeout=10) as sock:
+            sock.sendall(
+                f"POST {path} HTTP/1.1\r\nHost: localhost\r\n"
+                f"Content-Length: {length}\r\nConnection: close\r\n\r\n".encode()
+            )
+            reply = sock.makefile("rb").read()
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400"
+        assert json.loads(body) == {"error": "bad request body"}
 
     def test_write_cypher_is_403(self, hardened_port):
         status, payload, _ = _post(

@@ -594,3 +594,14 @@ class TestServingSnapshot:
         assert snapshot["breaker"] is not None
         assert snapshot["cache"] is not None
         assert snapshot["faults"] is None
+
+    def test_snapshot_reports_an_empty_cache(self, small_dataset):
+        # AnswerCache defines __len__, so an empty cache is falsy; it is
+        # still armed and must show up in /metrics.
+        bot = ChatIYP(dataset=small_dataset, config=ChatIYPConfig(dataset_size="small"))
+        assert bot.serving_snapshot()["cache"]["size"] == 0
+        # A degraded answer counts a miss but is never cached.
+        response = bot.ask("Which country is AS2497 registered in?", deadline_ms=0.01)
+        assert response.diagnostics["degraded"]
+        cache = bot.serving_snapshot()["cache"]
+        assert (cache["size"], cache["misses"]) == (0, 1)

@@ -230,20 +230,22 @@ class TestEarlyTermination:
 
 class TestRowBudget:
     def test_budget_overrun_raises_resource_exhausted(self, chain_store):
-        engine = CypherEngine(chain_store, row_budget=10)
-        with pytest.raises(ResourceExhausted, match="row budget"):
-            engine.run("MATCH (a:AS)-[:COUNTRY]->(c:Country) RETURN a.asn, c")
+        engine = CypherEngine(chain_store)
+        with pytest.raises(ResourceExhausted, match=r"row budget \(10 rows\)"):
+            engine.execute(
+                "MATCH (a:AS)-[:COUNTRY]->(c:Country) RETURN a.asn, c", row_budget=10
+            )
 
     def test_query_under_budget_succeeds(self, chain_store):
-        engine = CypherEngine(chain_store, row_budget=10)
-        result = engine.run("MATCH (a:AS {asn: 1}) RETURN a.asn AS n")
+        engine = CypherEngine(chain_store)
+        result = engine.execute("MATCH (a:AS {asn: 1}) RETURN a.asn AS n", row_budget=10)
         assert result.single()["n"] == 1
 
     def test_per_call_budget_overrides_engine_default(self, chain_store):
         engine = CypherEngine(chain_store)
         with pytest.raises(ResourceExhausted):
             engine.execute("MATCH (a:AS) RETURN a.asn", row_budget=5)
-        # ... and the engine default stays unbounded for plain calls.
+        # ... and a call without a budget stays unbounded.
         assert len(engine.run("MATCH (a:AS) RETURN a.asn")) == 20
 
 
@@ -710,10 +712,11 @@ class TestPipelineIntegration:
         assert operators["ProduceResults"]["calls"] == 1
 
     def test_row_budget_maps_to_taxonomy(self, chain_store):
+        # 20,000 unwound rows exceed the budget the retriever derives for
+        # the 60-element chain graph (2 x 60 + 10,000 = 10,120 rows).
         retriever = TextToCypherRetriever(
             engine=CypherEngine(chain_store),
-            llm=_FixedCypherLLM("MATCH (a:AS)-[:COUNTRY]->(c) RETURN a.asn, c"),
-            row_budget=5,
+            llm=_FixedCypherLLM("UNWIND range(1, 20000) AS x RETURN count(x)"),
         )
         stage = SymbolicRetrievalStage(retriever)
         ctx = stage.run(QueryContext(question="everything"))
