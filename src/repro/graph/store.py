@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gc
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Collection, Iterable, Iterator, Mapping
 
@@ -24,21 +25,38 @@ from .model import Node, Relationship, validate_properties
 
 __all__ = ["GraphStore", "GraphStatistics", "GraphError", "EntityNotFound"]
 
-def _freeze_built_graph() -> None:
-    """Take a just-built, long-lived graph out of the cyclic collector's scans.
 
-    The last step of the bulk builders (``generate_iyp``, ``import_graph``).
-    A served process keeps its graph, some 300k nodes, relationships,
-    property dicts and index dicts on the large preset, for its whole life;
-    without this every full collection walks all of it.  ``gc.freeze``
-    moves every object alive now (process-wide, not just the graph) into
-    the permanent generation.  Frozen objects are still freed by reference
-    counting, and nodes and relationships refer to each other by id, never
-    back to the store, so a dropped graph has no cycle left for the
-    collector to find.
+@contextmanager
+def _bulk_build() -> Iterator[None]:
+    """Run a bulk graph build with the cyclic GC paused, then freeze the result.
+
+    Wraps the whole body of both bulk builders (``generate_iyp``,
+    ``import_graph``).  A build allocates hundreds of thousands of
+    long-lived objects and frees almost none, so every collection the
+    allocation counters would set off mid-build is wasted work; the store
+    is acyclic (nodes and relationships refer to each other by id, never
+    back to the store), so there is nothing for them to find.
+
+    * On entry the collector is disabled (process-wide).
+    * On normal exit ``gc.collect(); gc.freeze()`` moves every object alive
+      now, not just the graph, into the permanent generation, so a served
+      process's full collections stop walking its graph (some 300k nodes,
+      relationships, property dicts and index dicts on the large preset).
+      Frozen objects are still freed by reference counting, and a dropped
+      acyclic graph leaves no cycle for the collector to find.
+    * On any exit the collector is put back as the caller had it: a caller
+      that disabled it finds it still disabled.  A build that raises is
+      neither collected nor frozen.
     """
-    gc.collect()
-    gc.freeze()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+        gc.collect()
+        gc.freeze()
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class GraphError(Exception):

@@ -31,11 +31,11 @@ def main(argv: list[str] | None = None) -> int:
 
     config = getattr(IYPConfig, args.size)(seed=args.seed)
     dataset = generate_iyp(config)
-    nodes_path, rels_path = export_to_directory(dataset.store, args.out)
+    paths = export_to_directory(dataset.store, args.out)
     print(f"Generated {dataset.store.node_count} nodes / "
           f"{dataset.store.relationship_count} relationships (seed={args.seed})")
-    print(f"Wrote {nodes_path}")
-    print(f"Wrote {rels_path}")
+    for path in paths:
+        print(f"Wrote {path}")
     if args.stats:
         print()
         print(introspect_schema(dataset.store).describe())

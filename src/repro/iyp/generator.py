@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 from ..graph.model import Node
-from ..graph.store import GraphStore, _freeze_built_graph
+from ..graph.store import GraphStore, _bulk_build
 from .names import (
     COUNTRIES,
     DOMAIN_TLDS,
@@ -131,28 +132,30 @@ def generate_iyp(config: Optional[IYPConfig] = None) -> IYPDataset:
     """Generate a complete synthetic IYP graph.
 
     Deterministic in ``config.seed``: the same configuration always yields
-    byte-identical graphs.  The finished graph is frozen out of the cyclic
-    GC's scans (see :func:`~repro.graph.store._freeze_built_graph`).
+    byte-identical graphs.  Time is linear in graph size: weighted draws
+    bisect cumulative weights computed once per build step.  The build runs
+    with the cyclic GC paused, and the finished graph is frozen out of its
+    scans (see :func:`~repro.graph.store._bulk_build`).
     """
     config = config or IYPConfig()
     rng = random.Random(config.seed)
-    store = GraphStore()
-    dataset = IYPDataset(store=store, config=config)
+    with _bulk_build():
+        store = GraphStore()
+        dataset = IYPDataset(store=store, config=config)
 
-    _build_countries(dataset)
-    _build_tags(dataset)
-    _build_rankings(dataset)
-    _build_ases(dataset, rng)
-    _build_organizations(dataset, rng)
-    _build_facilities_and_ixps(dataset, rng)
-    _build_topology(dataset, rng)
-    _build_prefixes_and_ips(dataset, rng)
-    _build_domains(dataset, rng)
-    _build_population(dataset, rng)
-    _build_ranks(dataset, rng)
-    _build_probes(dataset, rng)
-    _build_indexes(dataset)
-    _freeze_built_graph()
+        _build_countries(dataset)
+        _build_tags(dataset)
+        _build_rankings(dataset)
+        _build_ases(dataset, rng)
+        _build_organizations(dataset, rng)
+        _build_facilities_and_ixps(dataset, rng)
+        _build_topology(dataset, rng)
+        _build_prefixes_and_ips(dataset, rng)
+        _build_domains(dataset, rng)
+        _build_population(dataset, rng)
+        _build_ranks(dataset, rng)
+        _build_probes(dataset, rng)
+        _build_indexes(dataset)
     return dataset
 
 
@@ -349,13 +352,16 @@ def _build_topology(dataset: IYPDataset, rng: random.Random) -> None:
     # Everyone else picks 1-3 providers among larger networks (rel = -1,
     # provider -> customer, CAIDA convention).
     providers: dict[int, list[int]] = {asn: [] for asn in ranked}
+    # Candidates are always a prefix of ``ranked``, so one running sum serves
+    # every draw; ``choices`` bisects it exactly as it would the weights'.
+    cum_sizes = list(accumulate(dataset.as_size[asn] for asn in ranked))
     for position, asn in enumerate(ranked[dataset.config.n_tier1 :], start=dataset.config.n_tier1):
         candidates = ranked[: position]
         count = min(len(candidates), rng.randint(1, 3))
-        weights = [dataset.as_size[c] for c in candidates]
+        cum_weights = cum_sizes[:position]
         chosen: set[int] = set()
         for _ in range(count):
-            pick = rng.choices(candidates, weights=weights, k=1)[0]
+            pick = rng.choices(candidates, cum_weights=cum_weights, k=1)[0]
             chosen.add(pick)
         for provider in chosen:
             providers[asn].append(provider)
@@ -400,11 +406,11 @@ def _build_topology(dataset: IYPDataset, rng: random.Random) -> None:
 def _build_prefixes_and_ips(dataset: IYPDataset, rng: random.Random) -> None:
     store = dataset.store
     asns = list(dataset.as_nodes)
-    weights = [dataset.as_size[asn] for asn in asns]
+    cum_weights = list(accumulate(dataset.as_size[asn] for asn in asns))
     used: set[str] = set()
     prefix_list: list[str] = []
     for index in range(dataset.config.n_prefixes):
-        asn = rng.choices(asns, weights=weights, k=1)[0]
+        asn = rng.choices(asns, cum_weights=cum_weights, k=1)[0]
         # Roughly one prefix in six is IPv6, mirroring current table shares.
         if index % 6 == 5:
             prefix = _random_v6_prefix(rng, used)
@@ -591,9 +597,9 @@ def _build_ranks(dataset: IYPDataset, rng: random.Random) -> None:
 def _build_probes(dataset: IYPDataset, rng: random.Random) -> None:
     store = dataset.store
     asns = list(dataset.as_nodes)
-    weights = [dataset.as_size[asn] for asn in asns]
+    cum_weights = list(accumulate(dataset.as_size[asn] for asn in asns))
     for probe_id in range(1, dataset.config.n_probes + 1):
-        asn = rng.choices(asns, weights=weights, k=1)[0]
+        asn = rng.choices(asns, cum_weights=cum_weights, k=1)[0]
         node = store.create_node(
             [NodeLabel.ATLAS_PROBE], {"id": 6000 + probe_id, "status_name": "Connected"}
         )

@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from repro.cypher import CypherEngine
 from repro.graph import GraphStore, introspect_schema
 from repro.graph.csv_io import (
     export_graph,
@@ -11,6 +12,7 @@ from repro.graph.csv_io import (
     import_from_directory,
     import_graph,
 )
+from repro.iyp import IYPConfig, generate_iyp
 
 
 @pytest.fixture()
@@ -107,6 +109,40 @@ class TestCsvRoundtrip:
         rels = io.StringIO("start_id,type,end_id,properties\n")
         with pytest.raises(ValueError):
             import_graph(nodes, rels)
+
+    def test_import_rejects_unknown_node_id(self):
+        nodes = io.StringIO('node_id,labels,properties\n0,AS,"{}"\n')
+        rels = io.StringIO(
+            "start_id,type,end_id,properties\n0,PEERS_WITH,7,{}\n"
+        )
+        with pytest.raises(ValueError, match=r"row 2 .*unknown node id 7"):
+            import_graph(nodes, rels)
+
+    def test_stream_roundtrip_keeps_property_indexes(self):
+        source = generate_iyp(IYPConfig.medium(seed=42)).store
+        files = io.StringIO(), io.StringIO(), io.StringIO()
+        export_graph(source, *files)
+        for handle in files:
+            handle.seek(0)
+        loaded = import_graph(*files)
+        assert len(source.statistics().indexes) == 10
+        assert loaded.statistics().indexes == source.statistics().indexes
+        plan = CypherEngine(loaded).explain("MATCH (a:AS {asn: 2497}) RETURN a")
+        assert "PropertyLookup(:AS.asn) [index]" in plan
+
+    def test_directory_roundtrip_keeps_property_indexes(self, store, tmp_path):
+        store.create_property_index("AS", "asn")
+        export_to_directory(store, tmp_path)
+        loaded = import_from_directory(tmp_path)
+        assert loaded.statistics().indexes == {("AS", "asn")}
+
+    def test_dump_without_index_list_imports_without_indexes(self, store, tmp_path):
+        store.create_property_index("AS", "asn")
+        export_to_directory(store, tmp_path)
+        (tmp_path / "indexes.csv").unlink()
+        loaded = import_from_directory(tmp_path)
+        assert loaded.node_count == store.node_count
+        assert loaded.statistics().indexes == frozenset()
 
     def test_import_remaps_ids(self, store, tmp_path):
         # Delete and recreate so original ids are non-contiguous.

@@ -2,6 +2,8 @@
 
 import gc
 import io
+import math
+import time
 import weakref
 
 import pytest
@@ -262,6 +264,40 @@ class TestGCFreeze:
         assert store_ref() is None
         assert frozen - gc.get_freeze_count() >= size
 
+    def test_build_runs_only_the_final_collection(self):
+        config = IYPConfig.small(seed=7)
+        generations = []
+
+        def hook(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        gc.collect()  # reset the allocation counters before hooking
+        gc.callbacks.append(hook)
+        try:
+            generate_iyp(config)
+        finally:
+            gc.callbacks.remove(hook)
+        assert generations == [2]
+
+    def test_build_leaves_a_disabled_collector_disabled(self):
+        gc.disable()
+        try:
+            generate_iyp(IYPConfig.small(seed=7))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_failed_import_restores_the_collector_and_freezes_nothing(self):
+        nodes = io.StringIO('node_id,labels,properties\n0,AS,"{}"\n')
+        rels = io.StringIO("wrong,header\n")
+        assert gc.isenabled()
+        before = gc.get_freeze_count()
+        with pytest.raises(ValueError):
+            import_graph(nodes, rels)
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == before
+
     def test_frozen_graph_still_takes_writes(self):
         store = generate_iyp(IYPConfig.small(seed=13)).store
         execute(store, "MATCH (a:AS {asn: 2497}) SET a.name = 'renamed'")
@@ -276,3 +312,28 @@ class TestGCFreeze:
             "RETURN a.name AS name, count(p) AS c",
         ).single()
         assert (row["name"], row["c"]) == ("renamed", 1)
+
+
+def _build_time_per_element(config: IYPConfig) -> float:
+    """One build's wall time, in seconds per node plus relationship."""
+    start = time.perf_counter()
+    dataset = generate_iyp(config)
+    elapsed = time.perf_counter() - start
+    size = dataset.store.node_count + dataset.store.relationship_count
+    del dataset  # free the graph outside the timed region
+    return elapsed / size
+
+
+@pytest.mark.slow
+def test_build_time_scales_linearly():
+    """The large graph (5.7x medium's elements) costs about the same per element.
+
+    Best of three builds per size, alternating sizes so host load hits both.
+    A weighted draw that re-accumulates every AS weight pushes the ratio
+    past 2.
+    """
+    medium = large = math.inf
+    for _ in range(3):
+        medium = min(medium, _build_time_per_element(IYPConfig.medium(seed=42)))
+        large = min(large, _build_time_per_element(IYPConfig.large(seed=42)))
+    assert large / medium < 1.7, (medium, large)
