@@ -6,6 +6,8 @@ treat them as read-only.  Tests that mutate graphs build their own stores.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core import ChatIYP, ChatIYPConfig
@@ -19,8 +21,11 @@ def pytest_addoption(parser):
         help="regenerate golden determinism digests instead of comparing",
     )
 from repro.cypher import CypherEngine
+from repro.eval import build_cyphereval
 from repro.graph import GraphStore
 from repro.iyp import IYPConfig, generate_iyp
+from repro.llm.text2cypher import TextToCypherModel
+from repro.nlp.entities import Gazetteer
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +38,31 @@ def small_dataset():
 def small_store(small_dataset):
     """The small dataset's graph store (read-only)."""
     return small_dataset.store
+
+
+PERTURBATIONS = ("wrong_reltype", "wrong_direction", "drop_filter", "wrong_entity")
+SYNTAX_SEEDS = (0, 1, 2)
+
+
+@pytest.fixture(scope="session")
+def perturbed_queries(small_dataset):
+    """Every seed-7 CypherEval gold query plus its perturbations (wrong
+    relationship type, flipped direction, dropped filter, wrong entity,
+    broken syntax), deduplicated, in first-seen order."""
+    model = TextToCypherModel(Gazetteer.from_dataset(small_dataset))
+    queries: dict[str, None] = {}
+    for question in build_cyphereval(small_dataset, seed=7, per_template=9):
+        gold = question.gold_cypher
+        entities = model.extractor.extract(question.question)
+        queries[gold] = None
+        for kind in PERTURBATIONS:
+            perturb = getattr(model, f"_perturb_{kind}")
+            mutated = perturb(gold, entities, random.Random(f"{kind}:{gold}"))
+            if mutated is not None:
+                queries[mutated] = None
+        for seed in SYNTAX_SEEDS:
+            queries[model._break_syntax(gold, random.Random(seed))] = None
+    return list(queries)
 
 
 @pytest.fixture(scope="session")

@@ -24,39 +24,13 @@ not change the outcome either:
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.cypher import CypherEngine, parse, render_value
 from repro.cypher.errors import CypherError
 from repro.cypher.lexer import tokenize
 from repro.eval import build_cyphereval
-from repro.llm.text2cypher import TextToCypherModel
-from repro.nlp.entities import Gazetteer
 from repro.serving import Deadline
-
-PERTURBATIONS = ("wrong_reltype", "wrong_direction", "drop_filter", "wrong_entity")
-SYNTAX_SEEDS = (0, 1, 2)
-
-
-@pytest.fixture(scope="module")
-def perturbed_queries(small_dataset):
-    """Every gold query plus its perturbations, deduplicated, in first-seen order."""
-    model = TextToCypherModel(Gazetteer.from_dataset(small_dataset))
-    queries: dict[str, None] = {}
-    for question in build_cyphereval(small_dataset, seed=7, per_template=9):
-        gold = question.gold_cypher
-        entities = model.extractor.extract(question.question)
-        queries[gold] = None
-        for kind in PERTURBATIONS:
-            perturb = getattr(model, f"_perturb_{kind}")
-            mutated = perturb(gold, entities, random.Random(f"{kind}:{gold}"))
-            if mutated is not None:
-                queries[mutated] = None
-        for seed in SYNTAX_SEEDS:
-            queries[model._break_syntax(gold, random.Random(seed))] = None
-    return list(queries)
 
 
 def _outcome(query, run):
