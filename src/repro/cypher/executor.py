@@ -41,35 +41,27 @@ from ..graph.model import Node, Path, Relationship
 from ..graph.store import GraphStore
 from . import ast_nodes as ast
 from . import operators as ops
-from .errors import CypherRuntimeError, CypherSyntaxError, CypherTypeError
-from .functions import (
-    binary_operation,
-    call_aggregate,
-    call_scalar,
-    compare_once,
-    is_aggregate_function,
-    percentile,
-)
-from .operators import (
-    RuntimeState,
-    _contains_aggregate,
-    _same_rel_binding,
-    profile_tree,
-    render_profile,
-)
+from .errors import CypherRuntimeError, CypherTypeError
+from .evaluator import Evaluator
+from .functions import compare_once
+from .lowering import _reverse_elements, explain, lower_query
+from .operators import RuntimeState, _same_rel_binding, profile_tree, render_profile
 from .parser import parse
 from .planner import (
     AnchorPlan,
     Filters,
     MatchPlan,
-    PartPlan,
     PushedFilter,
+    _node_selectivity,
+    _pick_lookup_label,
+    _pick_lookup_property,
     needs_used_tracking,
     plan_query,
 )
 from .result import Record, ResultSet
 from .safety import tree_is_read_only
-from .values import cypher_equals, is_truthy
+from .values import cypher_equals
+from .writes import WriteClauses
 
 __all__ = ["CypherEngine", "execute"]
 
@@ -300,7 +292,7 @@ class CypherEngine:
         state = RuntimeState(deadline=deadline, budget=row_budget, profiled=profiled)
         context = _ExecutionContext(self.store, params, self.max_var_length, state, plans)
         state.check_deadline()
-        root = self._lower_query(tree, context, state)
+        root = lower_query(tree, context, state)
         produced = iter(root)
         try:
             rows = list(produced)
@@ -334,315 +326,14 @@ class CypherEngine:
         """
         tree = parse(query)
         plans = plan_query(tree, self.store.statistics()) if self.planner else None
-        queries = tree.queries if isinstance(tree, ast.UnionQuery) else (tree,)
-        lines = []
-        for qindex, single in enumerate(queries):
-            if len(queries) > 1:
-                lines.append(f"UNION branch {qindex + 1}:")
-            for clause in single.clauses:
-                lines.extend(self._explain_clause(clause, plans))
-        return "\n".join(lines)
-
-    def _explain_clause(
-        self, clause: ast.Clause, plans: Optional[dict[int, MatchPlan]] = None
-    ) -> list[str]:
-        name = type(clause).__name__.replace("Clause", "")
-        if isinstance(clause, ast.MatchClause):
-            prefix = "OptionalMatch" if clause.optional else "Match"
-            plan = plans.get(id(clause)) if plans is not None else None
-            lines = []
-            for index, part in enumerate(clause.pattern.parts):
-                part_plan = plan.parts[index] if plan is not None else None
-                lines.append(f"{prefix} {self._explain_part(part, part_plan)}")
-            if plan is not None and plan.filters:
-                for variable in sorted(plan.filters):
-                    for filt in plan.filters[variable]:
-                        if filt.kind == "eq":
-                            op = "="
-                        elif filt.kind == "in":
-                            op = "IN"
-                        else:
-                            op = filt.ops[0]
-                        lines.append(f"  Pushdown {variable}.{filt.key} {op} ...")
-            if clause.where is not None:
-                lines.append("  Filter (WHERE)")
-            return lines
-        if isinstance(clause, ast.ProjectionClause):
-            detail = []
-            if clause.distinct:
-                detail.append("distinct")
-            if any(_contains_aggregate(i.expression) for i in clause.items):
-                detail.append("aggregate+group")
-            if clause.order_by:
-                detail.append(f"sort({len(clause.order_by)} keys)")
-            if clause.skip is not None:
-                detail.append("skip")
-            if clause.limit is not None:
-                detail.append("limit")
-            suffix = f" [{', '.join(detail)}]" if detail else ""
-            return [f"{name} {len(clause.items)} items{suffix}"]
-        return [name]
-
-    def _explain_part(self, part: ast.PatternPart, plan: Optional[PartPlan] = None) -> str:
-        nodes = part.nodes
-        if part.shortest is not None:
-            kind = "shortestPath" if part.shortest == "single" else "allShortestPaths"
-            return f"{kind} BFS between {self._node_text(nodes[0])} and {self._node_text(nodes[-1])}"
-        first, last = nodes[0], nodes[-1]
-        if plan is not None:
-            anchor_node = last if plan.reverse else first
-            direction = "right-to-left" if plan.reverse else "left-to-right"
-            return (
-                f"pattern({len(nodes)} nodes, {part.hop_count} hops) "
-                f"anchor={self._node_text(anchor_node)} via {plan.anchor.describe()}, "
-                f"expand {direction}"
-            )
-        empty_row: Row = {}
-        reverse = len(part.elements) > 1 and (
-            _node_selectivity(last, empty_row) > _node_selectivity(first, empty_row)
-        )
-        anchor = last if reverse else first
-        direction = "right-to-left" if reverse else "left-to-right"
-        access = "AllNodesScan"
-        if anchor.labels and anchor.properties:
-            key, _ = _pick_lookup_property(self.store, anchor)
-            label = _pick_lookup_label(self.store, anchor, key)
-            access = f"PropertyLookup(:{label}.{key})"
-        elif anchor.labels:
-            access = f"LabelScan(:{anchor.labels[0]})"
-        hops = part.hop_count
-        return (
-            f"pattern({len(nodes)} nodes, {hops} hops) anchor={self._node_text(anchor)} "
-            f"via {access}, expand {direction}"
-        )
-
-    @staticmethod
-    def _node_text(node: ast.NodePattern) -> str:
-        label = f":{node.labels[0]}" if node.labels else ""
-        variable = node.variable or ""
-        return f"({variable}{label})"
-
-    # ------------------------------------------------------------------
-
-    # -- Lowering: AST + plans -> physical operator tree -----------------
-
-    def _lower_query(
-        self, tree: ast.Query, context: "_ExecutionContext", state: RuntimeState
-    ) -> ops.PhysicalOperator:
-        if isinstance(tree, ast.UnionQuery):
-            branches = [
-                self._lower_single(query, context, state) for query in tree.queries
-            ]
-            return ops.UnionAppend(state, branches, tree.union_all)
-        return self._lower_single(tree, context, state)
-
-    def _lower_single(
-        self, tree: ast.SingleQuery, context: "_ExecutionContext", state: RuntimeState
-    ) -> ops.ProduceResults:
-        op: ops.PhysicalOperator = ops.Init(state)
-        # Variables the clauses so far bind: what ``WITH *``/``RETURN *``
-        # expand to, known before any row exists.
-        scope: set[str] = set()
-        # whether an updating clause runs below the current clause
-        writes = False
-        clauses = tree.clauses
-        for index, clause in enumerate(clauses):
-            if isinstance(clause, ast.MatchClause):
-                op = self._lower_match(op, clause, context, state)
-                scope.update(clause.pattern.variables)
-            elif isinstance(clause, ast.UnwindClause):
-                op = ops.Unwind(state, op, context, clause)
-                scope.add(clause.variable)
-            elif isinstance(clause, ast.WithClause):
-                op, projection = self._lower_projection(
-                    op, clause, context, state, scope, writes
-                )
-                op = ops.AsRows(state, op, projection)
-                if clause.where is not None:
-                    op = ops.Filter(state, op, context, clause.where, pairs_in=False)
-                scope = set(projection.keys)
-            elif isinstance(clause, ast.ReturnClause):
-                if index != len(clauses) - 1:
-                    raise CypherSyntaxError("RETURN must be the final clause")
-                op, projection = self._lower_projection(
-                    op, clause, context, state, scope, writes
-                )
-                return ops.ProduceResults(state, op, projection)
-            elif isinstance(clause, ast.CreateClause):
-                op = ops.Create(state, op, context, clause)
-                scope.update(clause.pattern.variables)
-                writes = True
-            elif isinstance(clause, ast.MergeClause):
-                op = ops.Merge(state, op, context, clause)
-                scope.update(clause.part.variables)
-                writes = True
-            elif isinstance(clause, ast.SetClause):
-                op = ops.SetProperties(state, op, context, clause)
-                writes = True
-            elif isinstance(clause, ast.DeleteClause):
-                op = ops.Delete(state, op, context, clause)
-                writes = True
-            elif isinstance(clause, ast.RemoveClause):
-                op = ops.Remove(state, op, context, clause)
-                writes = True
-            else:  # pragma: no cover - parser cannot produce others
-                raise CypherRuntimeError(f"unsupported clause {clause!r}")
-        return ops.ProduceResults(state, op, None)
-
-    def _lower_match(
-        self,
-        child: ops.PhysicalOperator,
-        clause: ast.MatchClause,
-        context: "_ExecutionContext",
-        state: RuntimeState,
-    ) -> ops.PhysicalOperator:
-        plans = context.match_plans
-        plan = plans.get(id(clause)) if plans is not None else None
-        if not clause.optional:
-            op = self._lower_parts(child, clause.pattern, plan, context, state)
-            if clause.where is not None:
-                op = ops.Filter(state, op, context, clause.where, pairs_in=False)
-            return op
-        # OPTIONAL MATCH: the pattern (and its WHERE) runs as a sub-pipeline
-        # re-run once per upstream row, padding with nulls on no match.
-        source = ops.RowSource(state)
-        sub = self._lower_parts(source, clause.pattern, plan, context, state)
-        if clause.where is not None:
-            sub = ops.Filter(state, sub, context, clause.where, pairs_in=False)
-        return ops.OptionalMatch(
-            state, child, sub, source, clause.pattern.variables
-        )
-
-    def _lower_parts(
-        self,
-        child: ops.PhysicalOperator,
-        pattern: ast.Pattern,
-        plan: Optional[MatchPlan],
-        context: "_ExecutionContext",
-        state: RuntimeState,
-    ) -> ops.PhysicalOperator:
-        """Chain the pattern's parts: each consumes the previous part's
-        ``(row, used)`` pairs (cartesian product with relationship
-        uniqueness threaded through); the last part emits plain rows."""
-        parts = pattern.parts
-        multi = len(parts) > 1
-        op = child
-        for index, part in enumerate(parts):
-            from_rows = index == 0
-            emit_row = index == len(parts) - 1
-            part_plan = plan.parts[index] if plan is not None else None
-            filters = plan.filters if plan is not None else None
-            if part.shortest is not None:
-                kind = "shortestPath" if part.shortest == "single" else "allShortestPaths"
-                op = ops.ShortestPath(
-                    state, op, context, part, filters,
-                    from_rows=from_rows, emit_row=emit_row, detail=kind,
-                )
-            elif part_plan is None:
-                # Unplanned: traversal direction is a per-row decision, so
-                # defer to the heuristic row-at-a-time matcher.
-                op = ops.PartMatch(
-                    state, op, context, part,
-                    from_rows=from_rows, update_used=multi, emit_row=emit_row,
-                    detail=f"{len(part.nodes)} nodes, {part.hop_count} hops",
-                )
-            else:
-                op = self._lower_planned_part(
-                    op, part, part_plan, filters, context, state,
-                    from_rows=from_rows, emit_row=emit_row, update_used=multi,
-                )
-        return op
-
-    def _lower_planned_part(
-        self,
-        child: ops.PhysicalOperator,
-        part: ast.PatternPart,
-        part_plan: PartPlan,
-        filters: Optional[Filters],
-        context: "_ExecutionContext",
-        state: RuntimeState,
-        *,
-        from_rows: bool,
-        emit_row: bool,
-        update_used: bool,
-    ) -> ops.PhysicalOperator:
-        """One planned pattern part as an ``AnchorScan → Expand* → Match`` chain."""
-        elements = list(part.elements)
-        if part_plan.reverse:
-            elements = _reverse_elements(elements)
-        first = elements[0]
-        assert isinstance(first, ast.NodePattern)
-        anchor = part_plan.anchor
-        track_path = part.path_variable is not None
-        maintain_used = update_used or needs_used_tracking(part)
-        name, detail = anchor.physical_operator()
-        op: ops.PhysicalOperator = ops.AnchorScan(
-            state, child, context, first, anchor, filters,
-            track_path, from_rows, name, detail,
-        )
-        for index in range(1, len(elements), 2):
-            rel_pattern = elements[index]
-            node_pattern = elements[index + 1]
-            assert isinstance(rel_pattern, ast.RelPattern)
-            assert isinstance(node_pattern, ast.NodePattern)
-            expand_cls = ops.VarLengthExpand if rel_pattern.var_length else ops.Expand
-            types = "|".join(rel_pattern.types) if rel_pattern.types else ""
-            arrow = {"out": "->", "in": "<-", "both": "--"}[rel_pattern.direction]
-            op = expand_cls(
-                state, op, context, rel_pattern, node_pattern, filters,
-                maintain_used, detail=f"[:{types}]{arrow}" if types else arrow,
-            )
-        return ops.PartEmit(
-            state, op, part, part_plan.reverse, emit_row,
-            detail=f"{len(part.nodes)} nodes, {part.hop_count} hops",
-        )
-
-    def _lower_projection(
-        self,
-        child: ops.PhysicalOperator,
-        clause: ast.ProjectionClause,
-        context: "_ExecutionContext",
-        state: RuntimeState,
-        scope: Iterable[str] = (),
-        writes: bool = False,
-    ) -> tuple[ops.PhysicalOperator, ops.PhysicalOperator]:
-        """Lower WITH/RETURN into project → distinct → sort → skip → limit.
-
-        ``scope`` is the set of variables bound before the clause, which
-        ``*`` expands to; ``writes`` says an updating clause runs below it
-        (its LIMIT is then exhaustive, see :class:`~.operators.Limit`).
-        Returns the pipeline top plus the projection operator itself, whose
-        items/keys Sort, AsRows and ProduceResults read.
-        """
-        items, keys, aggregated, grouping = ops.derive_projection(clause, sorted(scope))
-        projection: ops.PhysicalOperator
-        if aggregated:
-            projection = ops.Aggregate(state, child, context, items, keys, grouping)
-        else:
-            projection = ops.Project(state, child, context, items, keys)
-        op: ops.PhysicalOperator = projection
-        if clause.distinct:
-            op = ops.Distinct(state, (op,))
-        start = 0
-        if clause.skip is not None:
-            start = context._bounded_int(clause.skip, "SKIP")
-        end: Optional[int] = None
-        if clause.limit is not None:
-            end = start + context._bounded_int(clause.limit, "LIMIT")
-        if clause.order_by:
-            op = ops.Sort(state, op, context, clause.order_by, projection, top=end)
-        if start:
-            op = ops.Skip(state, op, start)
-        if end is not None:
-            op = ops.Limit(state, op, end - start, writes)
-        return op, projection
+        return explain(self.store, tree, plans)
 
 
 # ---------------------------------------------------------------------------
-# Execution context: clause operators
+# Execution context: pattern matching primitives
 # ---------------------------------------------------------------------------
 
-class _ExecutionContext:
+class _ExecutionContext(WriteClauses):
     """Holds the store, parameters, runtime state, plans and write counters for one run."""
 
     def __init__(
@@ -659,15 +350,10 @@ class _ExecutionContext:
         # the run's row budget and deadline, charged by the pattern matcher
         self.state = state
         self.match_plans = match_plans
-        self.evaluator = _Evaluator(self)
+        self.evaluator = Evaluator(self)
         # id(expr) -> value for pushed-filter expressions; those are
         # Literal/Parameter only, so their value is fixed per execution
         self._filter_values: dict[int, Any] = {}
-        self.nodes_created = 0
-        self.relationships_created = 0
-        self.properties_set = 0
-        self.nodes_deleted = 0
-        self.relationships_deleted = 0
 
     def _filter_value(self, expr: ast.Expr) -> Any:
         """Memoised evaluation of a pushed filter's row-independent value."""
@@ -678,15 +364,6 @@ class _ExecutionContext:
         value = self.evaluator.evaluate(expr, {})
         cache[key] = value
         return value
-
-    def counters(self) -> dict[str, int]:
-        return {
-            "nodes_created": self.nodes_created,
-            "relationships_created": self.relationships_created,
-            "properties_set": self.properties_set,
-            "nodes_deleted": self.nodes_deleted,
-            "relationships_deleted": self.relationships_deleted,
-        }
 
     # -- MATCH ----------------------------------------------------------
     # (Clause-level MATCH runs as physical operators — see the lowering in
@@ -1218,593 +895,3 @@ class _ExecutionContext:
             raise CypherRuntimeError(f"{what} requires a non-negative integer, got {value!r}")
         return value
 
-    # -- Writes -----------------------------------------------------------
-
-    def apply_create(self, rows: list[Row], clause: ast.CreateClause) -> list[Row]:
-        output = []
-        for row in rows:
-            new_row = dict(row)
-            for part in clause.pattern.parts:
-                new_row = self._create_part(part, new_row)
-            output.append(new_row)
-        return output
-
-    def _create_part(self, part: ast.PatternPart, row: Row) -> Row:
-        elements = part.elements
-        nodes: list[Node] = []
-        rels: list[Relationship] = []
-        previous: Optional[Node] = None
-        pending_rel: Optional[ast.RelPattern] = None
-        for element in elements:
-            if isinstance(element, ast.NodePattern):
-                node = self._create_or_reuse_node(element, row)
-                nodes.append(node)
-                if pending_rel is not None:
-                    rel = self._create_rel(pending_rel, previous, node, row)
-                    rels.append(rel)
-                    if pending_rel.variable is not None:
-                        row[pending_rel.variable] = rel
-                    pending_rel = None
-                previous = node
-            else:
-                pending_rel = element
-        if part.path_variable is not None:
-            row[part.path_variable] = Path(nodes, rels)
-        return row
-
-    def _create_or_reuse_node(self, node_pattern: ast.NodePattern, row: Row) -> Node:
-        if node_pattern.variable is not None and node_pattern.variable in row:
-            bound = row[node_pattern.variable]
-            if not isinstance(bound, Node):
-                raise CypherTypeError(
-                    f"CREATE cannot reuse non-node variable {node_pattern.variable!r}"
-                )
-            if node_pattern.labels or node_pattern.properties:
-                raise CypherSyntaxError(
-                    "cannot specify labels or properties on a bound variable in CREATE"
-                )
-            return bound
-        if not node_pattern.labels:
-            raise CypherRuntimeError("CREATE requires at least one label on new nodes")
-        properties = {
-            key: self.evaluator.evaluate(expr, row) for key, expr in node_pattern.properties
-        }
-        node = _store_write(self.store.create_node, node_pattern.labels, properties)
-        self.nodes_created += 1
-        self.properties_set += len([v for v in properties.values() if v is not None])
-        if node_pattern.variable is not None:
-            row[node_pattern.variable] = node
-        return node
-
-    def _create_rel(
-        self,
-        rel_pattern: ast.RelPattern,
-        start: Optional[Node],
-        end: Node,
-        row: Row,
-    ) -> Relationship:
-        if start is None:
-            raise CypherRuntimeError("relationship in CREATE lacks a start node")
-        if len(rel_pattern.types) != 1:
-            raise CypherSyntaxError("CREATE requires exactly one relationship type")
-        if rel_pattern.direction == "both":
-            raise CypherSyntaxError("CREATE requires a directed relationship")
-        if rel_pattern.var_length:
-            raise CypherSyntaxError("CREATE cannot use variable-length relationships")
-        properties = {
-            key: self.evaluator.evaluate(expr, row) for key, expr in rel_pattern.properties
-        }
-        if rel_pattern.direction == "in":
-            start, end = end, start
-        rel = _store_write(
-            self.store.create_relationship,
-            start.node_id, rel_pattern.types[0], end.node_id, properties,
-        )
-        self.relationships_created += 1
-        self.properties_set += len([v for v in properties.values() if v is not None])
-        return rel
-
-    def apply_merge(self, rows: list[Row], clause: ast.MergeClause) -> list[Row]:
-        output: list[Row] = []
-        for row in rows:
-            matches = [
-                matched for matched, _ in self._match_part(clause.part, row, frozenset())
-            ]
-            if matches:
-                for matched in matches:
-                    self._apply_set_items(clause.on_match, matched)
-                    output.append(matched)
-            else:
-                created = self._create_part(clause.part, dict(row))
-                self._apply_set_items(clause.on_create, created)
-                output.append(created)
-        return output
-
-    def apply_set(self, rows: list[Row], clause: ast.SetClause) -> list[Row]:
-        for row in rows:
-            self._apply_set_items(clause.items, row)
-        return rows
-
-    def _apply_set_items(self, items: tuple[ast.SetItem, ...], row: Row) -> None:
-        for item in items:
-            target = row.get(item.variable)
-            if target is None:
-                continue
-            if item.kind == "property":
-                value = self.evaluator.evaluate(item.expression, row)
-                self._set_property(target, item.key, value)
-            elif item.kind in ("merge_map", "replace_map"):
-                value = self.evaluator.evaluate(item.expression, row)
-                if isinstance(value, (Node, Relationship)):
-                    value = dict(value.properties)
-                if not isinstance(value, dict):
-                    raise CypherTypeError(f"SET {item.variable} = ... expects a map")
-                if item.kind == "replace_map":
-                    if not isinstance(target, (Node, Relationship)):
-                        raise CypherTypeError(f"cannot SET properties on {target!r}")
-                    for key in list(target.properties):
-                        self._set_property(target, key, None)
-                for key, val in value.items():
-                    self._set_property(target, key, val)
-            elif item.kind == "label":
-                raise CypherRuntimeError("SET label is not supported")
-
-    def _set_property(self, target: Any, key: str, value: Any) -> None:
-        if isinstance(target, Node):
-            _store_write(self.store.set_node_property, target.node_id, key, value)
-        elif isinstance(target, Relationship):
-            _store_write(self.store.set_relationship_property, target.rel_id, key, value)
-        else:
-            raise CypherTypeError(f"cannot SET property on {target!r}")
-        self.properties_set += 1
-
-    def apply_delete(self, rows: list[Row], clause: ast.DeleteClause) -> list[Row]:
-        nodes_to_delete: dict[int, Node] = {}
-        rels_to_delete: dict[int, Relationship] = {}
-        for row in rows:
-            for expr in clause.expressions:
-                value = self.evaluator.evaluate(expr, row)
-                if value is None:
-                    continue
-                if isinstance(value, Node):
-                    nodes_to_delete[value.node_id] = value
-                elif isinstance(value, Relationship):
-                    rels_to_delete[value.rel_id] = value
-                elif isinstance(value, Path):
-                    for node in value.nodes:
-                        nodes_to_delete[node.node_id] = node
-                    for rel in value.relationships:
-                        rels_to_delete[rel.rel_id] = rel
-                else:
-                    raise CypherTypeError(f"DELETE expects nodes/relationships, got {value!r}")
-        for rel_id in rels_to_delete:
-            if self.store.has_node(self.store.relationship(rel_id).start_id):
-                self.store.delete_relationship(rel_id)
-                self.relationships_deleted += 1
-        for node_id in nodes_to_delete:
-            before = self.store.relationship_count
-            self.store.delete_node(node_id, detach=clause.detach)
-            self.relationships_deleted += before - self.store.relationship_count
-            self.nodes_deleted += 1
-        return rows
-
-    def apply_remove(self, rows: list[Row], clause: ast.RemoveClause) -> list[Row]:
-        for row in rows:
-            for item in clause.items:
-                target = row.get(item.variable)
-                if target is None:
-                    continue
-                if item.kind == "property":
-                    self._set_property(target, item.key, None)
-                else:
-                    raise CypherRuntimeError("REMOVE label is not supported")
-        return rows
-
-
-# ---------------------------------------------------------------------------
-# Expression evaluation
-# ---------------------------------------------------------------------------
-
-class _Evaluator:
-    """Evaluates expression ASTs against a row environment."""
-
-    # expression class -> unbound handler, shared across instances so the
-    # per-call getattr string formatting happens once per AST node type
-    _dispatch: dict[type, Any] = {}
-
-    def __init__(self, context: _ExecutionContext) -> None:
-        self.context = context
-
-    def evaluate(self, expr: ast.Expr, row: Row) -> Any:
-        cls = expr.__class__
-        method = _Evaluator._dispatch.get(cls)
-        if method is None:
-            method = getattr(_Evaluator, f"_eval_{cls.__name__}", None)
-            if method is None:
-                raise CypherRuntimeError(f"cannot evaluate {cls.__name__}")
-            _Evaluator._dispatch[cls] = method
-        return method(self, expr, row)
-
-    # -- atoms ----------------------------------------------------------
-
-    def _eval_Literal(self, expr: ast.Literal, row: Row) -> Any:
-        return expr.value
-
-    def _eval_Parameter(self, expr: ast.Parameter, row: Row) -> Any:
-        if expr.name not in self.context.params:
-            raise CypherRuntimeError(f"missing parameter: ${expr.name}")
-        return self.context.params[expr.name]
-
-    def _eval_Variable(self, expr: ast.Variable, row: Row) -> Any:
-        if expr.name not in row:
-            raise CypherRuntimeError(f"unknown variable: {expr.name}")
-        return row[expr.name]
-
-    def _eval_PropertyAccess(self, expr: ast.PropertyAccess, row: Row) -> Any:
-        subject_expr = expr.subject
-        if subject_expr.__class__ is ast.Variable:
-            subject = self._eval_Variable(subject_expr, row)
-        else:
-            subject = self.evaluate(subject_expr, row)
-        if subject is None:
-            return None
-        if isinstance(subject, (Node, Relationship)):
-            return subject.properties.get(expr.key)
-        if isinstance(subject, dict):
-            return subject.get(expr.key)
-        raise CypherTypeError(
-            f"cannot access property {expr.key!r} on {type(subject).__name__}"
-        )
-
-    def _eval_Subscript(self, expr: ast.Subscript, row: Row) -> Any:
-        subject = self.evaluate(expr.subject, row)
-        index = self.evaluate(expr.index, row)
-        if subject is None or index is None:
-            return None
-        if isinstance(subject, list):
-            if isinstance(index, bool) or not isinstance(index, int):
-                raise CypherTypeError(f"list index must be an integer, got {index!r}")
-            if -len(subject) <= index < len(subject):
-                return subject[index]
-            return None
-        if isinstance(subject, (dict,)):
-            return subject.get(index)
-        if isinstance(subject, (Node, Relationship)):
-            return subject.properties.get(index)
-        raise CypherTypeError(f"cannot subscript {type(subject).__name__}")
-
-    def _eval_Slice(self, expr: ast.Slice, row: Row) -> Any:
-        subject = self.evaluate(expr.subject, row)
-        if subject is None:
-            return None
-        if not isinstance(subject, list):
-            raise CypherTypeError("slicing requires a list")
-        start = self.evaluate(expr.start, row) if expr.start is not None else None
-        end = self.evaluate(expr.end, row) if expr.end is not None else None
-        for bound in (start, end):
-            if bound is not None and (isinstance(bound, bool) or not isinstance(bound, int)):
-                raise CypherTypeError(f"list slice bounds must be integers, got {bound!r}")
-        return subject[start:end]
-
-    def _eval_ListLiteral(self, expr: ast.ListLiteral, row: Row) -> list[Any]:
-        return [self.evaluate(item, row) for item in expr.items]
-
-    def _eval_MapLiteral(self, expr: ast.MapLiteral, row: Row) -> dict[str, Any]:
-        return {key: self.evaluate(value, row) for key, value in expr.items}
-
-    # -- operators --------------------------------------------------------
-
-    def _eval_UnaryOp(self, expr: ast.UnaryOp, row: Row) -> Any:
-        value = self.evaluate(expr.operand, row)
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise CypherTypeError(f"unary {expr.op} expects a number, got {value!r}")
-        return -value if expr.op == "-" else +value
-
-    def _eval_BinaryOp(self, expr: ast.BinaryOp, row: Row) -> Any:
-        left = self.evaluate(expr.left, row)
-        right = self.evaluate(expr.right, row)
-        return binary_operation(expr.op, left, right)
-
-    def _eval_Comparison(self, expr: ast.Comparison, row: Row) -> Optional[bool]:
-        values = [self.evaluate(operand, row) for operand in expr.operands]
-        result: Optional[bool] = True
-        for op, left, right in zip(expr.ops, values, values[1:]):
-            outcome = compare_once(op, left, right)
-            if outcome is False:
-                return False
-            if outcome is None:
-                result = None
-        return result
-
-    def _eval_BooleanOp(self, expr: ast.BooleanOp, row: Row) -> Optional[bool]:
-        saw_null = False
-        if expr.op == "AND":
-            for operand in expr.operands:
-                value = is_truthy(self.evaluate(operand, row))
-                if value is False:
-                    return False
-                if value is None:
-                    saw_null = True
-            return None if saw_null else True
-        if expr.op == "OR":
-            for operand in expr.operands:
-                value = is_truthy(self.evaluate(operand, row))
-                if value is True:
-                    return True
-                if value is None:
-                    saw_null = True
-            return None if saw_null else False
-        # XOR
-        result: Optional[bool] = False
-        for operand in expr.operands:
-            value = is_truthy(self.evaluate(operand, row))
-            if value is None:
-                return None
-            result = bool(result) ^ value
-        return result
-
-    def _eval_NotOp(self, expr: ast.NotOp, row: Row) -> Optional[bool]:
-        value = is_truthy(self.evaluate(expr.operand, row))
-        return None if value is None else not value
-
-    def _eval_IsNull(self, expr: ast.IsNull, row: Row) -> bool:
-        value = self.evaluate(expr.operand, row)
-        return (value is not None) if expr.negated else (value is None)
-
-    def _eval_StringPredicate(self, expr: ast.StringPredicate, row: Row) -> Optional[bool]:
-        left = self.evaluate(expr.left, row)
-        right = self.evaluate(expr.right, row)
-        if left is None or right is None:
-            return None
-        if not isinstance(left, str) or not isinstance(right, str):
-            return None
-        if expr.op == "STARTS":
-            return left.startswith(right)
-        if expr.op == "ENDS":
-            return left.endswith(right)
-        return right in left
-
-    def _eval_InList(self, expr: ast.InList, row: Row) -> Optional[bool]:
-        value = self.evaluate(expr.value, row)
-        container = self.evaluate(expr.container, row)
-        if container is None:
-            return None
-        if not isinstance(container, list):
-            raise CypherTypeError(f"IN expects a list, got {container!r}")
-        saw_null = False
-        for item in container:
-            equal = cypher_equals(value, item)
-            if equal is True:
-                return True
-            if equal is None:
-                saw_null = True
-        return None if saw_null else False
-
-    def _eval_CaseExpr(self, expr: ast.CaseExpr, row: Row) -> Any:
-        if expr.subject is not None:
-            subject = self.evaluate(expr.subject, row)
-            for condition, result in expr.whens:
-                if cypher_equals(subject, self.evaluate(condition, row)) is True:
-                    return self.evaluate(result, row)
-        else:
-            for condition, result in expr.whens:
-                if is_truthy(self.evaluate(condition, row)) is True:
-                    return self.evaluate(result, row)
-        if expr.default is not None:
-            return self.evaluate(expr.default, row)
-        return None
-
-    def _eval_ListComprehension(self, expr: ast.ListComprehension, row: Row) -> Any:
-        source = self.evaluate(expr.source, row)
-        if source is None:
-            return None
-        if not isinstance(source, list):
-            raise CypherTypeError("list comprehension requires a list source")
-        output = []
-        for item in source:
-            inner = dict(row)
-            inner[expr.variable] = item
-            if expr.predicate is not None:
-                if is_truthy(self.evaluate(expr.predicate, inner)) is not True:
-                    continue
-            if expr.projection is not None:
-                output.append(self.evaluate(expr.projection, inner))
-            else:
-                output.append(item)
-        return output
-
-    def _eval_Quantifier(self, expr: ast.Quantifier, row: Row) -> Optional[bool]:
-        source = self.evaluate(expr.source, row)
-        if source is None:
-            return None
-        if not isinstance(source, list):
-            raise CypherTypeError(f"{expr.kind}() requires a list, got {source!r}")
-        trues = falses = nulls = 0
-        for item in source:
-            inner = dict(row)
-            inner[expr.variable] = item
-            outcome = is_truthy(self.evaluate(expr.predicate, inner))
-            if outcome is True:
-                trues += 1
-            elif outcome is False:
-                falses += 1
-            else:
-                nulls += 1
-        if expr.kind == "any":
-            if trues > 0:
-                return True
-            return None if nulls else False
-        if expr.kind == "all":
-            if falses > 0:
-                return False
-            return None if nulls else True
-        if expr.kind == "none":
-            if trues > 0:
-                return False
-            return None if nulls else True
-        # single: exactly one true
-        if nulls:
-            return None
-        return trues == 1
-
-    def _eval_Reduce(self, expr: ast.Reduce, row: Row) -> Any:
-        source = self.evaluate(expr.source, row)
-        if source is None:
-            return None
-        if not isinstance(source, list):
-            raise CypherTypeError(f"reduce() requires a list, got {source!r}")
-        accumulator = self.evaluate(expr.initial, row)
-        for item in source:
-            inner = dict(row)
-            inner[expr.accumulator] = accumulator
-            inner[expr.variable] = item
-            accumulator = self.evaluate(expr.expression, inner)
-        return accumulator
-
-    def _eval_PatternPredicate(self, expr: ast.PatternPredicate, row: Row) -> bool:
-        return bool(self.context.match_pattern(expr.pattern, row, limit=1))
-
-    def _eval_PatternComprehension(self, expr: ast.PatternComprehension, row: Row) -> list[Any]:
-        output: list[Any] = []
-        for matched in self.context.match_pattern(expr.pattern, row):
-            if expr.predicate is not None:
-                if is_truthy(self.evaluate(expr.predicate, matched)) is not True:
-                    continue
-            output.append(self.evaluate(expr.projection, matched))
-        return output
-
-    def _eval_ExistsExpr(self, expr: ast.ExistsExpr, row: Row) -> bool:
-        if isinstance(expr.target, ast.PatternPart):
-            return bool(self.context.match_pattern(expr.target, row, limit=1))
-        return self.evaluate(expr.target, row) is not None
-
-    def _eval_CountStar(self, expr: ast.CountStar, row: Row) -> Any:
-        raise CypherSyntaxError("count(*) is only allowed in a projection")
-
-    def _eval_FunctionCall(self, expr: ast.FunctionCall, row: Row) -> Any:
-        if is_aggregate_function(expr.name):
-            raise CypherSyntaxError(
-                f"aggregate function {expr.name}() is only allowed in a projection"
-            )
-        args = [self.evaluate(arg, row) for arg in expr.args]
-        return call_scalar(self.context.store, expr.name, args)
-
-    # -- aggregation ------------------------------------------------------
-
-    def evaluate_aggregate(self, expr: ast.Expr, group_rows: list[Row]) -> Any:
-        """Evaluate ``expr`` in aggregate context over ``group_rows``.
-
-        Aggregate calls consume the whole group; everything else is
-        evaluated against the group's first row (grouping keys are constant
-        within a group by construction).
-        """
-        if isinstance(expr, ast.CountStar):
-            return len(group_rows)
-        if isinstance(expr, ast.FunctionCall) and is_aggregate_function(expr.name):
-            name = expr.name.lower()
-            if name in ("percentilecont", "percentiledisc"):
-                if len(expr.args) != 2:
-                    raise CypherRuntimeError(f"{expr.name}() expects two arguments")
-                values = [self.evaluate(expr.args[0], row) for row in group_rows]
-                first = group_rows[0] if group_rows else {}
-                fraction = self.evaluate(expr.args[1], first)
-                return percentile(values, float(fraction), disc=name.endswith("disc"))
-            if len(expr.args) != 1:
-                raise CypherRuntimeError(f"{expr.name}() expects one argument")
-            values = [self.evaluate(expr.args[0], row) for row in group_rows]
-            return call_aggregate(expr.name, values, distinct=expr.distinct)
-        if isinstance(expr, ast.BinaryOp):
-            left = self.evaluate_aggregate(expr.left, group_rows)
-            right = self.evaluate_aggregate(expr.right, group_rows)
-            shim = ast.BinaryOp(op=expr.op, left=ast.Literal(left), right=ast.Literal(right))
-            return self.evaluate(shim, {})
-        if isinstance(expr, ast.UnaryOp):
-            value = self.evaluate_aggregate(expr.operand, group_rows)
-            return self.evaluate(ast.UnaryOp(op=expr.op, operand=ast.Literal(value)), {})
-        if isinstance(expr, ast.Comparison):
-            values = [self.evaluate_aggregate(op, group_rows) for op in expr.operands]
-            shim = ast.Comparison(
-                operands=tuple(ast.Literal(v) for v in values), ops=expr.ops
-            )
-            return self.evaluate(shim, {})
-        if isinstance(expr, ast.FunctionCall):
-            args = [self.evaluate_aggregate(arg, group_rows) for arg in expr.args]
-            return call_scalar(self.context.store, expr.name, args)
-        if isinstance(expr, ast.ListLiteral):
-            return [self.evaluate_aggregate(item, group_rows) for item in expr.items]
-        if isinstance(expr, ast.CaseExpr):
-            first = group_rows[0] if group_rows else {}
-            return self.evaluate(expr, first)
-        first = group_rows[0] if group_rows else {}
-        return self.evaluate(expr, first)
-
-
-# ---------------------------------------------------------------------------
-# Helpers
-# ---------------------------------------------------------------------------
-
-def _store_write(write: Any, *args: Any) -> Any:
-    """Run one store mutation.  The store rejects a value outside the
-    property value space (a map, or a list holding one) with ``TypeError``;
-    Cypher reports that as a :class:`CypherTypeError`."""
-    try:
-        return write(*args)
-    except TypeError as exc:
-        raise CypherTypeError(str(exc)) from None
-
-
-def _pick_lookup_property(
-    store: GraphStore, node_pattern: ast.NodePattern
-) -> tuple[str, ast.Expr]:
-    """The inline property to look up by: an indexed one when possible."""
-    for key, expr in node_pattern.properties:
-        for label in node_pattern.labels:
-            if store.has_property_index(label, key):
-                return key, expr
-    return node_pattern.properties[0]
-
-
-def _pick_lookup_label(store: GraphStore, node_pattern: ast.NodePattern, key: str) -> str:
-    """The label to pair with ``key`` (the indexed one when possible)."""
-    for label in node_pattern.labels:
-        if store.has_property_index(label, key):
-            return label
-    return node_pattern.labels[0]
-
-
-def _node_selectivity(node_pattern: ast.NodePattern, row: Row) -> int:
-    """Rough anchor-selection score (bound ≫ property-constrained ≫ labeled)."""
-    if node_pattern.variable is not None and node_pattern.variable in row:
-        return 100
-    score = 0
-    if node_pattern.properties:
-        score += 10
-    if node_pattern.labels:
-        score += 2
-    return score
-
-
-def _reverse_elements(
-    elements: list[Union[ast.NodePattern, ast.RelPattern]],
-) -> list[Union[ast.NodePattern, ast.RelPattern]]:
-    """Reverse a pattern chain, flipping relationship directions."""
-    flipped: list[Union[ast.NodePattern, ast.RelPattern]] = []
-    for element in reversed(elements):
-        if isinstance(element, ast.RelPattern):
-            direction = {"out": "in", "in": "out", "both": "both"}[element.direction]
-            flipped.append(
-                ast.RelPattern(
-                    variable=element.variable,
-                    types=element.types,
-                    direction=direction,
-                    properties=element.properties,
-                    min_hops=element.min_hops,
-                    max_hops=element.max_hops,
-                    var_length=element.var_length,
-                )
-            )
-        else:
-            flipped.append(element)
-    return flipped

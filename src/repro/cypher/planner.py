@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from ..graph.store import GraphStatistics
+from ..graph.store import GraphStatistics, GraphStore
 from . import ast_nodes as ast
 
 __all__ = ["AnchorPlan", "PartPlan", "MatchPlan", "PushedFilter",
@@ -295,3 +295,33 @@ def plan_query(tree: Union[ast.SingleQuery, ast.UnionQuery],
                 bound = bound | names if clause.star else names
     return plans
 
+
+def _pick_lookup_property(
+    store: GraphStore, node_pattern: ast.NodePattern
+) -> tuple[str, ast.Expr]:
+    """The inline property to look up by: an indexed one when possible."""
+    for key, expr in node_pattern.properties:
+        for label in node_pattern.labels:
+            if store.has_property_index(label, key):
+                return key, expr
+    return node_pattern.properties[0]
+
+
+def _pick_lookup_label(store: GraphStore, node_pattern: ast.NodePattern, key: str) -> str:
+    """The label to pair with ``key`` (the indexed one when possible)."""
+    for label in node_pattern.labels:
+        if store.has_property_index(label, key):
+            return label
+    return node_pattern.labels[0]
+
+
+def _node_selectivity(node_pattern: ast.NodePattern, row: dict) -> int:
+    """Rough anchor-selection score (bound ≫ property-constrained ≫ labeled)."""
+    if node_pattern.variable is not None and node_pattern.variable in row:
+        return 100
+    score = 0
+    if node_pattern.properties:
+        score += 10
+    if node_pattern.labels:
+        score += 2
+    return score
