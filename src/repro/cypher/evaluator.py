@@ -2,7 +2,8 @@
 
 One :class:`Evaluator` serves one execution.  It reads the run's parameters
 and store from the execution context, and runs pattern predicates, ``EXISTS``
-patterns and pattern comprehensions through the context's matcher.
+patterns and pattern comprehensions through their operator sub-chains
+(``context.pattern_chain``).
 Aggregates are evaluated over a whole group of rows by
 :meth:`Evaluator.evaluate_aggregate`.
 """
@@ -288,11 +289,11 @@ class Evaluator:
         return accumulator
 
     def _eval_PatternPredicate(self, expr: ast.PatternPredicate, row: Row) -> bool:
-        return bool(self.context.match_pattern(expr.pattern, row, limit=1))
+        return bool(self.context.pattern_chain(expr, expr.pattern).matches(row, first_only=True))
 
     def _eval_PatternComprehension(self, expr: ast.PatternComprehension, row: Row) -> list[Any]:
         output: list[Any] = []
-        for matched in self.context.match_pattern(expr.pattern, row):
+        for matched in self.context.pattern_chain(expr, expr.pattern).matches(row):
             if expr.predicate is not None:
                 if is_truthy(self.evaluate(expr.predicate, matched)) is not True:
                     continue
@@ -301,7 +302,8 @@ class Evaluator:
 
     def _eval_ExistsExpr(self, expr: ast.ExistsExpr, row: Row) -> bool:
         if isinstance(expr.target, ast.PatternPart):
-            return bool(self.context.match_pattern(expr.target, row, limit=1))
+            chain = self.context.pattern_chain(expr, expr.target)
+            return bool(chain.matches(row, first_only=True))
         return self.evaluate(expr.target, row) is not None
 
     def _eval_CountStar(self, expr: ast.CountStar, row: Row) -> Any:

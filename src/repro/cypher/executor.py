@@ -1,7 +1,8 @@
 """Query executor: evaluates a parsed Cypher AST against a GraphStore.
 
-The engine lowers each query into a tree of pull-based physical operators
-(:mod:`repro.cypher.operators`): MATCH clauses are planned by
+The engine lowers each query (:mod:`repro.cypher.lowering`) into a tree
+of pull-based physical operators (:mod:`repro.cypher.operators`): every
+pattern part, of MATCH, MERGE or a pattern expression, is planned by
 :mod:`repro.cypher.planner` against live graph statistics.  The planner
 ranks both ends of each pattern part (bound variable, then exact lookup,
 then smallest-label scan, then all-nodes scan) and anchors the better
@@ -18,10 +19,13 @@ blocking operators (Sort, Aggregate, write barriers) materialise
 rows.  One bounded LRU keyed by query text holds each query's
 parsed tree and, for a read-only query, its last result, reused while
 the graph's statistics version is unchanged.  Every execution plans
-afresh against the current statistics; ``planner=False`` is the escape
-hatch that falls back to the naive shape-only heuristics (via a
-row-at-a-time ``Match`` fallback operator, so results stay bit-identical
-to planned execution).
+afresh against the current statistics; ``planner=False`` plans every part
+by a fixed shape-only rule instead, with no pushdown: the reference the
+tests check planned execution against.  This module holds the engine and
+the per-run execution context with the matching primitives the operators
+share (candidate scans, binding, expansion, shortest paths); the
+evaluator and the write clauses live in :mod:`repro.cypher.evaluator`
+and :mod:`repro.cypher.writes`.
 
 Entry points: :class:`CypherEngine` — ``engine.run(query, **params)``
 for the classic API, ``engine.execute(query, params, deadline=...,
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Iterable, Iterator, Optional, Union
+from typing import Any, Iterator, Optional
 
 from ..faults import fault_point
 from ..graph.model import Node, Path, Relationship
@@ -44,18 +48,17 @@ from . import operators as ops
 from .errors import CypherRuntimeError, CypherTypeError
 from .evaluator import Evaluator
 from .functions import compare_once
-from .lowering import _reverse_elements, explain, lower_query
-from .operators import RuntimeState, _same_rel_binding, profile_tree, render_profile
+from .lowering import explain, lower_pattern, lower_query
+from .operators import RuntimeState, profile_tree, render_profile
 from .parser import parse
 from .planner import (
     AnchorPlan,
     Filters,
-    MatchPlan,
+    PartPlan,
     PushedFilter,
-    _node_selectivity,
-    _pick_lookup_label,
-    _pick_lookup_property,
-    needs_used_tracking,
+    Site,
+    fixed_anchor,
+    pattern_sites,
     plan_query,
 )
 from .result import Record, ResultSet
@@ -115,15 +118,18 @@ class _LRUCache(OrderedDict):
 class _QueryEntry:
     """Everything the engine keeps for one query text.
 
+    ``sites`` lists the tree's pattern parts with the variables bound at
+    each (:func:`~.planner.pattern_sites`), so an execution only plans them.
     ``memo`` is ``(stats_version, result, rows_charged)``, replaced by one
     assignment, so a concurrent reader sees a whole tuple or the old one.
     """
 
-    __slots__ = ("tree", "read_only", "memo")
+    __slots__ = ("tree", "read_only", "sites", "memo")
 
     def __init__(self, tree: ast.Query) -> None:
         self.tree = tree
         self.read_only = tree_is_read_only(tree)
+        self.sites = pattern_sites(tree)
         self.memo: Optional[tuple[int, ResultSet, int]] = None
 
 
@@ -233,6 +239,7 @@ class CypherEngine:
             deadline=deadline,
             row_budget=row_budget,
             profiled=profile,
+            sites=entry.sites,
         )
         if profile:
             result.profile = profile_tree(root)
@@ -282,13 +289,15 @@ class CypherEngine:
         deadline: Any = None,
         row_budget: Optional[int] = None,
         profiled: bool = False,
+        sites: Optional[list[Site]] = None,
     ) -> tuple[ResultSet, ops.PhysicalOperator]:
         """Plan ``tree``, lower it into a physical operator tree and drain it.
 
+        ``sites`` is the tree's :func:`~.planner.pattern_sites`, if known.
         Returns the result plus the executed tree root (its counters feed
         ``PROFILE`` rendering and the ``cypher_profile`` diagnostics).
         """
-        plans = plan_query(tree, self.store.statistics()) if self.planner else None
+        plans = plan_query(tree, self.store.statistics(), self.planner, sites)
         state = RuntimeState(deadline=deadline, budget=row_budget, profiled=profiled)
         context = _ExecutionContext(self.store, params, self.max_var_length, state, plans)
         state.check_deadline()
@@ -312,7 +321,8 @@ class CypherEngine:
         its inclusive wall-clock time, so hot operators are visible at a
         glance.
         """
-        result, root = self._execute(self._entry(query).tree, params, profiled=True)
+        entry = self._entry(query)
+        result, root = self._execute(entry.tree, params, profiled=True, sites=entry.sites)
         result.profile = profile_tree(root)
         return result, render_profile(root)
 
@@ -325,8 +335,7 @@ class CypherEngine:
         time.
         """
         tree = parse(query)
-        plans = plan_query(tree, self.store.statistics()) if self.planner else None
-        return explain(self.store, tree, plans)
+        return explain(tree, plan_query(tree, self.store.statistics(), self.planner))
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +351,18 @@ class _ExecutionContext(WriteClauses):
         params: dict[str, Any],
         max_var_length: int,
         state: RuntimeState,
-        match_plans: Optional[dict[int, MatchPlan]] = None,
+        plans: dict[int, Any],
     ):
         self.store = store
         self.params = params
         self.max_var_length = max_var_length
-        # the run's row budget and deadline, charged by the pattern matcher
+        # the run's row budget and deadline, charged by every operator
         self.state = state
-        self.match_plans = match_plans
+        self.plans = plans
+        # whether the query has pattern expressions or MERGE, which match
+        # through sub-chains; id(expression or clause) -> its sub-chain
+        self.has_subchains = any(type(plan) is PartPlan for plan in plans.values())
+        self.pattern_chains: dict[int, ops.PatternChain] = {}
         self.evaluator = Evaluator(self)
         # id(expr) -> value for pushed-filter expressions; those are
         # Literal/Parameter only, so their value is fixed per execution
@@ -365,82 +378,14 @@ class _ExecutionContext(WriteClauses):
         cache[key] = value
         return value
 
-    # -- MATCH ----------------------------------------------------------
-    # (Clause-level MATCH runs as physical operators — see the lowering in
-    # CypherEngine; the part/chain matchers below are shared by those
-    # operators, pattern-predicate evaluation and MERGE.)
-
-    def match_pattern(
-        self, part: ast.PatternPart, row: Row, limit: Optional[int] = None
-    ) -> list[Row]:
-        """Rows binding ``part`` from ``row`` (pattern predicates).
-
-        ``limit`` stops the search once that many matches are found, so
-        ``EXISTS`` stops at the first one.
-        """
-        return [
-            matched
-            for matched, _ in self._match_part(
-                part, row, frozenset(), update_used=False, limit=limit
-            )
-        ]
-
-    def _match_part(
-        self,
-        part: ast.PatternPart,
-        row: Row,
-        used: frozenset[int],
-        update_used: bool = True,
-        limit: Optional[int] = None,
-    ) -> Iterable[tuple[Row, frozenset[int]]]:
-        """Row-at-a-time matcher for one unplanned pattern part.
-
-        Every candidate and expansion step is charged to the run's row
-        budget and deadline; ``limit`` ends the search after that many
-        matches.
-        """
-        if part.shortest is not None:
-            return self._match_shortest(part, row, used)
-        elements = list(part.elements)
-        reversed_part = len(elements) > 1 and self._should_reverse(elements, row)
-        if reversed_part:
-            elements = _reverse_elements(elements)
-
-        first = elements[0]
-        assert isinstance(first, ast.NodePattern)
-        track_path = part.path_variable is not None
-        maintain_used = update_used or needs_used_tracking(part)
-        chained: list[Any] = []
-        charge = self.state.charge
-        for start in self._node_candidates(first, row):
-            charge()
-            start_row = self._bind_node(first, start, row)
-            if start_row is None:
-                continue
-            self._match_chain(
-                elements,
-                1,
-                start_row,
-                used,
-                start,
-                [start] if track_path else None,
-                [] if track_path else None,
-                maintain_used,
-                chained,
-                limit,
-            )
-            if limit is not None and len(chained) >= limit:
-                break
-        if not track_path:
-            return chained
-        results: list[tuple[Row, frozenset[int]]] = []
-        for final_row, used_after, nodes, rels in chained:
-            path_nodes = list(reversed(nodes)) if reversed_part else nodes
-            path_rels = list(reversed(rels)) if reversed_part else rels
-            final_row = dict(final_row)
-            final_row[part.path_variable] = Path(path_nodes, path_rels)
-            results.append((final_row, used_after))
-        return results
+    def pattern_chain(self, node: Any, part: ast.PatternPart) -> ops.PatternChain:
+        """The chain matching ``part`` for ``node`` (a pattern expression or
+        a MERGE clause), lowered on first use with the plan made for it."""
+        chain = self.pattern_chains.get(id(node))
+        if chain is None:
+            chain = lower_pattern(part, self.plans[id(node)], self, self.state)
+            self.pattern_chains[id(node)] = chain
+        return chain
 
     def _match_shortest(
         self,
@@ -451,8 +396,9 @@ class _ExecutionContext(WriteClauses):
     ) -> Iterator[tuple[Row, frozenset[int]]]:
         """Match ``shortestPath((a)-[...]-(b))`` via breadth-first search.
 
-        Both endpoint patterns are resolved first (bound variables or
-        indexed/label scans), then a BFS bounded by the relationship
+        Both endpoint patterns are resolved first, each by the fixed anchor
+        rule (bound variable, inline-property lookup, label scan, all
+        nodes) against the row, then a BFS bounded by the relationship
         pattern's hop range finds one (``"single"``) or all (``"all"``)
         minimum-length paths.
         """
@@ -467,11 +413,16 @@ class _ExecutionContext(WriteClauses):
                 direction=rel_pattern.direction, properties=rel_pattern.properties,
                 min_hops=1, max_hops=1, var_length=True,
             )
-        for start in self._node_candidates(start_pattern, row):
+        stats = self.store.statistics()
+        for start in self._node_candidates(
+            start_pattern, row, fixed_anchor(start_pattern, stats, row)
+        ):
             start_row = self._bind_node(start_pattern, start, row, filters)
             if start_row is None:
                 continue
-            for end in self._node_candidates(end_pattern, start_row):
+            for end in self._node_candidates(
+                end_pattern, start_row, fixed_anchor(end_pattern, stats, start_row)
+            ):
                 end_row = self._bind_node(end_pattern, end, start_row, filters)
                 if end_row is None:
                     continue
@@ -588,92 +539,6 @@ class _ExecutionContext(WriteClauses):
                 continue
             yield rel, rel.other_end(node_id)
 
-    def _match_chain(
-        self,
-        elements: list[Union[ast.NodePattern, ast.RelPattern]],
-        index: int,
-        row: Row,
-        used: frozenset[int],
-        current: Node,
-        nodes: Optional[list[Node]],
-        rels: Optional[list[Relationship]],
-        maintain_used: bool,
-        out: list[Any],
-        limit: Optional[int] = None,
-    ) -> None:
-        """Recursively match the rel/node chain, appending results to ``out``.
-
-        Appends ``(row, used)`` tuples, or ``(row, used, nodes, rels)`` when
-        path tracking is on (``nodes``/``rels`` non-None).  Building a list
-        instead of yielding avoids a generator resumption per consumer level
-        on the hot path.  Returns early once ``out`` holds ``limit`` entries.
-        """
-        if index >= len(elements):
-            if nodes is None:
-                out.append((row, used))
-            else:
-                out.append((row, used, nodes, rels))
-            return
-        rel_pattern = elements[index]
-        node_pattern = elements[index + 1]
-        assert isinstance(rel_pattern, ast.RelPattern)
-        assert isinstance(node_pattern, ast.NodePattern)
-
-        var_length = rel_pattern.var_length
-        if var_length:
-            steps: Iterable[tuple[Any, Node]] = self._expand_var_length(
-                rel_pattern, current, row, used
-            )
-        else:
-            steps = self._expand_single(rel_pattern, current, row, used)
-
-        variable = rel_pattern.variable
-        charge = self.state.charge
-        # A step is one relationship, or a list of them for a var-length hop.
-        for step, end_node in steps:
-            charge()
-            if variable is None:
-                rel_row = row
-            else:
-                bound_value: Any = list(step) if var_length else step
-                if variable in row:
-                    if not _same_rel_binding(row[variable], bound_value):
-                        continue
-                    rel_row = row
-                else:
-                    rel_row = dict(row)
-                    rel_row[variable] = bound_value
-            end_row = self._bind_node(node_pattern, end_node, rel_row)
-            if end_row is None:
-                continue
-            if not maintain_used:
-                new_used = used
-            elif var_length:
-                new_used = used | {rel.rel_id for rel in step}
-            else:
-                new_used = used | {step.rel_id}
-            if nodes is None:
-                next_nodes = next_rels = None
-            elif var_length:
-                next_nodes, next_rels = self._var_length_path(nodes, rels, current, step)
-            else:
-                next_nodes = nodes + [end_node]
-                next_rels = rels + [step]
-            self._match_chain(
-                elements,
-                index + 2,
-                end_row,
-                new_used,
-                end_node,
-                next_nodes,
-                next_rels,
-                maintain_used,
-                out,
-                limit,
-            )
-            if limit is not None and len(out) >= limit:
-                return
-
     def _expand_single(
         self,
         rel_pattern: ast.RelPattern,
@@ -757,28 +622,30 @@ class _ExecutionContext(WriteClauses):
         return True
 
     def _node_candidates(
-        self,
-        node_pattern: ast.NodePattern,
-        row: Row,
-        anchor: Optional["AnchorPlan"] = None,
+        self, node_pattern: ast.NodePattern, row: Row, anchor: AnchorPlan
     ) -> Iterator[Node]:
         """Candidate nodes for the anchor position of a pattern part.
 
-        With a planned anchor, follows its access path; every candidate is
-        still fully verified by :meth:`_bind_node`, so a stale or
-        suboptimal plan can never change results.
+        A variable the row binds is its one candidate; otherwise the
+        anchor's access path.  Every candidate is still fully verified by
+        :meth:`_bind_node`, so a stale or suboptimal plan can never change
+        results.
         """
-        if node_pattern.variable is not None and node_pattern.variable in row:
-            bound = row[node_pattern.variable]
+        variable = node_pattern.variable
+        if variable is not None and variable in row:
+            bound = row[variable]
             if bound is None:
                 return
             if not isinstance(bound, Node):
-                raise CypherTypeError(
-                    f"variable {node_pattern.variable!r} is not a node: {bound!r}"
-                )
+                raise CypherTypeError(f"variable {variable!r} is not a node: {bound!r}")
             yield bound
-            return
-        if anchor is not None and anchor.kind in ("property", "property-in"):
+        elif anchor.kind == "label":
+            yield from self.store.nodes_by_label(anchor.label)
+        elif anchor.kind == "all":
+            yield from self.store.all_nodes()
+        elif anchor.kind == "bound":
+            raise CypherRuntimeError(f"unknown variable: {variable}")
+        else:
             seen: set[int] = set()
             for expr in anchor.values:
                 value = self.evaluator.evaluate(expr, row)
@@ -786,25 +653,6 @@ class _ExecutionContext(WriteClauses):
                     if node.node_id not in seen:
                         seen.add(node.node_id)
                         yield node
-            return
-        if anchor is not None and anchor.kind == "label":
-            yield from self.store.nodes_by_label(anchor.label)
-            return
-        if anchor is not None and anchor.kind == "all":
-            yield from self.store.all_nodes()
-            return
-        # Unplanned path: property-equality lookup when available, preferring
-        # a (label, key) pair that actually has a property index.
-        if node_pattern.labels and node_pattern.properties:
-            key, expr = _pick_lookup_property(self.store, node_pattern)
-            value = self.evaluator.evaluate(expr, row)
-            label = _pick_lookup_label(self.store, node_pattern, key)
-            yield from self.store.nodes_by_property(label, key, value)
-            return
-        if node_pattern.labels:
-            yield from self.store.nodes_by_label(node_pattern.labels[0])
-            return
-        yield from self.store.all_nodes()
 
     def _bind_node(
         self,
@@ -876,14 +724,6 @@ class _ExecutionContext(WriteClauses):
             value = self._filter_value(filt.values[0])
             return value if isinstance(value, list) else None
         return [self._filter_value(expr) for expr in filt.values]
-
-    def _should_reverse(
-        self, elements: list[Union[ast.NodePattern, ast.RelPattern]], row: Row
-    ) -> bool:
-        first = elements[0]
-        last = elements[-1]
-        assert isinstance(first, ast.NodePattern) and isinstance(last, ast.NodePattern)
-        return _node_selectivity(last, row) > _node_selectivity(first, row)
 
     # -- WITH / RETURN ----------------------------------------------------
     # (Projection, DISTINCT, ORDER BY and SKIP/LIMIT run as physical

@@ -1,61 +1,62 @@
 """Lowering: a parsed query plus its plans into a physical operator tree.
 
-Each clause becomes one or more operators of :mod:`repro.cypher.operators`;
-a MATCH pattern part becomes an ``AnchorScan → Expand* → Match`` chain
-(``ShortestPath`` for a shortest-path part).  :func:`explain` renders the
-same clause pipeline and plans as text without executing anything.
+Each clause becomes one or more operators of :mod:`repro.cypher.operators`.
+:func:`lower_part` builds every pattern part's chain, ``AnchorScan →
+Expand* → Match`` (``ShortestPath`` for a shortest-path part): the parts
+of MATCH and OPTIONAL MATCH, and, fed from an ``Argument`` leaf and re-run
+per row, MERGE's match and every pattern predicate, ``EXISTS`` pattern
+and pattern comprehension.  Such a sub-chain hangs under the operator
+that evaluates it, so PROFILE shows its operators and rows.
+:func:`explain` renders the clause pipeline and the same plans as text
+without executing anything.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Optional, Union
 
-from ..graph.store import GraphStore
 from . import ast_nodes as ast
 from . import operators as ops
 from .errors import CypherRuntimeError, CypherSyntaxError
 from .operators import RuntimeState, _contains_aggregate
-from .planner import (
-    Filters,
-    MatchPlan,
-    PartPlan,
-    _node_selectivity,
-    _pick_lookup_label,
-    _pick_lookup_property,
-    needs_used_tracking,
-)
+from .planner import Filters, PartPlan, needs_used_tracking, pattern_expressions
 
-__all__ = ["explain", "lower_query"]
+__all__ = ["explain", "lower_pattern", "lower_query"]
 
-Row = dict[str, Any]
+Plans = dict[int, Any]
 
 
-def explain(store: GraphStore, tree: ast.Query, plans: Optional[dict[int, MatchPlan]]) -> str:
+def explain(tree: ast.Query, plans: Plans) -> str:
     """Describe how ``tree`` would execute: the clause pipeline and, per
-    MATCH pattern part, the anchor, its access path and the expansion
-    direction, plus any WHERE predicates pushed down to bind time."""
+    pattern part (MATCH, MERGE, pattern expressions), the anchor, its
+    access path and the expansion direction, plus any WHERE predicates
+    pushed down to bind time."""
     queries = tree.queries if isinstance(tree, ast.UnionQuery) else (tree,)
     lines = []
     for qindex, single in enumerate(queries):
         if len(queries) > 1:
             lines.append(f"UNION branch {qindex + 1}:")
         for clause in single.clauses:
-            lines.extend(_explain_clause(store, clause, plans))
+            lines.extend(_explain_clause(clause, plans))
+            lines.extend(
+                f"  {type(expr).__name__.replace('Expr', '')} {_explain_part(part, plans[id(expr)])}"
+                for expr, part, _ in pattern_expressions(clause)
+            )
     return "\n".join(lines)
 
 
-def _explain_clause(
-    store: GraphStore, clause: ast.Clause, plans: Optional[dict[int, MatchPlan]] = None
-) -> list[str]:
+def _explain_clause(clause: ast.Clause, plans: Plans) -> list[str]:
     name = type(clause).__name__.replace("Clause", "")
+    if isinstance(clause, ast.MergeClause):
+        return [f"{name} {_explain_part(clause.part, plans[id(clause)])}"]
     if isinstance(clause, ast.MatchClause):
         prefix = "OptionalMatch" if clause.optional else "Match"
-        plan = plans.get(id(clause)) if plans is not None else None
-        lines = []
-        for index, part in enumerate(clause.pattern.parts):
-            part_plan = plan.parts[index] if plan is not None else None
-            lines.append(f"{prefix} {_explain_part(store, part, part_plan)}")
-        if plan is not None and plan.filters:
+        plan = plans[id(clause)]
+        lines = [
+            f"{prefix} {_explain_part(part, part_plan)}"
+            for part, part_plan in zip(clause.pattern.parts, plan.parts)
+        ]
+        if plan.filters:
             for variable in sorted(plan.filters):
                 for filt in plan.filters[variable]:
                     if filt.kind == "eq":
@@ -85,39 +86,17 @@ def _explain_clause(
     return [name]
 
 
-def _explain_part(
-    store: GraphStore, part: ast.PatternPart, plan: Optional[PartPlan] = None
-) -> str:
+def _explain_part(part: ast.PatternPart, plan: PartPlan) -> str:
     nodes = part.nodes
     if part.shortest is not None:
         kind = "shortestPath" if part.shortest == "single" else "allShortestPaths"
         return f"{kind} BFS between {_node_text(nodes[0])} and {_node_text(nodes[-1])}"
-    first, last = nodes[0], nodes[-1]
-    if plan is not None:
-        anchor_node = last if plan.reverse else first
-        direction = "right-to-left" if plan.reverse else "left-to-right"
-        return (
-            f"pattern({len(nodes)} nodes, {part.hop_count} hops) "
-            f"anchor={_node_text(anchor_node)} via {plan.anchor.describe()}, "
-            f"expand {direction}"
-        )
-    empty_row: Row = {}
-    reverse = len(part.elements) > 1 and (
-        _node_selectivity(last, empty_row) > _node_selectivity(first, empty_row)
-    )
-    anchor = last if reverse else first
-    direction = "right-to-left" if reverse else "left-to-right"
-    access = "AllNodesScan"
-    if anchor.labels and anchor.properties:
-        key, _ = _pick_lookup_property(store, anchor)
-        label = _pick_lookup_label(store, anchor, key)
-        access = f"PropertyLookup(:{label}.{key})"
-    elif anchor.labels:
-        access = f"LabelScan(:{anchor.labels[0]})"
-    hops = part.hop_count
+    anchor_node = nodes[-1] if plan.reverse else nodes[0]
+    direction = "right-to-left" if plan.reverse else "left-to-right"
     return (
-        f"pattern({len(nodes)} nodes, {hops} hops) anchor={_node_text(anchor)} "
-        f"via {access}, expand {direction}"
+        f"pattern({len(nodes)} nodes, {part.hop_count} hops) "
+        f"anchor={_node_text(anchor_node)} via {plan.anchor.describe()}, "
+        f"expand {direction}"
     )
 
 
@@ -154,7 +133,7 @@ def _lower_single(
             op = _lower_match(op, clause, context, state)
             scope.update(clause.pattern.variables)
         elif isinstance(clause, ast.UnwindClause):
-            op = ops.Unwind(state, op, context, clause)
+            op = _with_patterns(ops.Unwind(state, op, context, clause), context, clause)
             scope.add(clause.variable)
         elif isinstance(clause, ast.WithClause):
             op, projection = _lower_projection(
@@ -162,7 +141,7 @@ def _lower_single(
             )
             op = ops.AsRows(state, op, projection)
             if clause.where is not None:
-                op = ops.Filter(state, op, context, clause.where, pairs_in=False)
+                op = _filter(op, clause.where, context, state)
             scope = set(projection.keys)
         elif isinstance(clause, ast.ReturnClause):
             if index != len(clauses) - 1:
@@ -171,26 +150,42 @@ def _lower_single(
                 op, clause, context, state, scope, writes
             )
             return ops.ProduceResults(state, op, projection)
-        elif isinstance(clause, ast.CreateClause):
-            op = ops.Create(state, op, context, clause)
-            scope.update(clause.pattern.variables)
-            writes = True
-        elif isinstance(clause, ast.MergeClause):
-            op = ops.Merge(state, op, context, clause)
-            scope.update(clause.part.variables)
-            writes = True
-        elif isinstance(clause, ast.SetClause):
-            op = ops.SetProperties(state, op, context, clause)
-            writes = True
-        elif isinstance(clause, ast.DeleteClause):
-            op = ops.Delete(state, op, context, clause)
-            writes = True
-        elif isinstance(clause, ast.RemoveClause):
-            op = ops.Remove(state, op, context, clause)
+        elif type(clause) in _WRITE_OPERATORS:
+            op = _WRITE_OPERATORS[type(clause)](state, op, context, clause)
+            if isinstance(clause, ast.MergeClause):
+                op.children.append(context.pattern_chain(clause, clause.part).root)
+                scope.update(clause.part.variables)
+            elif isinstance(clause, ast.CreateClause):
+                scope.update(clause.pattern.variables)
+            _with_patterns(op, context, clause)
             writes = True
         else:  # pragma: no cover - parser cannot produce others
             raise CypherRuntimeError(f"unsupported clause {clause!r}")
     return ops.ProduceResults(state, op, None)
+
+
+_WRITE_OPERATORS = {
+    ast.CreateClause: ops.Create,
+    ast.MergeClause: ops.Merge,
+    ast.SetClause: ops.SetProperties,
+    ast.DeleteClause: ops.Delete,
+    ast.RemoveClause: ops.Remove,
+}
+
+
+def _with_patterns(op: ops.PhysicalOperator, context: Any, *exprs: Any) -> ops.PhysicalOperator:
+    """``op`` with the sub-chain of each pattern expression it evaluates
+    as an extra child (its first child stays its input)."""
+    if context.has_subchains:
+        for expr, part, _ in pattern_expressions(exprs):
+            op.children.append(context.pattern_chain(expr, part).root)
+    return op
+
+
+def _filter(
+    child: ops.PhysicalOperator, where: ast.Expr, context: Any, state: RuntimeState
+) -> ops.PhysicalOperator:
+    return _with_patterns(ops.Filter(state, child, context, where, pairs_in=False), context, where)
 
 
 def _lower_match(
@@ -199,19 +194,16 @@ def _lower_match(
     context: Any,
     state: RuntimeState,
 ) -> ops.PhysicalOperator:
-    plans = context.match_plans
-    plan = plans.get(id(clause)) if plans is not None else None
+    plan = context.plans[id(clause)]
     if not clause.optional:
         op = _lower_parts(child, clause.pattern, plan, context, state)
-        if clause.where is not None:
-            op = ops.Filter(state, op, context, clause.where, pairs_in=False)
-        return op
+        return op if clause.where is None else _filter(op, clause.where, context, state)
     # OPTIONAL MATCH: the pattern (and its WHERE) runs as a sub-pipeline
     # re-run once per upstream row, padding with nulls on no match.
     source = ops.RowSource(state)
     sub = _lower_parts(source, clause.pattern, plan, context, state)
     if clause.where is not None:
-        sub = ops.Filter(state, sub, context, clause.where, pairs_in=False)
+        sub = _filter(sub, clause.where, context, state)
     return ops.OptionalMatch(
         state, child, sub, source, clause.pattern.variables
     )
@@ -220,7 +212,7 @@ def _lower_match(
 def _lower_parts(
     child: ops.PhysicalOperator,
     pattern: ast.Pattern,
-    plan: Optional[MatchPlan],
+    plan: Any,
     context: Any,
     state: RuntimeState,
 ) -> ops.PhysicalOperator:
@@ -228,36 +220,29 @@ def _lower_parts(
     ``(row, used)`` pairs (cartesian product with relationship
     uniqueness threaded through); the last part emits plain rows."""
     parts = pattern.parts
-    multi = len(parts) > 1
     op = child
-    for index, part in enumerate(parts):
-        from_rows = index == 0
-        emit_row = index == len(parts) - 1
-        part_plan = plan.parts[index] if plan is not None else None
-        filters = plan.filters if plan is not None else None
-        if part.shortest is not None:
-            kind = "shortestPath" if part.shortest == "single" else "allShortestPaths"
-            op = ops.ShortestPath(
-                state, op, context, part, filters,
-                from_rows=from_rows, emit_row=emit_row, detail=kind,
-            )
-        elif part_plan is None:
-            # Unplanned: traversal direction is a per-row decision, so
-            # defer to the heuristic row-at-a-time matcher.
-            op = ops.PartMatch(
-                state, op, context, part,
-                from_rows=from_rows, update_used=multi, emit_row=emit_row,
-                detail=f"{len(part.nodes)} nodes, {part.hop_count} hops",
-            )
-        else:
-            op = _lower_planned_part(
-                op, part, part_plan, filters, context, state,
-                from_rows=from_rows, emit_row=emit_row, update_used=multi,
-            )
+    for index, (part, part_plan) in enumerate(zip(parts, plan.parts)):
+        op = lower_part(
+            op, part, part_plan, plan.filters, context, state,
+            from_rows=index == 0, emit_row=index == len(parts) - 1,
+            update_used=len(parts) > 1,
+        )
     return op
 
 
-def _lower_planned_part(
+def lower_pattern(
+    part: ast.PatternPart, part_plan: PartPlan, context: Any, state: RuntimeState
+) -> ops.PatternChain:
+    """The chain of a pattern expression or MERGE, fed one row at a time."""
+    source = ops.RowSource(state)
+    root = lower_part(
+        source, part, part_plan, None, context, state,
+        from_rows=True, emit_row=True, update_used=False, charge_examined=True,
+    )
+    return ops.PatternChain(source, root)
+
+
+def lower_part(
     child: ops.PhysicalOperator,
     part: ast.PatternPart,
     part_plan: PartPlan,
@@ -268,8 +253,22 @@ def _lower_planned_part(
     from_rows: bool,
     emit_row: bool,
     update_used: bool,
+    charge_examined: bool = False,
 ) -> ops.PhysicalOperator:
-    """One planned pattern part as an ``AnchorScan → Expand* → Match`` chain."""
+    """One pattern part as an ``AnchorScan → Expand* → Match`` chain.
+
+    ``from_rows`` says ``child`` emits plain rows rather than ``(row,
+    used)`` pairs; ``emit_row`` says the chain emits plain rows;
+    ``update_used`` says a later part needs the relationships this one
+    binds; ``charge_examined`` is for sub-chains (see
+    :class:`~repro.cypher.operators.AnchorScan`).
+    """
+    if part.shortest is not None:
+        kind = "shortestPath" if part.shortest == "single" else "allShortestPaths"
+        return ops.ShortestPath(
+            state, child, context, part, filters,
+            from_rows=from_rows, emit_row=emit_row, detail=kind,
+        )
     elements = list(part.elements)
     if part_plan.reverse:
         elements = _reverse_elements(elements)
@@ -281,7 +280,7 @@ def _lower_planned_part(
     name, detail = anchor.physical_operator()
     op: ops.PhysicalOperator = ops.AnchorScan(
         state, child, context, first, anchor, filters,
-        track_path, from_rows, name, detail,
+        track_path, from_rows, name, detail, charge_examined,
     )
     for index in range(1, len(elements), 2):
         rel_pattern = elements[index]
@@ -294,6 +293,7 @@ def _lower_planned_part(
         op = expand_cls(
             state, op, context, rel_pattern, node_pattern, filters,
             maintain_used, detail=f"[:{types}]{arrow}" if types else arrow,
+            charge_examined=charge_examined,
         )
     return ops.PartEmit(
         state, op, part, part_plan.reverse, emit_row,
@@ -323,6 +323,7 @@ def _lower_projection(
         projection = ops.Aggregate(state, child, context, items, keys, grouping)
     else:
         projection = ops.Project(state, child, context, items, keys)
+    _with_patterns(projection, context, clause.items)
     op: ops.PhysicalOperator = projection
     if clause.distinct:
         op = ops.Distinct(state, (op,))
@@ -334,6 +335,7 @@ def _lower_projection(
         end = start + context._bounded_int(clause.limit, "LIMIT")
     if clause.order_by:
         op = ops.Sort(state, op, context, clause.order_by, projection, top=end)
+        _with_patterns(op, context, clause.order_by)
     if start:
         op = ops.Skip(state, op, start)
     if end is not None:

@@ -41,7 +41,7 @@ Operator rows come in four shapes, matched to the pipeline stage:
 from __future__ import annotations
 
 import dataclasses
-from itertools import compress, count
+from itertools import compress, count, islice
 from operator import eq
 from time import perf_counter
 from typing import Any, Iterator, Optional
@@ -67,7 +67,7 @@ __all__ = [
     "VarLengthExpand",
     "ShortestPath",
     "PartEmit",
-    "PartMatch",
+    "PatternChain",
     "OptionalMatch",
     "Filter",
     "Unwind",
@@ -122,9 +122,9 @@ class RuntimeState:
     def charge(self) -> None:
         """Count one intermediate row against the budget and the deadline.
 
-        Operators charge every emitted row; the executor's pattern matcher
-        (pattern predicates, MERGE, planner-off MATCH) charges every step.
-        The deadline is read once per ``_DEADLINE_STRIDE_MASK + 1`` rows.
+        Every operator charges every row it emits, including the sub-chains
+        of pattern expressions and MERGE.  The deadline is read once per
+        ``_DEADLINE_STRIDE_MASK + 1`` rows.
         """
         rows = self.rows = self.rows + 1
         if self.budget is not None and rows > self.budget:
@@ -192,10 +192,11 @@ class Init(PhysicalOperator):
 
 
 class RowSource(PhysicalOperator):
-    """Single-row leaf an :class:`OptionalMatch` feeds its sub-pipeline from.
+    """Single-row leaf of a sub-pipeline re-run per outer row.
 
     Neo4j calls this ``Argument``: each run yields exactly the one ``row``
-    the :class:`OptionalMatch` planted before starting it.
+    its :class:`OptionalMatch` or :class:`PatternChain` planted before
+    starting it.
     """
 
     name = "Argument"
@@ -221,6 +222,11 @@ class AnchorScan(PhysicalOperator):
     ``BoundAnchor``).  Emits match
     states; every candidate is still fully verified by the executor's
     ``_bind_node``, so a stale plan can never change results.
+
+    With ``charge_examined`` (the sub-chains of pattern expressions and
+    MERGE) this operator and the expansions above it also charge every
+    candidate and step they examine, bound or not, so a pattern predicate
+    that rejects every step still meets the row budget and the deadline.
     """
 
     def __init__(
@@ -235,6 +241,7 @@ class AnchorScan(PhysicalOperator):
         from_rows: bool,
         name: str,
         detail: str = "",
+        charge_examined: bool = False,
     ) -> None:
         super().__init__(state, (child,))
         self.ctx = ctx
@@ -245,15 +252,19 @@ class AnchorScan(PhysicalOperator):
         self.from_rows = from_rows
         self.name = name
         self.detail = detail
+        self.charge_examined = charge_examined
 
     def _rows(self) -> Iterator[Any]:
         pattern, anchor, filters = self.node_pattern, self.anchor, self.filters
         candidates = self.ctx._node_candidates
         bind = self.ctx._bind_node
         charge = self.state.charge
+        examined = self.charge_examined
         for item in self.children[0]:
             row, used = (item, _NO_RELS) if self.from_rows else item
             for node in candidates(pattern, row, anchor):
+                if examined:
+                    charge()
                 bound = bind(pattern, node, row, filters)
                 if bound is None:
                     continue
@@ -268,10 +279,10 @@ class AnchorScan(PhysicalOperator):
 class Expand(PhysicalOperator):
     """One relationship hop: input match states fan out along adjacency.
 
-    Carries the whole per-hop protocol of the recursive matcher it
-    replaced: relationship-uniqueness bookkeeping, rel-variable binding
-    and rebinding consistency, pushed single-rel filters, endpoint
-    verification, and path extension when a path variable is tracked.
+    Carries the whole per-hop protocol: relationship-uniqueness
+    bookkeeping, rel-variable binding and rebinding consistency, pushed
+    single-rel filters, endpoint verification, and path extension when a
+    path variable is tracked.
     """
 
     name = "Expand"
@@ -286,6 +297,7 @@ class Expand(PhysicalOperator):
         filters,
         maintain_used: bool,
         detail: str = "",
+        charge_examined: bool = False,
     ) -> None:
         super().__init__(state, (child,))
         self.ctx = ctx
@@ -294,6 +306,7 @@ class Expand(PhysicalOperator):
         self.filters = filters
         self.maintain_used = maintain_used
         self.detail = detail
+        self.charge_examined = charge_examined
 
     def _rows(self) -> Iterator[Any]:
         ctx = self.ctx
@@ -304,8 +317,11 @@ class Expand(PhysicalOperator):
         expand = ctx._expand_single
         bind = ctx._bind_node
         charge = self.state.charge
+        examined = self.charge_examined
         for row, used, current, nodes, rels in self.children[0]:
             for rel, end_node in expand(rel_pattern, current, row, used):
+                if examined:
+                    charge()
                 if variable is None:
                     rel_row = row
                 elif variable in row:
@@ -341,8 +357,11 @@ class VarLengthExpand(Expand):
         rel_pattern, node_pattern, filters = self.rel_pattern, self.node_pattern, self.filters
         variable = rel_pattern.variable
         charge = self.state.charge
+        examined = self.charge_examined
         for row, used, current, nodes, rels in self.children[0]:
             for step_rels, end_node in ctx._expand_var_length(rel_pattern, current, row, used):
+                if examined:
+                    charge()
                 if variable is None:
                     rel_row = row
                 elif variable in row:
@@ -446,49 +465,28 @@ class PartEmit(PhysicalOperator):
             yield row if emit_row else (row, used)
 
 
-class PartMatch(PhysicalOperator):
-    """Unplanned part matcher: defers to the executor's heuristic matcher.
+class PatternChain:
+    """A pattern part's chain fed from a :class:`RowSource`, run per row.
 
-    Without a plan, traversal direction depends on which variables the
-    incoming row happens to bind — a per-row decision a static operator
-    chain cannot replicate — so the planner-off escape hatch streams the
-    row-at-a-time output of the original ``_match_part`` verbatim.  Its
-    memory high-water mark is one input row's fan-out, not the whole
-    clause output.
+    Pattern predicates, ``EXISTS`` patterns, pattern comprehensions and
+    MERGE match through one: :meth:`matches` plants the row they are
+    evaluated on and drains the chain (or stops after its first row).
     """
 
-    name = "Match"
+    __slots__ = ("source", "root")
 
-    def __init__(
-        self,
-        state: RuntimeState,
-        child: PhysicalOperator,
-        ctx,
-        part: ast.PatternPart,
-        from_rows: bool,
-        update_used: bool,
-        emit_row: bool,
-        detail: str = "",
-    ) -> None:
-        super().__init__(state, (child,))
-        self.ctx = ctx
-        self.part = part
-        self.from_rows = from_rows
-        self.update_used = update_used
-        self.emit_row = emit_row
-        self.detail = detail
+    def __init__(self, source: RowSource, root: PhysicalOperator) -> None:
+        self.source = source
+        self.root = root
 
-    def _rows(self) -> Iterator[Any]:
-        charge = self.state.charge
-        for item in self.children[0]:
-            row, used = (item, _NO_RELS) if self.from_rows else item
-            # _match_part returns the row's whole fan-out as a list.
-            for matched, used_after in self.ctx._match_part(
-                self.part, row, used, update_used=self.update_used
-            ):
-                self.rows_out += 1
-                charge()
-                yield matched if self.emit_row else (matched, used_after)
+    def matches(self, row: Row, first_only: bool = False) -> list[Row]:
+        """Every row ``row`` extends to; only the first with ``first_only``."""
+        self.source.row = row
+        rows = iter(self.root)
+        try:
+            return list(islice(rows, 1)) if first_only else list(rows)
+        finally:
+            rows.close()
 
 
 class OptionalMatch(PhysicalOperator):

@@ -21,18 +21,31 @@ labelled node's ``COUNTRY`` edge arrives at Country.  Every other tie,
 Top-level WHERE equality, ``IN`` and range conjuncts over literals or
 parameters are also pushed down to per-hop bind-time filters; the full
 WHERE still runs on every matched row, so pushdown only narrows candidates.
+
+``planner=False`` selects the fixed shape-only rule instead, the semantic
+reference planned execution is checked against: no counts, no
+pushdown; per end, a bound variable scores 100, else inline properties 10
+plus labels 2, and the part reverses only when its last node scores
+strictly higher.  The anchor is then the bound variable, an inline-property
+lookup (an indexed ``(label, key)`` when one exists), a scan of the first
+label, or all nodes.
+
+:func:`plan_query` plans every pattern part a query runs: MATCH and
+OPTIONAL MATCH clauses, MERGE, and the pattern predicates, ``EXISTS``
+patterns and pattern comprehensions in its expressions, each against the
+variables bound where it runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Any, Iterable, Optional, Union
 
-from ..graph.store import GraphStatistics, GraphStore
+from ..graph.store import GraphStatistics
 from . import ast_nodes as ast
 
-__all__ = ["AnchorPlan", "PartPlan", "MatchPlan", "PushedFilter",
-           "plan_match", "plan_query", "extract_pushdown"]
+__all__ = ["AnchorPlan", "PartPlan", "MatchPlan", "PushedFilter", "plan_match",
+           "plan_query", "extract_pushdown", "pattern_expressions", "pattern_sites"]
 
 # Pushable value expressions are row-independent: literals and parameters.
 _PUSHABLE = (ast.Literal, ast.Parameter)
@@ -251,77 +264,185 @@ def needs_used_tracking(part: ast.PatternPart) -> bool:
     return not all(rel.types for rel in rels) or len(types) != len(set(types))
 
 
+def _fixed_score(node: ast.NodePattern, bound: Any) -> int:
+    if node.variable is not None and node.variable in bound:
+        return 100
+    return (10 if node.properties else 0) + (2 if node.labels else 0)
+
+
+def fixed_anchor(node: ast.NodePattern, stats: GraphStatistics, bound: Any) -> AnchorPlan:
+    """The fixed rule's access path for ``node`` (see the module docstring).
+
+    ``bound`` is anything supporting ``in``: a set of variable names, or a
+    binding row.
+    """
+    variable = node.variable
+    if variable is not None and variable in bound:
+        return AnchorPlan(kind="bound", variable=variable)
+    if not node.labels:
+        return AnchorPlan(kind="all", variable=variable)
+    if not node.properties:
+        return AnchorPlan(kind="label", variable=variable, label=node.labels[0])
+    indexed = [(label, key, expr) for key, expr in node.properties
+               for label in node.labels if stats.has_index(label, key)]
+    label, key, expr = indexed[0] if indexed else (node.labels[0], *node.properties[0])
+    return AnchorPlan(kind="property", variable=variable, label=label, key=key,
+                      values=(expr,), indexed=bool(indexed))
+
+
+def _orient_fixed(part: ast.PatternPart, stats: GraphStatistics,
+                  bound: frozenset[str], filters: Filters) -> PartPlan:
+    """Anchor ``part`` by the fixed rule (see the module docstring)."""
+    first, last = part.nodes[0], part.nodes[-1]
+    reverse = (part.shortest is None and len(part.elements) > 1
+               and _fixed_score(last, bound) > _fixed_score(first, bound))
+    return PartPlan(reverse=reverse, anchor=fixed_anchor(last if reverse else first, stats, bound))
+
+
 def plan_match(clause: ast.MatchClause, stats: GraphStatistics,
-               bound: frozenset[str] = frozenset()) -> MatchPlan:
+               bound: frozenset[str] = frozenset(), planner: bool = True) -> MatchPlan:
     """Plan a whole MATCH clause against ``stats``.
 
     ``bound`` names variables guaranteed bound by earlier clauses; pattern
     parts see variables introduced by preceding parts of the same clause.
+    ``planner=False`` applies the fixed rule and pushes nothing down.
     """
-    filters = extract_pushdown(clause.where)
+    filters = extract_pushdown(clause.where) if planner else {}
+    orient = _orient if planner else _orient_fixed
     parts: list[PartPlan] = []
     visible = set(bound)
     for part in clause.pattern.parts:
-        parts.append(_orient(part, stats, frozenset(visible), filters))
+        parts.append(orient(part, stats, frozenset(visible), filters))
         visible.update(part.variables)
     return MatchPlan(parts=tuple(parts), filters=filters, stats_version=stats.version)
 
 
-def plan_query(tree: Union[ast.SingleQuery, ast.UnionQuery],
-               stats: GraphStatistics) -> dict[int, MatchPlan]:
-    """Plan every MATCH clause of ``tree``; returns ``id(clause) -> plan``.
+def pattern_part(expr: Any) -> Optional[ast.PatternPart]:
+    """The pattern a pattern predicate, ``EXISTS`` or pattern comprehension matches."""
+    if isinstance(expr, (ast.PatternPredicate, ast.PatternComprehension)):
+        return expr.pattern
+    if isinstance(expr, ast.ExistsExpr) and isinstance(expr.target, ast.PatternPart):
+        return expr.target
+    return None
 
-    Tracks which variables each clause binds so later MATCHes anchor on
-    already-bound variables.  The mapping is keyed by clause identity; the
-    caller must keep ``tree`` alive for as long as it keeps the plans.
+
+#: Each AST class's fields that can hold expressions (scalars are skipped).
+_CHILD_FIELDS = {
+    cls: tuple(f.name for f in fields(cls) if f.type not in
+               ("Any", "str", "bool", "Optional[str]", "Optional[int]", "tuple[str, ...]"))
+    for cls in map(vars(ast).get, ast.__all__) if is_dataclass(cls)
+}
+#: Nodes that bind variables for some of their fields.
+_SCOPING = (ast.PatternPredicate, ast.PatternComprehension, ast.ExistsExpr,
+            ast.ListComprehension, ast.Quantifier, ast.Reduce)
+#: Fields evaluated outside the scope their node opens.
+_OUTER_FIELDS = frozenset({"source", "initial", "pattern"})
+
+PatternExpressions = list[tuple[ast.Expr, ast.PatternPart, frozenset[str]]]
+
+
+def pattern_expressions(obj: Any, scope: frozenset[str] = frozenset()) -> PatternExpressions:
+    """Every pattern expression in ``obj`` (an AST node or a tuple of them).
+
+    Returns ``(expression, pattern, variables bound where it is evaluated)``
+    triples, outermost first; ``scope`` is what is bound at ``obj``.  List
+    comprehensions, quantifiers, ``reduce`` and pattern comprehensions add
+    the variables they bind to the scope of their inner expressions.
     """
-    plans: dict[int, MatchPlan] = {}
+    found: PatternExpressions = []
+    _collect(obj, scope, found)
+    return found
+
+
+def _collect(obj: Any, scope: frozenset[str], found: PatternExpressions) -> None:
+    cls = obj.__class__
+    if cls is tuple or cls is list:
+        for item in obj:
+            _collect(item, scope, found)
+        return
+    names = _CHILD_FIELDS.get(cls)
+    if not names:
+        return
+    inner = scope
+    if isinstance(obj, _SCOPING):
+        part = pattern_part(obj)
+        if part is not None:
+            found.append((obj, part, scope))
+            inner = scope.union(part.variables)
+        elif isinstance(obj, ast.Reduce):
+            inner = scope | {obj.accumulator, obj.variable}
+        elif not isinstance(obj, ast.ExistsExpr):
+            inner = scope | {obj.variable}
+    for name in names:
+        _collect(getattr(obj, name), scope if name in _OUTER_FIELDS else inner, found)
+
+
+#: A node that matches a pattern part (a MATCH or MERGE clause, or a
+#: pattern expression) and the variables bound where it runs.
+Site = tuple[Any, frozenset[str]]
+
+
+def pattern_sites(tree: Union[ast.SingleQuery, ast.UnionQuery]) -> list[Site]:
+    """Every node of ``tree`` that matches a pattern part, in query order.
+
+    Tracks which variables each clause binds, so later parts anchor on
+    already-bound variables.  Depends on the tree only, so callers that
+    run one tree many times can compute it once.
+    """
+    sites: list[Site] = []
+
+    def expressions(obj: Any, bound: set[str]) -> None:
+        sites.extend((expr, scope) for expr, _, scope in pattern_expressions(obj, frozenset(bound)))
+
     queries = tree.queries if isinstance(tree, ast.UnionQuery) else (tree,)
     for single in queries:
         bound: set[str] = set()
         for clause in single.clauses:
             if isinstance(clause, ast.MatchClause):
-                plans[id(clause)] = plan_match(clause, stats, frozenset(bound))
+                sites.append((clause, frozenset(bound)))
+                expressions(clause.pattern, bound)
                 bound.update(clause.pattern.variables)
-            elif isinstance(clause, ast.CreateClause):
-                bound.update(clause.pattern.variables)
+                expressions(clause.where, bound)
             elif isinstance(clause, ast.MergeClause):
+                sites.append((clause, frozenset(bound)))
+                expressions(clause.part, bound)
                 bound.update(clause.part.variables)
-            elif isinstance(clause, ast.UnwindClause):
-                bound.add(clause.variable)
-            elif isinstance(clause, (ast.WithClause, ast.ReturnClause)):
+                expressions((clause.on_create, clause.on_match), bound)
+            elif isinstance(clause, ast.ProjectionClause):
                 names = {item.output_name() for item in clause.items}
+                expressions((clause.items, clause.skip, clause.limit), bound)
+                expressions(clause.order_by, bound | names)
                 # WITH * keeps everything in scope.
                 bound = bound | names if clause.star else names
+                if isinstance(clause, ast.WithClause):
+                    expressions(clause.where, bound)
+            else:
+                expressions(clause, bound)
+                if isinstance(clause, ast.CreateClause):
+                    bound.update(clause.pattern.variables)
+                elif isinstance(clause, ast.UnwindClause):
+                    bound.add(clause.variable)
+    return sites
+
+
+def plan_query(tree: Union[ast.SingleQuery, ast.UnionQuery], stats: GraphStatistics,
+               planner: bool = True,
+               sites: Optional[list[Site]] = None) -> dict[int, Union[MatchPlan, PartPlan]]:
+    """Plan every pattern part of ``tree``, keyed by node identity.
+
+    ``id(clause)`` maps to a :class:`MatchPlan` for each MATCH and to a
+    :class:`PartPlan` for each MERGE; ``id(expr)`` maps to a
+    :class:`PartPlan` for each pattern expression.  ``sites`` is
+    :func:`pattern_sites` of ``tree``, computed when not given.  The caller
+    must keep ``tree`` alive for as long as it keeps the plans.
+    ``planner=False`` plans every part by the fixed rule.
+    """
+    orient = _orient if planner else _orient_fixed
+    plans: dict[int, Union[MatchPlan, PartPlan]] = {}
+    for node, bound in pattern_sites(tree) if sites is None else sites:
+        if isinstance(node, ast.MatchClause):
+            plans[id(node)] = plan_match(node, stats, bound, planner)
+        else:
+            part = node.part if isinstance(node, ast.MergeClause) else pattern_part(node)
+            plans[id(node)] = orient(part, stats, bound, {})
     return plans
-
-
-def _pick_lookup_property(
-    store: GraphStore, node_pattern: ast.NodePattern
-) -> tuple[str, ast.Expr]:
-    """The inline property to look up by: an indexed one when possible."""
-    for key, expr in node_pattern.properties:
-        for label in node_pattern.labels:
-            if store.has_property_index(label, key):
-                return key, expr
-    return node_pattern.properties[0]
-
-
-def _pick_lookup_label(store: GraphStore, node_pattern: ast.NodePattern, key: str) -> str:
-    """The label to pair with ``key`` (the indexed one when possible)."""
-    for label in node_pattern.labels:
-        if store.has_property_index(label, key):
-            return label
-    return node_pattern.labels[0]
-
-
-def _node_selectivity(node_pattern: ast.NodePattern, row: dict) -> int:
-    """Rough anchor-selection score (bound ≫ property-constrained ≫ labeled)."""
-    if node_pattern.variable is not None and node_pattern.variable in row:
-        return 100
-    score = 0
-    if node_pattern.properties:
-        score += 10
-    if node_pattern.labels:
-        score += 2
-    return score

@@ -21,7 +21,7 @@ Row = dict[str, Any]
 
 class WriteClauses:
     """Applies write clauses for one run; mixed into the execution context,
-    whose ``store``, ``evaluator`` and pattern matcher it uses."""
+    whose ``store``, ``evaluator`` and ``pattern_chain`` it uses."""
 
     nodes_created = 0
     relationships_created = 0
@@ -123,11 +123,10 @@ class WriteClauses:
         return rel
 
     def apply_merge(self, rows: list[Row], clause: ast.MergeClause) -> list[Row]:
+        chain = self.pattern_chain(clause, clause.part)
         output: list[Row] = []
         for row in rows:
-            matches = [
-                matched for matched, _ in self._match_part(clause.part, row, frozenset())
-            ]
+            matches = chain.matches(row)
             if matches:
                 for matched in matches:
                     self._apply_set_items(clause.on_match, matched)

@@ -7,6 +7,7 @@ the end-to-end guarantee that planning is semantics-preserving.
 
 from __future__ import annotations
 
+import re
 import threading
 
 import pytest
@@ -341,6 +342,96 @@ class TestExplainAndProfile:
         assert "+- HashLookup(:AS.asn) -> 1 rows (" in report
         assert "+- ProduceResults(a.name) -> 1 rows (" in report
         assert "est≈" not in report
+
+
+#: EXPLAIN's access-path name -> the anchor operator PROFILE shows for it
+_ANCHOR_OPERATOR = {
+    "BoundVariable": "BoundAnchor",
+    "PropertyLookup": "HashLookup",
+    "LabelScan": "LabelScan",
+    "AllNodesScan": "AllNodesScan",
+}
+
+
+def _explained_anchors(text):
+    return sorted(
+        (_ANCHOR_OPERATOR[name], detail)
+        for name, detail in re.findall(r"anchor=\([^)]*\) via (\w+)(?:\(([^)]*)\))?", text)
+    )
+
+
+def _profiled_anchors(profile):
+    found = []
+    if profile["operator"] in _ANCHOR_OPERATOR.values():
+        found.append((profile["operator"], profile["detail"]))
+    for child in profile.get("children", ()):
+        found.extend(_profiled_anchors(child))
+    return sorted(found)
+
+
+def _profile_lines(profile, depth=0):
+    label = profile["operator"] + (f"({profile['detail']})" if profile["detail"] else "")
+    lines = [f"{'  ' * depth}{label} {profile['rows']}"]
+    for child in profile.get("children", ()):
+        lines.extend(_profile_lines(child, depth + 1))
+    return lines
+
+
+@pytest.mark.parametrize("planner", [True, False], ids=["planned", "unplanned"])
+class TestExplainMatchesExecution:
+    """EXPLAIN reads the plan execution runs, for both planner settings."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            # the later MATCH anchors on the bound ``a``, not on ``x``'s lookup
+            "MATCH (a:AS {asn: 2497}) MATCH (x:Country {country_code: 'US'})-[:COUNTRY]-(a) "
+            "RETURN x",
+            "MATCH (a:AS)-[:ORIGINATE]->(p:Prefix {prefix: '203.0.113.0/24'}) RETURN a.asn",
+            "MATCH (a:AS) WHERE a.asn < 3000 AND (a)-[:MEMBER_OF]->(:IXP) "
+            "RETURN [(a)-[:COUNTRY]->(c:Country) | c.name] AS names",
+            "MATCH (a:AS) WHERE a.asn < 3000 MERGE (a)-[:COUNTRY]->(c:Country) RETURN c.name",
+        ],
+    )
+    def test_explained_anchor_is_the_profiled_anchor(self, tiny_store, planner, query):
+        engine = CypherEngine(tiny_store, planner=planner)
+        explained = _explained_anchors(engine.explain(query))
+        profiled = _profiled_anchors(engine.execute(query, profile=True).profile)
+        assert explained and explained == profiled
+
+    def test_pattern_predicate_profile_shows_its_chain(self, small_store, planner):
+        result = CypherEngine(small_store, planner=planner).execute(
+            "MATCH (a:AS) WHERE (a)-[:MEMBER_OF]->(:IXP) RETURN count(a) AS n", profile=True
+        )
+        assert result.single()["n"] == 46
+        assert _profile_lines(result.profile) == [
+            "ProduceResults(n) 1",
+            "  Aggregate(n) 1",
+            "    Filter(WHERE) 46",
+            "      Match(1 nodes, 0 hops) 80",
+            "        LabelScan(:AS) 80",
+            "          Init 1",
+            "      Match(2 nodes, 1 hops) 46",
+            "        Expand([:MEMBER_OF]->) 46",
+            "          BoundAnchor(a) 80",
+            "            Argument 80",
+        ]
+
+    def test_explain_names_pattern_expression_anchors(self, small_store, planner):
+        text = CypherEngine(small_store, planner=planner).explain(
+            "MATCH (a:AS) WHERE (a)-[:MEMBER_OF]->(:IXP) "
+            "RETURN [(a)<-[:DEPENDS_ON]-(b:AS) | b.asn] AS deps, "
+            "EXISTS { MATCH (a)-[:ORIGINATE]->(:Prefix) } AS originates"
+        )
+        assert (
+            "  PatternPredicate pattern(2 nodes, 1 hops) anchor=(a) via BoundVariable(a), "
+            "expand left-to-right"
+        ) in text
+        assert (
+            "  PatternComprehension pattern(2 nodes, 1 hops) anchor=(a) via BoundVariable(a), "
+            "expand left-to-right"
+        ) in text
+        assert "  Exists pattern(2 nodes, 1 hops) anchor=(a) via BoundVariable(a)" in text
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,17 @@
 
 import pytest
 
-from repro.cypher import CypherRuntimeError, CypherSyntaxError, CypherTypeError, execute
+from repro.cypher import (
+    CypherDeadlineExceeded,
+    CypherEngine,
+    CypherRuntimeError,
+    CypherSyntaxError,
+    CypherTypeError,
+    ResourceExhausted,
+    execute,
+)
 from repro.graph import GraphStore
+from repro.serving import Deadline
 
 
 @pytest.fixture()
@@ -95,6 +104,118 @@ class TestMerge:
         execute(store, query)
         execute(store, query)  # idempotent
         assert store.relationship_count == 1
+
+
+def _hub_store(spokes: int = 600) -> GraphStore:
+    """One ``H`` hub with an ``X`` edge to each of ``spokes`` ``N`` nodes."""
+    store = GraphStore()
+    hub = store.create_node(["H"], {})
+    for index in range(spokes):
+        spoke = store.create_node(["N"], {"i": index})
+        store.create_relationship(hub.node_id, "X", spoke.node_id)
+    return store
+
+
+def _country_store() -> GraphStore:
+    store = GraphStore()
+    execute(
+        store,
+        "CREATE (a:AS {asn: 1})-[:COUNTRY]->(c:Country {cc: 'JP'}) "
+        "CREATE (b:AS {asn: 2})-[:COUNTRY]->(c) CREATE (:Country {cc: 'US'})",
+    )
+    return store
+
+
+class _SteppingClock:
+    """Monotonic fake clock: advances ``step`` seconds per reading."""
+
+    def __init__(self, step: float) -> None:
+        self.now = 0.0
+        self.step = step
+
+    def __call__(self) -> float:
+        self.now += self.step
+        return self.now
+
+
+class TestMergeMatch:
+    """MERGE's match runs the same operator chain as MATCH."""
+
+    HUB_MERGE = "MATCH (h:H) MERGE (h)-[:X]->(n:N) RETURN count(n) AS n"
+
+    @pytest.mark.parametrize("planner", [True, False], ids=["planned", "unplanned"])
+    def test_merge_match_obeys_row_budget(self, planner):
+        engine = CypherEngine(_hub_store(), planner=planner)
+        assert engine.run(self.HUB_MERGE).single()["n"] == 600
+        with pytest.raises(ResourceExhausted, match="row budget"):
+            CypherEngine(_hub_store(), planner=planner).execute(self.HUB_MERGE, row_budget=500)
+
+    @pytest.mark.parametrize("planner", [True, False], ids=["planned", "unplanned"])
+    def test_merge_match_checks_deadline(self, planner):
+        engine = CypherEngine(_hub_store(), planner=planner)
+        # One clock reading per 256 charged rows: expires around row 512,
+        # while the match is still enumerating the 600 spokes.
+        deadline = Deadline(3.0, clock=_SteppingClock(0.001))
+        with pytest.raises(CypherDeadlineExceeded):
+            engine.execute(self.HUB_MERGE, deadline=deadline)
+
+    @pytest.mark.parametrize("planner", [True, False], ids=["planned", "unplanned"])
+    @pytest.mark.parametrize(
+        "pattern", ["(a:AS)-[:COUNTRY]->(c)", "(c)<-[:COUNTRY]-(a:AS)"], ids=["out", "in"]
+    )
+    def test_merge_from_bound_far_end(self, planner, pattern):
+        store = _country_store()
+        result = CypherEngine(store, planner=planner).run(
+            f"MATCH (c:Country {{cc: 'JP'}}) MERGE {pattern} RETURN a.asn AS asn ORDER BY asn"
+        )
+        assert [row["asn"] for row in result.to_dicts()] == [1, 2]
+        assert (result.nodes_created, result.relationships_created) == (0, 0)
+        created = CypherEngine(store, planner=planner).run(
+            f"MATCH (c:Country {{cc: 'US'}}) MERGE {pattern} RETURN a.asn AS asn"
+        )
+        assert (created.nodes_created, created.relationships_created) == (1, 1)
+        assert store.node_count == 5
+
+    @pytest.mark.parametrize("planner", [True, False], ids=["planned", "unplanned"])
+    def test_merge_sees_its_own_earlier_writes(self, planner):
+        store = GraphStore()
+        result = CypherEngine(store, planner=planner).run(
+            "UNWIND [1, 1, 2] AS x MERGE (n:T {k: x}) RETURN n.k AS k"
+        )
+        assert [row["k"] for row in result.to_dicts()] == [1, 1, 2]
+        assert result.nodes_created == 2
+        assert store.node_count == 2
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "UNWIND [1, 1, 2] AS x MERGE (n:T {k: x}) ON CREATE SET n.new = x "
+            "ON MATCH SET n.seen = x RETURN n.k AS k, n.new AS new, n.seen AS seen",
+            "MATCH (c:Country) MERGE (a:AS {asn: 1})-[:COUNTRY]->(c) "
+            "RETURN c.cc AS cc, a.asn AS asn ORDER BY cc",
+            "MATCH (a:AS) MERGE (a)-[:COUNTRY]->(c:Country) "
+            "RETURN a.asn AS asn, c.cc AS cc ORDER BY asn",
+            "MATCH (a:AS), (b:AS) WHERE a.asn < b.asn MERGE (a)-[r:PEERS_WITH]->(b) "
+            "RETURN a.asn AS a, b.asn AS b",
+        ],
+    )
+    def test_planned_and_unplanned_merge_agree(self, query):
+        planned_store, unplanned_store = _country_store(), _country_store()
+        planned = CypherEngine(planned_store).run(query)
+        unplanned = CypherEngine(unplanned_store, planner=False).run(query)
+        assert planned.to_dicts() == unplanned.to_dicts()
+        assert (planned_store.node_count, planned_store.relationship_count) == (
+            unplanned_store.node_count, unplanned_store.relationship_count
+        )
+
+    @pytest.mark.parametrize("planner", [True, False], ids=["planned", "unplanned"])
+    def test_explain_names_merge_anchor_and_access_path(self, planner):
+        engine = CypherEngine(_country_store(), planner=planner)
+        text = engine.explain("MERGE (n:T {k: 1})")
+        assert "Merge pattern(1 nodes, 0 hops) anchor=(n:T) via PropertyLookup(:T.k)" in text
+        text = engine.explain("MATCH (c:Country {cc: 'JP'}) MERGE (a:AS)-[:COUNTRY]->(c)")
+        assert "Merge pattern(2 nodes, 1 hops) anchor=(c) via BoundVariable(c), " \
+            "expand right-to-left" in text
 
 
 class TestSet:

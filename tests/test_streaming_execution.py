@@ -561,8 +561,9 @@ _TRAIL_PREDICATES = [
 
 
 class TestPatternPredicateLimits:
-    """Pattern predicates run the row-at-a-time matcher, which must obey the
-    same row budget and deadline as the operator tree."""
+    """Pattern predicates run an operator sub-chain per row, which must obey
+    the same row budget and deadline as the rest of the operator tree, also
+    when it rejects every step it examines."""
 
     @pytest.mark.parametrize("query", _TRAIL_PREDICATES)
     def test_row_budget_charges_matcher_steps(self, clique_store, query):
