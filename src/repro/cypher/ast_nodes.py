@@ -7,7 +7,7 @@ directly; there is no separate logical-plan IR because the clause pipeline
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Optional, Union
 
 __all__ = [
@@ -20,7 +20,7 @@ __all__ = [
     "Clause", "MatchClause", "UnwindClause", "ReturnItem", "OrderItem",
     "ProjectionClause", "WithClause", "ReturnClause", "CreateClause",
     "MergeClause", "SetItem", "SetClause", "DeleteClause", "RemoveClause",
-    "SingleQuery", "UnionQuery", "Query",
+    "SingleQuery", "UnionQuery", "Query", "CHILD_FIELDS",
 ]
 
 
@@ -460,6 +460,14 @@ class UnionQuery:
 
 
 Query = Union[SingleQuery, UnionQuery]
+
+#: Each node class's fields that can hold other nodes (scalar fields skipped),
+#: for code that walks a tree generically.
+CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: tuple(f.name for f in fields(cls) if f.type not in
+               ("Any", "str", "bool", "Optional[str]", "Optional[int]", "tuple[str, ...]"))
+    for cls in list(globals().values()) if isinstance(cls, type) and is_dataclass(cls)
+}
 
 
 # ---------------------------------------------------------------------------

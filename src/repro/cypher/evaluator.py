@@ -289,11 +289,11 @@ class Evaluator:
         return accumulator
 
     def _eval_PatternPredicate(self, expr: ast.PatternPredicate, row: Row) -> bool:
-        return bool(self.context.pattern_chain(expr, expr.pattern).matches(row, first_only=True))
+        return bool(self.context.pattern_chain(expr).matches(row, first_only=True))
 
     def _eval_PatternComprehension(self, expr: ast.PatternComprehension, row: Row) -> list[Any]:
         output: list[Any] = []
-        for matched in self.context.pattern_chain(expr, expr.pattern).matches(row):
+        for matched in self.context.pattern_chain(expr).matches(row):
             if expr.predicate is not None:
                 if is_truthy(self.evaluate(expr.predicate, matched)) is not True:
                     continue
@@ -302,8 +302,7 @@ class Evaluator:
 
     def _eval_ExistsExpr(self, expr: ast.ExistsExpr, row: Row) -> bool:
         if isinstance(expr.target, ast.PatternPart):
-            chain = self.context.pattern_chain(expr, expr.target)
-            return bool(chain.matches(row, first_only=True))
+            return bool(self.context.pattern_chain(expr).matches(row, first_only=True))
         return self.evaluate(expr.target, row) is not None
 
     def _eval_CountStar(self, expr: ast.CountStar, row: Row) -> Any:

@@ -58,6 +58,7 @@ from .planner import (
     PushedFilter,
     Site,
     fixed_anchor,
+    pattern_part,
     pattern_sites,
     plan_query,
 )
@@ -359,8 +360,7 @@ class _ExecutionContext(WriteClauses):
         # the run's row budget and deadline, charged by every operator
         self.state = state
         self.plans = plans
-        # whether the query has pattern expressions or MERGE, which match
-        # through sub-chains; id(expression or clause) -> its sub-chain
+        # pattern expressions and MERGE match through sub-chains, by node id
         self.has_subchains = any(type(plan) is PartPlan for plan in plans.values())
         self.pattern_chains: dict[int, ops.PatternChain] = {}
         self.evaluator = Evaluator(self)
@@ -378,14 +378,13 @@ class _ExecutionContext(WriteClauses):
         cache[key] = value
         return value
 
-    def pattern_chain(self, node: Any, part: ast.PatternPart) -> ops.PatternChain:
-        """The chain matching ``part`` for ``node`` (a pattern expression or
-        a MERGE clause), lowered on first use with the plan made for it."""
-        chain = self.pattern_chains.get(id(node))
-        if chain is None:
-            chain = lower_pattern(part, self.plans[id(node)], self, self.state)
-            self.pattern_chains[id(node)] = chain
-        return chain
+    def pattern_chain(self, node: Any) -> ops.PatternChain:
+        """The chain of ``node``, a pattern expression or a MERGE clause,
+        lowered on first use with the plan made for it."""
+        chains = self.pattern_chains
+        if id(node) not in chains:
+            chains[id(node)] = lower_pattern(pattern_part(node), self.plans[id(node)], self, self.state)
+        return chains[id(node)]
 
     def _match_shortest(
         self,
@@ -724,10 +723,6 @@ class _ExecutionContext(WriteClauses):
             value = self._filter_value(filt.values[0])
             return value if isinstance(value, list) else None
         return [self._filter_value(expr) for expr in filt.values]
-
-    # -- WITH / RETURN ----------------------------------------------------
-    # (Projection, DISTINCT, ORDER BY and SKIP/LIMIT run as physical
-    # operators — repro.cypher.operators — fed by the lowering above.)
 
     def _bounded_int(self, expr: ast.Expr, what: str) -> int:
         value = self.evaluator.evaluate(expr, {})

@@ -19,11 +19,18 @@ from . import ast_nodes as ast
 from . import operators as ops
 from .errors import CypherRuntimeError, CypherSyntaxError
 from .operators import RuntimeState, _contains_aggregate
-from .planner import Filters, PartPlan, needs_used_tracking, pattern_expressions
+from .planner import (
+    Filters,
+    MatchPlan,
+    PartPlan,
+    needs_used_tracking,
+    pattern_expressions,
+    pattern_part,
+)
 
 __all__ = ["explain", "lower_pattern", "lower_query"]
 
-Plans = dict[int, Any]
+Plans = dict[int, Union[MatchPlan, PartPlan]]
 
 
 def explain(tree: ast.Query, plans: Plans) -> str:
@@ -39,8 +46,9 @@ def explain(tree: ast.Query, plans: Plans) -> str:
         for clause in single.clauses:
             lines.extend(_explain_clause(clause, plans))
             lines.extend(
-                f"  {type(expr).__name__.replace('Expr', '')} {_explain_part(part, plans[id(expr)])}"
-                for expr, part, _ in pattern_expressions(clause)
+                f"  {type(expr).__name__.replace('Expr', '')} "
+                f"{_explain_part(pattern_part(expr), plans[id(expr)])}"
+                for expr, _ in pattern_expressions(clause)
             )
     return "\n".join(lines)
 
@@ -59,12 +67,7 @@ def _explain_clause(clause: ast.Clause, plans: Plans) -> list[str]:
         if plan.filters:
             for variable in sorted(plan.filters):
                 for filt in plan.filters[variable]:
-                    if filt.kind == "eq":
-                        op = "="
-                    elif filt.kind == "in":
-                        op = "IN"
-                    else:
-                        op = filt.ops[0]
+                    op = {"eq": "=", "in": "IN"}.get(filt.kind) or filt.ops[0]
                     lines.append(f"  Pushdown {variable}.{filt.key} {op} ...")
         if clause.where is not None:
             lines.append("  Filter (WHERE)")
@@ -153,7 +156,7 @@ def _lower_single(
         elif type(clause) in _WRITE_OPERATORS:
             op = _WRITE_OPERATORS[type(clause)](state, op, context, clause)
             if isinstance(clause, ast.MergeClause):
-                op.children.append(context.pattern_chain(clause, clause.part).root)
+                op.children.append(context.pattern_chain(clause).root)
                 scope.update(clause.part.variables)
             elif isinstance(clause, ast.CreateClause):
                 scope.update(clause.pattern.variables)
@@ -177,8 +180,8 @@ def _with_patterns(op: ops.PhysicalOperator, context: Any, *exprs: Any) -> ops.P
     """``op`` with the sub-chain of each pattern expression it evaluates
     as an extra child (its first child stays its input)."""
     if context.has_subchains:
-        for expr, part, _ in pattern_expressions(exprs):
-            op.children.append(context.pattern_chain(expr, part).root)
+        for expr, _ in pattern_expressions(exprs):
+            op.children.append(context.pattern_chain(expr).root)
     return op
 
 
@@ -194,40 +197,25 @@ def _lower_match(
     context: Any,
     state: RuntimeState,
 ) -> ops.PhysicalOperator:
+    """The clause's parts chained (each consumes the previous part's ``(row,
+    used)`` pairs, threading relationship uniqueness through), then its
+    WHERE.  OPTIONAL MATCH runs them as a sub-pipeline re-run once per
+    upstream row, padding with nulls on no match."""
     plan = context.plans[id(clause)]
-    if not clause.optional:
-        op = _lower_parts(child, clause.pattern, plan, context, state)
-        return op if clause.where is None else _filter(op, clause.where, context, state)
-    # OPTIONAL MATCH: the pattern (and its WHERE) runs as a sub-pipeline
-    # re-run once per upstream row, padding with nulls on no match.
-    source = ops.RowSource(state)
-    sub = _lower_parts(source, clause.pattern, plan, context, state)
-    if clause.where is not None:
-        sub = _filter(sub, clause.where, context, state)
-    return ops.OptionalMatch(
-        state, child, sub, source, clause.pattern.variables
-    )
-
-
-def _lower_parts(
-    child: ops.PhysicalOperator,
-    pattern: ast.Pattern,
-    plan: Any,
-    context: Any,
-    state: RuntimeState,
-) -> ops.PhysicalOperator:
-    """Chain the pattern's parts: each consumes the previous part's
-    ``(row, used)`` pairs (cartesian product with relationship
-    uniqueness threaded through); the last part emits plain rows."""
-    parts = pattern.parts
-    op = child
+    source = ops.RowSource(state) if clause.optional else child
+    parts = clause.pattern.parts
+    op = source
     for index, (part, part_plan) in enumerate(zip(parts, plan.parts)):
         op = lower_part(
             op, part, part_plan, plan.filters, context, state,
             from_rows=index == 0, emit_row=index == len(parts) - 1,
             update_used=len(parts) > 1,
         )
-    return op
+    if clause.where is not None:
+        op = _filter(op, clause.where, context, state)
+    if not clause.optional:
+        return op
+    return ops.OptionalMatch(state, child, op, source, clause.pattern.variables)
 
 
 def lower_pattern(

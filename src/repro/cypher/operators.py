@@ -1267,63 +1267,23 @@ def _collect_variables(obj: Any, names: set[str]) -> None:
             _collect_variables(value, names)
 
 
-def _contains_aggregate(expr: ast.Expr) -> bool:
+#: Expressions evaluated per row even inside an aggregating projection.
+_PER_ROW = (ast.PatternPredicate, ast.PatternComprehension, ast.ExistsExpr,
+            ast.Quantifier, ast.Reduce)
+
+
+def _contains_aggregate(expr: Any) -> bool:
     """Walk an expression tree looking for aggregate calls."""
+    if isinstance(expr, tuple):
+        return any(map(_contains_aggregate, expr))
     if isinstance(expr, ast.CountStar):
         return True
-    if isinstance(expr, ast.FunctionCall):
-        if is_aggregate_function(expr.name):
-            return True
-        return any(_contains_aggregate(arg) for arg in expr.args)
-    if isinstance(expr, (ast.Literal, ast.Parameter, ast.Variable)):
+    if isinstance(expr, ast.FunctionCall) and is_aggregate_function(expr.name):
+        return True
+    if isinstance(expr, _PER_ROW):
         return False
-    if isinstance(expr, ast.PropertyAccess):
-        return _contains_aggregate(expr.subject)
-    if isinstance(expr, ast.Subscript):
-        return _contains_aggregate(expr.subject) or _contains_aggregate(expr.index)
-    if isinstance(expr, ast.Slice):
-        return any(
-            _contains_aggregate(part)
-            for part in (expr.subject, expr.start, expr.end)
-            if part is not None
-        )
-    if isinstance(expr, ast.ListLiteral):
-        return any(_contains_aggregate(item) for item in expr.items)
-    if isinstance(expr, ast.MapLiteral):
-        return any(_contains_aggregate(value) for _, value in expr.items)
-    if isinstance(expr, ast.UnaryOp):
-        return _contains_aggregate(expr.operand)
-    if isinstance(expr, ast.BinaryOp):
-        return _contains_aggregate(expr.left) or _contains_aggregate(expr.right)
-    if isinstance(expr, ast.Comparison):
-        return any(_contains_aggregate(operand) for operand in expr.operands)
-    if isinstance(expr, ast.BooleanOp):
-        return any(_contains_aggregate(operand) for operand in expr.operands)
-    if isinstance(expr, ast.NotOp):
-        return _contains_aggregate(expr.operand)
-    if isinstance(expr, ast.IsNull):
-        return _contains_aggregate(expr.operand)
-    if isinstance(expr, ast.StringPredicate):
-        return _contains_aggregate(expr.left) or _contains_aggregate(expr.right)
-    if isinstance(expr, ast.InList):
-        return _contains_aggregate(expr.value) or _contains_aggregate(expr.container)
-    if isinstance(expr, ast.CaseExpr):
-        parts: list[ast.Expr] = []
-        if expr.subject is not None:
-            parts.append(expr.subject)
-        for condition, result in expr.whens:
-            parts.extend((condition, result))
-        if expr.default is not None:
-            parts.append(expr.default)
-        return any(_contains_aggregate(part) for part in parts)
-    if isinstance(expr, ast.ListComprehension):
-        parts = [expr.source]
-        if expr.predicate is not None:
-            parts.append(expr.predicate)
-        if expr.projection is not None:
-            parts.append(expr.projection)
-        return any(_contains_aggregate(part) for part in parts)
-    return False
+    return any(_contains_aggregate(getattr(expr, name))
+               for name in ast.CHILD_FIELDS.get(expr.__class__, ()))
 
 
 def _same_rel_binding(existing: Any, candidate: Any) -> bool:

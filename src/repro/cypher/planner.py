@@ -38,7 +38,7 @@ variables bound where it runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Union
 
 from ..graph.store import GraphStatistics
@@ -264,20 +264,11 @@ def needs_used_tracking(part: ast.PatternPart) -> bool:
     return not all(rel.types for rel in rels) or len(types) != len(set(types))
 
 
-def _fixed_score(node: ast.NodePattern, bound: Any) -> int:
-    if node.variable is not None and node.variable in bound:
-        return 100
-    return (10 if node.properties else 0) + (2 if node.labels else 0)
-
-
 def fixed_anchor(node: ast.NodePattern, stats: GraphStatistics, bound: Any) -> AnchorPlan:
-    """The fixed rule's access path for ``node`` (see the module docstring).
-
-    ``bound`` is anything supporting ``in``: a set of variable names, or a
-    binding row.
-    """
+    """The fixed rule's access path for ``node`` (see the module docstring);
+    ``bound`` is a set of variable names or a binding row."""
     variable = node.variable
-    if variable is not None and variable in bound:
+    if variable in bound:
         return AnchorPlan(kind="bound", variable=variable)
     if not node.labels:
         return AnchorPlan(kind="all", variable=variable)
@@ -293,9 +284,13 @@ def fixed_anchor(node: ast.NodePattern, stats: GraphStatistics, bound: Any) -> A
 def _orient_fixed(part: ast.PatternPart, stats: GraphStatistics,
                   bound: frozenset[str], filters: Filters) -> PartPlan:
     """Anchor ``part`` by the fixed rule (see the module docstring)."""
+    def score(node: ast.NodePattern) -> int:
+        if node.variable in bound:
+            return 100
+        return (10 if node.properties else 0) + (2 if node.labels else 0)
+
     first, last = part.nodes[0], part.nodes[-1]
-    reverse = (part.shortest is None and len(part.elements) > 1
-               and _fixed_score(last, bound) > _fixed_score(first, bound))
+    reverse = part.shortest is None and len(part.elements) > 1 and score(last) > score(first)
     return PartPlan(reverse=reverse, anchor=fixed_anchor(last if reverse else first, stats, bound))
 
 
@@ -317,57 +312,57 @@ def plan_match(clause: ast.MatchClause, stats: GraphStatistics,
     return MatchPlan(parts=tuple(parts), filters=filters, stats_version=stats.version)
 
 
-def pattern_part(expr: Any) -> Optional[ast.PatternPart]:
-    """The pattern a pattern predicate, ``EXISTS`` or pattern comprehension matches."""
-    if isinstance(expr, (ast.PatternPredicate, ast.PatternComprehension)):
-        return expr.pattern
-    if isinstance(expr, ast.ExistsExpr) and isinstance(expr.target, ast.PatternPart):
-        return expr.target
+#: A node that matches a pattern part (a MATCH or MERGE clause, or a
+#: pattern expression) and the variables bound where it runs.
+Site = tuple[Any, frozenset[str]]
+
+
+def pattern_part(node: Any) -> Optional[ast.PatternPart]:
+    """The pattern a pattern expression (predicate, ``EXISTS``,
+    comprehension) or a MERGE clause matches; None for anything else."""
+    if isinstance(node, (ast.PatternPredicate, ast.PatternComprehension)):
+        return node.pattern
+    if isinstance(node, ast.MergeClause):
+        return node.part
+    if isinstance(node, ast.ExistsExpr) and isinstance(node.target, ast.PatternPart):
+        return node.target
     return None
 
 
-#: Each AST class's fields that can hold expressions (scalars are skipped).
-_CHILD_FIELDS = {
-    cls: tuple(f.name for f in fields(cls) if f.type not in
-               ("Any", "str", "bool", "Optional[str]", "Optional[int]", "tuple[str, ...]"))
-    for cls in map(vars(ast).get, ast.__all__) if is_dataclass(cls)
-}
-#: Nodes that bind variables for some of their fields.
+#: Expressions that bind variables for some of their fields.
 _SCOPING = (ast.PatternPredicate, ast.PatternComprehension, ast.ExistsExpr,
             ast.ListComprehension, ast.Quantifier, ast.Reduce)
-#: Fields evaluated outside the scope their node opens.
+#: Fields evaluated outside the scope their expression opens.
 _OUTER_FIELDS = frozenset({"source", "initial", "pattern"})
 
-PatternExpressions = list[tuple[ast.Expr, ast.PatternPart, frozenset[str]]]
 
-
-def pattern_expressions(obj: Any, scope: frozenset[str] = frozenset()) -> PatternExpressions:
+def pattern_expressions(obj: Any, scope: frozenset[str] = frozenset()) -> list[Site]:
     """Every pattern expression in ``obj`` (an AST node or a tuple of them).
 
-    Returns ``(expression, pattern, variables bound where it is evaluated)``
-    triples, outermost first; ``scope`` is what is bound at ``obj``.  List
-    comprehensions, quantifiers, ``reduce`` and pattern comprehensions add
-    the variables they bind to the scope of their inner expressions.
+    Each comes with the variables bound where it is evaluated, outermost
+    first; ``scope`` is what is bound at ``obj``.  List comprehensions,
+    quantifiers, ``reduce`` and pattern comprehensions add the variables
+    they bind to the scope of their inner expressions.
     """
-    found: PatternExpressions = []
+    found: list[Site] = []
     _collect(obj, scope, found)
     return found
 
 
-def _collect(obj: Any, scope: frozenset[str], found: PatternExpressions) -> None:
+def _collect(obj: Any, scope: frozenset[str], found: list[Site]) -> None:
     cls = obj.__class__
     if cls is tuple or cls is list:
         for item in obj:
             _collect(item, scope, found)
         return
-    names = _CHILD_FIELDS.get(cls)
+    names = ast.CHILD_FIELDS.get(cls)
     if not names:
         return
     inner = scope
     if isinstance(obj, _SCOPING):
         part = pattern_part(obj)
         if part is not None:
-            found.append((obj, part, scope))
+            found.append((obj, scope))
             inner = scope.union(part.variables)
         elif isinstance(obj, ast.Reduce):
             inner = scope | {obj.accumulator, obj.variable}
@@ -375,11 +370,6 @@ def _collect(obj: Any, scope: frozenset[str], found: PatternExpressions) -> None
             inner = scope | {obj.variable}
     for name in names:
         _collect(getattr(obj, name), scope if name in _OUTER_FIELDS else inner, found)
-
-
-#: A node that matches a pattern part (a MATCH or MERGE clause, or a
-#: pattern expression) and the variables bound where it runs.
-Site = tuple[Any, frozenset[str]]
 
 
 def pattern_sites(tree: Union[ast.SingleQuery, ast.UnionQuery]) -> list[Site]:
@@ -392,7 +382,7 @@ def pattern_sites(tree: Union[ast.SingleQuery, ast.UnionQuery]) -> list[Site]:
     sites: list[Site] = []
 
     def expressions(obj: Any, bound: set[str]) -> None:
-        sites.extend((expr, scope) for expr, _, scope in pattern_expressions(obj, frozenset(bound)))
+        sites.extend(pattern_expressions(obj, frozenset(bound)))
 
     queries = tree.queries if isinstance(tree, ast.UnionQuery) else (tree,)
     for single in queries:
@@ -440,9 +430,7 @@ def plan_query(tree: Union[ast.SingleQuery, ast.UnionQuery], stats: GraphStatist
     orient = _orient if planner else _orient_fixed
     plans: dict[int, Union[MatchPlan, PartPlan]] = {}
     for node, bound in pattern_sites(tree) if sites is None else sites:
-        if isinstance(node, ast.MatchClause):
-            plans[id(node)] = plan_match(node, stats, bound, planner)
-        else:
-            part = node.part if isinstance(node, ast.MergeClause) else pattern_part(node)
-            plans[id(node)] = orient(part, stats, bound, {})
+        plans[id(node)] = (plan_match(node, stats, bound, planner)
+                           if isinstance(node, ast.MatchClause)
+                           else orient(pattern_part(node), stats, bound, {}))
     return plans

@@ -123,7 +123,7 @@ class WriteClauses:
         return rel
 
     def apply_merge(self, rows: list[Row], clause: ast.MergeClause) -> list[Row]:
-        chain = self.pattern_chain(clause, clause.part)
+        chain = self.pattern_chain(clause)
         output: list[Row] = []
         for row in rows:
             matches = chain.matches(row)
