@@ -446,9 +446,15 @@ class RemoveClause(Clause):
 
 @dataclass(frozen=True)
 class SingleQuery:
-    """A linear sequence of clauses ending (usually) in RETURN."""
+    """A linear sequence of clauses ending (usually) in RETURN.
+
+    ``pattern_expressions`` is False only when the parser saw no pattern
+    predicate, ``EXISTS`` pattern or pattern comprehension in it, so a
+    walker looking for them may skip its expressions.
+    """
 
     clauses: tuple[Clause, ...]
+    pattern_expressions: bool = field(default=True, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ import dataclasses
 from itertools import compress, count, islice
 from operator import eq
 from time import perf_counter
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 from ..graph.model import Node, Path, Relationship
 from . import ast_nodes as ast
@@ -465,7 +465,7 @@ class PartEmit(PhysicalOperator):
             yield row if emit_row else (row, used)
 
 
-class PatternChain:
+class PatternChain(NamedTuple):
     """A pattern part's chain fed from a :class:`RowSource`, run per row.
 
     Pattern predicates, ``EXISTS`` patterns, pattern comprehensions and
@@ -473,11 +473,8 @@ class PatternChain:
     evaluated on and drains the chain (or stops after its first row).
     """
 
-    __slots__ = ("source", "root")
-
-    def __init__(self, source: RowSource, root: PhysicalOperator) -> None:
-        self.source = source
-        self.root = root
+    source: RowSource
+    root: PhysicalOperator
 
     def matches(self, row: Row, first_only: bool = False) -> list[Row]:
         """Every row ``row`` extends to; only the first with ``first_only``."""

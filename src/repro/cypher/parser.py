@@ -46,6 +46,8 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.index = 0
+        #: pattern predicates, EXISTS patterns and comprehensions parsed so far
+        self.pattern_expressions = 0
 
     # ------------------------------------------------------------------
     # Cursor helpers
@@ -135,6 +137,7 @@ class _Parser:
 
     def parse_single_query(self) -> ast.SingleQuery:
         clauses: list[ast.Clause] = []
+        pattern_expressions = self.pattern_expressions
         while True:
             token = self.current
             if token.is_keyword("MATCH") or token.is_keyword("OPTIONAL"):
@@ -159,7 +162,9 @@ class _Parser:
                 break
         if not clauses:
             raise self.error("empty query")
-        return ast.SingleQuery(tuple(clauses))
+        return ast.SingleQuery(
+            tuple(clauses), pattern_expressions=self.pattern_expressions > pattern_expressions
+        )
 
     def parse_match(self) -> ast.MatchClause:
         optional = bool(self.accept_keyword("OPTIONAL"))
@@ -665,6 +670,7 @@ class _Parser:
                 if self.current.kind == "LPAREN":
                     part = self.parse_pattern_part()
                     self.expect("RPAREN", "')'")
+                    self.pattern_expressions += 1
                     return ast.ExistsExpr(target=part)
                 inner = self.parse_expr()
                 self.expect("RPAREN", "')'")
@@ -673,6 +679,7 @@ class _Parser:
                 self.accept_keyword("MATCH")
                 part = self.parse_pattern_part()
                 self.expect("RBRACE", "'}'")
+                self.pattern_expressions += 1
                 return ast.ExistsExpr(target=part)
             raise self.error("expected '(' or '{' after EXISTS")
         if token.kind == "LBRACKET":
@@ -683,8 +690,8 @@ class _Parser:
             # Could be a parenthesised expression or a pattern predicate
             # like `(a)-[:X]->(b)`.
             if self._looks_like_pattern():
-                part = self.parse_pattern_part()
-                return ast.PatternPredicate(pattern=part)
+                self.pattern_expressions += 1
+                return ast.PatternPredicate(pattern=self.parse_pattern_part())
             self.advance()
             expr = self.parse_expr()
             self.expect("RPAREN", "')'")
@@ -817,6 +824,7 @@ class _Parser:
             self.expect("PIPE", "'|'")
             projection = self.parse_expr()
             self.expect("RBRACKET", "']'")
+            self.pattern_expressions += 1
             return ast.PatternComprehension(
                 pattern=part, predicate=predicate, projection=projection
             )

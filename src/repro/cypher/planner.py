@@ -336,7 +336,8 @@ _SCOPING = (ast.PatternPredicate, ast.PatternComprehension, ast.ExistsExpr,
 _OUTER_FIELDS = frozenset({"source", "initial", "pattern"})
 
 
-def pattern_expressions(obj: Any, scope: frozenset[str] = frozenset()) -> list[Site]:
+def pattern_expressions(obj: Any, scope: frozenset[str] = frozenset(),
+                        found: Optional[list[Site]] = None) -> list[Site]:
     """Every pattern expression in ``obj`` (an AST node or a tuple of them).
 
     Each comes with the variables bound where it is evaluated, outermost
@@ -344,20 +345,12 @@ def pattern_expressions(obj: Any, scope: frozenset[str] = frozenset()) -> list[S
     quantifiers, ``reduce`` and pattern comprehensions add the variables
     they bind to the scope of their inner expressions.
     """
-    found: list[Site] = []
-    _collect(obj, scope, found)
-    return found
-
-
-def _collect(obj: Any, scope: frozenset[str], found: list[Site]) -> None:
+    found = [] if found is None else found
     cls = obj.__class__
     if cls is tuple or cls is list:
         for item in obj:
-            _collect(item, scope, found)
-        return
-    names = ast.CHILD_FIELDS.get(cls)
-    if not names:
-        return
+            pattern_expressions(item, scope, found)
+        return found
     inner = scope
     if isinstance(obj, _SCOPING):
         part = pattern_part(obj)
@@ -368,8 +361,9 @@ def _collect(obj: Any, scope: frozenset[str], found: list[Site]) -> None:
             inner = scope | {obj.accumulator, obj.variable}
         elif not isinstance(obj, ast.ExistsExpr):
             inner = scope | {obj.variable}
-    for name in names:
-        _collect(getattr(obj, name), scope if name in _OUTER_FIELDS else inner, found)
+    for name in ast.CHILD_FIELDS.get(cls, ()):
+        pattern_expressions(getattr(obj, name), scope if name in _OUTER_FIELDS else inner, found)
+    return found
 
 
 def pattern_sites(tree: Union[ast.SingleQuery, ast.UnionQuery]) -> list[Site]:
@@ -382,7 +376,8 @@ def pattern_sites(tree: Union[ast.SingleQuery, ast.UnionQuery]) -> list[Site]:
     sites: list[Site] = []
 
     def expressions(obj: Any, bound: set[str]) -> None:
-        sites.extend(pattern_expressions(obj, frozenset(bound)))
+        if single.pattern_expressions:
+            sites.extend(pattern_expressions(obj, frozenset(bound)))
 
     queries = tree.queries if isinstance(tree, ast.UnionQuery) else (tree,)
     for single in queries:

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.cypher import CypherSyntaxError, CypherTypeError, execute
+from repro.cypher import (
+    CypherEngine,
+    CypherRuntimeError,
+    CypherSyntaxError,
+    CypherTypeError,
+    execute,
+)
 from repro.graph import GraphStore
 
 
@@ -247,3 +253,14 @@ class TestPatternComprehension:
             tiny_store, "RETURN [(1 + 2) - 3, 4] AS xs"
         ).single()
         assert record["xs"] == [0, 4]
+
+    @pytest.mark.parametrize("planner", [True, False], ids=["planned", "unplanned"])
+    def test_unbound_variable_raises_like_any_expression(self, tiny_store, planner):
+        # After a global aggregate over no rows, ORDER BY sees only the
+        # projected columns: a pattern expression over ``a`` fails the way
+        # ``a.asn`` does, instead of treating ``a`` as a fresh variable.
+        engine = CypherEngine(tiny_store, planner=planner)
+        prefix = "MATCH (a:AS) WHERE a.asn < 0 RETURN count(*) AS n ORDER BY "
+        for order_key in ("a.asn", "size([(a)-[:PEERS_WITH]-(b) | b])"):
+            with pytest.raises(CypherRuntimeError, match="unknown variable: a"):
+                engine.run(prefix + order_key)
