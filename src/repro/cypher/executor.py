@@ -381,10 +381,11 @@ class _ExecutionContext(WriteClauses):
     def pattern_chain(self, node: Any) -> ops.PatternChain:
         """The chain of ``node``, a pattern expression or a MERGE clause,
         lowered on first use with the plan made for it."""
-        chains = self.pattern_chains
-        if id(node) not in chains:
-            chains[id(node)] = lower_pattern(pattern_part(node), self.plans[id(node)], self, self.state)
-        return chains[id(node)]
+        key = id(node)
+        if key not in self.pattern_chains:
+            plan = self.plans[key]
+            self.pattern_chains[key] = lower_pattern(pattern_part(node), plan, self, self.state)
+        return self.pattern_chains[key]
 
     def _match_shortest(
         self,

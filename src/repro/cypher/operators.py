@@ -122,9 +122,10 @@ class RuntimeState:
     def charge(self) -> None:
         """Count one intermediate row against the budget and the deadline.
 
-        Every operator charges every row it emits, including the sub-chains
-        of pattern expressions and MERGE.  The deadline is read once per
-        ``_DEADLINE_STRIDE_MASK + 1`` rows.
+        Every operator charges every row it emits; the sub-chains of pattern
+        expressions and MERGE also charge every candidate and step they
+        examine.  The deadline is read once per ``_DEADLINE_STRIDE_MASK + 1``
+        rows.
         """
         rows = self.rows = self.rows + 1
         if self.budget is not None and rows > self.budget:
@@ -1271,16 +1272,17 @@ _PER_ROW = (ast.PatternPredicate, ast.PatternComprehension, ast.ExistsExpr,
 
 def _contains_aggregate(expr: Any) -> bool:
     """Walk an expression tree looking for aggregate calls."""
-    if isinstance(expr, tuple):
+    cls = expr.__class__
+    if cls is ast.CountStar or (cls is ast.FunctionCall and is_aggregate_function(expr.name)):
+        return True
+    if cls is tuple:
         return any(map(_contains_aggregate, expr))
-    if isinstance(expr, ast.CountStar):
-        return True
-    if isinstance(expr, ast.FunctionCall) and is_aggregate_function(expr.name):
-        return True
     if isinstance(expr, _PER_ROW):
         return False
-    return any(_contains_aggregate(getattr(expr, name))
-               for name in ast.CHILD_FIELDS.get(expr.__class__, ()))
+    for name in ast.CHILD_FIELDS.get(cls, ()):
+        if _contains_aggregate(getattr(expr, name)):
+            return True
+    return False
 
 
 def _same_rel_binding(existing: Any, candidate: Any) -> bool:

@@ -329,7 +329,7 @@ def pattern_part(node: Any) -> Optional[ast.PatternPart]:
     return None
 
 
-#: Expressions that bind variables for some of their fields.
+#: Pattern expressions, and expressions that bind variables for some fields.
 _SCOPING = (ast.PatternPredicate, ast.PatternComprehension, ast.ExistsExpr,
             ast.ListComprehension, ast.Quantifier, ast.Reduce)
 #: Fields evaluated outside the scope their expression opens.
