@@ -1,13 +1,14 @@
-"""Cookbook: observe the staged pipeline with a custom PipelineObserver.
+"""Cookbook: observe the RAG pipeline with a custom PipelineObserver.
 
 Run::
 
     python examples/custom_observer.py
 
-The RAG engine executes four stages per question (symbolic retrieval →
+The RAG engine runs four fixed steps per question (symbolic retrieval →
 fallback routing → rerank → synthesis).  A ``PipelineObserver`` receives a
-callback around each one, which is the seam for tracing, metrics, or any
-cross-cutting instrumentation.  This example attaches
+callback around each one, with the request's ``QueryContext``, which is
+the seam for tracing, metrics, or any cross-cutting instrumentation.
+This example attaches
 
 * a hand-written observer that prints a live per-stage timeline,
 * the built-in ``TracingObserver`` (structured spans), and
@@ -22,7 +23,7 @@ from repro.rag import MetricsRegistry, PipelineObserver, TracingObserver
 
 
 class StageTimeline(PipelineObserver):
-    """Prints each stage as it runs, with duration and any typed error."""
+    """Prints each step as it runs, with duration and any typed error."""
 
     def on_stage_start(self, stage, ctx):
         print(f"    ▶ {stage} ...")
@@ -46,9 +47,9 @@ def main() -> None:
     )
 
     questions = [
-        # Clean symbolic translation: all four stages succeed.
+        # Clean symbolic translation: all four steps succeed.
         "Which country is AS2497 registered in?",
-        # Untranslatable: the symbolic stage records a
+        # Untranslatable: the symbolic step records a
         # SymbolicTranslationError and routing falls back to vector.
         "Tell me something interesting about Japanese infrastructure",
     ]
@@ -59,7 +60,7 @@ def main() -> None:
         print(f"   route={response.diagnostics.get('route')}  "
               f"source={response.retrieval_source}")
 
-    print("\nTracingObserver spans (ordered, one per stage run):")
+    print("\nTracingObserver spans (ordered, one per step run):")
     for span in tracer.to_dicts():
         error = f"  error={span['error']}" if "error" in span else ""
         print(f"  #{span['index']:02d} {span['stage']:9s} "

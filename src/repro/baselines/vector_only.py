@@ -8,8 +8,8 @@ values (counts, percentages, ranks) most IYP questions ask for.
 This baseline is not a bespoke code path: it is the standard
 :class:`~repro.rag.RetrieverQueryEngine` built without a text-to-Cypher
 retriever, which routes every question to vector retrieval — the same
-kernel, observers and synthesis the full system uses, minus the symbolic
-stage.
+steps, observers and synthesis the full system uses, minus the symbolic
+step.
 """
 
 from __future__ import annotations

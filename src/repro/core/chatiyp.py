@@ -81,7 +81,7 @@ class ChatResponse:
             "context": self.context_snippets,
             "rows": rows,
             # JSON-safe provenance subset: routing decision, error taxonomy
-            # and per-stage wall-clock timings from the pipeline kernel.
+            # and per-stage wall-clock timings from the pipeline.
             "diagnostics": diagnostics,
         }
 

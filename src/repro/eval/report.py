@@ -28,7 +28,7 @@ __all__ = [
 
 _BAR = "█"
 
-#: pipeline-kernel stage names, in execution order (latency columns)
+#: pipeline stage names, in execution order (latency columns)
 STAGE_KEYS = ("symbolic", "routing", "rerank", "synthesis")
 
 
@@ -230,9 +230,9 @@ def template_table(report: EvaluationReport, worst_first: bool = True) -> str:
 def stage_latency_table(report: EvaluationReport) -> str:
     """Per-stage pipeline latency summary over every evaluated question.
 
-    Reads the ``stage_timings`` the stage kernel records in each response's
-    diagnostics; questions answered outside the staged pipeline (e.g.
-    decomposed ones) simply contribute no samples.
+    Reads the ``stage_timings`` the pipeline records in each response's
+    diagnostics; questions answered outside the pipeline (e.g. decomposed
+    ones) simply contribute no samples.
     """
     header = ["stage", "n", "mean ms", "median ms", "min ms", "max ms", "total ms"]
     rows = []

@@ -56,7 +56,7 @@ SITE_CATALOGUE = (
     "singleflight.begin",  # SingleFlight registration (leader handoff)
     "serving.execute",   # ChatIYP._execute — one full pipeline run
     "admission.acquire",  # AdmissionController slot acquisition
-    "stage.symbolic",    # StagePipeline, before each stage
+    "stage.symbolic",    # RetrieverQueryEngine.query, before each step
     "stage.routing",
     "stage.rerank",
     "stage.synthesis",

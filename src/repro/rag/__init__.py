@@ -1,11 +1,11 @@
 """Mini retrieval-augmented-generation framework (LlamaIndex substitute).
 
 :class:`RetrieverQueryEngine` runs the paper's Figure-1 flow as four
-stages: text-to-Cypher retrieval, routing, reranking and synthesis.  The
-route follows from the retrievers the engine is built with: symbolic rows
-when the generated query returned some, vector retrieval otherwise (when a
-vector retriever is given), and vector retrieval only when there is no
-text-to-Cypher retriever.
+fixed steps of one ``query()`` call: text-to-Cypher retrieval, routing,
+reranking and synthesis.  The route follows from the retrievers the
+engine is built with: symbolic rows when the generated query returned
+some, vector retrieval otherwise (when a vector retriever is given), and
+vector retrieval only when there is no text-to-Cypher retriever.
 """
 
 from .decompose import DecomposingQueryEngine, DecompositionPlan, QuestionDecomposer
@@ -26,18 +26,9 @@ from .observer import (
     StageStats,
     TracingObserver,
 )
-from .pipeline import PipelineResponse, RetrieverQueryEngine
+from .pipeline import PipelineResponse, QueryContext, RetrieverQueryEngine
 from .reranker import LLMReranker, default_rerank_prompt
 from .retriever import Retriever
-from .stages import (
-    FallbackRoutingStage,
-    QueryContext,
-    RerankStage,
-    Stage,
-    StagePipeline,
-    SymbolicRetrievalStage,
-    SynthesisStage,
-)
 from .synthesizer import ResponseSynthesizer, default_answer_prompt
 from .text2cypher_retriever import TextToCypherRetriever, default_text2cypher_prompt
 from .types import NodeWithScore, RetrievalResult, TextNode
@@ -54,17 +45,10 @@ __all__ = [
     "ResponseSynthesizer",
     "RetrieverQueryEngine",
     "PipelineResponse",
+    "QueryContext",
     "DecomposingQueryEngine",
     "DecompositionPlan",
     "QuestionDecomposer",
-    # stage-execution kernel
-    "Stage",
-    "QueryContext",
-    "StagePipeline",
-    "SymbolicRetrievalStage",
-    "FallbackRoutingStage",
-    "RerankStage",
-    "SynthesisStage",
     # observability
     "PipelineObserver",
     "TracingObserver",

@@ -1,21 +1,23 @@
-"""Typed error taxonomy of the staged pipeline.
+"""Typed error taxonomy of the RAG pipeline.
 
 Replaces the stringly-typed ``RetrievalResult.error`` inspection that used
 to be scattered through the orchestration code.  Each failure a query can
-hit on its way through the stages maps to exactly one class:
+hit on its way through the pipeline steps maps to exactly one class:
 
 * :class:`SymbolicTranslationError` — the LLM produced no Cypher at all;
 * :class:`ExecutionError` — generated Cypher failed to parse or run;
 * :class:`EmptyResult` — the query ran but returned no rows (a sparse
   result), so the router treats it as a miss;
 * :class:`DeadlineExceeded` — the per-request time budget ran out before
-  the stage could run (serving hardening; the stage degrades instead);
+  the step could run (serving hardening; the step degrades instead);
 * :class:`CircuitOpen` — the symbolic path's circuit breaker refused the
   attempt, so the router falls back to vector retrieval.
 
 The classes are exceptions so callers *may* raise them, but the pipeline
-itself never throws for expected failures: stages record the instance on
-``QueryContext.error`` and observers see it through ``on_error``.
+itself never raises them: its steps record the instance on
+``QueryContext.error`` and observers see it through ``on_error``.  An
+unexpected exception inside a step propagates to the caller; observers
+see it first, wrapped in a plain :class:`PipelineError`.
 """
 
 from __future__ import annotations
@@ -82,9 +84,9 @@ class EmptyResult(PipelineError):
 
 
 class DeadlineExceeded(PipelineError):
-    """The request's time budget ran out before the stage could run.
+    """The request's time budget ran out before the step could run.
 
-    Raised nowhere: stages that find the deadline blown record this and
+    Raised nowhere: steps that find the deadline blown record this and
     degrade to the cheapest viable route (vector-only retrieval, skipped
     rerank, or a partial answer) instead of hanging.
     """

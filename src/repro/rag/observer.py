@@ -1,16 +1,16 @@
-"""Observer/middleware hooks of the stage-execution kernel.
+"""Observer hooks around the steps of the RAG pipeline.
 
-A :class:`PipelineObserver` receives a callback around every stage the
-kernel runs — ``on_stage_start`` / ``on_stage_end`` / ``on_error`` — which
-is the seam for tracing, metrics, logging, or any cross-cutting concern
-that should not live inside the stages themselves.  Observer failures are
-contained: a raising observer is logged and skipped, never allowed to
-break a query.
+A :class:`PipelineObserver` receives a callback around every step
+:meth:`~repro.rag.pipeline.RetrieverQueryEngine.query` runs —
+``on_stage_start`` / ``on_stage_end`` / ``on_error`` — which is the seam
+for tracing, metrics, logging, or any cross-cutting concern that should
+not live inside the steps themselves.  Observer failures are contained:
+a raising observer is logged and skipped, never allowed to break a query.
 
-Two production-shaped implementations ship with the kernel:
+Two production-shaped implementations ship with the pipeline:
 
-* :class:`TracingObserver` — records one structured span per stage run
-  (ordered, with duration and the error that ended the stage, if any);
+* :class:`TracingObserver` — records one structured span per step run
+  (ordered, with duration and the error that ended the step, if any);
 * :class:`MetricsRegistry` — a cumulative timing/counter registry keyed by
   stage name, cheap enough to leave attached in serving paths (the HTTP
   server exposes its :meth:`~MetricsRegistry.snapshot` under ``/metrics``).
@@ -21,11 +21,11 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from .errors import PipelineError
-    from .stages import QueryContext
+    from .pipeline import QueryContext
 
 __all__ = [
     "PipelineObserver",
@@ -49,24 +49,8 @@ class PipelineObserver:
         """Called after ``stage`` ran, with its wall-clock duration."""
 
     def on_error(self, stage: str, error: "PipelineError", ctx: "QueryContext") -> None:
-        """Called when ``stage`` recorded (or raised) a pipeline error."""
-
-
-class _ObserverFanout:
-    """Dispatches kernel events to many observers, containing failures."""
-
-    def __init__(self, observers: Iterable[PipelineObserver]) -> None:
-        self.observers = tuple(observers)
-
-    def emit(self, hook: str, *args) -> None:
-        for observer in self.observers:
-            try:
-                getattr(observer, hook)(*args)
-            except Exception:  # noqa: BLE001 - observers must never break a query
-                logger.warning(
-                    "pipeline observer %s.%s failed", type(observer).__name__, hook,
-                    exc_info=True,
-                )
+        """Called when ``stage`` recorded a pipeline error, or raised an
+        unexpected exception (wrapped in a :class:`PipelineError`)."""
 
 
 @dataclass
@@ -92,31 +76,35 @@ class TracingObserver(PipelineObserver):
     """Collects an ordered span per stage run — a poor man's trace.
 
     Thread-safe: concurrent requests sharing one observer interleave their
-    spans in the recorded order without losing or corrupting any — span
-    and open-table mutation happens under an internal lock.
+    spans in the recorded order without losing or corrupting any.  A
+    request runs all its steps on one thread, so open spans are keyed by
+    thread and stage, and all mutation happens under an internal lock.
     """
 
     def __init__(self) -> None:
         self.spans: list[StageSpan] = []
-        self._open: dict[str, StageSpan] = {}
+        self._open: dict[tuple[int, str], StageSpan] = {}
         self._lock = threading.Lock()
 
     def on_stage_start(self, stage: str, ctx: "QueryContext") -> None:
+        key = (threading.get_ident(), stage)
         with self._lock:
             span = StageSpan(stage=stage, index=len(self.spans) + len(self._open))
-            self._open[stage] = span
+            self._open[key] = span
 
     def on_stage_end(self, stage: str, ctx: "QueryContext", elapsed_ms: float) -> None:
+        key = (threading.get_ident(), stage)
         with self._lock:
-            span = self._open.pop(stage, None) or StageSpan(
+            span = self._open.pop(key, None) or StageSpan(
                 stage=stage, index=len(self.spans)
             )
             span.elapsed_ms = elapsed_ms
             self.spans.append(span)
 
     def on_error(self, stage: str, error: "PipelineError", ctx: "QueryContext") -> None:
+        key = (threading.get_ident(), stage)
         with self._lock:
-            span = self._open.get(stage)
+            span = self._open.get(key)
             if span is not None:
                 span.error = type(error).__name__
             else:  # error surfaced outside an open span (e.g. re-raised later)
@@ -196,11 +184,11 @@ class OperatorStats:
 
 
 class MetricsRegistry(PipelineObserver):
-    """Timing/counter registry fed by kernel callbacks.
+    """Timing/counter registry fed by the pipeline's observer hooks.
 
     Per-stage :class:`StageStats` plus free-form named counters
-    (``increment``), so stages can count routing decisions
-    without knowing how the numbers are consumed.  When the symbolic stage
+    (``increment``), so callers can count routing decisions
+    without knowing how the numbers are consumed.  When the symbolic step
     surfaces an executed operator tree (``diagnostics["cypher_profile"]``)
     the registry also folds every operator into per-name
     :class:`OperatorStats` histograms.

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import TYPE_CHECKING, Optional
 
 from .types import RetrievalResult
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..serving.deadline import Deadline
 
 __all__ = ["Retriever"]
 
@@ -18,6 +22,12 @@ class Retriever(ABC):
         """Short identifier used in provenance records."""
 
     @abstractmethod
-    def retrieve(self, query: str) -> RetrievalResult:
+    def retrieve(
+        self, query: str, deadline: Optional["Deadline"] = None
+    ) -> RetrievalResult:
         """Retrieve context for ``query``; never raises on query failure —
-        failures are reported through ``RetrievalResult.error``."""
+        failures are reported through ``RetrievalResult.error``.
+
+        ``deadline`` is the request's remaining time budget; a retriever
+        whose work can overrun it stops cooperatively and reports the
+        overrun as an error."""

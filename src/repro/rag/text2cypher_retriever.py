@@ -10,12 +10,13 @@ the result so the pipeline can fall back to semantic retrieval.
 from __future__ import annotations
 
 import logging
-from typing import Callable
+from typing import Callable, Optional
 
 from ..cypher.errors import CypherError
 from ..cypher.executor import CypherEngine
 from ..cypher.result import ResultSet, render_value
 from ..llm.base import LLM
+from ..serving.deadline import Deadline
 from .retriever import Retriever
 from .types import NodeWithScore, RetrievalResult, TextNode
 
@@ -68,7 +69,7 @@ class TextToCypherRetriever(Retriever):
     def name(self) -> str:
         return "text2cypher"
 
-    def retrieve(self, query: str, deadline=None) -> RetrievalResult:
+    def retrieve(self, query: str, deadline: Optional[Deadline] = None) -> RetrievalResult:
         prompt = self.prompt_builder(query, self.schema_text)
         completion = self.llm.complete(prompt)
         cypher = completion.metadata.get("cypher")

@@ -7,9 +7,12 @@ similarity.  Useful for vague questions and the robustness fallback.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..embed.vector_store import VectorStore
 from ..graph.store import GraphStore
 from ..nlp.tokenize import STOPWORDS, word_tokenize
+from ..serving.deadline import Deadline
 from .describe import DESCRIBED_LABELS, build_description_corpus
 from .retriever import Retriever
 from .types import NodeWithScore, RetrievalResult, TextNode
@@ -70,7 +73,9 @@ class VectorContextRetriever(Retriever):
             self._entry_tokens[entry_id] = tokens
         return tokens
 
-    def retrieve(self, query: str) -> RetrievalResult:
+    def retrieve(self, query: str, deadline: Optional[Deadline] = None) -> RetrievalResult:
+        # One bounded scan of the corpus: there is nothing to cut short, so
+        # the deadline is not consulted.
         hits = self.vector_store.search(
             query, top_k=self.top_k * self._OVERSAMPLE, min_score=0.02
         )

@@ -26,7 +26,7 @@ Stdlib-only HTTP server exposing:
 
 ``POST /ask`` responses carry a ``diagnostics`` object with the routing
 decision, the error-taxonomy class (when retrieval failed), per-stage
-wall-clock timings recorded by the stage kernel, the graceful-degradation
+wall-clock timings recorded by the pipeline, the graceful-degradation
 markers (``degraded``) and whether the answer came from the cache.
 
 Serving hardening: every ``/ask`` passes an

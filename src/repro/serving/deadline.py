@@ -1,8 +1,8 @@
 """Per-request deadline budgets.
 
 A :class:`Deadline` is created once at request admission and threaded
-through the stage pipeline on the :class:`~repro.rag.stages.QueryContext`.
-Stages consult :meth:`Deadline.expired` / :meth:`Deadline.remaining_ms`
+through the pipeline steps on the :class:`~repro.rag.pipeline.QueryContext`.
+The steps consult :meth:`Deadline.expired` / :meth:`Deadline.remaining_ms`
 and degrade gracefully (skip rerank, partial synthesis, vector-only
 routing) instead of blowing the budget.
 

@@ -40,10 +40,7 @@ PUBLIC_API = {
         "RetrieverQueryEngine", "PipelineResponse", "TextToCypherRetriever",
         "VectorContextRetriever", "LLMReranker", "ResponseSynthesizer",
         "QuestionDecomposer", "DecomposingQueryEngine", "describe_node",
-        "build_description_corpus",
-        # stage-execution kernel
-        "Stage", "QueryContext", "StagePipeline", "SymbolicRetrievalStage",
-        "FallbackRoutingStage", "RerankStage", "SynthesisStage",
+        "build_description_corpus", "QueryContext",
         # observability + error taxonomy
         "PipelineObserver", "TracingObserver", "MetricsRegistry", "PipelineError",
         "SymbolicTranslationError", "ExecutionError", "EmptyResult",

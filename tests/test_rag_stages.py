@@ -1,32 +1,30 @@
-"""Tests for the stage-execution kernel: stage composition, routing,
-observer callbacks, the error taxonomy, and the behavioural guarantees the
-refactor added (rerank-exactly-once, diagnostics isolation, zero-row
-sparsity edge cases)."""
+"""Tests for the pipeline steps of ``RetrieverQueryEngine.query``: step
+sequence, routing, observer callbacks and fault sites, the error taxonomy,
+and the behavioural guarantees (rerank-exactly-once, diagnostics
+isolation, zero-row sparsity edge cases)."""
+
+import sys
+import threading
 
 import pytest
 
 from repro.core.prompts import answer_prompt, rerank_prompt, text2cypher_prompt
 from repro.cypher import CypherEngine
+from repro.faults import FaultInjector, FaultPlan, activated
 from repro.graph import introspect_schema
 from repro.llm import ErrorModel, SimulatedLLM
 from repro.nlp import Gazetteer
 from repro.rag import (
     EmptyResult,
     ExecutionError,
-    FallbackRoutingStage,
     LLMReranker,
     MetricsRegistry,
     PipelineError,
     PipelineObserver,
-    QueryContext,
-    RerankStage,
     ResponseSynthesizer,
     RetrievalResult,
     RetrieverQueryEngine,
-    StagePipeline,
-    SymbolicRetrievalStage,
     SymbolicTranslationError,
-    SynthesisStage,
     TextToCypherRetriever,
     TracingObserver,
     VectorContextRetriever,
@@ -105,36 +103,66 @@ def lonely_asn(small_dataset):
     )
 
 
+class SiteRecorder(FaultInjector):
+    """An active injector whose plan fires nothing; records every site hit."""
+
+    def __init__(self):
+        super().__init__(FaultPlan(name="record"))
+        self.sites = []
+
+    def fire(self, site):
+        self.sites.append(site)
+        return super().fire(site)
+
+
 class TestStageComposition:
     def test_default_stage_sequence(self, symbolic, vector, reliable_llm):
-        engine = make_engine(symbolic, vector, reliable_llm)
-        names = [stage.name for stage in engine.build_stages()]
-        assert names == ["symbolic", "routing", "rerank", "synthesis"]
+        observer = RecordingObserver()
+        engine = make_engine(symbolic, vector, reliable_llm, observers=[observer])
+        response = engine.query("please sing a sea shanty")
+        assert list(response.diagnostics["stage_timings"]) == [
+            "symbolic", "routing", "rerank", "synthesis"
+        ]
+        # a recorded error is reported between its step's start and end
+        assert observer.events == [
+            ("start", "symbolic"), ("error", "symbolic", "SymbolicTranslationError"),
+            ("end", "symbolic"),
+            ("start", "routing"), ("end", "routing"),
+            ("start", "rerank"), ("end", "rerank"),
+            ("start", "synthesis"), ("end", "synthesis"),
+        ]
 
     def test_vector_only_drops_symbolic_stage(self, vector, reliable_llm):
+        observer = RecordingObserver()
         engine = RetrieverQueryEngine(
             text2cypher=None,
             vector=vector,
             synthesizer=ResponseSynthesizer(reliable_llm, answer_prompt),
+            observers=[observer],
         )
-        names = [stage.name for stage in engine.build_stages()]
-        assert names == ["routing", "rerank", "synthesis"]
+        response = engine.query("Which country is AS2497 registered in?")
+        names = ["routing", "rerank", "synthesis"]
+        assert list(response.diagnostics["stage_timings"]) == names
+        assert observer.events == [
+            (kind, name) for name in names for kind in ("start", "end")
+        ]
 
-    def test_kernel_runs_custom_stage(self):
-        class UppercaseStage:
-            name = "upper"
-
-            def run(self, ctx):
-                return ctx.evolve(answer=ctx.question.upper())
-
-        ctx = StagePipeline([UppercaseStage()]).run(QueryContext(question="hello"))
-        assert ctx.answer == "HELLO"
-
-    def test_context_evolve_does_not_mutate_original(self):
-        ctx = QueryContext(question="q")
-        evolved = ctx.evolve(answer="a", source="text2cypher")
-        assert ctx.answer is None and ctx.source == ""
-        assert evolved.answer == "a" and evolved.source == "text2cypher"
+    @pytest.mark.parametrize(
+        "with_symbolic, sites",
+        [
+            (True, ["stage.symbolic", "stage.routing", "stage.rerank", "stage.synthesis"]),
+            (False, ["stage.routing", "stage.rerank", "stage.synthesis"]),
+        ],
+    )
+    def test_stage_fault_sites_fire_once_each_in_order(
+        self, symbolic, vector, reliable_llm, with_symbolic, sites
+    ):
+        engine = make_engine(symbolic if with_symbolic else None, vector, reliable_llm)
+        with activated(SiteRecorder()) as injector:
+            response = engine.query("Which country is AS2497 registered in?")
+        assert [site for site in injector.sites if site.startswith("stage.")] == sites
+        assert injector.snapshot()["fires"] == {}
+        assert response.answer
 
     def test_stage_timings_recorded_per_stage(self, symbolic, vector, reliable_llm):
         engine = make_engine(symbolic, vector, reliable_llm)
@@ -375,29 +403,101 @@ class TestObservers:
         metrics.reset()
         assert metrics.snapshot() == {"stages": {}, "counters": {}}
 
-    def test_kernel_reraises_unexpected_exceptions(self):
-        class BoomStage:
-            name = "boom"
-
-            def run(self, ctx):
+    def test_kernel_reraises_unexpected_exceptions(self, symbolic, vector, reliable_llm):
+        class BoomSynthesizer(ResponseSynthesizer):
+            def synthesize(self, query, retrieval, context):
                 raise RuntimeError("unexpected")
 
         observer = RecordingObserver()
-        with pytest.raises(RuntimeError):
-            StagePipeline([BoomStage()], [observer]).run(QueryContext(question="q"))
-        assert ("error", "boom", "PipelineError") in observer.events
+        errors = []
 
-    def test_kernel_normalises_raised_pipeline_errors(self):
-        class RaisingStage:
-            name = "raising"
+        class ErrorCapture(PipelineObserver):
+            def on_error(self, stage, error, ctx):
+                errors.append(error)
 
-            def run(self, ctx):
-                raise PipelineError("expected failure")
+        engine = make_engine(
+            symbolic, vector, reliable_llm,
+            synthesizer=BoomSynthesizer(reliable_llm, answer_prompt),
+            observers=[observer, ErrorCapture()],
+        )
+        with pytest.raises(RuntimeError, match="unexpected"):
+            engine.query("Which country is AS2497 registered in?")
+        assert observer.events[-2:] == [
+            ("start", "synthesis"), ("error", "synthesis", "PipelineError")
+        ]
+        assert ("end", "synthesis") not in observer.events
+        assert type(errors[-1]) is PipelineError
+        assert str(errors[-1]) == "RuntimeError: unexpected"
 
-        observer = RecordingObserver()
-        ctx = StagePipeline([RaisingStage()], [observer]).run(QueryContext(question="q"))
-        assert isinstance(ctx.error, PipelineError)
-        assert ("error", "raising", "PipelineError") in observer.events
+    def test_tracing_observer_keeps_concurrent_spans_apart(self):
+        # Two requests, each on its own thread, interleave the same stage:
+        # A starts, B starts, A records an error and ends, B ends.  The
+        # main thread releases the hooks one at a time in that order.
+        tracer = TracingObserver()
+        script = [("A", "start"), ("B", "start"), ("A", "error"), ("A", "end"), ("B", "end")]
+        elapsed = {"A": 1.0, "B": 2.0}
+        go = [threading.Event() for _ in script]
+        done = [threading.Event() for _ in script]
+
+        def request(name):
+            for index, (who, hook) in enumerate(script):
+                if who != name or not go[index].wait(timeout=5):
+                    continue
+                if hook == "start":
+                    tracer.on_stage_start("symbolic", None)
+                elif hook == "error":
+                    tracer.on_error("symbolic", EmptyResult("no rows"), None)
+                else:
+                    tracer.on_stage_end("symbolic", None, elapsed[name])
+                done[index].set()
+
+        threads = [threading.Thread(target=request, args=(name,)) for name in "AB"]
+        for thread in threads:
+            thread.start()
+        for index in range(len(script)):
+            go[index].set()
+            assert done[index].wait(timeout=5)
+        for thread in threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        assert tracer.to_dicts() == [
+            {"stage": "symbolic", "index": 0, "elapsed_ms": 1.0, "error": "EmptyResult"},
+            {"stage": "symbolic", "index": 1, "elapsed_ms": 2.0},
+        ]
+
+    def test_tracing_observer_loses_no_span_under_contention(self):
+        tracer = TracingObserver()
+        workers, requests = 8, 50
+        stages = ["symbolic", "routing", "rerank", "synthesis"]
+
+        def run(worker):
+            for _ in range(requests):
+                for stage in stages:
+                    tracer.on_stage_start(stage, None)
+                    if stage == "symbolic" and worker % 2:
+                        tracer.on_error(stage, EmptyResult("no rows"), None)
+                    tracer.on_stage_end(stage, None, float(worker))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(w,)) for w in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        spans = tracer.to_dicts()
+        assert sorted(span["index"] for span in spans) == list(range(len(spans)))
+        assert len(spans) == workers * requests * len(stages)
+        # every error landed on its own request's symbolic span
+        errored = [span for span in spans if "error" in span]
+        assert len(errored) == (workers // 2) * requests
+        assert all(
+            span["stage"] == "symbolic" and int(span["elapsed_ms"]) % 2 for span in errored
+        )
 
 
 class TestChatIYPIntegration:

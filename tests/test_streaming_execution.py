@@ -24,8 +24,9 @@ from repro.graph import GraphStore
 from repro.llm.base import LLM, CompletionResponse
 from repro.rag.errors import DeadlineExceeded
 from repro.rag.errors import ResourceExhausted as RagResourceExhausted
-from repro.rag.observer import MetricsRegistry
-from repro.rag.stages import QueryContext, SymbolicRetrievalStage
+from repro.rag.observer import MetricsRegistry, PipelineObserver
+from repro.rag.pipeline import RetrieverQueryEngine
+from repro.rag.synthesizer import ResponseSynthesizer
 from repro.rag.text2cypher_retriever import TextToCypherRetriever
 from repro.serving import Deadline
 
@@ -691,6 +692,25 @@ class _FixedCypherLLM(LLM):
         return CompletionResponse(text=self.cypher, metadata={"cypher": self.cypher})
 
 
+class _ErrorLog(PipelineObserver):
+    """Keeps every (stage, error) pair the pipeline reports."""
+
+    def __init__(self) -> None:
+        self.errors = []
+
+    def on_error(self, stage, error, ctx) -> None:
+        self.errors.append((stage, error))
+
+
+def _symbolic_only_engine(retriever, *observers):
+    """A text2cypher-only engine: no vector fallback, no reranker."""
+    return RetrieverQueryEngine(
+        text2cypher=retriever,
+        synthesizer=ResponseSynthesizer(retriever.llm),
+        observers=observers,
+    )
+
+
 class TestPipelineIntegration:
     def test_cypher_profile_reaches_diagnostics_and_metrics(self, chain_store):
         retriever = TextToCypherRetriever(
@@ -698,16 +718,15 @@ class TestPipelineIntegration:
             llm=_FixedCypherLLM("MATCH (a:AS) RETURN a.asn AS asn LIMIT 2"),
             capture_profile=True,
         )
-        stage = SymbolicRetrievalStage(retriever)
-        ctx = stage.run(QueryContext(question="list two ASes"))
-        profile = ctx.diagnostics.get("cypher_profile")
+        metrics = MetricsRegistry()
+        response = _symbolic_only_engine(retriever, metrics).query("list two ASes")
+        profile = response.diagnostics.get("cypher_profile")
         assert profile is not None
         assert profile["operator"] == "ProduceResults"
         # ... and not duplicated inside the generation metadata.
-        assert "cypher_profile" not in ctx.diagnostics["generation"]
+        assert "cypher_profile" not in response.diagnostics["generation"]
 
-        metrics = MetricsRegistry()
-        metrics.record_profile(profile)
+        # The attached registry folded the executed tree on the symbolic step.
         operators = metrics.snapshot()["operators"]
         assert "ProduceResults" in operators
         assert operators["ProduceResults"]["calls"] == 1
@@ -719,18 +738,23 @@ class TestPipelineIntegration:
             engine=CypherEngine(chain_store),
             llm=_FixedCypherLLM("UNWIND range(1, 20000) AS x RETURN count(x)"),
         )
-        stage = SymbolicRetrievalStage(retriever)
-        ctx = stage.run(QueryContext(question="everything"))
-        assert isinstance(ctx.error, RagResourceExhausted)
-        assert ctx.error.kind == "resource_exhausted"
+        log = _ErrorLog()
+        response = _symbolic_only_engine(retriever, log).query("everything")
+        [(stage, error)] = log.errors
+        assert stage == "symbolic"
+        assert isinstance(error, RagResourceExhausted)
+        assert error.kind == "resource_exhausted"
+        assert response.diagnostics["error_class"]["kind"] == "resource_exhausted"
 
     def test_engine_deadline_maps_to_taxonomy(self, chain_store):
         retriever = TextToCypherRetriever(
             engine=CypherEngine(chain_store),
             llm=_FixedCypherLLM("UNWIND range(1, 100000) AS x RETURN count(x)"),
         )
-        stage = SymbolicRetrievalStage(retriever)
+        log = _ErrorLog()
         deadline = Deadline(5.0, clock=_SteppingClock(0.001))
-        ctx = stage.run(QueryContext(question="slow", deadline=deadline))
-        assert isinstance(ctx.error, DeadlineExceeded)
-        assert ctx.diagnostics["error_class"]["kind"] == "deadline"
+        response = _symbolic_only_engine(retriever, log).query("slow", deadline=deadline)
+        [(stage, error)] = log.errors
+        assert stage == "symbolic"
+        assert isinstance(error, DeadlineExceeded)
+        assert response.diagnostics["error_class"]["kind"] == "deadline"
