@@ -177,7 +177,6 @@ class ChatIYP:
         self.inflight: Optional[SingleFlight] = (
             SingleFlight() if self.config.coalesce_inflight else None
         )
-        self._config_fingerprint = self.config.fingerprint()
         self.pipeline = RetrieverQueryEngine(
             text2cypher=text2cypher,
             vector=vector,
@@ -216,7 +215,7 @@ class ChatIYP:
 
     def _request_key(self, text: str) -> tuple:
         """Identity of a request for caching/coalescing purposes."""
-        return AnswerCache.key(text, self._config_fingerprint, self.store.stats_version)
+        return AnswerCache.key(text, self.store.stats_version)
 
     def _execute(
         self, text: str, cache_key: Optional[tuple], deadline: Optional[Deadline]

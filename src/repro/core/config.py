@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 __all__ = ["ChatIYPConfig"]
 
@@ -41,9 +40,8 @@ class ChatIYPConfig:
     # (vector-only routing, skipped rerank, partial synthesis) and record
     # the decisions under diagnostics["degraded"].
     deadline_ms: float | None = None
-    # Bounded LRU over full answers, keyed by normalized question + config
-    # fingerprint + graph statistics version (mutations invalidate). 0
-    # disables caching.
+    # Bounded LRU over full answers, keyed by normalized question + graph
+    # statistics version (mutations invalidate). 0 disables caching.
     answer_cache_size: int = 256
     # Circuit breaker around the symbolic path: trips open after this many
     # consecutive execution-class failures (0 disables the breaker) and
@@ -68,15 +66,3 @@ class ChatIYPConfig:
     # an optimisation, never a dependency — followers whose deadline runs
     # out, or whose leader failed, execute independently.
     coalesce_inflight: bool = True
-
-    def fingerprint(self) -> str:
-        """Stable digest of every knob — part of the answer-cache key.
-
-        Two instances with any differing field never share cache entries;
-        the digest is insensitive to field ordering and process identity.
-        """
-        parts = [
-            f"{spec.name}={getattr(self, spec.name)!r}"
-            for spec in sorted(fields(self), key=lambda spec: spec.name)
-        ]
-        return hashlib.sha256(";".join(parts).encode()).hexdigest()[:16]

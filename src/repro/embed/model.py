@@ -70,15 +70,16 @@ class HashingEmbedding:
     def embed(self, text: str) -> np.ndarray:
         """Embed ``text`` into a unit-norm vector (zero vector for empty)."""
         vector = np.zeros(self.dim, dtype=np.float64)
-        self._accumulate(text, vector)
-        norm = np.linalg.norm(vector)
-        if norm > 0:
-            vector /= norm
+        self.embed_tokens_into(word_tokenize(text), vector)
         return vector
 
-    def _accumulate(self, text: str, out: np.ndarray) -> None:
-        """Add the (unnormalised) feature weights for ``text`` into ``out``."""
-        tokens = word_tokenize(text)
+    def embed_tokens_into(self, tokens: list[str], out: np.ndarray) -> None:
+        """Embed an already tokenized text into the zeroed vector ``out``.
+
+        Adds the feature weights, then scales ``out`` to unit norm (an
+        all-zero ``out`` stays zero).  :meth:`embed` and the vector index's
+        matrix rows both run through here, so they are bitwise identical.
+        """
         dim = self.dim
         char_weight = self.char_weight
         for token in tokens:
@@ -87,18 +88,9 @@ class HashingEmbedding:
         for left, right in zip(tokens, tokens[1:]):
             index, sign = _stable_bucket(f"{left}_{right}", dim, "bigram")
             out[index] += sign * 0.7
-
-    def embed_batch(self, texts: list[str]) -> np.ndarray:
-        """Embed many texts in one pass; returns an (n, dim) unit-norm matrix."""
-        matrix = np.zeros((len(texts), self.dim), dtype=np.float64)
-        for row in range(len(texts)):
-            self._accumulate(texts[row], matrix[row])
-            # Normalise per row exactly as embed() does so batch and
-            # single-text embeddings stay bitwise identical.
-            norm = np.linalg.norm(matrix[row])
-            if norm > 0:
-                matrix[row] /= norm
-        return matrix
+        norm = np.linalg.norm(out)
+        if norm > 0:
+            out /= norm
 
     def similarity(self, left: str, right: str) -> float:
         """Cosine similarity of two texts' embeddings."""

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import logging
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from .errors import PipelineError
+
 if TYPE_CHECKING:  # pragma: no cover
-    from .errors import PipelineError
     from .pipeline import QueryContext
 
 __all__ = [
@@ -79,40 +81,49 @@ class TracingObserver(PipelineObserver):
     spans in the recorded order without losing or corrupting any.  A
     request runs all its steps on one thread, so open spans are keyed by
     thread and stage, and all mutation happens under an internal lock.
+
+    A step that raises gets no ``on_stage_end``: its exception reaches
+    :meth:`on_error` as a plain :class:`~repro.rag.errors.PipelineError`,
+    which closes the span there, timed from its start.
     """
 
     def __init__(self) -> None:
         self.spans: list[StageSpan] = []
-        self._open: dict[tuple[int, str], StageSpan] = {}
+        self._open: dict[tuple[int, str], tuple[StageSpan, float]] = {}
         self._lock = threading.Lock()
 
     def on_stage_start(self, stage: str, ctx: "QueryContext") -> None:
         key = (threading.get_ident(), stage)
         with self._lock:
             span = StageSpan(stage=stage, index=len(self.spans) + len(self._open))
-            self._open[key] = span
+            self._open[key] = (span, time.perf_counter())
 
     def on_stage_end(self, stage: str, ctx: "QueryContext", elapsed_ms: float) -> None:
         key = (threading.get_ident(), stage)
         with self._lock:
-            span = self._open.pop(key, None) or StageSpan(
-                stage=stage, index=len(self.spans)
+            span, _ = self._open.pop(key, None) or (
+                StageSpan(stage=stage, index=len(self.spans)), 0.0
             )
             span.elapsed_ms = elapsed_ms
             self.spans.append(span)
 
     def on_error(self, stage: str, error: "PipelineError", ctx: "QueryContext") -> None:
         key = (threading.get_ident(), stage)
+        raised = type(error) is PipelineError  # a raised step: no on_stage_end follows
         with self._lock:
-            span = self._open.get(key)
-            if span is not None:
-                span.error = type(error).__name__
-            else:  # error surfaced outside an open span (e.g. re-raised later)
+            opened = self._open.pop(key, None) if raised else self._open.get(key)
+            if opened is None:  # error surfaced outside an open span
                 self.spans.append(
                     StageSpan(
                         stage=stage, index=len(self.spans), error=type(error).__name__
                     )
                 )
+                return
+            span, started = opened
+            span.error = type(error).__name__
+            if raised:
+                span.elapsed_ms = round((time.perf_counter() - started) * 1000.0, 4)
+                self.spans.append(span)
 
     def to_dicts(self) -> list[dict]:
         with self._lock:

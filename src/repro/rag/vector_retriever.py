@@ -13,7 +13,7 @@ from ..embed.vector_store import VectorStore
 from ..graph.store import GraphStore
 from ..nlp.tokenize import STOPWORDS, word_tokenize
 from ..serving.deadline import Deadline
-from .describe import DESCRIBED_LABELS, build_description_corpus
+from .describe import build_description_corpus
 from .retriever import Retriever
 from .types import NodeWithScore, RetrievalResult, TextNode
 
@@ -28,50 +28,24 @@ class VectorContextRetriever(Retriever):
     provides the precision dense hashing alone lacks — the usual
     dense + sparse hybrid of production RAG stacks.
 
-    Entry texts are tokenized **once, at index time**: the lexical boost
-    consults a per-entry frozen token set instead of re-running
-    ``word_tokenize`` on every hit of every query (profiling under
-    concurrent load showed that recomputation as the retriever's hottest
-    line).  Entries indexed after construction are tokenized lazily on
-    first hit and memoised.
+    The index is built once, from the graph as it stands at construction,
+    and is read-only afterwards: later graph writes do not refresh it.
+    The lexical boost reads each hit's token set, frozen when the index
+    tokenized the entry, by the hit's row.
     """
 
     #: fetch this many dense candidates per requested result before boosting
     _OVERSAMPLE = 4
     _LEXICAL_WEIGHT = 0.6
 
-    def __init__(
-        self,
-        store: GraphStore,
-        vector_store: VectorStore | None = None,
-        top_k: int = 8,
-        labels: tuple[str, ...] = DESCRIBED_LABELS,
-    ) -> None:
+    def __init__(self, store: GraphStore, top_k: int = 8) -> None:
         self.graph_store = store
         self.top_k = top_k
-        self.vector_store = vector_store or VectorStore()
-        if len(self.vector_store) == 0:
-            self.vector_store.add_batch(build_description_corpus(store, labels))
-        # Token sets are derived purely from entry text, so precomputing
-        # them cannot change scores — tests assert equality with the
-        # recompute-per-hit path.  dict writes are atomic under the GIL;
-        # worst case two threads tokenize the same new entry once each.
-        self._entry_tokens: dict[str, frozenset[str]] = {
-            entry.entry_id: frozenset(word_tokenize(entry.text))
-            for entry in self.vector_store.entries()
-        }
+        self.vector_store = VectorStore(build_description_corpus(store))
 
     @property
     def name(self) -> str:
         return "vector"
-
-    def _tokens_for(self, entry_id: str, text: str) -> frozenset[str]:
-        """The entry's cached token set (tokenizing + memoising on miss)."""
-        tokens = self._entry_tokens.get(entry_id)
-        if tokens is None:
-            tokens = frozenset(word_tokenize(text))
-            self._entry_tokens[entry_id] = tokens
-        return tokens
 
     def retrieve(self, query: str, deadline: Optional[Deadline] = None) -> RetrievalResult:
         # One bounded scan of the corpus: there is nothing to cut short, so
@@ -84,12 +58,12 @@ class VectorContextRetriever(Retriever):
             for token in word_tokenize(query)
             if token not in STOPWORDS and (len(token) > 3 or any(c.isdigit() for c in token))
         }
+        entries = self.vector_store.entries()
         scored: list[NodeWithScore] = []
         for hit in hits:
             score = hit.score
             if distinctive:
-                text_tokens = self._tokens_for(hit.entry_id, hit.text)
-                overlap = len(distinctive & text_tokens) / len(distinctive)
+                overlap = len(distinctive & entries[hit.row].tokens) / len(distinctive)
                 score += self._LEXICAL_WEIGHT * overlap
             scored.append(
                 NodeWithScore(

@@ -8,8 +8,8 @@ transport:
   the stage pipeline so every stage can check remaining time and degrade
   instead of hanging;
 * :class:`AnswerCache` — a thread-safe bounded LRU over full answers,
-  keyed by normalized question + config fingerprint + graph statistics
-  version (graph mutations invalidate automatically);
+  keyed by normalized question + graph statistics version (graph
+  mutations invalidate automatically);
 * :class:`CircuitBreaker` — classic closed/open/half-open breaker that
   trips the symbolic path after repeated execution failures and probes
   recovery after a cooldown;

@@ -1,11 +1,9 @@
 """Thread-safe bounded LRU cache over full pipeline answers.
 
-Cache keys bind three things so a hit is always safe to serve:
+Cache keys bind two things so a hit is always safe to serve:
 
 * the **normalized question** (casefolded, whitespace-collapsed) — trivial
   phrasing differences share an entry;
-* the **config fingerprint** — two ChatIYP instances with different knobs
-  never share answers;
 * the **graph statistics version** — a monotone counter the store bumps on
   every mutation, so writing to the graph invalidates every cached answer
   without any explicit flush.
@@ -13,6 +11,8 @@ Cache keys bind three things so a hit is always safe to serve:
 The cache stores whatever value the caller hands it (ChatIYP stores
 :class:`~repro.core.chatiyp.ChatResponse` objects) and returns it as-is;
 callers that mutate returned values must copy first (ChatIYP does).
+Each ChatIYP owns its own cache, so its configuration needs no part in
+the key.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def normalize_question(question: str) -> str:
 
 
 class AnswerCache:
-    """Bounded LRU keyed by (question, config fingerprint, graph version)."""
+    """Bounded LRU keyed by (normalized question, graph version)."""
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity <= 0:
@@ -45,9 +45,9 @@ class AnswerCache:
         self._evictions = 0
 
     @staticmethod
-    def key(question: str, fingerprint: str, version: int) -> tuple:
+    def key(question: str, version: int) -> tuple:
         """Build the composite cache key for one lookup."""
-        return (normalize_question(question), fingerprint, version)
+        return (normalize_question(question), version)
 
     def get(self, key: Hashable) -> Optional[Any]:
         """Return the cached value (refreshing recency) or ``None``."""

@@ -11,6 +11,7 @@ from repro.embed import (
     VectorStore,
     cosine_similarity,
 )
+from repro.nlp import word_tokenize
 
 
 class TestHashingEmbedding:
@@ -46,12 +47,6 @@ class TestHashingEmbedding:
     def test_invalid_dim_rejected(self):
         with pytest.raises(ValueError):
             HashingEmbedding(dim=0)
-
-    def test_embed_batch_shape(self):
-        model = HashingEmbedding(dim=32)
-        matrix = model.embed_batch(["a", "b", "c"])
-        assert matrix.shape == (3, 32)
-        assert model.embed_batch([]).shape == (0, 32)
 
     @settings(max_examples=25, deadline=None)
     @given(st.text(max_size=40), st.text(max_size=40))
@@ -112,11 +107,14 @@ class TestContextualEmbedding:
 class TestVectorStore:
     @pytest.fixture()
     def store(self):
-        store = VectorStore(HashingEmbedding(dim=128))
-        store.add("a", "AS2497 is a Japanese network operator", {"kind": "as"})
-        store.add("b", "AMS-IX is an internet exchange in Amsterdam", {"kind": "ixp"})
-        store.add("c", "chocolate cake with strawberries", {"kind": "food"})
-        return store
+        return VectorStore(
+            [
+                ("a", "AS2497 is a Japanese network operator", {"kind": "as"}),
+                ("b", "AMS-IX is an internet exchange in Amsterdam", {"kind": "ixp"}),
+                ("c", "chocolate cake with strawberries", {"kind": "food"}),
+            ],
+            HashingEmbedding(dim=128),
+        )
 
     def test_top1_is_most_relevant(self, store):
         hits = store.search("japanese network AS2497", top_k=1)
@@ -129,30 +127,24 @@ class TestVectorStore:
         hits = store.search("AS2497 network operator", top_k=5, min_score=0.3)
         assert all(hit.score > 0.3 for hit in hits)
 
-    def test_duplicate_id_rejected(self, store):
-        with pytest.raises(ValueError):
-            store.add("a", "again")
-
-    def test_get(self, store):
-        assert store.get("b").text.startswith("AMS-IX")
-        assert store.get("zz") is None
-
     def test_len(self, store):
         assert len(store) == 3
 
     def test_empty_store_search(self):
-        assert VectorStore().search("anything") == []
+        assert VectorStore([]).search("anything") == []
 
     def test_add_batch(self):
-        store = VectorStore()
-        store.add_batch([("x", "one", {}), ("y", "two", {})])
+        # The constructor is the one batch add: it indexes every triple.
+        store = VectorStore([("x", "one", {}), ("y", "two", {})])
         assert len(store) == 2
+        assert [entry.entry_id for entry in store.entries()] == ["x", "y"]
 
-    def test_incremental_add_after_search(self, store):
-        store.search("warmup", top_k=1)
-        store.add("d", "a brand new AS2497 description", {})
-        hits = store.search("AS2497", top_k=4)
-        assert any(hit.entry_id == "d" for hit in hits)
+    def test_rows_are_the_texts_embeddings(self, store):
+        # One tokenization per entry feeds both its matrix row and its
+        # token set; the row is bitwise what embed() gives the same text.
+        for row, entry in enumerate(store.entries()):
+            assert np.array_equal(store._matrix[row], store.embedding.embed(entry.text))
+            assert entry.tokens == frozenset(word_tokenize(entry.text))
 
     def test_scores_sorted_descending(self, store):
         hits = store.search("internet network exchange", top_k=3)

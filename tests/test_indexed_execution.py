@@ -158,7 +158,7 @@ class TestTopKSelection:
 
 def _reference_search(store, query, top_k, min_score=0.0):
     """The pre-argpartition full-stable-sort search, kept as an oracle."""
-    matrix, entries = store._snapshot()
+    matrix, entries = store._matrix, store.entries()
     if top_k <= 0 or matrix.shape[0] == 0:
         return []
     scores = matrix @ store.embedding.embed(query)
@@ -168,7 +168,9 @@ def _reference_search(store, query, top_k, min_score=0.0):
         score = float(scores[int(index)])
         if score <= min_score:
             break
-        hits.append(SearchHit(entry.entry_id, entry.text, score, dict(entry.metadata)))
+        hits.append(
+            SearchHit(entry.entry_id, entry.text, score, dict(entry.metadata), int(index))
+        )
         if len(hits) >= top_k:
             break
     return hits
@@ -185,9 +187,9 @@ class TestVectorTopK:
         texts = [
             " ".join(rng.choices(self.WORDS, k=rng.randint(1, 4))) for _ in range(200)
         ]
-        store = VectorStore(HashingEmbedding(dim=64))
-        store.add_batch(
-            [(f"e{i}", text, {"even": i % 2 == 0}) for i, text in enumerate(texts)]
+        store = VectorStore(
+            [(f"e{i}", text, {"even": i % 2 == 0}) for i, text in enumerate(texts)],
+            HashingEmbedding(dim=64),
         )
         return store, texts
 
@@ -198,9 +200,3 @@ class TestVectorTopK:
         for query in ("asn prefix", "route peer ixp", "completely unrelated zzz"):
             fast = store.search(query, top_k=top_k, min_score=min_score)
             assert fast == _reference_search(store, query, top_k, min_score=min_score)
-
-    def test_get_is_dict_backed_and_correct(self, corpus):
-        store, texts = corpus
-        assert store.get("e7").text == texts[7]
-        assert store.get("missing") is None
-        assert "e7" in store._by_id  # the O(1) path, not a scan

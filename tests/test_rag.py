@@ -1,5 +1,8 @@
 """Tests for the RAG framework: retrievers, reranker, synthesizer, pipeline."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.cypher import CypherEngine
@@ -135,9 +138,40 @@ class TestVectorRetriever:
         scores = [item.score for item in result.nodes]
         assert scores == sorted(scores, reverse=True)
 
-    def test_shared_vector_store_reused(self, small_store, vector):
-        other = VectorContextRetriever(small_store, vector_store=vector.vector_store)
-        assert other.vector_store is vector.vector_store
+    def test_corpus_matrix_and_ids_are_pinned(self, vector):
+        # sha256 of the small graph's corpus matrix bytes and of its entry
+        # ids in row order, recorded before the index was made immutable:
+        # every vector ranking follows from these two.
+        index = vector.vector_store
+        index.search("warm up", top_k=1)
+        matrix = index._matrix
+        ids = "\n".join(entry.entry_id for entry in index.entries())
+        assert matrix.shape == (438, 256) and matrix.dtype == np.float64
+        assert hashlib.sha256(matrix.tobytes()).hexdigest() == (
+            "61b585f352833533c61db32c94e112b21b02f16363605155fc9af839a2134b2c"
+        )
+        assert hashlib.sha256(ids.encode()).hexdigest() == (
+            "6717445393e3ebb4b79bedb73783acbcd1c28d0dfd65565eb32f812f93754180"
+        )
+
+    def test_build_tokenizes_each_document_once(self, small_store, monkeypatch):
+        import sys
+
+        from repro.nlp.tokenize import word_tokenize as original
+
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return original(text)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "word_tokenize", None) is original:
+                monkeypatch.setattr(module, "word_tokenize", counting)
+        retriever = VectorContextRetriever(small_store)
+        texts = [entry.text for entry in retriever.vector_store.entries()]
+        assert len(texts) == 438
+        assert calls == texts
 
 
 class TestReranker:

@@ -429,6 +429,33 @@ class TestObservers:
         assert type(errors[-1]) is PipelineError
         assert str(errors[-1]) == "RuntimeError: unexpected"
 
+    def test_tracing_observer_records_the_span_of_a_raising_step(
+        self, vector, reliable_llm
+    ):
+        class BoomSynthesizer(ResponseSynthesizer):
+            def synthesize(self, query, retrieval, context):
+                raise RuntimeError("unexpected")
+
+        tracer = TracingObserver()
+        engine = make_engine(
+            None, vector, reliable_llm,
+            synthesizer=BoomSynthesizer(reliable_llm, answer_prompt),
+            observers=[tracer],
+        )
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="unexpected"):
+                engine.query("Tell me about AS2497")
+        spans = tracer.to_dicts()
+        assert [(span["stage"], span["index"]) for span in spans] == [
+            ("routing", 0), ("rerank", 1), ("synthesis", 2),
+            ("routing", 3), ("rerank", 4), ("synthesis", 5),
+        ]
+        assert [span.get("error") for span in spans] == [
+            None, None, "PipelineError"
+        ] * 2
+        assert spans[2]["elapsed_ms"] >= 0.0
+        assert tracer._open == {}
+
     def test_tracing_observer_keeps_concurrent_spans_apart(self):
         # Two requests, each on its own thread, interleave the same stage:
         # A starts, B starts, A records an error and ends, B ends.  The

@@ -67,13 +67,15 @@ class TestDeadline:
 class TestAnswerCache:
     def test_normalization_shares_entries(self):
         assert normalize_question("  What   IS  X? ") == "what is x?"
-        key_a = AnswerCache.key("What is X?", "fp", 0)
-        key_b = AnswerCache.key("  what IS   x?", "fp", 0)
+        key_a = AnswerCache.key("What is X?", 0)
+        key_b = AnswerCache.key("  what IS   x?", 0)
         assert key_a == key_b
 
     def test_fingerprint_and_version_partition_entries(self):
-        assert AnswerCache.key("q", "fp1", 0) != AnswerCache.key("q", "fp2", 0)
-        assert AnswerCache.key("q", "fp1", 0) != AnswerCache.key("q", "fp1", 1)
+        # Each ChatIYP owns its cache, so the key carries no config
+        # fingerprint: the graph version alone partitions a question.
+        assert AnswerCache.key("q", 0) == ("q", 0)
+        assert AnswerCache.key("q", 0) != AnswerCache.key("q", 1)
 
     def test_lru_eviction_and_counters(self):
         cache = AnswerCache(capacity=2)
@@ -574,13 +576,14 @@ class TestAnswerCacheIntegration:
             dataset=small_dataset,
             config=ChatIYPConfig(dataset_size="small", answer_cache_size=8),
         )
-        fingerprint_a = bot_a.config.fingerprint()
-        fingerprint_b = ChatIYPConfig(
-            dataset_size="small", answer_cache_size=8, rerank_top_n=3
-        ).fingerprint()
-        assert fingerprint_a != fingerprint_b
         bot_a.ask(question)
         assert bot_a.ask(question).diagnostics.get("cache_hit") is True
+        # Each ChatIYP owns its cache: another config never sees bot_a's entry.
+        bot_b = ChatIYP(
+            dataset=small_dataset,
+            config=ChatIYPConfig(dataset_size="small", answer_cache_size=8, rerank_top_n=3),
+        )
+        assert bot_b.ask(question).diagnostics.get("cache_hit") is None
 
 
 class TestServingSnapshot:
