@@ -20,7 +20,6 @@ from ..core.chatiyp import ChatResponse
 from ..core.config import ChatIYPConfig
 from ..core.prompts import answer_prompt
 from ..cypher.executor import CypherEngine
-from ..embed.model import HashingEmbedding
 from ..iyp.generator import IYPDataset
 from ..iyp.loader import load_dataset
 from ..llm.simulated import SimulatedLLM
@@ -47,13 +46,9 @@ class VectorOnlyBaseline:
         self.store = self.dataset.store
         self.engine = CypherEngine(self.store)  # for harness compatibility
         self.llm = SimulatedLLM(
-            gazetteer=Gazetteer.from_dataset(self.dataset),
-            seed=self.config.seed,
-            embedding=HashingEmbedding(dim=self.config.embedding_dim),
+            gazetteer=Gazetteer.from_dataset(self.dataset), seed=self.config.seed
         )
-        self.retriever = VectorContextRetriever(
-            self.store, top_k=self.config.vector_top_k
-        )
+        self.retriever = VectorContextRetriever(self.store)
         self.synthesizer = ResponseSynthesizer(self.llm, prompt_builder=answer_prompt)
         self.pipeline = RetrieverQueryEngine(
             text2cypher=None,

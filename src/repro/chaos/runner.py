@@ -218,7 +218,6 @@ class ChaosRunner:
             # shape the breaker exists for.
             breaker_failure_threshold=3,
             breaker_reset_ms=150.0,
-            llm_retry_attempts=2,
             llm_retry_backoff_ms=5.0,
             coalesce_inflight=True,
         )

@@ -14,7 +14,6 @@ from typing import Any, Iterable, Optional, Sequence, Union
 
 from ..cypher.executor import CypherEngine
 from ..cypher.result import ResultSet
-from ..embed.model import HashingEmbedding
 from ..faults import active_injector, fault_point
 from ..graph.schema import introspect_schema
 from ..iyp.generator import IYPDataset
@@ -68,10 +67,6 @@ class ChatResponse:
             "cache_hit": bool(self.diagnostics.get("cache_hit", False)),
             "coalesced": bool(self.diagnostics.get("coalesced", False)),
         }
-        # Executed operator tree (already JSON-safe), present only when
-        # profiling is on — absent keys keep the payload stable otherwise.
-        if "cypher_profile" in self.diagnostics:
-            diagnostics["cypher_profile"] = self.diagnostics["cypher_profile"]
         return {
             "question": self.question,
             "answer": self.answer,
@@ -110,12 +105,8 @@ class ChatIYP:
             power=self.config.error_power,
             syntax_share=self.config.syntax_error_share,
         )
-        embedding = HashingEmbedding(dim=self.config.embedding_dim)
         self.llm = SimulatedLLM(
-            gazetteer=gazetteer,
-            seed=self.config.seed,
-            error_model=error_model,
-            embedding=embedding,
+            gazetteer=gazetteer, seed=self.config.seed, error_model=error_model
         )
 
         text2cypher = TextToCypherRetriever(
@@ -123,20 +114,13 @@ class ChatIYP:
             llm=self.llm,
             schema_text=self.schema_text,
             prompt_builder=text2cypher_prompt,
-            capture_profile=self.config.capture_cypher_profile,
         )
         vector = None
         if self.config.use_vector_fallback:
-            vector = VectorContextRetriever(
-                self.store, top_k=self.config.vector_top_k
-            )
+            vector = VectorContextRetriever(self.store)
         reranker = None
         if self.config.use_reranker:
-            reranker = LLMReranker(
-                self.llm,
-                top_n=self.config.rerank_top_n,
-                prompt_builder=rerank_prompt,
-            )
+            reranker = LLMReranker(self.llm, prompt_builder=rerank_prompt)
         synthesizer = ResponseSynthesizer(self.llm, prompt_builder=answer_prompt)
         # The metrics registry rides along on every query (per-stage latency
         # aggregates + routing counters); the HTTP server serves it under
@@ -145,8 +129,8 @@ class ChatIYP:
         # Serving hardening: circuit breaker around the symbolic path
         # (state transitions are counted in the metrics registry), retry
         # with seeded jittered backoff for transient LLM-stage failures,
-        # and a bounded LRU answer cache keyed so that config changes and
-        # graph mutations invalidate automatically.
+        # and a bounded LRU answer cache keyed by the normalized question
+        # and the graph's stats version, so graph mutations invalidate it.
         self.breaker: Optional[CircuitBreaker] = None
         if self.config.breaker_failure_threshold > 0:
             self.breaker = CircuitBreaker(
@@ -156,17 +140,11 @@ class ChatIYP:
                     f"breaker.{new.value}"
                 ),
             )
-        self.retry_policy: Optional[RetryPolicy] = None
-        if self.config.llm_retry_attempts > 1:
-            self.retry_policy = RetryPolicy(
-                attempts=self.config.llm_retry_attempts,
-                backoff_ms=self.config.llm_retry_backoff_ms,
-                seed=self.config.seed,
-                on_deadline_capped=lambda: self.metrics.increment(
-                    "retry.deadline_capped"
-                ),
-            )
-        retry_policy = self.retry_policy
+        self.retry_policy = RetryPolicy(
+            backoff_ms=self.config.llm_retry_backoff_ms,
+            seed=self.config.seed,
+            on_deadline_capped=lambda: self.metrics.increment("retry.deadline_capped"),
+        )
         self.answer_cache: Optional[AnswerCache] = (
             AnswerCache(self.config.answer_cache_size)
             if self.config.answer_cache_size > 0
@@ -184,7 +162,7 @@ class ChatIYP:
             synthesizer=synthesizer,
             observers=[self.metrics, *(observers or [])],
             breaker=self.breaker,
-            retry_policy=retry_policy,
+            retry_policy=self.retry_policy,
         )
         if self.config.use_decomposition:
             from ..rag.decompose import DecomposingQueryEngine, QuestionDecomposer
@@ -263,10 +241,9 @@ class ChatIYP:
         counts against the budget.  A blown budget degrades the pipeline
         gracefully — the response then lists what was shed under
         ``diagnostics["degraded"]``.  Answers are served from the bounded
-        LRU cache when an identical question was answered under the same
-        configuration against the same graph version, and concurrent
-        duplicates coalesce onto a single pipeline execution
-        (``diagnostics["coalesced"]`` marks the followers).
+        LRU cache when an identical question was answered against the same
+        graph version, and concurrent duplicates coalesce onto a single
+        pipeline execution (``diagnostics["coalesced"]`` marks the followers).
         """
         if not question or not question.strip():
             return ChatResponse(
@@ -380,14 +357,10 @@ class ChatIYP:
             "cypher": self.engine.cache_stats(),
             "breaker": self.breaker.snapshot() if self.breaker else None,
             "inflight": self.inflight.snapshot() if self.inflight else None,
-            "retry": (
-                {
-                    "retries": self.retry_policy.retries,
-                    "deadline_capped": self.retry_policy.deadline_capped,
-                }
-                if self.retry_policy
-                else None
-            ),
+            "retry": {
+                "retries": self.retry_policy.retries,
+                "deadline_capped": self.retry_policy.deadline_capped,
+            },
             # Process-global fault injector (None outside chaos/staging runs).
             "faults": injector.snapshot() if injector else None,
         }

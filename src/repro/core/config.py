@@ -19,15 +19,12 @@ class ChatIYPConfig:
     seed: int = 0
     dataset_size: str = "medium"
     dataset_seed: int = 42
-    vector_top_k: int = 8
-    rerank_top_n: int = 6
     use_reranker: bool = True
     use_vector_fallback: bool = True
     # Extension beyond the paper: sub-question decomposition for compound
     # questions (the poster's stated future-work direction). Off by default
     # so the baseline reproduces the published system.
     use_decomposition: bool = False
-    embedding_dim: int = 256
     # Error-model calibration of the simulated text-to-Cypher backbone.
     error_base: float = 0.28
     error_slope: float = 1.6
@@ -51,14 +48,9 @@ class ChatIYPConfig:
     # deployments (``python -m repro.server --serve``) switch it on.
     breaker_failure_threshold: int = 0
     breaker_reset_ms: float = 30_000.0
-    # Retry-with-jittered-backoff for transient (raised) failures in the
-    # LLM-facing stages. Total tries per stage call; 1 = no retry.
-    llm_retry_attempts: int = 2
+    # Base backoff of the retry (two tries, jittered) around transient
+    # (raised) failures in the LLM-facing stages.
     llm_retry_backoff_ms: float = 25.0
-    # Run every generated query profiled and surface the executed operator
-    # tree (rows + wall-time per operator) under
-    # diagnostics["cypher_profile"]. Cheap but chatty; off by default.
-    capture_cypher_profile: bool = False
     # Single-flight coalescing of concurrent duplicate questions: when N
     # identical questions are in flight at once, one executes the pipeline
     # and the rest wait on its result (the concurrent counterpart of the

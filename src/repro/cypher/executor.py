@@ -296,7 +296,7 @@ class CypherEngine:
 
         ``sites`` is the tree's :func:`~.planner.pattern_sites`, if known.
         Returns the result plus the executed tree root (its counters feed
-        ``PROFILE`` rendering and the ``cypher_profile`` diagnostics).
+        ``PROFILE`` rendering and ``ResultSet.profile``).
         """
         plans = plan_query(tree, self.store.statistics(), self.planner, sites)
         state = RuntimeState(deadline=deadline, budget=row_budget, profiled=profiled)

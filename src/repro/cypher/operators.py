@@ -23,9 +23,8 @@ threaded through every operator:
   :func:`_timed`, which adds the wall-clock time of every resume
   (inclusive of the children it pulls from) to ``elapsed_s``.  The row
   counters are always maintained.  Both feed the ``PROFILE`` tree
-  rendering (:func:`render_profile`), the ``diagnostics["cypher_profile"]``
-  payload (:func:`profile_tree`) and the metrics registry's operator
-  histograms.
+  rendering (:func:`render_profile`) and the ``ResultSet.profile``
+  payload (:func:`profile_tree`).
 
 Operator rows come in four shapes, matched to the pipeline stage:
 
@@ -1015,7 +1014,7 @@ def render_profile(root: PhysicalOperator) -> str:
 
 
 def profile_tree(op: PhysicalOperator) -> dict:
-    """The operator tree as a JSON-safe dict (``diagnostics["cypher_profile"]``).
+    """The operator tree as a JSON-safe dict (``ResultSet.profile``).
 
     ``time_ms`` is inclusive of children; ``self_time_ms`` subtracts the
     direct children's inclusive time (clamped at zero — timer granularity

@@ -101,7 +101,7 @@ class AnchorPlan:
 
     def physical_operator(self) -> tuple[str, str]:
         """The ``(name, detail)`` pair the physical AnchorScan operator
-        displays for this access path (PROFILE / ``cypher_profile``)."""
+        displays for this access path (PROFILE / ``ResultSet.profile``)."""
         if self.kind == "bound":
             return "BoundAnchor", self.variable or ""
         if self.kind in ("property", "property-in"):

@@ -27,10 +27,10 @@ from .observer import (
     TracingObserver,
 )
 from .pipeline import PipelineResponse, QueryContext, RetrieverQueryEngine
-from .reranker import LLMReranker, default_rerank_prompt
+from .reranker import LLMReranker
 from .retriever import Retriever
-from .synthesizer import ResponseSynthesizer, default_answer_prompt
-from .text2cypher_retriever import TextToCypherRetriever, default_text2cypher_prompt
+from .synthesizer import ResponseSynthesizer
+from .text2cypher_retriever import TextToCypherRetriever
 from .types import NodeWithScore, RetrievalResult, TextNode
 from .vector_retriever import VectorContextRetriever
 
@@ -66,7 +66,4 @@ __all__ = [
     "describe_node",
     "build_description_corpus",
     "DESCRIBED_LABELS",
-    "default_text2cypher_prompt",
-    "default_rerank_prompt",
-    "default_answer_prompt",
 ]

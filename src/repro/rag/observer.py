@@ -34,7 +34,6 @@ __all__ = [
     "StageSpan",
     "TracingObserver",
     "StageStats",
-    "OperatorStats",
     "MetricsRegistry",
 ]
 
@@ -166,43 +165,12 @@ class StageStats:
         }
 
 
-@dataclass
-class OperatorStats:
-    """Cumulative per-physical-operator aggregate from Cypher profiles.
-
-    One entry per operator *name* (LabelScan, Expand, TopK, ...), fed by
-    the executed operator trees that profiled retrievals attach to
-    ``diagnostics["cypher_profile"]``.  Rows and self-time accumulate so
-    the registry answers "where do symbolic queries spend their time"
-    without keeping any per-query state.
-    """
-
-    calls: int = 0
-    rows: int = 0
-    total_ms: float = 0.0
-
-    def record(self, rows: int, elapsed_ms: float) -> None:
-        self.calls += 1
-        self.rows += rows
-        self.total_ms += elapsed_ms
-
-    def to_dict(self) -> dict:
-        return {
-            "calls": self.calls,
-            "rows": self.rows,
-            "total_ms": round(self.total_ms, 3),
-        }
-
-
 class MetricsRegistry(PipelineObserver):
     """Timing/counter registry fed by the pipeline's observer hooks.
 
     Per-stage :class:`StageStats` plus free-form named counters
     (``increment``), so callers can count routing decisions
-    without knowing how the numbers are consumed.  When the symbolic step
-    surfaces an executed operator tree (``diagnostics["cypher_profile"]``)
-    the registry also folds every operator into per-name
-    :class:`OperatorStats` histograms.
+    without knowing how the numbers are consumed.
 
     Thread-safe: counter increments and stage-stat mutation happen under an
     internal lock, so concurrent ``/ask`` requests never lose or duplicate
@@ -212,7 +180,6 @@ class MetricsRegistry(PipelineObserver):
     def __init__(self) -> None:
         self.stages: dict[str, StageStats] = {}
         self.counters: dict[str, int] = {}
-        self.operators: dict[str, OperatorStats] = {}
         self._lock = threading.Lock()
 
     # -- observer hooks ----------------------------------------------------
@@ -220,28 +187,6 @@ class MetricsRegistry(PipelineObserver):
     def on_stage_end(self, stage: str, ctx: "QueryContext", elapsed_ms: float) -> None:
         with self._lock:
             self.stages.setdefault(stage, StageStats()).record(elapsed_ms)
-        profile = ctx.diagnostics.get("cypher_profile") if stage == "symbolic" else None
-        if profile is not None:
-            self.record_profile(profile)
-
-    def record_operator(self, name: str, rows: int, elapsed_ms: float) -> None:
-        """Fold one executed operator into its per-name aggregate."""
-        with self._lock:
-            self.operators.setdefault(name, OperatorStats()).record(rows, elapsed_ms)
-
-    def record_profile(self, profile: dict) -> None:
-        """Walk an executed operator tree, recording every node.
-
-        ``self_time_ms`` is used (not inclusive ``time_ms``) so summing the
-        aggregates never double-counts a parent and its children.
-        """
-        self.record_operator(
-            str(profile.get("operator", "?")),
-            int(profile.get("rows", 0)),
-            float(profile.get("self_time_ms", profile.get("time_ms", 0.0))),
-        )
-        for child in profile.get("children", ()):  # depth-first, order moot
-            self.record_profile(child)
 
     def on_error(self, stage: str, error: "PipelineError", ctx: "QueryContext") -> None:
         with self._lock:
@@ -260,23 +205,14 @@ class MetricsRegistry(PipelineObserver):
     def snapshot(self) -> dict:
         """JSON-friendly dump of every stage aggregate and counter."""
         with self._lock:
-            snapshot = {
+            return {
                 "stages": {
                     name: stats.to_dict() for name, stats in sorted(self.stages.items())
                 },
                 "counters": dict(sorted(self.counters.items())),
             }
-            # Only present once at least one profiled query ran, so the
-            # payload shape is unchanged for non-profiling deployments.
-            if self.operators:
-                snapshot["operators"] = {
-                    name: stats.to_dict()
-                    for name, stats in sorted(self.operators.items())
-                }
-            return snapshot
 
     def reset(self) -> None:
         with self._lock:
             self.stages.clear()
             self.counters.clear()
-            self.operators.clear()

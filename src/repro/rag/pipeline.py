@@ -276,17 +276,11 @@ class RetrieverQueryEngine:
                 breaker.record_neutral()
         # deep copy: diagnostics must be safe to mutate post-hoc without
         # reaching back into retriever/LLM-owned structures
-        generation = copy.deepcopy(dict(symbolic.metadata))
-        # The executed operator tree is a top-level diagnostic (observers
-        # aggregate per-operator stats from it), not generation metadata.
-        cypher_profile = generation.pop("cypher_profile", None)
         ctx.diagnostics.update(
-            generation=generation,
+            generation=copy.deepcopy(dict(symbolic.metadata)),
             symbolic_error=symbolic.error,
             fallback_used=False,
         )
-        if cypher_profile is not None:
-            ctx.diagnostics["cypher_profile"] = cypher_profile
         if error is not None:
             ctx.diagnostics["error_class"] = error.to_dict()
         ctx.symbolic = symbolic

@@ -13,17 +13,7 @@ from typing import Callable
 from ..llm.base import LLM
 from .types import NodeWithScore
 
-__all__ = ["LLMReranker", "default_rerank_prompt"]
-
-
-def default_rerank_prompt(query: str, passage: str) -> str:
-    """Prompt asking the backbone to score passage relevance 0-10."""
-    return (
-        "[TASK: rerank]\n"
-        "Score the relevance of the passage to the query from 0 to 10.\n"
-        f"[QUERY]\n{query}\n"
-        f"[PASSAGE]\n{passage}\n"
-    )
+__all__ = ["LLMReranker"]
 
 
 class LLMReranker:
@@ -34,12 +24,13 @@ class LLMReranker:
         llm: LLM,
         top_n: int = 6,
         max_candidates: int = 24,
-        prompt_builder: Callable[[str, str], str] | None = None,
+        *,
+        prompt_builder: Callable[[str, str], str],
     ) -> None:
         self.llm = llm
         self.top_n = top_n
         self.max_candidates = max_candidates
-        self.prompt_builder = prompt_builder or default_rerank_prompt
+        self.prompt_builder = prompt_builder
 
     def rerank(self, query: str, candidates: list[NodeWithScore]) -> list[NodeWithScore]:
         """Return the ``top_n`` candidates by LLM relevance score.

@@ -15,21 +15,7 @@ from ..cypher.result import ResultSet
 from ..llm.base import LLM
 from .types import NodeWithScore, RetrievalResult
 
-__all__ = ["ResponseSynthesizer", "default_answer_prompt"]
-
-
-def default_answer_prompt(question: str, result_json: str, context: str) -> str:
-    """Prompt carrying either a structured result payload or context lines."""
-    parts = [
-        "[TASK: answer]",
-        "Answer the question from the retrieved IYP graph information.",
-        f"[QUESTION]\n{question}",
-    ]
-    if result_json:
-        parts.append(f"[RESULT]\n{result_json}")
-    if context:
-        parts.append(f"[CONTEXT]\n{context}")
-    return "\n".join(parts) + "\n"
+__all__ = ["ResponseSynthesizer"]
 
 
 class ResponseSynthesizer:
@@ -38,11 +24,11 @@ class ResponseSynthesizer:
     def __init__(
         self,
         llm: LLM,
-        prompt_builder: Callable[[str, str, str], str] | None = None,
+        prompt_builder: Callable[[str, str, str], str],
         max_rows: int = 30,
     ) -> None:
         self.llm = llm
-        self.prompt_builder = prompt_builder or default_answer_prompt
+        self.prompt_builder = prompt_builder
         self.max_rows = max_rows
 
     def synthesize(

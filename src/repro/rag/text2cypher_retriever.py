@@ -20,7 +20,7 @@ from ..serving.deadline import Deadline
 from .retriever import Retriever
 from .types import NodeWithScore, RetrievalResult, TextNode
 
-__all__ = ["TextToCypherRetriever", "default_text2cypher_prompt"]
+__all__ = ["TextToCypherRetriever"]
 
 logger = logging.getLogger(__name__)
 
@@ -35,16 +35,6 @@ ROW_BUDGET_PER_ELEMENT = 2
 ROW_BUDGET_FLOOR = 10_000
 
 
-def default_text2cypher_prompt(question: str, schema: str) -> str:
-    """Generic text-to-Cypher prompt (ChatIYP injects its own IYP chain)."""
-    return (
-        "[TASK: text2cypher]\n"
-        "Translate the question into a Cypher query over the graph schema.\n"
-        f"[SCHEMA]\n{schema}\n"
-        f"[QUESTION]\n{question}\n"
-    )
-
-
 class TextToCypherRetriever(Retriever):
     """LLM → Cypher → graph execution → structured context."""
 
@@ -52,18 +42,13 @@ class TextToCypherRetriever(Retriever):
         self,
         engine: CypherEngine,
         llm: LLM,
-        schema_text: str = "",
-        prompt_builder: Callable[[str, str], str] | None = None,
-        capture_profile: bool = False,
+        schema_text: str,
+        prompt_builder: Callable[[str, str], str],
     ) -> None:
         self.engine = engine
         self.llm = llm
         self.schema_text = schema_text
-        self.prompt_builder = prompt_builder or default_text2cypher_prompt
-        # When on, every execution runs profiled and retrievals carry the
-        # executed operator tree (rows + wall-time per operator) in
-        # metadata["cypher_profile"].
-        self.capture_profile = capture_profile
+        self.prompt_builder = prompt_builder
 
     @property
     def name(self) -> str:
@@ -90,7 +75,6 @@ class TextToCypherRetriever(Retriever):
                 cypher,
                 deadline=deadline,
                 row_budget=ROW_BUDGET_PER_ELEMENT * elements + ROW_BUDGET_FLOOR,
-                profile=self.capture_profile,
             )
         except CypherError as exc:
             logger.debug("generated cypher failed: %s", exc)
@@ -100,8 +84,6 @@ class TextToCypherRetriever(Retriever):
                 error=f"{type(exc).__name__}: {exc}",
                 metadata=generation_meta,
             )
-        if self.capture_profile and result.profile is not None:
-            generation_meta["cypher_profile"] = result.profile
         return RetrievalResult(
             nodes=self._result_nodes(result),
             source=self.name,

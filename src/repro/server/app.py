@@ -50,6 +50,7 @@ a shell::
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
@@ -239,11 +240,15 @@ class ChatIYPRequestHandler(BaseHTTPRequestHandler):
 
     @staticmethod
     def _bad_budget(value) -> bool:
-        """True when ``value`` is not a usable ``deadline_ms`` (None is ok)."""
+        """True when ``value`` is not a usable ``deadline_ms`` (None is ok).
+
+        JSON ``NaN`` and ``Infinity`` parse to floats and an integer may
+        exceed the float range; none of these is a budget.
+        """
         return value is not None and (
             not isinstance(value, (int, float))
             or isinstance(value, bool)
-            or value <= 0
+            or not 0 < value <= sys.float_info.max
         )
 
     def _capped(self, budget):

@@ -14,6 +14,7 @@ a clock.
 
 from __future__ import annotations
 
+import sys
 import time
 from typing import Callable
 
@@ -28,8 +29,10 @@ class Deadline:
     def __init__(
         self, budget_ms: float, clock: Callable[[], float] = time.monotonic
     ) -> None:
-        if budget_ms <= 0:
-            raise ValueError(f"budget_ms must be positive, got {budget_ms!r}")
+        # NaN fails every comparison, so a NaN budget would never expire;
+        # an int past the float range would overflow ``float()`` below.
+        if not 0 < budget_ms <= sys.float_info.max:
+            raise ValueError(f"budget_ms must be finite and positive, got {budget_ms!r}")
         self.budget_ms = float(budget_ms)
         self._clock = clock
         self._expires_at = clock() + self.budget_ms / 1000.0

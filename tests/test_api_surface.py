@@ -88,3 +88,21 @@ def test_api_doc_mentions_every_module():
         root = module_name.split(".")[0] + "." + module_name.split(".")[1] \
             if "." in module_name else module_name
         assert root.split(".")[0] in doc
+
+
+#: every ChatIYPConfig field, in declaration order: a new knob is a diff here
+CONFIG_FIELDS = [
+    "seed", "dataset_size", "dataset_seed", "use_reranker", "use_vector_fallback",
+    "use_decomposition", "error_base", "error_slope", "error_power",
+    "syntax_error_share", "deadline_ms", "answer_cache_size",
+    "breaker_failure_threshold", "breaker_reset_ms", "llm_retry_backoff_ms",
+    "coalesce_inflight",
+]
+
+
+def test_config_fields_are_pinned():
+    from dataclasses import fields
+
+    from repro import ChatIYPConfig
+
+    assert [f.name for f in fields(ChatIYPConfig)] == CONFIG_FIELDS

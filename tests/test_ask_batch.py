@@ -109,11 +109,12 @@ class TestAskBatchSchema:
 
     def test_bad_batch_level_deadline(self, batch_server):
         _, port = batch_server
-        status, payload, _ = _post(
-            port, "/ask_batch", {"questions": ["q"], "deadline_ms": -5}
-        )
-        assert status == 400
-        assert "deadline_ms" in payload["error"]
+        for bad in (-5, float("nan")):
+            status, payload, _ = _post(
+                port, "/ask_batch", {"questions": ["q"], "deadline_ms": bad}
+            )
+            assert status == 400, bad
+            assert "deadline_ms" in payload["error"]
 
     def test_bad_item_deadline_is_per_item(self, batch_server):
         _, port = batch_server
@@ -123,13 +124,15 @@ class TestAskBatchSchema:
             {
                 "questions": [
                     {"question": "q one", "deadline_ms": True},
+                    {"question": "q two", "deadline_ms": float("nan")},
                     "Which country is AS2497 registered in?",
                 ]
             },
         )
         assert status == 200
-        assert [item["ok"] for item in payload["results"]] == [False, True]
+        assert [item["ok"] for item in payload["results"]] == [False, False, True]
         assert "deadline_ms" in payload["results"][0]["error"]
+        assert "deadline_ms" in payload["results"][1]["error"]
 
 
 class TestAskBatchDeadlines:

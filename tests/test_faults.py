@@ -330,7 +330,7 @@ class TestInjectedFaultTaxonomy:
         assert response.diagnostics["generation"]["perturbation"] == "injected_garbage"
 
     def test_transient_synthesis_error_is_retried(self, small_dataset):
-        chat = build_chat(small_dataset, llm_retry_attempts=2, llm_retry_backoff_ms=1.0)
+        chat = build_chat(small_dataset, llm_retry_backoff_ms=1.0)
         question = clean_questions(small_dataset, 1)[0]
         before = chat.retry_policy.retries
         plan = plan_of(

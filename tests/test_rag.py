@@ -200,7 +200,9 @@ class TestReranker:
         assert len(reranked) == 1
 
     def test_max_candidates_cap(self, reliable_llm):
-        reranker = LLMReranker(reliable_llm, top_n=50, max_candidates=3)
+        reranker = LLMReranker(
+            reliable_llm, top_n=50, max_candidates=3, prompt_builder=rerank_prompt
+        )
         reranked = reranker.rerank("q", self._candidates([f"t{i}" for i in range(10)]))
         assert len(reranked) == 3
 

@@ -54,10 +54,10 @@ class TestDeadline:
         assert deadline.remaining_ms() == 0.0
 
     def test_rejects_non_positive_budget(self):
-        with pytest.raises(ValueError):
-            Deadline(0)
-        with pytest.raises(ValueError):
-            Deadline(-5)
+        # A NaN budget would never expire: ``clock() >= nan`` is always False.
+        for budget in (0, -5, float("nan"), float("inf"), 10**400):
+            with pytest.raises(ValueError):
+                Deadline(budget)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +581,7 @@ class TestAnswerCacheIntegration:
         # Each ChatIYP owns its cache: another config never sees bot_a's entry.
         bot_b = ChatIYP(
             dataset=small_dataset,
-            config=ChatIYPConfig(dataset_size="small", answer_cache_size=8, rerank_top_n=3),
+            config=ChatIYPConfig(dataset_size="small", answer_cache_size=8, use_reranker=False),
         )
         assert bot_b.ask(question).diagnostics.get("cache_hit") is None
 

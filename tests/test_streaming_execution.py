@@ -19,12 +19,13 @@ from repro.cypher import (
     CypherSyntaxError,
     ResourceExhausted,
 )
+from repro.core.prompts import answer_prompt, text2cypher_prompt
 from repro.cypher.operators import max_operator_rows
 from repro.graph import GraphStore
 from repro.llm.base import LLM, CompletionResponse
 from repro.rag.errors import DeadlineExceeded
 from repro.rag.errors import ResourceExhausted as RagResourceExhausted
-from repro.rag.observer import MetricsRegistry, PipelineObserver
+from repro.rag.observer import PipelineObserver
 from repro.rag.pipeline import RetrieverQueryEngine
 from repro.rag.synthesizer import ResponseSynthesizer
 from repro.rag.text2cypher_retriever import TextToCypherRetriever
@@ -706,37 +707,20 @@ def _symbolic_only_engine(retriever, *observers):
     """A text2cypher-only engine: no vector fallback, no reranker."""
     return RetrieverQueryEngine(
         text2cypher=retriever,
-        synthesizer=ResponseSynthesizer(retriever.llm),
+        synthesizer=ResponseSynthesizer(retriever.llm, answer_prompt),
         observers=observers,
     )
 
 
 class TestPipelineIntegration:
-    def test_cypher_profile_reaches_diagnostics_and_metrics(self, chain_store):
-        retriever = TextToCypherRetriever(
-            engine=CypherEngine(chain_store),
-            llm=_FixedCypherLLM("MATCH (a:AS) RETURN a.asn AS asn LIMIT 2"),
-            capture_profile=True,
-        )
-        metrics = MetricsRegistry()
-        response = _symbolic_only_engine(retriever, metrics).query("list two ASes")
-        profile = response.diagnostics.get("cypher_profile")
-        assert profile is not None
-        assert profile["operator"] == "ProduceResults"
-        # ... and not duplicated inside the generation metadata.
-        assert "cypher_profile" not in response.diagnostics["generation"]
-
-        # The attached registry folded the executed tree on the symbolic step.
-        operators = metrics.snapshot()["operators"]
-        assert "ProduceResults" in operators
-        assert operators["ProduceResults"]["calls"] == 1
-
     def test_row_budget_maps_to_taxonomy(self, chain_store):
         # 20,000 unwound rows exceed the budget the retriever derives for
         # the 60-element chain graph (2 x 60 + 10,000 = 10,120 rows).
         retriever = TextToCypherRetriever(
             engine=CypherEngine(chain_store),
             llm=_FixedCypherLLM("UNWIND range(1, 20000) AS x RETURN count(x)"),
+            schema_text="",
+            prompt_builder=text2cypher_prompt,
         )
         log = _ErrorLog()
         response = _symbolic_only_engine(retriever, log).query("everything")
@@ -750,6 +734,8 @@ class TestPipelineIntegration:
         retriever = TextToCypherRetriever(
             engine=CypherEngine(chain_store),
             llm=_FixedCypherLLM("UNWIND range(1, 100000) AS x RETURN count(x)"),
+            schema_text="",
+            prompt_builder=text2cypher_prompt,
         )
         log = _ErrorLog()
         deadline = Deadline(5.0, clock=_SteppingClock(0.001))
