@@ -4,11 +4,16 @@ Produces a flat token stream consumed by the recursive-descent parser.
 Keywords are case-insensitive (``MATCH`` ≡ ``match``); identifiers keep
 their case.  Backtick-quoted identifiers, single/double quoted strings with
 escapes, line (``//``) and block (``/* */``) comments are supported.
+
+One compiled master pattern is matched at each position: whitespace and
+comments fold into it as leading trivia, the name of the group that matched
+is the token kind (punctuation is named through ``_PUNCTUATION``) and the
+group's start is the token's offset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .errors import CypherSyntaxError
 
@@ -56,10 +61,26 @@ _PUNCTUATION = {
     "$": "DOLLAR",
 }
 
-_TWO_CHAR = [p for p in _PUNCTUATION if len(p) == 2]
+_TOKEN = re.compile(
+    r"(?:\s+|//[^\n]*|/\*.*?\*/)*(?:"
+    r"(?P<NAME>[A-Za-z_]\w*)"
+    # `.` before a digit starts a number and `/*` an (unterminated) comment.
+    r"|(?P<PUNCT><>|<=|>=|=~|->|<-|\.\.|\.(?!\d)|/(?!\*)|[()\[\]{},:;|=<>+\-*%^$])"
+    r"|(?P<STRING>'[^'\\]*'|\"[^\"\\]*\")"  # escapes go through _read_string
+    # A '.' starts a fraction only when a digit follows, so that `1..3`
+    # (range) and `n.prop` keep their meaning.
+    r"|(?P<FLOAT>\d*\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)"
+    r"|(?P<INT>\d+)"
+    r"|(?P<BACKTICK>`[^`]*`)"
+    r"|(?P<WORD>[^\W\d]\w*)"  # a non-ASCII start: a letter or a non-decimal numeral
+    r"|(?P<EOF>\Z)"
+    r"|(?P<OTHER>.))",
+    re.DOTALL,
+)
+
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", "'": "'", '"': '"', "`": "`"}
 
 
-@dataclass(frozen=True)
 class Token:
     """One lexical token: its category, normalised text and source offset.
 
@@ -68,10 +89,16 @@ class Token:
     e.g. IYP's ``:AS``).
     """
 
-    kind: str  # KEYWORD, IDENT, INT, FLOAT, STRING, PARAM or a punctuation name
-    value: str
-    position: int
-    raw: str = ""
+    __slots__ = ("kind", "value", "position", "raw")
+
+    def __init__(self, kind: str, value: str, position: int, raw: str = "") -> None:
+        self.kind = kind  # KEYWORD, IDENT, INT, FLOAT, STRING, EOF or a punctuation name
+        self.value = value
+        self.position = position
+        self.raw = raw
+
+    def __repr__(self) -> str:
+        return f"Token({self.kind!r}, {self.value!r}, {self.position!r}, {self.raw!r})"
 
     @property
     def text(self) -> str:
@@ -86,61 +113,41 @@ class Token:
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text``; raises :class:`CypherSyntaxError` on bad input."""
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("//", i):
-            end = text.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end == -1:
-                raise CypherSyntaxError("unterminated block comment", i, text)
-            i = end + 2
-            continue
-        if ch in "'\"":
-            value, i = _read_string(text, i)
-            tokens.append(Token("STRING", value, i))
-            continue
-        if ch == "`":
-            end = text.find("`", i + 1)
-            if end == -1:
-                raise CypherSyntaxError("unterminated backtick identifier", i, text)
-            tokens.append(Token("IDENT", text[i + 1 : end], i))
-            i = end + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            token, i = _read_number(text, i)
-            tokens.append(token)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
+    append = tokens.append
+    match = _TOKEN.match
+    pos = 0
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        if kind == "NAME" or kind == "WORD" and text[start].isalpha():
+            word = text[start:pos]
             upper = word.upper()
             if upper in KEYWORDS:
-                tokens.append(Token("KEYWORD", upper, start, raw=word))
+                append(Token("KEYWORD", upper, start, word))
             else:
-                tokens.append(Token("IDENT", word, start))
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token(_PUNCTUATION[two], two, i))
-            i += 2
-            continue
-        if ch in _PUNCTUATION:
-            tokens.append(Token(_PUNCTUATION[ch], ch, i))
-            i += 1
-            continue
-        raise CypherSyntaxError(f"unexpected character {ch!r}", i, text)
-    tokens.append(Token("EOF", "", n))
-    return tokens
+                append(Token("IDENT", word, start))
+        elif kind == "PUNCT":
+            value = text[start:pos]
+            append(Token(_PUNCTUATION[value], value, start))
+        elif kind == "STRING":
+            append(Token("STRING", text[start + 1 : pos - 1], pos))
+        elif kind == "INT" or kind == "FLOAT":
+            append(Token(kind, text[start:pos], start))
+        elif kind == "EOF":
+            append(Token("EOF", "", pos))
+            return tokens
+        elif kind == "BACKTICK":
+            append(Token("IDENT", text[start + 1 : pos - 1], start))
+        elif text[start] in "'\"":
+            value, pos = _read_string(text, start)
+            append(Token("STRING", value, pos))
+        elif text[start] == "`":
+            raise CypherSyntaxError("unterminated backtick identifier", start, text)
+        elif text.startswith("/*", start):
+            raise CypherSyntaxError("unterminated block comment", start, text)
+        else:
+            raise CypherSyntaxError(f"unexpected character {text[start]!r}", start, text)
 
 
 def _read_string(text: str, start: int) -> tuple[str, int]:
@@ -148,7 +155,6 @@ def _read_string(text: str, start: int) -> tuple[str, int]:
     quote = text[start]
     i = start + 1
     parts: list[str] = []
-    escapes = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", "'": "'", '"': '"', "`": "`"}
     while i < len(text):
         ch = text[i]
         if ch == "\\":
@@ -156,10 +162,13 @@ def _read_string(text: str, start: int) -> tuple[str, int]:
                 raise CypherSyntaxError("dangling escape in string", i, text)
             nxt = text[i + 1]
             if nxt == "u" and i + 5 < len(text):
-                parts.append(chr(int(text[i + 2 : i + 6], 16)))
+                try:
+                    parts.append(chr(int(text[i + 2 : i + 6], 16)))
+                except ValueError:
+                    raise CypherSyntaxError("invalid unicode escape in string", i, text) from None
                 i += 6
                 continue
-            parts.append(escapes.get(nxt, nxt))
+            parts.append(_ESCAPES.get(nxt, nxt))
             i += 2
             continue
         if ch == quote:
@@ -167,30 +176,3 @@ def _read_string(text: str, start: int) -> tuple[str, int]:
         parts.append(ch)
         i += 1
     raise CypherSyntaxError("unterminated string literal", start, text)
-
-
-def _read_number(text: str, start: int) -> tuple[Token, int]:
-    """Read an integer or float literal starting at ``start``."""
-    i = start
-    n = len(text)
-    while i < n and text[i].isdigit():
-        i += 1
-    is_float = False
-    # A '.' starts a fraction only when followed by a digit, so that `1..3`
-    # (range) and `n.prop` keep their meaning.
-    if i < n and text[i] == "." and i + 1 < n and text[i + 1].isdigit():
-        is_float = True
-        i += 1
-        while i < n and text[i].isdigit():
-            i += 1
-    if i < n and text[i] in "eE":
-        j = i + 1
-        if j < n and text[j] in "+-":
-            j += 1
-        if j < n and text[j].isdigit():
-            is_float = True
-            i = j
-            while i < n and text[i].isdigit():
-                i += 1
-    value = text[start:i]
-    return Token("FLOAT" if is_float else "INT", value, start), i

@@ -40,12 +40,17 @@ def parse_expression(text: str) -> ast.Expr:
 
 
 class _Parser:
-    """Token-cursor with one helper method per grammar production."""
+    """Token cursor with one helper method per grammar production.
+
+    ``current`` is the token under the cursor, kept by :meth:`advance`; the
+    token list always ends in an EOF token, which the cursor never passes.
+    """
 
     def __init__(self, text: str) -> None:
         self.text = text
         self.tokens = tokenize(text)
         self.index = 0
+        self.current = self.tokens[0]
         #: pattern predicates, EXISTS patterns and comprehensions parsed so far
         self.pattern_expressions = 0
 
@@ -53,18 +58,14 @@ class _Parser:
     # Cursor helpers
     # ------------------------------------------------------------------
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.index]
-
     def peek(self, offset: int = 1) -> Token:
-        i = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
 
     def advance(self) -> Token:
-        token = self.tokens[self.index]
+        token = self.current
         if token.kind != "EOF":
             self.index += 1
+            self.current = self.tokens[self.index]
         return token
 
     def accept(self, kind: str) -> Optional[Token]:
@@ -72,20 +73,21 @@ class _Parser:
             return self.advance()
         return None
 
-    def accept_keyword(self, *names: str) -> Optional[Token]:
-        if self.current.is_keyword(*names):
+    def accept_keyword(self, name: str) -> Optional[Token]:
+        token = self.current
+        if token.value == name and token.kind == "KEYWORD":
             return self.advance()
         return None
 
     def expect(self, kind: str, what: str = "") -> Token:
         if self.current.kind != kind:
-            expected = what or kind
-            raise self.error(f"expected {expected}, found {self.current.value!r}")
+            raise self.error(f"expected {what or kind}, found {self.current.value!r}")
         return self.advance()
 
-    def expect_keyword(self, *names: str) -> Token:
-        if not self.current.is_keyword(*names):
-            raise self.error(f"expected {'/'.join(names)}, found {self.current.value!r}")
+    def expect_keyword(self, name: str) -> Token:
+        token = self.current
+        if token.value != name or token.kind != "KEYWORD":
+            raise self.error(f"expected {name}, found {token.value!r}")
         return self.advance()
 
     def expect_end(self) -> None:
@@ -98,13 +100,14 @@ class _Parser:
 
     def parse_name(self) -> str:
         """An identifier; also tolerates non-reserved keyword-looking names."""
-        if self.current.kind == "IDENT":
+        token = self.current
+        if token.kind == "IDENT":
             return self.advance().value
         # COUNT and a few others are keywords but valid as identifiers in
         # some positions (e.g. a variable named `count`).
-        if self.current.kind == "KEYWORD" and self.current.value in ("COUNT", "ALL", "END"):
+        if token.kind == "KEYWORD" and token.value in ("COUNT", "ALL", "END"):
             return self.advance().text
-        raise self.error(f"expected a name, found {self.current.value!r}")
+        raise self.error(f"expected a name, found {token.value!r}")
 
     def parse_label_name(self) -> str:
         """A label / relationship type / property name.
@@ -138,28 +141,11 @@ class _Parser:
     def parse_single_query(self) -> ast.SingleQuery:
         clauses: list[ast.Clause] = []
         pattern_expressions = self.pattern_expressions
-        while True:
-            token = self.current
-            if token.is_keyword("MATCH") or token.is_keyword("OPTIONAL"):
-                clauses.append(self.parse_match())
-            elif token.is_keyword("UNWIND"):
-                clauses.append(self.parse_unwind())
-            elif token.is_keyword("WITH"):
-                clauses.append(self.parse_with())
-            elif token.is_keyword("RETURN"):
-                clauses.append(self.parse_return())
-            elif token.is_keyword("CREATE"):
-                clauses.append(self.parse_create())
-            elif token.is_keyword("MERGE"):
-                clauses.append(self.parse_merge())
-            elif token.is_keyword("SET"):
-                clauses.append(self.parse_set())
-            elif token.is_keyword("DELETE") or token.is_keyword("DETACH"):
-                clauses.append(self.parse_delete())
-            elif token.is_keyword("REMOVE"):
-                clauses.append(self.parse_remove())
-            else:
+        while self.current.kind == "KEYWORD":
+            parse_clause = self._CLAUSES.get(self.current.value)
+            if parse_clause is None:
                 break
+            clauses.append(parse_clause(self))
         if not clauses:
             raise self.error("empty query")
         return ast.SingleQuery(
@@ -239,11 +225,10 @@ class _Parser:
 
     def parse_order_item(self) -> ast.OrderItem:
         expression = self.parse_expr()
-        descending = False
-        if self.accept_keyword("DESC", "DESCENDING"):
-            descending = True
-        else:
-            self.accept_keyword("ASC", "ASCENDING")
+        token = self.current
+        descending = token.kind == "KEYWORD" and token.value in ("DESC", "DESCENDING")
+        if descending or token.kind == "KEYWORD" and token.value in ("ASC", "ASCENDING"):
+            self.advance()
         return ast.OrderItem(expression=expression, descending=descending)
 
     def parse_create(self) -> ast.CreateClause:
@@ -256,7 +241,10 @@ class _Parser:
         on_create: tuple[ast.SetItem, ...] = ()
         on_match: tuple[ast.SetItem, ...] = ()
         while self.accept_keyword("ON"):
-            action = self.expect_keyword("CREATE", "MATCH")
+            action = self.current
+            if action.kind != "KEYWORD" or action.value not in ("CREATE", "MATCH"):
+                raise self.error(f"expected CREATE/MATCH, found {action.value!r}")
+            self.advance()
             self.expect_keyword("SET")
             items = self.parse_set_items()
             if action.value == "CREATE":
@@ -322,6 +310,14 @@ class _Parser:
             if not self.accept("COMMA"):
                 break
         return ast.RemoveClause(items=tuple(items))
+
+    #: clause keyword -> the production that parses the clause it starts
+    _CLAUSES = {
+        "MATCH": parse_match, "OPTIONAL": parse_match, "UNWIND": parse_unwind,
+        "WITH": parse_with, "RETURN": parse_return, "CREATE": parse_create,
+        "MERGE": parse_merge, "SET": parse_set, "DELETE": parse_delete,
+        "DETACH": parse_delete, "REMOVE": parse_remove,
+    }
 
     # ------------------------------------------------------------------
     # Patterns
@@ -482,35 +478,48 @@ class _Parser:
     # Expressions (precedence climbing)
     # ------------------------------------------------------------------
 
-    def parse_expr(self) -> ast.Expr:
-        return self.parse_or()
-
     def parse_or(self) -> ast.Expr:
-        operands = [self.parse_xor()]
-        while self.accept_keyword("OR"):
+        left = self.parse_xor()
+        token = self.current
+        if token.value != "OR" or token.kind != "KEYWORD":
+            return left
+        operands = [left]
+        while token.value == "OR" and token.kind == "KEYWORD":
+            self.advance()
             operands.append(self.parse_xor())
-        if len(operands) == 1:
-            return operands[0]
+            token = self.current
         return ast.BooleanOp(op="OR", operands=tuple(operands))
 
+    parse_expr = parse_or
+
     def parse_xor(self) -> ast.Expr:
-        operands = [self.parse_and()]
-        while self.accept_keyword("XOR"):
+        left = self.parse_and()
+        token = self.current
+        if token.value != "XOR" or token.kind != "KEYWORD":
+            return left
+        operands = [left]
+        while token.value == "XOR" and token.kind == "KEYWORD":
+            self.advance()
             operands.append(self.parse_and())
-        if len(operands) == 1:
-            return operands[0]
+            token = self.current
         return ast.BooleanOp(op="XOR", operands=tuple(operands))
 
     def parse_and(self) -> ast.Expr:
-        operands = [self.parse_not()]
-        while self.accept_keyword("AND"):
+        left = self.parse_not()
+        token = self.current
+        if token.value != "AND" or token.kind != "KEYWORD":
+            return left
+        operands = [left]
+        while token.value == "AND" and token.kind == "KEYWORD":
+            self.advance()
             operands.append(self.parse_not())
-        if len(operands) == 1:
-            return operands[0]
+            token = self.current
         return ast.BooleanOp(op="AND", operands=tuple(operands))
 
     def parse_not(self) -> ast.Expr:
-        if self.accept_keyword("NOT"):
+        token = self.current
+        if token.value == "NOT" and token.kind == "KEYWORD":
+            self.advance()
             return ast.NotOp(operand=self.parse_not())
         return self.parse_comparison()
 
@@ -521,31 +530,27 @@ class _Parser:
         left = self.parse_additive()
         # Postfix predicates
         while True:
-            if self.current.is_keyword("IS"):
-                self.advance()
-                negated = bool(self.accept_keyword("NOT"))
-                self.expect_keyword("NULL")
-                left = ast.IsNull(operand=left, negated=negated)
-                continue
-            if self.current.is_keyword("STARTS"):
-                self.advance()
-                self.expect_keyword("WITH")
-                left = ast.StringPredicate(op="STARTS", left=left, right=self.parse_additive())
-                continue
-            if self.current.is_keyword("ENDS"):
-                self.advance()
-                self.expect_keyword("WITH")
-                left = ast.StringPredicate(op="ENDS", left=left, right=self.parse_additive())
-                continue
-            if self.current.is_keyword("CONTAINS"):
-                self.advance()
-                left = ast.StringPredicate(op="CONTAINS", left=left, right=self.parse_additive())
-                continue
-            if self.current.is_keyword("IN"):
-                self.advance()
-                left = ast.InList(value=left, container=self.parse_additive())
-                continue
-            if self.current.kind == "COLON" and isinstance(left, ast.Variable):
+            token = self.current
+            if token.kind == "KEYWORD":
+                keyword = token.value
+                if keyword == "IS":
+                    self.advance()
+                    negated = bool(self.accept_keyword("NOT"))
+                    self.expect_keyword("NULL")
+                    left = ast.IsNull(operand=left, negated=negated)
+                elif keyword == "STARTS" or keyword == "ENDS":
+                    self.advance()
+                    self.expect_keyword("WITH")
+                    left = ast.StringPredicate(op=keyword, left=left, right=self.parse_additive())
+                elif keyword == "CONTAINS":
+                    self.advance()
+                    left = ast.StringPredicate(op="CONTAINS", left=left, right=self.parse_additive())
+                elif keyword == "IN":
+                    self.advance()
+                    left = ast.InList(value=left, container=self.parse_additive())
+                else:
+                    break
+            elif token.kind == "COLON" and isinstance(left, ast.Variable):
                 # Label predicate: `n:AS` (desugared to hasLabel()).
                 labels = []
                 while self.accept("COLON"):
@@ -553,9 +558,9 @@ class _Parser:
                 left = ast.FunctionCall(
                     name="hasLabel", args=(left, ast.Literal(labels))
                 )
-                continue
-            break
-        if self.current.kind in self._COMPARISON_OPS:
+            else:
+                break
+        if token.kind in self._COMPARISON_OPS:
             operands = [left]
             ops = []
             while self.current.kind in self._COMPARISON_OPS:
@@ -564,18 +569,17 @@ class _Parser:
             return ast.Comparison(operands=tuple(operands), ops=tuple(ops))
         return left
 
-    def parse_additive(self) -> ast.Expr:
-        left = self.parse_multiplicative()
-        while self.current.kind in ("PLUS", "MINUS"):
-            op = self.advance().value
-            left = ast.BinaryOp(op=op, left=left, right=self.parse_multiplicative())
-        return left
+    #: binary arithmetic operator token -> precedence level (higher binds tighter)
+    _ARITHMETIC = {"PLUS": 1, "MINUS": 1, "STAR": 2, "SLASH": 2, "PERCENT": 2}
 
-    def parse_multiplicative(self) -> ast.Expr:
+    def parse_additive(self, min_level: int = 1) -> ast.Expr:
+        """Left-associative ``+ -`` over ``* / %``, by precedence climbing."""
         left = self.parse_power()
-        while self.current.kind in ("STAR", "SLASH", "PERCENT"):
+        level = self._ARITHMETIC.get(self.current.kind, 0)
+        while level >= min_level:
             op = self.advance().value
-            left = ast.BinaryOp(op=op, left=left, right=self.parse_power())
+            left = ast.BinaryOp(op=op, left=left, right=self.parse_additive(level + 1))
+            level = self._ARITHMETIC.get(self.current.kind, 0)
         return left
 
     def parse_power(self) -> ast.Expr:
@@ -595,15 +599,15 @@ class _Parser:
     def parse_postfix(self) -> ast.Expr:
         expr = self.parse_atom()
         while True:
-            if self.accept("DOT"):
+            kind = self.current.kind
+            if kind == "DOT":
+                self.advance()
                 expr = ast.PropertyAccess(subject=expr, key=self.parse_label_name())
-                continue
-            if self.current.kind == "LBRACKET":
+            elif kind == "LBRACKET":
                 self.advance()
                 expr = self._parse_subscript_or_slice(expr)
-                continue
-            break
-        return expr
+            else:
+                return expr
 
     def _parse_subscript_or_slice(self, subject: ast.Expr) -> ast.Expr:
         start: Optional[ast.Expr] = None
@@ -622,71 +626,59 @@ class _Parser:
 
     def parse_atom(self) -> ast.Expr:
         token = self.current
-        if token.kind == "INT":
+        kind = token.kind
+        if kind == "IDENT" or kind == "KEYWORD" and token.value in ("ALL", "END"):
+            name = self.advance().value
+            if self.current.kind != "LPAREN":
+                return ast.Variable(name)
+            lowered = name.lower()
+            if lowered in ("any", "all", "none", "single"):
+                variable, keyword = self.peek(), self.peek(2)
+                if variable.kind == "IDENT" and keyword.value == "IN" and keyword.kind == "KEYWORD":
+                    return self.parse_quantifier(lowered)
+            if lowered == "reduce":
+                return self.parse_reduce()
             self.advance()
-            return ast.Literal(int(token.value))
-        if token.kind == "FLOAT":
-            self.advance()
-            return ast.Literal(float(token.value))
-        if token.kind == "STRING":
+            distinct = bool(self.accept_keyword("DISTINCT"))
+            args: list[ast.Expr] = []
+            if self.current.kind != "RPAREN":
+                args.append(self.parse_expr())
+                while self.accept("COMMA"):
+                    args.append(self.parse_expr())
+            self.expect("RPAREN", "')'")
+            return ast.FunctionCall(name=name, args=tuple(args), distinct=distinct)
+        if kind == "STRING":
             self.advance()
             return ast.Literal(token.value)
-        if token.is_keyword("TRUE"):
+        if kind == "INT":
             self.advance()
-            return ast.Literal(True)
-        if token.is_keyword("FALSE"):
+            return ast.Literal(int(token.value))
+        if kind == "FLOAT":
             self.advance()
-            return ast.Literal(False)
-        if token.is_keyword("NULL"):
-            self.advance()
-            return ast.Literal(None)
-        if token.kind == "DOLLAR":
+            return ast.Literal(float(token.value))
+        if kind == "KEYWORD":
+            keyword = token.value
+            if keyword in self._KEYWORD_LITERALS:
+                self.advance()
+                return ast.Literal(self._KEYWORD_LITERALS[keyword])
+            if keyword == "COUNT":
+                return self.parse_count()
+            if keyword == "CASE":
+                return self.parse_case()
+            if keyword == "EXISTS":
+                return self.parse_exists()
+        elif kind == "DOLLAR":
             self.advance()
             if self.current.kind in ("IDENT", "INT"):
                 return ast.Parameter(self.advance().value)
             if self.current.kind == "KEYWORD":
                 return ast.Parameter(self.advance().value.lower())
             raise self.error("expected parameter name after '$'")
-        if token.is_keyword("COUNT"):
-            # count(*) or count(expr)
-            if self.peek().kind == "LPAREN":
-                self.advance()
-                self.advance()
-                if self.current.kind == "STAR":
-                    self.advance()
-                    self.expect("RPAREN", "')'")
-                    return ast.CountStar()
-                distinct = bool(self.accept_keyword("DISTINCT"))
-                arg = self.parse_expr()
-                self.expect("RPAREN", "')'")
-                return ast.FunctionCall(name="count", args=(arg,), distinct=distinct)
-            self.advance()
-            return ast.Variable("count")
-        if token.is_keyword("CASE"):
-            return self.parse_case()
-        if token.is_keyword("EXISTS"):
-            self.advance()
-            if self.accept("LPAREN"):
-                if self.current.kind == "LPAREN":
-                    part = self.parse_pattern_part()
-                    self.expect("RPAREN", "')'")
-                    self.pattern_expressions += 1
-                    return ast.ExistsExpr(target=part)
-                inner = self.parse_expr()
-                self.expect("RPAREN", "')'")
-                return ast.ExistsExpr(target=inner)
-            if self.accept("LBRACE"):
-                self.accept_keyword("MATCH")
-                part = self.parse_pattern_part()
-                self.expect("RBRACE", "'}'")
-                self.pattern_expressions += 1
-                return ast.ExistsExpr(target=part)
-            raise self.error("expected '(' or '{' after EXISTS")
-        if token.kind == "LBRACKET":
+        elif kind == "LBRACKET":
             return self.parse_list_or_comprehension()
-        if token.kind == "LBRACE":
+        elif kind == "LBRACE":
             return ast.MapLiteral(items=self.parse_map_entries())
-        if token.kind == "LPAREN":
+        elif kind == "LPAREN":
             # Could be a parenthesised expression or a pattern predicate
             # like `(a)-[:X]->(b)`.
             if self._looks_like_pattern():
@@ -696,30 +688,44 @@ class _Parser:
             expr = self.parse_expr()
             self.expect("RPAREN", "')'")
             return expr
-        if token.kind == "IDENT" or (
-            token.kind == "KEYWORD" and token.value in ("ALL", "END")
-        ):
-            name = self.advance().value
-            if self.current.kind == "LPAREN":
-                lowered = name.lower()
-                quantifier_ahead = (
-                    self.peek().kind == "IDENT" and self.peek(2).is_keyword("IN")
-                )
-                if lowered in ("any", "all", "none", "single") and quantifier_ahead:
-                    return self.parse_quantifier(lowered)
-                if lowered == "reduce":
-                    return self.parse_reduce()
-                self.advance()
-                distinct = bool(self.accept_keyword("DISTINCT"))
-                args: list[ast.Expr] = []
-                if self.current.kind != "RPAREN":
-                    args.append(self.parse_expr())
-                    while self.accept("COMMA"):
-                        args.append(self.parse_expr())
-                self.expect("RPAREN", "')'")
-                return ast.FunctionCall(name=name, args=tuple(args), distinct=distinct)
-            return ast.Variable(name)
         raise self.error(f"unexpected token {token.value!r}")
+
+    _KEYWORD_LITERALS = {"TRUE": True, "FALSE": False, "NULL": None}
+
+    def parse_count(self) -> ast.Expr:
+        """``count(*)``, ``count([DISTINCT] expr)`` or a variable named ``count``."""
+        self.advance()
+        if self.current.kind != "LPAREN":
+            return ast.Variable("count")
+        self.advance()
+        if self.current.kind == "STAR":
+            self.advance()
+            self.expect("RPAREN", "')'")
+            return ast.CountStar()
+        distinct = bool(self.accept_keyword("DISTINCT"))
+        arg = self.parse_expr()
+        self.expect("RPAREN", "')'")
+        return ast.FunctionCall(name="count", args=(arg,), distinct=distinct)
+
+    def parse_exists(self) -> ast.Expr:
+        """``EXISTS(pattern)``, ``EXISTS(expr)`` or ``EXISTS { [MATCH] pattern }``."""
+        self.advance()
+        if self.accept("LPAREN"):
+            if self.current.kind == "LPAREN":
+                part = self.parse_pattern_part()
+                self.expect("RPAREN", "')'")
+                self.pattern_expressions += 1
+                return ast.ExistsExpr(target=part)
+            inner = self.parse_expr()
+            self.expect("RPAREN", "')'")
+            return ast.ExistsExpr(target=inner)
+        if self.accept("LBRACE"):
+            self.accept_keyword("MATCH")
+            part = self.parse_pattern_part()
+            self.expect("RBRACE", "'}'")
+            self.pattern_expressions += 1
+            return ast.ExistsExpr(target=part)
+        raise self.error("expected '(' or '{' after EXISTS")
 
     def _looks_like_pattern(self) -> bool:
         """Does `(`...`)` at the cursor start a relationship pattern?
@@ -766,7 +772,7 @@ class _Parser:
     def parse_case(self) -> ast.Expr:
         self.expect_keyword("CASE")
         subject = None
-        if not self.current.is_keyword("WHEN"):
+        if self.current.value != "WHEN" or self.current.kind != "KEYWORD":
             subject = self.parse_expr()
         whens: list[tuple[ast.Expr, ast.Expr]] = []
         while self.accept_keyword("WHEN"):
@@ -829,10 +835,8 @@ class _Parser:
                 pattern=part, predicate=predicate, projection=projection
             )
         # Lookahead for `name IN`
-        if (
-            self.current.kind == "IDENT"
-            and self.peek().is_keyword("IN")
-        ):
+        following = self.peek()
+        if self.current.kind == "IDENT" and following.value == "IN" and following.kind == "KEYWORD":
             variable = self.advance().value
             self.advance()  # IN
             source = self.parse_or()

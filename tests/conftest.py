@@ -44,14 +44,14 @@ PERTURBATIONS = ("wrong_reltype", "wrong_direction", "drop_filter", "wrong_entit
 SYNTAX_SEEDS = (0, 1, 2)
 
 
-@pytest.fixture(scope="session")
-def perturbed_queries(small_dataset):
+def perturbation_corpus(dataset, syntax_seeds=SYNTAX_SEEDS) -> list[str]:
     """Every seed-7 CypherEval gold query plus its perturbations (wrong
     relationship type, flipped direction, dropped filter, wrong entity,
-    broken syntax), deduplicated, in first-seen order."""
-    model = TextToCypherModel(Gazetteer.from_dataset(small_dataset))
+    broken syntax for each of ``syntax_seeds``), deduplicated, in first-seen
+    order."""
+    model = TextToCypherModel(Gazetteer.from_dataset(dataset))
     queries: dict[str, None] = {}
-    for question in build_cyphereval(small_dataset, seed=7, per_template=9):
+    for question in build_cyphereval(dataset, seed=7, per_template=9):
         gold = question.gold_cypher
         entities = model.extractor.extract(question.question)
         queries[gold] = None
@@ -60,9 +60,15 @@ def perturbed_queries(small_dataset):
             mutated = perturb(gold, entities, random.Random(f"{kind}:{gold}"))
             if mutated is not None:
                 queries[mutated] = None
-        for seed in SYNTAX_SEEDS:
+        for seed in syntax_seeds:
             queries[model._break_syntax(gold, random.Random(seed))] = None
     return list(queries)
+
+
+@pytest.fixture(scope="session")
+def perturbed_queries(small_dataset):
+    """:func:`perturbation_corpus` of the small dataset."""
+    return perturbation_corpus(small_dataset)
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,13 @@ class TestEngineMachinery:
         engine.run(query)
         assert engine._entries[query] is cached
 
+    @pytest.mark.parametrize("query", [
+        r"RETURN '\uZZZZ' AS x", r"RETURN '\u00' AS x", "RETURN ² AS x", "RETURN 1² AS x",
+    ])
+    def test_malformed_literal_is_syntax_error(self, tiny_store, query):
+        with pytest.raises(CypherSyntaxError):
+            CypherEngine(tiny_store).execute(query)
+
     def test_execute_with_params_dict(self, tiny_store):
         engine = CypherEngine(tiny_store)
         query = "MATCH (a:AS {asn: $asn}) RETURN a.name AS name"

@@ -94,6 +94,35 @@ class TestStrings:
         with pytest.raises(CypherSyntaxError):
             tokenize("'oops\\")
 
+    @pytest.mark.parametrize("text", [r"RETURN '\uZZZZ' AS x", r"RETURN '\u00' AS x"])
+    def test_malformed_unicode_escape_is_syntax_error(self, text):
+        with pytest.raises(CypherSyntaxError, match="invalid unicode escape") as exc_info:
+            tokenize(text)
+        assert exc_info.value.position == 8  # the backslash
+
+
+class TestNonAsciiInput:
+    @pytest.mark.parametrize("text, column", [("RETURN ² AS x", 8), ("RETURN 1² AS x", 9)])
+    def test_non_decimal_digit_is_syntax_error(self, text, column):
+        with pytest.raises(CypherSyntaxError, match="unexpected character '²'") as exc_info:
+            tokenize(text)
+        assert f"column {column}" in str(exc_info.value)
+
+    def test_decimal_digits_of_any_script_are_numbers(self):
+        assert [(t.kind, t.value) for t in tokenize("٣ ٣٤.٥")[:2]] == [
+            ("INT", "٣"), ("FLOAT", "٣٤.٥"),
+        ]
+
+    def test_letters_and_numerals_after_the_first_are_identifiers(self):
+        assert [(t.kind, t.value) for t in tokenize("é a² naïve")[:3]] == [
+            ("IDENT", "é"), ("IDENT", "a²"), ("IDENT", "naïve"),
+        ]
+
+    @pytest.mark.parametrize("char", ["½", "Ⅻ"])
+    def test_numeral_that_is_not_a_digit_is_unexpected(self, char):
+        with pytest.raises(CypherSyntaxError, match="unexpected character"):
+            tokenize(f"RETURN {char}")
+
 
 class TestComments:
     def test_line_comment(self):

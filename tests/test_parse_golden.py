@@ -21,16 +21,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 from pathlib import Path
 
 import pytest
 
 from repro.cypher import parse
 from repro.cypher.errors import CypherError
-from repro.eval import build_cyphereval
-from repro.llm.text2cypher import TextToCypherModel
-from repro.nlp.entities import Gazetteer
+from tests.conftest import perturbation_corpus
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "parse_digest.json"
 
@@ -142,13 +139,10 @@ def _outcome(text: str) -> list:
     return ["ok", hashlib.sha256(repr(tree).encode()).hexdigest()[:32]]
 
 
-def _corpus(small_dataset, perturbed_queries) -> list[str]:
-    model = TextToCypherModel(Gazetteer.from_dataset(small_dataset))
-    texts = dict.fromkeys(perturbed_queries)
-    for question in build_cyphereval(small_dataset, seed=7, per_template=9):
-        for seed in BREAK_SEEDS:
-            texts[model._break_syntax(question.gold_cypher, random.Random(seed))] = None
-    return list(texts)
+def front_end_corpus(dataset) -> list[str]:
+    """The pinned corpus: the perturbation corpus with broken-syntax seeds
+    0-11 (the hand list is kept apart)."""
+    return perturbation_corpus(dataset, BREAK_SEEDS)
 
 
 def _query_key(query: str) -> str:
@@ -177,8 +171,8 @@ def _dump(observed: dict) -> str:
     return "\n".join(lines + ["}"]) + "\n"
 
 
-def test_parse_matches_golden(request, small_dataset, perturbed_queries):
-    observed = _observe(_corpus(small_dataset, perturbed_queries))
+def test_parse_matches_golden(request, small_dataset):
+    observed = _observe(front_end_corpus(small_dataset))
     if request.config.getoption("--golden-update", default=False) or not GOLDEN_PATH.exists():
         GOLDEN_PATH.write_text(_dump(observed))
         pytest.skip("parse golden recorded")
