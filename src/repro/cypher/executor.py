@@ -248,6 +248,15 @@ class CypherEngine:
             self._memoise(entry, version, result, root.state.rows)
         return result
 
+    def is_read_only(self, query: str) -> bool:
+        """True when ``query`` has no write clause.  Parses through the
+        query cache, so a following :meth:`execute` does not parse again.
+
+        Raises:
+            CypherSyntaxError: if the query does not parse.
+        """
+        return self._entry(query).read_only
+
     def _entry(self, query: str) -> _QueryEntry:
         """The cache entry for ``query``, parsing it on a miss."""
         entry = self._entries.get(query)

@@ -56,7 +56,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 from ..core.chatiyp import ChatIYP
-from ..cypher import CypherError, CypherSyntaxError, is_read_only, render_value
+from ..cypher import CypherError, CypherSyntaxError, render_value
 from ..iyp.queries import COOKBOOK
 from ..serving import AdmissionController, Deadline
 
@@ -347,7 +347,7 @@ class ChatIYPRequestHandler(BaseHTTPRequestHandler):
             self._send_json({"error": "'params' must be an object"}, status=400)
             return
         try:
-            if not is_read_only(query):
+            if not self.chatiyp.engine.is_read_only(query):
                 self._send_json(
                     {"error": "write queries are not allowed over the API"}, status=403
                 )

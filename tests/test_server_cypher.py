@@ -7,7 +7,8 @@ import urllib.request
 
 import pytest
 
-from repro.cypher import CypherSyntaxError, is_read_only
+from repro.cypher import CypherSyntaxError, is_read_only, parser
+from repro.cypher.lexer import tokenize
 from repro.server import start_background
 
 
@@ -89,6 +90,29 @@ class TestCypherEndpoint:
         status, payload = post(port, "/cypher", {"query": "MATCH"})
         assert status == 400
         assert "syntax" in payload["error"]
+
+    @pytest.mark.parametrize("query", [r"RETURN '\uZZZZ' AS x", "RETURN 1² AS x"])
+    def test_malformed_literal_is_400(self, port, query):
+        status, payload = post(port, "/cypher", {"query": query})
+        assert status == 400
+        assert "syntax" in payload["error"]
+
+    def test_new_query_is_tokenized_once(self, port, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(parser, "tokenize", counting)
+        query = "MATCH (a:AS) WHERE a.asn = 2497 RETURN a.asn AS tokenized_once"
+        assert post(port, "/cypher", {"query": query})[0] == 200
+        assert calls == [query]
+        assert post(port, "/cypher", {"query": query})[0] == 200
+        assert calls == [query]  # the engine's cached entry answers the repeat
+        write = "CREATE (x:Tag {label: 'tokenized once'})"
+        assert post(port, "/cypher", {"query": write})[0] == 403
+        assert calls == [query, write]
 
     def test_runtime_error_is_400(self, port):
         status, payload = post(
