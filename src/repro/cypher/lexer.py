@@ -131,7 +131,7 @@ def tokenize(text: str) -> list[Token]:
             value = text[start:pos]
             append(Token(_PUNCTUATION[value], value, start))
         elif kind == "STRING":
-            append(Token("STRING", text[start + 1 : pos - 1], pos))
+            append(Token("STRING", text[start + 1 : pos - 1], start))
         elif kind == "INT" or kind == "FLOAT":
             append(Token(kind, text[start:pos], start))
         elif kind == "EOF":
@@ -141,7 +141,7 @@ def tokenize(text: str) -> list[Token]:
             append(Token("IDENT", text[start + 1 : pos - 1], start))
         elif text[start] in "'\"":
             value, pos = _read_string(text, start)
-            append(Token("STRING", value, pos))
+            append(Token("STRING", value, start))
         elif text[start] == "`":
             raise CypherSyntaxError("unterminated backtick identifier", start, text)
         elif text.startswith("/*", start):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cypher.errors import CypherSyntaxError
 from repro.cypher.lexer import Token, tokenize
+from repro.cypher.parser import parse
 
 
 def kinds(text):
@@ -85,6 +86,14 @@ class TestStrings:
 
     def test_unicode_escape(self):
         assert tokenize(r"'A'")[0].value == "A"
+
+    @pytest.mark.parametrize("text", ["RETURN 'abc' AS x", "RETURN 'a\\'c' AS x"])
+    def test_string_position_is_its_opening_quote(self, text):
+        assert tokenize(text)[1].position == 7
+
+    def test_error_at_string_names_its_column(self):
+        with pytest.raises(CypherSyntaxError, match="column 22"):
+            parse("MATCH (a {name: 'x'} 'oops') RETURN a")
 
     def test_unterminated_string(self):
         with pytest.raises(CypherSyntaxError):
