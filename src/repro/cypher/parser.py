@@ -69,9 +69,13 @@ class _Parser:
         return token
 
     def accept(self, kind: str) -> Optional[Token]:
-        if self.current.kind == kind:
-            return self.advance()
-        return None
+        """Consume and return the current token if it is of ``kind`` (never EOF)."""
+        token = self.current
+        if token.kind != kind:
+            return None
+        self.index += 1
+        self.current = self.tokens[self.index]
+        return token
 
     def accept_keyword(self, name: str) -> Optional[Token]:
         token = self.current
@@ -80,9 +84,13 @@ class _Parser:
         return None
 
     def expect(self, kind: str, what: str = "") -> Token:
-        if self.current.kind != kind:
-            raise self.error(f"expected {what or kind}, found {self.current.value!r}")
-        return self.advance()
+        """Consume and return the current token, which must be of ``kind`` (never EOF)."""
+        token = self.current
+        if token.kind != kind:
+            raise self.error(f"expected {what or kind}, found {token.value!r}")
+        self.index += 1
+        self.current = self.tokens[self.index]
+        return token
 
     def expect_keyword(self, name: str) -> Token:
         token = self.current
