@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cypher.errors import CypherSyntaxError
-from repro.cypher.lexer import Token, tokenize
+from repro.cypher.lexer import _PUNCTUATION, Token, tokenize
 from repro.cypher.parser import parse
 
 
@@ -85,7 +85,7 @@ class TestStrings:
         assert tokenize(r"'back\\slash'")[0].value == "back\\slash"
 
     def test_unicode_escape(self):
-        assert tokenize(r"'A'")[0].value == "A"
+        assert tokenize(r"'\u0041\u00e9'")[0].value == "Aé"
 
     @pytest.mark.parametrize("text", ["RETURN 'abc' AS x", "RETURN 'a\\'c' AS x"])
     def test_string_position_is_its_opening_quote(self, text):
@@ -150,6 +150,10 @@ class TestPunctuation:
         assert kinds("<> <= >= =~ -> <- ..")[:7] == [
             "NEQ", "LTE", "GTE", "REGEQ", "ARROW_RIGHT", "ARROW_LEFT", "DOTDOT",
         ]
+
+    def test_every_punctuation_lexes_as_its_kind(self):
+        for text, kind in _PUNCTUATION.items():
+            assert [(t.kind, t.value) for t in tokenize(text)] == [(kind, text), ("EOF", "")]
 
     def test_pattern_tokens(self):
         assert kinds("(a)-[:X]->(b)")[:10] == [
