@@ -546,13 +546,11 @@ class _Parser:
                     negated = bool(self.accept_keyword("NOT"))
                     self.expect_keyword("NULL")
                     left = ast.IsNull(operand=left, negated=negated)
-                elif keyword == "STARTS" or keyword == "ENDS":
+                elif keyword in ("STARTS", "ENDS", "CONTAINS"):
                     self.advance()
-                    self.expect_keyword("WITH")
+                    if keyword != "CONTAINS":
+                        self.expect_keyword("WITH")
                     left = ast.StringPredicate(op=keyword, left=left, right=self.parse_additive())
-                elif keyword == "CONTAINS":
-                    self.advance()
-                    left = ast.StringPredicate(op="CONTAINS", left=left, right=self.parse_additive())
                 elif keyword == "IN":
                     self.advance()
                     left = ast.InList(value=left, container=self.parse_additive())
