@@ -486,43 +486,30 @@ class _Parser:
     # Expressions (precedence climbing)
     # ------------------------------------------------------------------
 
-    def parse_or(self) -> ast.Expr:
-        left = self.parse_xor()
+    def _parse_boolean(self, op: str, parse_operand) -> ast.Expr:
+        """Operands of ``parse_operand`` joined by keyword ``op``; a lone
+        operand is returned as is, with no list built."""
+        left = parse_operand()
         token = self.current
-        if token.value != "OR" or token.kind != "KEYWORD":
+        if token.value != op or token.kind != "KEYWORD":
             return left
         operands = [left]
-        while token.value == "OR" and token.kind == "KEYWORD":
+        while token.value == op and token.kind == "KEYWORD":
             self.advance()
-            operands.append(self.parse_xor())
+            operands.append(parse_operand())
             token = self.current
-        return ast.BooleanOp(op="OR", operands=tuple(operands))
+        return ast.BooleanOp(op=op, operands=tuple(operands))
+
+    def parse_or(self) -> ast.Expr:
+        return self._parse_boolean("OR", self.parse_xor)
 
     parse_expr = parse_or
 
     def parse_xor(self) -> ast.Expr:
-        left = self.parse_and()
-        token = self.current
-        if token.value != "XOR" or token.kind != "KEYWORD":
-            return left
-        operands = [left]
-        while token.value == "XOR" and token.kind == "KEYWORD":
-            self.advance()
-            operands.append(self.parse_and())
-            token = self.current
-        return ast.BooleanOp(op="XOR", operands=tuple(operands))
+        return self._parse_boolean("XOR", self.parse_and)
 
     def parse_and(self) -> ast.Expr:
-        left = self.parse_not()
-        token = self.current
-        if token.value != "AND" or token.kind != "KEYWORD":
-            return left
-        operands = [left]
-        while token.value == "AND" and token.kind == "KEYWORD":
-            self.advance()
-            operands.append(self.parse_not())
-            token = self.current
-        return ast.BooleanOp(op="AND", operands=tuple(operands))
+        return self._parse_boolean("AND", self.parse_not)
 
     def parse_not(self) -> ast.Expr:
         token = self.current
