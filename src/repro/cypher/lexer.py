@@ -6,9 +6,9 @@ their case.  Backtick-quoted identifiers, single/double quoted strings with
 escapes, line (``//``) and block (``/* */``) comments are supported.
 
 One compiled master pattern is matched at each position: whitespace and
-comments fold into it as leading trivia, the name of the group that matched
-is the token kind (punctuation is named through ``_PUNCTUATION``) and the
-group's start is the token's offset.
+comments fold into it as leading trivia, the group that matched decides the
+token kind (names are checked against ``KEYWORDS``, punctuation is named
+through ``_PUNCTUATION``) and the group's start is the token's offset.
 """
 
 from __future__ import annotations
