@@ -6,10 +6,11 @@ corpus with broken-syntax seeds 0-11, plus its hand list of lexer edge
 cases).  Every text is timed whether it parses or raises
 ``CypherSyntaxError``.
 
-With ``--baseline-src`` the two trees are timed in alternating child
-processes, so host load hits both sides alike, and the result is a
-same-run ratio (baseline time / change time, the median over rounds; above
-1 means the change is faster)::
+With ``--baseline-src`` both trees are imported into one process, under
+names of their own, and timed in alternating passes over the corpus, so
+host load hits both sides alike.  The result is a same-run ratio (baseline
+time / change time, the median over rounds; above 1 means the change is
+faster)::
 
     python benchmarks/bench_frontend.py --baseline-src ../parent/src --output BENCH_frontend.json
 
@@ -20,17 +21,19 @@ No CI job runs this script.
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
+
+STAGES = ("tokenize", "parse")
 
 
 def corpus() -> list[str]:
@@ -42,34 +45,30 @@ def corpus() -> list[str]:
     return front_end_corpus(generate_iyp(IYPConfig.small(seed=42))) + HAND
 
 
-def time_tree(src: str, texts_path: str, repeats: int) -> dict[str, float]:
-    """Best-of-``repeats`` µs per text of ``tokenize`` and ``parse`` from ``src``."""
-    sys.path.insert(0, src)
-    from repro.cypher.errors import CypherSyntaxError
-    from repro.cypher.lexer import tokenize
-    from repro.cypher.parser import parse
-
-    texts = json.loads(Path(texts_path).read_text())
-    timings = {}
-    for name, function in (("tokenize", tokenize), ("parse", parse)):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for text in texts:
-                try:
-                    function(text)
-                except CypherSyntaxError:
-                    pass
-            best = min(best, time.perf_counter() - start)
-        timings[f"{name}_us"] = best / len(texts) * 1e6
-    return timings
+def load_tree(src: Path, name: str) -> dict:
+    """Import the ``repro`` package under ``src`` as ``name``; its front end."""
+    init = src / "repro" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return {
+        "tokenize": importlib.import_module(f"{name}.cypher.lexer").tokenize,
+        "parse": importlib.import_module(f"{name}.cypher.parser").parse,
+        "error": importlib.import_module(f"{name}.cypher.errors").CypherSyntaxError,
+    }
 
 
-def _child(src: Path, texts_path: str, repeats: int) -> dict[str, float]:
-    command = [sys.executable, __file__, "--child", "--src", str(src),
-               "--texts", texts_path, "--repeats", str(repeats)]
-    return json.loads(subprocess.run(command, stdout=subprocess.PIPE, text=True,
-                                     check=True, timeout=600).stdout)
+def one_pass(function, error: type, texts: list[str]) -> float:
+    """Seconds for one call of ``function`` on every text."""
+    start = time.perf_counter()
+    for text in texts:
+        try:
+            function(text)
+        except error:
+            pass
+    return time.perf_counter() - start
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -79,52 +78,46 @@ def main(argv: list[str] | None = None) -> int:
                         help="source tree of the change (default: this checkout)")
     parser.add_argument("--baseline-src", type=Path,
                         help="source tree to compare against, e.g. the parent commit's")
-    parser.add_argument("--rounds", type=int, default=11,
-                        help="alternating child processes per tree")
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="passes over the corpus per child; the best counts")
+    parser.add_argument("--rounds", type=int, default=31,
+                        help="alternating passes over the corpus per tree and stage")
     parser.add_argument("--output", type=Path, help="write the JSON result here")
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--texts", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.child:
-        print(json.dumps(time_tree(str(args.src.resolve()), args.texts, args.repeats)))
-        return 0
 
     texts = corpus()
-    trees = {"change": args.src.resolve()}
+    trees = {"change": load_tree(args.src.resolve(), "_frontend_change")}
     if args.baseline_src is not None:
-        trees["baseline"] = args.baseline_src.resolve()
-    runs: dict[str, list[dict[str, float]]] = {side: [] for side in trees}
-    with tempfile.NamedTemporaryFile("w", suffix=".json") as handle:
-        json.dump(texts, handle)
-        handle.flush()
-        for index in range(args.rounds):
-            # Alternate which tree goes first, so neither always runs warm.
-            order = list(trees) if index % 2 == 0 else list(reversed(trees))
+        trees["baseline"] = load_tree(args.baseline_src.resolve(), "_frontend_baseline")
+    for tree in trees.values():  # one untimed pass each: caches and specialization
+        for stage in STAGES:
+            one_pass(tree[stage], tree["error"], texts)
+    seconds = {side: {stage: [] for stage in STAGES} for side in trees}
+    for index in range(args.rounds):
+        # Alternate which tree goes first, so neither always runs warm.
+        order = list(trees) if index % 2 == 0 else list(reversed(trees))
+        for stage in STAGES:
             for side in order:
-                runs[side].append(_child(trees[side], handle.name, args.repeats))
+                tree = trees[side]
+                seconds[side][stage].append(one_pass(tree[stage], tree["error"], texts))
 
     result: dict = {
         "benchmark": "cypher_frontend",
         "corpus_texts": len(texts),
-        "protocol": (f"{args.rounds} rounds of alternating child processes, one per tree, "
-                     f"each the best of {args.repeats} passes; medians over rounds, in "
+        "protocol": (f"{args.rounds} rounds of one pass over the corpus per tree and stage, "
+                     "trees alternating in one process; medians over rounds, in "
                      "microseconds per text; ratio: median of the rounds' baseline/change"),
         "host": f"{platform.python_implementation()} {platform.python_version()}, "
                 f"{platform.machine()}, {os.cpu_count()} CPUs",
     }
-    for side, side_runs in runs.items():
-        result[side] = {key: round(statistics.median(run[key] for run in side_runs), 2)
-                        for key in side_runs[0]}
-    if "baseline" in runs:
-        # Each round's two children ran back to back: the median of the
-        # per-round ratios cancels load that drifts between rounds.
+    for side, stages in seconds.items():
+        result[side] = {f"{stage}_us": round(statistics.median(runs) / len(texts) * 1e6, 2)
+                        for stage, runs in stages.items()}
+    if "baseline" in seconds:
         result["ratio"] = {
-            key.removesuffix("_us"): round(statistics.median(
-                base[key] / change[key] for base, change in zip(runs["baseline"], runs["change"])
+            stage: round(statistics.median(
+                base / change for base, change in
+                zip(seconds["baseline"][stage], seconds["change"][stage])
             ), 2)
-            for key in result["change"]
+            for stage in STAGES
         }
     text = json.dumps(result, indent=2) + "\n"
     if args.output is not None:
