@@ -1,21 +1,20 @@
 """Cypher front-end timing: ``tokenize`` and ``parse`` per query text.
 
-Times the lexer and the parser of one or two source trees over the parse
-golden's corpus (``tests/test_parse_golden.py``: the seed-7 perturbation
+Times the lexer and the parser of two source trees over the parse golden's
+corpus (``tests/test_parse_golden.py``: the seed-7 perturbation
 corpus with broken-syntax seeds 0-11, plus its hand list of lexer edge
 cases).  Every text is timed whether it parses or raises
 ``CypherSyntaxError``.
 
-With ``--baseline-src`` both trees are imported into one process, under
-names of their own, and timed in alternating passes over the corpus, so
-host load hits both sides alike.  The result is a same-run ratio (baseline
+Both trees are imported into one process, under names of their own, and
+timed in alternating passes over the corpus, so host load hits both sides
+alike.  The result is a same-run ratio (baseline
 time / change time, the median over rounds; above 1 means the change is
 faster)::
 
     python benchmarks/bench_frontend.py --baseline-src ../parent/src --output BENCH_frontend.json
 
-Without it, only ``--src`` (default: this checkout's ``src``) is timed.
-No CI job runs this script.
+``--src`` defaults to this checkout's ``src``.  No CI job runs this script.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from pathlib import Path
 _ROOT = Path(__file__).resolve().parent.parent
 
 STAGES = ("tokenize", "parse")
+ROUNDS = 31  # alternating passes over the corpus per tree and stage
 
 
 def corpus() -> list[str]:
@@ -76,22 +76,19 @@ def main(argv: list[str] | None = None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", type=Path, default=_ROOT / "src",
                         help="source tree of the change (default: this checkout)")
-    parser.add_argument("--baseline-src", type=Path,
+    parser.add_argument("--baseline-src", type=Path, required=True,
                         help="source tree to compare against, e.g. the parent commit's")
-    parser.add_argument("--rounds", type=int, default=31,
-                        help="alternating passes over the corpus per tree and stage")
     parser.add_argument("--output", type=Path, help="write the JSON result here")
     args = parser.parse_args(argv)
 
     texts = corpus()
-    trees = {"change": load_tree(args.src.resolve(), "_frontend_change")}
-    if args.baseline_src is not None:
-        trees["baseline"] = load_tree(args.baseline_src.resolve(), "_frontend_baseline")
+    trees = {"change": load_tree(args.src.resolve(), "_frontend_change"),
+             "baseline": load_tree(args.baseline_src.resolve(), "_frontend_baseline")}
     for tree in trees.values():  # one untimed pass each: caches and specialization
         for stage in STAGES:
             one_pass(tree[stage], tree["error"], texts)
     seconds = {side: {stage: [] for stage in STAGES} for side in trees}
-    for index in range(args.rounds):
+    for index in range(ROUNDS):
         # Alternate which tree goes first, so neither always runs warm.
         order = list(trees) if index % 2 == 0 else list(reversed(trees))
         for stage in STAGES:
@@ -102,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
     result: dict = {
         "benchmark": "cypher_frontend",
         "corpus_texts": len(texts),
-        "protocol": (f"{args.rounds} rounds of one pass over the corpus per tree and stage, "
+        "protocol": (f"{ROUNDS} rounds of one pass over the corpus per tree and stage, "
                      "trees alternating in one process; medians over rounds, in "
                      "microseconds per text; ratio: median of the rounds' baseline/change"),
         "host": f"{platform.python_implementation()} {platform.python_version()}, "
@@ -111,14 +108,13 @@ def main(argv: list[str] | None = None) -> int:
     for side, stages in seconds.items():
         result[side] = {f"{stage}_us": round(statistics.median(runs) / len(texts) * 1e6, 2)
                         for stage, runs in stages.items()}
-    if "baseline" in seconds:
-        result["ratio"] = {
-            stage: round(statistics.median(
-                base / change for base, change in
-                zip(seconds["baseline"][stage], seconds["change"][stage])
-            ), 2)
-            for stage in STAGES
-        }
+    result["ratio"] = {
+        stage: round(statistics.median(
+            base / change for base, change in
+            zip(seconds["baseline"][stage], seconds["change"][stage])
+        ), 2)
+        for stage in STAGES
+    }
     text = json.dumps(result, indent=2) + "\n"
     if args.output is not None:
         args.output.write_text(text)

@@ -100,6 +100,15 @@ class Token:
     def __repr__(self) -> str:
         return f"Token({self.kind!r}, {self.value!r}, {self.position!r}, {self.raw!r})"
 
+    def _key(self) -> tuple:
+        return (self.kind, self.value, self.position, self.raw)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, Token) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     @property
     def text(self) -> str:
         """Source spelling (falls back to ``value`` for non-keywords)."""

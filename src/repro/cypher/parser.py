@@ -77,9 +77,9 @@ class _Parser:
         self.current = self.tokens[self.index]
         return token
 
-    def accept_keyword(self, name: str) -> Optional[Token]:
+    def accept_keyword(self, *names: str) -> Optional[Token]:
         token = self.current
-        if token.value == name and token.kind == "KEYWORD":
+        if token.kind == "KEYWORD" and token.value in names:
             return self.advance()
         return None
 
@@ -92,10 +92,10 @@ class _Parser:
         self.current = self.tokens[self.index]
         return token
 
-    def expect_keyword(self, name: str) -> Token:
+    def expect_keyword(self, *names: str) -> Token:
         token = self.current
-        if token.value != name or token.kind != "KEYWORD":
-            raise self.error(f"expected {name}, found {token.value!r}")
+        if token.kind != "KEYWORD" or token.value not in names:
+            raise self.error(f"expected {'/'.join(names)}, found {token.value!r}")
         return self.advance()
 
     def expect_end(self) -> None:
@@ -113,7 +113,7 @@ class _Parser:
             return self.advance().value
         # COUNT and a few others are keywords but valid as identifiers in
         # some positions (e.g. a variable named `count`).
-        if token.kind == "KEYWORD" and token.value in ("COUNT", "ALL", "END"):
+        if token.is_keyword("COUNT", "ALL", "END"):
             return self.advance().text
         raise self.error(f"expected a name, found {token.value!r}")
 
@@ -233,10 +233,9 @@ class _Parser:
 
     def parse_order_item(self) -> ast.OrderItem:
         expression = self.parse_expr()
-        token = self.current
-        descending = token.kind == "KEYWORD" and token.value in ("DESC", "DESCENDING")
-        if descending or token.kind == "KEYWORD" and token.value in ("ASC", "ASCENDING"):
-            self.advance()
+        descending = bool(self.accept_keyword("DESC", "DESCENDING"))
+        if not descending:
+            self.accept_keyword("ASC", "ASCENDING")
         return ast.OrderItem(expression=expression, descending=descending)
 
     def parse_create(self) -> ast.CreateClause:
@@ -249,10 +248,7 @@ class _Parser:
         on_create: tuple[ast.SetItem, ...] = ()
         on_match: tuple[ast.SetItem, ...] = ()
         while self.accept_keyword("ON"):
-            action = self.current
-            if action.kind != "KEYWORD" or action.value not in ("CREATE", "MATCH"):
-                raise self.error(f"expected CREATE/MATCH, found {action.value!r}")
-            self.advance()
+            action = self.expect_keyword("CREATE", "MATCH")
             self.expect_keyword("SET")
             items = self.parse_set_items()
             if action.value == "CREATE":
@@ -627,7 +623,7 @@ class _Parser:
             lowered = name.lower()
             if lowered in ("any", "all", "none", "single"):
                 variable, keyword = self.peek(), self.peek(2)
-                if variable.kind == "IDENT" and keyword.value == "IN" and keyword.kind == "KEYWORD":
+                if variable.kind == "IDENT" and keyword.is_keyword("IN"):
                     return self.parse_quantifier(lowered)
             if lowered == "reduce":
                 return self.parse_reduce()
@@ -765,7 +761,7 @@ class _Parser:
     def parse_case(self) -> ast.Expr:
         self.expect_keyword("CASE")
         subject = None
-        if self.current.value != "WHEN" or self.current.kind != "KEYWORD":
+        if not self.current.is_keyword("WHEN"):
             subject = self.parse_expr()
         whens: list[tuple[ast.Expr, ast.Expr]] = []
         while self.accept_keyword("WHEN"):
@@ -829,7 +825,7 @@ class _Parser:
             )
         # Lookahead for `name IN`
         following = self.peek()
-        if self.current.kind == "IDENT" and following.value == "IN" and following.kind == "KEYWORD":
+        if self.current.kind == "IDENT" and following.is_keyword("IN"):
             variable = self.advance().value
             self.advance()  # IN
             source = self.parse_or()

@@ -33,6 +33,12 @@ class TestBasicTokens:
         assert token.kind == "IDENT"
         assert token.value == "myVar"
 
+    def test_tokens_compare_by_value(self):
+        assert tokenize("MATCH (a)") == tokenize("MATCH (a)")
+        assert tokenize("As")[0] == Token("KEYWORD", "AS", 0, "As")
+        assert tokenize("As")[0] != Token("KEYWORD", "AS", 0, "AS")
+        assert len({Token("INT", "1", 0), Token("INT", "1", 0)}) == 1
+
     def test_backtick_identifier(self):
         token = tokenize("`weird name`")[0]
         assert token.kind == "IDENT"
