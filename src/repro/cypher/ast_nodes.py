@@ -7,11 +7,11 @@ directly; there is no separate logical-plan IR because the clause pipeline
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Optional, Union
 
 __all__ = [
-    "Expr", "Literal", "Parameter", "Variable", "PropertyAccess", "Subscript",
+    "Expr", "Literal", "Slot", "Parameter", "Variable", "PropertyAccess", "Subscript",
     "Slice", "ListLiteral", "MapLiteral", "FunctionCall", "CountStar",
     "UnaryOp", "BinaryOp", "Comparison", "BooleanOp", "NotOp", "IsNull",
     "StringPredicate", "InList", "CaseExpr", "ListComprehension",
@@ -39,6 +39,18 @@ class Literal(Expr):
     """A constant: int, float, str, bool or None."""
 
     value: Any
+
+
+@dataclass(frozen=True)
+class Slot(Expr):
+    """A literal lifted out of a query shape: one tree serves every text of
+    the shape, and each execution reads the text's own value as
+    ``slots[index]`` from its context.  Slots compare by ``group``, the
+    literals' equality pattern under ``==``, so a lifted tree compares
+    structurally the way each text's parsed tree does."""
+
+    index: int = field(compare=False)
+    group: int
 
 
 @dataclass(frozen=True)
@@ -352,11 +364,12 @@ class ReturnItem:
     expression: Expr
     alias: Optional[str] = None
 
-    def output_name(self) -> str:
-        """The column name this item produces."""
+    def output_name(self, slots: Optional[tuple] = None) -> str:
+        """The column name this item produces; ``slots`` are the values of
+        the tree's :class:`Slot` nodes, rendered as the literals they are."""
         if self.alias:
             return self.alias
-        return _expression_text(self.expression)
+        return _expression_text(self.expression, slots)
 
 
 @dataclass(frozen=True)
@@ -471,7 +484,8 @@ Query = Union[SingleQuery, UnionQuery]
 #: for code that walks a tree generically.
 CHILD_FIELDS: dict[type, tuple[str, ...]] = {
     cls: tuple(f.name for f in fields(cls) if f.type not in
-               ("Any", "str", "bool", "Optional[str]", "Optional[int]", "tuple[str, ...]"))
+               ("Any", "str", "bool", "int", "Optional[str]", "Optional[int]",
+                "tuple[str, ...]"))
     for cls in list(globals().values()) if isinstance(cls, type) and is_dataclass(cls)
 }
 
@@ -480,65 +494,90 @@ CHILD_FIELDS: dict[type, tuple[str, ...]] = {
 # Pretty-printing (used for implicit column names and debugging)
 # ---------------------------------------------------------------------------
 
-def _expression_text(expr: Expr) -> str:
-    """Render an expression roughly back to Cypher text."""
+def _literal_text(value: Any) -> str:
+    if isinstance(value, str):
+        return "'" + value.replace("'", "\\'") + "'"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _with_values(obj: Any, slots: tuple) -> Any:
+    """``obj`` with every :class:`Slot` replaced by a :class:`Literal` of its value."""
+    cls = obj.__class__
+    if cls is Slot:
+        return Literal(slots[obj.index])
+    if cls is tuple or cls is list:
+        return cls(_with_values(item, slots) for item in obj)
+    names = CHILD_FIELDS.get(cls)
+    if not names:
+        return obj
+    return replace(obj, **{name: _with_values(getattr(obj, name), slots) for name in names})
+
+
+def _expression_text(expr: Expr, slots: Optional[tuple] = None) -> str:
+    """Render an expression roughly back to Cypher text.
+
+    A :class:`Slot` renders as its value in ``slots``; without them (when
+    the planner scopes a lifted tree's names) as ``<slot i>``, which no
+    variable name can equal.
+    """
     if isinstance(expr, Literal):
-        if isinstance(expr.value, str):
-            return "'" + expr.value.replace("'", "\\'") + "'"
-        if expr.value is None:
-            return "null"
-        if isinstance(expr.value, bool):
-            return "true" if expr.value else "false"
-        return str(expr.value)
+        return _literal_text(expr.value)
+    if isinstance(expr, Slot):
+        return f"<slot {expr.index}>" if slots is None else _literal_text(slots[expr.index])
     if isinstance(expr, Variable):
         return expr.name
     if isinstance(expr, Parameter):
         return f"${expr.name}"
     if isinstance(expr, PropertyAccess):
-        return f"{_expression_text(expr.subject)}.{expr.key}"
+        return f"{_expression_text(expr.subject, slots)}.{expr.key}"
     if isinstance(expr, Subscript):
-        return f"{_expression_text(expr.subject)}[{_expression_text(expr.index)}]"
+        return f"{_expression_text(expr.subject, slots)}[{_expression_text(expr.index, slots)}]"
     if isinstance(expr, Slice):
-        start = _expression_text(expr.start) if expr.start else ""
-        end = _expression_text(expr.end) if expr.end else ""
-        return f"{_expression_text(expr.subject)}[{start}..{end}]"
+        start = _expression_text(expr.start, slots) if expr.start else ""
+        end = _expression_text(expr.end, slots) if expr.end else ""
+        return f"{_expression_text(expr.subject, slots)}[{start}..{end}]"
     if isinstance(expr, ListLiteral):
-        return "[" + ", ".join(_expression_text(item) for item in expr.items) + "]"
+        return "[" + ", ".join(_expression_text(item, slots) for item in expr.items) + "]"
     if isinstance(expr, MapLiteral):
-        inner = ", ".join(f"{key}: {_expression_text(val)}" for key, val in expr.items)
+        inner = ", ".join(f"{key}: {_expression_text(val, slots)}" for key, val in expr.items)
         return "{" + inner + "}"
     if isinstance(expr, CountStar):
         return "count(*)"
     if isinstance(expr, FunctionCall):
         distinct = "DISTINCT " if expr.distinct else ""
-        args = ", ".join(_expression_text(arg) for arg in expr.args)
+        args = ", ".join(_expression_text(arg, slots) for arg in expr.args)
         return f"{expr.name}({distinct}{args})"
     if isinstance(expr, UnaryOp):
-        return f"{expr.op}{_expression_text(expr.operand)}"
+        return f"{expr.op}{_expression_text(expr.operand, slots)}"
     if isinstance(expr, BinaryOp):
-        return f"{_expression_text(expr.left)} {expr.op} {_expression_text(expr.right)}"
+        left, right = _expression_text(expr.left, slots), _expression_text(expr.right, slots)
+        return f"{left} {expr.op} {right}"
     if isinstance(expr, Comparison):
-        parts = [_expression_text(expr.operands[0])]
+        parts = [_expression_text(expr.operands[0], slots)]
         for op, operand in zip(expr.ops, expr.operands[1:]):
             parts.append(op)
-            parts.append(_expression_text(operand))
+            parts.append(_expression_text(operand, slots))
         return " ".join(parts)
     if isinstance(expr, BooleanOp):
-        return f" {expr.op} ".join(_expression_text(item) for item in expr.operands)
+        return f" {expr.op} ".join(_expression_text(item, slots) for item in expr.operands)
     if isinstance(expr, NotOp):
-        return f"NOT {_expression_text(expr.operand)}"
+        return f"NOT {_expression_text(expr.operand, slots)}"
     if isinstance(expr, IsNull):
         suffix = "IS NOT NULL" if expr.negated else "IS NULL"
-        return f"{_expression_text(expr.operand)} {suffix}"
+        return f"{_expression_text(expr.operand, slots)} {suffix}"
     if isinstance(expr, StringPredicate):
         word = {"STARTS": "STARTS WITH", "ENDS": "ENDS WITH", "CONTAINS": "CONTAINS"}[expr.op]
-        return f"{_expression_text(expr.left)} {word} {_expression_text(expr.right)}"
+        return f"{_expression_text(expr.left, slots)} {word} {_expression_text(expr.right, slots)}"
     if isinstance(expr, InList):
-        return f"{_expression_text(expr.value)} IN {_expression_text(expr.container)}"
+        return f"{_expression_text(expr.value, slots)} IN {_expression_text(expr.container, slots)}"
     if isinstance(expr, CaseExpr):
         return "CASE ... END"
     if isinstance(expr, ListComprehension):
-        return f"[{expr.variable} IN {_expression_text(expr.source)} ...]"
+        return f"[{expr.variable} IN {_expression_text(expr.source, slots)} ...]"
     if isinstance(expr, (PatternPredicate, ExistsExpr)):
         return "exists(...)"
-    return repr(expr)
+    return repr(expr if slots is None else _with_values(expr, slots))

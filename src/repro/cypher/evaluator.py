@@ -55,6 +55,9 @@ class Evaluator:
     def _eval_Literal(self, expr: ast.Literal, row: Row) -> Any:
         return expr.value
 
+    def _eval_Slot(self, expr: ast.Slot, row: Row) -> Any:
+        return self.context.slots[expr.index]
+
     def _eval_Parameter(self, expr: ast.Parameter, row: Row) -> Any:
         if expr.name not in self.context.params:
             raise CypherRuntimeError(f"missing parameter: ${expr.name}")

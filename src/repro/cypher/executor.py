@@ -16,12 +16,13 @@ generator and charges every row it emits inline, so a row costs one
 generator resume per operator it crosses, and a downstream LIMIT/top-k
 stops pulling and the whole upstream pipeline terminates early.  Only
 blocking operators (Sort, Aggregate, write barriers) materialise
-rows.  One bounded LRU keyed by query text holds each query's
-parsed tree and, for a read-only query, its last result, reused while
-the graph's statistics version is unchanged.  Every execution plans
-afresh against the current statistics; ``planner=False`` plans every part
-by a fixed shape-only rule instead, with no pushdown: the reference the
-tests check planned execution against.  This module holds the engine and
+rows.  Queries are cached per shape, the token stream with its value
+literals masked: one tree with those literals lifted into slots, and its
+plans for the current statistics version.  Per text the engine keeps the
+slot values and, for a read-only query, its last result, reused while the
+graph's statistics version is unchanged; lowering runs per execution.
+``planner=False`` plans every part by a fixed shape-only rule instead,
+with no pushdown: the reference the tests check planned execution against.  This module holds the engine and
 the per-run execution context with the matching primitives the operators
 share (candidate scans, binding, expansion, shortest paths); the
 evaluator and the write clauses live in :mod:`repro.cypher.evaluator`
@@ -50,13 +51,13 @@ from .evaluator import Evaluator
 from .functions import compare_once
 from .lowering import explain, lower_pattern, lower_query
 from .operators import RuntimeState, profile_tree, render_profile
-from .parser import parse
+from .lexer import tokenize
+from .parser import literal_shape, parse, parse_shape
 from .planner import (
     AnchorPlan,
     Filters,
     PartPlan,
     PushedFilter,
-    Site,
     fixed_anchor,
     pattern_part,
     pattern_sites,
@@ -116,35 +117,61 @@ class _LRUCache(OrderedDict):
                     self.on_evict(evicted)
 
 
-class _QueryEntry:
-    """Everything the engine keeps for one query text.
+class _Shape:
+    """Everything the engine keeps for one query shape.
 
-    ``sites`` lists the tree's pattern parts with the variables bound at
-    each (:func:`~.planner.pattern_sites`), so an execution only plans them.
-    ``memo`` is ``(stats_version, result, rows_charged)``, replaced by one
-    assignment, so a concurrent reader sees a whole tuple or the old one.
+    ``tree`` is the shape's parse with its lifted literals as
+    :class:`~.ast_nodes.Slot` nodes.  ``sites`` lists the tree's pattern
+    parts with the variables bound at each (:func:`~.planner.pattern_sites`).
+    ``plans`` is ``(stats_version, plans)``, replaced by one assignment, so a
+    concurrent reader sees a whole tuple or the old one.
     """
 
-    __slots__ = ("tree", "read_only", "sites", "memo")
+    __slots__ = ("tree", "read_only", "sites", "plans")
 
     def __init__(self, tree: ast.Query) -> None:
         self.tree = tree
         self.read_only = tree_is_read_only(tree)
         self.sites = pattern_sites(tree)
+        self.plans: tuple[int, dict[int, Any]] = (-1, {})
+
+
+class _QueryEntry:
+    """Everything the engine keeps for one query text: its shape, the
+    values of the shape's slots, and the memo.
+
+    ``memo`` is ``(stats_version, result, rows_charged)``, replaced by one
+    assignment like :attr:`_Shape.plans`.
+    """
+
+    __slots__ = ("shape", "slots", "memo")
+
+    def __init__(self, shape: _Shape, slots: tuple) -> None:
+        self.shape = shape
+        self.slots = slots
         self.memo: Optional[tuple[int, ResultSet, int]] = None
+
+    @property
+    def read_only(self) -> bool:
+        return self.shape.read_only
 
 
 class CypherEngine:
     """Executes Cypher text against one :class:`GraphStore`.
 
-    The engine keeps one entry per query text in a bounded LRU: the parsed
-    tree and, for a read-only query, the last result.  A repeated query
-    skips the parser, and a repeated read-only query without parameters or
-    PROFILE on an unchanged graph returns its last result without
-    executing.  Every execution that does run plans against the current
-    statistics; every store mutation bumps ``stats_version``, which
-    retires the memo.  ``planner=False`` disables planning entirely: the
-    semantic reference that planned execution is checked against.
+    The engine caches queries at two levels, each a bounded LRU of
+    ``cache_size`` entries.  A query *shape* is a token stream with its
+    value literals masked out (:func:`~.parser.literal_shape`); per shape
+    the engine keeps one tree with those literals lifted into slots, its
+    read-only flag and pattern sites, and its plans for the current
+    statistics version.  Per query *text* it keeps the slot values and, for
+    a read-only query, the last result.  A new text of a known shape is
+    tokenized but neither parsed nor planned; a repeated text is one dict
+    lookup, and a repeated read-only text without parameters or PROFILE on
+    an unchanged graph returns its last result without executing.  Every
+    store mutation bumps ``stats_version``, which retires plans and memos.
+    ``planner=False`` disables planning entirely: the semantic reference
+    that planned execution is checked against.
     """
 
     def __init__(
@@ -164,6 +191,7 @@ class CypherEngine:
         self.max_var_length = max_var_length
         self.planner = planner
         self._entries: _LRUCache = _LRUCache(cache_size, on_evict=self._drop_memo)
+        self._shapes: _LRUCache = _LRUCache(cache_size)
         # Entries holding a memo, oldest memo first, with its row count.
         # Memoised rows stay at or below the graph's node + relationship
         # count: a new memo drops the oldest ones until it fits.
@@ -176,10 +204,11 @@ class CypherEngine:
         return {}
 
     def cache_stats(self) -> dict[str, int]:
-        """Query-cache counters: cached texts, memo hits, memoised rows."""
+        """Query-cache counters: cached texts and shapes, memo hits, memoised rows."""
         with self._memo_lock:
             return {
                 "entries": len(self._entries),
+                "shapes": len(self._shapes),
                 "result_hits": self._result_hits,
                 "memoised_rows": self._memoised_rows,
             }
@@ -235,12 +264,7 @@ class CypherEngine:
                     self._result_hits += 1
                 return ResultSet(memo[1].keys, memo[1].records)
         result, root = self._execute(
-            entry.tree,
-            params or {},
-            deadline=deadline,
-            row_budget=row_budget,
-            profiled=profile,
-            sites=entry.sites,
+            entry, params or {}, deadline=deadline, row_budget=row_budget, profiled=profile
         )
         if profile:
             result.profile = profile_tree(root)
@@ -258,12 +282,34 @@ class CypherEngine:
         return self._entry(query).read_only
 
     def _entry(self, query: str) -> _QueryEntry:
-        """The cache entry for ``query``, parsing it on a miss."""
+        """The cache entry for ``query``, made on a miss."""
         entry = self._entries.get(query)
         if entry is None:
-            entry = _QueryEntry(parse(query))
+            entry = self._new_entry(query)
             self._entries[query] = entry
         return entry
+
+    def _new_entry(self, query: str) -> _QueryEntry:
+        """Tokenize ``query`` and find its shape, parsing the text itself on
+        a shape miss, so a syntax error always carries its own positions."""
+        tokens = tokenize(query)
+        # A text with backtick names, or a number past int()'s digit limit,
+        # is a shape of its own.
+        key, values, lifted = query, (), []
+        if "`" not in query:
+            try:
+                key, values, lifted = literal_shape(tokens)
+            except ValueError:
+                pass
+        shape = self._shapes.get(key)
+        if shape is None:
+            slots = {index: ast.Slot(k, group) for k, (index, group) in enumerate(lifted)}
+            tree = parse_shape(query, tokens, slots)
+            if tree is None:  # a lifted token was syntax after all
+                key, values, tree = query, (), parse_shape(query, tokens, {})
+            shape = _Shape(tree)
+            self._shapes[key] = shape
+        return _QueryEntry(shape, values)
 
     def _memoise(
         self, entry: _QueryEntry, version: int, result: ResultSet, rows_charged: int
@@ -293,25 +339,31 @@ class CypherEngine:
 
     def _execute(
         self,
-        tree: ast.Query,
+        entry: _QueryEntry,
         params: dict[str, Any],
         *,
         deadline: Any = None,
         row_budget: Optional[int] = None,
         profiled: bool = False,
-        sites: Optional[list[Site]] = None,
     ) -> tuple[ResultSet, ops.PhysicalOperator]:
-        """Plan ``tree``, lower it into a physical operator tree and drain it.
+        """Lower ``entry``'s tree into a physical operator tree and drain it.
 
-        ``sites`` is the tree's :func:`~.planner.pattern_sites`, if known.
-        Returns the result plus the executed tree root (its counters feed
-        ``PROFILE`` rendering and ``ResultSet.profile``).
+        Plans once per shape and statistics version.  Returns the result
+        plus the executed tree root (its counters feed ``PROFILE``
+        rendering and ``ResultSet.profile``).
         """
-        plans = plan_query(tree, self.store.statistics(), self.planner, sites)
+        shape = entry.shape
+        stats = self.store.statistics()
+        version, plans = shape.plans
+        if version != stats.version:
+            plans = plan_query(shape.tree, stats, self.planner, shape.sites)
+            shape.plans = (stats.version, plans)
         state = RuntimeState(deadline=deadline, budget=row_budget, profiled=profiled)
-        context = _ExecutionContext(self.store, params, self.max_var_length, state, plans)
+        context = _ExecutionContext(
+            self.store, params, entry.slots, self.max_var_length, state, plans
+        )
         state.check_deadline()
-        root = lower_query(tree, context, state)
+        root = lower_query(shape.tree, context, state)
         produced = iter(root)
         try:
             rows = list(produced)
@@ -331,8 +383,7 @@ class CypherEngine:
         its inclusive wall-clock time, so hot operators are visible at a
         glance.
         """
-        entry = self._entry(query)
-        result, root = self._execute(entry.tree, params, profiled=True, sites=entry.sites)
+        result, root = self._execute(self._entry(query), params, profiled=True)
         result.profile = profile_tree(root)
         return result, render_profile(root)
 
@@ -353,18 +404,21 @@ class CypherEngine:
 # ---------------------------------------------------------------------------
 
 class _ExecutionContext(WriteClauses):
-    """Holds the store, parameters, runtime state, plans and write counters for one run."""
+    """Holds the store, parameters, slot values, runtime state, plans and
+    write counters for one run."""
 
     def __init__(
         self,
         store: GraphStore,
         params: dict[str, Any],
+        slots: tuple,
         max_var_length: int,
         state: RuntimeState,
         plans: dict[int, Any],
     ):
         self.store = store
         self.params = params
+        self.slots = slots
         self.max_var_length = max_var_length
         # the run's row budget and deadline, charged by every operator
         self.state = state
@@ -374,7 +428,7 @@ class _ExecutionContext(WriteClauses):
         self.pattern_chains: dict[int, ops.PatternChain] = {}
         self.evaluator = Evaluator(self)
         # id(expr) -> value for pushed-filter expressions; those are
-        # Literal/Parameter only, so their value is fixed per execution
+        # Literal/Slot/Parameter only, so their value is fixed per execution
         self._filter_values: dict[int, Any] = {}
 
     def _filter_value(self, expr: ast.Expr) -> Any:
@@ -541,9 +595,11 @@ class _ExecutionContext(WriteClauses):
     ) -> Iterator[tuple[Relationship, int]]:
         """``(relationship, other end)`` for each edge a BFS may take from ``node_id``."""
         direction = rel_pattern.direction
+        step = self.state.step
         for rel in self.store.adjacent_relationships(
             node_id, direction, rel_pattern.types or None
         ):
+            step()
             if not self._rel_properties_match(rel_pattern, rel, row):
                 continue
             yield rel, rel.other_end(node_id)
@@ -600,6 +656,7 @@ class _ExecutionContext(WriteClauses):
             max_hops = self.max_var_length
         if min_hops == 0:
             yield [], current
+        step = self.state.step
 
         def walk(
             node: Node, taken: list[Relationship], taken_ids: frozenset[int]
@@ -609,6 +666,7 @@ class _ExecutionContext(WriteClauses):
             for rel in self.store.adjacent_relationships(
                 node.node_id, rel_pattern.direction, rel_pattern.types or None
             ):
+                step()
                 if rel.rel_id in used or rel.rel_id in taken_ids:
                     continue
                 if not self._rel_properties_match(rel_pattern, rel, row):

@@ -305,7 +305,9 @@ def _lower_projection(
     Returns the pipeline top plus the projection operator itself, whose
     items/keys Sort, AsRows and ProduceResults read.
     """
-    items, keys, aggregated, grouping = ops.derive_projection(clause, sorted(scope))
+    items, keys, aggregated, grouping = ops.derive_projection(
+        clause, sorted(scope), context.slots
+    )
     projection: ops.PhysicalOperator
     if aggregated:
         projection = ops.Aggregate(state, child, context, items, keys, grouping)

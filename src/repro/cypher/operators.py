@@ -102,7 +102,7 @@ _NO_RELS: frozenset = frozenset()
 class RuntimeState:
     """Per-execution shared state: row budget, deadline, profiling flag."""
 
-    __slots__ = ("deadline", "budget", "profiled", "rows")
+    __slots__ = ("deadline", "budget", "profiled", "rows", "steps")
 
     def __init__(self, deadline=None, budget: Optional[int] = None, profiled: bool = False):
         self.deadline = deadline
@@ -110,6 +110,8 @@ class RuntimeState:
         self.profiled = profiled
         #: total rows emitted across *all* operators (the budget currency)
         self.rows = 0
+        #: relationships examined by variable-length walks (not charged)
+        self.steps = 0
 
     def check_deadline(self) -> None:
         """Raise when the request deadline has already expired."""
@@ -132,6 +134,18 @@ class RuntimeState:
                 f"query exceeded its intermediate row budget ({self.budget} rows)"
             )
         if self.deadline is not None and not (rows & _DEADLINE_STRIDE_MASK):
+            self.check_deadline()
+
+    def step(self) -> None:
+        """Count one relationship a variable-length walk examines.
+
+        A walk can examine many steps per row it emits, or none at all when
+        its end pattern rejects every node, so steps read the deadline once
+        per ``_DEADLINE_STRIDE_MASK + 1`` of them.  They are not rows: the
+        budget and the charge counts do not see them.
+        """
+        steps = self.steps = self.steps + 1
+        if self.deadline is not None and not (steps & _DEADLINE_STRIDE_MASK):
             self.check_deadline()
 
 
@@ -602,12 +616,13 @@ class Unwind(PhysicalOperator):
 # ---------------------------------------------------------------------------
 
 def derive_projection(
-    clause: ast.ProjectionClause, in_scope: list[str]
+    clause: ast.ProjectionClause, in_scope: list[str], slots: tuple
 ) -> tuple[list, list[str], bool, list[int]]:
     """Resolve a projection clause's items/keys/aggregation/grouping.
 
     ``in_scope`` is the sorted variable scope a ``RETURN *`` expands to
-    (ignored for non-star clauses).
+    (ignored for non-star clauses); ``slots`` are the run's slot values,
+    which implicit column names render.
     """
     items = list(clause.items)
     if clause.star:
@@ -618,7 +633,7 @@ def derive_projection(
         items = star_items + items
     if not items:
         raise CypherSyntaxError("projection requires at least one item")
-    keys = [item.output_name() for item in items]
+    keys = [item.output_name(slots) for item in items]
     aggregated = any(_contains_aggregate(item.expression) for item in items)
     grouping_indices = [
         i for i, item in enumerate(items) if not _contains_aggregate(item.expression)

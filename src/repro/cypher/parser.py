@@ -16,7 +16,7 @@ from . import ast_nodes as ast
 from .errors import CypherSyntaxError
 from .lexer import Token, tokenize
 
-__all__ = ["parse", "parse_expression"]
+__all__ = ["parse", "parse_expression", "parse_shape", "literal_shape"]
 
 
 def parse(text: str) -> ast.Query:
@@ -29,6 +29,86 @@ def parse(text: str) -> ast.Query:
     query = parser.parse_query()
     parser.expect_end()
     return query
+
+
+def parse_shape(
+    text: str, tokens: list[Token], slots: dict[int, ast.Slot]
+) -> Optional[ast.Query]:
+    """Parse ``text``, already tokenized as ``tokens``, into its shape's tree:
+    the literal at each token index in ``slots`` becomes that slot node.
+
+    Returns None when a token in ``slots`` was not parsed as a literal (it
+    was syntax, so the tree cannot serve other values).
+
+    Raises:
+        CypherSyntaxError: exactly as :func:`parse` raises on ``text``.
+    """
+    parser = _Parser(text, tokens, slots)
+    query = parser.parse_query()
+    parser.expect_end()
+    return query if parser.lifted == len(slots) else None
+
+
+#: Each literal token kind and how :meth:`_Parser.parse_atom` converts its value.
+_LITERAL_KINDS = {"STRING": str, "INT": int, "FLOAT": float}
+#: A number after these is a parameter name (``$1``) or a hop bound (``*2``,
+#: ``..3``) when it is not a product's factor or a slice end.
+_SYNTAX_AFTER = frozenset({"DOLLAR", "STAR", "DOTDOT"})
+
+
+def literal_shape(tokens: list[Token]) -> tuple[tuple, tuple, list[tuple[int, int]]]:
+    """The shape key of a token stream and the literals lifted out of it.
+
+    The key is the stream with the value of every STRING/INT/FLOAT token
+    the parser turns into a literal masked out (its kind stays).  A token
+    the parser may read as syntax keeps its value in the key: a number
+    after ``$``, ``*`` or ``..``, and a string before ``:`` (a map key).
+    Every literal-valued token, TRUE/FALSE/NULL included, joins the group
+    of the first token whose value equals its own under ``==``, and the key
+    records each group, so texts of one key share the literals' equality
+    pattern.  A masked literal grouped with a kept one has its value fixed
+    by the key; it stays a literal of the tree and is not lifted.  The key
+    is sound only for text without backtick names, whose identifiers can
+    spell keywords and punctuation.
+
+    Returns ``(key, values, slots)``: the lifted literals' values in token
+    order and, for each, ``(token index, group)``.
+
+    Raises:
+        ValueError: when a number does not convert (past ``int()``'s digit
+            limit).
+    """
+    keyword_values = _Parser._KEYWORD_LITERALS
+    key: list = []
+    masked: list[tuple[int, object, int]] = []
+    groups: dict = {}
+    kept: set[int] = set()
+    previous = ""
+    for index, token in enumerate(tokens):
+        kind = token.kind
+        convert = _LITERAL_KINDS.get(kind)
+        if convert is not None:
+            value = convert(token.value)
+            group = groups.setdefault(value, index)
+            if previous in _SYNTAX_AFTER or kind == "STRING" and tokens[index + 1].kind == "COLON":
+                kept.add(group)
+                key.append((kind, token.value, group))
+            else:
+                masked.append((index, value, group))
+                key.append((kind, group))
+        elif kind == "KEYWORD" and token.value in keyword_values:
+            group = groups.setdefault(keyword_values[token.value], index)
+            kept.add(group)
+            key.append((token.raw, group))
+        else:
+            key.append(token.raw or token.value)
+        previous = kind
+    lifted = [entry for entry in masked if entry[2] not in kept]
+    return (
+        tuple(key),
+        tuple(value for _, value, _ in lifted),
+        [(index, group) for index, _, group in lifted],
+    )
 
 
 def parse_expression(text: str) -> ast.Expr:
@@ -46,13 +126,19 @@ class _Parser:
     token list always ends in an EOF token, which the cursor never passes.
     """
 
-    def __init__(self, text: str) -> None:
+    def __init__(
+        self, text: str, tokens: Optional[list[Token]] = None,
+        slots: Optional[dict[int, ast.Slot]] = None,
+    ) -> None:
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens = tokenize(text) if tokens is None else tokens
         self.index = 0
         self.current = self.tokens[0]
         #: pattern predicates, EXISTS patterns and comprehensions parsed so far
         self.pattern_expressions = 0
+        #: token index -> the slot node its literal becomes (parse_shape)
+        self.slots = slots
+        self.lifted = 0
 
     # ------------------------------------------------------------------
     # Cursor helpers
@@ -636,15 +722,15 @@ class _Parser:
                     args.append(self.parse_expr())
             self.expect("RPAREN", "')'")
             return ast.FunctionCall(name=name, args=tuple(args), distinct=distinct)
-        if kind == "STRING":
+        if kind in _LITERAL_KINDS:
+            if self.slots:
+                slot = self.slots.get(self.index)
+                if slot is not None:
+                    self.advance()
+                    self.lifted += 1
+                    return slot
             self.advance()
-            return ast.Literal(token.value)
-        if kind == "INT":
-            self.advance()
-            return ast.Literal(int(token.value))
-        if kind == "FLOAT":
-            self.advance()
-            return ast.Literal(float(token.value))
+            return ast.Literal(_LITERAL_KINDS[kind](token.value))
         if kind == "KEYWORD":
             keyword = token.value
             if keyword in self._KEYWORD_LITERALS:

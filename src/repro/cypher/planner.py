@@ -47,8 +47,10 @@ from . import ast_nodes as ast
 __all__ = ["AnchorPlan", "PartPlan", "MatchPlan", "PushedFilter", "plan_match",
            "plan_query", "extract_pushdown", "pattern_expressions", "pattern_sites"]
 
-# Pushable value expressions are row-independent: literals and parameters.
-_PUSHABLE = (ast.Literal, ast.Parameter)
+# Pushable value expressions are row-independent: literals (lifted into
+# slots or not) and parameters.
+_LITERALS = (ast.Literal, ast.Slot)
+_PUSHABLE = (*_LITERALS, ast.Parameter)
 
 
 @dataclass(frozen=True)
@@ -210,7 +212,7 @@ def _anchor(node: ast.NodePattern, stats: GraphStatistics,
     # IN over a literal list fans out into probes; IN over a parameter stays
     # a bind-time filter (its size is unknown at plan time).
     lookups += [("property-in", f.key, f.values) for f in pushed
-                if f.kind == "in" and all(isinstance(v, ast.Literal) for v in f.values)]
+                if f.kind == "in" and all(isinstance(v, _LITERALS) for v in f.values)]
     for kind, key, values in lookups:
         for label in node.labels:
             if stats.has_index(label, key):

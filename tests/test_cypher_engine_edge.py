@@ -14,12 +14,20 @@ from repro.graph.model import Node, Path, Relationship
 
 class TestEngineMachinery:
     def test_ast_cache_reused(self, tiny_store):
+        """A repeated text reuses its entry; a new text of a known shape
+        reuses the shape's tree and plans, with values of its own."""
         engine = CypherEngine(tiny_store)
-        query = "MATCH (a:AS) RETURN count(*)"
-        engine.run(query)
+        query = "MATCH (a:AS {asn: 2497}) RETURN a.name AS name"
+        assert engine.run(query).single()["name"] == "IIJ"
         cached = engine._entries[query]
         engine.run(query)
         assert engine._entries[query] is cached
+        plans = cached.shape.plans
+        other = "MATCH (a:AS {asn: 15169}) RETURN a.name AS name"
+        assert engine.run(other).single()["name"] == "GOOGLE"
+        assert engine._entries[other].shape is cached.shape
+        assert cached.shape.plans is plans
+        assert engine.cache_stats()["shapes"] == 1
 
     @pytest.mark.parametrize("query", [
         r"RETURN '\uZZZZ' AS x", r"RETURN '\u00' AS x", "RETURN ² AS x", "RETURN 1² AS x",
@@ -44,13 +52,19 @@ class TestEngineMachinery:
         assert result.single()["c"] == 2  # capped at 2 hops
 
     def test_cache_eviction_on_overflow(self, tiny_store):
+        """Both levels hold at most ``cache_size`` entries: texts, and
+        shapes (each alias makes a shape of its own)."""
         engine = CypherEngine(tiny_store)
         engine._entries.clear()
         for i in range(1030):
-            engine.run(f"RETURN {i}")
-        engine.run("RETURN 2")
+            engine.run(f"RETURN {i} AS c{i}")
+        engine.run("RETURN 2 AS c2")
         assert len(engine._entries) == 1024
+        assert len(engine._shapes) == 1024
         assert engine.cache_stats()["entries"] == 1024
+        assert engine.cache_stats()["shapes"] == 1024
+        assert engine.run("RETURN 1030 AS c1029").single()["c1029"] == 1030
+        assert engine.cache_stats()["shapes"] == 1024
 
     def test_lru_cache_survives_concurrent_eviction(self):
         """A reader never sees KeyError when a writer evicts its key."""

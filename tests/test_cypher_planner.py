@@ -469,6 +469,11 @@ class TestPlanCaching:
         for asn in range(32):
             engine.run(f"MATCH (a:AS {{asn: {asn}}}) RETURN a.name")
         assert len(engine._entries) <= 8
+        assert len(engine._shapes) == 1  # one shape for every asn
+        for asn in range(32):
+            engine.run(f"MATCH (a:AS {{asn: {asn}}}) RETURN a.name AS n{asn}")
+        assert len(engine._entries) <= 8
+        assert len(engine._shapes) <= 8
 
     def test_plans_refresh_after_mutation(self, tiny_store):
         engine = CypherEngine(tiny_store)

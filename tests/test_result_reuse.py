@@ -300,12 +300,15 @@ class TestConcurrency:
 class TestObservability:
     def test_cache_stats_counts(self, tiny_store):
         engine = CypherEngine(tiny_store)
-        assert engine.cache_stats() == {"entries": 0, "result_hits": 0, "memoised_rows": 0}
+        assert engine.cache_stats() == {
+            "entries": 0, "shapes": 0, "result_hits": 0, "memoised_rows": 0,
+        }
         engine.execute(AS_ROWS)
         engine.execute(AS_ROWS)
         engine.execute(COUNT_AS)
         assert engine.cache_stats() == {
             "entries": 2,
+            "shapes": 2,
             "result_hits": 1,
             "memoised_rows": len(fresh_rows(tiny_store, AS_ROWS)) + 1,
         }

@@ -7,7 +7,7 @@ import urllib.request
 
 import pytest
 
-from repro.cypher import CypherSyntaxError, is_read_only, parser
+from repro.cypher import CypherSyntaxError, executor, is_read_only, parser
 from repro.cypher.lexer import tokenize
 from repro.server import start_background
 
@@ -104,7 +104,9 @@ class TestCypherEndpoint:
             calls.append(text)
             return tokenize(text)
 
+        # The engine tokenizes to find the shape and hands the tokens to the parser.
         monkeypatch.setattr(parser, "tokenize", counting)
+        monkeypatch.setattr(executor, "tokenize", counting)
         query = "MATCH (a:AS) WHERE a.asn = 2497 RETURN a.asn AS tokenized_once"
         assert post(port, "/cypher", {"query": query})[0] == 200
         assert calls == [query]

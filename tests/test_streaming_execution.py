@@ -11,6 +11,8 @@ PROFILE tree that flows into pipeline diagnostics and metrics.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.cypher import (
@@ -22,6 +24,7 @@ from repro.cypher import (
 from repro.core.prompts import answer_prompt, text2cypher_prompt
 from repro.cypher.operators import max_operator_rows
 from repro.graph import GraphStore
+from repro.iyp import IYPConfig, generate_iyp
 from repro.llm.base import LLM, CompletionResponse
 from repro.rag.errors import DeadlineExceeded
 from repro.rag.errors import ResourceExhausted as RagResourceExhausted
@@ -543,15 +546,52 @@ class TestDeadlineCancellation:
         assert result.single()["n"] == 20
 
 
-@pytest.fixture()
-def clique_store():
-    """Seven nodes, an X edge between every pair: 906 trails of 1..4 hops from each."""
+def _clique(size: int, isolated: bool = False) -> GraphStore:
+    """``size`` nodes with an X edge between every pair, plus an unreachable
+    ``:Z`` node when ``isolated``."""
     store = GraphStore()
-    nodes = [store.create_node(["N"], {"i": i}) for i in range(7)]
+    nodes = [store.create_node(["N"], {"i": i}) for i in range(size)]
     for index, left in enumerate(nodes):
         for right in nodes[index + 1:]:
             store.create_relationship(left.node_id, "X", right.node_id)
+    if isolated:
+        store.create_node(["Z"], {})
     return store
+
+
+class TestWalkDeadline:
+    """Variable-length walks and shortest-path searches read the deadline
+    as they examine relationships, also when no end node ever binds, so no
+    row is charged."""
+
+    @pytest.mark.parametrize("size, query", [
+        (7, "MATCH (a:N {i: 0})-[:X*1..4]-(b:N {i: -1}) RETURN count(b) AS n"),
+        (30, "MATCH p = shortestPath((a:N)-[:X*]-(b:Z)) RETURN count(p) AS n"),
+        (30, "MATCH p = allShortestPaths((a:N)-[:X*]-(b:Z)) RETURN count(p) AS n"),
+    ])
+    def test_deadline_read_while_nothing_binds(self, size, query):
+        store = _clique(size, isolated=True)
+        assert CypherEngine(store).execute(query, row_budget=100).single()["n"] == 0
+        # One clock reading per 256 examined relationships.
+        deadline = Deadline(3.0, clock=_SteppingClock(0.001))
+        with pytest.raises(CypherDeadlineExceeded):
+            CypherEngine(store).execute(query, deadline=deadline)
+
+    def test_rejected_walk_stops_at_deadline_on_medium_graph(self):
+        """Without deadline reads in the walk this ran 3.5 s to its one row."""
+        store = generate_iyp(IYPConfig.medium(seed=42)).store
+        query = ("MATCH (a:AS {asn: 2497})-[:PEERS_WITH*1..7]-(b:Country) "
+                 "RETURN count(b)")
+        started = time.perf_counter()
+        with pytest.raises(CypherDeadlineExceeded):
+            CypherEngine(store).execute(query, deadline=Deadline.start(1000.0))
+        assert time.perf_counter() - started < 1.1
+
+
+@pytest.fixture()
+def clique_store():
+    """Seven nodes, an X edge between every pair: 906 trails of 1..4 hops from each."""
+    return _clique(7)
 
 
 #: Pattern predicates that enumerate every 1..4-hop trail from one node.

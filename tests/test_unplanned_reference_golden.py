@@ -161,7 +161,7 @@ def _reference_outcome(engine: CypherEngine, query: str) -> list:
 def _planned_rows_charged(engine: CypherEngine, query: str):
     """Intermediate rows the planned engine charges, or None if it raises."""
     try:
-        _, root = engine._execute(engine._entry(query).tree, {})
+        _, root = engine._execute(engine._entry(query), {})
     except CypherError:
         return None
     return root.state.rows
