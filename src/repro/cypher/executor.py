@@ -22,11 +22,11 @@ plans for the current statistics version.  Per text the engine keeps the
 slot values and, for a read-only query, its last result, reused while the
 graph's statistics version is unchanged; lowering runs per execution.
 ``planner=False`` plans every part by a fixed shape-only rule instead,
-with no pushdown: the reference the tests check planned execution against.  This module holds the engine and
-the per-run execution context with the matching primitives the operators
-share (candidate scans, binding, expansion, shortest paths); the
-evaluator and the write clauses live in :mod:`repro.cypher.evaluator`
-and :mod:`repro.cypher.writes`.
+with no pushdown: the reference the tests check planned execution against.
+This module holds the engine and the per-run execution context with the
+matching primitives the operators share (candidate scans, binding,
+expansion, shortest paths); the evaluator and the write clauses live in
+:mod:`repro.cypher.evaluator` and :mod:`repro.cypher.writes`.
 
 Entry points: :class:`CypherEngine` — ``engine.run(query, **params)``
 for the classic API, ``engine.execute(query, params, deadline=...,
@@ -151,10 +151,6 @@ class _QueryEntry:
         self.slots = slots
         self.memo: Optional[tuple[int, ResultSet, int]] = None
 
-    @property
-    def read_only(self) -> bool:
-        return self.shape.read_only
-
 
 class CypherEngine:
     """Executes Cypher text against one :class:`GraphStore`.
@@ -253,7 +249,7 @@ class CypherEngine:
         # Read before executing: versions only grow, so a memo from a run
         # that overlapped a write is tagged too old to ever match again.
         version = self.store.stats_version
-        reusable = entry.read_only and not params and not profile
+        reusable = entry.shape.read_only and not params and not profile
         if reusable:
             memo = entry.memo
             if memo is not None and memo[0] == version and (
@@ -279,7 +275,7 @@ class CypherEngine:
         Raises:
             CypherSyntaxError: if the query does not parse.
         """
-        return self._entry(query).read_only
+        return self._entry(query).shape.read_only
 
     def _entry(self, query: str) -> _QueryEntry:
         """The cache entry for ``query``, made on a miss."""

@@ -110,7 +110,8 @@ class RuntimeState:
         self.profiled = profiled
         #: total rows emitted across *all* operators (the budget currency)
         self.rows = 0
-        #: relationships examined by variable-length walks (not charged)
+        #: relationships examined by variable-length walks and shortest-path
+        #: searches (not charged)
         self.steps = 0
 
     def check_deadline(self) -> None:
@@ -137,7 +138,8 @@ class RuntimeState:
             self.check_deadline()
 
     def step(self) -> None:
-        """Count one relationship a variable-length walk examines.
+        """Count one relationship a variable-length walk or a shortest-path
+        search examines.
 
         A walk can examine many steps per row it emits, or none at all when
         its end pattern rejects every node, so steps read the deadline once

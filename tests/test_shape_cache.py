@@ -134,7 +134,7 @@ def _alone(store, query: str) -> list:
     when it writes)."""
     def run():
         entry = _QueryEntry(_Shape(parse(query)), ())
-        engine = CypherEngine(store if entry.read_only else _small_store())
+        engine = CypherEngine(store if entry.shape.read_only else _small_store())
         return engine._execute(entry, PARAMS, row_budget=BUDGET, deadline=_deadline())
     return _outcome(run)
 
@@ -143,7 +143,7 @@ def _through(engine: CypherEngine, query: str) -> list:
     """``query`` run through ``engine``'s query cache (a write on a fresh graph)."""
     def run():
         entry = engine._entry(query)
-        runner = engine if entry.read_only else CypherEngine(_small_store())
+        runner = engine if entry.shape.read_only else CypherEngine(_small_store())
         return runner._execute(entry, PARAMS, row_budget=BUDGET, deadline=_deadline())
     return _outcome(run)
 
