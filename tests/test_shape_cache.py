@@ -78,6 +78,8 @@ PAIRS = [
     "MATCH (a:AS {asn: 2497}) RETURN a.name AS name",
     "MATCH (a:AS {asn: 15169}) RETURN a.name AS name",
     # the equality pattern decides ORDER BY reuse
+    "RETURN sum(1) ORDER BY sum(1)",
+    "RETURN sum(1) ORDER BY sum(2)",
     "MATCH (a:AS) RETURN sum(1) AS s ORDER BY sum(1)",
     "MATCH (a:AS) RETURN sum(1) AS s ORDER BY sum(2)",
     "MATCH (a:AS) RETURN sum(1) AS s ORDER BY sum(1.0)",
