@@ -7,8 +7,9 @@ cases).  Every text is timed whether it parses or raises
 ``CypherSyntaxError``.  The ``execute`` stage runs ``CypherEngine.execute``
 on every text of the corpus without the hand list, in corpus order, on a
 fresh engine over the small graph per pass, so it pays each text's fixed
-cost (parse, plan, lower) as a first-seen text does, with whatever the
-engine's query cache reuses across texts.  Each text raises or returns;
+cost as a first-seen text does: tokenize per text, and parse, plan and
+lower per query shape (a text that does not parse is parsed every time),
+with whatever the engine's query cache reuses across texts.  Each text raises or returns;
 the hand list is left out: it is lexer edge cases, and its all-nodes
 ``shortestPath`` runs for seconds.
 

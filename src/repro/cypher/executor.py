@@ -18,9 +18,12 @@ stops pulling and the whole upstream pipeline terminates early.  Only
 blocking operators (Sort, Aggregate, write barriers) materialise
 rows.  Queries are cached per shape, the token stream with its value
 literals masked: one tree with those literals lifted into slots, and its
-plans for the current statistics version.  Per text the engine keeps the
-slot values and, for a read-only query, its last result, reused while the
-graph's statistics version is unchanged; lowering runs per execution.
+plans and operator tree for the current statistics version.  The operator
+tree holds no run state, so every run and thread shares it; a run keeps
+its counters, SKIP/LIMIT counts and argument rows in its execution
+context.  Per text the engine keeps the slot values and, for a read-only
+query, its last result, reused while the graph's statistics version is
+unchanged.
 ``planner=False`` plans every part by a fixed shape-only rule instead,
 with no pushdown: the reference the tests check planned execution against.
 This module holds the engine and the per-run execution context with the
@@ -45,21 +48,18 @@ from ..faults import fault_point
 from ..graph.model import Node, Path, Relationship
 from ..graph.store import GraphStore
 from . import ast_nodes as ast
-from . import operators as ops
 from .errors import CypherRuntimeError, CypherTypeError
 from .evaluator import Evaluator
 from .functions import compare_once
-from .lowering import explain, lower_pattern, lower_query
+from .lowering import LoweredQuery, explain, lower_query
 from .operators import RuntimeState, profile_tree, render_profile
 from .lexer import tokenize
 from .parser import literal_shape, parse, parse_shape
 from .planner import (
     AnchorPlan,
     Filters,
-    PartPlan,
     PushedFilter,
     fixed_anchor,
-    pattern_part,
     pattern_sites,
     plan_query,
 )
@@ -123,8 +123,10 @@ class _Shape:
     ``tree`` is the shape's parse with its lifted literals as
     :class:`~.ast_nodes.Slot` nodes.  ``sites`` lists the tree's pattern
     parts with the variables bound at each (:func:`~.planner.pattern_sites`).
-    ``plans`` is ``(stats_version, plans)``, replaced by one assignment, so a
-    concurrent reader sees a whole tuple or the old one.
+    ``plans`` is ``(stats_version, plans, lowered)``: the plans and the
+    operator tree lowered from them, which every run of the shape shares.
+    It is replaced by one assignment, so a concurrent reader sees a whole
+    tuple or the old one.
     """
 
     __slots__ = ("tree", "read_only", "sites", "plans")
@@ -133,7 +135,7 @@ class _Shape:
         self.tree = tree
         self.read_only = tree_is_read_only(tree)
         self.sites = pattern_sites(tree)
-        self.plans: tuple[int, dict[int, Any]] = (-1, {})
+        self.plans: tuple[int, dict[int, Any], Optional[LoweredQuery]] = (-1, {}, None)
 
 
 class _QueryEntry:
@@ -159,10 +161,11 @@ class CypherEngine:
     ``cache_size`` entries.  A query *shape* is a token stream with its
     value literals masked out (:func:`~.parser.literal_shape`); per shape
     the engine keeps one tree with those literals lifted into slots, its
-    read-only flag and pattern sites, and its plans for the current
-    statistics version.  Per query *text* it keeps the slot values and, for
-    a read-only query, the last result.  A new text of a known shape is
-    tokenized but neither parsed nor planned; a repeated text is one dict
+    read-only flag and pattern sites, and its plans and lowered operator
+    tree for the current statistics version.  Per query *text* it keeps the
+    slot values and, for a read-only query, the last result.  A new text of
+    a known shape is tokenized but neither parsed, planned nor lowered; a
+    repeated text is one dict
     lookup, and a repeated read-only text without parameters or PROFILE on
     an unchanged graph returns its last result without executing.  Every
     store mutation bumps ``stats_version``, which retires plans and memos.
@@ -259,13 +262,13 @@ class CypherEngine:
                 with self._memo_lock:
                     self._result_hits += 1
                 return ResultSet(memo[1].keys, memo[1].records)
-        result, root = self._execute(
+        result, run = self._execute(
             entry, params or {}, deadline=deadline, row_budget=row_budget, profiled=profile
         )
         if profile:
-            result.profile = profile_tree(root)
+            result.profile = profile_tree(run.root, run)
         elif reusable:
-            self._memoise(entry, version, result, root.state.rows)
+            self._memoise(entry, version, result, run.state.rows)
         return result
 
     def is_read_only(self, query: str) -> bool:
@@ -341,35 +344,39 @@ class CypherEngine:
         deadline: Any = None,
         row_budget: Optional[int] = None,
         profiled: bool = False,
-    ) -> tuple[ResultSet, ops.PhysicalOperator]:
-        """Lower ``entry``'s tree into a physical operator tree and drain it.
+    ) -> tuple[ResultSet, _ExecutionContext]:
+        """Run ``entry``'s shape's operator tree with ``entry``'s slot values.
 
-        Plans once per shape and statistics version.  Returns the result
-        plus the executed tree root (its counters feed ``PROFILE``
-        rendering and ``ResultSet.profile``).
+        Plans and lowers once per shape and statistics version.  Returns the
+        result plus the run (its counters feed ``PROFILE`` rendering and
+        ``ResultSet.profile``).
         """
         shape = entry.shape
         stats = self.store.statistics()
-        version, plans = shape.plans
+        version, plans, lowered = shape.plans
         if version != stats.version:
             plans = plan_query(shape.tree, stats, self.planner, shape.sites)
-            shape.plans = (stats.version, plans)
-        state = RuntimeState(deadline=deadline, budget=row_budget, profiled=profiled)
-        context = _ExecutionContext(
-            self.store, params, entry.slots, self.max_var_length, state, plans
+            lowered = lower_query(shape.tree, plans, shape.sites)
+            if lowered.error is None:
+                shape.plans = (stats.version, plans, lowered)
+        state = RuntimeState(deadline, row_budget, profiled, lowered.size)
+        run = _ExecutionContext(
+            self.store, params, entry.slots, self.max_var_length, state, lowered
         )
         state.check_deadline()
-        root = lower_query(shape.tree, context, state)
-        produced = iter(root)
+        run.bounds = [run._bounded_int(expr, what) for expr, what in lowered.bounds]
+        if lowered.error is not None:
+            raise lowered.error
+        produced = run.root.open(run)
         try:
             rows = list(produced)
         finally:
             produced.close()
-        keys = root.keys or []
+        keys = run.root.keys(run)
         # Adopt-without-copy: each values list is single-owner and the keys
         # list is shared read-only across every record of the result.
         records = [Record.of(keys, values) for values in rows]
-        return ResultSet(keys, records, **context.counters()), root
+        return ResultSet(keys, records, **run.counters()), run
 
     def profile(self, query: str, **params: Any) -> tuple[ResultSet, str]:
         """Execute ``query`` and report the physical operator tree.
@@ -379,9 +386,9 @@ class CypherEngine:
         its inclusive wall-clock time, so hot operators are visible at a
         glance.
         """
-        result, root = self._execute(self._entry(query), params, profiled=True)
-        result.profile = profile_tree(root)
-        return result, render_profile(root)
+        result, run = self._execute(self._entry(query), params, profiled=True)
+        result.profile = profile_tree(run.root, run)
+        return result, render_profile(run.root, run)
 
     def explain(self, query: str) -> str:
         """Describe how ``query`` would execute (clause pipeline + plans).
@@ -400,8 +407,10 @@ class CypherEngine:
 # ---------------------------------------------------------------------------
 
 class _ExecutionContext(WriteClauses):
-    """Holds the store, parameters, slot values, runtime state, plans and
-    write counters for one run."""
+    """One run of a shared operator tree: the store, parameters, slot
+    values, runtime state and write counters, the SKIP/LIMIT counts
+    (``bounds``) and the row each ``Argument`` leaf yields (``arguments``,
+    by operator number)."""
 
     def __init__(
         self,
@@ -410,18 +419,18 @@ class _ExecutionContext(WriteClauses):
         slots: tuple,
         max_var_length: int,
         state: RuntimeState,
-        plans: dict[int, Any],
+        lowered: LoweredQuery,
     ):
         self.store = store
         self.params = params
         self.slots = slots
         self.max_var_length = max_var_length
-        # the run's row budget and deadline, charged by every operator
+        # the run's row budget, deadline and per-operator counters
         self.state = state
-        self.plans = plans
-        # pattern expressions and MERGE match through sub-chains, by node id
-        self.has_subchains = any(type(plan) is PartPlan for plan in plans.values())
-        self.pattern_chains: dict[int, ops.PatternChain] = {}
+        self.root = lowered.root
+        self.chains = lowered.chains
+        self.bounds: list[int] = []
+        self.arguments: dict[int, Row] = {}
         self.evaluator = Evaluator(self)
         # id(expr) -> value for pushed-filter expressions; those are
         # Literal/Slot/Parameter only, so their value is fixed per execution
@@ -437,14 +446,11 @@ class _ExecutionContext(WriteClauses):
         cache[key] = value
         return value
 
-    def pattern_chain(self, node: Any) -> ops.PatternChain:
-        """The chain of ``node``, a pattern expression or a MERGE clause,
-        lowered on first use with the plan made for it."""
-        key = id(node)
-        if key not in self.pattern_chains:
-            plan = self.plans[key]
-            self.pattern_chains[key] = lower_pattern(pattern_part(node), plan, self, self.state)
-        return self.pattern_chains[key]
+    def matches(self, node: Any, row: Row, first_only: bool = False) -> list[Row]:
+        """The rows ``row`` extends to through the sub-chain of ``node``, a
+        pattern expression or a MERGE clause; only the first with
+        ``first_only``."""
+        return self.chains[id(node)].matches(self, row, first_only)
 
     def _match_shortest(
         self,

@@ -6,29 +6,33 @@ Expand* → Match`` (``ShortestPath`` for a shortest-path part): the parts
 of MATCH and OPTIONAL MATCH, and, fed from an ``Argument`` leaf and re-run
 per row, MERGE's match and every pattern predicate, ``EXISTS`` pattern
 and pattern comprehension.  Such a sub-chain hangs under the operator
-that evaluates it, so PROFILE shows its operators and rows.
+that evaluates it, so PROFILE shows its operators and rows.  The engine
+lowers a query shape once per set of plans (:func:`lower_query`); the tree
+holds no run state, and what depends on a run's values (SKIP/LIMIT counts,
+implicit column names) is resolved in the run.
 :func:`explain` renders the clause pipeline and the same plans as text
 without executing anything.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Optional, Union
 
 from . import ast_nodes as ast
 from . import operators as ops
-from .errors import CypherRuntimeError, CypherSyntaxError
-from .operators import RuntimeState, _contains_aggregate
+from .errors import CypherError, CypherRuntimeError, CypherSyntaxError
+from .operators import _contains_aggregate
 from .planner import (
     Filters,
     MatchPlan,
     PartPlan,
+    Site,
     needs_used_tracking,
     pattern_expressions,
     pattern_part,
 )
 
-__all__ = ["explain", "lower_pattern", "lower_query"]
+__all__ = ["LoweredQuery", "explain", "lower_pattern", "lower_query"]
 
 Plans = dict[int, Union[MatchPlan, PartPlan]]
 
@@ -111,60 +115,110 @@ def _node_text(node: ast.NodePattern) -> str:
 
 # -- Lowering: AST + plans -> physical operator tree ---------------------------
 
-def lower_query(tree: ast.Query, context: Any, state: RuntimeState) -> ops.PhysicalOperator:
-    """Lower a parsed query into its physical operator tree."""
-    if isinstance(tree, ast.UnionQuery):
-        branches = [
-            _lower_single(query, context, state) for query in tree.queries
-        ]
-        return ops.UnionAppend(state, branches, tree.union_all)
-    return _lower_single(tree, context, state)
+class LoweredQuery:
+    """A query's operator tree for one set of plans, shared by every run.
+
+    ``chains`` maps ``id(node)`` to the sub-chain of each pattern expression
+    and MERGE clause.  ``bounds`` lists the SKIP and LIMIT expressions as
+    ``(expression, "SKIP" | "LIMIT")``, in lowering order: a run evaluates
+    them before it starts, and Skip, Limit and TopK read the values by
+    index.  ``size`` is the operator count; operator numbers index a run's
+    counters.  When lowering fails, ``error`` is its error and ``root`` is
+    None; a run evaluates the bounds lowered before the error, then raises it.
+    """
+
+    def __init__(self, plans: Plans, sites: list[Site]) -> None:
+        self.plans = plans
+        self.bounds: list[tuple[ast.Expr, str]] = []
+        # Every pattern expression and MERGE gets its chain up front,
+        # wherever it sits (a SKIP, LIMIT or MATCH property may hold one).
+        self.chains = {
+            id(node): lower_pattern(pattern_part(node), plans[id(node)])
+            for node, _ in sites if not isinstance(node, ast.MatchClause)
+        }
+        self.root: Optional[ops.PhysicalOperator] = None
+        self.error: Optional[CypherError] = None
+        self.size = 0
+
+    def bound(self, expr: ast.Expr, what: str) -> int:
+        """Index of ``expr``'s value among a run's SKIP/LIMIT counts."""
+        self.bounds.append((expr, what))
+        return len(self.bounds) - 1
 
 
-def _lower_single(
-    tree: ast.SingleQuery, context: Any, state: RuntimeState
-) -> ops.ProduceResults:
-    op: ops.PhysicalOperator = ops.Init(state)
+def lower_query(tree: ast.Query, plans: Plans, sites: list[Site]) -> LoweredQuery:
+    """Lower a parsed query into its physical operator tree; ``sites`` is
+    :func:`~.planner.pattern_sites` of ``tree``."""
+    lowered = LoweredQuery(plans, sites)
+    try:
+        if isinstance(tree, ast.UnionQuery):
+            branches = [_lower_single(query, lowered) for query in tree.queries]
+            lowered.root = ops.UnionAppend(branches, tree.union_all)
+        else:
+            lowered.root = _lower_single(tree, lowered)
+    except CypherError as error:
+        lowered.error = error
+    roots = [chain.root for chain in lowered.chains.values()]
+    lowered.size = _number(roots if lowered.root is None else [lowered.root, *roots])
+    return lowered
+
+
+def _number(roots: list[ops.PhysicalOperator]) -> int:
+    """Number every operator under ``roots`` once; returns how many there are."""
+    size = 0
+    stack = list(roots)
+    while stack:
+        op = stack.pop()
+        if op.number < 0:
+            op.number = size
+            size += 1
+            stack.extend(op.children)
+    return size
+
+
+def _lower_single(tree: ast.SingleQuery, lowered: LoweredQuery) -> ops.ProduceResults:
+    op: ops.PhysicalOperator = ops.Init()
     # Variables the clauses so far bind: what ``WITH *``/``RETURN *``
-    # expand to, known before any row exists.
+    # expand to, known before any row exists; plus, after a WITH whose
+    # column names render slot values, that projection's keys (``base``).
     scope: set[str] = set()
+    base: Optional[ops._Projection] = None
     # whether an updating clause runs below the current clause
     writes = False
     clauses = tree.clauses
     for index, clause in enumerate(clauses):
         if isinstance(clause, ast.MatchClause):
-            op = _lower_match(op, clause, context, state)
+            op = _lower_match(op, clause, lowered)
             scope.update(clause.pattern.variables)
         elif isinstance(clause, ast.UnwindClause):
-            op = _with_patterns(ops.Unwind(state, op, context, clause), context, clause)
+            op = _with_patterns(ops.Unwind(op, clause), lowered, clause)
             scope.add(clause.variable)
         elif isinstance(clause, ast.WithClause):
-            op, projection = _lower_projection(
-                op, clause, context, state, scope, writes
-            )
-            op = ops.AsRows(state, op, projection)
+            op, projection = _lower_projection(op, clause, lowered, scope, base, writes)
+            op = ops.AsRows(op, projection)
             if clause.where is not None:
-                op = _filter(op, clause.where, context, state)
-            scope = set(projection.keys)
+                op = _filter(op, clause.where, lowered)
+            if projection.fixed is None:
+                scope, base = set(), projection
+            else:
+                scope, base = set(projection.fixed[1]), None
         elif isinstance(clause, ast.ReturnClause):
             if index != len(clauses) - 1:
                 raise CypherSyntaxError("RETURN must be the final clause")
-            op, projection = _lower_projection(
-                op, clause, context, state, scope, writes
-            )
-            return ops.ProduceResults(state, op, projection)
+            op, projection = _lower_projection(op, clause, lowered, scope, base, writes)
+            return ops.ProduceResults(op, projection)
         elif type(clause) in _WRITE_OPERATORS:
-            op = _WRITE_OPERATORS[type(clause)](state, op, context, clause)
+            op = _WRITE_OPERATORS[type(clause)](op, clause)
             if isinstance(clause, ast.MergeClause):
-                op.children.append(context.pattern_chain(clause).root)
+                op.children.append(lowered.chains[id(clause)].root)
                 scope.update(clause.part.variables)
             elif isinstance(clause, ast.CreateClause):
                 scope.update(clause.pattern.variables)
-            _with_patterns(op, context, clause)
+            _with_patterns(op, lowered, clause)
             writes = True
         else:  # pragma: no cover - parser cannot produce others
             raise CypherRuntimeError(f"unsupported clause {clause!r}")
-    return ops.ProduceResults(state, op, None)
+    return ops.ProduceResults(op, None)
 
 
 _WRITE_OPERATORS = {
@@ -176,55 +230,52 @@ _WRITE_OPERATORS = {
 }
 
 
-def _with_patterns(op: ops.PhysicalOperator, context: Any, *exprs: Any) -> ops.PhysicalOperator:
+def _with_patterns(
+    op: ops.PhysicalOperator, lowered: LoweredQuery, *exprs: Any
+) -> ops.PhysicalOperator:
     """``op`` with the sub-chain of each pattern expression it evaluates
     as an extra child (its first child stays its input)."""
-    if context.has_subchains:
+    if lowered.chains:
         for expr, _ in pattern_expressions(exprs):
-            op.children.append(context.pattern_chain(expr).root)
+            op.children.append(lowered.chains[id(expr)].root)
     return op
 
 
 def _filter(
-    child: ops.PhysicalOperator, where: ast.Expr, context: Any, state: RuntimeState
+    child: ops.PhysicalOperator, where: ast.Expr, lowered: LoweredQuery
 ) -> ops.PhysicalOperator:
-    return _with_patterns(ops.Filter(state, child, context, where, pairs_in=False), context, where)
+    return _with_patterns(ops.Filter(child, where, pairs_in=False), lowered, where)
 
 
 def _lower_match(
-    child: ops.PhysicalOperator,
-    clause: ast.MatchClause,
-    context: Any,
-    state: RuntimeState,
+    child: ops.PhysicalOperator, clause: ast.MatchClause, lowered: LoweredQuery
 ) -> ops.PhysicalOperator:
     """The clause's parts chained (each consumes the previous part's ``(row,
     used)`` pairs, threading relationship uniqueness through), then its
     WHERE.  OPTIONAL MATCH runs them as a sub-pipeline re-run once per
     upstream row, padding with nulls on no match."""
-    plan = context.plans[id(clause)]
-    source = ops.RowSource(state) if clause.optional else child
+    plan = lowered.plans[id(clause)]
+    source = ops.RowSource() if clause.optional else child
     parts = clause.pattern.parts
     op = source
     for index, (part, part_plan) in enumerate(zip(parts, plan.parts)):
         op = lower_part(
-            op, part, part_plan, plan.filters, context, state,
+            op, part, part_plan, plan.filters,
             from_rows=index == 0, emit_row=index == len(parts) - 1,
             update_used=len(parts) > 1,
         )
     if clause.where is not None:
-        op = _filter(op, clause.where, context, state)
+        op = _filter(op, clause.where, lowered)
     if not clause.optional:
         return op
-    return ops.OptionalMatch(state, child, op, source, clause.pattern.variables)
+    return ops.OptionalMatch(child, op, source, clause.pattern.variables)
 
 
-def lower_pattern(
-    part: ast.PatternPart, part_plan: PartPlan, context: Any, state: RuntimeState
-) -> ops.PatternChain:
+def lower_pattern(part: ast.PatternPart, part_plan: PartPlan) -> ops.PatternChain:
     """The chain of a pattern expression or MERGE, fed one row at a time."""
-    source = ops.RowSource(state)
+    source = ops.RowSource()
     root = lower_part(
-        source, part, part_plan, None, context, state,
+        source, part, part_plan, None,
         from_rows=True, emit_row=True, update_used=False, charge_examined=True,
     )
     return ops.PatternChain(source, root)
@@ -235,8 +286,6 @@ def lower_part(
     part: ast.PatternPart,
     part_plan: PartPlan,
     filters: Optional[Filters],
-    context: Any,
-    state: RuntimeState,
     *,
     from_rows: bool,
     emit_row: bool,
@@ -254,8 +303,7 @@ def lower_part(
     if part.shortest is not None:
         kind = "shortestPath" if part.shortest == "single" else "allShortestPaths"
         return ops.ShortestPath(
-            state, child, context, part, filters,
-            from_rows=from_rows, emit_row=emit_row, detail=kind,
+            child, part, filters, from_rows=from_rows, emit_row=emit_row, detail=kind,
         )
     elements = list(part.elements)
     if part_plan.reverse:
@@ -267,8 +315,7 @@ def lower_part(
     maintain_used = update_used or needs_used_tracking(part)
     name, detail = anchor.physical_operator()
     op: ops.PhysicalOperator = ops.AnchorScan(
-        state, child, context, first, anchor, filters,
-        track_path, from_rows, name, detail, charge_examined,
+        child, first, anchor, filters, track_path, from_rows, name, detail, charge_examined,
     )
     for index in range(1, len(elements), 2):
         rel_pattern = elements[index]
@@ -279,12 +326,12 @@ def lower_part(
         types = "|".join(rel_pattern.types) if rel_pattern.types else ""
         arrow = {"out": "->", "in": "<-", "both": "--"}[rel_pattern.direction]
         op = expand_cls(
-            state, op, context, rel_pattern, node_pattern, filters,
+            op, rel_pattern, node_pattern, filters,
             maintain_used, detail=f"[:{types}]{arrow}" if types else arrow,
             charge_examined=charge_examined,
         )
     return ops.PartEmit(
-        state, op, part, part_plan.reverse, emit_row,
+        op, part, part_plan.reverse, emit_row,
         detail=f"{len(part.nodes)} nodes, {part.hop_count} hops",
     )
 
@@ -292,45 +339,54 @@ def lower_part(
 def _lower_projection(
     child: ops.PhysicalOperator,
     clause: ast.ProjectionClause,
-    context: Any,
-    state: RuntimeState,
-    scope: Iterable[str] = (),
-    writes: bool = False,
-) -> tuple[ops.PhysicalOperator, ops.PhysicalOperator]:
+    lowered: LoweredQuery,
+    scope: set[str],
+    base: Optional[ops._Projection],
+    writes: bool,
+) -> tuple[ops.PhysicalOperator, ops._Projection]:
     """Lower WITH/RETURN into project → distinct → sort → skip → limit.
 
-    ``scope`` is the set of variables bound before the clause, which
-    ``*`` expands to; ``writes`` says an updating clause runs below it
-    (its LIMIT is then exhaustive, see :class:`~.operators.Limit`).
+    ``scope`` and ``base`` are what ``*`` expands to (see
+    :func:`_lower_single`); ``writes`` says an updating clause runs below
+    the clause (its LIMIT is then exhaustive, see :class:`~.operators.Limit`).
     Returns the pipeline top plus the projection operator itself, whose
-    items/keys Sort, AsRows and ProduceResults read.
+    layout Sort, AsRows and ProduceResults read.
     """
-    items, keys, aggregated, grouping = ops.derive_projection(
-        clause, sorted(scope), context.slots
-    )
-    projection: ops.PhysicalOperator
-    if aggregated:
-        projection = ops.Aggregate(state, child, context, items, keys, grouping)
+    layout = None
+    if base is None or not clause.star:
+        base = None
+        items, keys, aggregated, grouping = ops.derive_projection(clause, sorted(scope), None)
+        if not any(not item.alias and _has_slot(item.expression) for item in clause.items):
+            layout = (items, keys, grouping)
     else:
-        projection = ops.Project(state, child, context, items, keys)
-    _with_patterns(projection, context, clause.items)
+        aggregated = any(_contains_aggregate(item.expression) for item in clause.items)
+    projection_cls = ops.Aggregate if aggregated else ops.Project
+    projection = projection_cls(child, clause, frozenset(scope), base, layout)
+    _with_patterns(projection, lowered, clause.items)
     op: ops.PhysicalOperator = projection
     if clause.distinct:
-        op = ops.Distinct(state, (op,))
-    start = 0
-    if clause.skip is not None:
-        start = context._bounded_int(clause.skip, "SKIP")
-    end: Optional[int] = None
-    if clause.limit is not None:
-        end = start + context._bounded_int(clause.limit, "LIMIT")
+        op = ops.Distinct((op,))
+    skip = None if clause.skip is None else lowered.bound(clause.skip, "SKIP")
+    limit = None if clause.limit is None else lowered.bound(clause.limit, "LIMIT")
     if clause.order_by:
-        op = ops.Sort(state, op, context, clause.order_by, projection, top=end)
-        _with_patterns(op, context, clause.order_by)
-    if start:
-        op = ops.Skip(state, op, start)
-    if end is not None:
-        op = ops.Limit(state, op, end - start, writes)
+        top = None if limit is None else tuple(i for i in (skip, limit) if i is not None)
+        op = ops.Sort(op, clause.order_by, projection, top)
+        _with_patterns(op, lowered, clause.order_by)
+    if skip is not None:
+        op = ops.Skip(op, skip)
+    if limit is not None:
+        op = ops.Limit(op, limit, writes)
     return op, projection
+
+
+def _has_slot(obj: Any) -> bool:
+    """Whether the expression ``obj`` holds a :class:`~.ast_nodes.Slot`."""
+    cls = obj.__class__
+    if cls is ast.Slot:
+        return True
+    if cls is tuple or cls is list:
+        return any(map(_has_slot, obj))
+    return any(_has_slot(getattr(obj, name)) for name in ast.CHILD_FIELDS.get(cls, ()))
 
 
 def _reverse_elements(

@@ -1,21 +1,25 @@
 """Physical operators: the pull-based (Volcano-style) execution layer.
 
-The executor lowers each query into a tree of these operators.  Every
-operator is a generator: ``iter(op)`` starts one run of it, which
-iterates its children's generators and yields its own rows lazily, so a
-downstream ``Limit``/``TopK`` stops pulling and the entire upstream
-pipeline terminates early instead of materialising every intermediate row
-at each clause boundary.  Only the genuinely blocking operators (``Sort``,
-``Aggregate`` and the write barriers) buffer rows; everything else streams.
-Each emitted row costs one generator resume per operator it crosses.
+The engine lowers each query shape into a tree of these operators once and
+shares the tree across runs and threads: an operator holds no run state.
+``op.open(run)`` starts one run of it, with ``run`` the execution context
+of one query execution; the generator it returns iterates its children's
+generators and yields its own rows lazily, so a downstream ``Limit``/
+``TopK`` stops pulling and the entire upstream pipeline terminates early
+instead of materialising every intermediate row at each clause boundary.
+Only the genuinely blocking operators (``Sort``, ``Aggregate`` and the
+write barriers) buffer rows; everything else streams.  Each emitted row
+costs one generator resume per operator it crosses.
 
-Cross-cutting runtime concerns live on the shared :class:`RuntimeState`
-threaded through every operator:
+What a run needs and an operator cannot hold lives in the run: its
+parameters and slot values, the SKIP/LIMIT counts resolved from them
+(``run.bounds``), the row each sub-pipeline's ``Argument`` leaf yields
+(``run.arguments``), and the :class:`RuntimeState` (``run.state``):
 
-* **row budget** — every operator counts (``rows_out``) and charges every
-  row it emits, inline, just before yielding it; exceeding the budget
-  raises :class:`ResourceExhausted`, which the serving layer maps to
-  graceful degradation instead of an OOM;
+* **row budget** — every operator charges every row it emits, inline, just
+  before yielding it, counting it in ``rows_out`` under its operator
+  number; exceeding the budget raises :class:`ResourceExhausted`, which
+  the serving layer maps to graceful degradation instead of an OOM;
 * **deadline** — the per-request serving deadline is checked by the same
   charge, cooperatively (every 256 emitted rows), so a runaway scan aborts
   with :class:`CypherDeadlineExceeded` instead of blowing past its budget;
@@ -100,11 +104,15 @@ _NO_RELS: frozenset = frozenset()
 
 
 class RuntimeState:
-    """Per-execution shared state: row budget, deadline, profiling flag."""
+    """Per-run state: row budget, deadline, profiling flag, and the rows
+    and wall time of each of the ``size`` operators, by operator number."""
 
-    __slots__ = ("deadline", "budget", "profiled", "rows", "steps")
+    __slots__ = ("deadline", "budget", "profiled", "rows", "steps", "rows_out", "elapsed_s")
 
-    def __init__(self, deadline=None, budget: Optional[int] = None, profiled: bool = False):
+    def __init__(
+        self, deadline=None, budget: Optional[int] = None, profiled: bool = False,
+        size: int = 0,
+    ):
         self.deadline = deadline
         self.budget = budget
         self.profiled = profiled
@@ -113,6 +121,10 @@ class RuntimeState:
         #: relationships examined by variable-length walks and shortest-path
         #: searches (not charged)
         self.steps = 0
+        #: rows each operator emitted; the extra last entry takes the rows
+        #: charged on no operator's behalf (examined candidates and steps)
+        self.rows_out = [0] * (size + 1)
+        self.elapsed_s = [0.0] * size
 
     def check_deadline(self) -> None:
         """Raise when the request deadline has already expired."""
@@ -121,14 +133,16 @@ class RuntimeState:
                 f"query exceeded its deadline after {self.rows} intermediate rows"
             )
 
-    def charge(self) -> None:
-        """Count one intermediate row against the budget and the deadline.
+    def charge(self, number: int = -1) -> None:
+        """Count one intermediate row, emitted by operator ``number``,
+        against the budget and the deadline.
 
         Every operator charges every row it emits; the sub-chains of pattern
         expressions and MERGE also charge every candidate and step they
-        examine.  The deadline is read once per ``_DEADLINE_STRIDE_MASK + 1``
-        rows.
+        examine, with no ``number``.  The deadline is read once per
+        ``_DEADLINE_STRIDE_MASK + 1`` rows.
         """
+        self.rows_out[number] += 1
         rows = self.rows = self.rows + 1
         if self.budget is not None and rows > self.budget:
             raise ResourceExhausted(
@@ -152,44 +166,49 @@ class RuntimeState:
 
 
 class PhysicalOperator:
-    """Base operator: children, row counter, wall-time.
+    """Base operator: children, operator number, PROFILE label.
 
-    Subclasses implement ``_rows()``, a generator that iterates its
-    children (``for item in child``) and, for every row it emits, bumps
-    ``rows_out`` and calls ``state.charge()`` before yielding it.  Every
-    ``iter(op)`` is a fresh run: :class:`OptionalMatch` re-runs its
-    sub-pipeline once per upstream row.
+    Subclasses implement ``_rows(run)``, a generator that iterates its
+    children (``for item in child.open(run)``) and, for every row it emits,
+    calls ``run.state.charge(self.number)`` before yielding it.  The tree is
+    immutable once lowered; ``number``, assigned at lowering, indexes the
+    run's counters.  Every ``open`` is a fresh run of the operator:
+    :class:`OptionalMatch` re-runs its sub-pipeline once per upstream row.
     """
 
     name = "Operator"
+    detail = ""
+    number = -1
 
-    def __init__(self, state: RuntimeState, children: tuple = ()) -> None:
-        self.state = state
+    def __init__(self, children: tuple = ()) -> None:
         self.children = list(children)
-        self.rows_out = 0
-        self.elapsed_s = 0.0
-        self.detail = ""
 
-    @property
-    def label(self) -> str:
-        return f"{self.name}({self.detail})" if self.detail else self.name
+    def describe(self, run: Any) -> str:
+        """The PROFILE detail text in ``run``."""
+        return self.detail
 
-    def __iter__(self) -> Iterator[Any]:
-        rows = self._rows()
-        return _timed(self, rows) if self.state.profiled else rows
+    def label(self, run: Any) -> str:
+        detail = self.describe(run)
+        return f"{self.name}({detail})" if detail else self.name
 
-    def _rows(self) -> Iterator[Any]:
+    def open(self, run: Any) -> Iterator[Any]:
+        rows = self._rows(run)
+        state = run.state
+        return _timed(self.number, state.elapsed_s, rows) if state.profiled else rows
+
+    def _rows(self, run: Any) -> Iterator[Any]:
         raise NotImplementedError
 
 
-def _timed(op: PhysicalOperator, rows: Iterator[Any]) -> Iterator[Any]:
-    """PROFILE only: add the time of every resume of ``rows`` to ``op``."""
+def _timed(number: int, elapsed_s: list[float], rows: Iterator[Any]) -> Iterator[Any]:
+    """PROFILE only: add the time of every resume of ``rows`` to operator
+    ``number``'s entry of ``elapsed_s``."""
     started = perf_counter()
     for row in rows:
-        op.elapsed_s += perf_counter() - started
+        elapsed_s[number] += perf_counter() - started
         yield row
         started = perf_counter()
-    op.elapsed_s += perf_counter() - started
+    elapsed_s[number] += perf_counter() - started
 
 
 # ---------------------------------------------------------------------------
@@ -201,27 +220,24 @@ class Init(PhysicalOperator):
 
     name = "Init"
 
-    def _rows(self) -> Iterator[Row]:
-        self.rows_out += 1
-        self.state.charge()
+    def _rows(self, run: Any) -> Iterator[Row]:
+        run.state.charge(self.number)
         yield {}
 
 
 class RowSource(PhysicalOperator):
     """Single-row leaf of a sub-pipeline re-run per outer row.
 
-    Neo4j calls this ``Argument``: each run yields exactly the one ``row``
-    its :class:`OptionalMatch` or :class:`PatternChain` planted before
-    starting it.
+    Neo4j calls this ``Argument``: each run yields exactly the one row its
+    :class:`OptionalMatch` or :class:`PatternChain` put in
+    ``run.arguments`` under this operator's number before starting it.
     """
 
     name = "Argument"
-    row: Optional[Row] = None
 
-    def _rows(self) -> Iterator[Row]:
-        self.rows_out += 1
-        self.state.charge()
-        yield self.row
+    def _rows(self, run: Any) -> Iterator[Row]:
+        run.state.charge(self.number)
+        yield run.arguments[self.number]
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +263,7 @@ class AnchorScan(PhysicalOperator):
 
     def __init__(
         self,
-        state: RuntimeState,
         child: PhysicalOperator,
-        ctx,
         node_pattern: ast.NodePattern,
         anchor,
         filters,
@@ -259,8 +273,7 @@ class AnchorScan(PhysicalOperator):
         detail: str = "",
         charge_examined: bool = False,
     ) -> None:
-        super().__init__(state, (child,))
-        self.ctx = ctx
+        super().__init__((child,))
         self.node_pattern = node_pattern
         self.anchor = anchor
         self.filters = filters
@@ -270,13 +283,14 @@ class AnchorScan(PhysicalOperator):
         self.detail = detail
         self.charge_examined = charge_examined
 
-    def _rows(self) -> Iterator[Any]:
+    def _rows(self, run: Any) -> Iterator[Any]:
         pattern, anchor, filters = self.node_pattern, self.anchor, self.filters
-        candidates = self.ctx._node_candidates
-        bind = self.ctx._bind_node
-        charge = self.state.charge
+        candidates = run._node_candidates
+        bind = run._bind_node
+        charge = run.state.charge
+        number = self.number
         examined = self.charge_examined
-        for item in self.children[0]:
+        for item in self.children[0].open(run):
             row, used = (item, _NO_RELS) if self.from_rows else item
             for node in candidates(pattern, row, anchor):
                 if examined:
@@ -284,8 +298,7 @@ class AnchorScan(PhysicalOperator):
                 bound = bind(pattern, node, row, filters)
                 if bound is None:
                     continue
-                self.rows_out += 1
-                charge()
+                charge(number)
                 if self.track_path:
                     yield (bound, used, node, [node], [])
                 else:
@@ -305,9 +318,7 @@ class Expand(PhysicalOperator):
 
     def __init__(
         self,
-        state: RuntimeState,
         child: PhysicalOperator,
-        ctx,
         rel_pattern: ast.RelPattern,
         node_pattern: ast.NodePattern,
         filters,
@@ -315,8 +326,7 @@ class Expand(PhysicalOperator):
         detail: str = "",
         charge_examined: bool = False,
     ) -> None:
-        super().__init__(state, (child,))
-        self.ctx = ctx
+        super().__init__((child,))
         self.rel_pattern = rel_pattern
         self.node_pattern = node_pattern
         self.filters = filters
@@ -324,17 +334,17 @@ class Expand(PhysicalOperator):
         self.detail = detail
         self.charge_examined = charge_examined
 
-    def _rows(self) -> Iterator[Any]:
-        ctx = self.ctx
+    def _rows(self, run: Any) -> Iterator[Any]:
         rel_pattern, node_pattern, filters = self.rel_pattern, self.node_pattern, self.filters
         variable = rel_pattern.variable
         rel_filters = filters.get(variable) if filters and variable is not None else None
         maintain_used = self.maintain_used
-        expand = ctx._expand_single
-        bind = ctx._bind_node
-        charge = self.state.charge
+        expand = run._expand_single
+        bind = run._bind_node
+        charge = run.state.charge
+        number = self.number
         examined = self.charge_examined
-        for row, used, current, nodes, rels in self.children[0]:
+        for row, used, current, nodes, rels in self.children[0].open(run):
             for rel, end_node in expand(rel_pattern, current, row, used):
                 if examined:
                     charge()
@@ -345,15 +355,14 @@ class Expand(PhysicalOperator):
                         continue
                     rel_row = row
                 else:
-                    if rel_filters and not ctx._passes_filters(rel.properties, rel_filters):
+                    if rel_filters and not run._passes_filters(rel.properties, rel_filters):
                         continue
                     rel_row = dict(row)
                     rel_row[variable] = rel
                 end_row = bind(node_pattern, end_node, rel_row, filters)
                 if end_row is None:
                     continue
-                self.rows_out += 1
-                charge()
+                charge(number)
                 yield (
                     end_row,
                     used | {rel.rel_id} if maintain_used else used,
@@ -368,14 +377,14 @@ class VarLengthExpand(Expand):
 
     name = "VarLengthExpand"
 
-    def _rows(self) -> Iterator[Any]:
-        ctx = self.ctx
+    def _rows(self, run: Any) -> Iterator[Any]:
         rel_pattern, node_pattern, filters = self.rel_pattern, self.node_pattern, self.filters
         variable = rel_pattern.variable
-        charge = self.state.charge
+        charge = run.state.charge
+        number = self.number
         examined = self.charge_examined
-        for row, used, current, nodes, rels in self.children[0]:
-            for step_rels, end_node in ctx._expand_var_length(rel_pattern, current, row, used):
+        for row, used, current, nodes, rels in self.children[0].open(run):
+            for step_rels, end_node in run._expand_var_length(rel_pattern, current, row, used):
                 if examined:
                     charge()
                 if variable is None:
@@ -387,19 +396,18 @@ class VarLengthExpand(Expand):
                 else:
                     rel_row = dict(row)
                     rel_row[variable] = list(step_rels)
-                end_row = ctx._bind_node(node_pattern, end_node, rel_row, filters)
+                end_row = run._bind_node(node_pattern, end_node, rel_row, filters)
                 if end_row is None:
                     continue
                 if self.maintain_used:
                     new_used = used | {rel.rel_id for rel in step_rels}
                 else:
                     new_used = used
-                self.rows_out += 1
-                charge()
+                charge(number)
                 if nodes is None:
                     yield (end_row, new_used, end_node, None, None)
                 else:
-                    yield (end_row, new_used, end_node) + ctx._var_length_path(
+                    yield (end_row, new_used, end_node) + run._var_length_path(
                         nodes, rels, current, step_rels
                     )
 
@@ -411,32 +419,29 @@ class ShortestPath(PhysicalOperator):
 
     def __init__(
         self,
-        state: RuntimeState,
         child: PhysicalOperator,
-        ctx,
         part: ast.PatternPart,
         filters,
         from_rows: bool,
         emit_row: bool,
         detail: str = "",
     ) -> None:
-        super().__init__(state, (child,))
-        self.ctx = ctx
+        super().__init__((child,))
         self.part = part
         self.filters = filters
         self.from_rows = from_rows
         self.emit_row = emit_row
         self.detail = detail
 
-    def _rows(self) -> Iterator[Any]:
-        charge = self.state.charge
-        for item in self.children[0]:
+    def _rows(self, run: Any) -> Iterator[Any]:
+        charge = run.state.charge
+        number = self.number
+        for item in self.children[0].open(run):
             row, used = (item, _NO_RELS) if self.from_rows else item
-            for matched, used_after in self.ctx._match_shortest(
+            for matched, used_after in run._match_shortest(
                 self.part, row, used, self.filters
             ):
-                self.rows_out += 1
-                charge()
+                charge(number)
                 yield matched if self.emit_row else (matched, used_after)
 
 
@@ -453,31 +458,30 @@ class PartEmit(PhysicalOperator):
 
     def __init__(
         self,
-        state: RuntimeState,
         child: PhysicalOperator,
         part: ast.PatternPart,
         reversed_part: bool,
         emit_row: bool,
         detail: str = "",
     ) -> None:
-        super().__init__(state, (child,))
+        super().__init__((child,))
         self.part = part
         self.reversed_part = reversed_part
         self.emit_row = emit_row
         self.detail = detail
 
-    def _rows(self) -> Iterator[Any]:
+    def _rows(self, run: Any) -> Iterator[Any]:
         path_variable = self.part.path_variable
         emit_row = self.emit_row
-        charge = self.state.charge
-        for row, used, _node, nodes, rels in self.children[0]:
+        charge = run.state.charge
+        number = self.number
+        for row, used, _node, nodes, rels in self.children[0].open(run):
             if path_variable is not None:
                 path_nodes = list(reversed(nodes)) if self.reversed_part else nodes
                 path_rels = list(reversed(rels)) if self.reversed_part else rels
                 row = dict(row)
                 row[path_variable] = Path(path_nodes, path_rels)
-            self.rows_out += 1
-            charge()
+            charge(number)
             yield row if emit_row else (row, used)
 
 
@@ -485,17 +489,19 @@ class PatternChain(NamedTuple):
     """A pattern part's chain fed from a :class:`RowSource`, run per row.
 
     Pattern predicates, ``EXISTS`` patterns, pattern comprehensions and
-    MERGE match through one: :meth:`matches` plants the row they are
-    evaluated on and drains the chain (or stops after its first row).
+    MERGE match through one: :meth:`matches` hands the row they are
+    evaluated on to the source and drains the chain (or stops after its
+    first row).
     """
 
     source: RowSource
     root: PhysicalOperator
 
-    def matches(self, row: Row, first_only: bool = False) -> list[Row]:
-        """Every row ``row`` extends to; only the first with ``first_only``."""
-        self.source.row = row
-        rows = iter(self.root)
+    def matches(self, run: Any, row: Row, first_only: bool = False) -> list[Row]:
+        """Every row ``row`` extends to in ``run``; only the first with
+        ``first_only``."""
+        run.arguments[self.source.number] = row
+        rows = self.root.open(run)
         try:
             return list(islice(rows, 1)) if first_only else list(rows)
         finally:
@@ -506,45 +512,42 @@ class OptionalMatch(PhysicalOperator):
     """OPTIONAL MATCH: per upstream row, run the pattern sub-pipeline.
 
     The sub-pipeline (parts + residual WHERE) hangs off a
-    :class:`RowSource` leaf; for each upstream row the operator plants the
-    row, runs the sub-tree afresh and streams its matches.  When a row
-    produces none, it is emitted once padded with nulls for every
-    variable the pattern could have bound.
+    :class:`RowSource` leaf; for each upstream row the operator hands the
+    row to the source, runs the sub-tree afresh and streams its matches.
+    When a row produces none, it is emitted once padded with nulls for
+    every variable the pattern could have bound.
     """
 
     name = "OptionalMatch"
 
     def __init__(
         self,
-        state: RuntimeState,
         child: PhysicalOperator,
         subroot: PhysicalOperator,
         source: RowSource,
         new_variables: list[str],
-        detail: str = "",
     ) -> None:
-        super().__init__(state, (child, subroot))
+        super().__init__((child, subroot))
         self.subroot = subroot
         self.source = source
         self.new_variables = new_variables
-        self.detail = detail
 
-    def _rows(self) -> Iterator[Row]:
-        charge = self.state.charge
-        for row in self.children[0]:
-            self.source.row = row
+    def _rows(self, run: Any) -> Iterator[Row]:
+        charge = run.state.charge
+        number = self.number
+        arguments, source = run.arguments, self.source.number
+        for row in self.children[0].open(run):
+            arguments[source] = row
             matched = False
-            for out in self.subroot:
+            for out in self.subroot.open(run):
                 matched = True
-                self.rows_out += 1
-                charge()
+                charge(number)
                 yield out
             if not matched:
                 padded = dict(row)
                 for name in self.new_variables:
                     padded.setdefault(name, None)
-                self.rows_out += 1
-                charge()
+                charge(number)
                 yield padded
 
 
@@ -557,32 +560,23 @@ class Filter(PhysicalOperator):
     """
 
     name = "Filter"
+    detail = "WHERE"
 
-    def __init__(
-        self,
-        state: RuntimeState,
-        child: PhysicalOperator,
-        ctx,
-        predicate: ast.Expr,
-        pairs_in: bool,
-        detail: str = "WHERE",
-    ) -> None:
-        super().__init__(state, (child,))
-        self.ctx = ctx
+    def __init__(self, child: PhysicalOperator, predicate: ast.Expr, pairs_in: bool) -> None:
+        super().__init__((child,))
         self.predicate = predicate
         self.pairs_in = pairs_in
-        self.detail = detail
 
-    def _rows(self) -> Iterator[Row]:
+    def _rows(self, run: Any) -> Iterator[Row]:
         pairs = self.pairs_in
-        evaluate = self.ctx.evaluator.evaluate
+        evaluate = run.evaluator.evaluate
         predicate = self.predicate
-        charge = self.state.charge
-        for item in self.children[0]:
+        charge = run.state.charge
+        number = self.number
+        for item in self.children[0].open(run):
             row = item[0] if pairs else item
             if is_truthy(evaluate(predicate, row)) is True:
-                self.rows_out += 1
-                charge()
+                charge(number)
                 yield row
 
 
@@ -591,25 +585,24 @@ class Unwind(PhysicalOperator):
 
     name = "Unwind"
 
-    def __init__(self, state: RuntimeState, child: PhysicalOperator, ctx, clause) -> None:
-        super().__init__(state, (child,))
-        self.ctx = ctx
+    def __init__(self, child: PhysicalOperator, clause) -> None:
+        super().__init__((child,))
         self.clause = clause
         self.detail = clause.variable
 
-    def _rows(self) -> Iterator[Row]:
+    def _rows(self, run: Any) -> Iterator[Row]:
         expression, variable = self.clause.expression, self.clause.variable
-        evaluate = self.ctx.evaluator.evaluate
-        charge = self.state.charge
-        for row in self.children[0]:
+        evaluate = run.evaluator.evaluate
+        charge = run.state.charge
+        number = self.number
+        for row in self.children[0].open(run):
             value = evaluate(expression, row)
             if value is None:
                 continue
             for element in value if isinstance(value, list) else (value,):
                 new_row = dict(row)
                 new_row[variable] = element
-                self.rows_out += 1
-                charge()
+                charge(number)
                 yield new_row
 
 
@@ -618,7 +611,7 @@ class Unwind(PhysicalOperator):
 # ---------------------------------------------------------------------------
 
 def derive_projection(
-    clause: ast.ProjectionClause, in_scope: list[str], slots: tuple
+    clause: ast.ProjectionClause, in_scope: list[str], slots: Optional[tuple]
 ) -> tuple[list, list[str], bool, list[int]]:
     """Resolve a projection clause's items/keys/aggregation/grouping.
 
@@ -643,38 +636,60 @@ def derive_projection(
     return items, keys, aggregated, grouping_indices
 
 
-class Project(PhysicalOperator):
-    """Streaming projection: one ``(values, [row])`` entry per input row."""
+class _Projection(PhysicalOperator):
+    """The operator that projects one WITH/RETURN clause's items.
 
-    name = "Project"
+    ``layout`` is ``(items, keys, grouping_indices)``, fixed at lowering
+    unless the run's slot values decide it: an implicit column name that
+    renders a slot, or a ``*`` over the keys of such a projection
+    (``base``) plus the variable names in ``scope``.
+    """
 
     def __init__(
         self,
-        state: RuntimeState,
         child: PhysicalOperator,
-        ctx,
-        items: list,
-        keys: list[str],
+        clause: ast.ProjectionClause,
+        scope: frozenset[str],
+        base: Optional[_Projection],
+        layout: Optional[tuple[list, list[str], list[int]]],
     ) -> None:
-        super().__init__(state, (child,))
-        self.ctx = ctx
-        self.items = items
-        self.keys = keys
-        self.aggregated = False
-        self.detail = ", ".join(keys)
+        super().__init__((child,))
+        self.clause = clause
+        self.scope = scope
+        self.base = base
+        self.fixed = layout
 
-    def _rows(self) -> Iterator[Any]:
-        evaluate = self.ctx.evaluator.evaluate
-        expressions = [item.expression for item in self.items]
-        charge = self.state.charge
-        for row in self.children[0]:
+    def layout(self, run: Any) -> tuple[list, list[str], list[int]]:
+        if self.fixed is not None:
+            return self.fixed
+        scope = self.scope
+        if self.base is not None:
+            scope = scope.union(self.base.layout(run)[1])
+        items, keys, _, grouping = derive_projection(self.clause, sorted(scope), run.slots)
+        return items, keys, grouping
+
+    def describe(self, run: Any) -> str:
+        return ", ".join(self.layout(run)[1])
+
+
+class Project(_Projection):
+    """Streaming projection: one ``(values, [row])`` entry per input row."""
+
+    name = "Project"
+    aggregated = False
+
+    def _rows(self, run: Any) -> Iterator[Any]:
+        evaluate = run.evaluator.evaluate
+        expressions = [item.expression for item in self.layout(run)[0]]
+        charge = run.state.charge
+        number = self.number
+        for row in self.children[0].open(run):
             entry = ([evaluate(expression, row) for expression in expressions], [row])
-            self.rows_out += 1
-            charge()
+            charge(number)
             yield entry
 
 
-class Aggregate(PhysicalOperator):
+class Aggregate(_Projection):
     """Grouped aggregation: blocking by nature (groups need every row).
 
     Produces one ``(values, group_rows)`` entry per group, in first-seen
@@ -683,30 +698,15 @@ class Aggregate(PhysicalOperator):
     """
 
     name = "Aggregate"
+    aggregated = True
 
-    def __init__(
-        self,
-        state: RuntimeState,
-        child: PhysicalOperator,
-        ctx,
-        items: list,
-        keys: list[str],
-        grouping_indices: list[int],
-    ) -> None:
-        super().__init__(state, (child,))
-        self.ctx = ctx
-        self.items = items
-        self.keys = keys
-        self.grouping_indices = grouping_indices
-        self.aggregated = True
-        self.detail = ", ".join(keys)
-
-    def _rows(self) -> Iterator[Any]:
-        rows = list(self.children[0])
-        charge = self.state.charge
-        for entry in _project_grouped(self.ctx, rows, self.items, self.grouping_indices):
-            self.rows_out += 1
-            charge()
+    def _rows(self, run: Any) -> Iterator[Any]:
+        rows = list(self.children[0].open(run))
+        items, _, grouping = self.layout(run)
+        charge = run.state.charge
+        number = self.number
+        for entry in _project_grouped(run, rows, items, grouping):
+            charge(number)
             yield entry
 
 
@@ -715,117 +715,126 @@ class Distinct(PhysicalOperator):
 
     name = "Distinct"
 
-    def _rows(self) -> Iterator[Any]:
+    def _rows(self, run: Any) -> Iterator[Any]:
         seen: set = set()
-        charge = self.state.charge
-        for entry in self.children[0]:
+        charge = run.state.charge
+        number = self.number
+        for entry in self.children[0].open(run):
             frozen = tuple(map(_freeze, entry[0]))
             if frozen in seen:
                 continue
             seen.add(frozen)
-            self.rows_out += 1
-            charge()
+            charge(number)
             yield entry
 
 
 class Sort(PhysicalOperator):
     """ORDER BY: blocking sort of projection entries.
 
-    With ``top`` set (SKIP + LIMIT known) the operator is a TopK: the same
-    sort, sliced to its first ``top`` entries.  Every entry's ORDER BY values
-    are evaluated exactly once.  The canonical projected-value tie-break,
-    which keeps planner-on/off output identical, is computed only for
-    entries that tie on all of them (see :func:`_order`).
+    With ``top`` set (the indexes of the run's SKIP and LIMIT counts) the
+    operator is a TopK: the same sort, sliced to its first SKIP + LIMIT
+    entries.  Every entry's ORDER BY values are evaluated exactly once.
+    The canonical projected-value tie-break, which keeps planner-on/off
+    output identical, is computed only for entries that tie on all of them
+    (see :func:`_order`).
     """
 
     def __init__(
         self,
-        state: RuntimeState,
         child: PhysicalOperator,
-        ctx,
         order_by,
-        projection,
-        top: Optional[int] = None,
+        projection: _Projection,
+        top: Optional[tuple[int, ...]] = None,
     ) -> None:
-        super().__init__(state, (child,))
-        self.ctx = ctx
+        super().__init__((child,))
         self.order_by = order_by
         #: the Project/Aggregate feeding this sort (its items/keys/aggregated)
         self.projection = projection
         self.top = top
         self.name = "TopK" if top is not None else "Sort"
-        self.detail = f"{len(order_by)} keys" + (f", top {top}" if top is not None else "")
 
-    def _rows(self) -> Iterator[Any]:
-        entries = list(self.children[0])
+    def _top(self, run: Any) -> Optional[int]:
+        return None if self.top is None else sum(run.bounds[i] for i in self.top)
+
+    def describe(self, run: Any) -> str:
+        top = self._top(run)
+        return f"{len(self.order_by)} keys" + (f", top {top}" if top is not None else "")
+
+    def _rows(self, run: Any) -> Iterator[Any]:
+        entries = list(self.children[0].open(run))
         projection = self.projection
-        charge = self.state.charge
+        items, keys, _ = projection.layout(run)
+        charge = run.state.charge
+        number = self.number
         for entry in _order(
-            self.ctx,
-            entries,
-            self.order_by,
-            projection.items,
-            projection.keys,
-            projection.aggregated,
-            self.top,
+            run, entries, self.order_by, items, keys, projection.aggregated, self._top(run)
         ):
-            self.rows_out += 1
-            charge()
+            charge(number)
             yield entry
 
 
 class Skip(PhysicalOperator):
-    """SKIP: discards the first ``count`` entries, then streams."""
+    """SKIP: discards the first ``run.bounds[bound]`` entries, then streams.
+
+    A run that skips none passes its child's rows straight through, and
+    PROFILE leaves the operator out of that run's tree.
+    """
 
     name = "Skip"
 
-    def __init__(self, state: RuntimeState, child: PhysicalOperator, count: int) -> None:
-        super().__init__(state, (child,))
-        self.count = count
-        self.detail = str(count)
+    def __init__(self, child: PhysicalOperator, bound: int) -> None:
+        super().__init__((child,))
+        self.bound = bound
 
-    def _rows(self) -> Iterator[Any]:
-        remaining = self.count
-        charge = self.state.charge
-        for entry in self.children[0]:
+    def describe(self, run: Any) -> str:
+        return str(run.bounds[self.bound])
+
+    def open(self, run: Any) -> Iterator[Any]:
+        if not run.bounds[self.bound]:
+            return self.children[0].open(run)
+        return super().open(run)
+
+    def _rows(self, run: Any) -> Iterator[Any]:
+        remaining = run.bounds[self.bound]
+        charge = run.state.charge
+        number = self.number
+        for entry in self.children[0].open(run):
             if remaining:
                 remaining -= 1
                 continue
-            self.rows_out += 1
-            charge()
+            charge(number)
             yield entry
 
 
 class Limit(PhysicalOperator):
-    """LIMIT: stops pulling upstream after ``count`` entries — the early
-    termination the whole streaming refactor exists for."""
+    """LIMIT: stops pulling upstream after ``run.bounds[bound]`` entries —
+    the early termination the whole streaming refactor exists for."""
 
     name = "Limit"
 
-    def __init__(
-        self, state: RuntimeState, child: PhysicalOperator, count: int,
-        exhaustive: bool = False,
-    ) -> None:
-        super().__init__(state, (child,))
-        self.count = count
-        self.detail = str(count)
+    def __init__(self, child: PhysicalOperator, bound: int, exhaustive: bool = False) -> None:
+        super().__init__((child,))
+        self.bound = bound
         #: set when an updating clause runs below: LIMIT never stops an
         #: update's side effects, so a LIMIT 0 still pulls its input
         #: through.  A larger LIMIT pulls at least once, which already runs
         #: every write barrier below it in full.
         self.exhaustive = exhaustive
 
-    def _rows(self) -> Iterator[Any]:
-        remaining = self.count
+    def describe(self, run: Any) -> str:
+        return str(run.bounds[self.bound])
+
+    def _rows(self, run: Any) -> Iterator[Any]:
+        remaining = run.bounds[self.bound]
         if remaining <= 0:
             if self.exhaustive:
-                for _ in self.children[0]:
+                for _ in self.children[0].open(run):
                     pass
             return
-        charge = self.state.charge
-        for entry in self.children[0]:
-            self.rows_out += 1
-            charge()
+        charge = run.state.charge
+        number = self.number
+        for entry in self.children[0].open(run):
+            charge(number)
             yield entry
             remaining -= 1
             if not remaining:
@@ -837,19 +846,17 @@ class AsRows(PhysicalOperator):
 
     name = "Rows"
 
-    def __init__(
-        self, state: RuntimeState, child: PhysicalOperator, projection
-    ) -> None:
-        super().__init__(state, (child,))
+    def __init__(self, child: PhysicalOperator, projection: _Projection) -> None:
+        super().__init__((child,))
         self.projection = projection
 
-    def _rows(self) -> Iterator[Row]:
-        keys = self.projection.keys
-        charge = self.state.charge
-        for values, _env_rows in self.children[0]:
+    def _rows(self, run: Any) -> Iterator[Row]:
+        keys = self.projection.layout(run)[1]
+        charge = run.state.charge
+        number = self.number
+        for values, _env_rows in self.children[0].open(run):
             row = dict(zip(keys, values))
-            self.rows_out += 1
-            charge()
+            charge(number)
             yield row
 
 
@@ -862,56 +869,55 @@ class _WriteBarrier(PhysicalOperator):
     require every upstream row to exist before any write applies (and any
     later clause observes the mutated graph)."""
 
-    def __init__(self, state: RuntimeState, child: PhysicalOperator, ctx, clause) -> None:
-        super().__init__(state, (child,))
-        self.ctx = ctx
+    def __init__(self, child: PhysicalOperator, clause) -> None:
+        super().__init__((child,))
         self.clause = clause
 
-    def apply(self, rows: list[Row]) -> list[Row]:
+    def apply(self, run: Any, rows: list[Row]) -> list[Row]:
         raise NotImplementedError
 
-    def _rows(self) -> Iterator[Row]:
-        written = self.apply(list(self.children[0]))
-        charge = self.state.charge
+    def _rows(self, run: Any) -> Iterator[Row]:
+        written = self.apply(run, list(self.children[0].open(run)))
+        charge = run.state.charge
+        number = self.number
         for row in written:
-            self.rows_out += 1
-            charge()
+            charge(number)
             yield row
 
 
 class Create(_WriteBarrier):
     name = "Create"
 
-    def apply(self, rows: list[Row]) -> list[Row]:
-        return self.ctx.apply_create(rows, self.clause)
+    def apply(self, run: Any, rows: list[Row]) -> list[Row]:
+        return run.apply_create(rows, self.clause)
 
 
 class Merge(_WriteBarrier):
     name = "Merge"
 
-    def apply(self, rows: list[Row]) -> list[Row]:
-        return self.ctx.apply_merge(rows, self.clause)
+    def apply(self, run: Any, rows: list[Row]) -> list[Row]:
+        return run.apply_merge(rows, self.clause)
 
 
 class SetProperties(_WriteBarrier):
     name = "Set"
 
-    def apply(self, rows: list[Row]) -> list[Row]:
-        return self.ctx.apply_set(rows, self.clause)
+    def apply(self, run: Any, rows: list[Row]) -> list[Row]:
+        return run.apply_set(rows, self.clause)
 
 
 class Delete(_WriteBarrier):
     name = "Delete"
 
-    def apply(self, rows: list[Row]) -> list[Row]:
-        return self.ctx.apply_delete(rows, self.clause)
+    def apply(self, run: Any, rows: list[Row]) -> list[Row]:
+        return run.apply_delete(rows, self.clause)
 
 
 class Remove(_WriteBarrier):
     name = "Remove"
 
-    def apply(self, rows: list[Row]) -> list[Row]:
-        return self.ctx.apply_remove(rows, self.clause)
+    def apply(self, run: Any, rows: list[Row]) -> list[Row]:
+        return run.apply_remove(rows, self.clause)
 
 
 # ---------------------------------------------------------------------------
@@ -927,31 +933,27 @@ class ProduceResults(PhysicalOperator):
 
     name = "ProduceResults"
 
-    def __init__(
-        self,
-        state: RuntimeState,
-        child: PhysicalOperator,
-        projection=None,
-    ) -> None:
-        super().__init__(state, (child,))
+    def __init__(self, child: PhysicalOperator, projection: Optional[_Projection] = None) -> None:
+        super().__init__((child,))
         self.projection = projection
-        if projection is not None and projection.keys:
-            self.detail = ", ".join(projection.keys)
 
-    @property
-    def keys(self) -> list[str]:
-        return list(self.projection.keys) if self.projection is not None else []
+    def keys(self, run: Any) -> list[str]:
+        """The result's column names in ``run``."""
+        return list(self.projection.layout(run)[1]) if self.projection is not None else []
 
-    def _rows(self) -> Iterator[list[Any]]:
-        child = self.children[0]
+    def describe(self, run: Any) -> str:
+        return ", ".join(self.keys(run))
+
+    def _rows(self, run: Any) -> Iterator[list[Any]]:
+        child = self.children[0].open(run)
         if self.projection is None:
             for _ in child:
                 pass
             return
-        charge = self.state.charge
+        charge = run.state.charge
+        number = self.number
         for values, _env_rows in child:
-            self.rows_out += 1
-            charge()
+            charge(number)
             yield values
 
 
@@ -967,36 +969,34 @@ class UnionAppend(PhysicalOperator):
 
     name = "Union"
 
-    def __init__(
-        self,
-        state: RuntimeState,
-        branches: list[ProduceResults],
-        union_all: bool,
-    ) -> None:
-        super().__init__(state, tuple(branches))
+    def __init__(self, branches: list[ProduceResults], union_all: bool) -> None:
+        super().__init__(tuple(branches))
         self.union_all = union_all
-        self.keys: Optional[list[str]] = None
         self.detail = "ALL" if union_all else ""
 
-    def _rows(self) -> Iterator[list[Any]]:
-        self.keys = None
+    def keys(self, run: Any) -> list[str]:
+        """The result's column names in ``run``: the first branch's."""
+        return self.children[0].keys(run)
+
+    def _rows(self, run: Any) -> Iterator[list[Any]]:
+        keys = None
         seen: set = set()
-        charge = self.state.charge
+        charge = run.state.charge
+        number = self.number
         for branch in self.children:
-            if self.keys is None:
-                self.keys = branch.keys
-            elif branch.keys != self.keys:
+            if keys is None:
+                keys = branch.keys(run)
+            elif branch.keys(run) != keys:
                 raise CypherSyntaxError(
                     "all UNION sub-queries must return the same column names"
                 )
-            for values in branch:
+            for values in branch.open(run):
                 if not self.union_all:
                     frozen = tuple(map(_freeze, values))
                     if frozen in seen:
                         continue
                     seen.add(frozen)
-                self.rows_out += 1
-                charge()
+                charge(number)
                 yield values
 
 
@@ -1004,46 +1004,59 @@ class UnionAppend(PhysicalOperator):
 # PROFILE rendering
 # ---------------------------------------------------------------------------
 
-def render_profile(root: PhysicalOperator) -> str:
-    """Render the executed operator tree as an indented text profile.
+def _children(op: PhysicalOperator, run: Any) -> list[PhysicalOperator]:
+    """``op``'s children in ``run``: a Skip that skips none passes its child
+    through and is not part of the run's tree."""
+    return [
+        child.children[0] if type(child) is Skip and not run.bounds[child.bound] else child
+        for child in op.children
+    ]
+
+
+def render_profile(root: PhysicalOperator, run: Any) -> str:
+    """Render ``run``'s operator tree as an indented text profile.
 
     One line per operator: label, rows produced, and inclusive wall-clock
     time.  UNION branches are labelled so per-branch sub-trees read
     separately.
     """
     lines: list[str] = []
+    rows_out, elapsed_s = run.state.rows_out, run.state.elapsed_s
 
     def walk(op: PhysicalOperator, depth: int) -> None:
         pad = "  " * depth
         lines.append(
-            f"{pad}+- {op.label} -> {op.rows_out} rows ({op.elapsed_s * 1000.0:.3f} ms)"
+            f"{pad}+- {op.label(run)} -> {rows_out[op.number]} rows "
+            f"({elapsed_s[op.number] * 1000.0:.3f} ms)"
         )
         if isinstance(op, UnionAppend):
             for index, child in enumerate(op.children):
                 lines.append(f"{pad}   UNION branch {index + 1}:")
                 walk(child, depth + 2)
         else:
-            for child in op.children:
+            for child in _children(op, run):
                 walk(child, depth + 1)
 
     walk(root, 0)
     return "\n".join(lines)
 
 
-def profile_tree(op: PhysicalOperator) -> dict:
-    """The operator tree as a JSON-safe dict (``ResultSet.profile``).
+def profile_tree(op: PhysicalOperator, run: Any) -> dict:
+    """``run``'s operator tree as a JSON-safe dict (``ResultSet.profile``).
 
     ``time_ms`` is inclusive of children; ``self_time_ms`` subtracts the
     direct children's inclusive time (clamped at zero — timer granularity
     can make the difference marginally negative).
     """
-    children = [profile_tree(child) for child in op.children]
-    time_ms = op.elapsed_s * 1000.0
-    self_ms = max(0.0, time_ms - sum(child.elapsed_s for child in op.children) * 1000.0)
+    elapsed_s = run.state.elapsed_s
+    shown = _children(op, run)
+    children = [profile_tree(child, run) for child in shown]
+    time_ms = elapsed_s[op.number] * 1000.0
+    self_ms = max(0.0, time_ms - sum(elapsed_s[child.number] for child in shown) * 1000.0)
     payload: dict[str, Any] = {
         "operator": op.name,
-        "detail": op.detail,
-        "rows": op.rows_out,
+        "detail": op.describe(run),
+        "rows": run.state.rows_out[op.number],
         "time_ms": round(time_ms, 4),
         "self_time_ms": round(self_ms, 4),
     }
@@ -1070,13 +1083,13 @@ def max_operator_rows(profile: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def _project_grouped(
-    ctx,
+    run,
     rows: list[Row],
     items: list,
     grouping_indices: list[int],
 ) -> list[tuple[list[Any], list[Row]]]:
     """Group ``rows`` by the non-aggregate items and evaluate aggregates."""
-    evaluate = ctx.evaluator.evaluate
+    evaluate = run.evaluator.evaluate
     if grouping_indices:
         groups: dict[tuple, tuple[list[Any], list[Row]]] = {}
         expressions = [items[i].expression for i in grouping_indices]
@@ -1101,13 +1114,13 @@ def _project_grouped(
             if i in grouping_indices:
                 values.append(next(group_iter))
             else:
-                values.append(ctx.evaluator.evaluate_aggregate(item.expression, group_rows))
+                values.append(run.evaluator.evaluate_aggregate(item.expression, group_rows))
         produced.append((values, group_rows))
     return produced
 
 
 def _order(
-    ctx,
+    run,
     produced: list[tuple[list[Any], list[Row]]],
     order_by,
     items: list,
@@ -1125,8 +1138,8 @@ def _order(
     projected values), computed for those rows only, and otherwise keep
     input order.  ``top`` slices the same permutation.
     """
-    evaluate = ctx.evaluator.evaluate
-    evaluate_aggregate = ctx.evaluator.evaluate_aggregate
+    evaluate = run.evaluator.evaluate
+    evaluate_aggregate = run.evaluator.evaluate_aggregate
 
     # Decide once per ORDER BY item how its value is obtained, instead of
     # re-walking the expression for every entry:

@@ -10,7 +10,7 @@ comprehensions, variable-length paths, parameters).
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 from . import ast_nodes as ast
 from .errors import CypherSyntaxError
@@ -531,16 +531,28 @@ class _Parser:
         """After ``*``: ``*``, ``*n``, ``*n..``, ``*..m`` or ``*n..m``."""
         min_hops = max_hops = None
         if self.current.kind == "INT":
-            min_hops = int(self.advance().value)
+            min_hops = self.literal_value()
             if self.accept("DOTDOT"):
                 if self.current.kind == "INT":
-                    max_hops = int(self.advance().value)
+                    max_hops = self.literal_value()
             else:
                 max_hops = min_hops
         elif self.accept("DOTDOT"):
             if self.current.kind == "INT":
-                max_hops = int(self.advance().value)
+                max_hops = self.literal_value()
         return min_hops, max_hops
+
+    def literal_value(self) -> Any:
+        """The value of the STRING/INT/FLOAT token under the cursor, which
+        it consumes.  An integer past ``int()``'s digit limit is a syntax
+        error at the token."""
+        token = self.current
+        try:
+            value = _LITERAL_KINDS[token.kind](token.value)
+        except ValueError:
+            raise self.error(f"integer literal too long ({len(token.value)} digits)") from None
+        self.advance()
+        return value
 
     def parse_map_entries(self) -> tuple[tuple[str, ast.Expr], ...]:
         self.expect("LBRACE", "'{'")
@@ -729,8 +741,7 @@ class _Parser:
                     self.advance()
                     self.lifted += 1
                     return slot
-            self.advance()
-            return ast.Literal(_LITERAL_KINDS[kind](token.value))
+            return ast.Literal(self.literal_value())
         if kind == "KEYWORD":
             keyword = token.value
             if keyword in self._KEYWORD_LITERALS:

@@ -21,7 +21,7 @@ Row = dict[str, Any]
 
 class WriteClauses:
     """Applies write clauses for one run; mixed into the execution context,
-    whose ``store``, ``evaluator`` and ``pattern_chain`` it uses."""
+    whose ``store``, ``evaluator`` and ``matches`` it uses."""
 
     nodes_created = 0
     relationships_created = 0
@@ -123,10 +123,9 @@ class WriteClauses:
         return rel
 
     def apply_merge(self, rows: list[Row], clause: ast.MergeClause) -> list[Row]:
-        chain = self.pattern_chain(clause)
         output: list[Row] = []
         for row in rows:
-            matches = chain.matches(row)
+            matches = self.matches(clause, row)
             if matches:
                 for matched in matches:
                     self._apply_set_items(clause.on_match, matched)

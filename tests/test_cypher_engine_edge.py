@@ -31,6 +31,9 @@ class TestEngineMachinery:
 
     @pytest.mark.parametrize("query", [
         r"RETURN '\uZZZZ' AS x", r"RETURN '\u00' AS x", "RETURN ² AS x", "RETURN 1² AS x",
+        # past int()'s 4,300-digit limit
+        pytest.param("RETURN " + "9" * 5000 + " AS x", id="long_int"),
+        pytest.param("MATCH (a)-[*1.." + "9" * 5000 + "]-(b) RETURN a", id="long_hops"),
     ])
     def test_malformed_literal_is_syntax_error(self, tiny_store, query):
         with pytest.raises(CypherSyntaxError):

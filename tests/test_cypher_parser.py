@@ -310,5 +310,17 @@ class TestParserErrors:
         with pytest.raises(CypherSyntaxError):
             parse("RETURN 1 ;;")
 
+    @pytest.mark.parametrize("prefix, suffix", [
+        ("RETURN ", " AS x"),
+        ("MATCH (a)-[*", "]-(b) RETURN a"),
+        ("MATCH (a)-[*1..", "]-(b) RETURN a"),
+        ("MATCH (a)-[*..", "]-(b) RETURN a"),
+    ], ids=["literal", "hops", "max_hops", "max_hops_only"])
+    def test_integer_past_digit_limit_is_syntax_error(self, prefix, suffix):
+        # int() refuses more than 4,300 digits; the error names the token.
+        with pytest.raises(CypherSyntaxError, match="integer literal too long") as caught:
+            parse(prefix + "9" * 5000 + suffix)
+        assert caught.value.position == len(prefix)
+
     def test_semicolon_terminator_allowed(self):
         parse("RETURN 1;")

@@ -91,7 +91,12 @@ class TestCypherEndpoint:
         assert status == 400
         assert "syntax" in payload["error"]
 
-    @pytest.mark.parametrize("query", [r"RETURN '\uZZZZ' AS x", "RETURN 1² AS x"])
+    @pytest.mark.parametrize("query", [
+        r"RETURN '\uZZZZ' AS x", "RETURN 1² AS x",
+        # past int()'s 4,300-digit limit
+        pytest.param("RETURN " + "9" * 5000 + " AS x", id="long_int"),
+        pytest.param("MATCH (a)-[*" + "9" * 5000 + "]-(b) RETURN a", id="long_hops"),
+    ])
     def test_malformed_literal_is_400(self, port, query):
         status, payload = post(port, "/cypher", {"query": query})
         assert status == 400

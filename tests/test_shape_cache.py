@@ -22,8 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cypher import CypherEngine, parse
-from repro.cypher.errors import CypherError
+from repro.cypher import CypherEngine, executor, lowering, parse, profile_tree
+from repro.cypher.errors import CypherError, CypherRuntimeError, CypherSyntaxError
 from repro.cypher.executor import _QueryEntry, _Shape
 from repro.cypher.result import render_value
 from repro.iyp import IYPConfig, generate_iyp
@@ -111,6 +111,15 @@ PAIRS = [
     "RETURN 1000 AS x, 'a' 'b'",
     "MATCH (a:AS {asn: 2497}) RETURN a.name AS name LIMIT 1 2",
     "MATCH (a:AS {asn: 1}) RETURN a.name AS name LIMIT 100 2",
+    # a SKIP of 0 plans no Skip; `*` expands to names that render values
+    "MATCH (a:AS) RETURN a.asn AS asn ORDER BY asn SKIP 0 LIMIT 2",
+    "MATCH (a:AS) RETURN a.asn AS asn ORDER BY asn SKIP 3 LIMIT 2",
+    "WITH 2, 1 RETURN *",
+    "WITH 1, 3 RETURN *",
+    "WITH 4, 'x' MATCH (a:AS {asn: 2497}) WITH * RETURN *",
+    # a bad SKIP raises before a later clause's syntax error
+    "WITH 5 AS a SKIP 1 - 2 RETURN a RETURN 7",
+    "WITH 6 AS a SKIP 3 - 2 RETURN a RETURN 8",
     # backtick names can spell keywords
     "UNWIND [1, 2] AS x RETURN count(*) AS c",
     "UNWIND [1, 2] AS x RETURN `count`(*) AS c",
@@ -120,11 +129,11 @@ PAIRS = [
 def _outcome(run) -> list:
     """``[keys, rendered rows, charged rows]``, or ``[error class, message]``."""
     try:
-        result, root = run()
+        result, executed = run()
     except CypherError as exc:
         return [type(exc).__name__, str(exc)]
     rows = [[render_value(value) for value in record.values()] for record in result.records]
-    return [list(result.keys), rows, root.state.rows]
+    return [list(result.keys), rows, executed.state.rows]
 
 
 def _small_store():
@@ -233,3 +242,100 @@ def test_concurrent_texts_of_one_shape(small_store):
         thread.join()
     assert not errors, errors[0]
     assert engine.cache_stats()["shapes"] == 1
+
+
+def test_shape_hit_lowers_nothing(tiny_store, monkeypatch):
+    """A shape is lowered once per statistics version, its sub-chains too."""
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(executor, "lower_query", counting("query", executor.lower_query))
+    monkeypatch.setattr(lowering, "lower_pattern", counting("pattern", lowering.lower_pattern))
+    engine = CypherEngine(tiny_store)
+    template = ("MATCH (a:AS {{asn: {}}}) WHERE exists((a)-[:COUNTRY]->()) "
+                "RETURN a.name AS name LIMIT {}")
+    assert engine.execute(template.format(2497, 1)).single()["name"] == "IIJ"
+    assert calls == ["query", "pattern"]
+    assert engine.execute(template.format(15169, 2)).single()["name"] == "GOOGLE"
+    engine.execute(template.format(2497, 1), {"run": 1}, profile=True)
+    assert calls == ["query", "pattern"]
+    tiny_store.create_node(["AS"], {"asn": 1, "name": "NEW"})  # bumps stats_version
+    assert engine.execute(template.format(2497, 3)).single()["name"] == "IIJ"
+    assert calls == ["query", "pattern"] * 2
+    assert engine.cache_stats()["shapes"] == 1
+
+
+def test_skip_and_limit_resolve_per_run(tiny_store):
+    """SKIP/LIMIT counts come from each run's values: a SKIP of 0 plans no
+    Skip operator and charges no rows for it, and a bad count raises before
+    a later clause's syntax error, as counts read while lowering did."""
+    engine = CypherEngine(tiny_store)
+    template = "MATCH (a:AS) RETURN a.asn AS asn ORDER BY asn {}LIMIT 1"
+
+    def run(query: str) -> tuple:
+        _, executed = engine._execute(engine._entry(query), {}, profiled=True)
+        return _profile_lines(profile_tree(executed.root, executed)), executed.state.rows
+
+    assert [line[1] for line in run(template.format("SKIP 1 "))[0]][:3] == [
+        "ProduceResults", "Limit", "Skip"]
+    assert run(template.format("SKIP 0 ")) == run(template.format(""))
+    with pytest.raises(CypherRuntimeError, match="SKIP requires"):
+        engine.execute("WITH 5 AS a SKIP 1 - 2 RETURN a RETURN 7")
+    with pytest.raises(CypherSyntaxError, match="RETURN must be the final clause"):
+        engine.execute("WITH 6 AS a SKIP 3 - 2 RETURN a RETURN 8")
+
+
+def _profile_lines(profile: dict, depth: int = 0) -> list:
+    """``(depth, label, rows)`` per operator of a ``ResultSet.profile`` tree."""
+    lines = [(depth, profile["operator"], profile["detail"], profile["rows"])]
+    for child in profile.get("children", ()):
+        lines.extend(_profile_lines(child, depth + 1))
+    return lines
+
+
+def test_concurrent_profiles_of_one_shape(small_store):
+    """PROFILE runs of one shape at once, with their own LIMITs and implicit
+    column names, each report what a run of their text alone reports: the
+    operator tree is shared, its counters and argument rows are per run."""
+    texts = [
+        f"MATCH (a:AS) WHERE a.asn > {index * 1000 + 7} "
+        "OPTIONAL MATCH (a)-[:PEERS_WITH]->(b:AS) WHERE exists((b)-[:COUNTRY]->(:Country)) "
+        f"RETURN a.asn AS asn, count(b) AS peers, '{index}x', "
+        "size([(a)-[:ORIGINATE]->(p) | p]) AS prefixes "
+        f"ORDER BY asn LIMIT {index % 5 + 1}"
+        for index in range(16)
+    ]
+
+    def observed(result) -> list:
+        rows = [[render_value(value) for value in record.values()] for record in result.records]
+        return [list(result.keys), rows, _profile_lines(result.profile)]
+
+    alone = [observed(CypherEngine(small_store).execute(text, profile=True)) for text in texts]
+    assert len({str(lines[2]) for lines in alone}) > 1  # the LIMITs show in the trees
+    engine = CypherEngine(small_store)
+    errors: list[BaseException] = []
+    barrier = threading.Barrier(8)
+
+    def worker(offset: int) -> None:
+        try:
+            barrier.wait()
+            for index in range(offset, offset + 40):
+                number = index % len(texts)
+                result = engine.execute(texts[number], profile=True)
+                assert observed(result) == alone[number], texts[number]
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(offset * 3,)) for offset in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not errors, errors[0]
+    assert engine.cache_stats()["shapes"] == 1
+

@@ -161,10 +161,10 @@ def _reference_outcome(engine: CypherEngine, query: str) -> list:
 def _planned_rows_charged(engine: CypherEngine, query: str):
     """Intermediate rows the planned engine charges, or None if it raises."""
     try:
-        _, root = engine._execute(engine._entry(query), {})
+        _, run = engine._execute(engine._entry(query), {})
     except CypherError:
         return None
-    return root.state.rows
+    return run.state.rows
 
 
 def _query_key(query: str) -> str:
