@@ -355,9 +355,10 @@ def _lower_projection(
     layout = None
     if base is None or not clause.star:
         base = None
-        items, keys, aggregated, grouping = ops.derive_projection(clause, sorted(scope), None)
+        derived = ops.derive_projection(clause, sorted(scope), None)
+        aggregated = derived[2]
         if not any(not item.alias and _has_slot(item.expression) for item in clause.items):
-            layout = (items, keys, grouping)
+            layout = derived
     else:
         aggregated = any(_contains_aggregate(item.expression) for item in clause.items)
     projection_cls = ops.Aggregate if aggregated else ops.Project

@@ -639,7 +639,7 @@ def derive_projection(
 class _Projection(PhysicalOperator):
     """The operator that projects one WITH/RETURN clause's items.
 
-    ``layout`` is ``(items, keys, grouping_indices)``, fixed at lowering
+    ``layout`` is :func:`derive_projection`'s result, fixed at lowering
     unless the run's slot values decide it: an implicit column name that
     renders a slot, or a ``*`` over the keys of such a projection
     (``base``) plus the variable names in ``scope``.
@@ -651,7 +651,7 @@ class _Projection(PhysicalOperator):
         clause: ast.ProjectionClause,
         scope: frozenset[str],
         base: Optional[_Projection],
-        layout: Optional[tuple[list, list[str], list[int]]],
+        layout: Optional[tuple[list, list[str], bool, list[int]]],
     ) -> None:
         super().__init__((child,))
         self.clause = clause
@@ -659,14 +659,13 @@ class _Projection(PhysicalOperator):
         self.base = base
         self.fixed = layout
 
-    def layout(self, run: Any) -> tuple[list, list[str], list[int]]:
+    def layout(self, run: Any) -> tuple[list, list[str], bool, list[int]]:
         if self.fixed is not None:
             return self.fixed
         scope = self.scope
         if self.base is not None:
             scope = scope.union(self.base.layout(run)[1])
-        items, keys, _, grouping = derive_projection(self.clause, sorted(scope), run.slots)
-        return items, keys, grouping
+        return derive_projection(self.clause, sorted(scope), run.slots)
 
     def describe(self, run: Any) -> str:
         return ", ".join(self.layout(run)[1])
@@ -676,7 +675,6 @@ class Project(_Projection):
     """Streaming projection: one ``(values, [row])`` entry per input row."""
 
     name = "Project"
-    aggregated = False
 
     def _rows(self, run: Any) -> Iterator[Any]:
         evaluate = run.evaluator.evaluate
@@ -698,11 +696,10 @@ class Aggregate(_Projection):
     """
 
     name = "Aggregate"
-    aggregated = True
 
     def _rows(self, run: Any) -> Iterator[Any]:
         rows = list(self.children[0].open(run))
-        items, _, grouping = self.layout(run)
+        items, _, _, grouping = self.layout(run)
         charge = run.state.charge
         number = self.number
         for entry in _project_grouped(run, rows, items, grouping):
@@ -762,13 +759,10 @@ class Sort(PhysicalOperator):
 
     def _rows(self, run: Any) -> Iterator[Any]:
         entries = list(self.children[0].open(run))
-        projection = self.projection
-        items, keys, _ = projection.layout(run)
+        items, keys, aggregated, _ = self.projection.layout(run)
         charge = run.state.charge
         number = self.number
-        for entry in _order(
-            run, entries, self.order_by, items, keys, projection.aggregated, self._top(run)
-        ):
+        for entry in _order(run, entries, self.order_by, items, keys, aggregated, self._top(run)):
             charge(number)
             yield entry
 
