@@ -575,9 +575,65 @@ def _expression_text(expr: Expr, slots: Optional[tuple] = None) -> str:
     if isinstance(expr, InList):
         return f"{_expression_text(expr.value, slots)} IN {_expression_text(expr.container, slots)}"
     if isinstance(expr, CaseExpr):
-        return "CASE ... END"
+        parts = ["CASE"] if expr.subject is None else ["CASE", _expression_text(expr.subject, slots)]
+        for condition, result in expr.whens:
+            when, then = _expression_text(condition, slots), _expression_text(result, slots)
+            parts.append(f"WHEN {when} THEN {then}")
+        if expr.default is not None:
+            parts.append(f"ELSE {_expression_text(expr.default, slots)}")
+        return " ".join(parts + ["END"])
     if isinstance(expr, ListComprehension):
-        return f"[{expr.variable} IN {_expression_text(expr.source, slots)} ...]"
+        head = f"{expr.variable} IN {_expression_text(expr.source, slots)}"
+        return f"[{_filter_text(head, expr.predicate, expr.projection, slots)}]"
+    if isinstance(expr, PatternComprehension):
+        head = _pattern_text(expr.pattern, slots)
+        return f"[{_filter_text(head, expr.predicate, expr.projection, slots)}]"
+    if isinstance(expr, Quantifier):
+        head = f"{expr.variable} IN {_expression_text(expr.source, slots)}"
+        return f"{expr.kind}({_filter_text(head, expr.predicate, None, slots)})"
+    if isinstance(expr, Reduce):
+        initial = _expression_text(expr.initial, slots)
+        source = _expression_text(expr.source, slots)
+        return (f"reduce({expr.accumulator} = {initial}, {expr.variable} IN {source} | "
+                f"{_expression_text(expr.expression, slots)})")
     if isinstance(expr, (PatternPredicate, ExistsExpr)):
         return "exists(...)"
     return repr(expr if slots is None else _with_values(expr, slots))
+
+
+def _filter_text(
+    head: str, predicate: Optional[Expr], projection: Optional[Expr], slots: Optional[tuple]
+) -> str:
+    """``head [WHERE predicate] [| projection]``, the body of a comprehension."""
+    if predicate is not None:
+        head += f" WHERE {_expression_text(predicate, slots)}"
+    if projection is not None:
+        head += f" | {_expression_text(projection, slots)}"
+    return head
+
+
+def _pattern_text(part: PatternPart, slots: Optional[tuple]) -> str:
+    """A pattern part as Cypher text: ``(a:AS {asn: 1})-[:X*1..2]->(b)``."""
+    text = ""
+    for element in part.elements:
+        props = ""
+        if element.properties:
+            inner = ", ".join(f"{key}: {_expression_text(value, slots)}"
+                              for key, value in element.properties)
+            props = f" {{{inner}}}"
+        if isinstance(element, NodePattern):
+            labels = "".join(f":{label}" for label in element.labels)
+            text += f"({element.variable or ''}{labels}{props})"
+            continue
+        detail = element.variable or ""
+        if element.types:
+            detail += ":" + "|".join(element.types)
+        if element.var_length:
+            low = "" if element.min_hops is None else str(element.min_hops)
+            high = "" if element.max_hops is None else str(element.max_hops)
+            detail += "*" if low == high == "" else f"*{low}..{high}"
+        body = f"[{detail}{props}]" if detail or props else ""
+        text += {"out": f"-{body}->", "in": f"<-{body}-", "both": f"-{body}-"}[element.direction]
+    if part.shortest is not None:
+        text = f"{'shortestPath' if part.shortest == 'single' else 'allShortestPaths'}({text})"
+    return text if part.path_variable is None else f"{part.path_variable} = {text}"

@@ -10,7 +10,7 @@ Aggregates are evaluated over a whole group of rows by
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from ..graph.model import Node, Relationship
 from . import ast_nodes as ast
@@ -25,9 +25,16 @@ from .functions import (
 )
 from .values import cypher_equals, is_truthy
 
-__all__ = ["Evaluator"]
+__all__ = ["Evaluator", "resolve"]
 
 Row = dict[str, Any]
+
+
+def resolve(expressions: Iterable[ast.Expr]) -> list[tuple[Callable, ast.Expr]]:
+    """Each expression with the handler :meth:`Evaluator.evaluate` would
+    call, ``handler(evaluator, expr, row)``; ``evaluate`` itself if none."""
+    return [(getattr(Evaluator, f"_eval_{expr.__class__.__name__}", Evaluator.evaluate), expr)
+            for expr in expressions]
 
 
 class Evaluator:
@@ -70,14 +77,15 @@ class Evaluator:
 
     def _eval_PropertyAccess(self, expr: ast.PropertyAccess, row: Row) -> Any:
         subject_expr = expr.subject
-        if subject_expr.__class__ is ast.Variable:
-            subject = self._eval_Variable(subject_expr, row)
+        if subject_expr.__class__ is ast.Variable and subject_expr.name in row:
+            subject = row[subject_expr.name]
         else:
             subject = self.evaluate(subject_expr, row)
+        cls = subject.__class__
+        if cls is Node or cls is Relationship or isinstance(subject, (Node, Relationship)):
+            return subject.properties.get(expr.key)
         if subject is None:
             return None
-        if isinstance(subject, (Node, Relationship)):
-            return subject.properties.get(expr.key)
         if isinstance(subject, dict):
             return subject.get(expr.key)
         raise CypherTypeError(
@@ -341,13 +349,12 @@ class Evaluator:
                 return percentile(values, float(fraction), disc=name.endswith("disc"))
             if len(expr.args) != 1:
                 raise CypherRuntimeError(f"{expr.name}() expects one argument")
-            values = [self.evaluate(expr.args[0], row) for row in group_rows]
+            [(handler, argument)] = resolve(expr.args)
+            values = [handler(self, argument, row) for row in group_rows]
             return call_aggregate(expr.name, values, distinct=expr.distinct)
         if isinstance(expr, ast.BinaryOp):
             left = self.evaluate_aggregate(expr.left, group_rows)
-            right = self.evaluate_aggregate(expr.right, group_rows)
-            shim = ast.BinaryOp(op=expr.op, left=ast.Literal(left), right=ast.Literal(right))
-            return self.evaluate(shim, {})
+            return binary_operation(expr.op, left, self.evaluate_aggregate(expr.right, group_rows))
         if isinstance(expr, ast.UnaryOp):
             value = self.evaluate_aggregate(expr.operand, group_rows)
             return self.evaluate(ast.UnaryOp(op=expr.op, operand=ast.Literal(value)), {})
@@ -362,8 +369,5 @@ class Evaluator:
             return call_scalar(self.context.store, expr.name, args)
         if isinstance(expr, ast.ListLiteral):
             return [self.evaluate_aggregate(item, group_rows) for item in expr.items]
-        if isinstance(expr, ast.CaseExpr):
-            first = group_rows[0] if group_rows else {}
-            return self.evaluate(expr, first)
         first = group_rows[0] if group_rows else {}
         return self.evaluate(expr, first)

@@ -40,8 +40,10 @@ execution, and ``engine.profile(query, **params)`` for the per-operator
 
 from __future__ import annotations
 
+import copy
 import threading
 from collections import OrderedDict
+from dataclasses import replace
 from typing import Any, Iterator, Optional
 
 from ..faults import fault_point
@@ -79,6 +81,9 @@ def execute(store: GraphStore, query: str, **params: Any) -> ResultSet:
 
 
 _MISSING = object()
+
+#: expression classes whose value is fixed for a whole run
+_ROW_FREE = (ast.Literal, ast.Slot, ast.Parameter)
 
 
 class _LRUCache(OrderedDict):
@@ -347,9 +352,10 @@ class CypherEngine:
     ) -> tuple[ResultSet, _ExecutionContext]:
         """Run ``entry``'s shape's operator tree with ``entry``'s slot values.
 
-        Plans and lowers once per shape and statistics version.  Returns the
-        result plus the run (its counters feed ``PROFILE`` rendering and
-        ``ResultSet.profile``).
+        Plans and lowers once per shape and statistics version, a lowering
+        that failed included: its error depends on the tree alone, and each
+        run raises a copy of it.  Returns the result plus the run (its
+        counters feed ``PROFILE`` rendering and ``ResultSet.profile``).
         """
         shape = entry.shape
         stats = self.store.statistics()
@@ -357,8 +363,7 @@ class CypherEngine:
         if version != stats.version:
             plans = plan_query(shape.tree, stats, self.planner, shape.sites)
             lowered = lower_query(shape.tree, plans, shape.sites)
-            if lowered.error is None:
-                shape.plans = (stats.version, plans, lowered)
+            shape.plans = (stats.version, plans, lowered)
         state = RuntimeState(deadline, row_budget, profiled, lowered.size)
         run = _ExecutionContext(
             self.store, params, entry.slots, self.max_var_length, state, lowered
@@ -366,7 +371,7 @@ class CypherEngine:
         state.check_deadline()
         run.bounds = [run._bounded_int(expr, what) for expr, what in lowered.bounds]
         if lowered.error is not None:
-            raise lowered.error
+            raise copy.copy(lowered.error)
         produced = run.root.open(run)
         try:
             rows = list(produced)
@@ -432,19 +437,16 @@ class _ExecutionContext(WriteClauses):
         self.bounds: list[int] = []
         self.arguments: dict[int, Row] = {}
         self.evaluator = Evaluator(self)
-        # id(expr) -> value for pushed-filter expressions; those are
-        # Literal/Slot/Parameter only, so their value is fixed per execution
+        # id(expr) -> value for pushed-filter expressions and row-free
+        # inline property values: their value is fixed per execution
         self._filter_values: dict[int, Any] = {}
 
     def _filter_value(self, expr: ast.Expr) -> Any:
-        """Memoised evaluation of a pushed filter's row-independent value."""
-        cache = self._filter_values
-        key = id(expr)
-        if key in cache:
-            return cache[key]
-        value = self.evaluator.evaluate(expr, {})
-        cache[key] = value
-        return value
+        """Memoised evaluation of a row-independent value."""
+        cache, key = self._filter_values, id(expr)
+        if key not in cache:
+            cache[key] = self.evaluator.evaluate(expr, {})
+        return cache[key]
 
     def matches(self, node: Any, row: Row, first_only: bool = False) -> list[Row]:
         """The rows ``row`` extends to through the sub-chain of ``node``, a
@@ -473,11 +475,7 @@ class _ExecutionContext(WriteClauses):
         assert isinstance(end_pattern, ast.NodePattern)
         if not rel_pattern.var_length and rel_pattern.min_hops is None:
             # A plain relationship inside shortestPath() means one hop.
-            rel_pattern = ast.RelPattern(
-                variable=rel_pattern.variable, types=rel_pattern.types,
-                direction=rel_pattern.direction, properties=rel_pattern.properties,
-                min_hops=1, max_hops=1, var_length=True,
-            )
+            rel_pattern = replace(rel_pattern, min_hops=1, max_hops=1, var_length=True)
         stats = self.store.statistics()
         for start in self._node_candidates(
             start_pattern, row, fixed_anchor(start_pattern, stats, row)
@@ -602,33 +600,9 @@ class _ExecutionContext(WriteClauses):
             node_id, direction, rel_pattern.types or None
         ):
             step()
-            if not self._rel_properties_match(rel_pattern, rel, row):
+            if not self._properties_match(rel, rel_pattern.properties, row):
                 continue
             yield rel, rel.other_end(node_id)
-
-    def _expand_single(
-        self,
-        rel_pattern: ast.RelPattern,
-        current: Node,
-        row: Row,
-        used: frozenset[int],
-    ) -> Iterator[tuple[Relationship, Node]]:
-        """``(rel, end_node)`` for every single hop from ``current``."""
-        direction = rel_pattern.direction
-        types = rel_pattern.types or None
-        node_id = current.node_id
-        nodes = self.store._nodes
-        check_props = bool(rel_pattern.properties)
-        # No direction re-check needed: the adjacency index is maintained per
-        # direction, so an "out" query only ever returns rels starting here
-        # (self-loops included on both sides).
-        for rel in self.store.adjacent_relationships(node_id, direction, types):
-            if rel.rel_id in used:
-                continue
-            if check_props and not self._rel_properties_match(rel_pattern, rel, row):
-                continue
-            other = rel.end_id if rel.start_id == node_id else rel.start_id
-            yield rel, nodes[other]
 
     def _var_length_path(
         self,
@@ -671,7 +645,7 @@ class _ExecutionContext(WriteClauses):
                 step()
                 if rel.rel_id in used or rel.rel_id in taken_ids:
                     continue
-                if not self._rel_properties_match(rel_pattern, rel, row):
+                if not self._properties_match(rel, rel_pattern.properties, row):
                     continue
                 next_node = self.store.node(rel.other_end(node.node_id))
                 extended = taken + [rel]
@@ -681,12 +655,16 @@ class _ExecutionContext(WriteClauses):
 
         yield from walk(current, [], frozenset())
 
-    def _rel_properties_match(
-        self, rel_pattern: ast.RelPattern, rel: Relationship, row: Row
-    ) -> bool:
-        for key, expr in rel_pattern.properties:
-            wanted = self.evaluator.evaluate(expr, row)
-            if cypher_equals(rel.properties.get(key), wanted) is not True:
+    def _properties_match(self, entity: Any, properties: tuple, row: Row) -> bool:
+        """Whether ``entity`` holds a pattern's inline ``properties``; a literal,
+        slot or parameter value, or its negation, is evaluated once per run."""
+        for key, expr in properties:
+            operand = expr.operand if expr.__class__ is ast.UnaryOp else expr
+            if operand.__class__ in _ROW_FREE:
+                wanted = self._filter_value(expr)
+            else:
+                wanted = self.evaluator.evaluate(expr, row)
+            if cypher_equals(entity.properties.get(key), wanted) is not True:
                 return False
         return True
 
@@ -731,29 +709,20 @@ class _ExecutionContext(WriteClauses):
         filters: Optional[Filters] = None,
     ) -> Optional[Row]:
         """Check constraints of ``node_pattern`` against ``node``; bind if ok."""
-        for label in node_pattern.labels:
-            if label not in node.labels:
-                return None
-        for key, expr in node_pattern.properties:
-            wanted = self.evaluator.evaluate(expr, row)
-            if cypher_equals(node.properties.get(key), wanted) is not True:
-                return None
+        variable, properties = node_pattern.variable, node_pattern.properties
         if (
-            filters
-            and node_pattern.variable is not None
-            and not self._passes_filters(node.properties, filters.get(node_pattern.variable))
+            not node.labels.issuperset(node_pattern.labels)
+            or properties and not self._properties_match(node, properties, row)
+            or filters and variable is not None
+            and not self._passes_filters(node.properties, filters.get(variable))
         ):
             return None
-        if node_pattern.variable is None:
+        if variable is None:
             return row
-        if node_pattern.variable in row:
-            bound = row[node_pattern.variable]
-            if isinstance(bound, Node) and bound.node_id == node.node_id:
-                return row
-            return None
-        new_row = dict(row)
-        new_row[node_pattern.variable] = node
-        return new_row
+        if variable in row:
+            bound = row[variable]
+            return row if isinstance(bound, Node) and bound.node_id == node.node_id else None
+        return {**row, variable: node}
 
     def _passes_filters(
         self,

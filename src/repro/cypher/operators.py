@@ -44,8 +44,9 @@ Operator rows come in four shapes, matched to the pipeline stage:
 from __future__ import annotations
 
 import dataclasses
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice, zip_longest
 from operator import eq
+from sys import maxsize
 from time import perf_counter
 from typing import Any, Iterator, NamedTuple, Optional
 
@@ -57,8 +58,9 @@ from .errors import (
     CypherTypeError,
     ResourceExhausted,
 )
+from .evaluator import resolve
 from .functions import is_aggregate_function
-from .values import is_truthy, sort_key
+from .values import is_truthy, sort_key, sort_keys
 
 __all__ = [
     "RuntimeState",
@@ -107,7 +109,7 @@ class RuntimeState:
     """Per-run state: row budget, deadline, profiling flag, and the rows
     and wall time of each of the ``size`` operators, by operator number."""
 
-    __slots__ = ("deadline", "budget", "profiled", "rows", "steps", "rows_out", "elapsed_s")
+    __slots__ = ("deadline", "budget", "profiled", "rows", "limit", "steps", "rows_out", "elapsed_s")
 
     def __init__(
         self, deadline=None, budget: Optional[int] = None, profiled: bool = False,
@@ -118,6 +120,9 @@ class RuntimeState:
         self.profiled = profiled
         #: total rows emitted across *all* operators (the budget currency)
         self.rows = 0
+        #: where a charge next takes :meth:`overflow`: the budget or the
+        #: row before the next deadline read, whichever comes first
+        self._advance()
         #: relationships examined by variable-length walks and shortest-path
         #: searches (not charged)
         self.steps = 0
@@ -135,21 +140,33 @@ class RuntimeState:
 
     def charge(self, number: int = -1) -> None:
         """Count one intermediate row, emitted by operator ``number``,
-        against the budget and the deadline.
+        against the budget and the deadline; the hottest operators inline
+        these three statements.
 
         Every operator charges every row it emits; the sub-chains of pattern
         expressions and MERGE also charge every candidate and step they
-        examine, with no ``number``.  The deadline is read once per
-        ``_DEADLINE_STRIDE_MASK + 1`` rows.
+        examine, with no ``number``.
         """
         self.rows_out[number] += 1
-        rows = self.rows = self.rows + 1
+        self.rows += 1
+        if self.rows > self.limit:
+            self.overflow()
+
+    def overflow(self) -> None:
+        """A charge past ``limit``: raise past the budget, read the deadline
+        once per ``_DEADLINE_STRIDE_MASK + 1`` rows."""
+        rows = self.rows
         if self.budget is not None and rows > self.budget:
             raise ResourceExhausted(
                 f"query exceeded its intermediate row budget ({self.budget} rows)"
             )
         if self.deadline is not None and not (rows & _DEADLINE_STRIDE_MASK):
             self.check_deadline()
+        self._advance()
+
+    def _advance(self) -> None:
+        stride = maxsize if self.deadline is None else self.rows | _DEADLINE_STRIDE_MASK
+        self.limit = stride if self.budget is None else min(stride, self.budget)
 
     def step(self) -> None:
         """Count one relationship a variable-length walk or a shortest-path
@@ -169,8 +186,8 @@ class PhysicalOperator:
     """Base operator: children, operator number, PROFILE label.
 
     Subclasses implement ``_rows(run)``, a generator that iterates its
-    children (``for item in child.open(run)``) and, for every row it emits,
-    calls ``run.state.charge(self.number)`` before yielding it.  The tree is
+    children (``for item in child.open(run)``) and charges every row it
+    emits (``run.state.charge(self.number)`` or inline) before yielding it.  The tree is
     immutable once lowered; ``number``, assigned at lowering, indexes the
     run's counters.  Every ``open`` is a fresh run of the operator:
     :class:`OptionalMatch` re-runs its sub-pipeline once per upstream row.
@@ -287,9 +304,9 @@ class AnchorScan(PhysicalOperator):
         pattern, anchor, filters = self.node_pattern, self.anchor, self.filters
         candidates = run._node_candidates
         bind = run._bind_node
-        charge = run.state.charge
-        number = self.number
-        examined = self.charge_examined
+        state = run.state
+        rows_out, number, charge = state.rows_out, self.number, state.charge
+        examined, track = self.charge_examined, self.track_path
         for item in self.children[0].open(run):
             row, used = (item, _NO_RELS) if self.from_rows else item
             for node in candidates(pattern, row, anchor):
@@ -298,20 +315,22 @@ class AnchorScan(PhysicalOperator):
                 bound = bind(pattern, node, row, filters)
                 if bound is None:
                     continue
-                charge(number)
-                if self.track_path:
-                    yield (bound, used, node, [node], [])
-                else:
-                    yield (bound, used, node, None, None)
+                rows_out[number] += 1
+                state.rows += 1
+                if state.rows > state.limit:
+                    state.overflow()
+                yield (bound, used, node, [node] if track else None, [] if track else None)
 
 
 class Expand(PhysicalOperator):
     """One relationship hop: input match states fan out along adjacency.
 
-    Carries the whole per-hop protocol: relationship-uniqueness
+    Carries the whole per-hop protocol in one frame: relationship-uniqueness
     bookkeeping, rel-variable binding and rebinding consistency, pushed
     single-rel filters, endpoint verification, and path extension when a
-    path variable is tracked.
+    path variable is tracked.  Unless the end node has inline properties or
+    pushed filters, its labels are checked here and the row is copied once
+    for both new variables.
     """
 
     name = "Expand"
@@ -336,40 +355,60 @@ class Expand(PhysicalOperator):
 
     def _rows(self, run: Any) -> Iterator[Any]:
         rel_pattern, node_pattern, filters = self.rel_pattern, self.node_pattern, self.filters
-        variable = rel_pattern.variable
+        variable, end_variable = rel_pattern.variable, node_pattern.variable
         rel_filters = filters.get(variable) if filters and variable is not None else None
+        direction, types = rel_pattern.direction, rel_pattern.types or None
+        labels = frozenset(node_pattern.labels)
+        bind_end = node_pattern.properties or filters and filters.get(end_variable) or (
+            end_variable is not None and end_variable == variable)
+        adjacent, nodes = run.store.adjacent_relationships, run.store._nodes
+        props = rel_pattern.properties
         maintain_used = self.maintain_used
-        expand = run._expand_single
-        bind = run._bind_node
-        charge = run.state.charge
-        number = self.number
+        state = run.state
+        rows_out, number, charge = state.rows_out, self.number, state.charge
         examined = self.charge_examined
-        for row, used, current, nodes, rels in self.children[0].open(run):
-            for rel, end_node in expand(rel_pattern, current, row, used):
+        for row, used, current, path_nodes, path_rels in self.children[0].open(run):
+            node_id = current.node_id
+            rebinds, end_bound = variable in row, end_variable in row
+            new_rel = variable is not None and not rebinds
+            new_end = end_variable is not None and not end_bound
+            end = row[end_variable] if end_bound else None
+            # No direction re-check needed: the adjacency index is kept per
+            # direction (self-loops included on both sides).
+            for rel in adjacent(node_id, direction, types):
+                if rel.rel_id in used or props and not run._properties_match(rel, props, row):
+                    continue
                 if examined:
                     charge()
-                if variable is None:
-                    rel_row = row
-                elif variable in row:
+                if rebinds:
                     if not _same_rel_binding(row[variable], rel):
                         continue
-                    rel_row = row
-                else:
-                    if rel_filters and not run._passes_filters(rel.properties, rel_filters):
-                        continue
-                    rel_row = dict(row)
-                    rel_row[variable] = rel
-                end_row = bind(node_pattern, end_node, rel_row, filters)
-                if end_row is None:
+                elif rel_filters and not run._passes_filters(rel.properties, rel_filters):
                     continue
-                charge(number)
-                yield (
-                    end_row,
-                    used | {rel.rel_id} if maintain_used else used,
-                    end_node,
-                    None if nodes is None else nodes + [end_node],
-                    None if nodes is None else rels + [rel],
-                )
+                end_node = nodes[rel.end_id if rel.start_id == node_id else rel.start_id]
+                if bind_end:
+                    out = {**row, variable: rel} if new_rel else row
+                    if (out := run._bind_node(node_pattern, end_node, out, filters)) is None:
+                        continue
+                elif not labels <= end_node.labels or end_bound and not (
+                    isinstance(end, Node) and end.node_id == end_node.node_id
+                ):
+                    continue
+                elif new_rel or new_end:
+                    out = dict(row)
+                    if new_rel:
+                        out[variable] = rel
+                    if new_end:
+                        out[end_variable] = end_node
+                else:
+                    out = row
+                rows_out[number] += 1
+                state.rows += 1
+                if state.rows > state.limit:
+                    state.overflow()
+                yield (out, used | {rel.rel_id} if maintain_used else used, end_node,
+                       None if path_nodes is None else path_nodes + [end_node],
+                       None if path_nodes is None else path_rels + [rel])
 
 
 class VarLengthExpand(Expand):
@@ -473,15 +512,18 @@ class PartEmit(PhysicalOperator):
     def _rows(self, run: Any) -> Iterator[Any]:
         path_variable = self.part.path_variable
         emit_row = self.emit_row
-        charge = run.state.charge
-        number = self.number
+        state = run.state
+        rows_out, number = state.rows_out, self.number
         for row, used, _node, nodes, rels in self.children[0].open(run):
             if path_variable is not None:
                 path_nodes = list(reversed(nodes)) if self.reversed_part else nodes
                 path_rels = list(reversed(rels)) if self.reversed_part else rels
                 row = dict(row)
                 row[path_variable] = Path(path_nodes, path_rels)
-            charge(number)
+            rows_out[number] += 1
+            state.rows += 1
+            if state.rows > state.limit:
+                state.overflow()
             yield row if emit_row else (row, used)
 
 
@@ -658,6 +700,8 @@ class _Projection(PhysicalOperator):
         self.scope = scope
         self.base = base
         self.fixed = layout
+        #: each item's expression with its evaluator handler, when fixed
+        self.handlers = None if layout is None else resolve(i.expression for i in layout[0])
 
     def layout(self, run: Any) -> tuple[list, list[str], bool, list[int]]:
         if self.fixed is not None:
@@ -672,18 +716,20 @@ class _Projection(PhysicalOperator):
 
 
 class Project(_Projection):
-    """Streaming projection: one ``(values, [row])`` entry per input row."""
+    """Streaming projection: one ``(values, (row,))`` entry per input row."""
 
     name = "Project"
 
     def _rows(self, run: Any) -> Iterator[Any]:
-        evaluate = run.evaluator.evaluate
-        expressions = [item.expression for item in self.layout(run)[0]]
-        charge = run.state.charge
-        number = self.number
+        evaluator, state = run.evaluator, run.state
+        handlers = self.handlers or resolve(item.expression for item in self.layout(run)[0])
+        rows_out, number = state.rows_out, self.number
         for row in self.children[0].open(run):
-            entry = ([evaluate(expression, row) for expression in expressions], [row])
-            charge(number)
+            entry = ([handler(evaluator, expr, row) for handler, expr in handlers], (row,))
+            rows_out[number] += 1
+            state.rows += 1
+            if state.rows > state.limit:
+                state.overflow()
             yield entry
 
 
@@ -700,9 +746,10 @@ class Aggregate(_Projection):
     def _rows(self, run: Any) -> Iterator[Any]:
         rows = list(self.children[0].open(run))
         items, _, _, grouping = self.layout(run)
+        handlers = self.handlers or resolve(item.expression for item in items)
         charge = run.state.charge
         number = self.number
-        for entry in _project_grouped(run, rows, items, grouping):
+        for entry in _project_grouped(run, rows, items, handlers, grouping):
             charge(number)
             yield entry
 
@@ -760,10 +807,13 @@ class Sort(PhysicalOperator):
     def _rows(self, run: Any) -> Iterator[Any]:
         entries = list(self.children[0].open(run))
         items, keys, aggregated, _ = self.projection.layout(run)
-        charge = run.state.charge
-        number = self.number
+        state = run.state
+        rows_out, number = state.rows_out, self.number
         for entry in _order(run, entries, self.order_by, items, keys, aggregated, self._top(run)):
-            charge(number)
+            rows_out[number] += 1
+            state.rows += 1
+            if state.rows > state.limit:
+                state.overflow()
             yield entry
 
 
@@ -944,10 +994,13 @@ class ProduceResults(PhysicalOperator):
             for _ in child:
                 pass
             return
-        charge = run.state.charge
-        number = self.number
+        state = run.state
+        rows_out, number = state.rows_out, self.number
         for values, _env_rows in child:
-            charge(number)
+            rows_out[number] += 1
+            state.rows += 1
+            if state.rows > state.limit:
+                state.overflow()
             yield values
 
 
@@ -1080,15 +1133,16 @@ def _project_grouped(
     run,
     rows: list[Row],
     items: list,
+    handlers: list,
     grouping_indices: list[int],
 ) -> list[tuple[list[Any], list[Row]]]:
     """Group ``rows`` by the non-aggregate items and evaluate aggregates."""
-    evaluate = run.evaluator.evaluate
+    evaluator = run.evaluator
     if grouping_indices:
         groups: dict[tuple, tuple[list[Any], list[Row]]] = {}
-        expressions = [items[i].expression for i in grouping_indices]
+        grouping = [handlers[i] for i in grouping_indices]
         for row in rows:
-            group_values = [evaluate(expression, row) for expression in expressions]
+            group_values = [handler(evaluator, expr, row) for handler, expr in grouping]
             group_key = tuple(map(_freeze, group_values))
             group = groups.get(group_key)
             if group is None:
@@ -1124,8 +1178,9 @@ def _order(
 ) -> list[tuple[list[Any], list[Row]]]:
     """Sort ``produced``; with ``top`` set, only the first ``top`` rows.
 
-    Every row's ORDER BY sort keys are evaluated exactly once, one column
-    per ORDER BY item.  A row-index permutation is then sorted once per
+    Every row's ORDER BY values are evaluated exactly once, one column
+    per ORDER BY item, and each column becomes keys in one pass
+    (:func:`~.values.sort_keys`).  A row-index permutation is then sorted once per
     column, least significant first; ``list.sort`` stays stable under
     ``reverse=True``, so DESC needs no key wrapper.  Rows that tie on every
     column are ordered by the canonical tie-break (sort keys of the
@@ -1164,22 +1219,31 @@ def _order(
             plans.append(("eval", expr))
             needs_env = True
 
-    columns: list[list[tuple]] = [[] for _ in plans]
-    appends = [column.append for column in columns]
-    for values, env_rows in produced:
-        if needs_env:
-            base = dict(env_rows[0]) if env_rows else {}
-            base.update(zip(keys, values))
-        else:
-            base = None
-        for (kind, payload), append in zip(plans, appends):
-            if kind == "reuse":
-                value = values[payload]
-            elif kind == "agg":
-                value = evaluate_aggregate(payload, env_rows)
-            else:
-                value = evaluate(payload, base)
-            append(sort_key(value))
+    if all(kind == "reuse" for kind, _ in plans):
+        raw: list[list[Any]] = [[values[j] for values, _ in produced] for _, j in plans]
+    else:
+        raw = [[] for _ in plans]
+        appends = [column.append for column in raw]
+        try:
+            for values, env_rows in produced:
+                if needs_env:
+                    base = dict(env_rows[0]) if env_rows else {}
+                    base.update(zip(keys, values))
+                else:
+                    base = None
+                for (kind, payload), append in zip(plans, appends):
+                    if kind == "reuse":
+                        append(values[payload])
+                    elif kind == "agg":
+                        append(evaluate_aggregate(payload, env_rows))
+                    else:
+                        append(evaluate(payload, base))
+        except Exception:
+            # A value before this one that ``sort_key`` rejects raises first.
+            for value in chain.from_iterable(zip_longest(*raw)):
+                sort_key(value)
+            raise
+    columns = list(map(sort_keys, raw))
 
     perm = list(range(len(produced)))
     for column, order_item in zip(reversed(columns), reversed(order_by)):
@@ -1207,18 +1271,21 @@ def _order(
             break
         else:
             runs.append([i - 1, i + 1])
-    for start, stop in runs:
-        perm[start:stop] = sorted(
-            perm[start:stop], key=lambda i: _tie_break_key(produced[i][0], tie_columns)
-        )
-    return [produced[i] for i in perm[:limit]]
-
-
-def _tie_break_key(values: list[Any], columns: list[int]) -> tuple:
+    # The tie-break keys are key columns too, made over the tied rows; a
+    # value ``sort_key`` rejects falls back to one key per row.
+    tied = [i for start, stop in runs for i in perm[start:stop]]
     try:
-        return tuple(map(sort_key, map(values.__getitem__, columns)))
-    except CypherTypeError:
-        return ()
+        keys = zip(*(sort_keys([produced[i][0][j] for i in tied]) for j in tie_columns))
+        key = dict(zip(tied, keys)).__getitem__
+    except (CypherTypeError, OverflowError):
+        def key(i: int) -> tuple:
+            try:
+                return tuple(sort_key(produced[i][0][j]) for j in tie_columns)
+            except CypherTypeError:
+                return ()
+    for start, stop in runs:
+        perm[start:stop] = sorted(perm[start:stop], key=key)
+    return [produced[i] for i in perm[:limit]]
 
 
 #: the one group/dedup key every NaN freezes to

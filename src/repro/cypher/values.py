@@ -8,6 +8,7 @@ and ORDER BY.
 
 from __future__ import annotations
 
+from math import isnan
 from typing import Any, Optional
 
 from ..graph.model import Node, Path, Relationship
@@ -18,14 +19,22 @@ __all__ = [
     "equality_key",
     "cypher_compare",
     "sort_key",
+    "sort_keys",
     "is_truthy",
     "ensure_number",
     "ensure_integer",
 ]
 
+#: the exact classes of Cypher numbers and strings (``bool`` is neither)
+_NUMBERS = frozenset((int, float))
+_STRINGS = frozenset((str,))
+
 
 def cypher_equals(left: Any, right: Any) -> Optional[bool]:
     """Three-valued equality: returns True, False, or None (unknown)."""
+    cls = left.__class__
+    if cls is right.__class__ and (cls is str or cls is int or cls is float):
+        return left == right if cls is str else float(left) == float(right)
     if left is None or right is None:
         return None
     if isinstance(left, bool) or isinstance(right, bool):
@@ -73,7 +82,8 @@ def equality_key(value: Any) -> Any:
     map holding one.  Numbers key on ``float(v)`` (so ``1 = 1.0``) and
     booleans carry their own tag (so ``true <> 1``).
     """
-    if value is None or isinstance(value, str):
+    cls = value.__class__
+    if cls is str or cls is Node or cls is Relationship or value is None:
         return value
     if isinstance(value, bool):
         return ("bool", value)
@@ -108,6 +118,8 @@ def cypher_compare(left: Any, right: Any) -> Optional[int]:
     with booleans; everything else is incomparable (None), matching
     Cypher's null result for cross-type inequality.
     """
+    if left.__class__ in _NUMBERS and right.__class__ in _NUMBERS:
+        return (left > right) - (left < right)
     if left is None or right is None:
         return None
     if isinstance(left, bool) and isinstance(right, bool):
@@ -179,6 +191,21 @@ def sort_key(value: Any) -> tuple:
     if isinstance(value, Path):
         return (_TYPE_RANK["path"], tuple(n.node_id for n in value.nodes))
     raise CypherTypeError(f"cannot order value of type {type(value).__name__}")
+
+
+def sort_keys(values: list[Any]) -> list[Any]:
+    """ORDER BY keys for a whole column, in :func:`sort_key`'s order and
+    equality.  A column of numbers without NaN keys as floats and a column
+    of strings as the strings, which ``list.sort`` compares natively; any
+    other column keys as :func:`sort_key` tuples."""
+    classes = set(map(type, values))
+    if classes <= _NUMBERS:
+        keys = list(map(float, values))  # an int past float range raises as in sort_key
+        if not any(map(isnan, keys)):
+            return keys
+    elif classes == _STRINGS:
+        return values
+    return list(map(sort_key, values))
 
 
 def is_truthy(value: Any) -> Optional[bool]:

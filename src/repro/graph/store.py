@@ -25,6 +25,9 @@ from .model import Node, Relationship, validate_properties
 
 __all__ = ["GraphStore", "GraphStatistics", "GraphError", "EntityNotFound"]
 
+#: an absent adjacency map or bucket
+_NO_BUCKET: dict = {}
+
 
 @contextmanager
 def _bulk_build() -> Iterator[None]:
@@ -412,6 +415,10 @@ class GraphStore:
         already in id order.  Anything else merges its buckets by id; a
         self-loop appears once under ``"both"``.
         """
+        if direction in ("out", "in") and rel_types is not None and len(rel_types) == 1:
+            (rel_type,) = rel_types
+            side = self._outgoing_typed if direction == "out" else self._incoming_typed
+            return tuple(side.get(node_id, _NO_BUCKET).get(rel_type, _NO_BUCKET).values())
         buckets = self._buckets(node_id, direction, rel_types)
         if len(buckets) < 2:
             return tuple(buckets[0].values()) if buckets else ()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cypher import CypherRuntimeError, CypherSyntaxError, execute
+from repro.cypher import CypherEngine, CypherRuntimeError, CypherSyntaxError, execute
 from repro.graph import GraphStore
 
 
@@ -301,3 +301,25 @@ class TestResultSetApi:
         assert record.get("zz", 9) == 9
         with pytest.raises(KeyError):
             record["zz"]
+
+
+class TestImplicitColumnNames:
+    """Unaliased columns are named by their Cypher text."""
+
+    @pytest.mark.parametrize("expression", [
+        "size([(a)--(c) | c])",
+        "[(a)-[r:PEERS_WITH*1..2 {x: 1}]->(:AS:Org) WHERE a.asn > 1 | r]",
+        "[(a)<-[:X]-(b {k: $p}) | b.k]",
+        "any(x IN [1, 2] WHERE x = 2)",
+        "none(x IN [1, 2] WHERE x > 5)",
+        "reduce(s = 0, x IN [1, 2] | s + x)",
+        "[x IN [1, 2, 3] WHERE x > 1 | x * 2]",
+        "[x IN [1, 2]]",
+        "CASE a.asn WHEN 1 THEN 'one' ELSE 'other' END",
+        "CASE WHEN a.asn < 2 THEN 3 END",
+    ])
+    def test_column_is_the_expression_text(self, expression):
+        store = GraphStore()
+        store.create_node(["AS"], {"asn": 1})
+        result = CypherEngine(store).run(f"MATCH (a:AS) RETURN {expression}", p=1)
+        assert result.keys == [expression]

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.cypher import CypherEngine
 from repro.cypher import ast_nodes as ast
-from repro.cypher.errors import CypherTypeError
+from repro.cypher.errors import CypherRuntimeError, CypherTypeError
 from repro.cypher.operators import _order
 from repro.cypher.values import sort_key
 from repro.graph import GraphStore
@@ -204,6 +204,68 @@ class TestSortOracle:
         rows = [[_b], [rel], [_a], [Node(_a.node_id, ["AS"])], [Relationship(rel.rel_id, "X", 0, 1)]]
         for desc in (False, True):
             assert_same_permutation(rows, [0], [desc], None)
+
+
+# ---------------------------------------------------------------------------
+# Key kinds: native float keys, native string keys, sort_key tuples
+# ---------------------------------------------------------------------------
+
+_FINITE = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.sampled_from([0.0, -0.0, 1, 1.0]),
+)
+#: each column kind ``sort_keys`` tells apart, drawn tie-heavy
+_KINDS = {
+    "numbers": _FINITE,
+    "numbers_infinite": st.one_of(_FINITE, st.sampled_from([INF, -INF])),
+    "numbers_nan": st.one_of(_FINITE, st.sampled_from([NAN, INF, -INF])),
+    "numbers_bool": st.one_of(_FINITE, st.booleans()),
+    "strings": st.text(alphabet="ab", max_size=2),
+    "strings_null": st.one_of(st.text(alphabet="ab", max_size=2), st.none()),
+}
+
+
+@st.composite
+def _kind_cases(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_KINDS)), min_size=1, max_size=3))
+    rows = draw(st.lists(st.tuples(*(_KINDS[kind] for kind in kinds)).map(list), max_size=14))
+    columns = draw(st.lists(st.integers(min_value=0, max_value=len(kinds) - 1),
+                            min_size=1, max_size=2))
+    descending = draw(st.lists(st.booleans(), min_size=len(columns), max_size=len(columns)))
+    top = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=len(rows) + 1)))
+    return rows, columns, descending, top
+
+
+class TestKeyKinds:
+    @settings(max_examples=600, deadline=None)
+    @given(_kind_cases())
+    def test_same_permutation_for_every_key_kind(self, case):
+        assert_same_permutation(*case)
+
+    @pytest.mark.parametrize("rows, columns", [
+        ([[1], [10 ** 400], [2]], [0]),  # an ORDER BY column
+        ([[1, 10 ** 400], [1, 2]], [0]),  # the tie-break over the other column
+        ([["a", 5], [10 ** 400, 5]], [1]),  # a mixed column in the tie-break
+    ])
+    @pytest.mark.parametrize("desc", [False, True])
+    def test_int_past_float_range_raises_as_sort_key(self, rows, columns, desc):
+        with pytest.raises(OverflowError) as expected:
+            sort_key(10 ** 400)
+        produced = [(list(values), []) for values in rows]
+        with pytest.raises(OverflowError) as reference:
+            reference_order(produced, columns, [desc], None)
+        with pytest.raises(OverflowError) as actual:
+            actual_order(produced, columns, [desc], None)
+        assert str(actual.value) == str(reference.value) == str(expected.value)
+
+    def test_key_error_before_an_evaluation_error_raises_first(self):
+        engine = CypherEngine(GraphStore())
+        huge = str(10 ** 400)
+        with pytest.raises(OverflowError):
+            engine.execute(f"UNWIND [{huge}, 1] AS x RETURN x ORDER BY x, 1 / 0")
+        with pytest.raises(CypherRuntimeError):
+            engine.execute(f"UNWIND [1, {huge}] AS x RETURN x ORDER BY x, 1 / 0")
 
 
 # ---------------------------------------------------------------------------

@@ -339,3 +339,31 @@ def test_concurrent_profiles_of_one_shape(small_store):
     assert not errors, errors[0]
     assert engine.cache_stats()["shapes"] == 1
 
+
+
+def test_failed_lowering_is_kept(tiny_store, monkeypatch):
+    """A lowering that fails is kept like one that succeeds: its error
+    depends on the tree alone.  Every run still evaluates the SKIP/LIMIT
+    counts lowered before the error, then raises a fresh copy of it."""
+    calls = []
+    real = executor.lower_query
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(executor, "lower_query", counting)
+    engine = CypherEngine(tiny_store)
+    raised = []
+    for _ in range(3):
+        with pytest.raises(CypherSyntaxError, match="RETURN must be the final clause") as info:
+            engine.execute("WITH 1 AS a SKIP 1 RETURN a RETURN 2")
+        raised.append(info.value)
+    assert len(calls) == 1
+    assert len({id(error) for error in raised}) == 3
+    query = "WITH 1 AS a SKIP $skip RETURN a RETURN 2"
+    with pytest.raises(CypherSyntaxError, match="RETURN must be the final clause"):
+        engine.execute(query, {"skip": 1})
+    with pytest.raises(CypherRuntimeError, match="SKIP requires"):
+        engine.execute(query, {"skip": -1})
+    assert len(calls) == 2
