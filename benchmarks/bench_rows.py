@@ -90,7 +90,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="source tree of the change (default: this checkout)")
     parser.add_argument("--baseline-src", type=Path, required=True,
                         help="source tree to compare against, e.g. the parent commit's")
-    parser.add_argument("--rounds", type=int, default=ROUNDS)
     parser.add_argument("--output", type=Path, help="write the JSON result here")
     args = parser.parse_args(argv)
 
@@ -100,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
     for tree in trees.values():  # one untimed pass each: caches and specialization
         one_pass(tree, texts)
     seconds: dict[str, list[float]] = {side: [] for side in trees}
-    for index in range(args.rounds):
+    for index in range(ROUNDS):
         # Alternate which tree goes first, so neither always runs warm.
         order = list(trees) if index % 2 == 0 else list(reversed(trees))
         for side in order:
@@ -112,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         "texts": len(texts),
         "protocol": (f"seed-{SEED} cypher_replay_large texts on the large graph, first "
                      "execution on a fresh engine per pass, result reuse bypassed; "
-                     f"{args.rounds} rounds of one pass per tree, trees alternating in one "
+                     f"{ROUNDS} rounds of one pass per tree, trees alternating in one "
                      "process; medians over rounds; ratio: median of the rounds' "
                      "baseline/change"),
         "host": f"{platform.python_implementation()} {platform.python_version()}, "

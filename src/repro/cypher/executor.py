@@ -34,8 +34,9 @@ expansion, shortest paths); the evaluator and the write clauses live in
 Entry points: :class:`CypherEngine` — ``engine.run(query, **params)``
 for the classic API, ``engine.execute(query, params, deadline=...,
 row_budget=..., profile=...)`` for deadline-aware, budgeted, profiled
-execution, and ``engine.profile(query, **params)`` for the per-operator
-``PROFILE`` tree (rows produced + wall-time per operator).
+execution, ``engine.profile(query, **params)`` for the per-operator
+``PROFILE`` tree (rows produced + wall-time per operator), and
+``engine.explain(query, **params)`` for the same tree, not executed.
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ from . import ast_nodes as ast
 from .errors import CypherRuntimeError, CypherTypeError
 from .evaluator import Evaluator
 from .functions import compare_once
-from .lowering import LoweredQuery, explain, lower_query
+from .lowering import LoweredQuery, lower_query
 from .operators import RuntimeState, profile_tree, render_profile
 from .lexer import tokenize
-from .parser import literal_shape, parse, parse_shape
+from .parser import literal_shape, parse_shape
 from .planner import (
     AnchorPlan,
     Filters,
@@ -341,21 +342,21 @@ class CypherEngine:
             self._memoised_rows -= self._memos.pop(entry, 0)
             entry.memo = None
 
-    def _execute(
+    def _start(
         self,
         entry: _QueryEntry,
         params: dict[str, Any],
-        *,
         deadline: Any = None,
         row_budget: Optional[int] = None,
         profiled: bool = False,
-    ) -> tuple[ResultSet, _ExecutionContext]:
-        """Run ``entry``'s shape's operator tree with ``entry``'s slot values.
+    ) -> _ExecutionContext:
+        """A run of ``entry``'s shape's operator tree with ``entry``'s slot
+        values, up to its first row.
 
         Plans and lowers once per shape and statistics version, a lowering
         that failed included: its error depends on the tree alone, and each
-        run raises a copy of it.  Returns the result plus the run (its
-        counters feed ``PROFILE`` rendering and ``ResultSet.profile``).
+        run raises a copy of it.  The run reads the deadline and evaluates
+        its SKIP/LIMIT counts before raising that error.
         """
         shape = entry.shape
         stats = self.store.statistics()
@@ -372,6 +373,20 @@ class CypherEngine:
         run.bounds = [run._bounded_int(expr, what) for expr, what in lowered.bounds]
         if lowered.error is not None:
             raise copy.copy(lowered.error)
+        return run
+
+    def _execute(
+        self,
+        entry: _QueryEntry,
+        params: dict[str, Any],
+        *,
+        deadline: Any = None,
+        row_budget: Optional[int] = None,
+        profiled: bool = False,
+    ) -> tuple[ResultSet, _ExecutionContext]:
+        """Run ``entry`` (see :meth:`_start`).  Returns the result plus the
+        run (its counters feed ``PROFILE`` rendering and ``ResultSet.profile``)."""
+        run = self._start(entry, params, deadline, row_budget, profiled)
         produced = run.root.open(run)
         try:
             rows = list(produced)
@@ -393,18 +408,26 @@ class CypherEngine:
         """
         result, run = self._execute(self._entry(query), params, profiled=True)
         result.profile = profile_tree(run.root, run)
-        return result, render_profile(run.root, run)
+        return result, render_profile(result.profile)
 
-    def explain(self, query: str) -> str:
-        """Describe how ``query`` would execute (clause pipeline + plans).
+    def explain(self, query: str, **params: Any) -> str:
+        """The operator tree :meth:`execute` would run for ``query`` with
+        ``params``, rendered as :meth:`profile` renders it but without rows
+        and times.  Nothing is executed.
 
-        With the planner on, each MATCH pattern part shows the chosen
-        anchor, its access path (index lookup, label scan, ...) and the
-        expansion direction, plus any WHERE predicates pushed down to bind
-        time.
+        The tree is the one the query cache holds for the query's shape and
+        the graph's statistics version: a pattern operator's detail names
+        its access path (``HashLookup`` says ``label scan`` when no index
+        serves it) and the pushed WHERE filters it applies.  SKIP/LIMIT
+        counts are evaluated as a run evaluates them.
+
+        Raises:
+            CypherError: what a run would raise before its first row: a
+                syntax error, an error from lowering, or a SKIP/LIMIT
+                count that is not a non-negative integer.
         """
-        tree = parse(query)
-        return explain(tree, plan_query(tree, self.store.statistics(), self.planner))
+        run = self._start(self._entry(query), params)
+        return render_profile(profile_tree(run.root, run))
 
 
 # ---------------------------------------------------------------------------

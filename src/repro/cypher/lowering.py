@@ -9,9 +9,9 @@ and pattern comprehension.  Such a sub-chain hangs under the operator
 that evaluates it, so PROFILE shows its operators and rows.  The engine
 lowers a query shape once per set of plans (:func:`lower_query`); the tree
 holds no run state, and what depends on a run's values (SKIP/LIMIT counts,
-implicit column names) is resolved in the run.
-:func:`explain` renders the clause pipeline and the same plans as text
-without executing anything.
+implicit column names) is resolved in the run.  EXPLAIN and PROFILE both
+render this tree; each pattern operator's detail names its access path and
+the pushed WHERE filters it applies.
 """
 
 from __future__ import annotations
@@ -32,88 +32,9 @@ from .planner import (
     pattern_part,
 )
 
-__all__ = ["LoweredQuery", "explain", "lower_pattern", "lower_query"]
+__all__ = ["LoweredQuery", "lower_pattern", "lower_query"]
 
 Plans = dict[int, Union[MatchPlan, PartPlan]]
-
-
-def explain(tree: ast.Query, plans: Plans) -> str:
-    """Describe how ``tree`` would execute: the clause pipeline and, per
-    pattern part (MATCH, MERGE, pattern expressions), the anchor, its
-    access path and the expansion direction, plus any WHERE predicates
-    pushed down to bind time."""
-    queries = tree.queries if isinstance(tree, ast.UnionQuery) else (tree,)
-    lines = []
-    for qindex, single in enumerate(queries):
-        if len(queries) > 1:
-            lines.append(f"UNION branch {qindex + 1}:")
-        for clause in single.clauses:
-            lines.extend(_explain_clause(clause, plans))
-            lines.extend(
-                f"  {type(expr).__name__.replace('Expr', '')} "
-                f"{_explain_part(pattern_part(expr), plans[id(expr)])}"
-                for expr, _ in pattern_expressions(clause)
-            )
-    return "\n".join(lines)
-
-
-def _explain_clause(clause: ast.Clause, plans: Plans) -> list[str]:
-    name = type(clause).__name__.replace("Clause", "")
-    if isinstance(clause, ast.MergeClause):
-        return [f"{name} {_explain_part(clause.part, plans[id(clause)])}"]
-    if isinstance(clause, ast.MatchClause):
-        prefix = "OptionalMatch" if clause.optional else "Match"
-        plan = plans[id(clause)]
-        lines = [
-            f"{prefix} {_explain_part(part, part_plan)}"
-            for part, part_plan in zip(clause.pattern.parts, plan.parts)
-        ]
-        if plan.filters:
-            for variable in sorted(plan.filters):
-                for filt in plan.filters[variable]:
-                    op = {"eq": "=", "in": "IN"}.get(filt.kind) or filt.ops[0]
-                    lines.append(f"  Pushdown {variable}.{filt.key} {op} ...")
-        if clause.where is not None:
-            lines.append("  Filter (WHERE)")
-        return lines
-    if isinstance(clause, ast.ProjectionClause):
-        detail = []
-        if clause.distinct:
-            detail.append("distinct")
-        if any(_contains_aggregate(i.expression) for i in clause.items):
-            detail.append("aggregate+group")
-        if clause.order_by:
-            detail.append(f"sort({len(clause.order_by)} keys)")
-        if clause.skip is not None:
-            detail.append("skip")
-        if clause.limit is not None:
-            detail.append("limit")
-        suffix = f" [{', '.join(detail)}]" if detail else ""
-        return [f"{name} {len(clause.items)} items{suffix}"]
-    return [name]
-
-
-def _explain_part(part: ast.PatternPart, plan: PartPlan) -> str:
-    nodes = part.nodes
-    if part.shortest is not None:
-        kind = "shortestPath" if part.shortest == "single" else "allShortestPaths"
-        return f"{kind} BFS between {_node_text(nodes[0])} and {_node_text(nodes[-1])}"
-    anchor_node = nodes[-1] if plan.reverse else nodes[0]
-    direction = "right-to-left" if plan.reverse else "left-to-right"
-    return (
-        f"pattern({len(nodes)} nodes, {part.hop_count} hops) "
-        f"anchor={_node_text(anchor_node)} via {plan.anchor.describe()}, "
-        f"expand {direction}"
-    )
-
-
-def _node_text(node: ast.NodePattern) -> str:
-    label = f":{node.labels[0]}" if node.labels else ""
-    variable = node.variable or ""
-    return f"({variable}{label})"
-
-
-# -- Lowering: AST + plans -> physical operator tree ---------------------------
 
 class LoweredQuery:
     """A query's operator tree for one set of plans, shared by every run.
@@ -302,8 +223,10 @@ def lower_part(
     """
     if part.shortest is not None:
         kind = "shortestPath" if part.shortest == "single" else "allShortestPaths"
+        ends = (part.nodes[0].variable, part.nodes[-1].variable)
         return ops.ShortestPath(
-            child, part, filters, from_rows=from_rows, emit_row=emit_row, detail=kind,
+            child, part, filters, from_rows=from_rows, emit_row=emit_row,
+            detail=_with_pushed(kind, filters, *ends),
         )
     elements = list(part.elements)
     if part_plan.reverse:
@@ -315,25 +238,48 @@ def lower_part(
     maintain_used = update_used or needs_used_tracking(part)
     name, detail = anchor.physical_operator()
     op: ops.PhysicalOperator = ops.AnchorScan(
-        child, first, anchor, filters, track_path, from_rows, name, detail, charge_examined,
+        child, first, anchor, filters, track_path, from_rows, name,
+        _with_pushed(detail, filters, first.variable), charge_examined,
     )
     for index in range(1, len(elements), 2):
         rel_pattern = elements[index]
         node_pattern = elements[index + 1]
         assert isinstance(rel_pattern, ast.RelPattern)
         assert isinstance(node_pattern, ast.NodePattern)
-        expand_cls = ops.VarLengthExpand if rel_pattern.var_length else ops.Expand
         types = "|".join(rel_pattern.types) if rel_pattern.types else ""
         arrow = {"out": "->", "in": "<-", "both": "--"}[rel_pattern.direction]
+        # A variable-length hop binds a relationship list: only the end
+        # node's pushed filters apply.
+        if rel_pattern.var_length:
+            expand_cls, bound = ops.VarLengthExpand, (node_pattern.variable,)
+        else:
+            expand_cls, bound = ops.Expand, (rel_pattern.variable, node_pattern.variable)
         op = expand_cls(
-            op, rel_pattern, node_pattern, filters,
-            maintain_used, detail=f"[:{types}]{arrow}" if types else arrow,
+            op, rel_pattern, node_pattern, filters, maintain_used,
+            detail=_with_pushed(f"[:{types}]{arrow}" if types else arrow, filters, *bound),
             charge_examined=charge_examined,
         )
     return ops.PartEmit(
         op, part, part_plan.reverse, emit_row,
         detail=f"{len(part.nodes)} nodes, {part.hop_count} hops",
     )
+
+
+#: how a pushed filter's comparison reads (a range filter names its own)
+_PUSHED_OP = {"eq": "=", "in": "IN"}
+
+
+def _with_pushed(detail: str, filters: Optional[Filters], *variables: Optional[str]) -> str:
+    """``detail`` followed by the pushed WHERE filters on ``variables``, each
+    as ``var.key OP``: the operator applies them as it binds the variable."""
+    pushed = ", ".join(
+        f"{variable}.{filt.key} {_PUSHED_OP.get(filt.kind) or filt.ops[0]}"
+        for variable in variables if filters and variable in filters
+        for filt in filters[variable]
+    )
+    if not pushed:
+        return detail
+    return f"{detail}, pushed {pushed}" if detail else f"pushed {pushed}"
 
 
 def _lower_projection(

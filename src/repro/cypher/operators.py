@@ -201,12 +201,8 @@ class PhysicalOperator:
         self.children = list(children)
 
     def describe(self, run: Any) -> str:
-        """The PROFILE detail text in ``run``."""
+        """The EXPLAIN/PROFILE detail text in ``run``."""
         return self.detail
-
-    def label(self, run: Any) -> str:
-        detail = self.describe(run)
-        return f"{self.name}({detail})" if detail else self.name
 
     def open(self, run: Any) -> Iterator[Any]:
         rows = self._rows(run)
@@ -1048,7 +1044,7 @@ class UnionAppend(PhysicalOperator):
 
 
 # ---------------------------------------------------------------------------
-# PROFILE rendering
+# EXPLAIN / PROFILE rendering
 # ---------------------------------------------------------------------------
 
 def _children(op: PhysicalOperator, run: Any) -> list[PhysicalOperator]:
@@ -1060,56 +1056,59 @@ def _children(op: PhysicalOperator, run: Any) -> list[PhysicalOperator]:
     ]
 
 
-def render_profile(root: PhysicalOperator, run: Any) -> str:
-    """Render ``run``'s operator tree as an indented text profile.
-
-    One line per operator: label, rows produced, and inclusive wall-clock
-    time.  UNION branches are labelled so per-branch sub-trees read
-    separately.
-    """
-    lines: list[str] = []
-    rows_out, elapsed_s = run.state.rows_out, run.state.elapsed_s
-
-    def walk(op: PhysicalOperator, depth: int) -> None:
-        pad = "  " * depth
-        lines.append(
-            f"{pad}+- {op.label(run)} -> {rows_out[op.number]} rows "
-            f"({elapsed_s[op.number] * 1000.0:.3f} ms)"
-        )
-        if isinstance(op, UnionAppend):
-            for index, child in enumerate(op.children):
-                lines.append(f"{pad}   UNION branch {index + 1}:")
-                walk(child, depth + 2)
-        else:
-            for child in _children(op, run):
-                walk(child, depth + 1)
-
-    walk(root, 0)
-    return "\n".join(lines)
-
-
 def profile_tree(op: PhysicalOperator, run: Any) -> dict:
     """``run``'s operator tree as a JSON-safe dict (``ResultSet.profile``).
 
     ``time_ms`` is inclusive of children; ``self_time_ms`` subtracts the
     direct children's inclusive time (clamped at zero — timer granularity
-    can make the difference marginally negative).
+    can make the difference marginally negative).  A run that was not
+    profiled (EXPLAIN's) has no rows or times to report: its nodes carry
+    only ``operator``, ``detail`` and ``children``.
     """
-    elapsed_s = run.state.elapsed_s
+    state = run.state
     shown = _children(op, run)
-    children = [profile_tree(child, run) for child in shown]
-    time_ms = elapsed_s[op.number] * 1000.0
-    self_ms = max(0.0, time_ms - sum(elapsed_s[child.number] for child in shown) * 1000.0)
-    payload: dict[str, Any] = {
-        "operator": op.name,
-        "detail": op.describe(run),
-        "rows": run.state.rows_out[op.number],
-        "time_ms": round(time_ms, 4),
-        "self_time_ms": round(self_ms, 4),
-    }
-    if children:
-        payload["children"] = children
+    payload: dict[str, Any] = {"operator": op.name, "detail": op.describe(run)}
+    if state.profiled:
+        elapsed_s = state.elapsed_s
+        time_ms = elapsed_s[op.number] * 1000.0
+        self_ms = max(0.0, time_ms - sum(elapsed_s[child.number] for child in shown) * 1000.0)
+        payload["rows"] = state.rows_out[op.number]
+        payload["time_ms"] = round(time_ms, 4)
+        payload["self_time_ms"] = round(self_ms, 4)
+    if shown:
+        payload["children"] = [profile_tree(child, run) for child in shown]
     return payload
+
+
+def render_profile(profile: dict) -> str:
+    """Render a :func:`profile_tree` dict as indented text.
+
+    One line per operator: its name and detail, then, when the tree has
+    them, the rows it produced and its inclusive wall-clock time (EXPLAIN's
+    tree has neither).  UNION branches are labelled so per-branch sub-trees
+    read separately.
+    """
+    lines: list[str] = []
+
+    def walk(node: dict, depth: int) -> None:
+        pad = "  " * depth
+        line = f"{pad}+- {node['operator']}"
+        if node["detail"]:
+            line += f"({node['detail']})"
+        if "rows" in node:
+            line += f" -> {node['rows']} rows ({node['time_ms']:.3f} ms)"
+        lines.append(line)
+        children = node.get("children", ())
+        if node["operator"] == UnionAppend.name:
+            for index, child in enumerate(children):
+                lines.append(f"{pad}   UNION branch {index + 1}:")
+                walk(child, depth + 2)
+        else:
+            for child in children:
+                walk(child, depth + 1)
+
+    walk(profile, 0)
+    return "\n".join(lines)
 
 
 def max_operator_rows(profile: dict) -> int:

@@ -92,23 +92,16 @@ class AnchorPlan:
     values: tuple[ast.Expr, ...] = ()
     indexed: bool = False
 
-    def describe(self) -> str:
-        """Access-path text used by EXPLAIN (stable, test-asserted)."""
-        if self.kind == "bound":
-            return f"BoundVariable({self.variable})"
-        name, detail = self.physical_operator()
-        if name == "HashLookup":
-            return f"PropertyLookup({detail}) [{'index' if self.indexed else 'label-scan'}]"
-        return f"{name}({detail})" if detail else name
-
     def physical_operator(self) -> tuple[str, str]:
-        """The ``(name, detail)`` pair the physical AnchorScan operator
-        displays for this access path (PROFILE / ``ResultSet.profile``)."""
+        """The ``(name, detail)`` of the AnchorScan operator serving this
+        access path, as EXPLAIN, PROFILE and ``ResultSet.profile`` show it.
+        A lookup with no index on its ``(label, key)`` says ``label scan``."""
         if self.kind == "bound":
             return "BoundAnchor", self.variable or ""
         if self.kind in ("property", "property-in"):
             fan_out = f" IN {len(self.values)} values" if self.kind == "property-in" else ""
-            return "HashLookup", f":{self.label}.{self.key}{fan_out}"
+            scan = "" if self.indexed else ", label scan"
+            return "HashLookup", f":{self.label}.{self.key}{fan_out}{scan}"
         if self.kind == "label":
             return "LabelScan", f":{self.label}"
         return "AllNodesScan", ""

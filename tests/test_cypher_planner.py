@@ -12,10 +12,14 @@ import threading
 
 import pytest
 
-from repro.cypher import CypherEngine, parse, plan_match, render_value
+from repro.cypher import CypherEngine, parse, plan_match, render_profile, render_value
+from repro.cypher.errors import CypherError
 from repro.cypher.planner import needs_used_tracking
 from repro.eval import build_cyphereval
 from repro.graph import GraphStore
+from repro.iyp import IYPConfig, generate_iyp
+from tests.test_parse_golden import HAND, front_end_corpus
+from tests.test_shape_cache import BUDGET, PARAMS, _deadline
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +219,7 @@ class TestDirectionChoice:
         )
         part = plan.parts[0]
         assert part.reverse
-        assert part.anchor.describe() == "LabelScan(:IXP)"
+        assert part.anchor.physical_operator() == ("LabelScan", ":IXP")
 
     def test_label_tie_counts_first_hop_edges_not_labels_alone(self):
         # Country is the smaller label, but every labelled node's COUNTRY
@@ -234,7 +238,7 @@ class TestDirectionChoice:
         )
         part = plan.parts[0]
         assert not part.reverse
-        assert part.anchor.describe() == "LabelScan(:AtlasProbe)"
+        assert part.anchor.physical_operator() == ("LabelScan", ":AtlasProbe")
 
     def test_where_in_anchor_wins_exact_lookup_tie(self, small_engine):
         # Both ends are exact lookups: the tie goes left to right, onto the
@@ -247,7 +251,7 @@ class TestDirectionChoice:
         assert not part.reverse
         assert part.anchor.physical_operator() == ("HashLookup", ":AS.asn IN 2 values")
         _, report = small_engine.profile(query)
-        assert "HashLookup(:AS.asn IN 2 values)" in report
+        assert "HashLookup(:AS.asn IN 2 values, pushed a.asn IN) -> 2 rows" in report
 
     def test_bound_variable_beats_inline_lookup(self, small_engine):
         tree = parse(
@@ -304,22 +308,28 @@ class TestExplainAndProfile:
             "MATCH (a:AS)-[:ORIGINATE]->(p:Prefix {prefix: '203.0.113.0/24'}) "
             "RETURN a.asn"
         )
-        assert "anchor=(p:Prefix" in text
-        assert "PropertyLookup(:Prefix.prefix) [index]" in text
-        assert "expand right-to-left" in text
+        # The indexed Prefix lookup anchors and the hop runs right to left.
+        assert text.splitlines() == [
+            "+- ProduceResults(a.asn)",
+            "  +- Project(a.asn)",
+            "    +- Match(2 nodes, 1 hops)",
+            "      +- Expand([:ORIGINATE]<-)",
+            "        +- HashLookup(:Prefix.prefix)",
+            "          +- Init",
+        ]
         assert "est≈" not in text  # the rule plans without cardinality estimates
 
     def test_explain_shows_pushdown(self, small_engine):
         text = small_engine.explain(
             "MATCH (a:AS) WHERE a.asn = 2497 AND a.name <> 'x' RETURN a.name"
         )
-        assert "Pushdown a.asn = ..." in text
-        assert "Filter (WHERE)" in text  # residual WHERE still evaluated
+        assert "+- HashLookup(:AS.asn, pushed a.asn =)" in text
+        assert "    +- Filter(WHERE)" in text.splitlines()  # residual WHERE still evaluated
 
     def test_explain_planner_off_keeps_legacy_shape(self, small_store):
         engine = CypherEngine(small_store, planner=False)
         text = engine.explain("MATCH (a:AS {asn: 2497}) RETURN a.name")
-        assert "PropertyLookup(:AS.asn)" in text
+        assert "      +- HashLookup(:AS.asn)" in text.splitlines()
         assert "est≈" not in text
 
     def test_explain_planner_off_names_the_executed_lookup(self, small_store):
@@ -331,8 +341,8 @@ class TestExplainAndProfile:
             "RETURN c.name"
         )
         text = engine.explain(query)
-        assert "via PropertyLookup(:AS.asn)" in text
-        assert "PropertyLookup(:AS.name)" not in text
+        assert "+- HashLookup(:AS.asn)" in text
+        assert ":AS.name" not in text
 
     def test_profile_reports_operators_and_actuals(self, small_engine):
         result, report = small_engine.profile(
@@ -344,29 +354,12 @@ class TestExplainAndProfile:
         assert "est≈" not in report
 
 
-#: EXPLAIN's access-path name -> the anchor operator PROFILE shows for it
-_ANCHOR_OPERATOR = {
-    "BoundVariable": "BoundAnchor",
-    "PropertyLookup": "HashLookup",
-    "LabelScan": "LabelScan",
-    "AllNodesScan": "AllNodesScan",
-}
+#: a PROFILE line's rows and time, which EXPLAIN leaves out
+_ACTUALS = re.compile(r" -> \d+ rows \(\d+\.\d{3} ms\)$")
 
 
-def _explained_anchors(text):
-    return sorted(
-        (_ANCHOR_OPERATOR[name], detail)
-        for name, detail in re.findall(r"anchor=\([^)]*\) via (\w+)(?:\(([^)]*)\))?", text)
-    )
-
-
-def _profiled_anchors(profile):
-    found = []
-    if profile["operator"] in _ANCHOR_OPERATOR.values():
-        found.append((profile["operator"], profile["detail"]))
-    for child in profile.get("children", ()):
-        found.extend(_profiled_anchors(child))
-    return sorted(found)
+def _profiled_lines(result):
+    return [_ACTUALS.sub("", line) for line in render_profile(result.profile).splitlines()]
 
 
 def _profile_lines(profile, depth=0):
@@ -379,7 +372,7 @@ def _profile_lines(profile, depth=0):
 
 @pytest.mark.parametrize("planner", [True, False], ids=["planned", "unplanned"])
 class TestExplainMatchesExecution:
-    """EXPLAIN reads the plan execution runs, for both planner settings."""
+    """EXPLAIN renders the tree execution runs, for both planner settings."""
 
     @pytest.mark.parametrize(
         "query",
@@ -393,11 +386,39 @@ class TestExplainMatchesExecution:
             "MATCH (a:AS) WHERE a.asn < 3000 MERGE (a)-[:COUNTRY]->(c:Country) RETURN c.name",
         ],
     )
-    def test_explained_anchor_is_the_profiled_anchor(self, tiny_store, planner, query):
+    def test_explain_is_the_profiled_tree(self, tiny_store, planner, query):
         engine = CypherEngine(tiny_store, planner=planner)
-        explained = _explained_anchors(engine.explain(query))
-        profiled = _profiled_anchors(engine.execute(query, profile=True).profile)
-        assert explained and explained == profiled
+        explained = engine.explain(query).splitlines()
+        assert explained == _profiled_lines(engine.execute(query, profile=True))
+
+    def test_corpus_explain_is_the_profiled_tree(self, small_dataset, planner):
+        """Each parse-golden text, on one engine: EXPLAIN's lines are the
+        PROFILE lines of the next run without rows and times, and a text
+        EXPLAIN rejects fails to execute with the same error."""
+        engine = CypherEngine(generate_iyp(IYPConfig.small(seed=42)).store, planner=planner)
+        compared = rejected = 0
+
+        def run(text):
+            return engine.execute(
+                text, PARAMS, row_budget=BUDGET, deadline=_deadline(), profile=True
+            )
+
+        for text in front_end_corpus(small_dataset) + HAND:
+            try:
+                explained = engine.explain(text, **PARAMS).splitlines()
+            except CypherError as error:
+                with pytest.raises(type(error)) as raised:
+                    run(text)
+                assert str(raised.value) == str(error), text
+                rejected += 1
+                continue
+            try:
+                result = run(text)
+            except CypherError:  # raised past the first row
+                continue
+            assert explained == _profiled_lines(result), text
+            compared += 1
+        assert compared > 1000 and rejected > 1000, (compared, rejected)
 
     def test_pattern_predicate_profile_shows_its_chain(self, small_store, planner):
         result = CypherEngine(small_store, planner=planner).execute(
@@ -423,15 +444,29 @@ class TestExplainMatchesExecution:
             "RETURN [(a)<-[:DEPENDS_ON]-(b:AS) | b.asn] AS deps, "
             "EXISTS { MATCH (a)-[:ORIGINATE]->(:Prefix) } AS originates"
         )
-        assert (
-            "  PatternPredicate pattern(2 nodes, 1 hops) anchor=(a) via BoundVariable(a), "
-            "expand left-to-right"
-        ) in text
-        assert (
-            "  PatternComprehension pattern(2 nodes, 1 hops) anchor=(a) via BoundVariable(a), "
-            "expand left-to-right"
-        ) in text
-        assert "  Exists pattern(2 nodes, 1 hops) anchor=(a) via BoundVariable(a)" in text
+        # Each pattern expression's chain, anchored on the bound ``a``, hangs
+        # under the operator evaluating it: the predicate under Filter, the
+        # comprehension and EXISTS under Project.
+        assert text.splitlines() == [
+            "+- ProduceResults(deps, originates)",
+            "  +- Project(deps, originates)",
+            "    +- Filter(WHERE)",
+            "      +- Match(1 nodes, 0 hops)",
+            "        +- LabelScan(:AS)",
+            "          +- Init",
+            "      +- Match(2 nodes, 1 hops)",
+            "        +- Expand([:MEMBER_OF]->)",
+            "          +- BoundAnchor(a)",
+            "            +- Argument",
+            "    +- Match(2 nodes, 1 hops)",
+            "      +- Expand([:DEPENDS_ON]<-)",
+            "        +- BoundAnchor(a)",
+            "          +- Argument",
+            "    +- Match(2 nodes, 1 hops)",
+            "      +- Expand([:ORIGINATE]->)",
+            "        +- BoundAnchor(a)",
+            "          +- Argument",
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -211,11 +211,23 @@ class TestMergeMatch:
     @pytest.mark.parametrize("planner", [True, False], ids=["planned", "unplanned"])
     def test_explain_names_merge_anchor_and_access_path(self, planner):
         engine = CypherEngine(_country_store(), planner=planner)
-        text = engine.explain("MERGE (n:T {k: 1})")
-        assert "Merge pattern(1 nodes, 0 hops) anchor=(n:T) via PropertyLookup(:T.k)" in text
+        # MERGE's match is a sub-chain under Merge, fed from an Argument.
+        assert engine.explain("MERGE (n:T {k: 1})").splitlines() == [
+            "+- ProduceResults",
+            "  +- Merge",
+            "    +- Init",
+            "    +- Match(1 nodes, 0 hops)",
+            "      +- HashLookup(:T.k, label scan)",
+            "        +- Argument",
+        ]
         text = engine.explain("MATCH (c:Country {cc: 'JP'}) MERGE (a:AS)-[:COUNTRY]->(c)")
-        assert "Merge pattern(2 nodes, 1 hops) anchor=(c) via BoundVariable(c), " \
-            "expand right-to-left" in text
+        # anchored on the bound ``c``, the hop runs right to left
+        assert text.splitlines()[5:] == [
+            "    +- Match(2 nodes, 1 hops)",
+            "      +- Expand([:COUNTRY]<-)",
+            "        +- BoundAnchor(c)",
+            "          +- Argument",
+        ]
 
 
 class TestSet:

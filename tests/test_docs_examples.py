@@ -1,4 +1,6 @@
-"""Executes every ```cypher block in docs/ so documentation cannot rot."""
+"""Executes every ```cypher block in docs/ so documentation cannot rot, and
+checks every ``>>> `` EXPLAIN example in a ```text block against
+``CypherEngine.explain`` on the small graph."""
 
 import re
 from pathlib import Path
@@ -25,6 +27,29 @@ def _doc_blocks():
     return blocks
 
 
+_TEXT_BLOCK_RE = re.compile(r"^( *)```text\n(.*?)^\1```", re.DOTALL | re.MULTILINE)
+
+
+def _explain_examples():
+    """``(query, expected lines)`` per ``>>> query`` line of a text block:
+    the lines under it, up to a blank line or the next ``>>> ``."""
+    examples = []
+    for doc in sorted(DOCS_DIR.glob("*.md")):
+        for match in _TEXT_BLOCK_RE.finditer(doc.read_text()):
+            indent = len(match.group(1))
+            query, expected = None, []
+            for line in [line[indent:] for line in match.group(2).splitlines()] + [""]:
+                if query is not None and (not line or line.startswith(">>> ")):
+                    examples.append(pytest.param(
+                        query, expected, id=f"{doc.stem}-explain-{len(examples):02d}"))
+                    query = None
+                if line.startswith(">>> "):
+                    query, expected = line[4:], []
+                elif query is not None:
+                    expected.append(line)
+    return examples
+
+
 @pytest.fixture(scope="module")
 def scratch_engine():
     """A private small graph: docs may mutate it freely."""
@@ -41,3 +66,10 @@ class TestDocumentationExamples:
     def test_block_executes(self, scratch_engine, block):
         params = {k: v for k, v in _DOC_PARAMS.items() if f"${k}" in block}
         scratch_engine.run(block, **params)  # must not raise
+
+    def test_docs_have_explain_examples(self):
+        assert len(_explain_examples()) >= 4
+
+    @pytest.mark.parametrize("query, expected", _explain_examples())
+    def test_explain_example_matches(self, small_store, query, expected):
+        assert CypherEngine(small_store).explain(query).splitlines() == expected

@@ -233,7 +233,7 @@ FILTER_QUERY = "MATCH (a:AS) WHERE a.asn % 7 = 3 RETURN a.asn + 1 AS x"
 
 def test_explain_markers(small_store):
     plan = CypherEngine(small_store).explain(FILTER_QUERY)
-    assert "  Filter (WHERE)" in plan.splitlines()
+    assert "    +- Filter(WHERE)" in plan.splitlines()
     assert "[compiled]" not in plan
     assert "[fused]" not in plan
 

@@ -128,13 +128,15 @@ class TestCsvRoundtrip:
         assert len(source.statistics().indexes) == 10
         assert loaded.statistics().indexes == source.statistics().indexes
         plan = CypherEngine(loaded).explain("MATCH (a:AS {asn: 2497}) RETURN a")
-        assert "PropertyLookup(:AS.asn) [index]" in plan
+        assert "+- HashLookup(:AS.asn)\n" in plan  # no "label scan": the index serves it
 
     def test_directory_roundtrip_keeps_property_indexes(self, store, tmp_path):
         store.create_property_index("AS", "asn")
         export_to_directory(store, tmp_path)
         loaded = import_from_directory(tmp_path)
         assert loaded.statistics().indexes == {("AS", "asn")}
+        plan = CypherEngine(loaded).explain("MATCH (a:AS {asn: 2497}) RETURN a")
+        assert "+- HashLookup(:AS.asn)\n" in plan
 
     def test_dump_without_index_list_imports_without_indexes(self, store, tmp_path):
         store.create_property_index("AS", "asn")
@@ -143,6 +145,8 @@ class TestCsvRoundtrip:
         loaded = import_from_directory(tmp_path)
         assert loaded.node_count == store.node_count
         assert loaded.statistics().indexes == frozenset()
+        plan = CypherEngine(loaded).explain("MATCH (a:AS {asn: 2497}) RETURN a")
+        assert "+- HashLookup(:AS.asn, label scan)\n" in plan
 
     def test_import_remaps_ids(self, store, tmp_path):
         # Delete and recreate so original ids are non-contiguous.

@@ -10,6 +10,7 @@ parts wrapped in a comparison-inverting class, bounded selection through
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 import time
@@ -273,10 +274,22 @@ class TestKeyKinds:
 # ---------------------------------------------------------------------------
 
 def _time(engine: CypherEngine, query: str, n: int) -> float:
-    """One execution; the unused parameter bypasses result reuse."""
-    start = time.perf_counter()
-    result = engine.execute(query, {"_execute": 1})
-    elapsed = time.perf_counter() - start
+    """One execution; the unused parameter bypasses result reuse.
+
+    The collector is emptied first and paused while the query runs: a full
+    collection triggered by the larger size's allocations would otherwise
+    be charged to it alone.
+    """
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        result = engine.execute(query, {"_execute": 1})
+        elapsed = time.perf_counter() - start
+    finally:
+        if enabled:
+            gc.enable()
     assert len(result) == n
     return elapsed
 

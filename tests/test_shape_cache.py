@@ -22,9 +22,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.cypher import CypherEngine, executor, lowering, parse, profile_tree
+from repro.cypher import CypherEngine, executor, lowering, parse, parser, profile_tree
 from repro.cypher.errors import CypherError, CypherRuntimeError, CypherSyntaxError
 from repro.cypher.executor import _QueryEntry, _Shape
+from repro.cypher.lexer import tokenize
 from repro.cypher.result import render_value
 from repro.iyp import IYPConfig, generate_iyp
 from repro.serving import Deadline
@@ -367,3 +368,41 @@ def test_failed_lowering_is_kept(tiny_store, monkeypatch):
     with pytest.raises(CypherRuntimeError, match="SKIP requires"):
         engine.execute(query, {"skip": -1})
     assert len(calls) == 2
+
+
+def test_explain_then_execute_tokenizes_once(tiny_store, monkeypatch):
+    """EXPLAIN goes through the query cache: a new text explained and then
+    executed is tokenized once, and both use the one cached shape."""
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+
+    # The engine tokenizes to find the shape and hands the tokens to the parser.
+    monkeypatch.setattr(parser, "tokenize", counting)
+    monkeypatch.setattr(executor, "tokenize", counting)
+    engine = CypherEngine(tiny_store)
+    query = "MATCH (a:AS) WHERE a.asn = 2497 RETURN a.name AS explained_once"
+    plan = engine.explain(query)
+    assert engine.execute(query).single()["explained_once"] == "IIJ"
+    assert calls == [query]
+    assert "+- HashLookup(:AS.asn, label scan, pushed a.asn =)" in plan
+    assert engine.cache_stats()["shapes"] == 1
+
+
+@pytest.mark.parametrize("query, params", [
+    ("WITH 1 AS a RETURN a RETURN 2", {}),
+    ("WITH 1 AS a SKIP $skip RETURN a RETURN 2", {"skip": -1}),
+    ("MATCH (a:AS) RETURN a.asn AS asn LIMIT $limit", {}),
+])
+def test_explain_raises_what_execution_raises(tiny_store, query, params):
+    """EXPLAIN evaluates SKIP/LIMIT counts and raises a lowering error as a
+    run does before its first row."""
+    engine = CypherEngine(tiny_store)
+    with pytest.raises(CypherError) as explained:
+        engine.explain(query, **params)
+    with pytest.raises(CypherError) as executed:
+        engine.execute(query, params)
+    assert type(explained.value) is type(executed.value)
+    assert str(explained.value) == str(executed.value)

@@ -355,7 +355,7 @@ _CONTRACT = {
             "    OptionalMatch 4",
             "      Filter(WHERE) 4",
             "        Match(1 nodes, 0 hops) 4",
-            "          LabelScan(:AS) 4",
+            "          LabelScan(:AS, pushed a.asn >=, a.asn <=) 4",
             "            Init 1",
             "      Match(2 nodes, 1 hops) 3",
             "        Expand([:COUNTRY]->) 3",
@@ -373,13 +373,13 @@ _CONTRACT = {
             "    Project(n) 3",
             "      Filter(WHERE) 3",
             "        Match(1 nodes, 0 hops) 3",
-            "          LabelScan(:AS) 3",
+            "          LabelScan(:AS, pushed a.asn <=) 3",
             "            Init 1",
             "  ProduceResults(n) 3",
             "    Project(n) 3",
             "      Filter(WHERE) 3",
             "        Match(1 nodes, 0 hops) 3",
-            "          LabelScan(:AS) 3",
+            "          LabelScan(:AS, pushed a.asn >=, a.asn <=) 3",
             "            Init 1",
         ],
     ),
@@ -393,13 +393,13 @@ _CONTRACT = {
             "    Project(n) 3",
             "      Filter(WHERE) 3",
             "        Match(1 nodes, 0 hops) 3",
-            "          LabelScan(:AS) 3",
+            "          LabelScan(:AS, pushed a.asn <=) 3",
             "            Init 1",
             "  ProduceResults(n) 2",
             "    Project(n) 2",
             "      Filter(WHERE) 2",
             "        Match(1 nodes, 0 hops) 2",
-            "          LabelScan(:AS) 2",
+            "          LabelScan(:AS, pushed a.asn <=) 2",
             "            Init 1",
         ],
     ),
@@ -470,7 +470,7 @@ _CONTRACT = {
             "    Create 2",
             "      Filter(WHERE) 2",
             "        Match(1 nodes, 0 hops) 2",
-            "          LabelScan(:AS) 2",
+            "          LabelScan(:AS, pushed a.asn <=) 2",
             "            Init 1",
         ],
     ),
