@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -23,6 +25,13 @@ from ..nlp.ngrams import char_ngrams
 from ..nlp.tokenize import word_tokenize
 
 __all__ = ["HashingEmbedding", "ContextualEmbedding", "cosine_similarity"]
+
+#: documents summed per ``np.bincount`` call in ``HashingEmbedding.embed_batch``.
+#: It bounds the batch's temporaries to tens of KB: with 256-row chunks a
+#: process that rebuilt the medium index kept about 4.5 MB more resident
+#: memory, and chunks of 16 to 256 rows build equally fast.
+_CHUNK_ROWS = 16
+_BIGRAM_WEIGHT = 0.7
 
 
 @lru_cache(maxsize=131072)
@@ -49,6 +58,63 @@ def _token_buckets(token: str, dim: int, char_weight: float) -> tuple[tuple[int,
     return tuple(pairs)
 
 
+class _Vocabulary:
+    """A batch's distinct tokens and bigrams, each bucketed once, and the
+    feature stream of a run of its documents."""
+
+    def __init__(self, token_lists: Sequence[Sequence[str]], dim: int, char_weight: float):
+        self.dim = dim
+        self.ids = {token: index for index, token in
+                    enumerate(dict.fromkeys(chain.from_iterable(token_lists)))}
+        self.words = list(self.ids)
+        buckets = [_token_buckets(token, dim, char_weight) for token in self.words]
+        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(buckets)), dtype=np.float64)
+        self.index = pairs[0::2].astype(np.intp)
+        self.weight = pairs[1::2].copy()
+        self.count = np.fromiter(map(len, buckets), dtype=np.intp, count=len(buckets))
+        self.start = np.cumsum(self.count) - self.count
+        # bigram key (left id * vocabulary size + right id) -> (bucket, sign)
+        self.bigrams: dict[int, tuple[int, float]] = {}
+
+    def _bigram(self, key: int) -> tuple[int, float]:
+        left, right = divmod(key, len(self.words))
+        bucket = _stable_bucket(f"{self.words[left]}_{self.words[right]}", self.dim, "bigram")
+        self.bigrams[key] = bucket
+        return bucket
+
+    def features(self, documents: Sequence[Sequence[str]]) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(row * dim + bucket, weight)`` stream of ``documents``, in
+        summation order: every token feature, then every bigram."""
+        ids = np.fromiter(map(self.ids.__getitem__, chain.from_iterable(documents)),
+                          dtype=np.intp, count=sum(map(len, documents)))
+        lengths = np.fromiter(map(len, documents), dtype=np.intp, count=len(documents))
+        offsets = np.repeat(np.arange(len(documents), dtype=np.intp) * self.dim, lengths)
+
+        # Word and char-trigram features, gathered per token occurrence.
+        counts = self.count[ids]
+        ends = np.cumsum(counts)
+        positions = np.repeat(self.start[ids] - ends + counts, counts)
+        positions += np.arange(positions.size, dtype=np.intp)
+        token_bins = self.index[positions]
+        token_bins += np.repeat(offsets, counts)
+        token_weights = self.weight[positions]
+
+        # Bigrams: adjacent tokens of one document, each distinct pair
+        # bucketed once per batch.
+        same_document = offsets[1:] == offsets[:-1]
+        size = len(self.words)
+        keys, inverse = np.unique(ids[:-1][same_document] * size + ids[1:][same_document],
+                                  return_inverse=True)
+        bigrams = self.bigrams
+        buckets = [bigrams.get(key) or self._bigram(key) for key in keys.tolist()]
+        pairs = np.fromiter(chain.from_iterable(buckets), dtype=np.float64)
+        bigram_bins = pairs[0::2].astype(np.intp)[inverse]
+        bigram_bins += offsets[1:][same_document]
+        bigram_weights = (pairs[1::2] * _BIGRAM_WEIGHT)[inverse]
+        return (np.concatenate((token_bins, bigram_bins)),
+                np.concatenate((token_weights, bigram_weights)))
+
+
 def cosine_similarity(left: np.ndarray, right: np.ndarray) -> float:
     """Cosine similarity; 0.0 when either vector is all-zero."""
     norm_left = float(np.linalg.norm(left))
@@ -59,7 +125,14 @@ def cosine_similarity(left: np.ndarray, right: np.ndarray) -> float:
 
 
 class HashingEmbedding:
-    """Sentence embedding via hashed word unigrams/bigrams + char trigrams."""
+    """Sentence embedding via hashed word unigrams/bigrams + char trigrams.
+
+    Two paths compute the same vectors: :meth:`embed` for one text (search
+    queries, the simulated reranker) and :meth:`embed_batch` for a corpus
+    (the vector index).  They share the bucketing but not the summing
+    loop; that a batch row is bitwise ``embed`` of its text is a test
+    (``tests/test_startup_pins.py``), not a consequence of shared code.
+    """
 
     def __init__(self, dim: int = 256, char_weight: float = 0.5) -> None:
         if dim <= 0:
@@ -68,29 +141,57 @@ class HashingEmbedding:
         self.char_weight = char_weight
 
     def embed(self, text: str) -> np.ndarray:
-        """Embed ``text`` into a unit-norm vector (zero vector for empty)."""
-        vector = np.zeros(self.dim, dtype=np.float64)
-        self.embed_tokens_into(word_tokenize(text), vector)
-        return vector
+        """Embed ``text`` into a unit-norm vector (zero vector for empty).
 
-    def embed_tokens_into(self, tokens: list[str], out: np.ndarray) -> None:
-        """Embed an already tokenized text into the zeroed vector ``out``.
-
-        Adds the feature weights, then scales ``out`` to unit norm (an
-        all-zero ``out`` stays zero).  :meth:`embed` and the vector index's
-        matrix rows both run through here, so they are bitwise identical.
+        Feature weights are summed in a Python list, in the order the batch
+        path sums them (word and char-trigram features token by token, then
+        bigrams), and converted once; numpy scalar adds would cost several
+        times more per feature.
         """
         dim = self.dim
         char_weight = self.char_weight
+        tokens = word_tokenize(text)
+        sums = [0.0] * dim
         for token in tokens:
             for index, weight in _token_buckets(token, dim, char_weight):
-                out[index] += weight
+                sums[index] += weight
         for left, right in zip(tokens, tokens[1:]):
             index, sign = _stable_bucket(f"{left}_{right}", dim, "bigram")
-            out[index] += sign * 0.7
-        norm = np.linalg.norm(out)
+            sums[index] += sign * _BIGRAM_WEIGHT
+        vector = np.fromiter(sums, dtype=np.float64, count=dim)
+        norm = np.linalg.norm(vector)
         if norm > 0:
-            out /= norm
+            vector /= norm
+        return vector
+
+    def embed_batch(self, token_lists: Sequence[Sequence[str]]) -> np.ndarray:
+        """Embed already tokenized texts into the rows of one unit-norm matrix.
+
+        The batch's distinct tokens are bucketed once.  Documents are then
+        summed :data:`_CHUNK_ROWS` at a time: a chunk's features are laid
+        out as one stream of ``(row * dim + bucket, weight)`` pairs, every
+        document's word and char-trigram features first, then its bigrams
+        (each distinct bigram bucketed once per batch), and summed with
+        one ``np.bincount``.  ``bincount`` adds each bin's weights in input
+        order, so each row gets the additions :meth:`embed` makes, in the
+        same order, and row ``i`` is bitwise ``embed`` of a text that
+        tokenizes to ``token_lists[i]`` (``tests/test_startup_pins.py``
+        checks it on every row of two corpora).  An all-zero row stays
+        zero.
+        """
+        matrix = np.zeros((len(token_lists), self.dim), dtype=np.float64)
+        vocabulary = _Vocabulary(token_lists, self.dim, self.char_weight)
+        for start in range(0, len(token_lists), _CHUNK_ROWS):
+            documents = token_lists[start : start + _CHUNK_ROWS]
+            block = matrix[start : start + len(documents)]
+            bins, weights = vocabulary.features(documents)
+            block[...] = np.bincount(bins, weights, minlength=block.size).reshape(block.shape)
+            # ``np.linalg.norm`` of a 1-d float vector is ``sqrt(x.dot(x))``;
+            # one ``dot`` per row keeps its summation order.
+            norms = np.sqrt([row.dot(row) for row in block])
+            norms[norms == 0] = 1.0
+            block /= norms[:, None]
+        return matrix
 
     def similarity(self, left: str, right: str) -> float:
         """Cosine similarity of two texts' embeddings."""

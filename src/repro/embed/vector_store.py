@@ -44,9 +44,12 @@ class VectorStore:
 
     The index is built once, in the constructor, from ``(id, text,
     metadata)`` triples and never changes afterwards, so concurrent
-    searches need no lock.  Each text is tokenized once: the same token
-    list is embedded straight into its row of one preallocated unit-norm
-    matrix and frozen into the entry's token set.
+    searches need no lock.  Each text is tokenized once: the token lists
+    are embedded together, in one :meth:`HashingEmbedding.embed_batch`
+    call, into the rows of one unit-norm matrix, and each is frozen into
+    its entry's token set.  A row is bitwise ``embed`` of its text, which
+    is what lets a query embedded by ``embed`` rank against it; that
+    identity is checked by a test, since the two no longer share a loop.
 
     Ranking uses ``np.argpartition`` partial selection rather than a full
     sort: scores are exact and the returned order is identical to a full
@@ -61,13 +64,19 @@ class VectorStore:
     ) -> None:
         self.embedding = embedding or HashingEmbedding()
         items = list(items)
-        entries: list[VectorEntry] = []
-        self._matrix = np.zeros((len(items), self.embedding.dim), dtype=np.float64)
-        for row, (entry_id, text, metadata) in enumerate(items):
-            tokens = word_tokenize(text)
-            self.embedding.embed_tokens_into(tokens, self._matrix[row])
-            entries.append(VectorEntry(entry_id, text, dict(metadata), frozenset(tokens)))
-        self._entries = tuple(entries)
+        # Every token list stays alive until the batch is embedded; one
+        # string per distinct token keeps them from holding a copy per
+        # occurrence, and the entries' token sets share the strings.
+        canonical: dict[str, str] = {}
+        token_lists = [
+            list(map(canonical.setdefault, tokens, tokens))
+            for tokens in map(word_tokenize, (text for _, text, _ in items))
+        ]
+        self._matrix = self.embedding.embed_batch(token_lists)
+        self._entries = tuple(
+            VectorEntry(entry_id, text, dict(metadata), frozenset(tokens))
+            for (entry_id, text, metadata), tokens in zip(items, token_lists)
+        )
 
     def __len__(self) -> int:
         return len(self._entries)

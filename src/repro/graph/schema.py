@@ -86,16 +86,26 @@ def introspect_schema(store: GraphStore) -> GraphSchema:
         label: tuple(sorted(keys)) for label, keys in label_property_keys.items()
     }
 
+    # One pass groups the relationships by (start labels, type, end labels);
+    # only then is each group expanded to its label pairs.
+    groups: dict[tuple[frozenset[str], str, frozenset[str]], list] = {}
+    node = store.node
+    for rel in store.all_relationships():
+        key = (node(rel.start_id).labels, rel.rel_type, node(rel.end_id).labels)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = group = [0, set()]
+        group[0] += 1
+        if rel.properties:
+            group[1].update(rel.properties)
     pattern_counts: Counter[tuple[str, str, str]] = Counter()
     pattern_props: dict[tuple[str, str, str], set[str]] = defaultdict(set)
-    for rel in store.all_relationships():
-        start = store.node(rel.start_id)
-        end = store.node(rel.end_id)
-        for start_label in sorted(start.labels):
-            for end_label in sorted(end.labels):
-                key = (start_label, rel.rel_type, end_label)
-                pattern_counts[key] += 1
-                pattern_props[key].update(rel.properties)
+    for (start_labels, rel_type, end_labels), (count, keys) in groups.items():
+        for start_label in start_labels:
+            for end_label in end_labels:
+                pattern = (start_label, rel_type, end_label)
+                pattern_counts[pattern] += count
+                pattern_props[pattern].update(keys)
     schema.relationships = [
         SchemaRelationship(
             start_label=start,

@@ -427,6 +427,22 @@ class GraphStore:
             merged.update(bucket)
         return tuple(map(merged.__getitem__, sorted(merged)))
 
+    def typed_adjacency(
+        self, node_id: int, direction: str
+    ) -> Mapping[str, Mapping[int, Relationship]]:
+        """The node's relationships of one direction, by type: rel type ->
+        {rel id: rel} in id order, with no empty bucket.
+
+        ``direction`` is ``"out"`` or ``"in"``; a self-loop is in both.
+        The maps are the store's live index: read them, never mutate them,
+        and do not hold them across writes.
+        """
+        if direction == "out":
+            return self._outgoing_typed.get(node_id, _NO_BUCKET)
+        if direction == "in":
+            return self._incoming_typed.get(node_id, _NO_BUCKET)
+        raise ValueError(f"invalid direction {direction!r}")
+
     def degree(
         self,
         node_id: int,

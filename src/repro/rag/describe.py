@@ -8,7 +8,7 @@ frameworks flatten node neighbourhoods into embeddable passages.
 
 from __future__ import annotations
 
-from collections import Counter
+from itertools import islice
 
 from ..graph.model import Node
 from ..graph.store import GraphStore
@@ -58,7 +58,13 @@ def _entity_name(node: Node) -> str:
 
 
 def describe_node(store: GraphStore, node: Node) -> str:
-    """One-sentence description of ``node`` with one-hop context."""
+    """One-sentence description of ``node`` with one-hop context.
+
+    One phrase per (direction, relationship type) with a phrase template,
+    in the order of each phrase's first relationship id, naming the first
+    :data:`_MAX_NEIGHBOURS_PER_PHRASE` neighbours in id order.  A self-loop
+    counts once, as outgoing.
+    """
     label = sorted(node.labels)[0]
     header = f"{_entity_name(node)} is a {label} node"
     if "Country" in node.labels and "name" in node.properties:
@@ -66,25 +72,35 @@ def describe_node(store: GraphStore, node: Node) -> str:
             f"{node.properties['name']} ({node.properties.get('country_code', '')}) "
             "is a Country node"
         )
-    phrases: list[str] = []
-    grouped: dict[tuple[str, str], list[str]] = {}
-    counts: Counter[tuple[str, str]] = Counter()
-    for rel in store.adjacent_relationships(node.node_id):
-        direction = "out" if rel.start_id == node.node_id else "in"
-        key = (direction, rel.rel_type)
-        if key not in _REL_PHRASES:
-            continue
-        counts[key] += 1
-        if counts[key] > _MAX_NEIGHBOURS_PER_PHRASE:
-            continue
-        other = store.node(rel.other_end(node.node_id))
-        grouped.setdefault(key, []).append(_entity_name(other))
-    for key, names in grouped.items():
-        extra = counts[key] - len(names)
-        rendered = ", ".join(names) + (f" and {extra} more" if extra > 0 else "")
-        phrases.append(_REL_PHRASES[key].format(rendered))
+    node_id = node.node_id
+    outgoing = store.typed_adjacency(node_id, "out")
+    incoming = store.typed_adjacency(node_id, "in")
+    phrases: list[tuple[int, str]] = []  # (first relationship id, phrase)
+    for direction, by_type in (("out", outgoing), ("in", incoming)):
+        for rel_type, bucket in by_type.items():
+            template = _REL_PHRASES.get((direction, rel_type))
+            if template is None:
+                continue
+            rels = bucket.values()
+            count = len(bucket)
+            if direction == "in" and rel_type in outgoing:
+                # a self-loop sits in both buckets of its type
+                loops = bucket.keys() & outgoing[rel_type].keys()
+                if loops:
+                    rels = [rel for rel in rels if rel.rel_id not in loops]
+                    count -= len(loops)
+                    if not count:
+                        continue
+            names = []
+            for rel in islice(rels, _MAX_NEIGHBOURS_PER_PHRASE):
+                other = rel.end_id if direction == "out" else rel.start_id
+                names.append(_entity_name(store.node(other)))
+            extra = count - len(names)
+            rendered = ", ".join(names) + (f" and {extra} more" if extra > 0 else "")
+            phrases.append((next(iter(rels)).rel_id, template.format(rendered)))
     if phrases:
-        return header + "; " + "; ".join(phrases)
+        phrases.sort()
+        return header + "; " + "; ".join(phrase for _, phrase in phrases)
     return header
 
 

@@ -142,6 +142,23 @@ class TestAdjacency:
         assert store.degree(b.node_id, "out") == 1
         assert store.degree(c.node_id, "both", ["PEERS_WITH"]) == 1
 
+    def test_typed_adjacency(self, triangle):
+        store, a, b, c, ab, bc, ca = triangle
+        loop = store.create_relationship(a.node_id, "PEERS_WITH", a.node_id)
+        out = store.typed_adjacency(a.node_id, "out")
+        assert {t: list(bucket.values()) for t, bucket in out.items()} == {
+            "PEERS_WITH": [ab, loop]
+        }
+        incoming = store.typed_adjacency(a.node_id, "in")
+        assert {t: list(bucket.values()) for t, bucket in incoming.items()} == {
+            "DEPENDS_ON": [ca], "PEERS_WITH": [loop]
+        }
+        store.delete_relationship(ca.rel_id)
+        assert "DEPENDS_ON" not in store.typed_adjacency(a.node_id, "in")
+        assert store.typed_adjacency(c.node_id, "out") == {}
+        with pytest.raises(ValueError):
+            store.typed_adjacency(a.node_id, "both")
+
 
 class TestMutation:
     def test_set_node_property(self, store):
