@@ -139,8 +139,9 @@ def _memory_child(src: Path, size: str) -> None:
     }))
 
 
-def run(src: Path, baseline_src: Path, rounds: int = ROUNDS, smoke: bool = False) -> dict:
+def run(src: Path, baseline_src: Path, smoke: bool = False) -> dict:
     """Time both trees and read their memory; the result ``main`` writes."""
+    rounds = 1 if smoke else ROUNDS
     graphs = {stage: "small" for stage in STAGES} if smoke else dict(GRAPHS)
     trees = {"change": load_tree(src.resolve(), "_startup_change", graphs),
              "baseline": load_tree(baseline_src.resolve(), "_startup_baseline", graphs)}
@@ -205,8 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.baseline_src is None:
         parser.error("--baseline-src is required")
 
-    result = run(args.src, args.baseline_src, rounds=1 if args.smoke else ROUNDS,
-                 smoke=args.smoke)
+    result = run(args.src, args.baseline_src, smoke=args.smoke)
     text = json.dumps(result, indent=2) + "\n"
     if args.output is not None:
         args.output.write_text(text)
