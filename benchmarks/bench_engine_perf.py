@@ -19,6 +19,7 @@ import json
 import statistics
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
@@ -27,6 +28,7 @@ if str(_SRC) not in sys.path:  # allow `python benchmarks/bench_engine_perf.py`
 
 import pytest
 
+import same_run
 from repro.cypher import CypherEngine
 from repro.rag import VectorContextRetriever
 
@@ -170,29 +172,26 @@ def test_perf_full_pipeline_ask(benchmark, chatiyp_medium):
 def _paired_median_latency_ms(
     planned: CypherEngine, unplanned: CypherEngine, query: str, batches: int, runs: int
 ) -> tuple[float, float]:
-    """Median per-run latency of each engine, timed in alternating batches.
-
-    Each of ``batches`` rounds times one batch of ``runs`` runs per engine,
-    back to back, alternating which engine goes first — so a load swing on
-    the host hits both engines instead of skewing their same-run ratio.
-    """
-    engines = (planned, unplanned)
-    for engine in engines:
+    """Median per-run latency of each engine over ``batches`` same-run rounds of
+    one batch of ``runs`` runs per engine (``same_run.alternate``), so a load
+    swing on the host hits both engines instead of skewing their ratio."""
+    engines = {"planned": planned, "unplanned": unplanned}
+    for engine in engines.values():
         engine.run(query, _execute=1)  # parse once, out of the measurement
-    hits = [engine.cache_stats()["result_hits"] for engine in engines]
-    samples: tuple[list[float], list[float]] = ([], [])
-    for batch in range(batches):
-        order = (0, 1) if batch % 2 == 0 else (1, 0)
-        for index in order:
-            engine = engines[index]
-            start = time.perf_counter()
-            for _ in range(runs):
-                # A parameter the query never reads: every run plans and
-                # executes instead of returning the engine's memoised result.
-                engine.run(query, _execute=1)
-            samples[index].append((time.perf_counter() - start) / runs * 1000.0)
-    assert [engine.cache_stats()["result_hits"] for engine in engines] == hits
-    return statistics.median(samples[0]), statistics.median(samples[1])
+    hits = [engine.cache_stats()["result_hits"] for engine in engines.values()]
+
+    def batch(engine: CypherEngine) -> float:
+        start = time.perf_counter()
+        for _ in range(runs):
+            # A parameter the query never reads: every run plans and
+            # executes instead of returning the engine's memoised result.
+            engine.run(query, _execute=1)
+        return (time.perf_counter() - start) / runs * 1000.0
+
+    samples = same_run.alternate({side: {"batch": partial(batch, engine)}
+                                  for side, engine in engines.items()}, batches, warm_up=False)
+    assert [engine.cache_stats()["result_hits"] for engine in engines.values()] == hits
+    return tuple(statistics.median(samples[side]["batch"]) for side in engines)
 
 
 def _memory_scan(store) -> dict:

@@ -13,29 +13,24 @@ with whatever the engine's query cache reuses across texts.  Each text raises or
 the hand list is left out: it is lexer edge cases, and its all-nodes
 ``shortestPath`` runs for seconds.
 
-Both trees are imported into one process, under names of their own, and
-timed in alternating passes over the corpus, so host load hits both sides
-alike.  The result is a same-run ratio (baseline
-time / change time, the median over rounds; above 1 means the change is
-faster)::
+The two trees are timed against each other in one process by
+``benchmarks/same_run.py``; the result is a same-run ratio::
 
     python benchmarks/bench_frontend.py --baseline-src ../parent/src --output BENCH_frontend.json
 
-``--src`` defaults to this checkout's ``src``.  No CI job runs this script.
+``--src`` defaults to this checkout's ``src``.  ``test_frontend_smoke``
+below runs one round of this tree against itself.
 """
 
 from __future__ import annotations
 
-import argparse
-import importlib
-import importlib.util
 import json
-import os
-import platform
-import statistics
 import sys
 import time
+from functools import partial
 from pathlib import Path
+
+import same_run
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,93 +47,59 @@ def corpus() -> tuple[list[str], list[str]]:
     return front_end_corpus(generate_iyp(IYPConfig.small(seed=42))), HAND
 
 
-def load_tree(src: Path, name: str) -> dict:
-    """Import the ``repro`` package under ``src`` as ``name``: per stage, a
-    function that makes the callable one pass times, plus the error class."""
-    init = src / "repro" / "__init__.py"
-    spec = importlib.util.spec_from_file_location(
-        name, init, submodule_search_locations=[str(init.parent)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    tokenize = importlib.import_module(f"{name}.cypher.lexer").tokenize
-    parse = importlib.import_module(f"{name}.cypher.parser").parse
-    engine = importlib.import_module(f"{name}.cypher").CypherEngine
-    iyp = importlib.import_module(f"{name}.iyp")
+def passes(module, texts: dict[str, list[str]]) -> dict:
+    """Per stage, one pass of a tree over its texts, in microseconds per text."""
+    iyp = module("iyp")
     store = iyp.generate_iyp(iyp.IYPConfig.small(seed=42)).store
-    return {
-        "tokenize": lambda: tokenize,
-        "parse": lambda: parse,
-        "execute": lambda: engine(store).execute,
-        "error": importlib.import_module(f"{name}.cypher.errors").CypherError,
-    }
+    tokenize, parse = module("cypher.lexer").tokenize, module("cypher.parser").parse
+    engine = module("cypher").CypherEngine
+    error = module("cypher.errors").CypherError
+    makers = {"tokenize": lambda: tokenize, "parse": lambda: parse,
+              "execute": lambda: engine(store).execute}
 
+    def one_pass(make, stage_texts) -> float:
+        function = make()
+        start = time.perf_counter()
+        for text in stage_texts:
+            try:
+                function(text)
+            except error:
+                pass
+        return (time.perf_counter() - start) / len(stage_texts) * 1e6
 
-def one_pass(make, error: type, texts: list[str]) -> float:
-    """Seconds for one call on every text of the callable ``make()`` returns."""
-    function = make()
-    start = time.perf_counter()
-    for text in texts:
-        try:
-            function(text)
-        except error:
-            pass
-    return time.perf_counter() - start
+    return {stage: partial(one_pass, makers[stage], texts[stage]) for stage in STAGES}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--src", type=Path, default=_ROOT / "src",
-                        help="source tree of the change (default: this checkout)")
-    parser.add_argument("--baseline-src", type=Path, required=True,
-                        help="source tree to compare against, e.g. the parent commit's")
-    parser.add_argument("--output", type=Path, help="write the JSON result here")
-    args = parser.parse_args(argv)
-
+    args = same_run.parser(__doc__).parse_args(argv)
     pinned, hand = corpus()
     texts = {"tokenize": pinned + hand, "parse": pinned + hand, "execute": pinned}
-    trees = {"change": load_tree(args.src.resolve(), "_frontend_change"),
-             "baseline": load_tree(args.baseline_src.resolve(), "_frontend_baseline")}
-    for tree in trees.values():  # one untimed pass each: caches and specialization
-        for stage in STAGES:
-            one_pass(tree[stage], tree["error"], texts[stage])
-    seconds = {side: {stage: [] for stage in STAGES} for side in trees}
-    for index in range(ROUNDS):
-        # Alternate which tree goes first, so neither always runs warm.
-        order = list(trees) if index % 2 == 0 else list(reversed(trees))
-        for stage in STAGES:
-            for side in order:
-                tree = trees[side]
-                seconds[side][stage].append(
-                    one_pass(tree[stage], tree["error"], texts[stage]))
-
-    result: dict = {
+    samples = same_run.compare_trees("frontend", args.src, args.baseline_src,
+                                     lambda module: passes(module, texts), ROUNDS)
+    return same_run.write({
         "benchmark": "cypher_frontend",
         "corpus_texts": {stage: len(stage_texts) for stage, stage_texts in texts.items()},
-        "protocol": (f"{ROUNDS} rounds of one pass over the corpus per tree and stage, "
-                     "trees alternating in one process; medians over rounds, in "
-                     "microseconds per text; ratio: median of the rounds' baseline/change"),
-        "host": f"{platform.python_implementation()} {platform.python_version()}, "
-                f"{platform.machine()}, {os.cpu_count()} CPUs",
-    }
-    for side, stages in seconds.items():
-        result[side] = {
-            f"{stage}_us": round(statistics.median(runs) / len(texts[stage]) * 1e6, 2)
-            for stage, runs in stages.items()
-        }
-    result["ratio"] = {
-        stage: round(statistics.median(
-            base / change for base, change in
-            zip(seconds["baseline"][stage], seconds["change"][stage])
-        ), 2)
-        for stage in STAGES
-    }
-    text = json.dumps(result, indent=2) + "\n"
-    if args.output is not None:
-        args.output.write_text(text)
-    print(text, end="")
-    return 0
+        "protocol": same_run.protocol(ROUNDS, "microseconds per text"),
+        "host": same_run.host(),
+        **same_run.summarize(samples, key=lambda stage: f"{stage}_us"),
+    }, args.output)
+
+
+def test_frontend_smoke(tmp_path, monkeypatch):
+    """One round, this tree on both sides: every key is there."""
+    monkeypatch.setattr(sys.modules[__name__], "ROUNDS", 1)
+    output = tmp_path / "BENCH_frontend.json"
+    src = str(_ROOT / "src")
+    assert main(["--src", src, "--baseline-src", src, "--output", str(output)]) == 0
+    result = json.loads(output.read_text())
+    assert set(result) == {"benchmark", "corpus_texts", "protocol", "host",
+                           "change", "baseline", "ratio", "ratio_range"}
+    assert set(result["corpus_texts"]) == set(STAGES)
+    for side in ("change", "baseline"):
+        assert set(result[side]) == {f"{stage}_us" for stage in STAGES}
+        assert all(value > 0 for value in result[side].values())
+    assert set(result["ratio"]) == set(result["ratio_range"]) == set(STAGES)
+    assert all(ratio > 0 for ratio in result["ratio"].values())
 
 
 if __name__ == "__main__":

@@ -9,30 +9,25 @@ The pass is dominated by the few unanchored label scans that emit
 thousands of rows, so it measures the engine's per-row cost.
 
 The texts are drawn by ``benchmarks/e2e/run.py --draw-inputs`` in a child
-process.  Both source trees are imported into one process under names of
-their own, each with its own copy of the large graph, and timed in
-alternating passes, so host load hits both sides alike.  The result is a
-same-run ratio (baseline time / change time, the median over rounds;
-above 1 means the change is faster)::
+process.  The two trees, each with its own copy of the large graph, are
+timed against each other in one process by ``benchmarks/same_run.py``;
+the result is a same-run ratio::
 
     python benchmarks/bench_rows.py --baseline-src ../parent/src --output BENCH_rows.json
 
-``--src`` defaults to this checkout's ``src``.  No CI job runs this script.
+``--src`` defaults to this checkout's ``src``.  ``test_rows_smoke`` below
+runs one round of this tree against itself.
 """
 
 from __future__ import annotations
 
-import argparse
-import importlib
-import importlib.util
 import json
-import os
-import platform
-import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import same_run
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,81 +46,60 @@ def replay_texts(seed: int) -> list[str]:
     return [query for _question, query, _is_gold in json.loads(drawn.stdout)["items"]]
 
 
-def load_tree(src: Path, name: str) -> dict:
-    """Import the ``repro`` package under ``src`` as ``name``: a function
-    that makes a fresh engine's ``execute`` over its own large graph, the
-    deadline class, and the error class."""
-    init = src / "repro" / "__init__.py"
-    spec = importlib.util.spec_from_file_location(
-        name, init, submodule_search_locations=[str(init.parent)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    engine = importlib.import_module(f"{name}.cypher").CypherEngine
-    iyp = importlib.import_module(f"{name}.iyp")
+def passes(module, texts: list[str]) -> dict:
+    """One pass of a tree, in milliseconds: the first execution of every
+    text on a fresh engine over the tree's own large graph."""
+    iyp = module("iyp")
     store = iyp.generate_iyp(iyp.IYPConfig.large(seed=42)).store
-    return {
-        "execute": lambda: engine(store).execute,
-        "deadline": importlib.import_module(f"{name}.serving").Deadline,
-        "error": importlib.import_module(f"{name}.cypher.errors").CypherError,
-    }
+    engine = module("cypher").CypherEngine
+    deadline = module("serving").Deadline
+    error = module("cypher.errors").CypherError
 
+    def replay() -> float:
+        execute = engine(store).execute
+        start = time.perf_counter()
+        for text in texts:
+            try:
+                execute(text, {"_execute": 1}, deadline=deadline.start(DEADLINE_MS))
+            except error:
+                pass
+        return (time.perf_counter() - start) * 1000.0
 
-def one_pass(tree: dict, texts: list[str]) -> float:
-    """Seconds for one first execution of every text on a fresh engine."""
-    execute, deadline, error = tree["execute"](), tree["deadline"], tree["error"]
-    start = time.perf_counter()
-    for text in texts:
-        try:
-            execute(text, {"_execute": 1}, deadline=deadline.start(DEADLINE_MS))
-        except error:
-            pass
-    return time.perf_counter() - start
+    return {"replay": replay}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--src", type=Path, default=_ROOT / "src",
-                        help="source tree of the change (default: this checkout)")
-    parser.add_argument("--baseline-src", type=Path, required=True,
-                        help="source tree to compare against, e.g. the parent commit's")
-    parser.add_argument("--output", type=Path, help="write the JSON result here")
-    args = parser.parse_args(argv)
-
+    args = same_run.parser(__doc__).parse_args(argv)
     texts = replay_texts(SEED)
-    trees = {"change": load_tree(args.src.resolve(), "_rows_change"),
-             "baseline": load_tree(args.baseline_src.resolve(), "_rows_baseline")}
-    for tree in trees.values():  # one untimed pass each: caches and specialization
-        one_pass(tree, texts)
-    seconds: dict[str, list[float]] = {side: [] for side in trees}
-    for index in range(ROUNDS):
-        # Alternate which tree goes first, so neither always runs warm.
-        order = list(trees) if index % 2 == 0 else list(reversed(trees))
-        for side in order:
-            seconds[side].append(one_pass(trees[side], texts))
-
-    ratios = sorted(base / change for base, change in zip(seconds["baseline"], seconds["change"]))
-    result = {
+    samples = same_run.compare_trees("rows", args.src, args.baseline_src,
+                                     lambda module: passes(module, texts), ROUNDS)
+    summary = same_run.summarize(samples, figure_digits=1, ratio_digits=3)
+    return same_run.write({
         "benchmark": "cypher_rows",
         "texts": len(texts),
         "protocol": (f"seed-{SEED} cypher_replay_large texts on the large graph, first "
                      "execution on a fresh engine per pass, result reuse bypassed; "
-                     f"{ROUNDS} rounds of one pass per tree, trees alternating in one "
-                     "process; medians over rounds; ratio: median of the rounds' "
-                     "baseline/change"),
-        "host": f"{platform.python_implementation()} {platform.python_version()}, "
-                f"{platform.machine()}, {os.cpu_count()} CPUs",
-        "change_ms": round(statistics.median(seconds["change"]) * 1000.0, 1),
-        "baseline_ms": round(statistics.median(seconds["baseline"]) * 1000.0, 1),
-        "ratio": round(statistics.median(ratios), 3),
-        "ratio_range": [round(ratios[0], 3), round(ratios[-1], 3)],
-    }
-    text = json.dumps(result, indent=2) + "\n"
-    if args.output is not None:
-        args.output.write_text(text)
-    print(text, end="")
-    return 0
+                     + same_run.protocol(ROUNDS, "milliseconds per pass")),
+        "host": same_run.host(),
+        "change_ms": summary["change"]["replay"],
+        "baseline_ms": summary["baseline"]["replay"],
+        "ratio": summary["ratio"]["replay"],
+        "ratio_range": summary["ratio_range"]["replay"],
+    }, args.output)
+
+
+def test_rows_smoke(tmp_path, monkeypatch):
+    """One round, this tree on both sides: every key is there."""
+    monkeypatch.setattr(sys.modules[__name__], "ROUNDS", 1)
+    output = tmp_path / "BENCH_rows.json"
+    src = str(_ROOT / "src")
+    assert main(["--src", src, "--baseline-src", src, "--output", str(output)]) == 0
+    result = json.loads(output.read_text())
+    assert set(result) == {"benchmark", "texts", "protocol", "host", "change_ms",
+                           "baseline_ms", "ratio", "ratio_range"}
+    assert min(result["texts"], result["change_ms"], result["baseline_ms"]) > 0
+    low, high = result["ratio_range"]
+    assert 0 < low <= result["ratio"] <= high
 
 
 if __name__ == "__main__":

@@ -12,12 +12,10 @@ Times, for two source trees:
   an already generated medium or large graph, as ``ask_cold_mix``'s
   ``setup.system_s`` times it.
 
-Both trees are imported into one process, under names of their own, each
-with its own copy of the graphs, and timed in alternating rounds, so host
-load hits both sides alike.  Every stage gets one untimed pass first, which
-warms the embedding's bucket caches as a served process's earlier builds
-would.  The result is a same-run ratio (baseline time / change time, the
-median over rounds; above 1 means the change is faster).  Memory is read
+The two trees, each with its own copy of the graphs, are timed against
+each other in one process by ``benchmarks/same_run.py``, whose untimed
+first pass per stage warms the embedding's bucket caches as a served
+process's earlier builds would; the result is a same-run ratio.  Memory is read
 apart from the timing: one child process per tree generates the medium
 graph, builds ``ChatIYP`` once and reports ``VmHWM`` and ``VmRSS`` from
 ``/proc/self/status``::
@@ -33,16 +31,13 @@ working.
 from __future__ import annotations
 
 import argparse
-import importlib
-import importlib.util
 import json
-import os
-import platform
-import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import same_run
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,21 +55,11 @@ def figure_name(stage: str) -> str:
     return f"{stage}_us_per_text" if stage == "embed" else f"{stage}_ms"
 
 
-def load_tree(src: Path, name: str, graphs: dict[str, str]) -> dict:
-    """Import the ``repro`` package under ``src`` as ``name``; per stage, a
-    callable that runs one pass of it on that tree's own graph, and the
-    number of units (texts for ``embed``, else 1) a pass covers."""
-    init = src / "repro" / "__init__.py"
-    spec = importlib.util.spec_from_file_location(
-        name, init, submodule_search_locations=[str(init.parent)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    iyp = importlib.import_module(f"{name}.iyp")
-    core = importlib.import_module(f"{name}.core")
-    rag = importlib.import_module(f"{name}.rag")
-    schema = importlib.import_module(f"{name}.graph.schema")
-    embed = importlib.import_module(f"{name}.embed")
+def passes(module, graphs: dict[str, str]) -> dict:
+    """Per stage, one pass of a tree on its own graph: milliseconds per pass,
+    or for ``embed`` microseconds per text."""
+    iyp, core, rag = module("iyp"), module("core"), module("rag")
+    schema, embed = module("graph.schema"), module("embed")
 
     datasets = {size: iyp.generate_iyp(getattr(iyp.IYPConfig, size)(seed=42))
                 for size in sorted(set(graphs.values()))}
@@ -91,21 +76,22 @@ def load_tree(src: Path, name: str, graphs: dict[str, str]) -> dict:
         for text in texts:
             model.embed(text)
 
+    def timed(run, scale: float):
+        def one_pass() -> float:
+            start = time.perf_counter()
+            run()
+            return (time.perf_counter() - start) * scale
+        return one_pass
+
     return {
-        "descriptions": (lambda: rag.build_description_corpus(stores[graphs["descriptions"]]), 1),
-        "schema": (lambda: schema.introspect_schema(stores[graphs["schema"]]).describe(), 1),
-        "corpus_embed": (lambda: embed.VectorStore(corpus), 1),
-        "embed": (embed_each, len(texts)),
-        "chatiyp_medium": (build(graphs["chatiyp_medium"]), 1),
-        "chatiyp_large": (build(graphs["chatiyp_large"]), 1),
+        "descriptions": timed(lambda: rag.build_description_corpus(stores[graphs["descriptions"]]),
+                              1e3),
+        "schema": timed(lambda: schema.introspect_schema(stores[graphs["schema"]]).describe(), 1e3),
+        "corpus_embed": timed(lambda: embed.VectorStore(corpus), 1e3),
+        "embed": timed(embed_each, 1e6 / len(texts)),
+        "chatiyp_medium": timed(build(graphs["chatiyp_medium"]), 1e3),
+        "chatiyp_large": timed(build(graphs["chatiyp_large"]), 1e3),
     }
-
-
-def one_pass(run) -> float:
-    """Seconds for one call of ``run``."""
-    start = time.perf_counter()
-    run()
-    return time.perf_counter() - start
 
 
 def memory_after_build(src: Path, size: str) -> dict:
@@ -139,62 +125,8 @@ def _memory_child(src: Path, size: str) -> None:
     }))
 
 
-def run(src: Path, baseline_src: Path, smoke: bool = False) -> dict:
-    """Time both trees and read their memory; the result ``main`` writes."""
-    rounds = 1 if smoke else ROUNDS
-    graphs = {stage: "small" for stage in STAGES} if smoke else dict(GRAPHS)
-    trees = {"change": load_tree(src.resolve(), "_startup_change", graphs),
-             "baseline": load_tree(baseline_src.resolve(), "_startup_baseline", graphs)}
-    for tree in trees.values():  # one untimed pass each: bucket caches, imports
-        for stage in STAGES:
-            one_pass(tree[stage][0])
-    seconds = {side: {stage: [] for stage in STAGES} for side in trees}
-    for index in range(rounds):
-        # Alternate which tree goes first, so neither always runs warm.
-        order = list(trees) if index % 2 == 0 else list(reversed(trees))
-        for stage in STAGES:
-            for side in order:
-                seconds[side][stage].append(one_pass(trees[side][stage][0]))
-
-    result: dict = {
-        "benchmark": "chatiyp_startup",
-        "graphs": graphs,
-        "protocol": (f"{rounds} rounds of one pass per tree and stage, trees alternating "
-                     "in one process after one untimed pass each; medians over rounds, "
-                     "in milliseconds per pass (embed: microseconds per text); ratio: "
-                     "median of the rounds' baseline/change; memory: one child process "
-                     f"per tree after one {graphs['chatiyp_medium']} ChatIYP build"),
-        "host": f"{platform.python_implementation()} {platform.python_version()}, "
-                f"{platform.machine()}, {os.cpu_count()} CPUs",
-    }
-    for side, stages in seconds.items():
-        result[side] = {
-            figure_name(stage): round(statistics.median(runs) / trees[side][stage][1]
-                                      * (1e6 if stage == "embed" else 1e3), 2)
-            for stage, runs in stages.items()
-        }
-    result["ratio"] = {
-        stage: round(statistics.median(
-            base / change for base, change in
-            zip(seconds["baseline"][stage], seconds["change"][stage])
-        ), 2)
-        for stage in STAGES
-    }
-    result["memory"] = {
-        "change": memory_after_build(src.resolve(), graphs["chatiyp_medium"]),
-        "baseline": memory_after_build(baseline_src.resolve(), graphs["chatiyp_medium"]),
-    }
-    return result
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--src", type=Path, default=_ROOT / "src",
-                        help="source tree of the change (default: this checkout)")
-    parser.add_argument("--baseline-src", type=Path,
-                        help="source tree to compare against, e.g. the parent commit's")
-    parser.add_argument("--output", type=Path, help="write the JSON result here")
+    parser = same_run.parser(__doc__, baseline_required=False)
     parser.add_argument("--smoke", action="store_true",
                         help="one round, the small graph for every stage")
     parser.add_argument("--memory-child", type=Path, help=argparse.SUPPRESS)
@@ -206,12 +138,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.baseline_src is None:
         parser.error("--baseline-src is required")
 
-    result = run(args.src, args.baseline_src, smoke=args.smoke)
-    text = json.dumps(result, indent=2) + "\n"
-    if args.output is not None:
-        args.output.write_text(text)
-    print(text, end="")
-    return 0
+    rounds = 1 if args.smoke else ROUNDS
+    graphs = {stage: "small" for stage in STAGES} if args.smoke else dict(GRAPHS)
+    samples = same_run.compare_trees("startup", args.src, args.baseline_src,
+                                     lambda module: passes(module, graphs), rounds)
+    return same_run.write({
+        "benchmark": "chatiyp_startup",
+        "graphs": graphs,
+        "protocol": (same_run.protocol(rounds, "milliseconds per pass (embed: microseconds "
+                                       "per text)") + "; memory: one child process per tree "
+                     f"after one {graphs['chatiyp_medium']} ChatIYP build"),
+        "host": same_run.host(),
+        **same_run.summarize(samples, key=figure_name),
+        "memory": {side: memory_after_build(tree.resolve(), graphs["chatiyp_medium"])
+                   for side, tree in (("change", args.src), ("baseline", args.baseline_src))},
+    }, args.output)
 
 
 def test_startup_smoke(tmp_path):
@@ -221,10 +162,9 @@ def test_startup_smoke(tmp_path):
     assert main(["--src", str(src), "--baseline-src", str(src), "--smoke",
                  "--output", str(output)]) == 0
     result = json.loads(output.read_text())
-    assert set(result["ratio"]) == set(STAGES)
-    expected = {figure_name(stage) for stage in STAGES}
+    assert set(result["ratio"]) == set(result["ratio_range"]) == set(STAGES)
     for side in ("change", "baseline"):
-        assert set(result[side]) == expected
+        assert set(result[side]) == {figure_name(stage) for stage in STAGES}
         assert all(value > 0 for value in result[side].values())
         assert set(result["memory"][side]) == {"vm_hwm_mb", "vm_rss_mb"}
     assert all(ratio > 0 for ratio in result["ratio"].values())

@@ -236,14 +236,16 @@ class ChatIYP:
         """Answer a natural-language question about the IYP graph.
 
         ``deadline_ms`` caps this request's wall-clock budget (falling back
-        to ``config.deadline_ms``; ``None`` = unbounded).  Batch callers
-        may instead pass an already-running ``deadline`` so queueing time
-        counts against the budget.  A blown budget degrades the pipeline
-        gracefully — the response then lists what was shed under
-        ``diagnostics["degraded"]``.  Answers are served from the bounded
-        LRU cache when an identical question was answered against the same
-        graph version, and concurrent duplicates coalesce onto a single
-        pipeline execution (``diagnostics["coalesced"]`` marks the followers).
+        to ``config.deadline_ms``; ``None`` or ``0`` = unbounded; a negative
+        or NaN budget raises ``ValueError``, whether or not the answer is
+        cached).  Batch callers may instead pass an already-running
+        ``deadline`` so queueing time counts against the budget.  A blown
+        budget degrades the pipeline gracefully — the response then lists
+        what was shed under ``diagnostics["degraded"]``.  Answers are served
+        from the bounded LRU cache when an identical question was answered
+        against the same graph version, and concurrent duplicates coalesce
+        onto a single pipeline execution (``diagnostics["coalesced"]`` marks
+        the followers).
         """
         if not question or not question.strip():
             return ChatResponse(
@@ -255,6 +257,9 @@ class ChatIYP:
             )
         text = question.strip()
         self.metrics.increment("ask.requests")
+        if deadline is None:
+            # Before the cache lookup, so a bad budget raises on a hit too.
+            deadline = self._start_deadline(deadline_ms)
 
         cache_key = None
         if self.answer_cache is not None or self.inflight is not None:
@@ -265,12 +270,6 @@ class ChatIYP:
                 self.metrics.increment("cache.hit")
                 return self._copy_response(cached, cache_hit=True)
             self.metrics.increment("cache.miss")
-
-        if deadline is None:
-            budget_ms = (
-                deadline_ms if deadline_ms is not None else self.config.deadline_ms
-            )
-            deadline = Deadline.start(budget_ms) if budget_ms else None
 
         if self.inflight is None:
             return self._execute(text, cache_key, deadline)
@@ -311,8 +310,8 @@ class ChatIYP:
         exactly as it would for a request waiting in an admission queue.
 
         Returns one :class:`~repro.parallel.BatchOutcome` per question, in
-        input order; a failed item carries its exception instead of taking
-        the whole batch down.
+        input order; a failed item, or one whose budget :class:`Deadline`
+        rejects, carries its exception instead of taking the whole batch down.
         """
         question_list = list(questions)
         self.metrics.increment("ask.batch_requests")
@@ -328,12 +327,17 @@ class ChatIYP:
                     f"deadline_ms sequence length {len(budgets)} != "
                     f"question count {len(question_list)}"
                 )
-        deadlines: list[Optional[Deadline]] = []
+        deadlines: list[Union[Deadline, None, Exception]] = []
         for budget in budgets:
-            ms = budget if budget is not None else self.config.deadline_ms
-            deadlines.append(Deadline.start(ms) if ms else None)
+            try:
+                deadlines.append(self._start_deadline(budget))
+            except (TypeError, ValueError) as exc:  # a budget Deadline rejects
+                deadlines.append(exc)
         outcomes = []
         for index, (question, deadline) in enumerate(zip(question_list, deadlines)):
+            if isinstance(deadline, Exception):
+                outcomes.append(BatchOutcome(index=index, error=deadline))
+                continue
             try:
                 value = self.ask(question, deadline=deadline)
             except BaseException as exc:  # noqa: BLE001 - captured per item by design
@@ -341,6 +345,12 @@ class ChatIYP:
             else:
                 outcomes.append(BatchOutcome(index=index, value=value))
         return outcomes
+
+    def _start_deadline(self, deadline_ms: Optional[float]) -> Optional[Deadline]:
+        """Start ``deadline_ms`` (or ``config.deadline_ms``) now; ``None`` and
+        ``0`` mean no deadline.  A budget :class:`Deadline` rejects raises."""
+        budget_ms = deadline_ms if deadline_ms is not None else self.config.deadline_ms
+        return Deadline.start(budget_ms) if budget_ms else None
 
     def run_cypher(self, query: str, **params: Any) -> ResultSet:
         """Escape hatch: run raw Cypher against the underlying graph."""

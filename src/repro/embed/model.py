@@ -223,7 +223,6 @@ class ContextualEmbedding:
         self.window = window
         self.context_weight = context_weight
         self.common_weight = common_weight
-        self._base = HashingEmbedding(dim=dim)
         common = np.zeros(dim, dtype=np.float64)
         index, sign = _stable_bucket("__language__", dim, "common")
         common[index] = sign

@@ -295,10 +295,6 @@ class GraphStore:
         self._property_index[(label, key)] = index
         self._touch()
 
-    def has_property_index(self, label: str, key: str) -> bool:
-        """True when an exact-match index exists for ``(label, key)``."""
-        return (label, key) in self._property_index
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------

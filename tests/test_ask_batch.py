@@ -231,6 +231,13 @@ class TestAskBatchAPI:
         with pytest.raises(ValueError, match="length"):
             batch_bot.ask_batch(["a", "b"], deadline_ms=[100.0])
 
+    def test_invalid_item_budget_fails_only_that_item(self, batch_bot):
+        question = "How many prefixes does AS2497 originate?"
+        outcomes = batch_bot.ask_batch([question, question], deadline_ms=[None, -1])
+        assert outcomes[0].ok and outcomes[0].value.question == question
+        assert outcomes[1].index == 1
+        assert isinstance(outcomes[1].error, ValueError)
+
     def test_empty_batch(self, batch_bot):
         assert batch_bot.ask_batch([]) == []
 

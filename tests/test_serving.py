@@ -586,6 +586,22 @@ class TestAnswerCacheIntegration:
         assert bot_b.ask(question).diagnostics.get("cache_hit") is None
 
 
+    @pytest.mark.parametrize("budget", [-1, float("nan")])
+    def test_bad_budget_raises_on_hit_and_miss(self, small_dataset, budget):
+        bot = ChatIYP(
+            dataset=small_dataset,
+            config=ChatIYPConfig(dataset_size="small", answer_cache_size=8),
+        )
+        question = "Which country is AS2497 registered in?"
+        with pytest.raises(ValueError, match="budget_ms"):
+            bot.ask(question, deadline_ms=budget)
+        bot.ask(question)
+        with pytest.raises(ValueError, match="budget_ms"):
+            bot.ask(question, deadline_ms=budget)
+        # None and 0 both mean "no deadline"; the cached answer is served.
+        for no_deadline in (None, 0):
+            assert bot.ask(question, deadline_ms=no_deadline).diagnostics.get("cache_hit")
+
 class TestServingSnapshot:
     def test_snapshot_reports_retry_counters(self, hardened_bot):
         snapshot = hardened_bot.serving_snapshot()
