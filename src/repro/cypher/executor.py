@@ -12,7 +12,8 @@ equality/IN/range predicates are pushed down into lookups and bind-time
 filters, and each planned part becomes an explicit
 ``AnchorScan → Expand* → Match`` operator chain.  The tree executes
 Volcano-style, one generator per operator: each iterates its child's
-generator and charges every row it emits inline, so a row costs one
+generator and charges every row it emits inline (a pattern operator:
+every node and relationship it examines), so a row costs one
 generator resume per operator it crosses, and a downstream LIMIT/top-k
 stops pulling and the whole upstream pipeline terminates early.  Only
 blocking operators (Sort, Aggregate, write barriers) materialise
@@ -490,7 +491,8 @@ class _ExecutionContext(WriteClauses):
         rule (bound variable, inline-property lookup, label scan, all
         nodes) against the row, then a BFS bounded by the relationship
         pattern's hop range finds one (``"single"``) or all (``"all"``)
-        minimum-length paths.
+        minimum-length paths.  Charges every endpoint candidate it tries
+        and every step of its searches.
         """
         start_pattern, rel_pattern, end_pattern = part.elements
         assert isinstance(start_pattern, ast.NodePattern)
@@ -500,15 +502,22 @@ class _ExecutionContext(WriteClauses):
             # A plain relationship inside shortestPath() means one hop.
             rel_pattern = replace(rel_pattern, min_hops=1, max_hops=1, var_length=True)
         stats = self.store.statistics()
+        state = self.state
         for start in self._node_candidates(
             start_pattern, row, fixed_anchor(start_pattern, stats, row)
         ):
+            state.rows += 1
+            if state.rows > state.limit:
+                state.overflow()
             start_row = self._bind_node(start_pattern, start, row, filters)
             if start_row is None:
                 continue
             for end in self._node_candidates(
                 end_pattern, start_row, fixed_anchor(end_pattern, stats, start_row)
             ):
+                state.rows += 1
+                if state.rows > state.limit:
+                    state.overflow()
                 end_row = self._bind_node(end_pattern, end, start_row, filters)
                 if end_row is None:
                     continue
@@ -616,13 +625,16 @@ class _ExecutionContext(WriteClauses):
     def _bfs_steps(
         self, node_id: int, rel_pattern: ast.RelPattern, row: Row
     ) -> Iterator[tuple[Relationship, int]]:
-        """``(relationship, other end)`` for each edge a BFS may take from ``node_id``."""
+        """``(relationship, other end)`` for each edge a BFS may take from
+        ``node_id``; charges every relationship it reads."""
         direction = rel_pattern.direction
-        step = self.state.step
+        state = self.state
         for rel in self.store.adjacent_relationships(
             node_id, direction, rel_pattern.types or None
         ):
-            step()
+            state.rows += 1
+            if state.rows > state.limit:
+                state.overflow()
             if not self._properties_match(rel, rel_pattern.properties, row):
                 continue
             yield rel, rel.other_end(node_id)
@@ -649,13 +661,15 @@ class _ExecutionContext(WriteClauses):
         row: Row,
         used: frozenset[int],
     ) -> Iterator[tuple[list[Relationship], Node]]:
+        """Every trail of the hop range from ``current``; charges every
+        relationship the walk reads."""
         min_hops = rel_pattern.min_hops if rel_pattern.min_hops is not None else 1
         max_hops = rel_pattern.max_hops if rel_pattern.max_hops is not None else self.max_var_length
         if max_hops > self.max_var_length:
             max_hops = self.max_var_length
         if min_hops == 0:
             yield [], current
-        step = self.state.step
+        state = self.state
 
         def walk(
             node: Node, taken: list[Relationship], taken_ids: frozenset[int]
@@ -665,7 +679,9 @@ class _ExecutionContext(WriteClauses):
             for rel in self.store.adjacent_relationships(
                 node.node_id, rel_pattern.direction, rel_pattern.types or None
             ):
-                step()
+                state.rows += 1
+                if state.rows > state.limit:
+                    state.overflow()
                 if rel.rel_id in used or rel.rel_id in taken_ids:
                     continue
                 if not self._properties_match(rel, rel_pattern.properties, row):
@@ -697,9 +713,9 @@ class _ExecutionContext(WriteClauses):
         """Candidate nodes for the anchor position of a pattern part.
 
         A variable the row binds is its one candidate; otherwise the
-        anchor's access path.  Every candidate is still fully verified by
-        :meth:`_bind_node`, so a stale or suboptimal plan can never change
-        results.
+        anchor's access path, a lookup with no index scanning its label.
+        Every candidate is still fully verified by :meth:`_bind_node`, so a
+        stale or suboptimal plan can never change results.
         """
         variable = node_pattern.variable
         if variable is not None and variable in row:
@@ -709,13 +725,7 @@ class _ExecutionContext(WriteClauses):
             if not isinstance(bound, Node):
                 raise CypherTypeError(f"variable {variable!r} is not a node: {bound!r}")
             yield bound
-        elif anchor.kind == "label":
-            yield from self.store.nodes_by_label(anchor.label)
-        elif anchor.kind == "all":
-            yield from self.store.all_nodes()
-        elif anchor.kind == "bound":
-            raise CypherRuntimeError(f"unknown variable: {variable}")
-        else:
+        elif anchor.indexed:
             seen: set[int] = set()
             for expr in anchor.values:
                 value = self.evaluator.evaluate(expr, row)
@@ -723,6 +733,12 @@ class _ExecutionContext(WriteClauses):
                     if node.node_id not in seen:
                         seen.add(node.node_id)
                         yield node
+        elif anchor.kind == "all":
+            yield from self.store.all_nodes()
+        elif anchor.kind == "bound":
+            raise CypherRuntimeError(f"unknown variable: {variable}")
+        else:
+            yield from self.store.nodes_by_label(anchor.label)
 
     def _bind_node(
         self,

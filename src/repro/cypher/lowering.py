@@ -195,10 +195,8 @@ def _lower_match(
 def lower_pattern(part: ast.PatternPart, part_plan: PartPlan) -> ops.PatternChain:
     """The chain of a pattern expression or MERGE, fed one row at a time."""
     source = ops.RowSource()
-    root = lower_part(
-        source, part, part_plan, None,
-        from_rows=True, emit_row=True, update_used=False, charge_examined=True,
-    )
+    root = lower_part(source, part, part_plan, None, from_rows=True, emit_row=True,
+                      update_used=False)
     return ops.PatternChain(source, root)
 
 
@@ -211,15 +209,13 @@ def lower_part(
     from_rows: bool,
     emit_row: bool,
     update_used: bool,
-    charge_examined: bool = False,
 ) -> ops.PhysicalOperator:
     """One pattern part as an ``AnchorScan → Expand* → Match`` chain.
 
     ``from_rows`` says ``child`` emits plain rows rather than ``(row,
     used)`` pairs; ``emit_row`` says the chain emits plain rows;
     ``update_used`` says a later part needs the relationships this one
-    binds; ``charge_examined`` is for sub-chains (see
-    :class:`~repro.cypher.operators.AnchorScan`).
+    binds.
     """
     if part.shortest is not None:
         kind = "shortestPath" if part.shortest == "single" else "allShortestPaths"
@@ -239,7 +235,7 @@ def lower_part(
     name, detail = anchor.physical_operator()
     op: ops.PhysicalOperator = ops.AnchorScan(
         child, first, anchor, filters, track_path, from_rows, name,
-        _with_pushed(detail, filters, first.variable), charge_examined,
+        _with_pushed(detail, filters, first.variable)
     )
     for index in range(1, len(elements), 2):
         rel_pattern = elements[index]
@@ -257,7 +253,6 @@ def lower_part(
         op = expand_cls(
             op, rel_pattern, node_pattern, filters, maintain_used,
             detail=_with_pushed(f"[:{types}]{arrow}" if types else arrow, filters, *bound),
-            charge_examined=charge_examined,
         )
     return ops.PartEmit(
         op, part, part_plan.reverse, emit_row,

@@ -16,13 +16,17 @@ parameters and slot values, the SKIP/LIMIT counts resolved from them
 (``run.bounds``), the row each sub-pipeline's ``Argument`` leaf yields
 (``run.arguments``), and the :class:`RuntimeState` (``run.state``):
 
-* **row budget** — every operator charges every row it emits, inline, just
-  before yielding it, counting it in ``rows_out`` under its operator
-  number; exceeding the budget raises :class:`ResourceExhausted`, which
-  the serving layer maps to graceful degradation instead of an OOM;
+* **row budget** — every operator counts the rows it emits in ``rows_out``
+  under its operator number.  A pattern operator (``AnchorScan``,
+  ``Expand``, ``VarLengthExpand``, ``ShortestPath``) charges every
+  candidate node and relationship it examines, bound or not; every other
+  operator charges every row it emits, just before yielding it.  Exceeding
+  the budget raises :class:`ResourceExhausted`, which the serving layer
+  maps to graceful degradation instead of an OOM;
 * **deadline** — the per-request serving deadline is checked by the same
-  charge, cooperatively (every 256 emitted rows), so a runaway scan aborts
-  with :class:`CypherDeadlineExceeded` instead of blowing past its budget;
+  charge, cooperatively (every 256 charged units), so a runaway scan or a
+  walk that binds nothing aborts with :class:`CypherDeadlineExceeded`
+  instead of blowing past its budget;
 * **profiling** — when on, each operator's generator is wrapped by
   :func:`_timed`, which adds the wall-clock time of every resume
   (inclusive of the children it pulls from) to ``elapsed_s``.  The row
@@ -109,7 +113,7 @@ class RuntimeState:
     """Per-run state: row budget, deadline, profiling flag, and the rows
     and wall time of each of the ``size`` operators, by operator number."""
 
-    __slots__ = ("deadline", "budget", "profiled", "rows", "limit", "steps", "rows_out", "elapsed_s")
+    __slots__ = ("deadline", "budget", "profiled", "rows", "limit", "rows_out", "elapsed_s")
 
     def __init__(
         self, deadline=None, budget: Optional[int] = None, profiled: bool = False,
@@ -118,17 +122,13 @@ class RuntimeState:
         self.deadline = deadline
         self.budget = budget
         self.profiled = profiled
-        #: total rows emitted across *all* operators (the budget currency)
+        #: units charged across *all* operators (the budget currency)
         self.rows = 0
         #: where a charge next takes :meth:`overflow`: the budget or the
-        #: row before the next deadline read, whichever comes first
+        #: unit before the next deadline read, whichever comes first
         self._advance()
-        #: relationships examined by variable-length walks and shortest-path
-        #: searches (not charged)
-        self.steps = 0
-        #: rows each operator emitted; the extra last entry takes the rows
-        #: charged on no operator's behalf (examined candidates and steps)
-        self.rows_out = [0] * (size + 1)
+        #: rows each operator emitted
+        self.rows_out = [0] * size
         self.elapsed_s = [0.0] * size
 
     def check_deadline(self) -> None:
@@ -138,14 +138,15 @@ class RuntimeState:
                 f"query exceeded its deadline after {self.rows} intermediate rows"
             )
 
-    def charge(self, number: int = -1) -> None:
-        """Count one intermediate row, emitted by operator ``number``,
-        against the budget and the deadline; the hottest operators inline
-        these three statements.
+    def charge(self, number: int) -> None:
+        """Count one row emitted by operator ``number`` and charge it
+        against the budget and the deadline.
 
-        Every operator charges every row it emits; the sub-chains of pattern
-        expressions and MERGE also charge every candidate and step they
-        examine, with no ``number``.
+        This is the charge of every operator but the pattern operators
+        (anchor scans, expansions, shortest paths), which charge each
+        candidate node and relationship they examine instead, bound or
+        not, and only count the rows they emit.  Hot loops inline the
+        charge: ``rows += 1``, then :meth:`overflow` past ``limit``.
         """
         self.rows_out[number] += 1
         self.rows += 1
@@ -154,7 +155,7 @@ class RuntimeState:
 
     def overflow(self) -> None:
         """A charge past ``limit``: raise past the budget, read the deadline
-        once per ``_DEADLINE_STRIDE_MASK + 1`` rows."""
+        once per ``_DEADLINE_STRIDE_MASK + 1`` units."""
         rows = self.rows
         if self.budget is not None and rows > self.budget:
             raise ResourceExhausted(
@@ -168,26 +169,15 @@ class RuntimeState:
         stride = maxsize if self.deadline is None else self.rows | _DEADLINE_STRIDE_MASK
         self.limit = stride if self.budget is None else min(stride, self.budget)
 
-    def step(self) -> None:
-        """Count one relationship a variable-length walk or a shortest-path
-        search examines.
-
-        A walk can examine many steps per row it emits, or none at all when
-        its end pattern rejects every node, so steps read the deadline once
-        per ``_DEADLINE_STRIDE_MASK + 1`` of them.  They are not rows: the
-        budget and the charge counts do not see them.
-        """
-        steps = self.steps = self.steps + 1
-        if self.deadline is not None and not (steps & _DEADLINE_STRIDE_MASK):
-            self.check_deadline()
-
 
 class PhysicalOperator:
     """Base operator: children, operator number, PROFILE label.
 
     Subclasses implement ``_rows(run)``, a generator that iterates its
     children (``for item in child.open(run)``) and charges every row it
-    emits (``run.state.charge(self.number)`` or inline) before yielding it.  The tree is
+    emits (``run.state.charge(self.number)`` or inline) before yielding it,
+    or, for a pattern operator, every candidate it examines (see
+    :meth:`RuntimeState.charge`).  The tree is
     immutable once lowered; ``number``, assigned at lowering, indexes the
     run's counters.  Every ``open`` is a fresh run of the operator:
     :class:`OptionalMatch` re-runs its sub-pipeline once per upstream row.
@@ -266,12 +256,8 @@ class AnchorScan(PhysicalOperator):
     reflects it (``LabelScan``, ``HashLookup``, ``AllNodesScan``,
     ``BoundAnchor``).  Emits match
     states; every candidate is still fully verified by the executor's
-    ``_bind_node``, so a stale plan can never change results.
-
-    With ``charge_examined`` (the sub-chains of pattern expressions and
-    MERGE) this operator and the expansions above it also charge every
-    candidate and step they examine, bound or not, so a pattern predicate
-    that rejects every step still meets the row budget and the deadline.
+    ``_bind_node``, so a stale plan can never change results.  Charges
+    every candidate it tries, bound or not.
     """
 
     def __init__(
@@ -284,7 +270,6 @@ class AnchorScan(PhysicalOperator):
         from_rows: bool,
         name: str,
         detail: str = "",
-        charge_examined: bool = False,
     ) -> None:
         super().__init__((child,))
         self.node_pattern = node_pattern
@@ -294,27 +279,23 @@ class AnchorScan(PhysicalOperator):
         self.from_rows = from_rows
         self.name = name
         self.detail = detail
-        self.charge_examined = charge_examined
 
     def _rows(self, run: Any) -> Iterator[Any]:
         pattern, anchor, filters = self.node_pattern, self.anchor, self.filters
         candidates = run._node_candidates
         bind = run._bind_node
         state = run.state
-        rows_out, number, charge = state.rows_out, self.number, state.charge
-        examined, track = self.charge_examined, self.track_path
+        rows_out, number, track = state.rows_out, self.number, self.track_path
         for item in self.children[0].open(run):
             row, used = (item, _NO_RELS) if self.from_rows else item
             for node in candidates(pattern, row, anchor):
-                if examined:
-                    charge()
+                state.rows += 1
+                if state.rows > state.limit:
+                    state.overflow()
                 bound = bind(pattern, node, row, filters)
                 if bound is None:
                     continue
                 rows_out[number] += 1
-                state.rows += 1
-                if state.rows > state.limit:
-                    state.overflow()
                 yield (bound, used, node, [node] if track else None, [] if track else None)
 
 
@@ -326,7 +307,8 @@ class Expand(PhysicalOperator):
     single-rel filters, endpoint verification, and path extension when a
     path variable is tracked.  Unless the end node has inline properties or
     pushed filters, its labels are checked here and the row is copied once
-    for both new variables.
+    for both new variables.  Charges every relationship it reads from
+    adjacency, before any of those checks.
     """
 
     name = "Expand"
@@ -339,7 +321,6 @@ class Expand(PhysicalOperator):
         filters,
         maintain_used: bool,
         detail: str = "",
-        charge_examined: bool = False,
     ) -> None:
         super().__init__((child,))
         self.rel_pattern = rel_pattern
@@ -347,7 +328,6 @@ class Expand(PhysicalOperator):
         self.filters = filters
         self.maintain_used = maintain_used
         self.detail = detail
-        self.charge_examined = charge_examined
 
     def _rows(self, run: Any) -> Iterator[Any]:
         rel_pattern, node_pattern, filters = self.rel_pattern, self.node_pattern, self.filters
@@ -361,8 +341,7 @@ class Expand(PhysicalOperator):
         props = rel_pattern.properties
         maintain_used = self.maintain_used
         state = run.state
-        rows_out, number, charge = state.rows_out, self.number, state.charge
-        examined = self.charge_examined
+        rows_out, number = state.rows_out, self.number
         for row, used, current, path_nodes, path_rels in self.children[0].open(run):
             node_id = current.node_id
             rebinds, end_bound = variable in row, end_variable in row
@@ -372,10 +351,11 @@ class Expand(PhysicalOperator):
             # No direction re-check needed: the adjacency index is kept per
             # direction (self-loops included on both sides).
             for rel in adjacent(node_id, direction, types):
+                state.rows += 1
+                if state.rows > state.limit:
+                    state.overflow()
                 if rel.rel_id in used or props and not run._properties_match(rel, props, row):
                     continue
-                if examined:
-                    charge()
                 if rebinds:
                     if not _same_rel_binding(row[variable], rel):
                         continue
@@ -399,29 +379,23 @@ class Expand(PhysicalOperator):
                 else:
                     out = row
                 rows_out[number] += 1
-                state.rows += 1
-                if state.rows > state.limit:
-                    state.overflow()
                 yield (out, used | {rel.rel_id} if maintain_used else used, end_node,
                        None if path_nodes is None else path_nodes + [end_node],
                        None if path_nodes is None else path_rels + [rel])
 
 
 class VarLengthExpand(Expand):
-    """Variable-length hop (``-[*m..n]->``): binds the relationship list."""
+    """Variable-length hop (``-[*m..n]->``): binds the relationship list.
+    The walk (``_expand_var_length``) charges every step it takes."""
 
     name = "VarLengthExpand"
 
     def _rows(self, run: Any) -> Iterator[Any]:
         rel_pattern, node_pattern, filters = self.rel_pattern, self.node_pattern, self.filters
         variable = rel_pattern.variable
-        charge = run.state.charge
-        number = self.number
-        examined = self.charge_examined
+        rows_out, number = run.state.rows_out, self.number
         for row, used, current, nodes, rels in self.children[0].open(run):
             for step_rels, end_node in run._expand_var_length(rel_pattern, current, row, used):
-                if examined:
-                    charge()
                 if variable is None:
                     rel_row = row
                 elif variable in row:
@@ -438,7 +412,7 @@ class VarLengthExpand(Expand):
                     new_used = used | {rel.rel_id for rel in step_rels}
                 else:
                     new_used = used
-                charge(number)
+                rows_out[number] += 1
                 if nodes is None:
                     yield (end_row, new_used, end_node, None, None)
                 else:
@@ -448,7 +422,9 @@ class VarLengthExpand(Expand):
 
 
 class ShortestPath(PhysicalOperator):
-    """``shortestPath()`` / ``allShortestPaths()`` BFS for one pattern part."""
+    """``shortestPath()`` / ``allShortestPaths()`` BFS for one pattern part.
+    ``_match_shortest`` charges every endpoint candidate it tries and every
+    step of its searches."""
 
     name = "ShortestPath"
 
@@ -469,14 +445,13 @@ class ShortestPath(PhysicalOperator):
         self.detail = detail
 
     def _rows(self, run: Any) -> Iterator[Any]:
-        charge = run.state.charge
-        number = self.number
+        rows_out, number = run.state.rows_out, self.number
         for item in self.children[0].open(run):
             row, used = (item, _NO_RELS) if self.from_rows else item
             for matched, used_after in run._match_shortest(
                 self.part, row, used, self.filters
             ):
-                charge(number)
+                rows_out[number] += 1
                 yield matched if self.emit_row else (matched, used_after)
 
 

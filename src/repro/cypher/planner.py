@@ -79,8 +79,8 @@ class AnchorPlan:
     """Chosen access path for the anchor end of a pattern part.
 
     ``kind`` is ``"bound"``, ``"property"`` (exact-match lookup
-    ``nodes_by_property(label, key, v)``, served by the property index when
-    ``indexed``, else a filtered label scan inside the store),
+    ``nodes_by_property(label, key, v)`` when ``indexed``, else a scan of
+    the label whose candidates the bind checks),
     ``"property-in"`` (the same lookup fanned out over an ``IN`` list),
     ``"label"`` or ``"all"``.
     """

@@ -15,24 +15,35 @@ from typing import Callable, Optional
 from ..cypher.errors import CypherError
 from ..cypher.executor import CypherEngine
 from ..cypher.result import ResultSet, render_value
+from ..graph.store import GraphStore
 from ..llm.base import LLM
 from ..serving.deadline import Deadline
 from .retriever import Retriever
 from .types import NodeWithScore, RetrievalResult, TextNode
 
-__all__ = ["TextToCypherRetriever"]
+__all__ = ["TextToCypherRetriever", "derived_row_budget"]
 
 logger = logging.getLogger(__name__)
 
 _MAX_CONTEXT_ROWS = 25
 
-# Row budget of each generated query, so a runaway translation stops at a
-# row count fixed by the graph on any host: 2 rows per node plus
-# relationship, plus a floor for tiny graphs (an empty one would get 0).
-# Measured peak charge per query, CypherEval seeds 7 and 11, as a share of
-# nodes + relationships: gold 0.07x, dropped filters 0.59x; 2x leaves 3.4x.
+# The row budget of every query an LLM generates or a client sends to
+# ``POST /cypher``, so a runaway query stops at a count fixed by the graph
+# on any host: 2 charged units per node plus relationship, plus a floor for
+# tiny graphs (an empty one would get 0).  Peak charge per query over the
+# distinct gold and generated texts of CypherEval sweeps 7-12, as a share
+# of nodes + relationships on medium / large: gold 0.10x / 0.10x
+# (shortest-path searches charge their steps), dropped filters 0.59x /
+# 0.52x; 2x leaves 3.4x.
 ROW_BUDGET_PER_ELEMENT = 2
 ROW_BUDGET_FLOOR = 10_000
+
+
+def derived_row_budget(store: GraphStore) -> int:
+    """``ROW_BUDGET_PER_ELEMENT x (nodes + relationships) + ROW_BUDGET_FLOOR``
+    of ``store`` as it is now."""
+    elements = store.node_count + store.relationship_count
+    return ROW_BUDGET_PER_ELEMENT * elements + ROW_BUDGET_FLOOR
 
 
 class TextToCypherRetriever(Retriever):
@@ -69,12 +80,9 @@ class TextToCypherRetriever(Retriever):
                 metadata=generation_meta,
             )
         logger.debug("generated cypher for %r: %s", query, cypher)
-        elements = self.engine.store.node_count + self.engine.store.relationship_count
         try:
             result = self.engine.execute(
-                cypher,
-                deadline=deadline,
-                row_budget=ROW_BUDGET_PER_ELEMENT * elements + ROW_BUDGET_FLOOR,
+                cypher, deadline=deadline, row_budget=derived_row_budget(self.engine.store)
             )
         except CypherError as exc:
             logger.debug("generated cypher failed: %s", exc)

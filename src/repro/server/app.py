@@ -15,7 +15,10 @@ Stdlib-only HTTP server exposing:
   failing the whole batch.
 * ``POST /cypher`` — body ``{"query": "...", "params": {...}}`` → rows
   (read-only queries only; writes are rejected with 403).  The query runs
-  under the server's default deadline; an overrun answers 400
+  under the server's default deadline and the row budget the symbolic
+  retriever gives generated Cypher
+  (:func:`~repro.rag.text2cypher_retriever.derived_row_budget`); an overrun of
+  either answers 400 naming the error class
 * ``GET  /health`` — liveness and graph stats
 * ``GET  /metrics`` — per-stage latency aggregates, routing/cache/shed
   counters from the pipeline's
@@ -58,6 +61,7 @@ from typing import Optional
 from ..core.chatiyp import ChatIYP
 from ..cypher import CypherError, CypherSyntaxError, render_value
 from ..iyp.queries import COOKBOOK
+from ..rag.text2cypher_retriever import derived_row_budget
 from ..serving import AdmissionController, Deadline
 
 __all__ = ["make_server", "ChatIYPRequestHandler", "serve"]
@@ -346,23 +350,25 @@ class ChatIYPRequestHandler(BaseHTTPRequestHandler):
         if params is not None and not isinstance(params, dict):
             self._send_json({"error": "'params' must be an object"}, status=400)
             return
+        engine = self.chatiyp.engine
         try:
-            if not self.chatiyp.engine.is_read_only(query):
+            if not engine.is_read_only(query):
                 self._send_json(
                     {"error": "write queries are not allowed over the API"}, status=403
                 )
                 return
             deadline_ms = getattr(self.server, "deadline_ms", None)
-            result = self.chatiyp.engine.execute(
+            result = engine.execute(
                 query,
                 params,
                 deadline=Deadline.start(deadline_ms) if deadline_ms else None,
+                row_budget=derived_row_budget(engine.store),
             )
         except CypherSyntaxError as exc:
             self._send_json({"error": f"syntax error: {exc}"}, status=400)
             return
         except CypherError as exc:
-            self._send_json({"error": f"query failed: {exc}"}, status=400)
+            self._send_json({"error": f"query failed: {type(exc).__name__}: {exc}"}, status=400)
             return
         rows = [
             {key: render_value(value) for key, value in record.to_dict().items()}

@@ -1,10 +1,11 @@
-"""Row accounting: inline charges and ``RuntimeState.charge`` share one count.
+"""Row accounting: one budget currency, charged inline or through ``charge``.
 
-The hottest operators charge the rows they emit with inline statements
-against ``RuntimeState.limit``; the others, and the sub-chains of pattern
-expressions for the candidates they examine, call ``charge``.  A MATCH with
-a pattern predicate runs both kinds in one run, so it checks that the
-counters, the row budget and the deadline reads agree whichever way a row
+Pattern operators (anchor scans, expansions, shortest paths) charge every
+node and relationship they examine, bound or not; every other operator
+charges the rows it emits, the hottest inline against
+``RuntimeState.limit`` and the rest through ``charge``.  A MATCH with a
+pattern predicate runs every kind in one run, so it checks that the
+counters, the row budget and the deadline reads agree whichever way a unit
 was charged.
 """
 
@@ -15,9 +16,11 @@ from collections import Counter
 import pytest
 
 from repro.cypher import CypherEngine, ResourceExhausted, executor
-from repro.cypher.operators import PhysicalOperator, RuntimeState
+from repro.cypher.operators import AnchorScan, Expand, PhysicalOperator, RuntimeState, ShortestPath
+from repro.graph import GraphStore
 
-QUERY = ("MATCH (a:AS)-[:COUNTRY]->(c:Country) WHERE (a)-[:PEERS_WITH]->(:AS) "
+QUERY = ("MATCH (a:AS)-[:COUNTRY]->(c:Country) "
+         "WHERE a.asn > 2000 AND (a)-[:PEERS_WITH]->(:AS) "
          "RETURN a.asn AS asn, c.country_code AS country ORDER BY asn")
 
 
@@ -35,9 +38,11 @@ class CountingDeadline:
 
 @pytest.fixture()
 def runs(monkeypatch):
-    """Every run's state, plus the rows each operator yielded and the
-    numbers ``charge`` was called with, across the runs of one test."""
-    states, yielded, calls = [], Counter(), Counter()
+    """Every run's state, the rows each operator yielded, the numbers
+    ``charge`` was called with, the candidate nodes and relationships the
+    pattern operators read, and the pattern operators' numbers, across the
+    runs of one test."""
+    states, yielded, calls, examined, pattern = [], Counter(), Counter(), Counter(), set()
 
     class Recorded(RuntimeState):
         __slots__ = ()
@@ -46,40 +51,63 @@ def runs(monkeypatch):
             super().__init__(*args, **kwargs)
             states.append(self)
 
-        def charge(self, number: int = -1) -> None:
+        def charge(self, number: int) -> None:
             calls[number] += 1
             super().charge(number)
 
     real_open = PhysicalOperator.open
+    real_candidates = executor._ExecutionContext._node_candidates
+    real_adjacent = GraphStore.adjacent_relationships
 
     def counting_open(self, run):
+        if isinstance(self, (AnchorScan, Expand, ShortestPath)):
+            pattern.add(self.number)
         for row in real_open(self, run):
             yielded[self.number] += 1
             yield row
 
+    def counted(kind, items):
+        for item in items:
+            examined[kind] += 1
+            yield item
+
     monkeypatch.setattr(executor, "RuntimeState", Recorded)
     monkeypatch.setattr(PhysicalOperator, "open", counting_open)
-    return states, yielded, calls
+    monkeypatch.setattr(
+        executor._ExecutionContext, "_node_candidates",
+        lambda run, *args: counted("nodes", real_candidates(run, *args)),
+    )
+    monkeypatch.setattr(
+        GraphStore, "adjacent_relationships",
+        lambda store, *args: counted("relationships", real_adjacent(store, *args)),
+    )
+    return states, yielded, calls, examined, pattern
 
 
 def test_counters_are_the_sum_of_the_charges(small_store, runs):
-    states, yielded, calls = runs
+    states, yielded, calls, examined, pattern = runs
     result = CypherEngine(small_store).execute(QUERY, {"run": 1})
     assert len(result) > 0
     (state,) = states
     rows_out = state.rows_out
+    # One counter per operator.
+    assert len(rows_out) == len(state.elapsed_s)
     emitted = [number for number, rows in yielded.items() if rows]
-    # Every operator charged each row it yielded, inline or through charge().
+    # Every operator counted each row it yielded.
     assert all(rows_out[number] == yielded[number] for number in emitted)
-    # Examined candidates and steps are charged on no operator's behalf.
-    assert rows_out[-1] == calls[-1] > 0
-    assert state.rows == sum(rows_out) == sum(yielded.values()) + calls[-1]
-    inline = [number for number in emitted if number not in calls]
-    assert inline and set(calls) - {-1}, "both kinds of charge must run"
+    # Charged units = examined nodes and relationships + rows the other
+    # operators emitted; the pattern operators rejected some of what they read.
+    others = sum(rows for number, rows in yielded.items() if number not in pattern)
+    assert state.rows == examined["nodes"] + examined["relationships"] + others
+    assert examined["nodes"] + examined["relationships"] > sum(
+        yielded[number] for number in pattern
+    )
+    inline = [number for number in emitted if number not in calls and number not in pattern]
+    assert inline and calls, "both kinds of emitted-row charge must run"
 
 
 def test_budget_fires_at_the_row_past_it(small_store, runs):
-    states, _, _ = runs
+    states = runs[0]
     engine = CypherEngine(small_store)
     engine.execute(QUERY, {"run": 1})
     total = states[-1].rows
@@ -92,7 +120,7 @@ def test_budget_fires_at_the_row_past_it(small_store, runs):
 
 @pytest.mark.parametrize("budget", [None, 10 ** 9])
 def test_deadline_is_read_once_per_256_rows(small_store, runs, budget):
-    states, _, _ = runs
+    states = runs[0]
     deadline = CountingDeadline()
     CypherEngine(small_store).execute(QUERY, {"run": 1}, deadline=deadline, row_budget=budget)
     (state,) = states

@@ -181,8 +181,9 @@ class TestCypherEndpoint:
 
 
 class TestCypherDeadline:
-    # Millions of intermediate rows on the small graph: seconds unbounded.
-    RUNAWAY = "MATCH (a:AS)-[:PEERS_WITH*1..6]-(b) RETURN count(*)"
+    # 15,003 charged rows, under the small graph's 15,580-row budget, but
+    # five million list steps: about 15 s without a deadline.
+    RUNAWAY = "UNWIND range(1, 5000) AS x RETURN size([y IN range(1, 1000) WHERE y > x]) AS n"
 
     @pytest.fixture(scope="class")
     def deadline_port(self, chatiyp_small):
@@ -204,6 +205,22 @@ class TestCypherDeadline:
         )
         assert status == 200
         assert payload["rows"] == [{"asn": "2497"}]
+
+
+class TestCypherRowBudget:
+    """Without a server deadline, ``/cypher`` is bounded by the derived row
+    budget, which charges every pair and step a shortest-path search tries."""
+
+    def test_all_pairs_shortest_path_is_400(self, port):
+        started = time.monotonic()
+        status, payload = post(
+            port, "/cypher", {"query": "MATCH p = shortestPath((a)-[*]-(b)) RETURN p"},
+            timeout=10,
+        )
+        assert status == 400
+        assert "ResourceExhausted" in payload["error"]
+        assert "row budget (15580 rows)" in payload["error"]
+        assert time.monotonic() - started < 5
 
 
 class TestCookbookEndpoint:

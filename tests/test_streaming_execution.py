@@ -31,7 +31,7 @@ from repro.rag.errors import ResourceExhausted as RagResourceExhausted
 from repro.rag.observer import PipelineObserver
 from repro.rag.pipeline import RetrieverQueryEngine
 from repro.rag.synthesizer import ResponseSynthesizer
-from repro.rag.text2cypher_retriever import TextToCypherRetriever
+from repro.rag.text2cypher_retriever import TextToCypherRetriever, derived_row_budget
 from repro.serving import Deadline
 
 
@@ -560,9 +560,9 @@ def _clique(size: int, isolated: bool = False) -> GraphStore:
 
 
 class TestWalkDeadline:
-    """Variable-length walks and shortest-path searches read the deadline
-    as they examine relationships, also when no end node ever binds, so no
-    row is charged."""
+    """Variable-length walks and shortest-path searches charge every
+    relationship they examine, also when no end node ever binds, so the row
+    budget and the deadline both bound them."""
 
     @pytest.mark.parametrize("size, query", [
         (7, "MATCH (a:N {i: 0})-[:X*1..4]-(b:N {i: -1}) RETURN count(b) AS n"),
@@ -571,7 +571,9 @@ class TestWalkDeadline:
     ])
     def test_deadline_read_while_nothing_binds(self, size, query):
         store = _clique(size, isolated=True)
-        assert CypherEngine(store).execute(query, row_budget=100).single()["n"] == 0
+        assert CypherEngine(store).run(query).single()["n"] == 0
+        with pytest.raises(ResourceExhausted):
+            CypherEngine(store).execute(query, row_budget=100)
         # One clock reading per 256 examined relationships.
         deadline = Deadline(3.0, clock=_SteppingClock(0.001))
         with pytest.raises(CypherDeadlineExceeded):
@@ -586,6 +588,62 @@ class TestWalkDeadline:
         with pytest.raises(CypherDeadlineExceeded):
             CypherEngine(store).execute(query, deadline=Deadline.start(1000.0))
         assert time.perf_counter() - started < 1.1
+
+
+def _star(size: int) -> GraphStore:
+    """``size`` unindexed ``:P`` nodes (``k`` = 0..size-1), each with an
+    ``X`` edge from one ``:H`` hub."""
+    store = GraphStore()
+    hub = store.create_node(["H"], {})
+    for k in range(size):
+        node = store.create_node(["P"], {"k": k})
+        store.create_relationship(hub.node_id, "X", node.node_id)
+    return store
+
+
+class TestExaminedWorkBudget:
+    """Every pattern operator charges the candidates and relationships it
+    examines, so a MATCH that binds little or nothing still meets the derived
+    budget (no deadline) and reads the deadline."""
+
+    def test_rejecting_walk_on_medium_graph_exhausts_the_budget(self):
+        """Without charged steps this ran 3.7 s to its one row."""
+        store = generate_iyp(IYPConfig.medium(seed=42)).store
+        query = ("MATCH (a:AS {asn: 2497})-[:PEERS_WITH*1..7]-(b:Country) "
+                 "RETURN count(b)")
+        started = time.perf_counter()
+        with pytest.raises(ResourceExhausted):
+            CypherEngine(store).execute(query, row_budget=derived_row_budget(store))
+        assert time.perf_counter() - started < 1.1
+
+    @pytest.mark.parametrize("query", [
+        "MATCH p = shortestPath((a)-[*]-(b)) RETURN count(p) AS n",
+        "MATCH p = allShortestPaths((a)-[*]-(b)) RETURN count(p) AS n",
+    ])
+    def test_all_pairs_shortest_paths_exhaust_the_budget(self, query):
+        store = _clique(40)
+        with pytest.raises(ResourceExhausted):
+            CypherEngine(store).execute(query, row_budget=derived_row_budget(store))
+
+    def test_cartesian_unindexed_lookup_exhausts_the_budget(self):
+        """The lookup scans its label per row: every candidate is charged."""
+        store = _star(2000)
+        query = "MATCH (a:P), (b:P {k: -1}) RETURN count(*) AS n"
+        with pytest.raises(ResourceExhausted):
+            CypherEngine(store).execute(query, row_budget=derived_row_budget(store))
+
+    @pytest.mark.parametrize("query", [
+        "MATCH (a:P) WHERE a.k < 0 RETURN count(a) AS n",
+        "MATCH (:H)-[:X]->(b:P) WHERE b.k < 0 RETURN count(b) AS n",
+        "MATCH (:H)-[:X]->(b:P {k: -1}) RETURN count(b) AS n",
+    ], ids=["anchor", "expand", "inline"])
+    def test_deadline_read_while_every_candidate_is_rejected(self, query):
+        store = _star(2000)
+        assert CypherEngine(store).run(query).single()["n"] == 0
+        # One clock reading per 256 charged units: expires around unit 512.
+        deadline = Deadline(3.0, clock=_SteppingClock(0.001))
+        with pytest.raises(CypherDeadlineExceeded):
+            CypherEngine(store).execute(query, deadline=deadline)
 
 
 @pytest.fixture()
