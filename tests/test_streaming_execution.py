@@ -348,7 +348,7 @@ _CONTRACT = {
     "optional_match": (
         "MATCH (a:AS) WHERE a.asn >= 11 AND a.asn <= 14 OPTIONAL MATCH "
         "(a)-[:COUNTRY]->(c:Country) RETURN a.asn AS asn, c.country_code AS cc",
-        (39, 71),
+        (55, 71),
         [
             "ProduceResults(asn, cc) 4",
             "  Project(asn, cc) 4",
@@ -366,7 +366,7 @@ _CONTRACT = {
     "union": (
         "MATCH (a:AS) WHERE a.asn <= 3 RETURN a.asn AS n UNION MATCH (a:AS) "
         "WHERE a.asn >= 2 AND a.asn <= 4 RETURN a.asn AS n",
-        (36, 104),
+        (70, 104),
         [
             "Union 4",
             "  ProduceResults(n) 3",
@@ -386,7 +386,7 @@ _CONTRACT = {
     "union_all": (
         "MATCH (a:AS) WHERE a.asn <= 3 RETURN a.asn AS n UNION ALL MATCH (a:AS) "
         "WHERE a.asn <= 2 RETURN a.asn AS n",
-        (32, 102),
+        (67, 102),
         [
             "Union(ALL) 5",
             "  ProduceResults(n) 3",
@@ -422,7 +422,7 @@ _CONTRACT = {
     "unwind": (
         "UNWIND [1, 2, 3] AS x MATCH (a:AS {asn: x})-[:DEPENDS_ON]->(b:AS) "
         "RETURN x, b.asn AS b",
-        (19, 19),
+        (76, 19),
         [
             "ProduceResults(x, b) 3",
             "  Project(x, b) 3",
@@ -448,7 +448,7 @@ _CONTRACT = {
     "shortest_path": (
         "MATCH (a:AS {asn: 2}), (b:AS {asn: 6}) MATCH p = "
         "shortestPath((a)-[:DEPENDS_ON*]->(b)) RETURN length(p) AS hops",
-        (8, 8),
+        (13, 13),
         [
             "ProduceResults(hops) 1",
             "  Project(hops) 1",
@@ -463,7 +463,7 @@ _CONTRACT = {
     "create": (
         "MATCH (a:AS) WHERE a.asn <= 2 CREATE (a)-[:TAGGED]->(t:Tag {asn: "
         "a.asn}) RETURN t.asn AS asn",
-        (13, 49),
+        (31, 49),
         [
             "ProduceResults(asn) 2",
             "  Project(asn) 2",
