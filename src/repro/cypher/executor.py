@@ -546,13 +546,16 @@ class _ExecutionContext(WriteClauses):
         if not all_paths:
             return self._bfs_first_path(start, end, rel_pattern, row, min_hops, max_hops)
         # Level-synchronous BFS keeping every parent edge at the found depth
-        # so all shortest paths can be reconstructed.
+        # so all shortest paths can be reconstructed.  Extending one partial
+        # path by one relationship is charged too: a node can be reached by
+        # many more paths than it has relationships.
         frontier: dict[int, list[tuple[list[Node], list[Relationship]]]] = {
             start.node_id: [([start], [])]
         }
         visited_depth = {start.node_id: 0}
         found: list[tuple[list[Node], list[Relationship]]] = []
         depth = 0
+        state = self.state
         while frontier and depth < max_hops and not found:
             depth += 1
             next_frontier: dict[int, list[tuple[list[Node], list[Relationship]]]] = {}
@@ -563,11 +566,13 @@ class _ExecutionContext(WriteClauses):
                         continue  # strictly shorter route exists
                     visited_depth.setdefault(other_id, depth)
                     other = self.store.node(other_id)
-                    extensions = [
-                        (nodes + [other], rels + [rel])
-                        for nodes, rels in partials
-                        if rel.rel_id not in {r.rel_id for r in rels}
-                    ]
+                    extensions = []
+                    for nodes, rels in partials:
+                        state.rows += 1
+                        if state.rows > state.limit:
+                            state.overflow()
+                        if rel.rel_id not in {r.rel_id for r in rels}:
+                            extensions.append((nodes + [other], rels + [rel]))
                     if not extensions:
                         continue
                     if other_id == end.node_id and depth >= min_hops:
@@ -661,38 +666,42 @@ class _ExecutionContext(WriteClauses):
         row: Row,
         used: frozenset[int],
     ) -> Iterator[tuple[list[Relationship], Node]]:
-        """Every trail of the hop range from ``current``; charges every
-        relationship the walk reads."""
+        """Every trail of the hop range from ``current``, depth first in
+        adjacency order; charges every relationship the walk reads."""
         min_hops = rel_pattern.min_hops if rel_pattern.min_hops is not None else 1
         max_hops = rel_pattern.max_hops if rel_pattern.max_hops is not None else self.max_var_length
         if max_hops > self.max_var_length:
             max_hops = self.max_var_length
         if min_hops == 0:
             yield [], current
-        state = self.state
-
-        def walk(
-            node: Node, taken: list[Relationship], taken_ids: frozenset[int]
-        ) -> Iterator[tuple[list[Relationship], Node]]:
-            if len(taken) >= max_hops:
-                return
-            for rel in self.store.adjacent_relationships(
-                node.node_id, rel_pattern.direction, rel_pattern.types or None
-            ):
+        if max_hops < 1:
+            return
+        state, props = self.state, rel_pattern.properties
+        direction, types = rel_pattern.direction, rel_pattern.types or None
+        adjacent, nodes = self.store.adjacent_relationships, self.store._nodes
+        # One frame per hop of the trail being extended: the rest of its
+        # node's adjacency, the node, the trail and the trail's ids.
+        stack = [(iter(adjacent(current.node_id, direction, types)), current, [], frozenset())]
+        while stack:
+            rels, node, taken, taken_ids = stack[-1]
+            for rel in rels:
                 state.rows += 1
                 if state.rows > state.limit:
                     state.overflow()
                 if rel.rel_id in used or rel.rel_id in taken_ids:
                     continue
-                if not self._properties_match(rel, rel_pattern.properties, row):
+                if props and not self._properties_match(rel, props, row):
                     continue
-                next_node = self.store.node(rel.other_end(node.node_id))
+                next_node = nodes[rel.other_end(node.node_id)]
                 extended = taken + [rel]
                 if len(extended) >= min_hops:
                     yield extended, next_node
-                yield from walk(next_node, extended, taken_ids | {rel.rel_id})
-
-        yield from walk(current, [], frozenset())
+                if len(extended) < max_hops:
+                    stack.append((iter(adjacent(next_node.node_id, direction, types)),
+                                  next_node, extended, taken_ids | {rel.rel_id}))
+                    break
+            else:
+                stack.pop()
 
     def _properties_match(self, entity: Any, properties: tuple, row: Row) -> bool:
         """Whether ``entity`` holds a pattern's inline ``properties``; a literal,

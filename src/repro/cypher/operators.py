@@ -392,10 +392,12 @@ class VarLengthExpand(Expand):
 
     def _rows(self, run: Any) -> Iterator[Any]:
         rel_pattern, node_pattern, filters = self.rel_pattern, self.node_pattern, self.filters
-        variable = rel_pattern.variable
+        variable, labels = rel_pattern.variable, frozenset(node_pattern.labels)
         rows_out, number = run.state.rows_out, self.number
         for row, used, current, nodes, rels in self.children[0].open(run):
             for step_rels, end_node in run._expand_var_length(rel_pattern, current, row, used):
+                if not labels <= end_node.labels:
+                    continue
                 if variable is None:
                     rel_row = row
                 elif variable in row:
