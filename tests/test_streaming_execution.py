@@ -625,10 +625,11 @@ class TestExaminedWorkBudget:
         with pytest.raises(ResourceExhausted):
             CypherEngine(store).execute(query, row_budget=derived_row_budget(store))
 
-    def test_cartesian_unindexed_lookup_exhausts_the_budget(self):
+    @pytest.mark.parametrize("key", ["-1", "2000"], ids=["label_scan", "hash_lookup"])
+    def test_cartesian_unindexed_lookup_exhausts_the_budget(self, key):
         """The lookup scans its label per row: every candidate is charged."""
         store = _star(2000)
-        query = "MATCH (a:P), (b:P {k: -1}) RETURN count(*) AS n"
+        query = f"MATCH (a:P), (b:P {{k: {key}}}) RETURN count(*) AS n"
         with pytest.raises(ResourceExhausted):
             CypherEngine(store).execute(query, row_budget=derived_row_budget(store))
 
