@@ -69,7 +69,7 @@ class ResourceExhausted(CypherRuntimeError):
 class CypherDeadlineExceeded(CypherRuntimeError):
     """The per-request serving deadline expired mid-execution.
 
-    Raised cooperatively by the row charge every operator makes for each
-    row it emits (the clock is read every 256 rows), so long scans abort
+    Raised cooperatively by the charge operators make for their work (the
+    clock is read every 256 charged units), so long scans and walks abort
     close to the deadline instead of overrunning it.
     """

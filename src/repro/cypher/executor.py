@@ -236,10 +236,11 @@ class CypherEngine:
 
         ``deadline`` is an expiring-clock object with an ``expired``
         property (the serving layer's ``Deadline``), checked cooperatively
-        as operators charge the rows they emit; an overrun raises
+        as operators charge their work; an overrun raises
         :class:`~repro.cypher.errors.CypherDeadlineExceeded`.
-        ``row_budget`` bounds total intermediate rows across all operators
-        (None, the default, leaves them unbounded), raising
+        ``row_budget`` bounds the units charged across all operators (every
+        node and relationship a pattern operator examines, every row any
+        other operator emits; None, the default, leaves them unbounded), raising
         :class:`~repro.cypher.errors.ResourceExhausted` beyond it.  With
         ``profile=True`` the result carries the executed operator tree
         (rows + wall-time per operator) on ``result.profile``.

@@ -195,8 +195,9 @@ def _lower_match(
 def lower_pattern(part: ast.PatternPart, part_plan: PartPlan) -> ops.PatternChain:
     """The chain of a pattern expression or MERGE, fed one row at a time."""
     source = ops.RowSource()
-    root = lower_part(source, part, part_plan, None, from_rows=True, emit_row=True,
-                      update_used=False)
+    root = lower_part(
+        source, part, part_plan, None, from_rows=True, emit_row=True, update_used=False,
+    )
     return ops.PatternChain(source, root)
 
 
@@ -235,7 +236,7 @@ def lower_part(
     name, detail = anchor.physical_operator()
     op: ops.PhysicalOperator = ops.AnchorScan(
         child, first, anchor, filters, track_path, from_rows, name,
-        _with_pushed(detail, filters, first.variable)
+        _with_pushed(detail, filters, first.variable),
     )
     for index in range(1, len(elements), 2):
         rel_pattern = elements[index]

@@ -102,7 +102,7 @@ __all__ = [
 
 Row = dict[str, Any]
 
-#: deadline checks happen every this many globally emitted rows
+#: deadline checks happen every this many charged units
 _DEADLINE_STRIDE_MASK = 0xFF
 
 #: the relationship-uniqueness set a pattern part starts from

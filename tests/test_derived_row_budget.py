@@ -1,4 +1,4 @@
-"""The row budget the engine derives from the graph's size.
+"""The row budget derived from the graph's size.
 
 Every generated query, and every ``POST /cypher`` query, runs under
 ``2 x (nodes + relationships) + 10,000`` charged units.  The CypherEval
@@ -20,12 +20,12 @@ from repro.cypher import CypherEngine, CypherError
 from repro.eval.cyphereval import build_cyphereval
 from repro.faults import FaultPlan, FaultSpec, activated
 from repro.iyp import IYPConfig, generate_iyp
-from tests.test_parse_golden import HAND
 from repro.rag.text2cypher_retriever import (
     ROW_BUDGET_FLOOR,
     ROW_BUDGET_PER_ELEMENT,
     derived_row_budget,
 )
+from tests.test_parse_golden import HAND
 
 #: what ``python -m repro.server --serve --deadline-ms 1000`` configures
 SERVED = {"deadline_ms": 1000.0, "breaker_failure_threshold": 5}

@@ -607,7 +607,7 @@ class TestExaminedWorkBudget:
     budget (no deadline) and reads the deadline."""
 
     def test_rejecting_walk_on_medium_graph_exhausts_the_budget(self):
-        """Without charged steps this ran 3.7 s to its one row."""
+        """Without charged steps this ran about 4 s to its one row."""
         store = generate_iyp(IYPConfig.medium(seed=42)).store
         query = ("MATCH (a:AS {asn: 2497})-[:PEERS_WITH*1..7]-(b:Country) "
                  "RETURN count(b)")
