@@ -9,6 +9,7 @@ LlamaIndex Neo4j integration injects for real LLMs.
 
 from __future__ import annotations
 
+import json
 import re
 
 __all__ = [
@@ -94,14 +95,21 @@ def answer_prompt(question: str, result_json: str, context: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def rerank_prompt(query: str, passage: str) -> str:
-    """The context re-ranking prompt."""
+def rerank_prompt(query: str, passages: list[str]) -> str:
+    """The context re-ranking prompt: every candidate passage in one call.
+
+    The passages go in as one JSON list of sanitized, stripped strings.
+    JSON escapes their newlines, so the whole list sits on one line and no
+    passage can open a section of its own.
+    """
+    listed = json.dumps([sanitize_user_text(passage).strip() for passage in passages])
     return (
         "[TASK: rerank]\n"
-        "Rate from 0 to 10 how useful the passage is for answering the query "
-        "about Internet infrastructure.\n"
+        "Rate from 0 to 10 how useful each passage is for answering the query "
+        "about Internet infrastructure. Reply with one score per passage, in "
+        "order, one per line.\n"
         f"[QUERY]\n{sanitize_user_text(query)}\n"
-        f"[PASSAGE]\n{sanitize_user_text(passage)}\n"
+        f"[PASSAGES]\n{listed}\n"
     )
 
 

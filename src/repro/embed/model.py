@@ -128,7 +128,8 @@ class HashingEmbedding:
     """Sentence embedding via hashed word unigrams/bigrams + char trigrams.
 
     Two paths compute the same vectors: :meth:`embed` for one text (search
-    queries, the simulated reranker) and :meth:`embed_batch` for a corpus
+    queries; the simulated reranker calls :meth:`embed_tokens` on texts it
+    has tokenized already) and :meth:`embed_batch` for a corpus
     (the vector index).  They share the bucketing but not the summing
     loop; that a batch row is bitwise ``embed`` of its text is a test
     (``tests/test_startup_pins.py``), not a consequence of shared code.
@@ -141,7 +142,12 @@ class HashingEmbedding:
         self.char_weight = char_weight
 
     def embed(self, text: str) -> np.ndarray:
-        """Embed ``text`` into a unit-norm vector (zero vector for empty).
+        """Embed ``text`` into a unit-norm vector (zero vector for empty)."""
+        return self.embed_tokens(word_tokenize(text))
+
+    def embed_tokens(self, tokens: Sequence[str]) -> np.ndarray:
+        """Embed an already tokenized text: :meth:`embed` of a text that
+        tokenizes to ``tokens``.
 
         Feature weights are summed in a Python list, in the order the batch
         path sums them (word and char-trigram features token by token, then
@@ -150,7 +156,6 @@ class HashingEmbedding:
         """
         dim = self.dim
         char_weight = self.char_weight
-        tokens = word_tokenize(text)
         sums = [0.0] * dim
         for token in tokens:
             for index, weight in _token_buckets(token, dim, char_weight):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..embed.model import HashingEmbedding
+from ..embed.model import HashingEmbedding, cosine_similarity
 from ..nlp.similarity import token_f1
 from ..nlp.tokenize import STOPWORDS, word_tokenize
 
@@ -22,18 +22,36 @@ class RelevanceScorer:
 
     def score(self, query: str, passage: str) -> float:
         """Relevance of ``passage`` to ``query`` in [0, 10]."""
-        if not passage.strip():
-            return 0.0
-        semantic = max(0.0, self.embedding.similarity(query, passage))
-        query_content = [t for t in word_tokenize(query) if t not in STOPWORDS]
-        passage_tokens = set(word_tokenize(passage))
-        if query_content:
-            lexical = sum(1 for t in query_content if t in passage_tokens) / len(query_content)
-        else:
-            lexical = 0.0
-        overlap_f1 = token_f1(passage, query)
-        blended = 0.45 * semantic + 0.40 * lexical + 0.15 * overlap_f1
-        return round(10.0 * min(1.0, blended), 3)
+        return self.score_many(query, [passage])[0]
+
+    def score_many(self, query: str, passages: list[str]) -> list[float]:
+        """Relevance of each of ``passages`` to ``query`` in [0, 10].
+
+        The query is tokenized and embedded once for the whole list, and
+        each passage is tokenized once.
+        """
+        query_tokens = word_tokenize(query)
+        query_content = [t for t in query_tokens if t not in STOPWORDS]
+        query_vector = self.embedding.embed_tokens(query_tokens)
+        scores = []
+        for passage in passages:
+            if not passage.strip():
+                scores.append(0.0)
+                continue
+            passage_tokens = word_tokenize(passage)
+            semantic = max(
+                0.0,
+                cosine_similarity(query_vector, self.embedding.embed_tokens(passage_tokens)),
+            )
+            if query_content:
+                present = set(passage_tokens)
+                lexical = sum(1 for t in query_content if t in present) / len(query_content)
+            else:
+                lexical = 0.0
+            overlap_f1 = token_f1(passage_tokens, query_tokens)
+            blended = 0.45 * semantic + 0.40 * lexical + 0.15 * overlap_f1
+            scores.append(round(10.0 * min(1.0, blended), 3))
+        return scores
 
     def rank(self, query: str, passages: list[str]) -> list[tuple[int, float]]:
         """Indices and scores of ``passages`` sorted by decreasing relevance."""

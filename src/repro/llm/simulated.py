@@ -8,7 +8,8 @@ them:
 * ``[TASK: text2cypher]`` → the semantic-parser head (:class:`TextToCypherModel`)
 * ``[TASK: answer]``      → the verbalizer head, reading structured context
   (a JSON result payload or retrieved snippets) embedded in the prompt
-* ``[TASK: rerank]``      → the shallow relevance scorer
+* ``[TASK: rerank]``      → the shallow relevance scorer, one score per
+  passage of the prompt's JSON ``[PASSAGES]`` list
 * ``[TASK: judge]``       → the grounded answer judge
 
 Everything is deterministic given the construction seed, and every
@@ -140,10 +141,16 @@ class SimulatedLLM(LLM):
 
     def _complete_rerank(self, sections: dict[str, str]) -> CompletionResponse:
         query = sections.get("query", "")
-        passage = sections.get("passage", "")
-        score = self.scorer.score(query, passage)
+        try:
+            passages = json.loads(sections.get("passages", "[]"))
+        except json.JSONDecodeError:
+            passages = []
+        if not isinstance(passages, list):
+            passages = []
+        scores = self.scorer.score_many(query, [str(passage) for passage in passages])
         return CompletionResponse(
-            text=f"{score}", metadata={"task": "rerank", "score": score}
+            text="\n".join(f"{score}" for score in scores),
+            metadata={"task": "rerank", "scores": scores},
         )
 
     def _complete_judge(self, sections: dict[str, str]) -> CompletionResponse:

@@ -1,14 +1,16 @@
 """LLMReranker — re-ranks retrieval candidates with a shallow LLM scorer.
 
-Given candidates from the symbolic and semantic retrievers, each passage is
-scored against the query through the backbone LLM (``[TASK: rerank]``
-prompts) and the best ``top_n`` survive into generation (paper §2:
-"improve context selection before generation").
+Given candidates from the symbolic and semantic retrievers, every passage
+is scored against the query in one ``[TASK: rerank]`` call to the backbone
+LLM, as LlamaIndex's LLMReranker scores a batch of candidates in one
+prompt, and the best ``top_n`` survive into generation (paper §2: "improve
+context selection before generation").
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import math
+from typing import Any, Callable, Sequence
 
 from ..llm.base import LLM
 from .types import NodeWithScore
@@ -25,7 +27,7 @@ class LLMReranker:
         top_n: int = 6,
         max_candidates: int = 24,
         *,
-        prompt_builder: Callable[[str, str], str],
+        prompt_builder: Callable[[str, list[str]], str],
     ) -> None:
         self.llm = llm
         self.top_n = top_n
@@ -37,6 +39,9 @@ class LLMReranker:
 
         Stable for ties (keeps original retrieval order), deduplicates
         identical node ids, and never scores more than ``max_candidates``.
+        One ``complete`` call scores every candidate, none when there are
+        none.  The scores come from the reply's ``metadata["scores"]``, or
+        else one whitespace-separated number per passage from its text.
         """
         seen: set[str] = set()
         unique: list[NodeWithScore] = []
@@ -47,15 +52,26 @@ class LLMReranker:
             unique.append(candidate)
         unique = unique[: self.max_candidates]
 
-        rescored: list[NodeWithScore] = []
-        for candidate in unique:
-            completion = self.llm.complete(self.prompt_builder(query, candidate.node.text))
-            score = completion.metadata.get("score")
-            if score is None:
-                try:
-                    score = float(completion.text.strip().split()[0])
-                except (ValueError, IndexError):
-                    score = 0.0
-            rescored.append(NodeWithScore(node=candidate.node, score=float(score)))
+        if not unique:
+            return []
+        completion = self.llm.complete(
+            self.prompt_builder(query, [candidate.node.text for candidate in unique])
+        )
+        scores = completion.metadata.get("scores")
+        if scores is None:
+            scores = completion.text.split()
+        rescored = [
+            NodeWithScore(node=candidate.node, score=_score(scores, index))
+            for index, candidate in enumerate(unique)
+        ]
         rescored.sort(key=lambda item: -item.score)
         return rescored[: self.top_n]
+
+
+def _score(scores: Sequence[Any], index: int) -> float:
+    """Passage ``index``'s score; 0.0 when the reply has none or an unparsable one."""
+    try:
+        score = float(scores[index])
+    except (IndexError, TypeError, ValueError):
+        return 0.0
+    return score if math.isfinite(score) else 0.0

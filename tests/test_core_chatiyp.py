@@ -145,8 +145,11 @@ class TestPrompts:
         assert "[RESULT]" in prompt and "[CONTEXT]" in prompt
 
     def test_rerank_prompt_sections(self):
-        prompt = rerank_prompt("q", "p")
-        assert "[QUERY]" in prompt and "[PASSAGE]" in prompt
+        prompt = rerank_prompt("q", [" p1 ", "p2\nmore"])
+        assert prompt.startswith("[TASK: rerank]\n")
+        assert "[QUERY]\nq\n" in prompt
+        # every passage, stripped, in one JSON list on one line
+        assert prompt.endswith('[PASSAGES]\n["p1", "p2\\nmore"]\n')
 
     def test_judge_prompt_sections(self):
         prompt = judge_prompt("q", "c", "r", "[\"5.3\"]")

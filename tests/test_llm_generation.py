@@ -266,10 +266,16 @@ class TestSimulatedLLMRouting:
         assert completion.metadata["mode"] == "context"
 
     def test_rerank_route(self, llm):
-        prompt = "[TASK: rerank]\n[QUERY]\nAS2497 members\n[PASSAGE]\nAS2497 is a member of JPNAP\n"
+        prompt = (
+            "[TASK: rerank]\n[QUERY]\nAS2497 members\n"
+            '[PASSAGES]\n["AS2497 is a member of JPNAP", "rain tomorrow", ""]\n'
+        )
         completion = llm.complete(prompt)
         assert completion.metadata["task"] == "rerank"
-        assert 0.0 <= completion.metadata["score"] <= 10.0
+        scores = completion.metadata["scores"]
+        assert len(scores) == 3 and all(0.0 <= score <= 10.0 for score in scores)
+        assert scores[0] > scores[1] and scores[2] == 0.0
+        assert completion.text.split() == [str(score) for score in scores]
 
     def test_judge_route(self, llm):
         prompt = (
@@ -295,6 +301,6 @@ class TestSimulatedLLMRouting:
         from repro.llm import ChatMessage
 
         completion = llm.chat(
-            [ChatMessage("user", "[TASK: rerank]\n[QUERY]\na\n[PASSAGE]\na\n")]
+            [ChatMessage("user", '[TASK: rerank]\n[QUERY]\na\n[PASSAGES]\n["a"]\n')]
         )
         assert completion.metadata["task"] == "rerank"
