@@ -332,25 +332,27 @@ class Evaluator:
     def evaluate_aggregate(self, expr: ast.Expr, group_rows: list[Row]) -> Any:
         """Evaluate ``expr`` in aggregate context over ``group_rows``.
 
-        Aggregate calls consume the whole group; everything else is
-        evaluated against the group's first row (grouping keys are constant
-        within a group by construction).
+        Aggregate calls consume the whole group, reading the run's deadline
+        as they go (``RuntimeState.paced``); everything else is evaluated
+        against the group's first row (grouping keys are constant within a
+        group by construction).
         """
         if isinstance(expr, ast.CountStar):
             return len(group_rows)
         if isinstance(expr, ast.FunctionCall) and is_aggregate_function(expr.name):
+            paced = self.context.state.paced
             name = expr.name.lower()
             if name in ("percentilecont", "percentiledisc"):
                 if len(expr.args) != 2:
                     raise CypherRuntimeError(f"{expr.name}() expects two arguments")
-                values = [self.evaluate(expr.args[0], row) for row in group_rows]
+                values = [self.evaluate(expr.args[0], row) for row in paced(group_rows)]
                 first = group_rows[0] if group_rows else {}
                 fraction = self.evaluate(expr.args[1], first)
                 return percentile(values, float(fraction), disc=name.endswith("disc"))
             if len(expr.args) != 1:
                 raise CypherRuntimeError(f"{expr.name}() expects one argument")
             [(handler, argument)] = resolve(expr.args)
-            values = [handler(self, argument, row) for row in group_rows]
+            values = [handler(self, argument, row) for row in paced(group_rows)]
             return call_aggregate(expr.name, values, distinct=expr.distinct)
         if isinstance(expr, ast.BinaryOp):
             left = self.evaluate_aggregate(expr.left, group_rows)

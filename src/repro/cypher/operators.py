@@ -26,7 +26,9 @@ parameters and slot values, the SKIP/LIMIT counts resolved from them
 * **deadline** — the per-request serving deadline is checked by the same
   charge, cooperatively (every 256 charged units), so a runaway scan or a
   walk that binds nothing aborts with :class:`CypherDeadlineExceeded`
-  instead of blowing past its budget;
+  instead of blowing past its budget.  An aggregate evaluates rows it has
+  already drained; it reads the deadline every 256 of them
+  (:meth:`RuntimeState.paced`) without charging them;
 * **profiling** — when on, each operator's generator is wrapped by
   :func:`_timed`, which adds the wall-clock time of every resume
   (inclusive of the children it pulls from) to ``elapsed_s``.  The row
@@ -52,7 +54,7 @@ from itertools import chain, compress, count, islice, zip_longest
 from operator import eq
 from sys import maxsize
 from time import perf_counter
-from typing import Any, Iterator, NamedTuple, Optional
+from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 from ..graph.model import Node, Path, Relationship
 from . import ast_nodes as ast
@@ -113,7 +115,9 @@ class RuntimeState:
     """Per-run state: row budget, deadline, profiling flag, and the rows
     and wall time of each of the ``size`` operators, by operator number."""
 
-    __slots__ = ("deadline", "budget", "profiled", "rows", "limit", "rows_out", "elapsed_s")
+    __slots__ = (
+        "deadline", "budget", "profiled", "rows", "limit", "rows_out", "elapsed_s", "evaluated",
+    )
 
     def __init__(
         self, deadline=None, budget: Optional[int] = None, profiled: bool = False,
@@ -130,6 +134,8 @@ class RuntimeState:
         #: rows each operator emitted
         self.rows_out = [0] * size
         self.elapsed_s = [0.0] * size
+        #: drained rows evaluated uncharged (see :meth:`paced`)
+        self.evaluated = 0
 
     def check_deadline(self) -> None:
         """Raise when the request deadline has already expired."""
@@ -164,6 +170,20 @@ class RuntimeState:
         if self.deadline is not None and not (rows & _DEADLINE_STRIDE_MASK):
             self.check_deadline()
         self._advance()
+
+    def paced(self, rows: list) -> Iterable[Any]:
+        """``rows``, for a loop that evaluates rows already drained and
+        charged (an aggregate's grouping keys and aggregated values): the
+        deadline is read before every 256th row such loops evaluate in the
+        run.  Nothing is charged, so budgets and row counts stay as they are."""
+        return rows if self.deadline is None else self._paced(rows)
+
+    def _paced(self, rows: list) -> Iterator[Any]:
+        for row in rows:
+            self.evaluated += 1
+            if not (self.evaluated & _DEADLINE_STRIDE_MASK):
+                self.check_deadline()
+            yield row
 
     def _advance(self) -> None:
         stride = maxsize if self.deadline is None else self.rows | _DEADLINE_STRIDE_MASK
@@ -1117,7 +1137,7 @@ def _project_grouped(
     if grouping_indices:
         groups: dict[tuple, tuple[list[Any], list[Row]]] = {}
         grouping = [handlers[i] for i in grouping_indices]
-        for row in rows:
+        for row in run.state.paced(rows):
             group_values = [handler(evaluator, expr, row) for handler, expr in grouping]
             group_key = tuple(map(_freeze, group_values))
             group = groups.get(group_key)

@@ -546,6 +546,56 @@ class TestDeadlineCancellation:
         assert result.single()["n"] == 20
 
 
+class TestAggregateDeadline:
+    """An aggregate evaluates its drained rows uncharged, and reads the
+    deadline every 256 of them: grouping keys and aggregated values alike."""
+
+    #: 5,120 rows: the UNWIND's charges read the clock 20 times, the
+    #: aggregate's evaluation 20 more per pass over the rows
+    QUERIES = {
+        "global": "UNWIND range(1, 5120) AS x RETURN sum(size([y IN range(1, 20) WHERE y > x])) AS n",
+        "grouped": "UNWIND range(1, 5120) AS x RETURN x % 3 AS k, sum(x) AS s",
+    }
+
+    @pytest.mark.parametrize("shape", sorted(QUERIES))
+    def test_deadline_read_while_evaluating(self, shape):
+        query = self.QUERIES[shape]
+        clock = _SteppingClock(0.001)
+        CypherEngine(GraphStore()).execute(query, deadline=Deadline(1e6, clock=clock))
+        # construction, the run's first check, 20 charge reads, then at least
+        # one read per 256 evaluated rows
+        assert clock.now >= 0.001 * (22 + 20)
+        # A budget the charges alone never exhaust runs out in the aggregate.
+        with pytest.raises(CypherDeadlineExceeded):
+            CypherEngine(GraphStore()).execute(
+                query, deadline=Deadline(30.0, clock=_SteppingClock(0.001)))
+
+    def test_charges_unchanged_by_deadline(self):
+        query = self.QUERIES["grouped"]
+        free = CypherEngine(GraphStore()).execute(query, profile=True)
+        timed = CypherEngine(GraphStore()).execute(
+            query, profile=True, deadline=Deadline.start(60_000.0))
+        assert _profile_lines(free.profile) == _profile_lines(timed.profile)
+        assert [record.values() for record in free.records] == [
+            record.values() for record in timed.records]
+        # every operator charges the rows it emits; the aggregate's reads charge nothing
+        budget = sum(int(line.rsplit(" ", 1)[1]) for line in _profile_lines(free.profile))
+        for deadline in (None, Deadline.start(60_000.0)):
+            CypherEngine(GraphStore()).execute(query, row_budget=budget, deadline=deadline)
+            with pytest.raises(ResourceExhausted):
+                CypherEngine(GraphStore()).execute(
+                    query, row_budget=budget - 1, deadline=deadline)
+
+    def test_expensive_global_aggregate_stops_at_deadline(self):
+        """Without deadline reads in the aggregate this ran 18 s."""
+        query = ("UNWIND range(1, 7000) AS x "
+                 "RETURN sum(size([y IN range(1, 1000) WHERE y > x])) AS n")
+        started = time.perf_counter()
+        with pytest.raises(CypherDeadlineExceeded):
+            CypherEngine(GraphStore()).execute(query, deadline=Deadline.start(200.0))
+        assert time.perf_counter() - started < 3.0
+
+
 def _clique(size: int, isolated: bool = False) -> GraphStore:
     """``size`` nodes with an X edge between every pair, plus an unreachable
     ``:Z`` node when ``isolated``."""
