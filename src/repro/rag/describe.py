@@ -8,7 +8,9 @@ frameworks flatten node neighbourhoods into embeddable passages.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import islice
+from typing import Callable
 
 from ..graph.model import Node
 from ..graph.store import GraphStore
@@ -65,8 +67,13 @@ def describe_node(store: GraphStore, node: Node) -> str:
     :data:`_MAX_NEIGHBOURS_PER_PHRASE` neighbours in id order.  A self-loop
     counts once, as outgoing.
     """
+    return _describe(store, node, lambda node_id: _entity_name(store.node(node_id)))
+
+
+def _describe(store: GraphStore, node: Node, name: Callable[[int], str]) -> str:
+    """:func:`describe_node`, naming nodes by id with ``name``."""
     label = sorted(node.labels)[0]
-    header = f"{_entity_name(node)} is a {label} node"
+    header = f"{name(node.node_id)} is a {label} node"
     if "Country" in node.labels and "name" in node.properties:
         header = (
             f"{node.properties['name']} ({node.properties.get('country_code', '')}) "
@@ -94,7 +101,7 @@ def describe_node(store: GraphStore, node: Node) -> str:
             names = []
             for rel in islice(rels, _MAX_NEIGHBOURS_PER_PHRASE):
                 other = rel.end_id if direction == "out" else rel.start_id
-                names.append(_entity_name(store.node(other)))
+                names.append(name(other))
             extra = count - len(names)
             rendered = ", ".join(names) + (f" and {extra} more" if extra > 0 else "")
             phrases.append((next(iter(rels)).rel_id, template.format(rendered)))
@@ -108,14 +115,19 @@ def build_description_corpus(
     store: GraphStore,
     labels: tuple[str, ...] = DESCRIBED_LABELS,
 ) -> list[tuple[str, str, dict]]:
-    """(id, description, metadata) triples for every node of ``labels``."""
+    """(id, description, metadata) triples for every node of ``labels``.
+
+    Each node's name is rendered once per corpus, however many
+    relationships name it.
+    """
+    name = cache(lambda node_id: _entity_name(store.node(node_id)))
     corpus: list[tuple[str, str, dict]] = []
     for label in labels:
         for node in store.nodes_by_label(label):
             corpus.append(
                 (
                     f"graph-node-{node.node_id}",
-                    describe_node(store, node),
+                    _describe(store, node, name),
                     {"graph_node_id": node.node_id, "label": label},
                 )
             )
