@@ -5,8 +5,8 @@ seed 42), a pass builds a fresh ``ChatIYP`` in the configuration
 ``python -m repro.server --serve --deadline-ms 1000`` runs (1000 ms
 deadline, breaker at 5 failures, 256-entry answer cache, in-flight
 coalescing; see ``SERVED``), so its answer cache and query results start
-cold, and then asks every question of the CypherEval gold set (seed 7) in
-order.  Only the asks are timed.  Stages, in milliseconds per ask:
+cold, collects garbage, and then asks every question of the CypherEval
+gold set (seed 7) in order.  Only the asks are timed.  Stages, in milliseconds per ask:
 
 * ``ask``: the wall time of ``ChatIYP.ask``;
 * ``system``: the same, less the time spent inside ``llm.complete``: the
@@ -27,6 +27,7 @@ itself, so the paper-claims CI job keeps the script working.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 import time
@@ -37,7 +38,7 @@ import same_run
 
 _ROOT = Path(__file__).resolve().parent.parent
 
-ROUNDS = 9  # alternating rounds per tree and stage
+ROUNDS = 15  # alternating rounds per tree and stage
 STAGES = ("ask", "system")
 DATASET_SEED = 42
 GOLD_SEED = 7
@@ -61,15 +62,20 @@ def passes(module, size: str, calls: Counter) -> dict:
     questions = [item.question for item in cyphereval.build_cyphereval(dataset, seed=GOLD_SEED)]
     config = core.ChatIYPConfig(dataset_size=size, **SERVED)
 
-    def ask_pass() -> float:
+    def build():
         system = core.ChatIYP(dataset=dataset, config=config)
+        gc.collect()  # the last pass's system is garbage; collect it untimed
+        return system
+
+    def ask_pass() -> float:
+        system = build()
         start = time.perf_counter()
         for question in questions:
             system.ask(question)
         return (time.perf_counter() - start) * 1e3 / len(questions)
 
     def system_pass() -> float:
-        system = core.ChatIYP(dataset=dataset, config=config)
+        system = build()
         complete = system.llm.complete
         inside = 0.0
         calls.clear()

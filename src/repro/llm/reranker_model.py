@@ -55,5 +55,5 @@ class RelevanceScorer:
 
     def rank(self, query: str, passages: list[str]) -> list[tuple[int, float]]:
         """Indices and scores of ``passages`` sorted by decreasing relevance."""
-        scored = [(index, self.score(query, passage)) for index, passage in enumerate(passages)]
+        scored = list(enumerate(self.score_many(query, passages)))
         return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
