@@ -553,7 +553,8 @@ class TestAggregateDeadline:
     #: 5,120 rows: the UNWIND's charges read the clock 20 times, the
     #: aggregate's evaluation 20 more per pass over the rows
     QUERIES = {
-        "global": "UNWIND range(1, 5120) AS x RETURN sum(size([y IN range(1, 20) WHERE y > x])) AS n",
+        "global": ("UNWIND range(1, 5120) AS x "
+                   "RETURN sum(size([y IN range(1, 20) WHERE y > x])) AS n"),
         "grouped": "UNWIND range(1, 5120) AS x RETURN x % 3 AS k, sum(x) AS s",
     }
 
