@@ -16,6 +16,7 @@ from .errors import (
     CypherTypeError,
     ResourceExhausted,
     UnknownFunctionError,
+    UnsupportedWrite,
 )
 from .executor import CypherEngine, execute
 from .operators import PhysicalOperator, expression_variables, profile_tree, render_profile
@@ -51,6 +52,7 @@ __all__ = [
     "is_read_only",
     "CypherError",
     "CypherSyntaxError",
+    "UnsupportedWrite",
     "CypherTypeError",
     "CypherRuntimeError",
     "UnknownFunctionError",

@@ -19,7 +19,7 @@ __all__ = [
     "NodePattern", "RelPattern", "PatternPart", "Pattern",
     "Clause", "MatchClause", "UnwindClause", "ReturnItem", "OrderItem",
     "ProjectionClause", "WithClause", "ReturnClause", "CreateClause",
-    "MergeClause", "SetItem", "SetClause", "DeleteClause", "RemoveClause",
+    "SetItem", "SetClause",
     "SingleQuery", "UnionQuery", "Query", "CHILD_FIELDS",
 ]
 
@@ -412,43 +412,17 @@ class CreateClause(Clause):
 
 
 @dataclass(frozen=True)
-class MergeClause(Clause):
-    """``MERGE pattern_part [ON CREATE SET ...] [ON MATCH SET ...]``"""
-
-    part: PatternPart
-    on_create: tuple["SetItem", ...] = ()
-    on_match: tuple["SetItem", ...] = ()
-
-
-@dataclass(frozen=True)
 class SetItem:
-    """``target.key = expr`` or ``variable += map`` or ``variable:Label``."""
+    """``variable.key = expression``"""
 
-    kind: str  # "property", "merge_map", "replace_map", "label"
     variable: str
-    key: Optional[str] = None
-    expression: Optional[Expr] = None
-    labels: tuple[str, ...] = ()
+    key: str
+    expression: Expr
 
 
 @dataclass(frozen=True)
 class SetClause(Clause):
     """``SET item, item, ...``"""
-
-    items: tuple[SetItem, ...]
-
-
-@dataclass(frozen=True)
-class DeleteClause(Clause):
-    """``[DETACH] DELETE expr, ...``"""
-
-    expressions: tuple[Expr, ...]
-    detach: bool = False
-
-
-@dataclass(frozen=True)
-class RemoveClause(Clause):
-    """``REMOVE n.prop`` / ``REMOVE n:Label``"""
 
     items: tuple[SetItem, ...]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 __all__ = [
     "CypherError",
     "CypherSyntaxError",
+    "UnsupportedWrite",
     "CypherTypeError",
     "CypherRuntimeError",
     "UnknownFunctionError",
@@ -39,6 +40,17 @@ class CypherSyntaxError(CypherError):
             column = position - (text.rfind("\n", 0, position) + 1) + 1
             message = f"{message} (line {line}, column {column})"
         super().__init__(message)
+
+
+class UnsupportedWrite(CypherSyntaxError):
+    """A write the engine does not run: MERGE, DELETE, DETACH DELETE,
+    REMOVE, or a SET item other than ``variable.key = expression``.
+
+    The only writes are CREATE and ``SET variable.key = expression``.  The
+    parser raises this where the clause or item starts, so nothing runs;
+    :func:`~repro.cypher.safety.is_read_only` reports such a query as a
+    write.
+    """
 
 
 class CypherTypeError(CypherError):

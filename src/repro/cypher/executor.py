@@ -2,7 +2,7 @@
 
 The engine lowers each query (:mod:`repro.cypher.lowering`) into a tree
 of pull-based physical operators (:mod:`repro.cypher.operators`): every
-pattern part, of MATCH, MERGE or a pattern expression, is planned by
+pattern part, of MATCH or a pattern expression, is planned by
 :mod:`repro.cypher.planner` against live graph statistics.  The planner
 ranks both ends of each pattern part (bound variable, then exact lookup,
 then smallest-label scan, then all-nodes scan) and anchors the better
@@ -52,7 +52,7 @@ from ..faults import fault_point
 from ..graph.model import Node, Path, Relationship
 from ..graph.store import GraphStore
 from . import ast_nodes as ast
-from .errors import CypherRuntimeError, CypherTypeError
+from .errors import CypherRuntimeError, CypherTypeError, UnsupportedWrite
 from .evaluator import Evaluator
 from .functions import compare_once
 from .lowering import LoweredQuery, lower_query
@@ -280,13 +280,18 @@ class CypherEngine:
         return result
 
     def is_read_only(self, query: str) -> bool:
-        """True when ``query`` has no write clause.  Parses through the
-        query cache, so a following :meth:`execute` does not parse again.
+        """True when ``query`` has no write clause; False also for a write
+        the engine does not run (:class:`~.errors.UnsupportedWrite`).
+        Parses through the query cache, so a following :meth:`execute`
+        does not parse again.
 
         Raises:
             CypherSyntaxError: if the query does not parse.
         """
-        return self._entry(query).shape.read_only
+        try:
+            return self._entry(query).shape.read_only
+        except UnsupportedWrite:
+            return False
 
     def _entry(self, query: str) -> _QueryEntry:
         """The cache entry for ``query``, made on a miss."""
@@ -475,8 +480,7 @@ class _ExecutionContext(WriteClauses):
 
     def matches(self, node: Any, row: Row, first_only: bool = False) -> list[Row]:
         """The rows ``row`` extends to through the sub-chain of ``node``, a
-        pattern expression or a MERGE clause; only the first with
-        ``first_only``."""
+        pattern expression; only the first with ``first_only``."""
         return self.chains[id(node)].matches(self, row, first_only)
 
     def _match_shortest(
@@ -567,15 +571,15 @@ class _ExecutionContext(WriteClauses):
                         continue  # strictly shorter route exists
                     visited_depth.setdefault(other_id, depth)
                     other = self.store.node(other_id)
+                    # No partial path already holds ``rel``: its relationships
+                    # join nodes first reached before ``depth``, while ``rel``
+                    # reaches ``other`` at ``depth`` (a self-loop was skipped).
                     extensions = []
                     for nodes, rels in partials:
                         state.rows += 1
                         if state.rows > state.limit:
                             state.overflow()
-                        if rel.rel_id not in {r.rel_id for r in rels}:
-                            extensions.append((nodes + [other], rels + [rel]))
-                    if not extensions:
-                        continue
+                        extensions.append((nodes + [other], rels + [rel]))
                     if other_id == end.node_id and depth >= min_hops:
                         found.extend(extensions)
                     else:

@@ -4,9 +4,9 @@ Each clause becomes one or more operators of :mod:`repro.cypher.operators`.
 :func:`lower_part` builds every pattern part's chain, ``AnchorScan →
 Expand* → Match`` (``ShortestPath`` for a shortest-path part): the parts
 of MATCH and OPTIONAL MATCH, and, fed from an ``Argument`` leaf and re-run
-per row, MERGE's match and every pattern predicate, ``EXISTS`` pattern
-and pattern comprehension.  Such a sub-chain hangs under the operator
-that evaluates it, so PROFILE shows its operators and rows.  The engine
+per row, every pattern predicate, ``EXISTS`` pattern and pattern
+comprehension.  Such a sub-chain hangs under the operator that evaluates
+it, so PROFILE shows its operators and rows.  The engine
 lowers a query shape once per set of plans (:func:`lower_query`); the tree
 holds no run state, and what depends on a run's values (SKIP/LIMIT counts,
 implicit column names) is resolved in the run.  EXPLAIN and PROFILE both
@@ -39,8 +39,8 @@ Plans = dict[int, Union[MatchPlan, PartPlan]]
 class LoweredQuery:
     """A query's operator tree for one set of plans, shared by every run.
 
-    ``chains`` maps ``id(node)`` to the sub-chain of each pattern expression
-    and MERGE clause.  ``bounds`` lists the SKIP and LIMIT expressions as
+    ``chains`` maps ``id(expr)`` to the sub-chain of each pattern
+    expression.  ``bounds`` lists the SKIP and LIMIT expressions as
     ``(expression, "SKIP" | "LIMIT")``, in lowering order: a run evaluates
     them before it starts, and Skip, Limit and TopK read the values by
     index.  ``size`` is the operator count; operator numbers index a run's
@@ -51,7 +51,7 @@ class LoweredQuery:
     def __init__(self, plans: Plans, sites: list[Site]) -> None:
         self.plans = plans
         self.bounds: list[tuple[ast.Expr, str]] = []
-        # Every pattern expression and MERGE gets its chain up front,
+        # Every pattern expression gets its chain up front,
         # wherever it sits (a SKIP, LIMIT or MATCH property may hold one).
         self.chains = {
             id(node): lower_pattern(pattern_part(node), plans[id(node)])
@@ -130,10 +130,7 @@ def _lower_single(tree: ast.SingleQuery, lowered: LoweredQuery) -> ops.ProduceRe
             return ops.ProduceResults(op, projection)
         elif type(clause) in _WRITE_OPERATORS:
             op = _WRITE_OPERATORS[type(clause)](op, clause)
-            if isinstance(clause, ast.MergeClause):
-                op.children.append(lowered.chains[id(clause)].root)
-                scope.update(clause.part.variables)
-            elif isinstance(clause, ast.CreateClause):
+            if isinstance(clause, ast.CreateClause):
                 scope.update(clause.pattern.variables)
             _with_patterns(op, lowered, clause)
             writes = True
@@ -142,13 +139,7 @@ def _lower_single(tree: ast.SingleQuery, lowered: LoweredQuery) -> ops.ProduceRe
     return ops.ProduceResults(op, None)
 
 
-_WRITE_OPERATORS = {
-    ast.CreateClause: ops.Create,
-    ast.MergeClause: ops.Merge,
-    ast.SetClause: ops.SetProperties,
-    ast.DeleteClause: ops.Delete,
-    ast.RemoveClause: ops.Remove,
-}
+_WRITE_OPERATORS = {ast.CreateClause: ops.Create, ast.SetClause: ops.SetProperties}
 
 
 def _with_patterns(
@@ -193,7 +184,7 @@ def _lower_match(
 
 
 def lower_pattern(part: ast.PatternPart, part_plan: PartPlan) -> ops.PatternChain:
-    """The chain of a pattern expression or MERGE, fed one row at a time."""
+    """The chain of a pattern expression, fed one row at a time."""
     source = ops.RowSource()
     root = lower_part(
         source, part, part_plan, None, from_rows=True, emit_row=True, update_used=False,

@@ -26,9 +26,9 @@ parameters and slot values, the SKIP/LIMIT counts resolved from them
 * **deadline** — the per-request serving deadline is checked by the same
   charge, cooperatively (every 256 charged units), so a runaway scan or a
   walk that binds nothing aborts with :class:`CypherDeadlineExceeded`
-  instead of blowing past its budget.  An aggregate evaluates rows it has
-  already drained; it reads the deadline every 256 of them
-  (:meth:`RuntimeState.paced`) without charging them;
+  instead of blowing past its budget.  An aggregate, and a sort computing
+  ORDER BY keys, evaluate rows already drained; they read the deadline
+  every 256 of them (:meth:`RuntimeState.paced`) without charging them;
 * **profiling** — when on, each operator's generator is wrapped by
   :func:`_timed`, which adds the wall-clock time of every resume
   (inclusive of the children it pulls from) to ``elapsed_s``.  The row
@@ -90,10 +90,7 @@ __all__ = [
     "Limit",
     "AsRows",
     "Create",
-    "Merge",
     "SetProperties",
-    "Delete",
-    "Remove",
     "ProduceResults",
     "UnionAppend",
     "render_profile",
@@ -173,9 +170,10 @@ class RuntimeState:
 
     def paced(self, rows: list) -> Iterable[Any]:
         """``rows``, for a loop that evaluates rows already drained and
-        charged (an aggregate's grouping keys and aggregated values): the
-        deadline is read before every 256th row such loops evaluate in the
-        run.  Nothing is charged, so budgets and row counts stay as they are."""
+        charged (an aggregate's grouping keys and aggregated values, a
+        sort's ORDER BY keys): the deadline is read before every 256th row
+        such loops evaluate in the run.  Nothing is charged, so budgets and
+        row counts stay as they are."""
         return rows if self.deadline is None else self._paced(rows)
 
     def _paced(self, rows: list) -> Iterator[Any]:
@@ -523,10 +521,9 @@ class PartEmit(PhysicalOperator):
 class PatternChain(NamedTuple):
     """A pattern part's chain fed from a :class:`RowSource`, run per row.
 
-    Pattern predicates, ``EXISTS`` patterns, pattern comprehensions and
-    MERGE match through one: :meth:`matches` hands the row they are
-    evaluated on to the source and drains the chain (or stops after its
-    first row).
+    Pattern predicates, ``EXISTS`` patterns and pattern comprehensions
+    match through one: :meth:`matches` hands the row they are evaluated on
+    to the source and drains the chain (or stops after its first row).
     """
 
     source: RowSource
@@ -929,32 +926,11 @@ class Create(_WriteBarrier):
         return run.apply_create(rows, self.clause)
 
 
-class Merge(_WriteBarrier):
-    name = "Merge"
-
-    def apply(self, run: Any, rows: list[Row]) -> list[Row]:
-        return run.apply_merge(rows, self.clause)
-
-
 class SetProperties(_WriteBarrier):
     name = "Set"
 
     def apply(self, run: Any, rows: list[Row]) -> list[Row]:
         return run.apply_set(rows, self.clause)
-
-
-class Delete(_WriteBarrier):
-    name = "Delete"
-
-    def apply(self, run: Any, rows: list[Row]) -> list[Row]:
-        return run.apply_delete(rows, self.clause)
-
-
-class Remove(_WriteBarrier):
-    name = "Remove"
-
-    def apply(self, run: Any, rows: list[Row]) -> list[Row]:
-        return run.apply_remove(rows, self.clause)
 
 
 # ---------------------------------------------------------------------------
@@ -1221,7 +1197,7 @@ def _order(
         raw = [[] for _ in plans]
         appends = [column.append for column in raw]
         try:
-            for values, env_rows in produced:
+            for values, env_rows in run.state.paced(produced):
                 if needs_env:
                     base = dict(env_rows[0]) if env_rows else {}
                     base.update(zip(keys, values))

@@ -1,11 +1,13 @@
 """Recursive-descent parser for the Cypher subset.
 
-Entry point: :func:`parse`.  The grammar covers the read/write clauses IYP
+Entry point: :func:`parse`.  The grammar covers the read clauses IYP
 queries use in practice — MATCH / OPTIONAL MATCH / WHERE / WITH / RETURN /
-ORDER BY / SKIP / LIMIT / UNWIND / UNION [ALL] / CREATE / MERGE / SET /
-DELETE / REMOVE — plus the full expression language (boolean ternary logic,
-comparisons, string predicates, list/map literals, CASE, list
-comprehensions, variable-length paths, parameters).
+ORDER BY / SKIP / LIMIT / UNWIND / UNION [ALL] — and two writes, CREATE and
+``SET variable.key = expression``, plus the full expression language
+(boolean ternary logic, comparisons, string predicates, list/map literals,
+CASE, list comprehensions, variable-length paths, parameters).  MERGE,
+DELETE, DETACH DELETE, REMOVE and the other SET forms raise
+:class:`~repro.cypher.errors.UnsupportedWrite` where they start.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Optional, Union
 
 from . import ast_nodes as ast
-from .errors import CypherSyntaxError
+from .errors import CypherSyntaxError, UnsupportedWrite
 from .lexer import Token, tokenize
 
 __all__ = ["parse", "parse_expression", "parse_shape", "literal_shape"]
@@ -328,85 +330,43 @@ class _Parser:
         self.expect_keyword("CREATE")
         return ast.CreateClause(pattern=self.parse_pattern())
 
-    def parse_merge(self) -> ast.MergeClause:
-        self.expect_keyword("MERGE")
-        part = self.parse_pattern_part()
-        on_create: tuple[ast.SetItem, ...] = ()
-        on_match: tuple[ast.SetItem, ...] = ()
-        while self.accept_keyword("ON"):
-            action = self.expect_keyword("CREATE", "MATCH")
-            self.expect_keyword("SET")
-            items = self.parse_set_items()
-            if action.value == "CREATE":
-                on_create += items
-            else:
-                on_match += items
-        return ast.MergeClause(part=part, on_create=on_create, on_match=on_match)
-
     def parse_set(self) -> ast.SetClause:
         self.expect_keyword("SET")
-        return ast.SetClause(items=self.parse_set_items())
-
-    def parse_set_items(self) -> tuple[ast.SetItem, ...]:
         items = [self.parse_set_item()]
         while self.accept("COMMA"):
             items.append(self.parse_set_item())
-        return tuple(items)
+        return ast.SetClause(items=tuple(items))
 
     def parse_set_item(self) -> ast.SetItem:
+        start = self.current.position
         variable = self.parse_name()
         if self.accept("DOT"):
             key = self.parse_label_name()
             self.expect("EQ", "'='")
-            return ast.SetItem(
-                kind="property", variable=variable, key=key, expression=self.parse_expr()
+            return ast.SetItem(variable=variable, key=key, expression=self.parse_expr())
+        if self.current.kind in ("EQ", "COLON") or (
+            self.current.kind == "PLUS" and self.peek().kind == "EQ"
+        ):
+            raise UnsupportedWrite(
+                "SET supports only variable.key = expression", start, self.text
             )
-        if self.current.kind == "PLUS" and self.peek().kind == "EQ":
-            self.advance()
-            self.advance()
-            return ast.SetItem(kind="merge_map", variable=variable, expression=self.parse_expr())
-        if self.accept("EQ"):
-            return ast.SetItem(kind="replace_map", variable=variable, expression=self.parse_expr())
-        if self.current.kind == "COLON":
-            labels = []
-            while self.accept("COLON"):
-                labels.append(self.parse_label_name())
-            return ast.SetItem(kind="label", variable=variable, labels=tuple(labels))
         raise self.error("invalid SET item")
 
-    def parse_delete(self) -> ast.DeleteClause:
-        detach = bool(self.accept_keyword("DETACH"))
-        self.expect_keyword("DELETE")
-        expressions = [self.parse_expr()]
-        while self.accept("COMMA"):
-            expressions.append(self.parse_expr())
-        return ast.DeleteClause(expressions=tuple(expressions), detach=detach)
-
-    def parse_remove(self) -> ast.RemoveClause:
-        self.expect_keyword("REMOVE")
-        items: list[ast.SetItem] = []
-        while True:
-            variable = self.parse_name()
-            if self.accept("DOT"):
-                key = self.parse_label_name()
-                items.append(ast.SetItem(kind="property", variable=variable, key=key))
-            elif self.current.kind == "COLON":
-                labels = []
-                while self.accept("COLON"):
-                    labels.append(self.parse_label_name())
-                items.append(ast.SetItem(kind="label", variable=variable, labels=tuple(labels)))
-            else:
-                raise self.error("invalid REMOVE item")
-            if not self.accept("COMMA"):
-                break
-        return ast.RemoveClause(items=tuple(items))
+    def parse_unsupported_write(self) -> ast.Clause:
+        name = "DETACH DELETE" if self.current.value == "DETACH" else self.current.value
+        raise UnsupportedWrite(
+            f"{name} is not supported; the only writes are CREATE and "
+            "SET variable.key = expression",
+            self.current.position, self.text,
+        )
 
     #: clause keyword -> the production that parses the clause it starts
     _CLAUSES = {
         "MATCH": parse_match, "OPTIONAL": parse_match, "UNWIND": parse_unwind,
         "WITH": parse_with, "RETURN": parse_return, "CREATE": parse_create,
-        "MERGE": parse_merge, "SET": parse_set, "DELETE": parse_delete,
-        "DETACH": parse_delete, "REMOVE": parse_remove,
+        "SET": parse_set, "MERGE": parse_unsupported_write,
+        "DELETE": parse_unsupported_write, "DETACH": parse_unsupported_write,
+        "REMOVE": parse_unsupported_write,
     }
 
     # ------------------------------------------------------------------

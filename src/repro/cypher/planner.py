@@ -31,9 +31,9 @@ lookup (an indexed ``(label, key)`` when one exists), a scan of the first
 label, or all nodes.
 
 :func:`plan_query` plans every pattern part a query runs: MATCH and
-OPTIONAL MATCH clauses, MERGE, and the pattern predicates, ``EXISTS``
-patterns and pattern comprehensions in its expressions, each against the
-variables bound where it runs.
+OPTIONAL MATCH clauses, and the pattern predicates, ``EXISTS`` patterns
+and pattern comprehensions in its expressions, each against the variables
+bound where it runs.
 """
 
 from __future__ import annotations
@@ -307,18 +307,16 @@ def plan_match(clause: ast.MatchClause, stats: GraphStatistics,
     return MatchPlan(parts=tuple(parts), filters=filters, stats_version=stats.version)
 
 
-#: A node that matches a pattern part (a MATCH or MERGE clause, or a
-#: pattern expression) and the variables bound where it runs.
+#: A node that matches a pattern part (a MATCH clause or a pattern
+#: expression) and the variables bound where it runs.
 Site = tuple[Any, frozenset[str]]
 
 
 def pattern_part(node: Any) -> Optional[ast.PatternPart]:
     """The pattern a pattern expression (predicate, ``EXISTS``,
-    comprehension) or a MERGE clause matches; None for anything else."""
+    comprehension) matches; None for anything else."""
     if isinstance(node, (ast.PatternPredicate, ast.PatternComprehension)):
         return node.pattern
-    if isinstance(node, ast.MergeClause):
-        return node.part
     if isinstance(node, ast.ExistsExpr) and isinstance(node.target, ast.PatternPart):
         return node.target
     return None
@@ -383,11 +381,6 @@ def pattern_sites(tree: Union[ast.SingleQuery, ast.UnionQuery]) -> list[Site]:
                 expressions(clause.pattern, bound)
                 bound.update(clause.pattern.variables)
                 expressions(clause.where, bound)
-            elif isinstance(clause, ast.MergeClause):
-                sites.append((clause, frozenset(bound)))
-                expressions(clause.part, bound)
-                bound.update(clause.part.variables)
-                expressions((clause.on_create, clause.on_match), bound)
             elif isinstance(clause, ast.ProjectionClause):
                 names = {item.output_name() for item in clause.items}
                 expressions((clause.items, clause.skip, clause.limit), bound)
@@ -410,10 +403,9 @@ def plan_query(tree: Union[ast.SingleQuery, ast.UnionQuery], stats: GraphStatist
                sites: Optional[list[Site]] = None) -> dict[int, Union[MatchPlan, PartPlan]]:
     """Plan every pattern part of ``tree``, keyed by node identity.
 
-    ``id(clause)`` maps to a :class:`MatchPlan` for each MATCH and to a
-    :class:`PartPlan` for each MERGE; ``id(expr)`` maps to a
-    :class:`PartPlan` for each pattern expression.  ``sites`` is
-    :func:`pattern_sites` of ``tree``, computed when not given.  The caller
+    ``id(clause)`` maps to a :class:`MatchPlan` for each MATCH and
+    ``id(expr)`` to a :class:`PartPlan` for each pattern expression.
+    ``sites`` is :func:`pattern_sites` of ``tree``, computed when not given.  The caller
     must keep ``tree`` alive for as long as it keeps the plans.
     ``planner=False`` plans every part by the fixed rule.
     """

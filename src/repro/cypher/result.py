@@ -140,16 +140,12 @@ class ResultSet:
         nodes_created: int = 0,
         relationships_created: int = 0,
         properties_set: int = 0,
-        nodes_deleted: int = 0,
-        relationships_deleted: int = 0,
     ) -> None:
         self.keys = list(keys)
         self.records = list(records)
         self.nodes_created = nodes_created
         self.relationships_created = relationships_created
         self.properties_set = properties_set
-        self.nodes_deleted = nodes_deleted
-        self.relationships_deleted = relationships_deleted
         #: executed operator tree (dict), set by ``execute(profile=True)``
         self.profile: dict[str, Any] | None = None
 

@@ -3,27 +3,26 @@
 from __future__ import annotations
 
 from . import ast_nodes as ast
+from .errors import UnsupportedWrite
 from .parser import parse
 
 __all__ = ["is_read_only", "tree_is_read_only", "WRITE_CLAUSES"]
 
-WRITE_CLAUSES = (
-    ast.CreateClause,
-    ast.MergeClause,
-    ast.SetClause,
-    ast.DeleteClause,
-    ast.RemoveClause,
-)
+WRITE_CLAUSES = (ast.CreateClause, ast.SetClause)
 
 
 def is_read_only(query: str) -> bool:
-    """True when ``query`` parses and contains no write clause.
+    """True when ``query`` parses and contains no write clause; False also
+    for a write the engine does not run (:class:`UnsupportedWrite`).
 
     Raises:
         CypherSyntaxError: if the query does not parse at all (callers
             usually want to surface that as a 400, not treat it as a write).
     """
-    return tree_is_read_only(parse(query))
+    try:
+        return tree_is_read_only(parse(query))
+    except UnsupportedWrite:
+        return False
 
 
 def tree_is_read_only(tree: ast.Query) -> bool:

@@ -1,4 +1,4 @@
-"""Write clauses: CREATE, MERGE, SET, DELETE and REMOVE.
+"""Write clauses: CREATE and ``SET variable.key = expression``.
 
 :class:`WriteClauses` is the write half of the execution context.  The
 physical write barriers (:mod:`repro.cypher.operators`) hand it every
@@ -21,21 +21,17 @@ Row = dict[str, Any]
 
 class WriteClauses:
     """Applies write clauses for one run; mixed into the execution context,
-    whose ``store``, ``evaluator`` and ``matches`` it uses."""
+    whose ``store`` and ``evaluator`` it uses."""
 
     nodes_created = 0
     relationships_created = 0
     properties_set = 0
-    nodes_deleted = 0
-    relationships_deleted = 0
 
     def counters(self) -> dict[str, int]:
         return {
             "nodes_created": self.nodes_created,
             "relationships_created": self.relationships_created,
             "properties_set": self.properties_set,
-            "nodes_deleted": self.nodes_deleted,
-            "relationships_deleted": self.relationships_deleted,
         }
 
     def apply_create(self, rows: list[Row], clause: ast.CreateClause) -> list[Row]:
@@ -122,98 +118,22 @@ class WriteClauses:
         self.properties_set += len([v for v in properties.values() if v is not None])
         return rel
 
-    def apply_merge(self, rows: list[Row], clause: ast.MergeClause) -> list[Row]:
-        output: list[Row] = []
-        for row in rows:
-            matches = self.matches(clause, row)
-            if matches:
-                for matched in matches:
-                    self._apply_set_items(clause.on_match, matched)
-                    output.append(matched)
-            else:
-                created = self._create_part(clause.part, dict(row))
-                self._apply_set_items(clause.on_create, created)
-                output.append(created)
-        return output
-
     def apply_set(self, rows: list[Row], clause: ast.SetClause) -> list[Row]:
-        for row in rows:
-            self._apply_set_items(clause.items, row)
-        return rows
-
-    def _apply_set_items(self, items: tuple[ast.SetItem, ...], row: Row) -> None:
-        for item in items:
-            target = row.get(item.variable)
-            if target is None:
-                continue
-            if item.kind == "property":
-                value = self.evaluator.evaluate(item.expression, row)
-                self._set_property(target, item.key, value)
-            elif item.kind in ("merge_map", "replace_map"):
-                value = self.evaluator.evaluate(item.expression, row)
-                if isinstance(value, (Node, Relationship)):
-                    value = dict(value.properties)
-                if not isinstance(value, dict):
-                    raise CypherTypeError(f"SET {item.variable} = ... expects a map")
-                if item.kind == "replace_map":
-                    if not isinstance(target, (Node, Relationship)):
-                        raise CypherTypeError(f"cannot SET properties on {target!r}")
-                    for key in list(target.properties):
-                        self._set_property(target, key, None)
-                for key, val in value.items():
-                    self._set_property(target, key, val)
-            elif item.kind == "label":
-                raise CypherRuntimeError("SET label is not supported")
-
-    def _set_property(self, target: Any, key: str, value: Any) -> None:
-        if isinstance(target, Node):
-            _store_write(self.store.set_node_property, target.node_id, key, value)
-        elif isinstance(target, Relationship):
-            _store_write(self.store.set_relationship_property, target.rel_id, key, value)
-        else:
-            raise CypherTypeError(f"cannot SET property on {target!r}")
-        self.properties_set += 1
-
-    def apply_delete(self, rows: list[Row], clause: ast.DeleteClause) -> list[Row]:
-        nodes_to_delete: dict[int, Node] = {}
-        rels_to_delete: dict[int, Relationship] = {}
-        for row in rows:
-            for expr in clause.expressions:
-                value = self.evaluator.evaluate(expr, row)
-                if value is None:
-                    continue
-                if isinstance(value, Node):
-                    nodes_to_delete[value.node_id] = value
-                elif isinstance(value, Relationship):
-                    rels_to_delete[value.rel_id] = value
-                elif isinstance(value, Path):
-                    for node in value.nodes:
-                        nodes_to_delete[node.node_id] = node
-                    for rel in value.relationships:
-                        rels_to_delete[rel.rel_id] = rel
-                else:
-                    raise CypherTypeError(f"DELETE expects nodes/relationships, got {value!r}")
-        for rel_id in rels_to_delete:
-            if self.store.has_node(self.store.relationship(rel_id).start_id):
-                self.store.delete_relationship(rel_id)
-                self.relationships_deleted += 1
-        for node_id in nodes_to_delete:
-            before = self.store.relationship_count
-            self.store.delete_node(node_id, detach=clause.detach)
-            self.relationships_deleted += before - self.store.relationship_count
-            self.nodes_deleted += 1
-        return rows
-
-    def apply_remove(self, rows: list[Row], clause: ast.RemoveClause) -> list[Row]:
         for row in rows:
             for item in clause.items:
                 target = row.get(item.variable)
                 if target is None:
                     continue
-                if item.kind == "property":
-                    self._set_property(target, item.key, None)
+                value = self.evaluator.evaluate(item.expression, row)
+                if isinstance(target, Node):
+                    _store_write(self.store.set_node_property, target.node_id, item.key, value)
+                elif isinstance(target, Relationship):
+                    _store_write(
+                        self.store.set_relationship_property, target.rel_id, item.key, value
+                    )
                 else:
-                    raise CypherRuntimeError("REMOVE label is not supported")
+                    raise CypherTypeError(f"cannot SET property on {target!r}")
+                self.properties_set += 1
         return rows
 
 

@@ -15,7 +15,7 @@ PUBLIC_API = {
     "repro.cypher": [
         "CypherEngine", "execute", "parse", "parse_expression", "Record",
         "ResultSet", "render_value", "is_read_only", "CypherError",
-        "CypherSyntaxError", "CypherTypeError", "CypherRuntimeError",
+        "CypherSyntaxError", "UnsupportedWrite", "CypherTypeError", "CypherRuntimeError",
     ],
     "repro.iyp": [
         "generate_iyp", "IYPConfig", "IYPDataset", "load_dataset",

@@ -312,7 +312,6 @@ class TestErrorPaths:
         "query",
         [
             "CREATE (n:Tag {m: {k: 1}})",
-            "MERGE (n:Tag {m: {k: 1}})",
             "CREATE (n:Tag) SET n.m = {k: 1}",
             "CREATE (:Tag)-[:X {m: [{k: 1}]}]->(:Tag)",
         ],

@@ -156,26 +156,9 @@ class TestWriteParsing:
         clause = single("CREATE (a:AS {asn: 1})").clauses[0]
         assert isinstance(clause, ast.CreateClause)
 
-    def test_merge_with_actions(self):
-        clause = single(
-            "MERGE (a:AS {asn: 1}) ON CREATE SET a.new = true ON MATCH SET a.seen = true"
-        ).clauses[0]
-        assert isinstance(clause, ast.MergeClause)
-        assert len(clause.on_create) == 1
-        assert len(clause.on_match) == 1
-
     def test_set_variants(self):
-        clause = single("MATCH (a) SET a.x = 1, a += {y: 2}").clauses[1]
-        kinds = [item.kind for item in clause.items]
-        assert kinds == ["property", "merge_map"]
-
-    def test_delete_and_detach(self):
-        assert not single("MATCH (a) DELETE a").clauses[1].detach
-        assert single("MATCH (a) DETACH DELETE a").clauses[1].detach
-
-    def test_remove(self):
-        clause = single("MATCH (a) REMOVE a.x").clauses[1]
-        assert isinstance(clause, ast.RemoveClause)
+        clause = single("MATCH (a) SET a.x = 1, a.y = a.x + 1").clauses[1]
+        assert [(item.variable, item.key) for item in clause.items] == [("a", "x"), ("a", "y")]
 
 
 class TestExpressionParsing:

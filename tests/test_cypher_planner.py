@@ -383,7 +383,6 @@ class TestExplainMatchesExecution:
             "MATCH (a:AS)-[:ORIGINATE]->(p:Prefix {prefix: '203.0.113.0/24'}) RETURN a.asn",
             "MATCH (a:AS) WHERE a.asn < 3000 AND (a)-[:MEMBER_OF]->(:IXP) "
             "RETURN [(a)-[:COUNTRY]->(c:Country) | c.name] AS names",
-            "MATCH (a:AS) WHERE a.asn < 3000 MERGE (a)-[:COUNTRY]->(c:Country) RETURN c.name",
         ],
     )
     def test_explain_is_the_profiled_tree(self, tiny_store, planner, query):

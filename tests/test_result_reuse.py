@@ -90,12 +90,8 @@ STORE_WRITES = {
 
 CYPHER_WRITES = {
     "create": "CREATE (:AS {asn: 64512})",
-    "merge": "MERGE (:AS {asn: 64513})",
     "set_node": "MATCH (a:AS {asn: 2497}) SET a.asn = 1",
     "set_relationship": "MATCH (:AS)-[r:POPULATION]->() SET r.w = 2",
-    "remove": "MATCH (:AS)-[r:PEERS_WITH]->() REMOVE r.rel",
-    "delete": "MATCH (:AS)-[r:ORIGINATE]->() DELETE r",
-    "detach_delete": "MATCH (a:AS {asn: 15169}) DETACH DELETE a",
 }
 
 

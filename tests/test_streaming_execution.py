@@ -215,13 +215,6 @@ class TestEarlyTermination:
         count = engine.execute("MATCH (n:T) RETURN count(n) AS c").single()["c"]
         assert count == created
 
-    @pytest.mark.parametrize("planner", [True, False])
-    def test_limit_zero_still_deletes(self, planner):
-        engine = CypherEngine(GraphStore(), planner=planner)
-        engine.execute("UNWIND range(1, 3) AS i CREATE (:X {i: i})")
-        engine.execute("MATCH (n:X) DETACH DELETE n RETURN count(*) AS c LIMIT 0")
-        assert engine.execute("MATCH (n:X) RETURN count(n) AS c").single()["c"] == 0
-
     def test_limit_zero_below_a_write_is_not_exhaustive(self, chain_store):
         # The write runs above the LIMIT: nothing below needs pulling.
         engine = CypherEngine(chain_store)
@@ -591,6 +584,44 @@ class TestAggregateDeadline:
         """Without deadline reads in the aggregate this ran 18 s."""
         query = ("UNWIND range(1, 7000) AS x "
                  "RETURN sum(size([y IN range(1, 1000) WHERE y > x])) AS n")
+        started = time.perf_counter()
+        with pytest.raises(CypherDeadlineExceeded):
+            CypherEngine(GraphStore()).execute(query, deadline=Deadline.start(200.0))
+        assert time.perf_counter() - started < 3.0
+
+
+class TestSortDeadline:
+    """Sort and TopK evaluate their drained entries' ORDER BY keys
+    uncharged, and read the deadline every 256 of them."""
+
+    @staticmethod
+    def _clock_reads(query: str) -> float:
+        clock = _SteppingClock(0.001)
+        CypherEngine(GraphStore()).execute(query, deadline=Deadline(1e6, clock=clock))
+        return clock.now
+
+    @pytest.mark.parametrize("limit", ["", " LIMIT 1"], ids=["sort", "topk"])
+    def test_deadline_read_while_evaluating_keys(self, limit):
+        # ``ORDER BY x`` reuses the projected value; ``ORDER BY -x`` evaluates
+        # 5,120 keys.  The charges, and so their clock reads, are the same.
+        unwind = "UNWIND range(1, 5120) AS x RETURN x "
+        reused = self._clock_reads(unwind + "ORDER BY x" + limit)
+        evaluated = self._clock_reads(unwind + "ORDER BY -x" + limit)
+        assert evaluated - reused >= 0.001 * 20 - 1e-9
+
+    def test_charges_unchanged_by_deadline(self):
+        query = "UNWIND range(1, 600) AS x RETURN x ORDER BY x % 7, -x LIMIT 50"
+        free = CypherEngine(GraphStore()).execute(query, profile=True)
+        timed = CypherEngine(GraphStore()).execute(
+            query, profile=True, deadline=Deadline.start(60_000.0))
+        assert _profile_lines(free.profile) == _profile_lines(timed.profile)
+        assert [record.values() for record in free.records] == [
+            record.values() for record in timed.records]
+
+    def test_expensive_order_by_stops_at_deadline(self):
+        """Without deadline reads in the sort this ran 7 s to completion."""
+        query = ("UNWIND range(1, 3000) AS x RETURN x "
+                 "ORDER BY size([y IN range(1, 1000) WHERE y > x]) LIMIT 1")
         started = time.perf_counter()
         with pytest.raises(CypherDeadlineExceeded):
             CypherEngine(GraphStore()).execute(query, deadline=Deadline.start(200.0))

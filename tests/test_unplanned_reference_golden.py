@@ -14,8 +14,9 @@ Queries:
   intermediate rows charged are pinned too, so a change to the operator
   chain cannot move the row-budget currency unnoticed;
 * a hand list of pattern expressions (pattern predicates, ``EXISTS``,
-  pattern comprehensions) and MERGE shapes the corpus never produces.
-  Writes run on a fresh store each.
+  pattern comprehensions) the corpus never produces, and MERGE shapes,
+  which the engine rejects (``UnsupportedWrite``).  Writes run on a fresh
+  store each.
 
 Regenerate only for an intended change of results::
 
@@ -102,7 +103,8 @@ HAND_READS = [
     "RETURN x.name AS name",
 ]
 
-#: Write shapes, each on a fresh store from :func:`_write_store`.
+#: MERGE shapes, each on a fresh store from :func:`_write_store`; each
+#: raises UnsupportedWrite.
 HAND_WRITES = [
     "UNWIND [1, 1, 2] AS x MERGE (n:T {k: x}) RETURN n.k AS k",
     "UNWIND [1, 1, 2] AS x MERGE (n:T {k: x}) ON CREATE SET n.new = true "
