@@ -13,10 +13,20 @@ gold set (seed 7) in order.  Only the asks are timed.  Stages, in milliseconds p
   system's own time, without the simulated backbone's, which a deployment
   spends in a remote LLM instead (ROADMAP item 1).
 
-Per side, ``llm_calls_per_ask`` is the number of ``llm.complete`` calls per
-ask in the ``system`` passes, by prompt task and in total.  The two trees
-are timed against each other in one process by ``benchmarks/same_run.py``;
-the result is a same-run ratio::
+Per side, measured alongside those stages (medians over rounds):
+
+* ``cpu_ms``: the process CPU time (``time.process_time``, every thread)
+  per ask of the ``ask`` passes; above ``ask_ms`` when library threads
+  (OpenBLAS's) spin beside the asking one;
+* ``llm_ms_per_ask``: the time inside ``llm.complete`` per ask of the
+  ``system`` passes, by prompt task and in total, i.e. the simulated
+  backbone's heads; ``llm_ratio`` is the median of the rounds'
+  baseline/change ratios of each;
+* ``llm_calls_per_ask``: the ``llm.complete`` calls per ask of the last
+  ``system`` pass, by prompt task and in total.
+
+The two trees are timed against each other in one process by
+``benchmarks/same_run.py``; the result is a same-run ratio::
 
     python benchmarks/bench_ask.py --baseline-src ../parent/src --output BENCH_ask.json
 
@@ -30,8 +40,9 @@ from __future__ import annotations
 import gc
 import json
 import re
+import statistics
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import same_run
@@ -53,10 +64,13 @@ SERVED = {
 _TASK_RE = re.compile(r"\[TASK:\s*(\w+)\]")
 
 
-def passes(module, size: str, calls: Counter) -> dict:
+def passes(module, size: str, calls: Counter, extras: defaultdict) -> dict:
     """Per stage, one pass of a tree: milliseconds per ask of a cold gold
     sweep.  The ``system`` passes count ``llm.complete`` calls by task into
-    ``calls`` (their last pass's counts are kept)."""
+    ``calls`` (their last pass's counts are kept) and append each task's
+    milliseconds inside ``llm.complete`` per ask to ``extras["llm.<task>"]``;
+    the ``ask`` passes append their CPU milliseconds per ask to
+    ``extras["cpu"]``."""
     iyp, core, cyphereval = module("iyp"), module("core"), module("eval.cyphereval")
     dataset = iyp.generate_iyp(getattr(iyp.IYPConfig, size)(seed=DATASET_SEED))
     questions = [item.question for item in cyphereval.build_cyphereval(dataset, seed=GOLD_SEED)]
@@ -69,26 +83,29 @@ def passes(module, size: str, calls: Counter) -> dict:
 
     def ask_pass() -> float:
         system = build()
+        cpu = time.process_time()
         start = time.perf_counter()
         for question in questions:
             system.ask(question)
-        return (time.perf_counter() - start) * 1e3 / len(questions)
+        elapsed = time.perf_counter() - start
+        extras["cpu"].append((time.process_time() - cpu) * 1e3 / len(questions))
+        return elapsed * 1e3 / len(questions)
 
     def system_pass() -> float:
         system = build()
         complete = system.llm.complete
-        inside = 0.0
+        inside: Counter = Counter()
         calls.clear()
 
         def timed_complete(prompt: str):
-            nonlocal inside
             match = _TASK_RE.search(prompt)
-            calls[match.group(1).lower() if match else "answer"] += 1
+            task = match.group(1).lower() if match else "answer"
+            calls[task] += 1
             begin = time.perf_counter()
             try:
                 return complete(prompt)
             finally:
-                inside += time.perf_counter() - begin
+                inside[task] += time.perf_counter() - begin
 
         system.llm.complete = timed_complete
         start = time.perf_counter()
@@ -96,7 +113,10 @@ def passes(module, size: str, calls: Counter) -> dict:
             system.ask(question)
         elapsed = time.perf_counter() - start
         calls["asks"] = len(questions)
-        return (elapsed - inside) * 1e3 / len(questions)
+        inside["total"] = sum(inside.values())
+        for task, seconds in inside.items():
+            extras[f"llm.{task}"].append(seconds * 1e3 / len(questions))
+        return (elapsed - inside["total"]) * 1e3 / len(questions)
 
     return {"ask": ask_pass, "system": system_pass}
 
@@ -109,6 +129,26 @@ def calls_per_ask(calls: Counter) -> dict:
             "total": round(sum(tasks.values()) / asks, 3)}
 
 
+def per_ask_extras(extras: dict[str, defaultdict]) -> dict:
+    """Per side, the median CPU and per-task LLM milliseconds per ask; per task,
+    the median of the rounds' baseline/change ratios.  Each series' first
+    sample, the untimed pass, is left out."""
+    rounds = {side: {key: samples[1:] for key, samples in series.items()}
+              for side, series in extras.items()}
+    llm = {side: {key.removeprefix("llm."): round(statistics.median(samples), 3)
+                  for key, samples in sorted(series.items()) if key.startswith("llm.")}
+           for side, series in rounds.items()}
+    ratio = {key.removeprefix("llm."): round(statistics.median(
+                 base / change for base, change in zip(samples, rounds["change"][key])), 2)
+             for key, samples in sorted(rounds["baseline"].items()) if key.startswith("llm.")}
+    return {
+        "cpu_ms": {side: round(statistics.median(series["cpu"]), 3)
+                   for side, series in rounds.items()},
+        "llm_ms_per_ask": llm,
+        "llm_ratio": ratio,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = same_run.parser(__doc__)
     parser.add_argument("--smoke", action="store_true",
@@ -117,8 +157,10 @@ def main(argv: list[str] | None = None) -> int:
     rounds = 1 if args.smoke else ROUNDS
     size = "small" if args.smoke else "medium"
     calls = {"change": Counter(), "baseline": Counter()}
+    extras = {"change": defaultdict(list), "baseline": defaultdict(list)}
     samples = same_run.alternate({
-        side: passes(same_run.load_tree(tree.resolve(), f"_ask_{side}"), size, calls[side])
+        side: passes(same_run.load_tree(tree.resolve(), f"_ask_{side}"), size, calls[side],
+                     extras[side])
         for side, tree in (("change", args.src), ("baseline", args.baseline_src))
     }, rounds)
     return same_run.write({
@@ -129,6 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         "protocol": same_run.protocol(rounds, "milliseconds per ask"),
         "host": same_run.host(),
         **same_run.summarize(samples, key=lambda stage: f"{stage}_ms", figure_digits=3),
+        **per_ask_extras(extras),
         "llm_calls_per_ask": {side: calls_per_ask(counts) for side, counts in calls.items()},
     }, args.output)
 
@@ -144,8 +187,14 @@ def test_ask_smoke(tmp_path):
     for side in ("change", "baseline"):
         assert set(result[side]) == {f"{stage}_ms" for stage in STAGES}
         assert 0 < result[side]["system_ms"] < result[side]["ask_ms"]
+        assert result["cpu_ms"][side] > 0
         per_ask = result["llm_calls_per_ask"][side]
         assert per_ask["total"] >= per_ask["text2cypher"] > 0
+        llm_ms = result["llm_ms_per_ask"][side]
+        assert set(llm_ms) == set(per_ask)
+        assert llm_ms["total"] >= llm_ms["text2cypher"] > 0
+    assert set(result["llm_ratio"]) == set(result["llm_ms_per_ask"]["change"])
+    assert all(ratio > 0 for ratio in result["llm_ratio"].values())
     assert result["llm_calls_per_ask"]["change"] == result["llm_calls_per_ask"]["baseline"]
 
 

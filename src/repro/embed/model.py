@@ -15,6 +15,8 @@ narrow linguistic variation).
 from __future__ import annotations
 
 import hashlib
+import math
+from array import array
 from functools import lru_cache
 from itertools import chain
 from typing import Sequence
@@ -44,18 +46,38 @@ def _stable_bucket(token: str, dim: int, salt: str) -> tuple[int, float]:
 
 
 @lru_cache(maxsize=65536)
-def _token_buckets(token: str, dim: int, char_weight: float) -> tuple[tuple[int, float], ...]:
-    """Pre-weighted (index, weight) pairs for one token: word bucket + char trigrams.
+def _token_buckets(token: str, dim: int, char_weight: float) -> tuple[bytes, bytes]:
+    """One token's pre-weighted features, word bucket then char trigrams: their
+    bucket indices packed as C ints and their weights as doubles.
 
     Corpus vocabularies repeat tokens heavily, so caching the md5 bucketing per
-    token turns batch embedding into mostly array adds.
+    token turns embedding into mostly array adds; packed, a text's features
+    reach numpy by joining bytes rather than converting Python numbers.
     """
     index, sign = _stable_bucket(token, dim, "word")
-    pairs = [(index, sign)]
+    indices, weights = array("i", [index]), array("d", [sign])
     for gram in char_ngrams(token, 3):
         index, sign = _stable_bucket(gram, dim, "char")
-        pairs.append((index, sign * char_weight))
-    return tuple(pairs)
+        indices.append(index)
+        weights.append(sign * char_weight)
+    return indices.tobytes(), weights.tobytes()
+
+
+@lru_cache(maxsize=131072)
+def _bigram_bucket(left: str, right: str, dim: int) -> tuple[bytes, bytes]:
+    """The adjacent pair's pre-weighted feature, packed as :func:`_token_buckets`
+    packs one.  Keyed by the pair, so a lookup builds no joined string; the
+    joined string is hashed uncached, since this cache holds the result."""
+    index, sign = _stable_bucket.__wrapped__(f"{left}_{right}", dim, "bigram")
+    return array("i", [index]).tobytes(), array("d", [sign * _BIGRAM_WEIGHT]).tobytes()
+
+
+_INDEX_SIZE = array("i").itemsize
+
+
+def _packed(features: Sequence[bytes], dtype) -> np.ndarray:
+    """Packed features, joined into one read-only array of ``dtype``."""
+    return np.frombuffer(b"".join(features), dtype=dtype)
 
 
 class _Vocabulary:
@@ -68,17 +90,17 @@ class _Vocabulary:
                     enumerate(dict.fromkeys(chain.from_iterable(token_lists)))}
         self.words = list(self.ids)
         buckets = [_token_buckets(token, dim, char_weight) for token in self.words]
-        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(buckets)), dtype=np.float64)
-        self.index = pairs[0::2].astype(np.intp)
-        self.weight = pairs[1::2].copy()
-        self.count = np.fromiter(map(len, buckets), dtype=np.intp, count=len(buckets))
+        self.index = _packed([indices for indices, _ in buckets], np.intc).astype(np.intp)
+        self.weight = _packed([weights for _, weights in buckets], np.float64)
+        self.count = np.fromiter((len(indices) // _INDEX_SIZE for indices, _ in buckets),
+                                 dtype=np.intp, count=len(buckets))
         self.start = np.cumsum(self.count) - self.count
-        # bigram key (left id * vocabulary size + right id) -> (bucket, sign)
-        self.bigrams: dict[int, tuple[int, float]] = {}
+        # bigram key (left id * vocabulary size + right id) -> packed feature
+        self.bigrams: dict[int, tuple[bytes, bytes]] = {}
 
-    def _bigram(self, key: int) -> tuple[int, float]:
+    def _bigram(self, key: int) -> tuple[bytes, bytes]:
         left, right = divmod(key, len(self.words))
-        bucket = _stable_bucket(f"{self.words[left]}_{self.words[right]}", self.dim, "bigram")
+        bucket = _bigram_bucket(self.words[left], self.words[right], self.dim)
         self.bigrams[key] = bucket
         return bucket
 
@@ -107,10 +129,9 @@ class _Vocabulary:
                                   return_inverse=True)
         bigrams = self.bigrams
         buckets = [bigrams.get(key) or self._bigram(key) for key in keys.tolist()]
-        pairs = np.fromiter(chain.from_iterable(buckets), dtype=np.float64)
-        bigram_bins = pairs[0::2].astype(np.intp)[inverse]
+        bigram_bins = _packed([index for index, _ in buckets], np.intc).astype(np.intp)[inverse]
         bigram_bins += offsets[1:][same_document]
-        bigram_weights = (pairs[1::2] * _BIGRAM_WEIGHT)[inverse]
+        bigram_weights = _packed([weight for _, weight in buckets], np.float64)[inverse]
         return (np.concatenate((token_bins, bigram_bins)),
                 np.concatenate((token_weights, bigram_weights)))
 
@@ -130,8 +151,9 @@ class HashingEmbedding:
     Two paths compute the same vectors: :meth:`embed` for one text (search
     queries; the simulated reranker calls :meth:`embed_tokens` on texts it
     has tokenized already) and :meth:`embed_batch` for a corpus
-    (the vector index).  They share the bucketing but not the summing
-    loop; that a batch row is bitwise ``embed`` of its text is a test
+    (the vector index).  They share the bucketing and both sum with
+    ``np.bincount``, but lay out their feature streams differently; that a
+    batch row is bitwise ``embed`` of its text is a test
     (``tests/test_startup_pins.py``), not a consequence of shared code.
     """
 
@@ -149,22 +171,22 @@ class HashingEmbedding:
         """Embed an already tokenized text: :meth:`embed` of a text that
         tokenizes to ``tokens``.
 
-        Feature weights are summed in a Python list, in the order the batch
-        path sums them (word and char-trigram features token by token, then
-        bigrams), and converted once; numpy scalar adds would cost several
-        times more per feature.
+        The tokens' packed features and then the bigrams' are joined into
+        one stream and summed with one ``np.bincount``, which adds each
+        bucket's weights in stream order, the order the batch path sums
+        them.  The norm is ``sqrt(v.dot(v))``, which is how
+        ``np.linalg.norm`` computes a vector's.
         """
         dim = self.dim
+        if not tokens:
+            return np.zeros(dim, dtype=np.float64)
         char_weight = self.char_weight
-        sums = [0.0] * dim
-        for token in tokens:
-            for index, weight in _token_buckets(token, dim, char_weight):
-                sums[index] += weight
-        for left, right in zip(tokens, tokens[1:]):
-            index, sign = _stable_bucket(f"{left}_{right}", dim, "bigram")
-            sums[index] += sign * _BIGRAM_WEIGHT
-        vector = np.fromiter(sums, dtype=np.float64, count=dim)
-        norm = np.linalg.norm(vector)
+        features = [_token_buckets(token, dim, char_weight) for token in tokens]
+        features += [_bigram_bucket(left, right, dim) for left, right in zip(tokens, tokens[1:])]
+        indices, weights = zip(*features)
+        vector = np.bincount(_packed(indices, np.intc), _packed(weights, np.float64),
+                             minlength=dim)
+        norm = math.sqrt(vector.dot(vector))
         if norm > 0:
             vector /= norm
         return vector

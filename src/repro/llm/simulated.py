@@ -36,12 +36,31 @@ from .verbalize import ResultVerbalizer
 __all__ = ["SimulatedLLM"]
 
 _TASK_RE = re.compile(r"\[TASK:\s*(\w+)\]")
-_SECTION_RE = re.compile(r"^\[(\w+)\]\n(.*?)(?=^\[\w+\]|\Z)", re.MULTILINE | re.DOTALL)
+#: a line that starts with ``[word]``; group 2 is set when a newline follows
+#: it, i.e. the line is a section header.  The prompt is read with a newline
+#: prepended, so every line start follows one and the scan is a search for
+#: the literal ``\n[``.
+_MARKER_RE = re.compile(r"\n\[(\w+)\](?=(\n)?)")
 
 
 def _sections(prompt: str) -> dict[str, str]:
-    """Parse ``[SECTION]\\n...`` blocks out of a prompt."""
-    return {name.lower(): body.strip() for name, body in _SECTION_RE.findall(prompt)}
+    """Parse ``[SECTION]\\n...`` blocks out of a prompt.
+
+    A section runs from its header line to the next line that starts with
+    ``[word]``, header or not; text after a line that is not a header is
+    dropped until the next header, and a later duplicate header wins.
+    """
+    text = "\n" + prompt
+    sections: dict[str, str] = {}
+    name = start = None
+    for marker in _MARKER_RE.finditer(text):
+        if name is not None:
+            sections[name] = text[start : marker.start()].strip()
+        name = marker.group(1).lower() if marker.group(2) else None
+        start = marker.end() + 1  # past a header's newline
+    if name is not None:
+        sections[name] = text[start:].strip()
+    return sections
 
 
 class SimulatedLLM(LLM):

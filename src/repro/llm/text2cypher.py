@@ -122,9 +122,6 @@ class Intent:
     builder: Builder
     priority: int = 0
 
-    def required_present(self, entities: ExtractedEntities) -> bool:
-        return all(getattr(entities, attribute) for attribute in self.requires)
-
 
 def _build_intents() -> list[Intent]:
     intents: list[Intent] = []
@@ -470,17 +467,38 @@ INTENT_NAMES: list[str] = [intent.name for intent in INTENTS]
 # Matching machinery
 # ---------------------------------------------------------------------------
 
-def _match_keyword(text: str, keyword: str) -> bool:
-    if " " in keyword:
-        return keyword in text
-    return re.search(rf"\b{re.escape(keyword)}\b", text) is not None
+_KEYWORDS = frozenset(keyword for intent in INTENTS for group in intent.groups
+                      for keyword in group)
+#: multi-word keywords, matched as substrings of the normalized question
+_PHRASES = tuple(sorted(keyword for keyword in _KEYWORDS if " " in keyword))
+#: single-word keywords; every one is a run of ``[a-z0-9]``
+_WORDS = _KEYWORDS.difference(_PHRASES)
+_KEYWORD_TOKENS = {keyword: word_tokenize(keyword) for keyword in _KEYWORDS}
+_ALNUM_RE = re.compile(r"[a-z0-9]+")
+#: the entity kinds some intent requires
+_ENTITY_KINDS = tuple(sorted({kind for intent in INTENTS for kind in intent.requires}))
 
 
-def _matched_keywords(text: str, groups: tuple[frozenset[str], ...]) -> Optional[list[str]]:
-    """For each group, the matched synonyms; None when any group misses."""
+def _keywords_in(normalized: str) -> frozenset[str]:
+    """The bank's keywords that a normalized question contains.
+
+    A normalized question is space-joined ``word_tokenize`` tokens, so its
+    only word characters are ``[a-z0-9]``, and a single-word keyword lies
+    between word boundaries exactly when it is one of the question's
+    alphanumeric runs.  A multi-word keyword is a substring.
+    """
+    present = _WORDS.intersection(_ALNUM_RE.findall(normalized))
+    return present.union(phrase for phrase in _PHRASES if phrase in normalized)
+
+
+def _matched_keywords(
+    present: frozenset[str], groups: tuple[frozenset[str], ...]
+) -> Optional[list[str]]:
+    """For each group, its synonyms among the ``present`` keywords; None when
+    any group has none."""
     matched: list[str] = []
     for group in groups:
-        hits = [keyword for keyword in group if _match_keyword(text, keyword)]
+        hits = [keyword for keyword in group if keyword in present]
         if not hits:
             return None
         matched.extend(hits)
@@ -499,21 +517,28 @@ class TextToCypherModel:
         self.extractor = EntityExtractor(gazetteer)
         self.seed = seed
         self.error_model = error_model or ErrorModel()
+        # ISO code -> the gazetteer's first name for it longer than a code
+        self._country_names: dict[str, str] = {}
+        for key, code in self.extractor.gazetteer.countries.items():
+            if len(key) > 3:
+                self._country_names.setdefault(code, key)
 
     # -- public ----------------------------------------------------------
 
     def generate(self, question: str) -> CypherGeneration:
         """Translate ``question`` into Cypher (possibly wrong, possibly None)."""
-        normalized = " " + " ".join(word_tokenize(question)) + " "
+        tokens = word_tokenize(question)
+        keywords = _keywords_in(" " + " ".join(tokens) + " ")
         entities = self.extractor.extract(question)
+        kinds = {kind for kind in _ENTITY_KINDS if getattr(entities, kind)}
 
         best: Optional[Intent] = None
         best_score = -1.0
         best_matched: list[str] = []
         for intent in INTENTS:
-            if not intent.required_present(entities):
+            if not kinds.issuperset(intent.requires):
                 continue
-            matched = _matched_keywords(normalized, intent.groups)
+            matched = _matched_keywords(keywords, intent.groups)
             if matched is None:
                 continue
             score = 2.0 * len(intent.groups) + intent.priority + 0.5 * len(intent.requires)
@@ -525,7 +550,7 @@ class TextToCypherModel:
         if best is None:
             return CypherGeneration(cypher=None, confidence=0.0, intent=None, coverage=0.0)
 
-        coverage = self._coverage(question, best_matched, entities)
+        coverage = self._coverage(tokens, best_matched, entities)
         cypher = best.builder(entities)
         rng = self._rng(question)
         probability = self.error_model.probability(coverage)
@@ -548,15 +573,14 @@ class TextToCypherModel:
         return random.Random(int.from_bytes(digest[:8], "little"))
 
     def _coverage(
-        self, question: str, matched_keywords: list[str], entities: ExtractedEntities
+        self, tokens: list[str], matched_keywords: list[str], entities: ExtractedEntities
     ) -> float:
-        """Fraction of content tokens the matched intent explains."""
-        tokens = word_tokenize(question)
+        """Fraction of the question's content ``tokens`` the matched intent explains."""
         if not tokens:
             return 0.0
         explained: set[str] = set()
         for keyword in matched_keywords:
-            explained.update(word_tokenize(keyword))
+            explained.update(_KEYWORD_TOKENS[keyword])
         for values in (
             entities.prefixes, entities.ips, entities.domains, entities.ixps,
             entities.tags, entities.organizations, entities.rankings,
@@ -568,11 +592,7 @@ class TextToCypherModel:
             explained.add(f"as{asn}")
         for code in entities.countries:
             explained.add(code.lower())
-            name = None
-            for key, value in self.extractor.gazetteer.countries.items():
-                if value == code and len(key) > 3:
-                    name = key
-                    break
+            name = self._country_names.get(code)
             if name:
                 explained.update(word_tokenize(name))
         for number in entities.numbers:

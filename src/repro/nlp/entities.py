@@ -23,6 +23,7 @@ _DOMAIN_RE = re.compile(
     re.IGNORECASE,
 )
 _NUMBER_RE = re.compile(r"\b(\d+(?:\.\d+)?)\b")
+_CODE_RE = re.compile(r"\b[A-Z]{2}\b")
 
 
 @dataclass
@@ -81,12 +82,26 @@ class EntityExtractor:
 
     def __init__(self, gazetteer: Gazetteer | None = None) -> None:
         self.gazetteer = gazetteer or Gazetteer()
-        # Longest-first phrase lists so "DE-CIX Frankfurt" beats "DE-CIX".
+        # Longest-first (phrase, lowered phrase) lists so "DE-CIX Frankfurt"
+        # beats "DE-CIX".
         self._phrase_tables = [
-            ("ixps", sorted(self.gazetteer.ixps, key=len, reverse=True)),
-            ("tags", sorted(self.gazetteer.tags, key=len, reverse=True)),
-            ("rankings", sorted(self.gazetteer.rankings, key=len, reverse=True)),
-            ("organizations", sorted(self.gazetteer.organizations, key=len, reverse=True)),
+            (attribute, [(phrase, phrase.lower())
+                         for phrase in sorted(phrases, key=len, reverse=True)])
+            for attribute, phrases in (
+                ("ixps", self.gazetteer.ixps),
+                ("tags", self.gazetteer.tags),
+                ("rankings", self.gazetteer.rankings),
+                ("organizations", self.gazetteer.organizations),
+            )
+        ]
+        # Country names longer than a code, longest first; bare codes are
+        # matched as upper-case tokens instead (``_extract_countries``).
+        self._country_names = [
+            (name, code)
+            for name, code in sorted(
+                self.gazetteer.countries.items(), key=lambda kv: len(kv[0]), reverse=True
+            )
+            if len(name) > 3
         ]
 
     def extract(self, text: str) -> ExtractedEntities:
@@ -123,8 +138,8 @@ class EntityExtractor:
         lowered = text.lower()
         for attribute, phrases in self._phrase_tables:
             found = getattr(entities, attribute)
-            for phrase in phrases:
-                index = lowered.find(phrase.lower())
+            for phrase, lowered_phrase in phrases:
+                index = lowered.find(lowered_phrase)
                 if index == -1:
                     continue
                 span = (index, index + len(phrase))
@@ -146,16 +161,12 @@ class EntityExtractor:
     def _extract_countries(self, text: str, lowered: str) -> list[str]:
         found: list[str] = []
         # Multi-word country names first ("united states", "south korea").
-        for name, code in sorted(
-            self.gazetteer.countries.items(), key=lambda kv: len(kv[0]), reverse=True
-        ):
-            if len(name) <= 3:
-                continue  # handled below as exact tokens
+        for name, code in self._country_names:
             if name in lowered and code not in found:
                 found.append(code)
         # Bare ISO codes must be upper-case in the text ("JP", "US") to
         # avoid matching English words like "in" or "us".
-        for match in re.finditer(r"\b[A-Z]{2}\b", text):
+        for match in _CODE_RE.finditer(text):
             code = self.gazetteer.countries.get(match.group(0).lower())
             if code and code not in found:
                 found.append(code)

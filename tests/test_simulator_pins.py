@@ -26,18 +26,20 @@ from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ChatIYP, ChatIYPConfig, text2cypher_prompt
 from repro.embed import HashingEmbedding
-from repro.embed.model import cosine_similarity
+from repro.embed.model import _stable_bucket
 from repro.eval import build_cyphereval
 from repro.llm import SimulatedLLM
 from repro.llm.simulated import _sections
-from repro.llm.text2cypher import INTENTS, _matched_keywords
+from repro.llm.text2cypher import INTENTS, _keywords_in, _matched_keywords
 from repro.nlp.entities import EntityExtractor, ExtractedEntities, Gazetteer
+from repro.nlp.ngrams import char_ngrams
 from repro.nlp.tokenize import STOPWORDS, word_tokenize
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "simulator_digest.json"
@@ -187,20 +189,50 @@ def reference_token_f1(candidate: list[str], reference: list[str]) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
+def reference_embed_tokens(embedding: HashingEmbedding, tokens: list[str]) -> np.ndarray:
+    """Hashed features summed one at a time into a Python list: every token's
+    word bucket and char trigrams, then every bigram; then unit norm."""
+    dim = embedding.dim
+    sums = [0.0] * dim
+    for token in tokens:
+        index, sign = _stable_bucket(token, dim, "word")
+        sums[index] += sign
+        for gram in char_ngrams(token, 3):
+            index, sign = _stable_bucket(gram, dim, "char")
+            sums[index] += sign * embedding.char_weight
+    for left, right in zip(tokens, tokens[1:]):
+        index, sign = _stable_bucket(f"{left}_{right}", dim, "bigram")
+        sums[index] += sign * 0.7
+    vector = np.array(sums, dtype=np.float64)
+    norm = np.linalg.norm(vector)
+    if norm > 0:
+        vector /= norm
+    return vector
+
+
+def reference_cosine(left: np.ndarray, right: np.ndarray) -> float:
+    """Cosine similarity; 0.0 when either vector is all-zero."""
+    norm_left = float(np.linalg.norm(left))
+    norm_right = float(np.linalg.norm(right))
+    if norm_left == 0.0 or norm_right == 0.0:
+        return 0.0
+    return float(np.dot(left, right) / (norm_left * norm_right))
+
+
 def reference_score_many(embedding: HashingEmbedding, query: str,
                          passages: list[str]) -> list[float]:
     """Relevance in [0, 10]: each passage embedded and compared on its own."""
     query_tokens = word_tokenize(query)
     query_content = [t for t in query_tokens if t not in STOPWORDS]
-    query_vector = embedding.embed_tokens(query_tokens)
+    query_vector = reference_embed_tokens(embedding, query_tokens)
     scores = []
     for passage in passages:
         if not passage.strip():
             scores.append(0.0)
             continue
         passage_tokens = word_tokenize(passage)
-        semantic = max(0.0, cosine_similarity(query_vector,
-                                              embedding.embed_tokens(passage_tokens)))
+        semantic = max(0.0, reference_cosine(
+            query_vector, reference_embed_tokens(embedding, passage_tokens)))
         if query_content:
             present = set(passage_tokens)
             lexical = sum(1 for t in query_content if t in present) / len(query_content)
@@ -223,7 +255,7 @@ def _normalized(text: str) -> str:
 
 def matched_keywords(text: str, groups) -> list[str] | None:
     """The head's keyword matching of ``text`` against ``groups``."""
-    return _matched_keywords(_normalized(text), groups)
+    return _matched_keywords(_keywords_in(_normalized(text)), groups)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +395,18 @@ class TestScores:
             expected = reference_score_many(embedding, sections["query"], passages)
             assert _bits(reply.metadata["scores"]) == _bits(expected)
 
+    def test_sweep_embeddings(self, sweep):
+        bot, calls = sweep
+        embedding = bot.llm.embedding
+        for prompt, task, _ in calls:
+            if task != "rerank":
+                continue
+            sections = reference_sections(prompt)
+            for text in [sections["query"], *json.loads(sections["passages"])]:
+                tokens = word_tokenize(text)
+                assert embedding.embed_tokens(tokens).tobytes() == reference_embed_tokens(
+                    embedding, tokens).tobytes(), text
+
     def test_hand_passages(self):
         scorer = SimulatedLLM().scorer
         passages = HAND_TEXTS + ["!!!", "the of a", "AS2497 AS2497 as2497"]
@@ -429,6 +473,17 @@ def small_gazetteer(small_dataset):
 def test_extract_matches_reference(small_gazetteer, text):
     assert repr(asdict(EntityExtractor(small_gazetteer).extract(text))) == repr(
         asdict(reference_extract(small_gazetteer, text)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["as", "AS2497", "a", "aaaa", "peers", "x.y/z", "é"]),
+                max_size=12))
+def test_embedding_matches_reference(words):
+    embedding = HashingEmbedding()
+    tokens = word_tokenize(" ".join(words))
+    vector = embedding.embed_tokens(tokens)
+    assert vector.dtype == np.float64 and vector.shape == (embedding.dim,)
+    assert vector.tobytes() == reference_embed_tokens(embedding, tokens).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
