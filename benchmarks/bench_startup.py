@@ -16,9 +16,12 @@ The two trees, each with its own copy of the graphs, are timed against
 each other in one process by ``benchmarks/same_run.py``, whose untimed
 first pass per stage warms the embedding's bucket caches as a served
 process's earlier builds would; the result is a same-run ratio.  Memory is read
-apart from the timing: one child process per tree generates the medium
-graph, builds ``ChatIYP`` once and reports ``VmHWM`` and ``VmRSS`` from
-``/proc/self/status``::
+apart from the timing, in two child processes per tree: one generates the
+medium graph, builds ``ChatIYP`` once and reports ``VmHWM`` and ``VmRSS``
+from ``/proc/self/status``; the other traces ``generate_iyp`` of the large
+graph with ``tracemalloc`` and reports what the graph holds, in MB and in
+bytes per node or relationship (the store's footprint, which sets how large
+a snapshot one process can serve)::
 
     python benchmarks/bench_startup.py --baseline-src ../parent/src --output BENCH_startup.json
 
@@ -105,6 +108,36 @@ def memory_after_build(src: Path, size: str) -> dict:
     return json.loads(child.stdout)
 
 
+def traced_store(src: Path, size: str) -> dict:
+    """MB that ``tracemalloc`` sees held after generating the ``size`` graph,
+    and bytes per entity (node or relationship), in a child process with the
+    tree ``src``."""
+    child = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--traced-child", str(src),
+         "--graph", size],
+        stdout=subprocess.PIPE, text=True, check=True, timeout=600,
+    )
+    return json.loads(child.stdout)
+
+
+def _traced_child(src: Path, size: str) -> None:
+    sys.path.insert(0, str(src))
+    import tracemalloc
+
+    from repro.iyp import IYPConfig, generate_iyp
+
+    config = getattr(IYPConfig, size)(seed=42)
+    tracemalloc.start()
+    store = generate_iyp(config).store
+    traced, _ = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    entities = store.node_count + store.relationship_count
+    print(json.dumps({
+        "store_traced_mb": round(traced / 1e6, 1),
+        "store_bytes_per_entity": round(traced / entities),
+    }))
+
+
 def _memory_child(src: Path, size: str) -> None:
     sys.path.insert(0, str(src))
     from repro.core import ChatIYP, ChatIYPConfig
@@ -130,10 +163,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="one round, the small graph for every stage")
     parser.add_argument("--memory-child", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--traced-child", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--graph", default="medium", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.memory_child is not None:
         _memory_child(args.memory_child, args.graph)
+        return 0
+    if args.traced_child is not None:
+        _traced_child(args.traced_child, args.graph)
         return 0
     if args.baseline_src is None:
         parser.error("--baseline-src is required")
@@ -147,10 +184,12 @@ def main(argv: list[str] | None = None) -> int:
         "graphs": graphs,
         "protocol": (same_run.protocol(rounds, "milliseconds per pass (embed: microseconds "
                                        "per text)") + "; memory: one child process per tree "
-                     f"after one {graphs['chatiyp_medium']} ChatIYP build"),
+                     f"after one {graphs['chatiyp_medium']} ChatIYP build, and one tracing "
+                     f"{graphs['chatiyp_large']} generate_iyp"),
         "host": same_run.host(),
         **same_run.summarize(samples, key=figure_name),
-        "memory": {side: memory_after_build(tree.resolve(), graphs["chatiyp_medium"])
+        "memory": {side: {**memory_after_build(tree.resolve(), graphs["chatiyp_medium"]),
+                          **traced_store(tree.resolve(), graphs["chatiyp_large"])}
                    for side, tree in (("change", args.src), ("baseline", args.baseline_src))},
     }, args.output)
 
@@ -166,7 +205,9 @@ def test_startup_smoke(tmp_path):
     for side in ("change", "baseline"):
         assert set(result[side]) == {figure_name(stage) for stage in STAGES}
         assert all(value > 0 for value in result[side].values())
-        assert set(result["memory"][side]) == {"vm_hwm_mb", "vm_rss_mb"}
+        assert set(result["memory"][side]) == {
+            "vm_hwm_mb", "vm_rss_mb", "store_traced_mb", "store_bytes_per_entity"}
+        assert result["memory"][side]["store_bytes_per_entity"] > 0
     assert all(ratio > 0 for ratio in result["ratio"].values())
 
 

@@ -8,25 +8,36 @@ comfortably, and determinism matters more than concurrency for
 reproduction.
 
 Every scan returns entities in id order without sorting.  Ids only grow,
-a node's labels and a relationship's type and endpoints never change, and
-each index is a dict keyed by id, filled when the entity is created and
-trimmed when it is deleted; a dict keeps insertion order across deletes.
+and a node's labels and a relationship's type and endpoints never change.
+The node and relationship tables and the label index are dicts keyed by
+id, which keep insertion order across deletes.  An adjacency bucket (one
+node's relationships of one type and direction) is a list appended to as
+relationships are created, so it is in id order too.  A property-index
+bucket is a sorted list of node ids: a SET can add a lower id, so inserts
+go through :func:`bisect.insort`.  Nodes with equal labels share one
+``frozenset``.  Every index entry is dropped once it empties.
 """
 
 from __future__ import annotations
 
 import gc
+from bisect import insort
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Collection, Iterable, Iterator, Mapping
+from itertools import chain, islice
+from operator import attrgetter, is_
+from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .model import Node, Relationship, validate_properties
 
 __all__ = ["GraphStore", "GraphStatistics", "GraphError", "EntityNotFound"]
 
-#: an absent adjacency map or bucket
-_NO_BUCKET: dict = {}
+#: an absent adjacency or label map
+_NO_MAP: dict = {}
+#: the directions that read one adjacency side
+_ONE_SIDE = ("out", "in")
+_REL_ID = attrgetter("rel_id")
 
 
 @contextmanager
@@ -43,8 +54,9 @@ def _bulk_build() -> Iterator[None]:
     * On entry the collector is disabled (process-wide).
     * On normal exit ``gc.collect(); gc.freeze()`` moves every object alive
       now, not just the graph, into the permanent generation, so a served
-      process's full collections stop walking its graph (some 300k nodes,
-      relationships, property dicts and index dicts on the large preset).
+      process's full collections stop walking its graph (some 270k nodes,
+      relationships, property dicts and index lists and dicts on the large
+      preset).
       Frozen objects are still freed by reference counting, and a dropped
       acyclic graph leaves no cycle for the collector to find.
     * On any exit the collector is put back as the caller had it: a caller
@@ -133,19 +145,20 @@ class GraphStore:
         self._next_rel_id = 0
         # label -> {node id: node}, in id order; no empty entries
         self._label_index: dict[str, dict[int, Node]] = {}
-        # node id -> rel type -> {rel id: rel}, one map per direction, in id
-        # order; empty buckets and maps are dropped.  An expansion that names
-        # one direction and one type reads a single bucket.
-        self._outgoing_typed: dict[int, dict[str, dict[int, Relationship]]] = {}
-        self._incoming_typed: dict[int, dict[str, dict[int, Relationship]]] = {}
+        # one shared frozenset per distinct label combination
+        self._label_sets: dict[frozenset[str], frozenset[str]] = {}
+        # node id -> rel type -> [rel, ...], one map per direction, each list
+        # in id order; empty lists and maps are dropped.  An expansion that
+        # names one direction and one type reads a single list.
+        self._outgoing_typed: dict[int, dict[str, list[Relationship]]] = {}
+        self._incoming_typed: dict[int, dict[str, list[Relationship]]] = {}
         # rel type -> live relationship count (for planner statistics)
         self._rel_type_counts: Counter[str] = Counter()
         # (rel type, "out"|"in", endpoint label) -> live edge count
         self._rel_endpoint_counts: Counter[tuple[str, str, str]] = Counter()
-        # (label, property key) -> value -> node ids, built on request; no
-        # empty value buckets.  A SET can add a lower id to a bucket, so
-        # lookups sort.
-        self._property_index: dict[tuple[str, str], dict[Any, set[int]]] = {}
+        # (label, property key) -> value -> sorted node ids, built on
+        # request; no empty value buckets
+        self._property_index: dict[tuple[str, str], dict[Any, list[int]]] = {}
         # bumped on every mutation; statistics() and result memos key on it
         self._stats_version = 0
         self._stats_cache: GraphStatistics | None = None
@@ -160,18 +173,20 @@ class GraphStore:
         properties: Mapping[str, Any] | None = None,
     ) -> Node:
         """Create and index a node; returns the new :class:`Node`."""
-        labels = tuple(labels)
+        labels = frozenset(labels)
         if not labels:
             raise GraphError("a node needs at least one label")
-        node = Node(self._next_node_id, labels, properties)
-        self._next_node_id += 1
-        self._nodes[node.node_id] = node
-        for label in node.labels:
-            self._label_index.setdefault(label, {})[node.node_id] = node
+        labels = self._label_sets.setdefault(labels, labels)
+        node_id = self._next_node_id
+        node = Node(node_id, labels, properties)
+        self._next_node_id = node_id + 1
+        self._nodes[node_id] = node
+        for label in labels:
+            self._label_index.setdefault(label, {})[node_id] = node
             for key, value in node.properties.items():
                 index = self._property_index.get((label, key))
                 if index is not None:
-                    index.setdefault(self._index_key(value), set()).add(node.node_id)
+                    self._index(index, value, node_id)
         self._touch()
         return node
 
@@ -190,8 +205,14 @@ class GraphStore:
         rel = Relationship(self._next_rel_id, rel_type, start_id, end_id, properties)
         self._next_rel_id += 1
         self._relationships[rel.rel_id] = rel
-        self._outgoing_typed.setdefault(start_id, {}).setdefault(rel_type, {})[rel.rel_id] = rel
-        self._incoming_typed.setdefault(end_id, {}).setdefault(rel_type, {})[rel.rel_id] = rel
+        for side, node_id in ((self._outgoing_typed, start_id), (self._incoming_typed, end_id)):
+            by_type = side.get(node_id)
+            if by_type is None:
+                side[node_id] = {rel_type: [rel]}
+            elif (bucket := by_type.get(rel_type)) is None:
+                by_type[rel_type] = [rel]
+            else:
+                bucket.append(rel)
         self._rel_type_counts[rel_type] += 1
         for label in self._nodes[start_id].labels:
             self._rel_endpoint_counts[(rel_type, "out", label)] += 1
@@ -215,7 +236,7 @@ class GraphStore:
             if old is not None:
                 self._unindex(index, old, node_id)
             if value is not None:
-                index.setdefault(self._index_key(value), set()).add(node_id)
+                self._index(index, value, node_id)
         self._touch()
 
     def set_relationship_property(self, rel_id: int, key: str, value: Any) -> None:
@@ -238,7 +259,7 @@ class GraphStore:
         ):
             by_type = side[node_id]
             bucket = by_type[rel.rel_type]
-            del bucket[rel_id]
+            bucket.remove(rel)
             if not bucket:
                 del by_type[rel.rel_type]
                 if not by_type:
@@ -288,10 +309,16 @@ class GraphStore:
         """Build an exact-match index over ``(label, key)`` for fast lookups."""
         if (label, key) in self._property_index:
             return
-        index: dict[Any, set[int]] = {}
-        for node_id, node in self._label_index.get(label, {}).items():
+        index: dict[Any, list[int]] = {}
+        # the label's nodes come in id order, so appending keeps buckets sorted
+        for node_id, node in self._label_index.get(label, _NO_MAP).items():
             if key in node.properties:
-                index.setdefault(self._index_key(node.properties[key]), set()).add(node_id)
+                value = self._index_key(node.properties[key])
+                bucket = index.get(value)
+                if bucket is None:
+                    index[value] = [node_id]
+                else:
+                    bucket.append(node_id)
         self._property_index[(label, key)] = index
         self._touch()
 
@@ -377,17 +404,17 @@ class GraphStore:
         The snapshot is taken at the call, so writes made while a consumer
         is still pulling rows neither show up nor break the scan.
         """
-        return iter(tuple(self._label_index.get(label, {}).values()))
+        return iter(tuple(self._label_index.get(label, _NO_MAP).values()))
 
     def nodes_by_property(self, label: str, key: str, value: Any) -> Iterator[Node]:
-        """Iterate nodes with ``label`` whose ``key`` equals ``value``.
+        """Iterate nodes with ``label`` whose ``key`` equals ``value``, in id order.
 
         Uses the property index when one exists; otherwise falls back to a
         label scan.
         """
         index = self._property_index.get((label, key))
         if index is not None:
-            for node_id in sorted(index.get(self._index_key(value), ())):
+            for node_id in tuple(index.get(self._index_key(value), ())):
                 yield self._nodes[node_id]
             return
         for node in self.nodes_by_label(label):
@@ -407,36 +434,35 @@ class GraphStore:
                 point of view).
             rel_types: restrict to these relationship types (any if None).
 
-        One direction and one type read a single adjacency bucket, which is
-        already in id order.  Anything else merges its buckets by id; a
+        One direction and one type read a single adjacency list, which is
+        already in id order.  Anything else merges its lists by id; a
         self-loop appears once under ``"both"``.
         """
-        if direction in ("out", "in") and rel_types is not None and len(rel_types) == 1:
-            (rel_type,) = rel_types
-            side = self._outgoing_typed if direction == "out" else self._incoming_typed
-            return tuple(side.get(node_id, _NO_BUCKET).get(rel_type, _NO_BUCKET).values())
+        if direction in _ONE_SIDE and rel_types is not None and len(rel_types) == 1:
+            return tuple(self._bucket(node_id, direction, rel_types))
         buckets = self._buckets(node_id, direction, rel_types)
         if len(buckets) < 2:
-            return tuple(buckets[0].values()) if buckets else ()
-        merged: dict[int, Relationship] = {}
-        for bucket in buckets:
-            merged.update(bucket)
-        return tuple(map(merged.__getitem__, sorted(merged)))
+            return tuple(buckets[0]) if buckets else ()
+        rels = sorted(chain.from_iterable(buckets), key=_REL_ID)
+        if direction == "both" and True in map(is_, rels, islice(rels, 1, None)):
+            # a self-loop sits in both directions' lists: keep it once
+            rels = list(dict(zip(map(_REL_ID, rels), rels)).values())
+        return tuple(rels)
 
     def typed_adjacency(
         self, node_id: int, direction: str
-    ) -> Mapping[str, Mapping[int, Relationship]]:
+    ) -> Mapping[str, Sequence[Relationship]]:
         """The node's relationships of one direction, by type: rel type ->
-        {rel id: rel} in id order, with no empty bucket.
+        relationships in id order, with no empty sequence.
 
         ``direction`` is ``"out"`` or ``"in"``; a self-loop is in both.
-        The maps are the store's live index: read them, never mutate them,
-        and do not hold them across writes.
+        The map and its sequences are the store's live index: read them,
+        never mutate them, and do not hold them across writes.
         """
         if direction == "out":
-            return self._outgoing_typed.get(node_id, _NO_BUCKET)
+            return self._outgoing_typed.get(node_id, _NO_MAP)
         if direction == "in":
-            return self._incoming_typed.get(node_id, _NO_BUCKET)
+            return self._incoming_typed.get(node_id, _NO_MAP)
         raise ValueError(f"invalid direction {direction!r}")
 
     def degree(
@@ -446,15 +472,27 @@ class GraphStore:
         rel_types: Collection[str] | None = None,
     ) -> int:
         """Number of attached relationships; a self-loop counts once under ``"both"``."""
+        if direction in _ONE_SIDE:
+            if rel_types is not None and len(rel_types) == 1:
+                return len(self._bucket(node_id, direction, rel_types))
+            return sum(map(len, self._buckets(node_id, direction, rel_types)))
         return len(self.adjacent_relationships(node_id, direction, rel_types))
+
+    def _bucket(
+        self, node_id: int, direction: str, rel_types: Collection[str]
+    ) -> Sequence[Relationship]:
+        """The one adjacency list a one-direction, one-type call reads."""
+        (rel_type,) = rel_types
+        side = self._outgoing_typed if direction == "out" else self._incoming_typed
+        return side.get(node_id, _NO_MAP).get(rel_type, ())
 
     def _buckets(
         self,
         node_id: int,
         direction: str,
         rel_types: Collection[str] | None,
-    ) -> list[dict[int, Relationship]]:
-        """The non-empty adjacency buckets a ``(direction, rel_types)`` call reads."""
+    ) -> list[list[Relationship]]:
+        """The non-empty adjacency lists a ``(direction, rel_types)`` call reads."""
         if direction == "out":
             sides = (self._outgoing_typed,)
         elif direction == "in":
@@ -463,7 +501,7 @@ class GraphStore:
             sides = (self._outgoing_typed, self._incoming_typed)
         else:
             raise ValueError(f"invalid direction {direction!r}")
-        buckets: list[dict[int, Relationship]] = []
+        buckets: list[list[Relationship]] = []
         for side in sides:
             by_type = side.get(node_id)
             if by_type is None:
@@ -530,13 +568,23 @@ class GraphStore:
         self._stats_version += 1
 
     @classmethod
-    def _unindex(cls, index: dict[Any, set[int]], value: Any, node_id: int) -> None:
+    def _index(cls, index: dict[Any, list[int]], value: Any, node_id: int) -> None:
+        """Add ``node_id`` to ``value``'s bucket, keeping the bucket sorted."""
+        key = cls._index_key(value)
+        bucket = index.get(key)
+        if bucket is None:
+            index[key] = [node_id]
+        else:
+            insort(bucket, node_id)
+
+    @classmethod
+    def _unindex(cls, index: dict[Any, list[int]], value: Any, node_id: int) -> None:
         """Drop ``node_id`` from ``value``'s bucket, and the bucket once empty."""
         key = cls._index_key(value)
-        bucket = index.get(key, set())
-        bucket.discard(node_id)
+        bucket = index[key]
+        bucket.remove(node_id)
         if not bucket:
-            index.pop(key, None)
+            del index[key]
 
     @staticmethod
     def _index_key(value: Any) -> Any:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import islice
+from operator import attrgetter
 from typing import Callable
 
 from ..graph.model import Node
@@ -46,6 +47,8 @@ _REL_PHRASES = {
 }
 
 _MAX_NEIGHBOURS_PER_PHRASE = 4
+
+_START = attrgetter("start_id")
 
 
 def _entity_name(node: Node) -> str:
@@ -84,27 +87,22 @@ def _describe(store: GraphStore, node: Node, name: Callable[[int], str]) -> str:
     incoming = store.typed_adjacency(node_id, "in")
     phrases: list[tuple[int, str]] = []  # (first relationship id, phrase)
     for direction, by_type in (("out", outgoing), ("in", incoming)):
-        for rel_type, bucket in by_type.items():
+        for rel_type, rels in by_type.items():
             template = _REL_PHRASES.get((direction, rel_type))
             if template is None:
                 continue
-            rels = bucket.values()
-            count = len(bucket)
-            if direction == "in" and rel_type in outgoing:
-                # a self-loop sits in both buckets of its type
-                loops = bucket.keys() & outgoing[rel_type].keys()
-                if loops:
-                    rels = [rel for rel in rels if rel.rel_id not in loops]
-                    count -= len(loops)
-                    if not count:
-                        continue
+            if direction == "in" and rel_type in outgoing and node_id in map(_START, rels):
+                # a self-loop sits in both lists of its type
+                rels = [rel for rel in rels if rel.start_id != node_id]
+                if not rels:
+                    continue
             names = []
             for rel in islice(rels, _MAX_NEIGHBOURS_PER_PHRASE):
                 other = rel.end_id if direction == "out" else rel.start_id
                 names.append(name(other))
-            extra = count - len(names)
+            extra = len(rels) - len(names)
             rendered = ", ".join(names) + (f" and {extra} more" if extra > 0 else "")
-            phrases.append((next(iter(rels)).rel_id, template.format(rendered)))
+            phrases.append((rels[0].rel_id, template.format(rendered)))
     if phrases:
         phrases.sort()
         return header + "; " + "; ".join(phrase for _, phrase in phrases)

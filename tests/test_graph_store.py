@@ -1,10 +1,13 @@
 """Unit tests for the GraphStore."""
 
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import EntityNotFound, GraphError, GraphStore
+from repro.graph.csv_io import export_graph, import_graph
 
 
 @pytest.fixture()
@@ -146,13 +149,12 @@ class TestAdjacency:
         store, a, b, c, ab, bc, ca = triangle
         loop = store.create_relationship(a.node_id, "PEERS_WITH", a.node_id)
         out = store.typed_adjacency(a.node_id, "out")
-        assert {t: list(bucket.values()) for t, bucket in out.items()} == {
-            "PEERS_WITH": [ab, loop]
-        }
+        assert {t: list(rels) for t, rels in out.items()} == {"PEERS_WITH": [ab, loop]}
         incoming = store.typed_adjacency(a.node_id, "in")
-        assert {t: list(bucket.values()) for t, bucket in incoming.items()} == {
+        assert {t: list(rels) for t, rels in incoming.items()} == {
             "DEPENDS_ON": [ca], "PEERS_WITH": [loop]
         }
+        assert len(incoming["PEERS_WITH"]) == 1 and incoming["PEERS_WITH"][0] is loop
         store.delete_relationship(ca.rel_id)
         assert "DEPENDS_ON" not in store.typed_adjacency(a.node_id, "in")
         assert store.typed_adjacency(c.node_id, "out") == {}
@@ -279,18 +281,80 @@ class TestEmptyBuckets:
     def test_deletes_drop_empty_adjacency_and_label_entries(self, store):
         a = store.create_node(["AS"])
         b = store.create_node(["AS"])
+        store.create_relationship(a.node_id, "KEEP", b.node_id)
+        before = _index_keys(store)
         for i in range(1_000):
             rel = store.create_relationship(a.node_id, f"T{i}", b.node_id)
+            assert ("out", a.node_id, f"T{i}") in _index_keys(store)
             store.delete_relationship(rel.rel_id)
-        assert a.node_id not in store._outgoing_typed
-        assert b.node_id not in store._incoming_typed
+        assert _index_keys(store) == before
         for _ in range(3):
             tmp = store.create_node(["Tmp"])
             store.create_relationship(tmp.node_id, "X", tmp.node_id)
             store.delete_node(tmp.node_id, detach=True)
-        assert "Tmp" not in store._label_index
-        assert tmp.node_id not in store._outgoing_typed
-        assert tmp.node_id not in store._incoming_typed
+        assert _index_keys(store) == before
+        assert _empty_index_entries(store) == []
+
+
+def _index_keys(store):
+    """Every key of every map in the store's label, adjacency and property
+    indexes: an entry a write leaves behind shows up here."""
+    keys = {("label", label, node_id)
+            for label, members in store._label_index.items() for node_id in members}
+    for direction, side in (("out", store._outgoing_typed), ("in", store._incoming_typed)):
+        keys.update((direction, node_id) for node_id in side)
+        keys.update((direction, node_id, rel_type)
+                    for node_id, by_type in side.items() for rel_type in by_type)
+    for key, index in store._property_index.items():
+        keys.update(("property", key, value) for value in index)
+    return keys
+
+
+def _empty_index_entries(store):
+    """Every empty map or bucket left in the store's indexes."""
+    empty = [("label", label) for label, members in store._label_index.items() if not members]
+    for direction, side in (("out", store._outgoing_typed), ("in", store._incoming_typed)):
+        for node_id, by_type in side.items():
+            if not by_type:
+                empty.append((direction, node_id))
+            empty += [(direction, node_id, t) for t, rels in by_type.items() if not rels]
+    for key, index in store._property_index.items():
+        empty += [("property", key, value) for value, ids in index.items() if not ids]
+    return empty
+
+
+class TestSharedLabelSets:
+    """Nodes with equal labels hold one shared ``frozenset``, however the
+    store was filled."""
+
+    @staticmethod
+    def _label_set_objects(store):
+        objects = {}
+        for node in store.all_nodes():
+            objects.setdefault(node.labels, set()).add(id(node.labels))
+        return objects
+
+    def test_create_node_shares_label_sets(self, store):
+        a = store.create_node(["AS", "Legacy"])
+        b = store.create_node(("Legacy", "AS"))
+        c = store.create_node({"AS"})
+        assert a.labels is b.labels
+        assert c.labels == frozenset({"AS"}) and c.labels is not a.labels
+
+    def test_generated_graph_shares_label_sets(self, small_dataset):
+        objects = self._label_set_objects(small_dataset.store)
+        assert len(objects) > 1
+        assert all(len(ids) == 1 for ids in objects.values())
+
+    def test_csv_round_trip_shares_label_sets(self, small_dataset):
+        files = io.StringIO(), io.StringIO(), io.StringIO()
+        export_graph(small_dataset.store, *files)
+        for handle in files:
+            handle.seek(0)
+        loaded = import_graph(*files)
+        objects = self._label_set_objects(loaded)
+        assert objects.keys() == self._label_set_objects(small_dataset.store).keys()
+        assert all(len(ids) == 1 for ids in objects.values())
 
 
 class TestScanSnapshot:
@@ -398,6 +462,17 @@ def _check_against_reference(store):
                 found = store.adjacent_relationships(node.node_id, direction, types)
                 assert list(found) == expected
                 assert store.degree(node.node_id, direction, types) == len(expected)
+        for direction in ("out", "in"):
+            by_type = {}
+            for rel in rels:
+                if sides[direction](rel, node.node_id):
+                    by_type.setdefault(rel.rel_type, []).append(rel)
+            typed = store.typed_adjacency(node.node_id, direction)
+            assert {t: list(found) for t, found in typed.items()} == by_type
+    assert _empty_index_entries(store) == []
+    shared = {}
+    for node in nodes:
+        assert shared.setdefault(node.labels, node.labels) is node.labels
 
 
 class TestIdOrderInvariant:
