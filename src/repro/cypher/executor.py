@@ -45,7 +45,6 @@ from __future__ import annotations
 import copy
 import threading
 from collections import OrderedDict
-from dataclasses import replace
 from typing import Any, Iterator, Optional
 
 from ..faults import fault_point
@@ -63,7 +62,6 @@ from .planner import (
     AnchorPlan,
     Filters,
     PushedFilter,
-    fixed_anchor,
     pattern_sites,
     plan_query,
 )
@@ -75,6 +73,8 @@ from .writes import WriteClauses
 __all__ = ["CypherEngine", "execute"]
 
 Row = dict[str, Any]
+#: paths as their node and relationship lists
+_Paths = list[tuple[list[Node], list[Relationship]]]
 
 
 def execute(store: GraphStore, query: str, **params: Any) -> ResultSet:
@@ -484,42 +484,27 @@ class _ExecutionContext(WriteClauses):
         return self.chains[id(node)].matches(self, row, first_only)
 
     def _match_shortest(
-        self,
-        part: ast.PatternPart,
-        row: Row,
-        used: frozenset[int],
-        filters: Optional[Filters] = None,
+        self, op: Any, row: Row, used: frozenset[int]
     ) -> Iterator[tuple[Row, frozenset[int]]]:
-        """Match ``shortestPath((a)-[...]-(b))`` via breadth-first search.
+        """Match the ``shortestPath``/``allShortestPaths`` part of the
+        ``ShortestPath`` operator ``op`` from ``row``.
 
-        Both endpoint patterns are resolved first, each by the fixed anchor
-        rule (bound variable, inline-property lookup, label scan, all
-        nodes) against the row, then a BFS bounded by the relationship
-        pattern's hop range finds one (``"single"``) or all (``"all"``)
-        minimum-length paths.  Charges every endpoint candidate it tries
-        and every step of its searches.
+        The planned access paths give the candidates of each endpoint, the
+        end's read with the start bound; each pair runs one breadth-first
+        search bounded by the hop range.  Charges every endpoint candidate
+        it tries and every step of its searches.
         """
+        part, filters, state = op.part, op.filters, self.state
         start_pattern, rel_pattern, end_pattern = part.elements
-        assert isinstance(start_pattern, ast.NodePattern)
-        assert isinstance(rel_pattern, ast.RelPattern)
-        assert isinstance(end_pattern, ast.NodePattern)
-        if not rel_pattern.var_length and rel_pattern.min_hops is None:
-            # A plain relationship inside shortestPath() means one hop.
-            rel_pattern = replace(rel_pattern, min_hops=1, max_hops=1, var_length=True)
-        stats = self.store.statistics()
-        state = self.state
-        for start in self._node_candidates(
-            start_pattern, row, fixed_anchor(start_pattern, stats, row)
-        ):
+        max_hops = self.max_var_length if op.max_hops is None else op.max_hops
+        for start in self._node_candidates(start_pattern, row, op.start_anchor):
             state.rows += 1
             if state.rows > state.limit:
                 state.overflow()
             start_row = self._bind_node(start_pattern, start, row, filters)
             if start_row is None:
                 continue
-            for end in self._node_candidates(
-                end_pattern, start_row, fixed_anchor(end_pattern, stats, start_row)
-            ):
+            for end in self._node_candidates(end_pattern, start_row, op.end_anchor):
                 state.rows += 1
                 if state.rows > state.limit:
                     state.overflow()
@@ -527,7 +512,7 @@ class _ExecutionContext(WriteClauses):
                 if end_row is None:
                     continue
                 for nodes, rels in self._bfs_shortest(
-                    start, end, rel_pattern, end_row, all_paths=(part.shortest == "all")
+                    start, end, rel_pattern, end_row, op.min_hops, max_hops, op.all_paths
                 ):
                     final = dict(end_row)
                     if rel_pattern.variable is not None:
@@ -536,118 +521,79 @@ class _ExecutionContext(WriteClauses):
                         final[part.path_variable] = Path(nodes, rels)
                     yield final, used | {rel.rel_id for rel in rels}
 
-    def _bfs_shortest(
-        self,
-        start: Node,
-        end: Node,
-        rel_pattern: ast.RelPattern,
-        row: Row,
-        all_paths: bool,
-    ) -> list[tuple[list[Node], list[Relationship]]]:
-        min_hops = rel_pattern.min_hops if rel_pattern.min_hops is not None else 1
-        max_hops = rel_pattern.max_hops if rel_pattern.max_hops is not None else self.max_var_length
-        if min_hops == 0 and start.node_id == end.node_id:
-            return [([start], [])]
-        if not all_paths:
-            return self._bfs_first_path(start, end, rel_pattern, row, min_hops, max_hops)
-        # Level-synchronous BFS keeping every parent edge at the found depth
-        # so all shortest paths can be reconstructed.  Extending one partial
-        # path by one relationship is charged too: a node can be reached by
-        # many more paths than it has relationships.
-        frontier: dict[int, list[tuple[list[Node], list[Relationship]]]] = {
-            start.node_id: [([start], [])]
-        }
-        visited_depth = {start.node_id: 0}
-        found: list[tuple[list[Node], list[Relationship]]] = []
-        depth = 0
-        state = self.state
-        while frontier and depth < max_hops and not found:
-            depth += 1
-            next_frontier: dict[int, list[tuple[list[Node], list[Relationship]]]] = {}
-            for node_id, partials in frontier.items():
-                for rel, other_id in self._bfs_steps(node_id, rel_pattern, row):
-                    seen_at = visited_depth.get(other_id)
-                    if seen_at is not None and seen_at < depth:
-                        continue  # strictly shorter route exists
-                    visited_depth.setdefault(other_id, depth)
-                    other = self.store.node(other_id)
-                    # No partial path already holds ``rel``: its relationships
-                    # join nodes first reached before ``depth``, while ``rel``
-                    # reaches ``other`` at ``depth`` (a self-loop was skipped).
-                    extensions = []
-                    for nodes, rels in partials:
-                        state.rows += 1
-                        if state.rows > state.limit:
-                            state.overflow()
-                        extensions.append((nodes + [other], rels + [rel]))
-                    if other_id == end.node_id and depth >= min_hops:
-                        found.extend(extensions)
-                    else:
-                        next_frontier.setdefault(other_id, []).extend(extensions)
-            frontier = next_frontier
-        return found
+    def _bfs_shortest(self, start: Node, end: Node, rel_pattern: ast.RelPattern, row: Row,
+                      min_hops: int, max_hops: int, all_paths: bool) -> _Paths:
+        """The minimum-length paths from ``start`` to ``end`` in the hop
+        range: the first one found, or with ``all_paths`` every one.
 
-    def _bfs_first_path(
-        self,
-        start: Node,
-        end: Node,
-        rel_pattern: ast.RelPattern,
-        row: Row,
-        min_hops: int,
-        max_hops: int,
-    ) -> list[tuple[list[Node], list[Relationship]]]:
-        """The first minimum-length path the all-paths BFS would find.
-
-        Keeps one parent per node, the one that discovered it first, so
-        the work is linear in the edges scanned however many equal-length
-        paths exist.  The all-paths search extends partial paths in that
-        same discovery order, so its first path is this one.
+        One level-synchronous search keeps, for each node it reaches, the
+        edges into it from the level that first reached it: the first in
+        ``parents``, the others (all paths only) in ``more``.  A single path
+        returns at the first edge into ``end``; all paths finish that level.
+        Charges every relationship it reads.
         """
-        end_id = end.node_id
-        parents: dict[int, Optional[tuple[int, Relationship]]] = {start.node_id: None}
-        frontier = [start.node_id]
+        start_id, end_id = start.node_id, end.node_id
+        if min_hops == 0 and start_id == end_id:
+            return [([start], [])]
+        adjacent, state, props = self.store.adjacent_relationships, self.state, rel_pattern.properties
+        direction, types = rel_pattern.direction, rel_pattern.types or None
+        parents: dict[int, Any] = {start_id: None}
+        more: dict[int, list[tuple[int, Relationship]]] = {}
+        # the nodes first reached at the last depth, in discovery order
+        frontier: dict[int, None] = {start_id: None}
         depth = 0
         while frontier and depth < max_hops:
             depth += 1
-            next_frontier = []
+            level: dict[int, None] = {}
             for node_id in frontier:
-                for rel, other_id in self._bfs_steps(node_id, rel_pattern, row):
+                for rel in adjacent(node_id, direction, types):
+                    state.rows += 1
+                    if state.rows > state.limit:
+                        state.overflow()
+                    if props and not self._properties_match(rel, props, row):
+                        continue
+                    other_id = rel.other_end(node_id)
                     if other_id in parents:
-                        continue  # reached no later than this depth already
-                    if other_id == end_id and depth >= min_hops:
-                        nodes, rels = [end], [rel]
-                        current = node_id
-                        step = parents[current]
-                        while step is not None:
-                            nodes.append(self.store.node(current))
-                            current, parent_rel = step
-                            rels.append(parent_rel)
-                            step = parents[current]
-                        nodes.append(start)
-                        nodes.reverse()
-                        rels.reverse()
-                        return [(nodes, rels)]
+                        if all_paths and other_id in level:
+                            more.setdefault(other_id, []).append((node_id, rel))
+                        continue
                     parents[other_id] = (node_id, rel)
-                    next_frontier.append(other_id)
-            frontier = next_frontier
+                    if other_id == end_id and depth >= min_hops and not all_paths:
+                        return self._paths_back(start, end_id, parents, more, False)
+                    level[other_id] = None
+            if end_id in level and depth >= min_hops:
+                return self._paths_back(start, end_id, parents, more, True)
+            frontier = level
         return []
 
-    def _bfs_steps(
-        self, node_id: int, rel_pattern: ast.RelPattern, row: Row
-    ) -> Iterator[tuple[Relationship, int]]:
-        """``(relationship, other end)`` for each edge a BFS may take from
-        ``node_id``; charges every relationship it reads."""
-        direction = rel_pattern.direction
+    def _paths_back(self, start: Node, end_id: int, parents: dict[int, Any],
+                    more: dict[int, list], charge: bool) -> _Paths:
+        """Every path to ``end_id`` over the edges a search kept, read back
+        from the end: the last hop varies slowest, each hop's edges in the
+        order the search found them.  With ``charge``, every partial path
+        built is charged."""
         state = self.state
-        for rel in self.store.adjacent_relationships(
-            node_id, direction, rel_pattern.types or None
-        ):
-            state.rows += 1
-            if state.rows > state.limit:
-                state.overflow()
-            if not self._properties_match(rel, rel_pattern.properties, row):
-                continue
-            yield rel, rel.other_end(node_id)
+        # (first node id, (relationship out of it, next node id, rest) or None)
+        suffixes: list[tuple[int, Any]] = [(end_id, None)]
+        while suffixes[0][0] != start.node_id:
+            longer = []
+            for node_id, rest in suffixes:
+                for parent_id, rel in (parents[node_id], *more.get(node_id, ())):
+                    if charge:
+                        state.rows += 1
+                        if state.rows > state.limit:
+                            state.overflow()
+                    longer.append((parent_id, (rel, node_id, rest)))
+            suffixes = longer
+        paths = []
+        for _, rest in suffixes:
+            nodes, rels = [start], []
+            while rest is not None:
+                rel, node_id, rest = rest
+                nodes.append(self.store.node(node_id))
+                rels.append(rel)
+            paths.append((nodes, rels))
+        return paths
 
     def _var_length_path(
         self,

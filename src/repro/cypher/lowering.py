@@ -23,6 +23,7 @@ from . import operators as ops
 from .errors import CypherError, CypherRuntimeError, CypherSyntaxError
 from .operators import _contains_aggregate
 from .planner import (
+    AnchorPlan,
     Filters,
     MatchPlan,
     PartPlan,
@@ -211,10 +212,12 @@ def lower_part(
     """
     if part.shortest is not None:
         kind = "shortestPath" if part.shortest == "single" else "allShortestPaths"
+        start, end = part_plan.anchor, part_plan.end_anchor
+        paths = f"{kind}, {_access_path(start)} to {_access_path(end)}"
         ends = (part.nodes[0].variable, part.nodes[-1].variable)
         return ops.ShortestPath(
-            child, part, filters, from_rows=from_rows, emit_row=emit_row,
-            detail=_with_pushed(kind, filters, *ends),
+            child, part, start, end, filters, from_rows=from_rows, emit_row=emit_row,
+            detail=_with_pushed(paths, filters, *ends),
         )
     elements = list(part.elements)
     if part_plan.reverse:
@@ -250,6 +253,11 @@ def lower_part(
         op, part, part_plan.reverse, emit_row,
         detail=f"{len(part.nodes)} nodes, {part.hop_count} hops",
     )
+
+
+def _access_path(anchor: AnchorPlan) -> str:
+    name, detail = anchor.physical_operator()
+    return f"{name}({detail})" if detail else name
 
 
 #: how a pushed filter's comparison reads (a range filter names its own)

@@ -442,7 +442,9 @@ class VarLengthExpand(Expand):
 
 
 class ShortestPath(PhysicalOperator):
-    """``shortestPath()`` / ``allShortestPaths()`` BFS for one pattern part.
+    """``shortestPath()`` / ``allShortestPaths()`` for one pattern part: one
+    breadth-first search per pair of endpoint candidates, read through the
+    planned access paths (the end's with the start bound).
     ``_match_shortest`` charges every endpoint candidate it tries and every
     step of its searches."""
 
@@ -452,6 +454,8 @@ class ShortestPath(PhysicalOperator):
         self,
         child: PhysicalOperator,
         part: ast.PatternPart,
+        start_anchor,
+        end_anchor,
         filters,
         from_rows: bool,
         emit_row: bool,
@@ -459,18 +463,24 @@ class ShortestPath(PhysicalOperator):
     ) -> None:
         super().__init__((child,))
         self.part = part
+        self.start_anchor = start_anchor
+        self.end_anchor = end_anchor
         self.filters = filters
         self.from_rows = from_rows
         self.emit_row = emit_row
         self.detail = detail
+        self.all_paths = part.shortest == "all"
+        # A plain relationship is one hop; a max_hops of None is the
+        # engine's max_var_length.
+        rel = part.relationships[0]
+        self.min_hops = 1 if rel.min_hops is None else rel.min_hops
+        self.max_hops = rel.max_hops if rel.var_length else 1
 
     def _rows(self, run: Any) -> Iterator[Any]:
         rows_out, number = run.state.rows_out, self.number
         for item in self.children[0].open(run):
             row, used = (item, _NO_RELS) if self.from_rows else item
-            for matched, used_after in run._match_shortest(
-                self.part, row, used, self.filters
-            ):
+            for matched, used_after in run._match_shortest(self, row, used):
                 rows_out[number] += 1
                 yield matched if self.emit_row else (matched, used_after)
 

@@ -4,9 +4,10 @@ Per pattern part, the planner picks the anchor end and its access path from
 :class:`~repro.graph.store.GraphStatistics`.  Each end ranks, best first:
 
 1. a **bound** variable;
-2. an **exact lookup**: an inline literal/parameter property, then a WHERE
-   ``=``, then a WHERE ``IN`` over a literal list; the first candidate whose
-   ``(label, key)`` is indexed, else the first candidate;
+2. an **exact lookup**: an inline property whose value reads only variables
+   bound before the part, then a WHERE ``=``, then a WHERE ``IN`` over a
+   literal list; the first candidate whose ``(label, key)`` is indexed,
+   else the first candidate;
 3. a **label scan** of the node's smallest label;
 4. an **all-nodes scan**.
 
@@ -15,8 +16,9 @@ with the smaller ``label_count`` plus first-hop endpoint edges (summed
 from ``GraphStatistics.endpoint_count`` over the hop's types and sides)
 anchors: ``(:AS)-[:MEMBER_OF]->(:IXP)`` starts at the IXPs, while
 ``(:AtlasProbe)-[:COUNTRY]->(:Country)`` stays on the probes because every
-labelled node's ``COUNTRY`` edge arrives at Country.  Every other tie,
-``shortestPath`` and single-node parts go left to right.
+labelled node's ``COUNTRY`` edge arrives at Country.  Every other tie
+and single-node parts go left to right.  A ``shortestPath`` part anchors
+both endpoints: its start as above, then its end with the start bound.
 
 Top-level WHERE equality, ``IN`` and range conjuncts over literals or
 parameters are also pushed down to per-hop bind-time filters; the full
@@ -28,7 +30,8 @@ pushdown; per end, a bound variable scores 100, else inline properties 10
 plus labels 2, and the part reverses only when its last node scores
 strictly higher.  The anchor is then the bound variable, an inline-property
 lookup (an indexed ``(label, key)`` when one exists), a scan of the first
-label, or all nodes.
+label, or all nodes; a ``shortestPath`` part's end gets its own, with the
+start bound.
 
 :func:`plan_query` plans every pattern part a query runs: MATCH and
 OPTIONAL MATCH clauses, and the pattern predicates, ``EXISTS`` patterns
@@ -47,8 +50,8 @@ from . import ast_nodes as ast
 __all__ = ["AnchorPlan", "PartPlan", "MatchPlan", "PushedFilter", "plan_match",
            "plan_query", "extract_pushdown", "pattern_expressions", "pattern_sites"]
 
-# Pushable value expressions are row-independent: literals (lifted into
-# slots or not) and parameters.
+# Pushable WHERE values are row-independent: literals (lifted into slots
+# or not) and parameters.
 _LITERALS = (ast.Literal, ast.Slot)
 _PUSHABLE = (*_LITERALS, ast.Parameter)
 
@@ -113,6 +116,8 @@ class PartPlan:
 
     reverse: bool
     anchor: AnchorPlan
+    #: a shortest-path part's end access path, planned with its start bound
+    end_anchor: Optional[AnchorPlan] = None
 
 
 @dataclass(frozen=True)
@@ -200,7 +205,7 @@ def _anchor(node: ast.NodePattern, stats: GraphStatistics,
         return AnchorPlan(kind="all", variable=variable)
     pushed = filters.get(variable, ())
     lookups = [("property", key, (expr,)) for key, expr in node.properties
-               if isinstance(expr, _PUSHABLE)]
+               if _reads_only(expr, bound)]
     lookups += [("property", f.key, f.values) for f in pushed if f.kind == "eq"]
     # IN over a literal list fans out into probes; IN over a parameter stays
     # a bind-time filter (its size is unknown at plan time).
@@ -215,8 +220,29 @@ def _anchor(node: ast.NodePattern, stats: GraphStatistics,
     if lookups:
         kind, key, values = lookups[0]
         return AnchorPlan(kind=kind, variable=variable, label=smallest, key=key, values=values)
-    # Inline properties with non-pushable values are verified at bind time.
+    # Inline properties that read the part's own variables are verified at
+    # bind time.
     return AnchorPlan(kind="label", variable=variable, label=smallest)
+
+
+def _reads_only(expr: Any, bound: frozenset[str]) -> bool:
+    """Whether ``expr`` reads no variable outside ``bound``; one that binds
+    variables of its own (a comprehension, a pattern) never qualifies."""
+    cls = expr.__class__
+    if cls is ast.Variable:
+        return expr.name in bound
+    if cls is tuple or cls is list:
+        return all(_reads_only(item, bound) for item in expr)
+    if isinstance(expr, _SCOPING):
+        return False
+    return all(_reads_only(getattr(expr, name), bound) for name in ast.CHILD_FIELDS.get(cls, ()))
+
+
+def _start_bound(part: ast.PatternPart, bound: frozenset[str]) -> frozenset[str]:
+    """``bound`` plus the start variable of ``part``: what a shortest-path
+    part's end is planned against."""
+    variable = part.nodes[0].variable
+    return bound | {variable} if variable else bound
 
 
 def _scan_work(anchor: AnchorPlan, rel: ast.RelPattern, direction: str,
@@ -233,7 +259,10 @@ def _orient(part: ast.PatternPart, stats: GraphStatistics,
             bound: frozenset[str], filters: Filters) -> PartPlan:
     """Anchor ``part`` at its better-ranked end (see the module docstring)."""
     forward = _anchor(part.nodes[0], stats, bound, filters)
-    if part.shortest is not None or len(part.elements) == 1:
+    if part.shortest is not None:
+        end = _anchor(part.nodes[-1], stats, _start_bound(part, bound), filters)
+        return PartPlan(reverse=False, anchor=forward, end_anchor=end)
+    if len(part.elements) == 1:
         return PartPlan(reverse=False, anchor=forward)
     backward = _anchor(part.nodes[-1], stats, bound, filters)
     if forward.kind == backward.kind == "label":
@@ -259,9 +288,9 @@ def needs_used_tracking(part: ast.PatternPart) -> bool:
     return not all(rel.types for rel in rels) or len(types) != len(set(types))
 
 
-def fixed_anchor(node: ast.NodePattern, stats: GraphStatistics, bound: Any) -> AnchorPlan:
-    """The fixed rule's access path for ``node`` (see the module docstring);
-    ``bound`` is a set of variable names or a binding row."""
+def fixed_anchor(node: ast.NodePattern, stats: GraphStatistics,
+                 bound: frozenset[str]) -> AnchorPlan:
+    """The fixed rule's access path for ``node`` (see the module docstring)."""
     variable = node.variable
     if variable in bound:
         return AnchorPlan(kind="bound", variable=variable)
@@ -285,7 +314,10 @@ def _orient_fixed(part: ast.PatternPart, stats: GraphStatistics,
         return (10 if node.properties else 0) + (2 if node.labels else 0)
 
     first, last = part.nodes[0], part.nodes[-1]
-    reverse = part.shortest is None and len(part.elements) > 1 and score(last) > score(first)
+    if part.shortest is not None:
+        return PartPlan(reverse=False, anchor=fixed_anchor(first, stats, bound),
+                        end_anchor=fixed_anchor(last, stats, _start_bound(part, bound)))
+    reverse = len(part.elements) > 1 and score(last) > score(first)
     return PartPlan(reverse=reverse, anchor=fixed_anchor(last if reverse else first, stats, bound))
 
 

@@ -164,6 +164,18 @@ class TestAnchorChoice:
         anchor = plan.parts[0].anchor
         assert anchor.kind == "property" and not anchor.indexed
 
+    def test_inline_property_reading_bound_variables_is_a_lookup(self, small_engine):
+        stats = small_engine.store.statistics()
+        tree = parse("UNWIND [2497] AS x MATCH (a:AS {asn: x})-[:DEPENDS_ON]->(b:AS) RETURN b")
+        plan = plan_match(tree.clauses[1], stats, bound=frozenset({"x"}))
+        anchor = plan.parts[0].anchor
+        assert not plan.parts[0].reverse
+        assert anchor.kind == "property" and anchor.indexed and anchor.variable == "a"
+        # a value that reads the part's own variable waits for bind time
+        tree = parse("MATCH (a:AS {asn: b.asn})-[:PEERS_WITH]-(b:AS) RETURN a")
+        plan = plan_match(tree.clauses[0], stats)
+        assert plan.parts[0].anchor.kind == "label"
+
     def test_bound_variable_anchors_second_match(self, small_engine):
         tree = parse(
             "MATCH (a:AS {asn: 2497}) MATCH (a)-[:COUNTRY]->(c:Country) "

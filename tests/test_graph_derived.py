@@ -122,7 +122,7 @@ class TestExplain:
             "MATCH (a:AS {asn: 1}), (b:AS {asn: 2}) "
             "MATCH p = shortestPath((a)-[:PEERS_WITH*]-(b)) RETURN p"
         )
-        assert "+- ShortestPath(shortestPath)" in plan
+        assert "+- ShortestPath(shortestPath, BoundAnchor(a) to BoundAnchor(b))" in plan
 
     def test_union_branches(self, engine):
         plan = engine.explain("RETURN 1 AS x UNION RETURN 2 AS x")

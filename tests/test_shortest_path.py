@@ -1,9 +1,14 @@
-"""Single-path ``shortestPath`` keeps one parent per node.
+"""``shortestPath`` and ``allShortestPaths`` against a reference enumeration.
 
-The differential test checks it against the all-paths enumeration it
-replaced, which built every equal-length partial path and returned the
-first one found.  The scaling guard runs a graph with 2^k equal shortest
-paths, where that enumeration allocates memory exponential in k.
+The search keeps, for each node it reaches, the edges into it from the
+level that first reached it, and reads the paths back from the end node.
+The differential tests check it against the all-paths enumeration it
+replaced, which built every equal-length partial path: ``shortestPath``
+returns that enumeration's first path, ``allShortestPaths`` every path in
+its order.  The scaling guards run graphs with 2^k equal shortest paths,
+where that enumeration allocates memory and charges rows exponential in k.
+The endpoint guard checks that a WHERE-anchored search reads each endpoint
+through its own planned lookup.
 """
 
 from __future__ import annotations
@@ -15,15 +20,18 @@ from hypothesis import strategies as st
 
 from repro.cypher import CypherEngine
 from repro.graph import GraphStore
+from repro.iyp import IYPConfig, generate_iyp
+from repro.rag.text2cypher_retriever import derived_row_budget
 
 TYPES = {"any": (), "R": ("R",), "R|S": ("R", "S")}
 ARROWS = {"out": ("-", "->"), "in": ("<-", "-"), "both": ("-", "-")}
 
 
-def enumerated_first_path(store, start, end, direction, types, props, min_hops, max_hops):
-    """The first path of the all-paths BFS: every partial path, kept per node."""
+def enumerated_paths(store, start, end, direction, types, props, min_hops, max_hops):
+    """Every minimum-length path in the order the all-paths BFS finds them:
+    every partial path, kept per node."""
     if min_hops == 0 and start == end:
-        return [start], []
+        return [([start], [])]
     frontier = {start: [([start], [])]}
     visited_depth = {start: 0}
     found = []
@@ -54,16 +62,23 @@ def enumerated_first_path(store, start, end, direction, types, props, min_hops, 
                 else:
                     next_frontier.setdefault(other, []).extend(extensions)
         frontier = next_frontier
+    return found
+
+
+def enumerated_first_path(store, *search):
+    """The first path :func:`enumerated_paths` finds, or None."""
+    found = enumerated_paths(store, *search)
     return found[0] if found else None
 
 
-def shortest_query(start, end, direction, types, props, min_hops, max_hops):
+def shortest_query(start, end, direction, types, props, min_hops, max_hops,
+                   function="shortestPath"):
     left, right = ARROWS[direction]
     type_text = ":" + "|".join(types) if types else ""
     prop_text = " {w: %d}" % props["w"] if props else ""
     return (
         f"MATCH (a:N {{i: {start}}}), (b:N {{i: {end}}}) "
-        f"MATCH p = shortestPath((a){left}[{type_text}*{min_hops}..{max_hops}{prop_text}]{right}(b)) "
+        f"MATCH p = {function}((a){left}[{type_text}*{min_hops}..{max_hops}{prop_text}]{right}(b)) "
         "RETURN [n IN nodes(p) | n.i] AS nodes, [r IN relationships(p) | id(r)] AS rels"
     )
 
@@ -110,6 +125,20 @@ def test_first_path_matches_enumeration(case):
         assert [record.values() for record in result] == [[expected[0], expected[1]]]
 
 
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_searches())
+def test_all_paths_match_enumeration_in_order(case):
+    size, edges, search = case
+    store = GraphStore()
+    for i in range(size):
+        store.create_node(["N"], {"i": i})
+    for start, end, rel_type, weight in edges:
+        store.create_relationship(start, rel_type, end, {"w": weight})
+    expected = [[nodes, rels] for nodes, rels in enumerated_paths(store, *search)]
+    result = CypherEngine(store).execute(shortest_query(*search, function="allShortestPaths"))
+    assert [record.values() for record in result] == expected
+
+
 def diamond_chain(k: int) -> GraphStore:
     """k diamonds in a row: 2^k equal shortest paths from node 0 to the last."""
     store = GraphStore()
@@ -147,3 +176,45 @@ def test_shortest_path_memory_is_linear_in_equal_paths():
     # One parent per node is a few KB; the 2^14 partial paths the
     # enumeration held at the last levels were over 10 MB.
     assert peak < 1_000_000, peak
+
+
+def diamonds_beside_chain(k: int) -> GraphStore:
+    """:func:`diamond_chain` plus a ``2k``-hop ``R`` chain from its first
+    node to one ``:T`` node: one shortest path to ``:T``, found at the depth
+    where the diamonds' last node is reached by 2^k equal paths."""
+    store = diamond_chain(k)
+    previous = next(node for node in store.nodes_by_label("N") if node["i"] == 0)
+    for hop in range(2 * k):
+        node = store.create_node(["T"] if hop == 2 * k - 1 else ["C"], {})
+        store.create_relationship(previous.node_id, "R", node.node_id)
+        previous = node
+    return store
+
+
+def test_all_shortest_paths_build_only_the_paths_to_the_end():
+    """The all-paths enumeration charged every partial path through the
+    diamonds, far past the derived budget, for one path to ``:T``."""
+    store = diamonds_beside_chain(15)
+    budget = derived_row_budget(store)
+    assert budget == 10_332
+    query = (
+        "MATCH (a:N {i: 0}), (b:T) "
+        "MATCH p = allShortestPaths((a)-[:R*..40]->(b)) RETURN length(p) AS hops"
+    )
+    result = CypherEngine(store).execute(query, row_budget=budget)
+    assert [record.values() for record in result] == [[30]]
+
+
+def test_where_anchored_endpoints_read_their_lookups():
+    """Each endpoint reads its planned lookup.  The search used to scan the
+    :AS label for each endpoint, the end once per start, and charged 892."""
+    query = (
+        "MATCH p = shortestPath((a:AS)-[:PEERS_WITH*..4]-(b:AS)) "
+        "WHERE a.asn = 2497 AND b.asn = 15169 RETURN length(p) AS hops"
+    )
+    engine = CypherEngine(generate_iyp(IYPConfig.medium(seed=42)).store)
+    assert ("ShortestPath(shortestPath, HashLookup(:AS.asn) to HashLookup(:AS.asn), "
+            "pushed a.asn =, b.asn =)") in engine.explain(query)
+    # two lookups and the search's 92 relationship steps
+    result = engine.execute(query, row_budget=94)
+    assert [record.values() for record in result] == [[3]]
