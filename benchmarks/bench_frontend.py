@@ -1,10 +1,14 @@
-"""Cypher front-end timing: ``tokenize``, ``parse`` and ``execute`` per query text.
+"""Cypher front-end timing: ``tokenize``, ``parse``, ``lookup`` and ``execute`` per query text.
 
 Times the lexer and the parser of two source trees over the parse golden's
 corpus (``tests/test_parse_golden.py``: the seed-7 perturbation
 corpus with broken-syntax seeds 0-11, plus its hand list of lexer edge
 cases).  Every text is timed whether it parses or raises
-``CypherSyntaxError``.  The ``execute`` stage runs ``CypherEngine.execute``
+``CypherSyntaxError``.  The ``lookup`` stage times text → cached query
+entry (``CypherEngine.is_read_only``, which goes through the query cache)
+for every corpus text that parses but the first of each shape, on a fresh
+engine per pass that already holds those first texts: what a first-seen
+text of a known shape pays before it runs.  The ``execute`` stage runs ``CypherEngine.execute``
 on every text of the corpus without the hand list, in corpus order, on a
 fresh engine over the small graph per pass, so it pays each text's fixed
 cost as a first-seen text does: tokenize per text, and parse, plan and
@@ -34,7 +38,7 @@ import same_run
 
 _ROOT = Path(__file__).resolve().parent.parent
 
-STAGES = ("tokenize", "parse", "execute")
+STAGES = ("tokenize", "parse", "lookup", "execute")
 ROUNDS = 31  # alternating passes over the corpus per tree and stage
 
 
@@ -47,15 +51,49 @@ def corpus() -> tuple[list[str], list[str]]:
     return front_end_corpus(generate_iyp(IYPConfig.small(seed=42))), HAND
 
 
-def passes(module, texts: dict[str, list[str]]) -> dict:
-    """Per stage, one pass of a tree over its texts, in microseconds per text."""
+def one_per_shape(texts: list[str]) -> tuple[list[str], list[str]]:
+    """Of the distinct texts that parse, the first of each query shape
+    (``literal_shape`` key, or the text itself when it has no key) and the
+    others."""
+    from repro.cypher.errors import CypherError
+    from repro.cypher.lexer import tokenize
+    from repro.cypher.parser import literal_shape, parse
+
+    firsts: dict = {}
+    others = []
+    for text in dict.fromkeys(texts):
+        try:
+            parse(text)
+            key = literal_shape(tokenize(text))[0] if "`" not in text else text
+        except (CypherError, ValueError):
+            continue
+        if key in firsts:
+            others.append(text)
+        else:
+            firsts[key] = text
+    return list(firsts.values()), others
+
+
+def passes(module, texts: dict[str, list[str]], firsts: list[str]) -> dict:
+    """Per stage, one pass of a tree over its texts, in microseconds per text;
+    ``firsts`` are the texts the ``lookup`` stage's engine holds."""
     iyp = module("iyp")
     store = iyp.generate_iyp(iyp.IYPConfig.small(seed=42)).store
     tokenize, parse = module("cypher.lexer").tokenize, module("cypher.parser").parse
     engine = module("cypher").CypherEngine
     error = module("cypher.errors").CypherError
+
+    def holding_firsts():
+        warm = engine(store)
+        for text in firsts:
+            try:
+                warm.is_read_only(text)
+            except error:
+                pass
+        return warm.is_read_only
+
     makers = {"tokenize": lambda: tokenize, "parse": lambda: parse,
-              "execute": lambda: engine(store).execute}
+              "lookup": holding_firsts, "execute": lambda: engine(store).execute}
 
     def one_pass(make, stage_texts) -> float:
         function = make()
@@ -73,9 +111,11 @@ def passes(module, texts: dict[str, list[str]]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     args = same_run.parser(__doc__).parse_args(argv)
     pinned, hand = corpus()
-    texts = {"tokenize": pinned + hand, "parse": pinned + hand, "execute": pinned}
+    firsts, others = one_per_shape(pinned)
+    texts = {"tokenize": pinned + hand, "parse": pinned + hand, "lookup": others,
+             "execute": pinned}
     samples = same_run.compare_trees("frontend", args.src, args.baseline_src,
-                                     lambda module: passes(module, texts), ROUNDS)
+                                     lambda module: passes(module, texts, firsts), ROUNDS)
     return same_run.write({
         "benchmark": "cypher_frontend",
         "corpus_texts": {stage: len(stage_texts) for stage, stage_texts in texts.items()},

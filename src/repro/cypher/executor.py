@@ -19,10 +19,12 @@ stops pulling and the whole upstream pipeline terminates early.  Only
 blocking operators (Sort, Aggregate, write barriers) materialise
 rows.  Queries are cached per shape, the token stream with its value
 literals masked: one tree with those literals lifted into slots, and its
-plans and operator tree for the current statistics version.  The operator
-tree holds no run state, so every run and thread shares it; a run keeps
-its counters, SKIP/LIMIT counts and argument rows in its execution
-context.  Per text the engine keeps the slot values and, for a read-only
+plans and operator tree for the current statistics version.  Per form, the
+text between a text's literals, the engine keeps how the shape key follows
+from the literals, so a new text of a known form finds its shape without
+being tokenized.  The operator tree holds no run state, so every run and
+thread shares it; a run keeps its counters, SKIP/LIMIT counts and argument
+rows in its execution context.  Per text the engine keeps the slot values and, for a read-only
 query, its last result, reused while the graph's statistics version is
 unchanged.
 ``planner=False`` plans every part by a fixed shape-only rule instead,
@@ -56,8 +58,8 @@ from .evaluator import Evaluator
 from .functions import compare_once
 from .lowering import LoweredQuery, lower_query
 from .operators import RuntimeState, profile_tree, render_profile
-from .lexer import tokenize
-from .parser import literal_shape, parse_shape
+from .lexer import LITERAL_SPLIT, tokenize
+from .parser import LiteralForm, literal_shape, parse_shape
 from .planner import (
     AnchorPlan,
     Filters,
@@ -164,14 +166,19 @@ class _QueryEntry:
 class CypherEngine:
     """Executes Cypher text against one :class:`GraphStore`.
 
-    The engine caches queries at two levels, each a bounded LRU of
+    The engine caches queries at three levels, each a bounded LRU of
     ``cache_size`` entries.  A query *shape* is a token stream with its
     value literals masked out (:func:`~.parser.literal_shape`); per shape
     the engine keeps one tree with those literals lifted into slots, its
     read-only flag and pattern sites, and its plans and lowered operator
-    tree for the current statistics version.  Per query *text* it keeps the
-    slot values and, for a read-only query, the last result.  A new text of
-    a known shape is tokenized but neither parsed, planned nor lowered; a
+    tree for the current statistics version.  A text's *form* is the text
+    between its literals (:data:`~.lexer.LITERAL_SPLIT`); per form it keeps
+    a :class:`~.parser.LiteralForm`, which gives a text of the form its
+    shape key and slot values from its literals.  Per query *text* it keeps
+    the slot values and, for a read-only query, the last result.  A new
+    text of a known form and shape is neither tokenized, parsed, planned
+    nor lowered (texts with backticks or backslashes, and texts whose
+    literals the split does not find as the lexer does, are tokenized); a
     repeated text is one dict
     lookup, and a repeated read-only text without parameters or PROFILE on
     an unchanged graph returns its last result without executing.  Every
@@ -198,6 +205,7 @@ class CypherEngine:
         self.planner = planner
         self._entries: _LRUCache = _LRUCache(cache_size, on_evict=self._drop_memo)
         self._shapes: _LRUCache = _LRUCache(cache_size)
+        self._forms: _LRUCache = _LRUCache(cache_size)
         # Entries holding a memo, oldest memo first, with its row count.
         # Memoised rows stay at or below the graph's node + relationship
         # count: a new memo drops the oldest ones until it fits.
@@ -302,8 +310,21 @@ class CypherEngine:
         return entry
 
     def _new_entry(self, query: str) -> _QueryEntry:
-        """Tokenize ``query`` and find its shape, parsing the text itself on
+        """Find ``query``'s shape: through its form when the form is known
+        and its shape cached, else by tokenizing, parsing the text itself on
         a shape miss, so a syntax error always carries its own positions."""
+        form = template = None
+        # Backslashes (string escapes) and backtick names take the tokens' path.
+        if "`" not in query and "\\" not in query:
+            parts = LITERAL_SPLIT.split(query)
+            form = tuple(parts[::2])
+            template = self._forms.get(form)
+            if template is not None:
+                found = template.fill(parts[1::2])
+                if found is not None:
+                    shape = self._shapes.get(found[0])
+                    if shape is not None:
+                        return _QueryEntry(shape, found[1])
         tokens = tokenize(query)
         # A text with backtick names, or a number past int()'s digit limit,
         # is a shape of its own.
@@ -321,6 +342,10 @@ class CypherEngine:
                 key, values, tree = query, (), parse_shape(query, tokens, {})
             shape = _Shape(tree)
             self._shapes[key] = shape
+        if form is not None and template is None and key is not query:
+            template = LiteralForm.of(tokens, key, parts)
+            if template is not None:
+                self._forms[form] = template
         return _QueryEntry(shape, values)
 
     def _memoise(
@@ -366,9 +391,9 @@ class CypherEngine:
         its SKIP/LIMIT counts before raising that error.
         """
         shape = entry.shape
-        stats = self.store.statistics()
         version, plans, lowered = shape.plans
-        if version != stats.version:
+        if version != self.store.stats_version:
+            stats = self.store.statistics()
             plans = plan_query(shape.tree, stats, self.planner, shape.sites)
             lowered = lower_query(shape.tree, plans, shape.sites)
             shape.plans = (stats.version, plans, lowered)

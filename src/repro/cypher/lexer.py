@@ -17,7 +17,7 @@ import re
 
 from .errors import CypherSyntaxError
 
-__all__ = ["Token", "tokenize", "KEYWORDS"]
+__all__ = ["Token", "tokenize", "KEYWORDS", "LITERAL_SPLIT"]
 
 KEYWORDS = frozenset(
     {
@@ -61,21 +61,40 @@ _PUNCTUATION = {
     "$": "DOLLAR",
 }
 
+# The literal token patterns, shared by the master pattern and by
+# ``LITERAL_SPLIT``: a new literal form goes into these fragments.
+_STRING = r"'[^'\\]*'|\"[^\"\\]*\""  # escapes go through _read_string
+# A '.' starts a fraction only when a digit follows, so that `1..3`
+# (range) and `n.prop` keep their meaning.
+_FLOAT = r"\d*\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+"
+_INT = r"\d+"
+
 _TOKEN = re.compile(
     r"(?:\s+|//[^\n]*|/\*.*?\*/)*(?:"
     r"(?P<NAME>[A-Za-z_]\w*)"
     # `.` before a digit starts a number and `/*` an (unterminated) comment.
     r"|(?P<PUNCT><>|<=|>=|=~|->|<-|\.\.|\.(?!\d)|/(?!\*)|[()\[\]{},:;|=<>+\-*%^$])"
-    r"|(?P<STRING>'[^'\\]*'|\"[^\"\\]*\")"  # escapes go through _read_string
-    # A '.' starts a fraction only when a digit follows, so that `1..3`
-    # (range) and `n.prop` keep their meaning.
-    r"|(?P<FLOAT>\d*\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)"
-    r"|(?P<INT>\d+)"
+    rf"|(?P<STRING>{_STRING})"
+    rf"|(?P<FLOAT>{_FLOAT})"
+    rf"|(?P<INT>{_INT})"
     r"|(?P<BACKTICK>`[^`]*`)"
     r"|(?P<WORD>[^\W\d]\w*)"  # a non-ASCII start: a letter or a non-decimal numeral
     r"|(?P<EOF>\Z)"
     r"|(?P<OTHER>.))",
     re.DOTALL,
+)
+
+#: Cuts a text into its literal substrings and the text between them:
+#: ``LITERAL_SPLIT.split(text)`` is ``[text, literal, text, ..., text]``.
+#: The leading lookahead rejects, in C, every position no literal starts
+#: at.  A number starts only where a token can (not inside a name, and a
+#: '.'-led fraction not after another '.', which `..` claims), so on text
+#: without backslashes the literals are the STRING/INT/FLOAT tokens'
+#: spellings, except where a comment holds quotes or digits or a name
+#: precedes a '.'-led fraction (`n.5`).  :meth:`~.parser.LiteralForm.of`
+#: checks them against the tokens once per form.
+LITERAL_SPLIT = re.compile(
+    rf"(?=[\d.'\"])({_STRING}|(?<!\w)(?:(?<!\.)|(?=\d))(?:{_FLOAT}|{_INT}))"
 )
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", "'": "'", '"': '"', "`": "`"}

@@ -346,15 +346,19 @@ class Expand(PhysicalOperator):
         self.filters = filters
         self.maintain_used = maintain_used
         self.detail = detail
+        variable, end_variable = rel_pattern.variable, node_pattern.variable
+        self.labels = frozenset(node_pattern.labels)
+        #: the pushed filters on the relationship variable
+        self.rel_filters = filters.get(variable) if filters and variable is not None else None
+        #: whether the end node binds through ``_bind_node`` (see the class)
+        self.bind_end = bool(node_pattern.properties or filters and filters.get(end_variable) or (
+            end_variable is not None and end_variable == variable))
 
     def _rows(self, run: Any) -> Iterator[Any]:
         rel_pattern, node_pattern, filters = self.rel_pattern, self.node_pattern, self.filters
         variable, end_variable = rel_pattern.variable, node_pattern.variable
-        rel_filters = filters.get(variable) if filters and variable is not None else None
+        rel_filters, labels, bind_end = self.rel_filters, self.labels, self.bind_end
         direction, types = rel_pattern.direction, rel_pattern.types or None
-        labels = frozenset(node_pattern.labels)
-        bind_end = node_pattern.properties or filters and filters.get(end_variable) or (
-            end_variable is not None and end_variable == variable)
         adjacent, nodes = run.store.adjacent_relationships, run.store._nodes
         props = rel_pattern.properties
         maintain_used = self.maintain_used
@@ -410,7 +414,7 @@ class VarLengthExpand(Expand):
 
     def _rows(self, run: Any) -> Iterator[Any]:
         rel_pattern, node_pattern, filters = self.rel_pattern, self.node_pattern, self.filters
-        variable, labels = rel_pattern.variable, frozenset(node_pattern.labels)
+        variable, labels = rel_pattern.variable, self.labels
         rows_out, number = run.state.rows_out, self.number
         for row, used, current, nodes, rels in self.children[0].open(run):
             for step_rels, end_node in run._expand_var_length(rel_pattern, current, row, used):
@@ -506,19 +510,20 @@ class PartEmit(PhysicalOperator):
     ) -> None:
         super().__init__((child,))
         self.part = part
+        self.path_variable = part.path_variable
         self.reversed_part = reversed_part
         self.emit_row = emit_row
         self.detail = detail
 
     def _rows(self, run: Any) -> Iterator[Any]:
-        path_variable = self.part.path_variable
+        path_variable, reversed_part = self.path_variable, self.reversed_part
         emit_row = self.emit_row
         state = run.state
         rows_out, number = state.rows_out, self.number
         for row, used, _node, nodes, rels in self.children[0].open(run):
             if path_variable is not None:
-                path_nodes = list(reversed(nodes)) if self.reversed_part else nodes
-                path_rels = list(reversed(rels)) if self.reversed_part else rels
+                path_nodes = list(reversed(nodes)) if reversed_part else nodes
+                path_rels = list(reversed(rels)) if reversed_part else rels
                 row = dict(row)
                 row[path_variable] = Path(path_nodes, path_rels)
             rows_out[number] += 1
@@ -796,6 +801,10 @@ class Sort(PhysicalOperator):
         self.projection = projection
         self.top = top
         self.name = "TopK" if top is not None else "Sort"
+        #: how each ORDER BY item's values are obtained, unless the run's
+        #: slot values decide the projection's layout
+        fixed = projection.fixed
+        self.plan = None if fixed is None else _order_plan(order_by, *fixed[:3])
 
     def _top(self, run: Any) -> Optional[int]:
         return None if self.top is None else sum(run.bounds[i] for i in self.top)
@@ -806,10 +815,10 @@ class Sort(PhysicalOperator):
 
     def _rows(self, run: Any) -> Iterator[Any]:
         entries = list(self.children[0].open(run))
-        items, keys, aggregated, _ = self.projection.layout(run)
+        plan = self.plan or _order_plan(self.order_by, *self.projection.layout(run)[:3])
         state = run.state
         rows_out, number = state.rows_out, self.number
-        for entry in _order(run, entries, self.order_by, items, keys, aggregated, self._top(run)):
+        for entry in _order(run, entries, self.order_by, plan, self._top(run)):
             rows_out[number] += 1
             state.rows += 1
             if state.rows > state.limit:
@@ -1149,62 +1158,88 @@ def _project_grouped(
     return produced
 
 
-def _order(
-    run,
-    produced: list[tuple[list[Any], list[Row]]],
-    order_by,
-    items: list,
-    keys: list[str],
-    aggregated: bool,
-    top: Optional[int] = None,
-) -> list[tuple[list[Any], list[Row]]]:
-    """Sort ``produced``; with ``top`` set, only the first ``top`` rows.
+class _OrderPlan(NamedTuple):
+    """How :func:`_order` obtains each ORDER BY item's values for one
+    projection layout, decided once instead of per entry.
 
-    Every row's ORDER BY values are evaluated exactly once, one column
-    per ORDER BY item, and each column becomes keys in one pass
-    (:func:`~.values.sort_keys`).  A row-index permutation is then sorted once per
-    column, least significant first; ``list.sort`` stays stable under
-    ``reverse=True``, so DESC needs no key wrapper.  Rows that tie on every
-    column are ordered by the canonical tie-break (sort keys of the
-    projected values), computed for those rows only, and otherwise keep
-    input order.  ``top`` slices the same permutation.
+    ``steps`` holds one per ORDER BY item:
+
+    * ``("reuse", j)`` — the projection already evaluated this exact
+      expression (or the item is a plain output alias); read values[j],
+      no re-evaluation;
+    * ``("agg", expr)`` — aggregate over the group's env rows;
+    * ``("eval", expr)`` — evaluate against the alias-extended row.
+
+    ``tie_columns`` are the projected columns the canonical tie-break
+    keys on: every one no step reuses.
     """
-    evaluate = run.evaluator.evaluate
-    evaluate_aggregate = run.evaluator.evaluate_aggregate
 
-    # Decide once per ORDER BY item how its value is obtained, instead of
-    # re-walking the expression for every entry:
-    #   ("reuse", j)     — the projection already evaluated this exact
-    #                      expression (or the item is a plain output
-    #                      alias); read values[j], no re-evaluation
-    #   ("agg", expr)    — aggregate over the group's env rows
-    #   ("eval", expr)   — evaluate against the alias-extended row
+    steps: list[tuple]
+    reuse_only: bool
+    needs_env: bool
+    keys: list[str]
+    tie_columns: list[int]
+
+
+def _order_plan(order_by, items: list, keys: list[str], aggregated: bool) -> _OrderPlan:
+    """The :class:`_OrderPlan` of ``order_by`` over a projection's layout."""
     key_set = set(keys)
-    plans: list[tuple] = []
-    needs_env = False
+    steps: list[tuple] = []
     for order_item in order_by:
         expr = order_item.expression
         if aggregated and _contains_aggregate(expr):
             reused = next((j for j, item in enumerate(items) if item.expression == expr), None)
-            plans.append(("agg", expr) if reused is None else ("reuse", reused))
+            steps.append(("agg", expr) if reused is None else ("reuse", reused))
         elif isinstance(expr, ast.Variable) and expr.name in key_set:
             # Aliases shadow pattern variables in ORDER BY scope; the
             # dict(zip(...)) env made the *last* duplicate key win.
-            plans.append(("reuse", len(keys) - 1 - keys[::-1].index(expr.name)))
+            steps.append(("reuse", len(keys) - 1 - keys[::-1].index(expr.name)))
         elif expression_variables(expr).isdisjoint(key_set) and (
             reused := next((j for j, item in enumerate(items) if item.expression == expr), None)
         ) is not None:
             # Safe only when no alias shadows a variable the expression
             # reads (`RETURN a.x AS a ORDER BY a.x` must re-evaluate).
-            plans.append(("reuse", reused))
+            steps.append(("reuse", reused))
         else:
-            plans.append(("eval", expr))
-            needs_env = True
+            steps.append(("eval", expr))
+    # Values an ORDER BY item reuses are equal across a tie, so they are
+    # left out of the tie-break key.
+    reused_columns = {payload for kind, payload in steps if kind == "reuse"}
+    return _OrderPlan(
+        steps,
+        reuse_only=all(kind == "reuse" for kind, _ in steps),
+        needs_env=any(kind == "eval" for kind, _ in steps),
+        keys=keys,
+        tie_columns=[j for j in range(len(items)) if j not in reused_columns],
+    )
 
-    if all(kind == "reuse" for kind, _ in plans):
-        raw: list[list[Any]] = [[values[j] for values, _ in produced] for _, j in plans]
+
+def _order(
+    run,
+    produced: list[tuple[list[Any], list[Row]]],
+    order_by,
+    plan: _OrderPlan,
+    top: Optional[int] = None,
+) -> list[tuple[list[Any], list[Row]]]:
+    """Sort ``produced``; with ``top`` set, only the first ``top`` rows.
+
+    Every row's ORDER BY values are evaluated exactly once, one column
+    per ORDER BY item, as ``plan`` says, and each column becomes keys in
+    one pass (:func:`~.values.sort_keys`).  A row-index permutation is then
+    sorted once per column, least significant first; ``list.sort`` stays
+    stable under ``reverse=True``, so DESC needs no key wrapper.  Rows that
+    tie on every column are ordered by the canonical tie-break (sort keys
+    of the projected values), computed for those rows only, and otherwise
+    keep input order.  ``top`` slices the same permutation.
+    """
+    steps = plan.steps
+    if plan.reuse_only:
+        raw: list[list[Any]] = [[values[j] for values, _ in produced] for _, j in steps]
     else:
-        raw = [[] for _ in plans]
+        evaluate = run.evaluator.evaluate
+        evaluate_aggregate = run.evaluator.evaluate_aggregate
+        needs_env, keys = plan.needs_env, plan.keys
+        raw = [[] for _ in steps]
         appends = [column.append for column in raw]
         try:
             for values, env_rows in run.state.paced(produced):
@@ -1213,7 +1248,7 @@ def _order(
                     base.update(zip(keys, values))
                 else:
                     base = None
-                for (kind, payload), append in zip(plans, appends):
+                for (kind, payload), append in zip(steps, appends):
                     if kind == "reuse":
                         append(values[payload])
                     elif kind == "agg":
@@ -1226,6 +1261,8 @@ def _order(
                 sort_key(value)
             raise
     columns = list(map(sort_keys, raw))
+    if len(produced) < 2:  # nothing to order, once the keys have been made
+        return produced if top is None else produced[:top]
 
     perm = list(range(len(produced)))
     for column, order_item in zip(reversed(columns), reversed(order_by)):
@@ -1235,12 +1272,9 @@ def _order(
     # Canonical tie-break over the projected values, only inside runs that
     # tie on every ORDER BY key: those rows would otherwise keep match
     # order, which depends on the chosen plan.  This keeps ordered output
-    # identical whether the planner is on or off.  Values an ORDER BY item
-    # reuses are equal across a run, so they are left out of the key.  The
-    # scan for ties runs in C (``compress``/``map``); only runs starting
-    # before ``limit`` count.
-    reused_columns = {payload for kind, payload in plans if kind == "reuse"}
-    tie_columns = [j for j in range(len(items)) if j not in reused_columns]
+    # identical whether the planner is on or off.  The scan for ties runs
+    # in C (``compress``/``map``); only runs starting before ``limit`` count.
+    tie_columns = plan.tie_columns
     if not tie_columns:
         return [produced[i] for i in perm[:limit]]
     merged = columns[0] if len(columns) == 1 else list(zip(*columns))

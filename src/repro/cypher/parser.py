@@ -18,7 +18,7 @@ from . import ast_nodes as ast
 from .errors import CypherSyntaxError, UnsupportedWrite
 from .lexer import Token, tokenize
 
-__all__ = ["parse", "parse_expression", "parse_shape", "literal_shape"]
+__all__ = ["parse", "parse_expression", "parse_shape", "literal_shape", "LiteralForm"]
 
 
 def parse(text: str) -> ast.Query:
@@ -111,6 +111,92 @@ def literal_shape(tokens: list[Token]) -> tuple[tuple, tuple, list[tuple[int, in
         tuple(value for _, value, _ in lifted),
         [(index, group) for index, _, group in lifted],
     )
+
+
+class LiteralForm:
+    """:func:`literal_shape`'s result for every text of one *form*: the
+    text between the literals that :data:`~.lexer.LITERAL_SPLIT` cuts out.
+
+    Made once from a text's tokens and shape key (:meth:`of`), it gives
+    another text of the form its ``(key, values)`` from that text's literal
+    spellings alone (:meth:`fill`): the kept literals and the TRUE/FALSE/NULL
+    tokens are the first text's, and the equality groups are formed anew
+    from the new values, as :func:`literal_shape` forms them.
+    """
+
+    __slots__ = ("key", "items")
+
+    def __init__(self, key: list, items: tuple) -> None:
+        self.key = key
+        #: per literal-valued token, in token order, ``(index, literal
+        #: number, kind, kept)``; for TRUE/FALSE/NULL ``(index, -1, spelling,
+        #: value)``
+        self.items = items
+
+    @classmethod
+    def of(cls, tokens: list[Token], key: tuple, parts: list[str]) -> Optional[LiteralForm]:
+        """The form of a text without backticks or backslashes, from its
+        ``tokens``, their shape ``key`` and the text's split ``parts``; None
+        unless the STRING/INT/FLOAT tokens are exactly the split's literals
+        (a comment can hold a quote or a digit, and `n.5` lexes as `n`, `.5`)."""
+        keyword_values = _Parser._KEYWORD_LITERALS
+        literals = parts[1::2]
+        items = []
+        start = number = 0
+        for index, token in enumerate(tokens):
+            kind = token.kind
+            if kind in _LITERAL_KINDS:
+                if number == len(literals):
+                    return None
+                start += len(parts[2 * number])
+                text = literals[number]
+                spelled = text[1:-1] if kind == "STRING" else text
+                if token.position != start or token.value != spelled:
+                    return None
+                start += len(text)
+                items.append((index, number, kind, len(key[index]) == 3))
+                number += 1
+            elif kind == "KEYWORD" and token.value in keyword_values:
+                items.append((index, -1, token.raw, keyword_values[token.value]))
+        if number != len(literals):
+            return None
+        return cls(list(key), tuple(items))
+
+    def fill(self, literals: list[str]) -> Optional[tuple[tuple, tuple]]:
+        """``(key, values)`` of :func:`literal_shape` for the text of this form
+        with ``literals``; None when a literal's kind differs from the first
+        text's, or a number does not convert (past ``int()``'s digit limit)."""
+        key = self.key.copy()
+        groups: dict = {}
+        kept: set[int] = set()
+        masked: list[tuple[object, int]] = []
+        for index, number, kind, keep in self.items:
+            if number < 0:  # TRUE/FALSE/NULL: kind is its spelling, keep its value
+                group = groups.setdefault(keep, index)
+                kept.add(group)
+                key[index] = (kind, group)
+                continue
+            text = literals[number]
+            if kind == "STRING":
+                if text[0] not in "'\"":
+                    return None
+                value = spelled = text[1:-1]
+            else:
+                if (kind == "FLOAT") == text.isdecimal():
+                    return None
+                spelled = text
+                try:  # a quoted text does not convert either
+                    value = int(text) if kind == "INT" else float(text)
+                except ValueError:
+                    return None
+            group = groups.setdefault(value, index)
+            if keep:
+                kept.add(group)
+                key[index] = (kind, spelled, group)
+            else:
+                masked.append((value, group))
+                key[index] = (kind, group)
+        return tuple(key), tuple(value for value, group in masked if group not in kept)
 
 
 def parse_expression(text: str) -> ast.Expr:

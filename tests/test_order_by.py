@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.cypher import CypherEngine
 from repro.cypher import ast_nodes as ast
 from repro.cypher.errors import CypherRuntimeError, CypherTypeError
-from repro.cypher.operators import _order
+from repro.cypher.operators import _order, _order_plan
 from repro.cypher.values import sort_key
 from repro.graph import GraphStore
 from repro.graph.model import Node, Relationship
@@ -122,7 +122,7 @@ def actual_order(produced: list, columns: list[int], descending: list[bool], top
     ]
     items = [ast.ReturnItem(ast.Variable(key), key) for key in keys]
     ctx = SimpleNamespace(evaluator=SimpleNamespace(evaluate=None, evaluate_aggregate=None))
-    return _order(ctx, produced, order_by, items, keys, False, top)
+    return _order(ctx, produced, order_by, _order_plan(order_by, items, keys, False), top)
 
 
 def assert_same_permutation(rows: list[list], columns, descending, top) -> None:

@@ -112,13 +112,21 @@ class TestCypherEndpoint:
         # The engine tokenizes to find the shape and hands the tokens to the parser.
         monkeypatch.setattr(parser, "tokenize", counting)
         monkeypatch.setattr(executor, "tokenize", counting)
+        # Texts of shapes no other test sends: a text of a known form (the
+        # text between its literals) is not tokenized again.
         query = "MATCH (a:AS) WHERE a.asn = 2497 RETURN a.asn AS tokenized_once"
         assert post(port, "/cypher", {"query": query})[0] == 200
         assert calls == [query]
+        mate = "MATCH (a:AS) WHERE a.asn = 15169 RETURN a.asn AS tokenized_once"
+        assert post(port, "/cypher", {"query": mate})[1]["rows"] == [{"tokenized_once": "15169"}]
+        assert calls == [query]  # the shape-mate's literals fill the known form
         assert post(port, "/cypher", {"query": query})[0] == 200
         assert calls == [query]  # the engine's cached entry answers the repeat
-        write = "CREATE (x:Tag {label: 'tokenized once'})"
+        write = "CREATE (x:Tag {tokenized_once: 'write'})"
         assert post(port, "/cypher", {"query": write})[0] == 403
+        assert calls == [query, write]
+        other_write = "CREATE (x:Tag {tokenized_once: 'other write'})"
+        assert post(port, "/cypher", {"query": other_write})[0] == 403
         assert calls == [query, write]
 
     def test_runtime_error_is_400(self, port):

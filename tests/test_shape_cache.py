@@ -21,11 +21,14 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cypher import CypherEngine, executor, lowering, parse, parser, profile_tree
 from repro.cypher.errors import CypherError, CypherRuntimeError, CypherSyntaxError
 from repro.cypher.executor import _QueryEntry, _Shape
-from repro.cypher.lexer import tokenize
+from repro.cypher.lexer import LITERAL_SPLIT, tokenize
+from repro.graph import GraphStore
 from repro.cypher.result import render_value
 from repro.iyp import IYPConfig, generate_iyp
 from repro.serving import Deadline
@@ -216,7 +219,8 @@ def test_one_literal_changes_the_outcome(small_store, left, right):
 
 
 def test_concurrent_texts_of_one_shape(small_store):
-    """Texts of one shape run at once on one engine, each with its own values."""
+    """Texts of one shape and form run at once on one engine, each with its
+    own values, while threads switch every few microseconds."""
     engine = CypherEngine(small_store)
     texts = [f"UNWIND range(1, 300) AS x RETURN x - x + {value} AS v, '{value}' AS s"
              for value in range(1000, 1040)]
@@ -237,12 +241,19 @@ def test_concurrent_texts_of_one_shape(small_store):
             errors.append(exc)
 
     threads = [threading.Thread(target=worker, args=(offset * 7,)) for offset in range(8)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors[0]
     assert engine.cache_stats()["shapes"] == 1
+    assert len(engine._forms) == 1
 
 
 def test_shape_hit_lowers_nothing(tiny_store, monkeypatch):
@@ -406,3 +417,109 @@ def test_explain_raises_what_execution_raises(tiny_store, query, params):
         engine.execute(query, params)
     assert type(explained.value) is type(executed.value)
     assert str(explained.value) == str(executed.value)
+
+
+def test_shape_mate_is_not_tokenized(tiny_store, monkeypatch):
+    """A new text whose form (the text between its literals) the engine
+    knows finds its shape from its literals alone: only the form's first
+    text is tokenized, and each text runs with its own values."""
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(parser, "tokenize", counting)
+    monkeypatch.setattr(executor, "tokenize", counting)
+    engine = CypherEngine(tiny_store)
+    template = "MATCH (a:AS) WHERE a.asn = {} AND a.name <> {} RETURN a.name AS name LIMIT {}"
+    first = template.format(2497, "'x'", 1)
+    assert engine.execute(first).single()["name"] == "IIJ"
+    assert engine.execute(template.format(15169, '"y"', 2)).single()["name"] == "GOOGLE"
+    assert engine.execute(template.format(15169, "'GOOGLE'", 3)).records == []
+    assert calls == [first]
+    # A literal of another kind takes the tokens' path, and gets its own shape.
+    other_kind = template.format(2497.0, "'x'", 1)
+    assert engine.execute(other_kind).single()["name"] == "IIJ"
+    assert calls == [first, other_kind]
+    assert engine.cache_stats()["shapes"] == 2
+
+
+def _entry_outcome(engine: CypherEngine, text: str) -> list:
+    """What ``engine``'s query cache makes of ``text``: the error it raises,
+    or the entry's slot values and its shape's tree, with their types."""
+    try:
+        entry = engine._entry(text)
+    except CypherError as exc:
+        return [type(exc).__name__, str(exc)]
+    return [repr(entry.slots), repr(entry.shape.tree), entry.shape.read_only]
+
+
+#: Texts whose forms hold what decides a key beyond the literals' kinds:
+#: TRUE/FALSE/NULL beside numbers they may equal, numbers read as syntax,
+#: map-key strings, comments that hold digits or quotes, Unicode digits and
+#: names before a '.'-led fraction.
+FORM_SEEDS = [
+    "MATCH (a:AS) WHERE a.x = true AND a.asn = 7 RETURN a.name AS name",
+    "MATCH (a:AS) WHERE a.x = false AND a.asn = 2 RETURN 0.5 AS half",
+    "RETURN null AS n, 3 AS three, 'null' AS s",
+    "RETURN 7 AS x, true AS t, 0.5 AS f, false AS u",
+    "RETURN 1.5 AS f, 15 AS i, '15' AS s // 15 it's\n",
+    "RETURN /* 'q' 3 */ 4 AS x, \"4\" AS y",
+    "RETURN ٣ AS x, 3 AS y, 3.0 AS z",
+    "RETURN $1 AS p, 1 AS one, [1, 2][0..1] AS s, 2 * 3 AS product",
+    "MATCH (a:AS {asn: 2497})-[:PEERS_WITH*2]-(b:AS) RETURN count(b) AS n, 2 AS two",
+    "MATCH (a:AS {asn: 2497})-[:PEERS_WITH*1..3]-(b:AS) RETURN 3 AS three",
+    "RETURN {'asn': 'asn', name: 'x'} AS m, 'asn' AS s",
+    "MATCH (n:AS) RETURN n.5 AS x, 5 AS y",
+]
+#: Spellings put in place of a text's literals: every literal kind, the
+#: TRUE/1 and FALSE/0 equality groups, Unicode digits, '.'-led and exponent
+#: fractions, strings that spell keywords or numbers, and an int past
+#: ``int()``'s digit limit.
+_SPELLINGS = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "0.0", "1.0", "2.0", "'1'", "'asn'"]),
+    st.integers(0, 99_999).map(str),
+    st.sampled_from([
+        "00", ".5", "1e3", "2.5E-2", "٣", "1٣", "١٢.٥", "9" * 5000,
+        "'true'", "''", '"x"', '"it\'s"', "'a // b'",
+    ]),
+    st.text(st.characters(blacklist_characters="'\"\\`", blacklist_categories=("Cs",)),
+            max_size=6).map(lambda text: f"'{text}'"),
+)
+#: Text spliced in anywhere: comments that hold digits or quotes, escapes,
+#: backtick names, a name before a '.'-led fraction, numbers the parser
+#: reads as syntax, map-key strings, TRUE/FALSE/NULL and their equals.
+_SPLICES = st.sampled_from([
+    " // 12 it's\n", " /* 'q' 3 */ ", " /* don't */ ", ' // "7"\n', " a1.5 ", " n.5 ",
+    " '\\n' ", " 'it\\'s' ", " `x` ", " $1 ", " *2 ", " ..3 ", " {'k': 1} ", " 'k': ",
+    " true ", " false ", " null ", " = 1 ", " = 0 ", " 1 ", " 0.0 ", " '' ",
+])
+
+
+@pytest.fixture(scope="module")
+def corpus_texts(small_dataset, replay_texts) -> list[str]:
+    return front_end_corpus(small_dataset) + HAND + replay_texts
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_form_path_matches_token_path(corpus_texts, data):
+    """A text run after another of its form gets the entry its own tokens
+    give it, or the error they raise.  The first text is a corpus or hand
+    text with some text perhaps spliced in anywhere; the second respells
+    some of its literals."""
+    seed = data.draw(st.one_of(st.sampled_from(FORM_SEEDS + PAIRS),
+                               st.sampled_from(corpus_texts)))
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(seed)))
+        seed = seed[:at] + data.draw(_SPLICES) + seed[at:]
+    parts = LITERAL_SPLIT.split(seed)
+    for index in range(1, len(parts), 2):
+        if data.draw(st.booleans()):
+            parts[index] = data.draw(_SPELLINGS)
+    text = "".join(parts)
+    engine = CypherEngine(GraphStore())
+    _entry_outcome(engine, seed)
+    assert _entry_outcome(engine, text) == _entry_outcome(CypherEngine(GraphStore()), text)
+
