@@ -26,7 +26,7 @@ being tokenized.  The operator tree holds no run state, so every run and
 thread shares it; a run keeps its counters, SKIP/LIMIT counts and argument
 rows in its execution context.  Per text the engine keeps the slot values and, for a read-only
 query, its last result, reused while the graph's statistics version is
-unchanged.
+unchanged; for a text that does not parse, it keeps the syntax error.
 ``planner=False`` plans every part by a fixed shape-only rule instead,
 with no pushdown: the reference the tests check planned execution against.
 This module holds the engine and the per-run execution context with the
@@ -53,7 +53,7 @@ from ..faults import fault_point
 from ..graph.model import Node, Path, Relationship
 from ..graph.store import GraphStore
 from . import ast_nodes as ast
-from .errors import CypherRuntimeError, CypherTypeError, UnsupportedWrite
+from .errors import CypherRuntimeError, CypherSyntaxError, CypherTypeError, UnsupportedWrite
 from .evaluator import Evaluator
 from .functions import compare_once
 from .lowering import LoweredQuery, lower_query
@@ -302,11 +302,18 @@ class CypherEngine:
             return False
 
     def _entry(self, query: str) -> _QueryEntry:
-        """The cache entry for ``query``, made on a miss."""
+        """The cache entry for ``query``, made on a miss.  A text that does
+        not parse keeps its syntax error in its slot, and every lookup
+        raises a copy of it: same class, message and position."""
         entry = self._entries.get(query)
         if entry is None:
-            entry = self._new_entry(query)
+            try:
+                entry = self._new_entry(query)
+            except CypherSyntaxError as error:
+                entry = error.with_traceback(None)  # keep no parser frames
             self._entries[query] = entry
+        if entry.__class__ is not _QueryEntry:
+            raise copy.copy(entry)
         return entry
 
     def _new_entry(self, query: str) -> _QueryEntry:
@@ -368,8 +375,10 @@ class CypherEngine:
             self._memos[entry] = rows
             self._memoised_rows += rows
 
-    def _drop_memo(self, entry: _QueryEntry) -> None:
+    def _drop_memo(self, entry: _QueryEntry | CypherSyntaxError) -> None:
         """Release an evicted entry's memo and its rows from the cap."""
+        if entry.__class__ is not _QueryEntry:  # a kept syntax error
+            return
         with self._memo_lock:
             self._memoised_rows -= self._memos.pop(entry, 0)
             entry.memo = None

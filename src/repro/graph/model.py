@@ -17,9 +17,35 @@ __all__ = [
     "Path",
     "validate_property_value",
     "validate_properties",
+    "EMPTY_PROPERTIES",
 ]
 
 _SCALAR_TYPES = (bool, int, float, str)
+
+
+class _EmptyProperties(dict):
+    """The read-only empty property map (see :data:`EMPTY_PROPERTIES`).
+
+    A ``dict`` subclass, so reads stay C-level and ``json.dumps``,
+    ``dict(...)`` and ``== {}`` work; every mutator raises ``TypeError``.
+    Copies and unpickled graphs keep the one instance.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self) -> str:
+        return "EMPTY_PROPERTIES"
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> Any:
+        raise TypeError("the shared empty property map is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
+#: The one property map of every node and relationship created without
+#: properties.  The store gives an entity its own dict on its first write.
+EMPTY_PROPERTIES: dict[str, Any] = _EmptyProperties()
 
 
 def validate_property_value(value: Any) -> Any:
@@ -38,9 +64,12 @@ def validate_property_value(value: Any) -> Any:
 
 
 def validate_properties(properties: Mapping[str, Any] | None) -> dict[str, Any]:
-    """Validate a property map, dropping ``None`` values like Neo4j does."""
+    """Validate a property map, dropping ``None`` values like Neo4j does.
+
+    A map left empty is :data:`EMPTY_PROPERTIES`, which is read-only.
+    """
     if not properties:
-        return {}
+        return EMPTY_PROPERTIES
     validated = {}
     for key, value in properties.items():
         if not isinstance(key, str) or not key:
@@ -48,7 +77,7 @@ def validate_properties(properties: Mapping[str, Any] | None) -> dict[str, Any]:
         value = validate_property_value(value)
         if value is not None:
             validated[key] = value
-    return validated
+    return validated or EMPTY_PROPERTIES
 
 
 class Node:

@@ -9,19 +9,23 @@ reproduction.
 
 Every scan returns entities in id order without sorting.  Ids only grow,
 and a node's labels and a relationship's type and endpoints never change.
-The node and relationship tables and the label index are dicts keyed by
-id, which keep insertion order across deletes.  An adjacency bucket (one
-node's relationships of one type and direction) is a list appended to as
-relationships are created, so it is in id order too.  A property-index
-bucket is a sorted list of node ids: a SET can add a lower id, so inserts
-go through :func:`bisect.insort`.  Nodes with equal labels share one
-``frozenset``.  Every index entry is dropped once it empties.
+The node and relationship tables are lists indexed by id, with ``None``
+at a deleted id, and each label's index is a list of its nodes appended
+to as they are created.  Adjacency is kept per relationship type and
+direction: ``{rel type: {node id: [rel, ...]}}``.  A bucket (one node's
+relationships of one type and direction) is appended to as relationships
+are created, so it is in id order too.  A property-index bucket is a
+sorted list of node ids: a SET can add a lower id, so inserts go through
+:func:`bisect.insort`.  Nodes with equal labels share one ``frozenset``,
+and entities without properties share one read-only empty map
+(:data:`~.model.EMPTY_PROPERTIES`).  Every index entry is dropped once it
+empties.
 """
 
 from __future__ import annotations
 
 import gc
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -29,15 +33,16 @@ from itertools import chain, islice
 from operator import attrgetter, is_
 from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
 
-from .model import Node, Relationship, validate_properties
+from .model import EMPTY_PROPERTIES, Node, Relationship, validate_properties
 
 __all__ = ["GraphStore", "GraphStatistics", "GraphError", "EntityNotFound"]
 
-#: an absent adjacency or label map
+#: an absent adjacency map
 _NO_MAP: dict = {}
 #: the directions that read one adjacency side
 _ONE_SIDE = ("out", "in")
 _REL_ID = attrgetter("rel_id")
+_NODE_ID = attrgetter("node_id")
 
 
 @contextmanager
@@ -49,29 +54,60 @@ def _bulk_build() -> Iterator[None]:
     long-lived objects and frees almost none, so every collection the
     allocation counters would set off mid-build is wasted work; the store
     is acyclic (nodes and relationships refer to each other by id, never
-    back to the store), so there is nothing for them to find.
+    back to the store), and a build makes no cyclic garbage, so there is
+    nothing for them to find.
 
-    * On entry the collector is disabled (process-wide).
-    * On normal exit ``gc.collect(); gc.freeze()`` moves every object alive
-      now, not just the graph, into the permanent generation, so a served
-      process's full collections stop walking its graph (some 270k nodes,
-      relationships, property dicts and index lists and dicts on the large
-      preset).
+    * On entry one ``gc.collect()`` frees the caller's cyclic garbage, so
+      the freeze does not keep it alive; it walks the caller's unfrozen
+      heap, not the new graph.  Then the collector is disabled
+      (process-wide).
+    * On normal exit ``gc.freeze()`` moves every object alive now, not
+      just the graph, into the permanent generation, so a served
+      process's full collections stop walking its graph (nodes,
+      relationships, property dicts and index lists and dicts).
       Frozen objects are still freed by reference counting, and a dropped
       acyclic graph leaves no cycle for the collector to find.
     * On any exit the collector is put back as the caller had it: a caller
       that disabled it finds it still disabled.  A build that raises is
-      neither collected nor frozen.
+      not frozen.
     """
     was_enabled = gc.isenabled()
+    gc.collect()
     gc.disable()
     try:
         yield
-        gc.collect()
         gc.freeze()
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _get(table: list, entity_id: int) -> Any:
+    """The entity at ``entity_id`` in an id-indexed table, or None for a
+    negative, out-of-range or deleted id (an id never wraps around)."""
+    try:
+        return table[entity_id] if entity_id >= 0 else None
+    except (IndexError, TypeError):
+        return None
+
+
+def _live(table: list, count: int) -> tuple:
+    """A snapshot of an id-indexed table's ``count`` live entities, in id order."""
+    if count == len(table):
+        return tuple(table)
+    return tuple(entity for entity in table if entity is not None)
+
+
+def _set_property(entity: Node | Relationship, key: str, value: Any) -> None:
+    """Set (or with ``value=None`` remove) property ``key`` of ``entity``.
+    An entity that holds the shared empty map gets its own dict first."""
+    if value is None:
+        if key in entity.properties:
+            del entity.properties[key]
+        return
+    if entity.properties is EMPTY_PROPERTIES:
+        entity.properties = {}
+    entity.properties.update(validate_properties({key: value}))
 
 
 class GraphError(Exception):
@@ -139,19 +175,22 @@ class GraphStore:
     """
 
     def __init__(self) -> None:
-        self._nodes: dict[int, Node] = {}
-        self._relationships: dict[int, Relationship] = {}
-        self._next_node_id = 0
-        self._next_rel_id = 0
-        # label -> {node id: node}, in id order; no empty entries
-        self._label_index: dict[str, dict[int, Node]] = {}
+        # id -> entity, None at a deleted id; the next id is the length
+        self._nodes: list[Node | None] = []
+        self._relationships: list[Relationship | None] = []
+        # live entities in each table
+        self._node_count = 0
+        self._relationship_count = 0
+        # label -> its nodes in id order; no empty entries
+        self._label_index: dict[str, list[Node]] = {}
         # one shared frozenset per distinct label combination
         self._label_sets: dict[frozenset[str], frozenset[str]] = {}
-        # node id -> rel type -> [rel, ...], one map per direction, each list
+        # rel type -> node id -> [rel, ...], one map per direction, each list
         # in id order; empty lists and maps are dropped.  An expansion that
-        # names one direction and one type reads a single list.
-        self._outgoing_typed: dict[int, dict[str, list[Relationship]]] = {}
-        self._incoming_typed: dict[int, dict[str, list[Relationship]]] = {}
+        # names one direction and one type reads a single list; one that
+        # names no type probes each of the direction's types.
+        self._outgoing: dict[str, dict[int, list[Relationship]]] = {}
+        self._incoming: dict[str, dict[int, list[Relationship]]] = {}
         # rel type -> live relationship count (for planner statistics)
         self._rel_type_counts: Counter[str] = Counter()
         # (rel type, "out"|"in", endpoint label) -> live edge count
@@ -177,12 +216,16 @@ class GraphStore:
         if not labels:
             raise GraphError("a node needs at least one label")
         labels = self._label_sets.setdefault(labels, labels)
-        node_id = self._next_node_id
+        node_id = len(self._nodes)
         node = Node(node_id, labels, properties)
-        self._next_node_id = node_id + 1
-        self._nodes[node_id] = node
+        self._nodes.append(node)
+        self._node_count += 1
         for label in labels:
-            self._label_index.setdefault(label, {})[node_id] = node
+            members = self._label_index.get(label)
+            if members is None:
+                self._label_index[label] = [node]
+            else:
+                members.append(node)
             for key, value in node.properties.items():
                 index = self._property_index.get((label, key))
                 if index is not None:
@@ -198,25 +241,27 @@ class GraphStore:
         properties: Mapping[str, Any] | None = None,
     ) -> Relationship:
         """Create a directed relationship ``start -[type]-> end``."""
-        if start_id not in self._nodes:
+        start = _get(self._nodes, start_id)
+        if start is None:
             raise EntityNotFound(f"start node {start_id} does not exist")
-        if end_id not in self._nodes:
+        end = _get(self._nodes, end_id)
+        if end is None:
             raise EntityNotFound(f"end node {end_id} does not exist")
-        rel = Relationship(self._next_rel_id, rel_type, start_id, end_id, properties)
-        self._next_rel_id += 1
-        self._relationships[rel.rel_id] = rel
-        for side, node_id in ((self._outgoing_typed, start_id), (self._incoming_typed, end_id)):
-            by_type = side.get(node_id)
-            if by_type is None:
-                side[node_id] = {rel_type: [rel]}
-            elif (bucket := by_type.get(rel_type)) is None:
-                by_type[rel_type] = [rel]
+        rel = Relationship(len(self._relationships), rel_type, start_id, end_id, properties)
+        self._relationships.append(rel)
+        self._relationship_count += 1
+        for side, node_id in ((self._outgoing, start_id), (self._incoming, end_id)):
+            by_node = side.get(rel_type)
+            if by_node is None:
+                side[rel_type] = {node_id: [rel]}
+            elif (bucket := by_node.get(node_id)) is None:
+                by_node[node_id] = [rel]
             else:
                 bucket.append(rel)
         self._rel_type_counts[rel_type] += 1
-        for label in self._nodes[start_id].labels:
+        for label in start.labels:
             self._rel_endpoint_counts[(rel_type, "out", label)] += 1
-        for label in self._nodes[end_id].labels:
+        for label in end.labels:
             self._rel_endpoint_counts[(rel_type, "in", label)] += 1
         self._touch()
         return rel
@@ -225,10 +270,7 @@ class GraphStore:
         """Set (or with ``value=None`` remove) a property on a node."""
         node = self.node(node_id)
         old = node.properties.get(key)
-        if value is None:
-            node.properties.pop(key, None)
-        else:
-            node.properties.update(validate_properties({key: value}))
+        _set_property(node, key, value)
         for label in node.labels:
             index = self._property_index.get((label, key))
             if index is None:
@@ -241,29 +283,24 @@ class GraphStore:
 
     def set_relationship_property(self, rel_id: int, key: str, value: Any) -> None:
         """Set (or with ``value=None`` remove) a property on a relationship."""
-        rel = self.relationship(rel_id)
-        if value is None:
-            rel.properties.pop(key, None)
-        else:
-            rel.properties.update(validate_properties({key: value}))
+        _set_property(self.relationship(rel_id), key, value)
         self._touch()
 
     def delete_relationship(self, rel_id: int) -> None:
         """Remove a relationship from the store and its adjacency indexes."""
-        rel = self._relationships.pop(rel_id, None)
+        rel = _get(self._relationships, rel_id)
         if rel is None:
             raise EntityNotFound(f"relationship {rel_id} does not exist")
-        for side, node_id in (
-            (self._outgoing_typed, rel.start_id),
-            (self._incoming_typed, rel.end_id),
-        ):
-            by_type = side[node_id]
-            bucket = by_type[rel.rel_type]
+        self._relationships[rel_id] = None
+        self._relationship_count -= 1
+        for side, node_id in ((self._outgoing, rel.start_id), (self._incoming, rel.end_id)):
+            by_node = side[rel.rel_type]
+            bucket = by_node[node_id]
             bucket.remove(rel)
             if not bucket:
-                del by_type[rel.rel_type]
-                if not by_type:
-                    del side[node_id]
+                del by_node[node_id]
+                if not by_node:
+                    del side[rel.rel_type]
         self._rel_type_counts[rel.rel_type] -= 1
         if self._rel_type_counts[rel.rel_type] <= 0:
             del self._rel_type_counts[rel.rel_type]
@@ -283,7 +320,7 @@ class GraphStore:
                 ``DETACH DELETE``).  Without it, deleting a connected node
                 raises :class:`GraphError`.
         """
-        node = self._nodes.get(node_id)
+        node = _get(self._nodes, node_id)
         if node is None:
             raise EntityNotFound(f"node {node_id} does not exist")
         attached = self.adjacent_relationships(node_id)
@@ -293,10 +330,11 @@ class GraphStore:
             )
         for rel in attached:
             self.delete_relationship(rel.rel_id)
-        del self._nodes[node_id]
+        self._nodes[node_id] = None
+        self._node_count -= 1
         for label in node.labels:
             members = self._label_index[label]
-            del members[node_id]
+            del members[bisect_left(members, node_id, key=_NODE_ID)]
             if not members:
                 del self._label_index[label]
             for key, value in node.properties.items():
@@ -311,14 +349,14 @@ class GraphStore:
             return
         index: dict[Any, list[int]] = {}
         # the label's nodes come in id order, so appending keeps buckets sorted
-        for node_id, node in self._label_index.get(label, _NO_MAP).items():
+        for node in self._label_index.get(label, ()):
             if key in node.properties:
                 value = self._index_key(node.properties[key])
                 bucket = index.get(value)
                 if bucket is None:
-                    index[value] = [node_id]
+                    index[value] = [node.node_id]
                 else:
-                    bucket.append(node_id)
+                    bucket.append(node.node_id)
         self._property_index[(label, key)] = index
         self._touch()
 
@@ -328,31 +366,31 @@ class GraphStore:
 
     def node(self, node_id: int) -> Node:
         """Return the node with ``node_id`` or raise :class:`EntityNotFound`."""
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise EntityNotFound(f"node {node_id} does not exist") from None
+        node = _get(self._nodes, node_id)
+        if node is None:
+            raise EntityNotFound(f"node {node_id} does not exist")
+        return node
 
     def relationship(self, rel_id: int) -> Relationship:
         """Return the relationship with ``rel_id`` or raise :class:`EntityNotFound`."""
-        try:
-            return self._relationships[rel_id]
-        except KeyError:
-            raise EntityNotFound(f"relationship {rel_id} does not exist") from None
+        rel = _get(self._relationships, rel_id)
+        if rel is None:
+            raise EntityNotFound(f"relationship {rel_id} does not exist")
+        return rel
 
     def has_node(self, node_id: int) -> bool:
         """Return True if ``node_id`` exists."""
-        return node_id in self._nodes
+        return _get(self._nodes, node_id) is not None
 
     @property
     def node_count(self) -> int:
         """Number of nodes in the store."""
-        return len(self._nodes)
+        return self._node_count
 
     @property
     def relationship_count(self) -> int:
         """Number of relationships in the store."""
-        return len(self._relationships)
+        return self._relationship_count
 
     def labels(self) -> list[str]:
         """All labels with at least one node, sorted."""
@@ -377,9 +415,9 @@ class GraphStore:
             return self._stats_cache
         self._stats_cache = GraphStatistics(
             version=self._stats_version,
-            node_count=len(self._nodes),
-            relationship_count=len(self._relationships),
-            label_counts={label: len(ids) for label, ids in self._label_index.items()},
+            node_count=self._node_count,
+            relationship_count=self._relationship_count,
+            label_counts={label: len(members) for label, members in self._label_index.items()},
             rel_type_counts=dict(self._rel_type_counts),
             indexes=frozenset(self._property_index),
             rel_endpoint_counts=dict(self._rel_endpoint_counts),
@@ -392,11 +430,11 @@ class GraphStore:
 
     def all_nodes(self) -> Iterator[Node]:
         """Iterate a snapshot of every node in id order."""
-        return iter(tuple(self._nodes.values()))
+        return iter(_live(self._nodes, self._node_count))
 
     def all_relationships(self) -> Iterator[Relationship]:
         """Iterate a snapshot of every relationship in id order."""
-        return iter(tuple(self._relationships.values()))
+        return iter(_live(self._relationships, self._relationship_count))
 
     def nodes_by_label(self, label: str) -> Iterator[Node]:
         """Iterate a snapshot of the nodes carrying ``label``, in id order.
@@ -404,7 +442,7 @@ class GraphStore:
         The snapshot is taken at the call, so writes made while a consumer
         is still pulling rows neither show up nor break the scan.
         """
-        return iter(tuple(self._label_index.get(label, _NO_MAP).values()))
+        return iter(tuple(self._label_index.get(label, ())))
 
     def nodes_by_property(self, label: str, key: str, value: Any) -> Iterator[Node]:
         """Iterate nodes with ``label`` whose ``key`` equals ``value``, in id order.
@@ -456,13 +494,33 @@ class GraphStore:
         relationships in id order, with no empty sequence.
 
         ``direction`` is ``"out"`` or ``"in"``; a self-loop is in both.
-        The map and its sequences are the store's live index: read them,
-        never mutate them, and do not hold them across writes.
+        The map is new and probes each of the direction's types; its
+        sequences are the store's live lists: read them, never mutate them,
+        and do not hold them across writes.  To read every node's
+        relationships, walk :meth:`adjacency_index` once instead.
+        """
+        return {
+            rel_type: bucket
+            for rel_type, by_node in self.adjacency_index(direction).items()
+            if (bucket := by_node.get(node_id)) is not None
+        }
+
+    def adjacency_index(
+        self, direction: str
+    ) -> Mapping[str, Mapping[int, Sequence[Relationship]]]:
+        """One direction's adjacency index: rel type -> node id -> that
+        node's relationships of the type in id order, with no empty map or
+        sequence.
+
+        ``direction`` is ``"out"`` (keyed by start node) or ``"in"`` (by
+        end node); a self-loop is in both.  The maps and sequences are the
+        store's live index: read them, never mutate them, and do not hold
+        them across writes.
         """
         if direction == "out":
-            return self._outgoing_typed.get(node_id, _NO_MAP)
+            return self._outgoing
         if direction == "in":
-            return self._incoming_typed.get(node_id, _NO_MAP)
+            return self._incoming
         raise ValueError(f"invalid direction {direction!r}")
 
     def degree(
@@ -483,8 +541,8 @@ class GraphStore:
     ) -> Sequence[Relationship]:
         """The one adjacency list a one-direction, one-type call reads."""
         (rel_type,) = rel_types
-        side = self._outgoing_typed if direction == "out" else self._incoming_typed
-        return side.get(node_id, _NO_MAP).get(rel_type, ())
+        side = self._outgoing if direction == "out" else self._incoming
+        return side.get(rel_type, _NO_MAP).get(node_id, ())
 
     def _buckets(
         self,
@@ -494,25 +552,20 @@ class GraphStore:
     ) -> list[list[Relationship]]:
         """The non-empty adjacency lists a ``(direction, rel_types)`` call reads."""
         if direction == "out":
-            sides = (self._outgoing_typed,)
+            sides = (self._outgoing,)
         elif direction == "in":
-            sides = (self._incoming_typed,)
+            sides = (self._incoming,)
         elif direction == "both":
-            sides = (self._outgoing_typed, self._incoming_typed)
+            sides = (self._outgoing, self._incoming)
         else:
             raise ValueError(f"invalid direction {direction!r}")
         buckets: list[list[Relationship]] = []
         for side in sides:
-            by_type = side.get(node_id)
-            if by_type is None:
-                continue
             if rel_types is None:
-                buckets.extend(by_type.values())
-                continue
-            for rel_type in rel_types:
-                bucket = by_type.get(rel_type)
-                if bucket is not None:
-                    buckets.append(bucket)
+                maps = side.values()
+            else:
+                maps = [side.get(rel_type, _NO_MAP) for rel_type in rel_types]
+            buckets += [bucket for by_node in maps if (bucket := by_node.get(node_id))]
         return buckets
 
     def csr_metrics(self) -> dict[str, int]:  # stub: benchmarks/e2e/workloads.py calls it

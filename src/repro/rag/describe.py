@@ -11,9 +11,9 @@ from __future__ import annotations
 from functools import cache
 from itertools import islice
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, Sequence
 
-from ..graph.model import Node
+from ..graph.model import Node, Relationship
 from ..graph.store import GraphStore
 
 __all__ = ["describe_node", "build_description_corpus", "DESCRIBED_LABELS"]
@@ -49,6 +49,7 @@ _REL_PHRASES = {
 _MAX_NEIGHBOURS_PER_PHRASE = 4
 
 _START = attrgetter("start_id")
+_NO_MAP: dict = {}
 
 
 def _entity_name(node: Node) -> str:
@@ -70,11 +71,52 @@ def describe_node(store: GraphStore, node: Node) -> str:
     :data:`_MAX_NEIGHBOURS_PER_PHRASE` neighbours in id order.  A self-loop
     counts once, as outgoing.
     """
-    return _describe(store, node, lambda node_id: _entity_name(store.node(node_id)))
+    def name(node_id: int) -> str:
+        return _entity_name(store.node(node_id))
+
+    node_id = node.node_id
+    outgoing = store.typed_adjacency(node_id, "out")
+    phrases = []
+    for direction, by_type in (("out", outgoing), ("in", store.typed_adjacency(node_id, "in"))):
+        for rel_type, rels in by_type.items():
+            phrase = _phrase(direction, rel_type, node_id, rels, rel_type in outgoing, name)
+            if phrase is not None:
+                phrases.append(phrase)
+    return _sentence(node, phrases, name)
 
 
-def _describe(store: GraphStore, node: Node, name: Callable[[int], str]) -> str:
-    """:func:`describe_node`, naming nodes by id with ``name``."""
+def _phrase(
+    direction: str,
+    rel_type: str,
+    node_id: int,
+    rels: Sequence[Relationship],
+    looped: bool,
+    name: Callable[[int], str],
+) -> tuple[int, str] | None:
+    """``(first relationship id, phrase)`` for one node's relationships of
+    one direction and type; None without a template, or when ``rels``
+    holds only self-loops described as outgoing.  ``looped`` says whether
+    the node also has outgoing relationships of the type, where a
+    self-loop in ``rels`` is described instead."""
+    template = _REL_PHRASES.get((direction, rel_type))
+    if template is None:
+        return None
+    if direction == "in" and looped and node_id in map(_START, rels):
+        # a self-loop sits in both lists of its type
+        rels = [rel for rel in rels if rel.start_id != node_id]
+        if not rels:
+            return None
+    names = []
+    for rel in islice(rels, _MAX_NEIGHBOURS_PER_PHRASE):
+        names.append(name(rel.end_id if direction == "out" else rel.start_id))
+    extra = len(rels) - len(names)
+    rendered = ", ".join(names) + (f" and {extra} more" if extra > 0 else "")
+    return rels[0].rel_id, template.format(rendered)
+
+
+def _sentence(node: Node, phrases: list[tuple[int, str]], name: Callable[[int], str]) -> str:
+    """The description of ``node``: its header, then ``phrases`` in order of
+    their first relationship id."""
     label = sorted(node.labels)[0]
     header = f"{name(node.node_id)} is a {label} node"
     if "Country" in node.labels and "name" in node.properties:
@@ -82,30 +124,8 @@ def _describe(store: GraphStore, node: Node, name: Callable[[int], str]) -> str:
             f"{node.properties['name']} ({node.properties.get('country_code', '')}) "
             "is a Country node"
         )
-    node_id = node.node_id
-    outgoing = store.typed_adjacency(node_id, "out")
-    incoming = store.typed_adjacency(node_id, "in")
-    phrases: list[tuple[int, str]] = []  # (first relationship id, phrase)
-    for direction, by_type in (("out", outgoing), ("in", incoming)):
-        for rel_type, rels in by_type.items():
-            template = _REL_PHRASES.get((direction, rel_type))
-            if template is None:
-                continue
-            if direction == "in" and rel_type in outgoing and node_id in map(_START, rels):
-                # a self-loop sits in both lists of its type
-                rels = [rel for rel in rels if rel.start_id != node_id]
-                if not rels:
-                    continue
-            names = []
-            for rel in islice(rels, _MAX_NEIGHBOURS_PER_PHRASE):
-                other = rel.end_id if direction == "out" else rel.start_id
-                names.append(name(other))
-            extra = len(rels) - len(names)
-            rendered = ", ".join(names) + (f" and {extra} more" if extra > 0 else "")
-            phrases.append((rels[0].rel_id, template.format(rendered)))
     if phrases:
-        phrases.sort()
-        return header + "; " + "; ".join(phrase for _, phrase in phrases)
+        return header + "; " + "; ".join(phrase for _, phrase in sorted(phrases))
     return header
 
 
@@ -116,17 +136,30 @@ def build_description_corpus(
     """(id, description, metadata) triples for every node of ``labels``.
 
     Each node's name is rendered once per corpus, however many
-    relationships name it.
+    relationships name it.  The phrases come from one walk over the
+    store's adjacency index, each direction's relationship types in turn.
     """
     name = cache(lambda node_id: _entity_name(store.node(node_id)))
-    corpus: list[tuple[str, str, dict]] = []
-    for label in labels:
-        for node in store.nodes_by_label(label):
-            corpus.append(
-                (
-                    f"graph-node-{node.node_id}",
-                    _describe(store, node, name),
-                    {"graph_node_id": node.node_id, "label": label},
-                )
-            )
-    return corpus
+    described = [(label, node) for label in labels for node in store.nodes_by_label(label)]
+    phrases: dict[int, list[tuple[int, str]]] = {node.node_id: [] for _, node in described}
+    outgoing = store.adjacency_index("out")
+    for direction in ("out", "in"):
+        for rel_type, by_node in store.adjacency_index(direction).items():
+            if (direction, rel_type) not in _REL_PHRASES:
+                continue
+            looped = outgoing.get(rel_type, _NO_MAP) if direction == "in" else _NO_MAP
+            for node_id, rels in by_node.items():
+                found = phrases.get(node_id)
+                if found is None:
+                    continue
+                phrase = _phrase(direction, rel_type, node_id, rels, node_id in looped, name)
+                if phrase is not None:
+                    found.append(phrase)
+    return [
+        (
+            f"graph-node-{node.node_id}",
+            _sentence(node, phrases[node.node_id], name),
+            {"graph_node_id": node.node_id, "label": label},
+        )
+        for label, node in described
+    ]

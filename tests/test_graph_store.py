@@ -1,13 +1,18 @@
 """Unit tests for the GraphStore."""
 
+import copy
 import io
+import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cypher import CypherEngine
 from repro.graph import EntityNotFound, GraphError, GraphStore
 from repro.graph.csv_io import export_graph, import_graph
+from repro.graph.model import EMPTY_PROPERTIES, validate_properties
 
 
 @pytest.fixture()
@@ -285,7 +290,7 @@ class TestEmptyBuckets:
         before = _index_keys(store)
         for i in range(1_000):
             rel = store.create_relationship(a.node_id, f"T{i}", b.node_id)
-            assert ("out", a.node_id, f"T{i}") in _index_keys(store)
+            assert ("out", f"T{i}", a.node_id) in _index_keys(store)
             store.delete_relationship(rel.rel_id)
         assert _index_keys(store) == before
         for _ in range(3):
@@ -299,12 +304,13 @@ class TestEmptyBuckets:
 def _index_keys(store):
     """Every key of every map in the store's label, adjacency and property
     indexes: an entry a write leaves behind shows up here."""
-    keys = {("label", label, node_id)
-            for label, members in store._label_index.items() for node_id in members}
-    for direction, side in (("out", store._outgoing_typed), ("in", store._incoming_typed)):
-        keys.update((direction, node_id) for node_id in side)
-        keys.update((direction, node_id, rel_type)
-                    for node_id, by_type in side.items() for rel_type in by_type)
+    keys = {("label", label, node.node_id)
+            for label, members in store._label_index.items() for node in members}
+    for direction in ("out", "in"):
+        side = store.adjacency_index(direction)
+        keys.update((direction, rel_type) for rel_type in side)
+        keys.update((direction, rel_type, node_id)
+                    for rel_type, by_node in side.items() for node_id in by_node)
     for key, index in store._property_index.items():
         keys.update(("property", key, value) for value in index)
     return keys
@@ -313,11 +319,11 @@ def _index_keys(store):
 def _empty_index_entries(store):
     """Every empty map or bucket left in the store's indexes."""
     empty = [("label", label) for label, members in store._label_index.items() if not members]
-    for direction, side in (("out", store._outgoing_typed), ("in", store._incoming_typed)):
-        for node_id, by_type in side.items():
-            if not by_type:
-                empty.append((direction, node_id))
-            empty += [(direction, node_id, t) for t, rels in by_type.items() if not rels]
+    for direction in ("out", "in"):
+        for rel_type, by_node in store.adjacency_index(direction).items():
+            if not by_node:
+                empty.append((direction, rel_type))
+            empty += [(direction, rel_type, n) for n, rels in by_node.items() if not rels]
     for key, index in store._property_index.items():
         empty += [("property", key, value) for value, ids in index.items() if not ids]
     return empty
@@ -357,6 +363,45 @@ class TestSharedLabelSets:
         assert all(len(ids) == 1 for ids in objects.values())
 
 
+class TestSharedEmptyProperties:
+    """Entities created without properties share one read-only empty map;
+    a write gives the written entity its own dict and no other."""
+
+    def test_empty_map_is_read_only(self):
+        writes = [
+            lambda m: m.__setitem__("k", 1), lambda m: m.__delitem__("k"),
+            lambda m: m.update(k=1), lambda m: m.setdefault("k", 1),
+            lambda m: m.pop("k", None), lambda m: m.popitem(), lambda m: m.clear(),
+            lambda m: m.__ior__({"k": 1}),
+        ]
+        for write in writes:
+            with pytest.raises(TypeError):
+                write(EMPTY_PROPERTIES)
+        assert EMPTY_PROPERTIES == {} and dict(EMPTY_PROPERTIES) == {}
+        assert json.dumps(EMPTY_PROPERTIES) == "{}"
+        for same in (copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))):
+            assert same(EMPTY_PROPERTIES) is EMPTY_PROPERTIES
+        assert validate_properties(None) == {}
+        assert validate_properties({"k": None}) is EMPTY_PROPERTIES
+
+    def test_set_leaves_other_entities_empty(self, store):
+        engine = CypherEngine(store)
+        engine.run("CREATE (:T)-[:R]->(:T), (:T)-[:R]->(:T)")
+        nodes, rels = list(store.all_nodes()), list(store.all_relationships())
+        assert all(e.properties is EMPTY_PROPERTIES for e in nodes + rels)
+        engine.run("MATCH (a:T)-[r:R]->(b:T) WHERE id(a) = 0 SET a.k = 1, r.w = 2")
+        assert [n.properties for n in nodes] == [{"k": 1}, {}, {}, {}]
+        assert [r.properties for r in rels] == [{"w": 2}, {}]
+        store.set_node_property(0, "k", None)
+        store.set_relationship_property(rels[1].rel_id, "gone", None)
+        assert [n.properties for n in nodes] == [{}, {}, {}, {}]
+        assert EMPTY_PROPERTIES == {}
+        fresh = GraphStore()
+        a, b = fresh.create_node(["T"]), fresh.create_node(["T"], {"k": None})
+        rel = fresh.create_relationship(a.node_id, "R", b.node_id)
+        assert a.properties == b.properties == rel.properties == {}
+
+
 class TestScanSnapshot:
     """A scan yields the entities present when it started, whatever is
     written while the consumer is still pulling rows."""
@@ -393,7 +438,8 @@ class TestScanSnapshot:
 _LABEL_SETS = [("A",), ("B",), ("A", "B")]
 _REL_TYPES = ["X", "Y", "Z"]
 _VALUES = [None, 0, 1]
-_TYPE_FILTERS = [None, ("X",), ("Y",), ("X", "Y")]
+# one, several and all types, and a type no relationship has
+_TYPE_FILTERS = [None, ("X",), ("Y",), ("X", "Y"), ("X", "Y", "Z"), ("W",), ("Y", "W")]
 
 _steps = st.lists(
     st.one_of(
@@ -412,8 +458,8 @@ _steps = st.lists(
 
 def _apply(store, step):
     kind, *args = step
-    node_ids = sorted(store._nodes)
-    rel_ids = sorted(store._relationships)
+    node_ids = [node.node_id for node in store.all_nodes()]
+    rel_ids = [rel.rel_id for rel in store.all_relationships()]
     if kind == "node":
         labels, value = args
         store.create_node(labels, {} if value is None else {"k": value})
@@ -436,8 +482,21 @@ def _apply(store, step):
 
 
 def _check_against_reference(store):
-    nodes = [store._nodes[i] for i in sorted(store._nodes)]
-    rels = [store._relationships[i] for i in sorted(store._relationships)]
+    # The tables are indexed by id, with None at a deleted id; a deleted,
+    # negative or out-of-range id finds nothing and never wraps around.
+    for table, lookup in ((store._nodes, store.node), (store._relationships, store.relationship)):
+        for entity_id in range(-len(table) - 1, len(table) + 2):
+            entity = table[entity_id] if 0 <= entity_id < len(table) else None
+            if entity is None:
+                with pytest.raises(EntityNotFound):
+                    lookup(entity_id)
+            else:
+                assert lookup(entity_id) is entity
+    nodes = [node for node in store._nodes if node is not None]
+    rels = [rel for rel in store._relationships if rel is not None]
+    assert all(node is None or node.node_id == i for i, node in enumerate(store._nodes))
+    assert all(rel is None or rel.rel_id == i for i, rel in enumerate(store._relationships))
+    assert (store.node_count, store.relationship_count) == (len(nodes), len(rels))
     assert list(store.all_nodes()) == nodes
     assert list(store.all_relationships()) == rels
     for label in ("A", "B"):
@@ -469,6 +528,14 @@ def _check_against_reference(store):
                     by_type.setdefault(rel.rel_type, []).append(rel)
             typed = store.typed_adjacency(node.node_id, direction)
             assert {t: list(found) for t, found in typed.items()} == by_type
+    for direction in ("out", "in"):
+        by_type = {}
+        for rel in rels:
+            node_id = rel.start_id if direction == "out" else rel.end_id
+            by_type.setdefault(rel.rel_type, {}).setdefault(node_id, []).append(rel)
+        index = store.adjacency_index(direction)
+        assert {t: {n: list(found) for n, found in by_node.items()}
+                for t, by_node in index.items()} == by_type
     assert _empty_index_entries(store) == []
     shared = {}
     for node in nodes:

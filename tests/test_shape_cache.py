@@ -523,3 +523,35 @@ def test_form_path_matches_token_path(corpus_texts, data):
     _entry_outcome(engine, seed)
     assert _entry_outcome(engine, text) == _entry_outcome(CypherEngine(GraphStore()), text)
 
+
+
+@pytest.mark.parametrize("query", [
+    "MATCH (i:IXP)-[:COUNTRY]->(:Country {country_code: 'NO'} RETURN i.name AS ixp",
+    "MATCH (a:AS) RETURN a.asn AS asn ORDER BY asn LIMIT 'unterminated",
+    "MATCH (a:AS) DELETE a",
+])
+def test_syntax_error_is_kept(tiny_store, monkeypatch, query):
+    """A text that does not parse keeps its syntax error in the query
+    cache: a repeat is not tokenized again, and each raises a fresh copy
+    with the class, message and position of the first."""
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(parser, "tokenize", counting)
+    monkeypatch.setattr(executor, "tokenize", counting)
+    engine = CypherEngine(tiny_store)
+    raised = []
+    for run in (engine.execute, engine.is_read_only, engine.explain, engine.execute):
+        try:
+            run(query)
+        except CypherSyntaxError as error:
+            raised.append(error)
+    assert len(calls) == 1
+    first = raised[0]
+    assert len(raised) >= 3 and len({id(error) for error in raised}) == len(raised)
+    for error in raised:
+        assert (type(error), str(error), error.position) == (
+            type(first), str(first), first.position)
