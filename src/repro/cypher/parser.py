@@ -541,7 +541,8 @@ class _Parser:
                 while self.accept("PIPE"):
                     self.accept("COLON")  # tolerate `|:TYPE`
                     type_names.append(self.parse_label_name())
-                types = tuple(type_names)
+                # a type named twice matches its relationships once
+                types = tuple(dict.fromkeys(type_names))
             if self.accept("STAR"):
                 var_length = True
                 min_hops, max_hops = self.parse_hop_range()

@@ -7,25 +7,27 @@ in-memory: IYP-scale synthetic graphs (tens of thousands of nodes) fit
 comfortably, and determinism matters more than concurrency for
 reproduction.
 
+The store is append-only: IYP is published as periodic dumps, so a graph
+is built once and then read.  Nodes and relationships are created, never
+deleted; the only write that changes an entity is a property ``SET``.
 Every scan returns entities in id order without sorting.  Ids only grow,
 and a node's labels and a relationship's type and endpoints never change.
-The node and relationship tables are lists indexed by id, with ``None``
-at a deleted id, and each label's index is a list of its nodes appended
-to as they are created.  Adjacency is kept per relationship type and
-direction: ``{rel type: {node id: [rel, ...]}}``.  A bucket (one node's
-relationships of one type and direction) is appended to as relationships
-are created, so it is in id order too.  A property-index bucket is a
-sorted list of node ids: a SET can add a lower id, so inserts go through
-:func:`bisect.insort`.  Nodes with equal labels share one ``frozenset``,
-and entities without properties share one read-only empty map
-(:data:`~.model.EMPTY_PROPERTIES`).  Every index entry is dropped once it
-empties.
+The node and relationship tables are plain lists indexed by id, and each
+label's index is a list of its nodes appended to as they are created.
+Adjacency is kept per relationship type and direction:
+``{rel type: {node id: [rel, ...]}}``.  A bucket (one node's relationships
+of one type and direction) is appended to as relationships are created, so
+it is in id order too.  A property-index bucket is a sorted list of node
+ids: a SET can add a lower id, so inserts go through :func:`bisect.insort`,
+and a SET that empties a value bucket drops it.  Nodes with equal labels
+share one ``frozenset``, and entities without properties share one
+read-only empty map (:data:`~.model.EMPTY_PROPERTIES`).
 """
 
 from __future__ import annotations
 
 import gc
-from bisect import bisect_left, insort
+from bisect import insort
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -42,7 +44,6 @@ _NO_MAP: dict = {}
 #: the directions that read one adjacency side
 _ONE_SIDE = ("out", "in")
 _REL_ID = attrgetter("rel_id")
-_NODE_ID = attrgetter("node_id")
 
 
 @contextmanager
@@ -84,18 +85,11 @@ def _bulk_build() -> Iterator[None]:
 
 def _get(table: list, entity_id: int) -> Any:
     """The entity at ``entity_id`` in an id-indexed table, or None for a
-    negative, out-of-range or deleted id (an id never wraps around)."""
+    negative, out-of-range or non-integer id (an id never wraps around)."""
     try:
         return table[entity_id] if entity_id >= 0 else None
     except (IndexError, TypeError):
         return None
-
-
-def _live(table: list, count: int) -> tuple:
-    """A snapshot of an id-indexed table's ``count`` live entities, in id order."""
-    if count == len(table):
-        return tuple(table)
-    return tuple(entity for entity in table if entity is not None)
 
 
 def _set_property(entity: Node | Relationship, key: str, value: Any) -> None:
@@ -164,7 +158,7 @@ class GraphStatistics:
 
 
 class GraphStore:
-    """Mutable in-memory property graph with label and adjacency indexes.
+    """Append-only in-memory property graph with label and adjacency indexes.
 
     Example::
 
@@ -175,25 +169,22 @@ class GraphStore:
     """
 
     def __init__(self) -> None:
-        # id -> entity, None at a deleted id; the next id is the length
-        self._nodes: list[Node | None] = []
-        self._relationships: list[Relationship | None] = []
-        # live entities in each table
-        self._node_count = 0
-        self._relationship_count = 0
-        # label -> its nodes in id order; no empty entries
+        # id -> entity; the next id is the length
+        self._nodes: list[Node] = []
+        self._relationships: list[Relationship] = []
+        # label -> its nodes in id order
         self._label_index: dict[str, list[Node]] = {}
         # one shared frozenset per distinct label combination
         self._label_sets: dict[frozenset[str], frozenset[str]] = {}
         # rel type -> node id -> [rel, ...], one map per direction, each list
-        # in id order; empty lists and maps are dropped.  An expansion that
-        # names one direction and one type reads a single list; one that
-        # names no type probes each of the direction's types.
+        # in id order.  An expansion that names one direction and one type
+        # reads a single list; one that names no type probes each of the
+        # direction's types.
         self._outgoing: dict[str, dict[int, list[Relationship]]] = {}
         self._incoming: dict[str, dict[int, list[Relationship]]] = {}
-        # rel type -> live relationship count (for planner statistics)
+        # rel type -> relationship count (for planner statistics)
         self._rel_type_counts: Counter[str] = Counter()
-        # (rel type, "out"|"in", endpoint label) -> live edge count
+        # (rel type, "out"|"in", endpoint label) -> edge count
         self._rel_endpoint_counts: Counter[tuple[str, str, str]] = Counter()
         # (label, property key) -> value -> sorted node ids, built on
         # request; no empty value buckets
@@ -219,7 +210,6 @@ class GraphStore:
         node_id = len(self._nodes)
         node = Node(node_id, labels, properties)
         self._nodes.append(node)
-        self._node_count += 1
         for label in labels:
             members = self._label_index.get(label)
             if members is None:
@@ -249,7 +239,6 @@ class GraphStore:
             raise EntityNotFound(f"end node {end_id} does not exist")
         rel = Relationship(len(self._relationships), rel_type, start_id, end_id, properties)
         self._relationships.append(rel)
-        self._relationship_count += 1
         for side, node_id in ((self._outgoing, start_id), (self._incoming, end_id)):
             by_node = side.get(rel_type)
             if by_node is None:
@@ -284,63 +273,6 @@ class GraphStore:
     def set_relationship_property(self, rel_id: int, key: str, value: Any) -> None:
         """Set (or with ``value=None`` remove) a property on a relationship."""
         _set_property(self.relationship(rel_id), key, value)
-        self._touch()
-
-    def delete_relationship(self, rel_id: int) -> None:
-        """Remove a relationship from the store and its adjacency indexes."""
-        rel = _get(self._relationships, rel_id)
-        if rel is None:
-            raise EntityNotFound(f"relationship {rel_id} does not exist")
-        self._relationships[rel_id] = None
-        self._relationship_count -= 1
-        for side, node_id in ((self._outgoing, rel.start_id), (self._incoming, rel.end_id)):
-            by_node = side[rel.rel_type]
-            bucket = by_node[node_id]
-            bucket.remove(rel)
-            if not bucket:
-                del by_node[node_id]
-                if not by_node:
-                    del side[rel.rel_type]
-        self._rel_type_counts[rel.rel_type] -= 1
-        if self._rel_type_counts[rel.rel_type] <= 0:
-            del self._rel_type_counts[rel.rel_type]
-        for side, node_id in (("out", rel.start_id), ("in", rel.end_id)):
-            for label in self._nodes[node_id].labels:
-                key = (rel.rel_type, side, label)
-                self._rel_endpoint_counts[key] -= 1
-                if self._rel_endpoint_counts[key] <= 0:
-                    del self._rel_endpoint_counts[key]
-        self._touch()
-
-    def delete_node(self, node_id: int, detach: bool = False) -> None:
-        """Remove a node.
-
-        Args:
-            detach: also remove attached relationships (Cypher's
-                ``DETACH DELETE``).  Without it, deleting a connected node
-                raises :class:`GraphError`.
-        """
-        node = _get(self._nodes, node_id)
-        if node is None:
-            raise EntityNotFound(f"node {node_id} does not exist")
-        attached = self.adjacent_relationships(node_id)
-        if attached and not detach:
-            raise GraphError(
-                f"cannot delete node {node_id}: it still has {len(attached)} relationships"
-            )
-        for rel in attached:
-            self.delete_relationship(rel.rel_id)
-        self._nodes[node_id] = None
-        self._node_count -= 1
-        for label in node.labels:
-            members = self._label_index[label]
-            del members[bisect_left(members, node_id, key=_NODE_ID)]
-            if not members:
-                del self._label_index[label]
-            for key, value in node.properties.items():
-                index = self._property_index.get((label, key))
-                if index is not None:
-                    self._unindex(index, value, node_id)
         self._touch()
 
     def create_property_index(self, label: str, key: str) -> None:
@@ -378,19 +310,15 @@ class GraphStore:
             raise EntityNotFound(f"relationship {rel_id} does not exist")
         return rel
 
-    def has_node(self, node_id: int) -> bool:
-        """Return True if ``node_id`` exists."""
-        return _get(self._nodes, node_id) is not None
-
     @property
     def node_count(self) -> int:
         """Number of nodes in the store."""
-        return self._node_count
+        return len(self._nodes)
 
     @property
     def relationship_count(self) -> int:
         """Number of relationships in the store."""
-        return self._relationship_count
+        return len(self._relationships)
 
     def labels(self) -> list[str]:
         """All labels with at least one node, sorted."""
@@ -402,11 +330,13 @@ class GraphStore:
 
     @property
     def stats_version(self) -> int:
-        """Monotone counter bumped by every mutation (result-memo key)."""
+        """Monotone counter bumped by every write.  It keys the cached
+        statistics, the Cypher engine's plans and result memo, and
+        ``ChatIYP``'s answer cache."""
         return self._stats_version
 
     def statistics(self) -> GraphStatistics:
-        """Current graph statistics (label/type cardinalities, index catalog).
+        """Current graph statistics (label/type/endpoint cardinalities, index catalog).
 
         The snapshot is cached and rebuilt only after a mutation, so the
         query planner can call this on every query for free.
@@ -415,8 +345,8 @@ class GraphStore:
             return self._stats_cache
         self._stats_cache = GraphStatistics(
             version=self._stats_version,
-            node_count=self._node_count,
-            relationship_count=self._relationship_count,
+            node_count=len(self._nodes),
+            relationship_count=len(self._relationships),
             label_counts={label: len(members) for label, members in self._label_index.items()},
             rel_type_counts=dict(self._rel_type_counts),
             indexes=frozenset(self._property_index),
@@ -430,11 +360,11 @@ class GraphStore:
 
     def all_nodes(self) -> Iterator[Node]:
         """Iterate a snapshot of every node in id order."""
-        return iter(_live(self._nodes, self._node_count))
+        return iter(tuple(self._nodes))
 
     def all_relationships(self) -> Iterator[Relationship]:
         """Iterate a snapshot of every relationship in id order."""
-        return iter(_live(self._relationships, self._relationship_count))
+        return iter(tuple(self._relationships))
 
     def nodes_by_label(self, label: str) -> Iterator[Node]:
         """Iterate a snapshot of the nodes carrying ``label``, in id order.
@@ -550,7 +480,7 @@ class GraphStore:
         direction: str,
         rel_types: Collection[str] | None,
     ) -> list[list[Relationship]]:
-        """The non-empty adjacency lists a ``(direction, rel_types)`` call reads."""
+        """The adjacency lists a ``(direction, rel_types)`` call reads."""
         if direction == "out":
             sides = (self._outgoing,)
         elif direction == "in":
@@ -570,49 +500,6 @@ class GraphStore:
 
     def csr_metrics(self) -> dict[str, int]:  # stub: benchmarks/e2e/workloads.py calls it
         return {}
-
-    # ------------------------------------------------------------------
-    # Derived graphs
-    # ------------------------------------------------------------------
-
-    def subgraph(self, node_ids: Iterable[int]) -> "GraphStore":
-        """Extract the induced subgraph over ``node_ids`` into a new store.
-
-        Node and relationship ids are remapped; relationships survive only
-        when both endpoints are kept.  Useful for exporting a neighbourhood
-        (e.g. one AS and everything one hop around it) for inspection.
-        """
-        wanted = set(node_ids)
-        extracted = GraphStore()
-        id_map: dict[int, int] = {}
-        for node_id in sorted(wanted):
-            node = self.node(node_id)
-            copy = extracted.create_node(node.labels, dict(node.properties))
-            id_map[node_id] = copy.node_id
-        for rel in self.all_relationships():
-            if rel.start_id in wanted and rel.end_id in wanted:
-                extracted.create_relationship(
-                    id_map[rel.start_id], rel.rel_type, id_map[rel.end_id],
-                    dict(rel.properties),
-                )
-        return extracted
-
-    def neighbourhood(self, node_id: int, hops: int = 1) -> set[int]:
-        """Node ids within ``hops`` relationships of ``node_id`` (inclusive)."""
-        if hops < 0:
-            raise ValueError(f"hops must be non-negative, got {hops}")
-        frontier = {node_id}
-        seen = {node_id}
-        for _ in range(hops):
-            next_frontier: set[int] = set()
-            for current in frontier:
-                for rel in self.adjacent_relationships(current):
-                    other = rel.other_end(current)
-                    if other not in seen:
-                        seen.add(other)
-                        next_frontier.add(other)
-            frontier = next_frontier
-        return seen
 
     # ------------------------------------------------------------------
 

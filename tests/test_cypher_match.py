@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cypher import CypherTypeError, execute
+from repro.cypher import CypherEngine, CypherTypeError, execute
 from repro.graph import GraphStore
 
 
@@ -71,6 +71,16 @@ class TestDirections:
             "RETURN type(r) ORDER BY type(r)",
         )
         assert result.values() == ["COUNTRY", "POPULATION"]
+
+    @pytest.mark.parametrize("planner", [True, False], ids=["planned", "unplanned"])
+    @pytest.mark.parametrize("hop", ["[r:X|X]", "[r:X|:X]", "[:X|X*1..2]", "[:X|Y|X*]"])
+    def test_rel_type_named_twice_matches_once(self, planner, hop):
+        # Neo4j counts the one X relationship once, however often X is named
+        store = GraphStore()
+        a, b = store.create_node(["N"]), store.create_node(["N"])
+        store.create_relationship(a.node_id, "X", b.node_id)
+        engine = CypherEngine(store, planner=planner)
+        assert engine.run(f"MATCH (a)-{hop}->(b) RETURN count(*) AS n").single()["n"] == 1
 
     def test_anchor_reversal_matches_from_selective_end(self, tiny_store):
         # First node unconstrained; engine should still find the match fast

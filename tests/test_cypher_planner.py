@@ -58,18 +58,21 @@ class TestGraphStatistics:
             "COUNTRY"
         )
 
-    def test_endpoint_counts_maintained_on_create_and_delete(self):
+    def test_endpoint_counts_maintained_on_create(self):
         store = GraphStore()
         a = store.create_node(["AS"], {"asn": 1})
         c = store.create_node(["Country"], {"country_code": "JP"})
-        rel = store.create_relationship(a.node_id, "COUNTRY", c.node_id)
+        store.create_relationship(a.node_id, "COUNTRY", c.node_id)
         stats = store.statistics()
         assert stats.endpoint_count("COUNTRY", "out", "AS") == 1
         assert stats.endpoint_count("COUNTRY", "in", "Country") == 1
-        store.delete_relationship(rel.rel_id)
+        both = store.create_node(["AS", "Organization"])
+        store.create_relationship(both.node_id, "COUNTRY", c.node_id)
         stats = store.statistics()
-        assert stats.endpoint_count("COUNTRY", "out", "AS") == 0
-        assert stats.endpoint_count("COUNTRY", "in", "Country") == 0
+        assert stats.endpoint_count("COUNTRY", "out", "AS") == 2
+        assert stats.endpoint_count("COUNTRY", "out", "Organization") == 1
+        assert stats.endpoint_count("COUNTRY", "in", "Country") == 2
+        assert stats.endpoint_count("COUNTRY", "in", "AS") == 0
 
     def test_version_bumps_on_mutation(self, tiny_store):
         before = tiny_store.statistics().version

@@ -148,10 +148,25 @@ class TestCsvRoundtrip:
         plan = CypherEngine(loaded).explain("MATCH (a:AS {asn: 2497}) RETURN a")
         assert "+- HashLookup(:AS.asn, label scan)\n" in plan
 
-    def test_import_remaps_ids(self, store, tmp_path):
-        # Delete and recreate so original ids are non-contiguous.
-        extra = store.create_node(["Tag"], {"label": "x"})
-        store.delete_node(extra.node_id)
-        export_to_directory(store, tmp_path)
+    def test_import_remaps_ids(self, tmp_path):
+        # Dump ids come from outside the program: gaps and any order map to
+        # fresh ids in file order, and relationships follow the map.
+        (tmp_path / "nodes.csv").write_text(
+            "node_id,labels,properties\n"
+            '7,AS,"{""asn"": 2497}"\n'
+            '3,Country,"{""country_code"": ""JP""}"\n'
+            '42,AS,"{""asn"": 15169}"\n'
+        )
+        (tmp_path / "relationships.csv").write_text(
+            "start_id,type,end_id,properties\n"
+            "7,COUNTRY,3,{}\n"
+            '42,PEERS_WITH,7,"{""rel"": 0}"\n'
+        )
         loaded = import_from_directory(tmp_path)
-        assert sorted(n.node_id for n in loaded.all_nodes()) == [0, 1]
+        assert [(n.node_id, dict(n.properties)) for n in loaded.all_nodes()] == [
+            (0, {"asn": 2497}), (1, {"country_code": "JP"}), (2, {"asn": 15169}),
+        ]
+        assert [(r.start_id, r.rel_type, r.end_id, dict(r.properties))
+                for r in loaded.all_relationships()] == [
+            (0, "COUNTRY", 1, {}), (2, "PEERS_WITH", 0, {"rel": 0}),
+        ]

@@ -101,7 +101,7 @@ class TestIndexScanEquivalence:
         after_unplanned = list(unplanned.run(query))
         assert after_planned == after_unplanned
         assert after_planned != before  # the mutation is visible
-        store.delete_node(created.node_id, detach=True)
+        store.set_node_property(created.node_id, "asn", None)
         assert list(planned.run(query)) == list(unplanned.run(query))
 
 

@@ -83,8 +83,9 @@ STORE_WRITES = {
     "create_relationship": lambda store: store.create_relationship(0, "X", 2),
     "set_node_property": lambda store: store.set_node_property(0, "asn", 1),
     "set_relationship_property": lambda store: store.set_relationship_property(1, "w", 9),
-    "delete_relationship": lambda store: store.delete_relationship(4),
-    "delete_node": lambda store: store.delete_node(4, detach=True),
+    "remove_relationship_property": lambda store: store.set_relationship_property(
+        1, "percent", None
+    ),
     "create_property_index": lambda store: store.create_property_index("AS", "name"),
 }
 
