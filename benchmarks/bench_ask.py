@@ -11,7 +11,10 @@ gold set (seed 7) in order.  Only the asks are timed.  Stages, in milliseconds p
 * ``ask``: the wall time of ``ChatIYP.ask``;
 * ``system``: the same, less the time spent inside ``llm.complete``: the
   system's own time, without the simulated backbone's, which a deployment
-  spends in a remote LLM instead (ROADMAP item 1).
+  spends in a remote LLM instead (ROADMAP item 1);
+* ``retrieve``: the time spent inside ``VectorContextRetriever.retrieve``
+  (the vector route's scan, re-score and lexical boost), per ask of the
+  sweep, whether or not the ask took the vector route.
 
 Per side, measured alongside those stages (medians over rounds):
 
@@ -30,13 +33,18 @@ The two trees are timed against each other in one process by
 
     python benchmarks/bench_ask.py --baseline-src ../parent/src --output BENCH_ask.json
 
-``--src`` defaults to this checkout's ``src``.  ``--smoke`` runs one round
-on the small graph; ``test_ask_smoke`` below runs it on this tree against
-itself, so the paper-claims CI job keeps the script working.
+``--src`` defaults to this checkout's ``src``.  ``--scale N`` measures
+on ``IYPConfig.large`` with every entity count multiplied by ``N``
+(``ENTITY_COUNTS``) instead of the medium graph, in ``ROUNDS_AT_SCALE``
+rounds, since one pass there builds a system for several seconds.
+``--smoke`` runs one round on the small graph; ``test_ask_smoke`` below
+runs it on this tree against itself, so the paper-claims CI job keeps
+the script working.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import re
@@ -50,7 +58,8 @@ import same_run
 _ROOT = Path(__file__).resolve().parent.parent
 
 ROUNDS = 15  # alternating rounds per tree and stage
-STAGES = ("ask", "system")
+ROUNDS_AT_SCALE = 5  # the same, with --scale
+STAGES = ("ask", "system", "retrieve")
 DATASET_SEED = 42
 GOLD_SEED = 7
 #: ``ChatIYPConfig`` fields ``--serve --deadline-ms 1000`` sets, as
@@ -62,9 +71,25 @@ SERVED = {
     "coalesce_inflight": True,
 }
 _TASK_RE = re.compile(r"\[TASK:\s*(\w+)\]")
+#: the ``IYPConfig`` fields ``--scale`` multiplies: every entity count.  The
+#: tier-1 clique and the ASes drawn per country keep their large values;
+#: ``--scale 4`` builds 92,124 nodes and 223,751 relationships.
+ENTITY_COUNTS = ("n_ases", "n_prefixes", "n_ips", "n_domains", "n_hostnames",
+                 "n_organizations", "n_probes")
 
 
-def passes(module, size: str, calls: Counter, extras: defaultdict) -> dict:
+def graph_config(iyp, size: str, scale: int | None):
+    """The tree's ``IYPConfig`` of ``size``; with ``scale``, the large preset
+    with each of its ``ENTITY_COUNTS`` multiplied by ``scale``."""
+    config = getattr(iyp.IYPConfig, size)(seed=DATASET_SEED)
+    if scale is None:
+        return config
+    return dataclasses.replace(
+        config, **{name: getattr(config, name) * scale for name in ENTITY_COUNTS})
+
+
+def passes(module, size: str, calls: Counter, extras: defaultdict,
+           scale: int | None = None) -> dict:
     """Per stage, one pass of a tree: milliseconds per ask of a cold gold
     sweep.  The ``system`` passes count ``llm.complete`` calls by task into
     ``calls`` (their last pass's counts are kept) and append each task's
@@ -72,7 +97,7 @@ def passes(module, size: str, calls: Counter, extras: defaultdict) -> dict:
     the ``ask`` passes append their CPU milliseconds per ask to
     ``extras["cpu"]``."""
     iyp, core, cyphereval = module("iyp"), module("core"), module("eval.cyphereval")
-    dataset = iyp.generate_iyp(getattr(iyp.IYPConfig, size)(seed=DATASET_SEED))
+    dataset = iyp.generate_iyp(graph_config(iyp, size, scale))
     questions = [item.question for item in cyphereval.build_cyphereval(dataset, seed=GOLD_SEED)]
     config = core.ChatIYPConfig(dataset_size=size, **SERVED)
 
@@ -118,7 +143,26 @@ def passes(module, size: str, calls: Counter, extras: defaultdict) -> dict:
             extras[f"llm.{task}"].append(seconds * 1e3 / len(questions))
         return (elapsed - inside["total"]) * 1e3 / len(questions)
 
-    return {"ask": ask_pass, "system": system_pass}
+    def retrieve_pass() -> float:
+        system = build()
+        vector = system.pipeline.vector
+        retrieve = vector.retrieve
+        inside = 0.0
+
+        def timed_retrieve(*args, **kwargs):
+            nonlocal inside
+            begin = time.perf_counter()
+            try:
+                return retrieve(*args, **kwargs)
+            finally:
+                inside += time.perf_counter() - begin
+
+        vector.retrieve = timed_retrieve
+        for question in questions:
+            system.ask(question)
+        return inside * 1e3 / len(questions)
+
+    return {"ask": ask_pass, "system": system_pass, "retrieve": retrieve_pass}
 
 
 def calls_per_ask(calls: Counter) -> dict:
@@ -153,19 +197,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = same_run.parser(__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="one round on the small graph")
+    parser.add_argument("--scale", type=int, metavar="N",
+                        help="measure on the large graph with every count multiplied by N")
     args = parser.parse_args(argv)
-    rounds = 1 if args.smoke else ROUNDS
-    size = "small" if args.smoke else "medium"
+    rounds = 1 if args.smoke else ROUNDS_AT_SCALE if args.scale else ROUNDS
+    size = "small" if args.smoke else "large" if args.scale else "medium"
     calls = {"change": Counter(), "baseline": Counter()}
     extras = {"change": defaultdict(list), "baseline": defaultdict(list)}
     samples = same_run.alternate({
         side: passes(same_run.load_tree(tree.resolve(), f"_ask_{side}"), size, calls[side],
-                     extras[side])
+                     extras[side], args.scale)
         for side, tree in (("change", args.src), ("baseline", args.baseline_src))
     }, rounds)
     return same_run.write({
         "benchmark": "chatiyp_ask",
-        "graph": size,
+        "graph": f"{size} x{args.scale}" if args.scale else size,
         "workload": (f"one cold sweep of the CypherEval gold set (seed {GOLD_SEED}) per pass, "
                      f"fresh ChatIYP per pass, served configuration {SERVED}"),
         "protocol": same_run.protocol(rounds, "milliseconds per ask"),
@@ -187,6 +233,7 @@ def test_ask_smoke(tmp_path):
     for side in ("change", "baseline"):
         assert set(result[side]) == {f"{stage}_ms" for stage in STAGES}
         assert 0 < result[side]["system_ms"] < result[side]["ask_ms"]
+        assert 0 < result[side]["retrieve_ms"] < result[side]["system_ms"]
         assert result["cpu_ms"][side] > 0
         per_ask = result["llm_calls_per_ask"][side]
         assert per_ask["total"] >= per_ask["text2cypher"] > 0

@@ -1,7 +1,7 @@
 """Deterministic embeddings and the in-memory vector store."""
 
 from .model import ContextualEmbedding, HashingEmbedding, cosine_similarity
-from .vector_store import SearchHit, VectorEntry, VectorStore
+from .vector_store import SearchHit, SearchHits, VectorEntry, VectorStore
 
 __all__ = [
     "HashingEmbedding",
@@ -10,4 +10,5 @@ __all__ = [
     "VectorStore",
     "VectorEntry",
     "SearchHit",
+    "SearchHits",
 ]

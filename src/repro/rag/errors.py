@@ -61,9 +61,15 @@ class SymbolicTranslationError(PipelineError):
 
 
 class ExecutionError(PipelineError):
-    """The generated Cypher failed at parse or execution time."""
+    """The generated Cypher failed at parse or execution time.
+
+    ``unparsable`` marks a text the engine rejected before running it (a
+    syntax error, or a write it does not run): a translation-class signal
+    that says nothing about the engine's health.
+    """
 
     kind = "execution"
+    unparsable = False
 
 
 class ResourceExhausted(ExecutionError):
@@ -104,6 +110,11 @@ class CircuitOpen(PipelineError):
     kind = "circuit_open"
 
 
+#: engine errors raised before a query runs: ``CypherSyntaxError`` and its
+#: subclass ``UnsupportedWrite``
+_UNPARSABLE = ("CypherSyntaxError:", "UnsupportedWrite:")
+
+
 def classify_symbolic_failure(retrieval: "RetrievalResult") -> Optional[PipelineError]:
     """Map a symbolic :class:`RetrievalResult` onto the taxonomy.
 
@@ -120,7 +131,9 @@ def classify_symbolic_failure(retrieval: "RetrievalResult") -> Optional[Pipeline
             return DeadlineExceeded(retrieval.error)
         if retrieval.error.startswith("ResourceExhausted"):
             return ResourceExhausted(retrieval.error, cypher=retrieval.cypher)
-        return ExecutionError(retrieval.error, cypher=retrieval.cypher)
+        error = ExecutionError(retrieval.error, cypher=retrieval.cypher)
+        error.unparsable = retrieval.error.startswith(_UNPARSABLE)
+        return error
     if retrieval.result is not None and not retrieval.result.records:
         # The message is part of the diagnostics contract; its wording
         # predates the single zero-row rule and is kept byte for byte.

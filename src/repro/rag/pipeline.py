@@ -241,8 +241,9 @@ class RetrieverQueryEngine:
         A blown deadline skips translation entirely (recording
         :class:`DeadlineExceeded`, so routing degrades to the vector
         path).  The optional circuit breaker gates the attempt:
-        execution-class failures feed it, and while it is open every
-        symbolic attempt is skipped with :class:`CircuitOpen` recorded.
+        execution-class failures of queries that parsed feed it, and while
+        it is open every symbolic attempt is skipped with
+        :class:`CircuitOpen` recorded.
         """
         if ctx.expired:
             return self._skip_symbolic(
@@ -266,9 +267,10 @@ class RetrieverQueryEngine:
         error = classify_symbolic_failure(symbolic)
         if breaker is not None:
             # Execution-class failures are infrastructure signals; a clean
-            # run heals the breaker.  Translation misses and sparse results
-            # say nothing about engine health, so they stay neutral.
-            if isinstance(error, ExecutionError):
+            # run heals the breaker.  Translation misses, texts that fail to
+            # parse and sparse results say nothing about engine health, so
+            # they stay neutral.
+            if isinstance(error, ExecutionError) and not error.unparsable:
                 breaker.record_failure()
             elif error is None:
                 breaker.record_success()

@@ -30,8 +30,12 @@ class VectorContextRetriever(Retriever):
 
     The index is built once, from the graph as it stands at construction,
     and is read-only afterwards: later graph writes do not refresh it.
-    The lexical boost reads each hit's token set, frozen when the index
-    tokenized the entry, by the hit's row.
+    A retrieval runs on the calling thread, with no BLAS call: the index's
+    float32 prefilter and float64 re-score (:class:`VectorStore`) give the
+    dense top candidates with scores whose bits depend on no thread count;
+    the lexical boost counts each candidate's distinctive tokens in the
+    index's token store, by the hit's row; and only the ``top_k`` best
+    boosted candidates become :class:`NodeWithScore` objects.
     """
 
     #: fetch this many dense candidates per requested result before boosting
@@ -50,26 +54,33 @@ class VectorContextRetriever(Retriever):
     def retrieve(self, query: str, deadline: Optional[Deadline] = None) -> RetrievalResult:
         # One bounded scan of the corpus: there is nothing to cut short, so
         # the deadline is not consulted.
-        hits = self.vector_store.search(
-            query, top_k=self.top_k * self._OVERSAMPLE, min_score=0.02
-        )
+        index = self.vector_store
+        hits = index.search(query, top_k=self.top_k * self._OVERSAMPLE, min_score=0.02)
         distinctive = {
             token
             for token in word_tokenize(query)
             if token not in STOPWORDS and (len(token) > 3 or any(c.isdigit() for c in token))
         }
-        entries = self.vector_store.entries()
-        scored: list[NodeWithScore] = []
-        for hit in hits:
-            score = hit.score
-            if distinctive:
-                overlap = len(distinctive & entries[hit.row].tokens) / len(distinctive)
-                score += self._LEXICAL_WEIGHT * overlap
-            scored.append(
-                NodeWithScore(
-                    node=TextNode(node_id=hit.entry_id, text=hit.text, metadata=hit.metadata),
-                    score=round(score, 6),
-                )
-            )
-        scored.sort(key=lambda item: -item.score)
-        return RetrievalResult(nodes=scored[: self.top_k], source=self.name)
+        rows, scores = hits.rows, hits.scores
+        if distinctive:
+            overlaps = index.token_overlap(distinctive, rows)
+            scores = [score + self._LEXICAL_WEIGHT * (overlap / len(distinctive))
+                      for score, overlap in zip(scores, overlaps)]
+        # The best ``top_k`` by score rounded to 6 digits, ties in hit
+        # order.  Rounding keeps the order of unequal scores, so walking
+        # them best first, only the scores down to the last one tied with
+        # the ``top_k``-th are rounded.
+        ranked: list[tuple[float, int]] = []
+        for position in sorted(range(len(scores)), key=scores.__getitem__, reverse=True):
+            score = round(scores[position], 6)
+            if len(ranked) >= self.top_k and score < ranked[self.top_k - 1][0]:
+                break
+            ranked.append((score, position))
+        ranked.sort(key=lambda item: (-item[0], item[1]))
+        entries = index.entries()
+        nodes = []
+        for score, position in ranked[: self.top_k]:
+            entry = entries[rows[position]]
+            node = TextNode(node_id=entry.entry_id, text=entry.text, metadata=dict(entry.metadata))
+            nodes.append(NodeWithScore(node=node, score=score))
+        return RetrievalResult(nodes=nodes, source=self.name)

@@ -11,9 +11,10 @@ Classic three-state machine:
   the cooldown.
 
 Only *infrastructure-shaped* failures should be recorded (execution
-errors, timeouts) — a question the model simply cannot translate says
-nothing about the health of the engine, so the pipeline never records
-translation misses here.
+errors, timeouts) — a question the model simply cannot translate, or
+translates into text that fails to parse, says nothing about the health
+of the engine, so the pipeline records translation misses and syntax
+errors as neutral.
 
 The clock is injectable (tests drive cooldowns deterministically) and the
 state machine is lock-protected — ``allow``/``record_*`` are called from

@@ -141,10 +141,17 @@ class TestVectorStore:
 
     def test_rows_are_the_texts_embeddings(self, store):
         # One tokenization per entry feeds both its matrix row and its
-        # token set; the row is bitwise what embed() gives the same text.
+        # token store row; the row is bitwise what embed() gives the same
+        # text, and the token store holds the text's distinct tokens: all
+        # of them, and no token of another text.
+        token_sets = []
         for row, entry in enumerate(store.entries()):
             assert np.array_equal(store._matrix[row], store.embedding.embed(entry.text))
-            assert entry.tokens == frozenset(word_tokenize(entry.text))
+            token_sets.append(frozenset(word_tokenize(entry.text)))
+            assert store.token_overlap(token_sets[-1], [row]) == [len(token_sets[-1])]
+        rows = range(len(token_sets))
+        everything = frozenset().union(*token_sets)
+        assert store.token_overlap(everything, rows) == list(map(len, token_sets))
 
     def test_scores_sorted_descending(self, store):
         hits = store.search("internet network exchange", top_k=3)

@@ -3,17 +3,26 @@
 Covers the planner's range pushdown (EXPLAIN + costing), planner-on/off
 equivalence for range, prefix and ORDER BY ... LIMIT shapes before and
 after mutation, the executor's heap ORDER BY LIMIT path, and the vector
-store's argpartition selection.
+store's search: a float32 prefilter and an exact re-score of the rows
+within its margin, checked against exact scores of every row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cypher import CypherEngine
+from repro.embed import vector_store
 from repro.embed.model import HashingEmbedding
-from repro.embed.vector_store import SearchHit, VectorStore
+from repro.embed.vector_store import (
+    SearchHit,
+    VectorStore,
+    _float32_margin,
+    _float32_scores,
+)
 from repro.graph import GraphStore
 
 
@@ -153,20 +162,29 @@ class TestTopKSelection:
         assert list(planned.run(query)) == list(unplanned.run(query))
 
 
+def _exact_score(row, vector):
+    """A row's score: its products with the query summed in column order,
+    in Python floats, over every column (a zero product changes no sum)."""
+    total = 0.0
+    for left, right in zip(row.tolist(), vector.tolist()):
+        total += left * right
+    return total
+
+
 def _reference_search(store, query, top_k, min_score=0.0):
-    """The pre-argpartition full-stable-sort search, kept as an oracle."""
+    """Exact scores of every row and a full stable sort, kept as an oracle."""
     matrix, entries = store._matrix, store.entries()
     if top_k <= 0 or matrix.shape[0] == 0:
         return []
-    scores = matrix @ store.embedding.embed(query)
+    vector = store.embedding.embed(query)
+    scores = [_exact_score(row, vector) for row in matrix]
     hits = []
-    for index in np.argsort(-scores, kind="stable"):
-        entry = entries[int(index)]
-        score = float(scores[int(index)])
-        if score <= min_score:
+    for index in sorted(range(len(scores)), key=lambda row: -scores[row]):
+        entry = entries[index]
+        if scores[index] <= min_score:
             break
         hits.append(
-            SearchHit(entry.entry_id, entry.text, score, dict(entry.metadata), int(index))
+            SearchHit(entry.entry_id, entry.text, scores[index], dict(entry.metadata), index)
         )
         if len(hits) >= top_k:
             break
@@ -197,3 +215,104 @@ class TestVectorTopK:
         for query in ("asn prefix", "route peer ixp", "completely unrelated zzz"):
             fast = store.search(query, top_k=top_k, min_score=min_score)
             assert fast == _reference_search(store, query, top_k, min_score=min_score)
+
+    def test_rescore_in_blocks_matches_full_sort(self, corpus, monkeypatch):
+        # Re-scored rows are gathered a block at a time; an empty query
+        # ties every row at zero, so all 200 are re-scored.
+        monkeypatch.setattr(vector_store, "_RESCORE_ROWS", 7)
+        store, _ = corpus
+        for query, min_score in (("asn prefix", 0.0), ("", -1.0), ("!!!", -1.0)):
+            for top_k in (5, 64, 500):
+                expected = _reference_search(store, query, top_k, min_score=min_score)
+                assert store.search(query, top_k=top_k, min_score=min_score) == expected
+
+
+# ----------------------------------------------------------------------
+# The float32 prefilter's margin, against the exact scores of every row.
+# ----------------------------------------------------------------------
+
+TIE_WORDS = ["asn", "prefix", "domain", "route", "peer", "ixp", "as2497", "japan"]
+
+
+@st.composite
+def near_tie_corpora(draw):
+    """(dim, texts, query): texts with duplicates, one-token variants and
+    rows with no word token (all-zero rows), in a drawn order."""
+    dim = draw(st.sampled_from([64, 256]))
+    bases = draw(st.lists(st.lists(st.sampled_from(TIE_WORDS), min_size=1, max_size=5),
+                          min_size=1, max_size=6))
+    texts = []
+    for tokens in bases:
+        texts += [" ".join(tokens)] * draw(st.integers(1, 3))
+        word = draw(st.sampled_from(TIE_WORDS))
+        position = draw(st.integers(0, len(tokens)))
+        texts.append(" ".join(tokens[:position] + [word] + tokens[position:]))
+        texts.append(" ".join(tokens[:position] + [word] + tokens[position + 1:]))
+    texts += draw(st.lists(st.sampled_from(["", "!!! ???"]), max_size=2))
+    texts = draw(st.permutations(texts))
+    query = " ".join(draw(st.lists(st.sampled_from(TIE_WORDS + ["zzz"]), max_size=4)))
+    return dim, texts, query
+
+
+class TestFloat32Prefilter:
+    @settings(max_examples=150, deadline=None)
+    @given(near_tie_corpora())
+    def test_search_matches_the_exact_full_sort(self, case):
+        dim, texts, query = case
+        store = VectorStore([(f"e{i}", text, {"i": i}) for i, text in enumerate(texts)],
+                            HashingEmbedding(dim=dim))
+        ranked = _reference_search(store, query, len(texts), min_score=-2.0)
+        # min_score cuts: none, the retriever's, and exactly at a score
+        # (ties of that score are cut with it)
+        cuts = [-2.0, 0.0, 0.02] + [hit.score for hit in ranked[:: max(1, len(ranked) // 3)]]
+        for min_score in cuts:
+            kept = [hit for hit in ranked if hit.score > min_score]
+            # every cut: inside and at the edges of tie groups, and past the end
+            for top_k in range(1, len(texts) + 2):
+                assert store.search(query, top_k=top_k, min_score=min_score) == kept[:top_k]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([64, 256]), st.integers(0, 2**32 - 1),
+           st.sampled_from([1e-9, 1e-8, 1e-7, 1e-6]))
+    def test_ties_closer_than_float32_resolution(self, dim, seed, spread):
+        # Rows a tiny random step apart around one direction near the
+        # query, a duplicate and zero rows: their float32 scores order
+        # differently from the exact ones, and only the margin keeps the
+        # exact top k among the rows re-scored.
+        query = "asn prefix route peer"
+        store = VectorStore([(f"e{i}", "", {}) for i in range(40)], HashingEmbedding(dim=dim))
+        rng = np.random.default_rng(seed)
+        centre = store.embedding.embed(query) + 0.5 * rng.standard_normal(dim)
+        matrix = centre + spread * rng.standard_normal((40, dim))
+        matrix[7] = matrix[3]
+        matrix[rng.random(40) < 0.15] = 0.0
+        norms = np.linalg.norm(matrix, axis=1)
+        norms[norms == 0] = 1.0
+        store._matrix = matrix / norms[:, None]
+        store._transposed = np.ascontiguousarray(store._matrix.T, dtype=np.float32)
+        ranked = _reference_search(store, query, 40, min_score=-2.0)
+        for min_score in (-2.0, 0.0, ranked[len(ranked) // 2].score):
+            kept = [hit for hit in ranked if hit.score > min_score]
+            for top_k in range(1, 42):
+                assert store.search(query, top_k=top_k, min_score=min_score) == kept[:top_k]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([64, 256]), st.integers(0, 2**32 - 1), st.floats(0.05, 1.0))
+    def test_float32_scores_are_within_the_margin(self, dim, seed, density):
+        # Unit vectors with random signs and magnitudes, sparse or dense:
+        # the bound must hold whatever the number of summed terms.
+        rng = np.random.default_rng(seed)
+        matrix = rng.standard_normal((40, dim)) * (rng.random((40, dim)) < density)
+        matrix[0] = 0.0
+        norms = np.linalg.norm(matrix, axis=1)
+        norms[norms == 0] = 1.0
+        matrix /= norms[:, None]
+        vector = rng.standard_normal(dim) * (rng.random(dim) < density)
+        if vector.any():
+            vector /= np.linalg.norm(vector)
+        columns = np.flatnonzero(vector)
+        transposed = np.ascontiguousarray(matrix.T, dtype=np.float32)
+        coarse = _float32_scores(transposed, columns, vector[columns])
+        margin = _float32_margin(columns.size)
+        for row, score in zip(matrix, coarse.tolist()):
+            assert abs(score - _exact_score(row, vector)) <= margin

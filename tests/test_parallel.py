@@ -301,23 +301,30 @@ class TestVectorStoreConcurrency:
 
 
 class TestTokenSetCache:
-    def test_cached_scores_match_recomputed_scores(self, small_store):
-        retriever = VectorContextRetriever(small_store, top_k=8)
-        assert all(  # frozen at index time
-            entry.tokens == frozenset(word_tokenize(entry.text))
-            for entry in retriever.vector_store.entries()
-        )
+    def test_cached_scores_match_recomputed_scores(self, small_dataset):
+        retriever = VectorContextRetriever(small_dataset.store, top_k=8)
+        index = retriever.vector_store
+        # The token store, filled at index time, holds each row's distinct
+        # tokens and nothing else.
+        token_sets = [frozenset(word_tokenize(entry.text)) for entry in index.entries()]
+        for row, tokens in enumerate(token_sets):
+            assert index.token_overlap(tokens, [row]) == [len(tokens)]
+        everything = frozenset().union(*token_sets)
+        rows = range(len(token_sets))
+        assert index.token_overlap(everything, rows) == list(map(len, token_sets))
+        assert not any(index.token_overlap(["zzz-not-a-token", "", "two tokens"], rows))
 
         queries = [
             "Which country is AS2497 registered in?",
             "Japanese networks at internet exchanges",
             "prefixes originated by AS15169",
             "sing me a sea shanty",
-        ]
+        ] + [item.question for item in build_cyphereval(small_dataset, seed=7)]
         for query in queries:
             result = retriever.retrieve(query)
-            # Recompute the lexical boost exactly as the pre-cache code did
-            # (word_tokenize per hit per query) and compare scores.
+            # Recompute the result as the code before the token store did:
+            # word_tokenize per hit, every boosted score rounded, a stable
+            # sort of all hits, then the first top_k.
             from repro.nlp.tokenize import STOPWORDS
 
             distinctive = {
@@ -333,17 +340,10 @@ class TestTokenSetCache:
             for hit in hits:
                 score = hit.score
                 if distinctive:
-                    text_tokens = set(word_tokenize(hit.text))
-                    score += (
-                        retriever._LEXICAL_WEIGHT
-                        * len(distinctive & text_tokens)
-                        / len(distinctive)
-                    )
+                    overlap = len(distinctive & set(word_tokenize(hit.text))) / len(distinctive)
+                    score += retriever._LEXICAL_WEIGHT * overlap
                 recomputed.append((hit.entry_id, round(score, 6)))
             recomputed.sort(key=lambda pair: -pair[1])
             expected = recomputed[: retriever.top_k]
             actual = [(item.node.node_id, item.score) for item in result.nodes]
-            assert [score for _, score in actual] == [score for _, score in expected]
-            assert sorted(node_id for node_id, _ in actual) == sorted(
-                node_id for node_id, _ in expected
-            )
+            assert actual == expected, query

@@ -11,6 +11,7 @@ import threading
 import pytest
 
 from repro.core import ChatIYP, ChatIYPConfig
+from repro.eval import build_cyphereval
 from repro.rag.errors import CircuitOpen, DeadlineExceeded
 from repro.rag.types import RetrievalResult
 from repro.serving import (
@@ -521,6 +522,38 @@ class TestBreakerReroute:
         for _ in range(4):
             bot.ask("please sing a sea shanty about the weather")
         assert bot.breaker.state is BreakerState.CLOSED
+
+
+    def test_unparsable_generated_cypher_does_not_trip_breaker(self, small_dataset):
+        # The simulated backbone sends text that fails to parse on about 8%
+        # of asks. Five such questions in a row, then a well-formed one.
+        probe = ChatIYP(dataset=small_dataset, config=ChatIYPConfig(dataset_size="small"))
+        gold = build_cyphereval(small_dataset, seed=7)
+        unparsable = []
+        for item in gold:
+            error = probe.pipeline.query(item.question).diagnostics.get("symbolic_error")
+            if (error or "").startswith(("CypherSyntaxError:", "UnsupportedWrite:")):
+                unparsable.append(item.question)
+            if len(unparsable) == 5:
+                break
+        well_formed = next(item.question for item in gold if item.template == "country_of_as")
+        bot = ChatIYP(
+            dataset=small_dataset,
+            config=ChatIYPConfig(
+                dataset_size="small",
+                deadline_ms=1000.0,
+                breaker_failure_threshold=5,
+                answer_cache_size=256,
+            ),
+        )
+        for question in unparsable:
+            error_class = bot.ask(question).diagnostics["error_class"]
+            assert error_class["type"] == "ExecutionError"
+            assert error_class["message"].startswith("CypherSyntaxError:")
+        assert bot.breaker.state is BreakerState.CLOSED
+        response = bot.ask(well_formed)
+        assert "symbolic_skipped_breaker_open" not in (response.diagnostics.get("degraded") or [])
+        assert response.retrieval_source == "text2cypher"
 
 
 class TestAnswerCacheIntegration:
