@@ -52,26 +52,23 @@ def corpus() -> tuple[list[str], list[str]]:
 
 
 def one_per_shape(texts: list[str]) -> tuple[list[str], list[str]]:
-    """Of the distinct texts that parse, the first of each query shape
-    (``literal_shape`` key, or the text itself when it has no key) and the
-    others."""
+    """Of the distinct texts that parse, the first of each query shape (the
+    texts that add a shape to the query cache of one engine that has seen
+    every text before them) and the others."""
+    from repro.cypher import CypherEngine
     from repro.cypher.errors import CypherError
-    from repro.cypher.lexer import tokenize
-    from repro.cypher.parser import literal_shape, parse
+    from repro.graph import GraphStore
 
-    firsts: dict = {}
-    others = []
+    engine = CypherEngine(GraphStore(), cache_size=len(texts))
+    firsts, others = [], []
     for text in dict.fromkeys(texts):
+        shapes = len(engine._shapes)
         try:
-            parse(text)
-            key = literal_shape(tokenize(text))[0] if "`" not in text else text
-        except (CypherError, ValueError):
+            engine._entry(text)
+        except CypherError:
             continue
-        if key in firsts:
-            others.append(text)
-        else:
-            firsts[key] = text
-    return list(firsts.values()), others
+        (firsts if len(engine._shapes) > shapes else others).append(text)
+    return firsts, others
 
 
 def passes(module, texts: dict[str, list[str]], firsts: list[str]) -> dict:

@@ -7,7 +7,7 @@ directly; there is no separate logical-plan IR because the clause pipeline
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Optional, Union
 
 __all__ = [
@@ -364,12 +364,12 @@ class ReturnItem:
     expression: Expr
     alias: Optional[str] = None
 
-    def output_name(self, slots: Optional[tuple] = None) -> str:
-        """The column name this item produces; ``slots`` are the values of
-        the tree's :class:`Slot` nodes, rendered as the literals they are."""
+    def output_name(self) -> str:
+        """The column name this item produces.  A shape's tree holds no
+        :class:`Slot` in an implicit column name (:func:`~.parser.parse_shape`)."""
         if self.alias:
             return self.alias
-        return _expression_text(self.expression, slots)
+        return _expression_text(self.expression)
 
 
 @dataclass(frozen=True)
@@ -478,122 +478,101 @@ def _literal_text(value: Any) -> str:
     return str(value)
 
 
-def _with_values(obj: Any, slots: tuple) -> Any:
-    """``obj`` with every :class:`Slot` replaced by a :class:`Literal` of its value."""
-    cls = obj.__class__
-    if cls is Slot:
-        return Literal(slots[obj.index])
-    if cls is tuple or cls is list:
-        return cls(_with_values(item, slots) for item in obj)
-    names = CHILD_FIELDS.get(cls)
-    if not names:
-        return obj
-    return replace(obj, **{name: _with_values(getattr(obj, name), slots) for name in names})
-
-
-def _expression_text(expr: Expr, slots: Optional[tuple] = None) -> str:
-    """Render an expression roughly back to Cypher text.
-
-    A :class:`Slot` renders as its value in ``slots``; without them (when
-    the planner scopes a lifted tree's names) as ``<slot i>``, which no
-    variable name can equal.
-    """
+def _expression_text(expr: Expr) -> str:
+    """Render an expression roughly back to Cypher text."""
     if isinstance(expr, Literal):
         return _literal_text(expr.value)
-    if isinstance(expr, Slot):
-        return f"<slot {expr.index}>" if slots is None else _literal_text(slots[expr.index])
     if isinstance(expr, Variable):
         return expr.name
     if isinstance(expr, Parameter):
         return f"${expr.name}"
     if isinstance(expr, PropertyAccess):
-        return f"{_expression_text(expr.subject, slots)}.{expr.key}"
+        return f"{_expression_text(expr.subject)}.{expr.key}"
     if isinstance(expr, Subscript):
-        return f"{_expression_text(expr.subject, slots)}[{_expression_text(expr.index, slots)}]"
+        return f"{_expression_text(expr.subject)}[{_expression_text(expr.index)}]"
     if isinstance(expr, Slice):
-        start = _expression_text(expr.start, slots) if expr.start else ""
-        end = _expression_text(expr.end, slots) if expr.end else ""
-        return f"{_expression_text(expr.subject, slots)}[{start}..{end}]"
+        start = _expression_text(expr.start) if expr.start else ""
+        end = _expression_text(expr.end) if expr.end else ""
+        return f"{_expression_text(expr.subject)}[{start}..{end}]"
     if isinstance(expr, ListLiteral):
-        return "[" + ", ".join(_expression_text(item, slots) for item in expr.items) + "]"
+        return "[" + ", ".join(_expression_text(item) for item in expr.items) + "]"
     if isinstance(expr, MapLiteral):
-        inner = ", ".join(f"{key}: {_expression_text(val, slots)}" for key, val in expr.items)
+        inner = ", ".join(f"{key}: {_expression_text(val)}" for key, val in expr.items)
         return "{" + inner + "}"
     if isinstance(expr, CountStar):
         return "count(*)"
     if isinstance(expr, FunctionCall):
         distinct = "DISTINCT " if expr.distinct else ""
-        args = ", ".join(_expression_text(arg, slots) for arg in expr.args)
+        args = ", ".join(_expression_text(arg) for arg in expr.args)
         return f"{expr.name}({distinct}{args})"
     if isinstance(expr, UnaryOp):
-        return f"{expr.op}{_expression_text(expr.operand, slots)}"
+        return f"{expr.op}{_expression_text(expr.operand)}"
     if isinstance(expr, BinaryOp):
-        left, right = _expression_text(expr.left, slots), _expression_text(expr.right, slots)
+        left, right = _expression_text(expr.left), _expression_text(expr.right)
         return f"{left} {expr.op} {right}"
     if isinstance(expr, Comparison):
-        parts = [_expression_text(expr.operands[0], slots)]
+        parts = [_expression_text(expr.operands[0])]
         for op, operand in zip(expr.ops, expr.operands[1:]):
             parts.append(op)
-            parts.append(_expression_text(operand, slots))
+            parts.append(_expression_text(operand))
         return " ".join(parts)
     if isinstance(expr, BooleanOp):
-        return f" {expr.op} ".join(_expression_text(item, slots) for item in expr.operands)
+        return f" {expr.op} ".join(_expression_text(item) for item in expr.operands)
     if isinstance(expr, NotOp):
-        return f"NOT {_expression_text(expr.operand, slots)}"
+        return f"NOT {_expression_text(expr.operand)}"
     if isinstance(expr, IsNull):
         suffix = "IS NOT NULL" if expr.negated else "IS NULL"
-        return f"{_expression_text(expr.operand, slots)} {suffix}"
+        return f"{_expression_text(expr.operand)} {suffix}"
     if isinstance(expr, StringPredicate):
         word = {"STARTS": "STARTS WITH", "ENDS": "ENDS WITH", "CONTAINS": "CONTAINS"}[expr.op]
-        return f"{_expression_text(expr.left, slots)} {word} {_expression_text(expr.right, slots)}"
+        return f"{_expression_text(expr.left)} {word} {_expression_text(expr.right)}"
     if isinstance(expr, InList):
-        return f"{_expression_text(expr.value, slots)} IN {_expression_text(expr.container, slots)}"
+        return f"{_expression_text(expr.value)} IN {_expression_text(expr.container)}"
     if isinstance(expr, CaseExpr):
-        parts = ["CASE"] if expr.subject is None else ["CASE", _expression_text(expr.subject, slots)]
+        parts = ["CASE"] if expr.subject is None else ["CASE", _expression_text(expr.subject)]
         for condition, result in expr.whens:
-            when, then = _expression_text(condition, slots), _expression_text(result, slots)
+            when, then = _expression_text(condition), _expression_text(result)
             parts.append(f"WHEN {when} THEN {then}")
         if expr.default is not None:
-            parts.append(f"ELSE {_expression_text(expr.default, slots)}")
+            parts.append(f"ELSE {_expression_text(expr.default)}")
         return " ".join(parts + ["END"])
     if isinstance(expr, ListComprehension):
-        head = f"{expr.variable} IN {_expression_text(expr.source, slots)}"
-        return f"[{_filter_text(head, expr.predicate, expr.projection, slots)}]"
+        head = f"{expr.variable} IN {_expression_text(expr.source)}"
+        return f"[{_filter_text(head, expr.predicate, expr.projection)}]"
     if isinstance(expr, PatternComprehension):
-        head = _pattern_text(expr.pattern, slots)
-        return f"[{_filter_text(head, expr.predicate, expr.projection, slots)}]"
+        head = _pattern_text(expr.pattern)
+        return f"[{_filter_text(head, expr.predicate, expr.projection)}]"
     if isinstance(expr, Quantifier):
-        head = f"{expr.variable} IN {_expression_text(expr.source, slots)}"
-        return f"{expr.kind}({_filter_text(head, expr.predicate, None, slots)})"
+        head = f"{expr.variable} IN {_expression_text(expr.source)}"
+        return f"{expr.kind}({_filter_text(head, expr.predicate, None)})"
     if isinstance(expr, Reduce):
-        initial = _expression_text(expr.initial, slots)
-        source = _expression_text(expr.source, slots)
+        initial = _expression_text(expr.initial)
+        source = _expression_text(expr.source)
         return (f"reduce({expr.accumulator} = {initial}, {expr.variable} IN {source} | "
-                f"{_expression_text(expr.expression, slots)})")
+                f"{_expression_text(expr.expression)})")
     if isinstance(expr, (PatternPredicate, ExistsExpr)):
         return "exists(...)"
-    return repr(expr if slots is None else _with_values(expr, slots))
+    return repr(expr)
 
 
-def _filter_text(
-    head: str, predicate: Optional[Expr], projection: Optional[Expr], slots: Optional[tuple]
-) -> str:
+def _filter_text(head: str, predicate: Optional[Expr], projection: Optional[Expr]) -> str:
     """``head [WHERE predicate] [| projection]``, the body of a comprehension."""
     if predicate is not None:
-        head += f" WHERE {_expression_text(predicate, slots)}"
+        head += f" WHERE {_expression_text(predicate)}"
     if projection is not None:
-        head += f" | {_expression_text(projection, slots)}"
+        head += f" | {_expression_text(projection)}"
     return head
 
 
-def _pattern_text(part: PatternPart, slots: Optional[tuple]) -> str:
+def _pattern_text(part: PatternPart) -> str:
     """A pattern part as Cypher text: ``(a:AS {asn: 1})-[:X*1..2]->(b)``."""
     text = ""
     for element in part.elements:
         props = ""
         if element.properties:
-            inner = ", ".join(f"{key}: {_expression_text(value, slots)}"
-                              for key, value in element.properties)
+            inner = ", ".join(
+                f"{key}: {_expression_text(value)}" for key, value in element.properties
+            )
             props = f" {{{inner}}}"
         if isinstance(element, NodePattern):
             labels = "".join(f":{label}" for label in element.labels)

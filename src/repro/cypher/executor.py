@@ -17,16 +17,16 @@ every node and relationship it examines), so a row costs one
 generator resume per operator it crosses, and a downstream LIMIT/top-k
 stops pulling and the whole upstream pipeline terminates early.  Only
 blocking operators (Sort, Aggregate, write barriers) materialise
-rows.  Queries are cached per shape, the token stream with its value
-literals masked: one tree with those literals lifted into slots, and its
-plans and operator tree for the current statistics version.  Per form, the
-text between a text's literals, the engine keeps how the shape key follows
-from the literals, so a new text of a known form finds its shape without
-being tokenized.  The operator tree holds no run state, so every run and
-thread shares it; a run keeps its counters, SKIP/LIMIT counts and argument
-rows in its execution context.  Per text the engine keeps the slot values and, for a read-only
-query, its last result, reused while the graph's statistics version is
-unchanged; for a text that does not parse, it keeps the syntax error.
+rows.  Queries are cached per shape, keyed by the text's form (the text
+between its literals) and its literals' kinds, kept spellings and equality
+pattern: one tree with the other literals lifted into slots, and its plans
+and operator tree for the current statistics version, so a new text of a
+known shape is neither tokenized nor parsed.  The operator tree holds no
+run state, so every run and thread shares it; a run keeps its counters,
+SKIP/LIMIT counts and argument rows in its execution context.  Per text the
+engine keeps the slot values and, for a read-only query, its last result,
+reused while the graph's statistics version is unchanged; for a text that
+does not parse, it keeps the syntax error.
 ``planner=False`` plans every part by a fixed shape-only rule instead,
 with no pushdown: the reference the tests check planned execution against.
 This module holds the engine and the per-run execution context with the
@@ -59,7 +59,7 @@ from .functions import compare_once
 from .lowering import LoweredQuery, lower_query
 from .operators import RuntimeState, profile_tree, render_profile
 from .lexer import LITERAL_SPLIT, tokenize
-from .parser import LiteralForm, literal_shape, parse_shape
+from .parser import LiteralForm, parse_shape
 from .planner import (
     AnchorPlan,
     Filters,
@@ -88,6 +88,9 @@ _MISSING = object()
 
 #: expression classes whose value is fixed for a whole run
 _ROW_FREE = (ast.Literal, ast.Slot, ast.Parameter)
+
+#: the shape-cache value of a form's key whose texts are shapes of their own
+_OWN = object()
 
 
 class _LRUCache(OrderedDict):
@@ -167,24 +170,26 @@ class CypherEngine:
     """Executes Cypher text against one :class:`GraphStore`.
 
     The engine caches queries at three levels, each a bounded LRU of
-    ``cache_size`` entries.  A query *shape* is a token stream with its
-    value literals masked out (:func:`~.parser.literal_shape`); per shape
-    the engine keeps one tree with those literals lifted into slots, its
-    read-only flag and pattern sites, and its plans and lowered operator
-    tree for the current statistics version.  A text's *form* is the text
-    between its literals (:data:`~.lexer.LITERAL_SPLIT`); per form it keeps
-    a :class:`~.parser.LiteralForm`, which gives a text of the form its
-    shape key and slot values from its literals.  Per query *text* it keeps
-    the slot values and, for a read-only query, the last result.  A new
-    text of a known form and shape is neither tokenized, parsed, planned
-    nor lowered (texts with backticks or backslashes, and texts whose
-    literals the split does not find as the lexer does, are tokenized); a
-    repeated text is one dict
-    lookup, and a repeated read-only text without parameters or PROFILE on
-    an unchanged graph returns its last result without executing.  Every
-    store mutation bumps ``stats_version``, which retires plans and memos.
-    ``planner=False`` disables planning entirely: the semantic reference
-    that planned execution is checked against.
+    ``cache_size`` entries.  A text's *form* is the text between the
+    literals :data:`~.lexer.LITERAL_SPLIT` cuts out; per form the engine
+    keeps a :class:`~.parser.LiteralForm`, which tells which literals stay
+    in the shape key.  A query *shape* is keyed by the form and
+    :meth:`~.parser.LiteralForm.fill`'s signature of the text's literals;
+    per shape the engine keeps one tree with the other literals lifted into
+    slots, its read-only flag and pattern sites, and its plans and lowered
+    operator tree for the current statistics version.  A text is a shape of
+    its own, keyed by the text, when it has backticks or backslashes, when
+    the split does not find its literals as the lexer does, when a number
+    is past ``int()``'s digit limit, or when a lifted literal would name a
+    column or is syntax (:func:`~.parser.parse_shape`).  Per query *text* it
+    keeps the slot values and, for a read-only query, the last result.  A
+    new text of a known form and shape is neither tokenized, parsed,
+    planned nor lowered; a repeated text is one dict lookup, and a repeated
+    read-only text without parameters or PROFILE on an unchanged graph
+    returns its last result without executing.  Every store mutation bumps
+    ``stats_version``, which retires plans and memos.  ``planner=False``
+    disables planning entirely: the semantic reference that planned
+    execution is checked against.
     """
 
     def __init__(
@@ -320,40 +325,44 @@ class CypherEngine:
         """Find ``query``'s shape: through its form when the form is known
         and its shape cached, else by tokenizing, parsing the text itself on
         a shape miss, so a syntax error always carries its own positions."""
-        form = template = None
-        # Backslashes (string escapes) and backtick names take the tokens' path.
+        form = known = found = None
+        # Backslashes (string escapes) and backtick names make a text a
+        # shape of its own.
         if "`" not in query and "\\" not in query:
             parts = LITERAL_SPLIT.split(query)
             form = tuple(parts[::2])
-            template = self._forms.get(form)
-            if template is not None:
-                found = template.fill(parts[1::2])
+            known = self._forms.get(form)
+            if known is not None:
+                found = known.fill(parts[1::2])
                 if found is not None:
-                    shape = self._shapes.get(found[0])
-                    if shape is not None:
+                    shape = self._shapes.get((form, found[0]))
+                    if shape.__class__ is _Shape:
                         return _QueryEntry(shape, found[1])
         tokens = tokenize(query)
-        # A text with backtick names, or a number past int()'s digit limit,
-        # is a shape of its own.
-        key, values, lifted = query, (), []
-        if "`" not in query:
-            try:
-                key, values, lifted = literal_shape(tokens)
-            except ValueError:
-                pass
-        shape = self._shapes.get(key)
-        if shape is None:
-            slots = {index: ast.Slot(k, group) for k, (index, group) in enumerate(lifted)}
-            tree = parse_shape(query, tokens, slots)
-            if tree is None:  # a lifted token was syntax after all
-                key, values, tree = query, (), parse_shape(query, tokens, {})
-            shape = _Shape(tree)
-            self._shapes[key] = shape
-        if form is not None and template is None and key is not query:
-            template = LiteralForm.of(tokens, key, parts)
+        if form is not None and found is None:
+            # A new form, or literals of other kinds than its first text's.
+            template = LiteralForm.of(tokens, parts)
             if template is not None:
-                self._forms[form] = template
-        return _QueryEntry(shape, values)
+                if known is None:
+                    self._forms[form] = template
+                found = template.fill(parts[1::2])
+        if found is not None:
+            key = (form, found[0])
+            shape = self._shapes.get(key)
+            if shape is None:
+                slots = {index: ast.Slot(k, group)
+                         for k, (index, _, group) in enumerate(found[2])}
+                tree = parse_shape(query, tokens, slots)
+                shape = self._shapes[key] = _OWN if tree is None else _Shape(tree)
+            if shape is not _OWN:
+                return _QueryEntry(shape, found[1])
+        # A shape of its own: a literal the lexer does not find where the
+        # split does, a number past int()'s digit limit, a literal that
+        # would name a column or that is syntax.
+        shape = self._shapes.get(query)
+        if shape is None:
+            shape = self._shapes[query] = _Shape(parse_shape(query, tokens, {}))
+        return _QueryEntry(shape, ())
 
     def _memoise(
         self, entry: _QueryEntry, version: int, result: ResultSet, rows_charged: int
@@ -433,7 +442,7 @@ class CypherEngine:
             rows = list(produced)
         finally:
             produced.close()
-        keys = run.root.keys(run)
+        keys = run.root.keys()
         # Adopt-without-copy: each values list is single-owner and the keys
         # list is shared read-only across every record of the result.
         records = [Record.of(keys, values) for values in rows]

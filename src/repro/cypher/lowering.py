@@ -8,8 +8,9 @@ per row, every pattern predicate, ``EXISTS`` pattern and pattern
 comprehension.  Such a sub-chain hangs under the operator that evaluates
 it, so PROFILE shows its operators and rows.  The engine
 lowers a query shape once per set of plans (:func:`lower_query`); the tree
-holds no run state, and what depends on a run's values (SKIP/LIMIT counts,
-implicit column names) is resolved in the run.  EXPLAIN and PROFILE both
+holds no run state, and what depends on a run's values (SKIP/LIMIT counts)
+is resolved in the run; every projection's column names and ORDER BY plan
+are fixed here.  EXPLAIN and PROFILE both
 render this tree; each pattern operator's detail names its access path and
 the pushed WHERE filters it applies.
 """
@@ -21,7 +22,6 @@ from typing import Any, Optional, Union
 from . import ast_nodes as ast
 from . import operators as ops
 from .errors import CypherError, CypherRuntimeError, CypherSyntaxError
-from .operators import _contains_aggregate
 from .planner import (
     AnchorPlan,
     Filters,
@@ -101,10 +101,8 @@ def _number(roots: list[ops.PhysicalOperator]) -> int:
 def _lower_single(tree: ast.SingleQuery, lowered: LoweredQuery) -> ops.ProduceResults:
     op: ops.PhysicalOperator = ops.Init()
     # Variables the clauses so far bind: what ``WITH *``/``RETURN *``
-    # expand to, known before any row exists; plus, after a WITH whose
-    # column names render slot values, that projection's keys (``base``).
+    # expand to, known before any row exists.
     scope: set[str] = set()
-    base: Optional[ops._Projection] = None
     # whether an updating clause runs below the current clause
     writes = False
     clauses = tree.clauses
@@ -116,18 +114,15 @@ def _lower_single(tree: ast.SingleQuery, lowered: LoweredQuery) -> ops.ProduceRe
             op = _with_patterns(ops.Unwind(op, clause), lowered, clause)
             scope.add(clause.variable)
         elif isinstance(clause, ast.WithClause):
-            op, projection = _lower_projection(op, clause, lowered, scope, base, writes)
+            op, projection = _lower_projection(op, clause, lowered, scope, writes)
             op = ops.AsRows(op, projection)
             if clause.where is not None:
                 op = _filter(op, clause.where, lowered)
-            if projection.fixed is None:
-                scope, base = set(), projection
-            else:
-                scope, base = set(projection.fixed[1]), None
+            scope = set(projection.keys)
         elif isinstance(clause, ast.ReturnClause):
             if index != len(clauses) - 1:
                 raise CypherSyntaxError("RETURN must be the final clause")
-            op, projection = _lower_projection(op, clause, lowered, scope, base, writes)
+            op, projection = _lower_projection(op, clause, lowered, scope, writes)
             return ops.ProduceResults(op, projection)
         elif type(clause) in _WRITE_OPERATORS:
             op = _WRITE_OPERATORS[type(clause)](op, clause)
@@ -282,28 +277,19 @@ def _lower_projection(
     clause: ast.ProjectionClause,
     lowered: LoweredQuery,
     scope: set[str],
-    base: Optional[ops._Projection],
     writes: bool,
 ) -> tuple[ops.PhysicalOperator, ops._Projection]:
     """Lower WITH/RETURN into project → distinct → sort → skip → limit.
 
-    ``scope`` and ``base`` are what ``*`` expands to (see
-    :func:`_lower_single`); ``writes`` says an updating clause runs below
-    the clause (its LIMIT is then exhaustive, see :class:`~.operators.Limit`).
-    Returns the pipeline top plus the projection operator itself, whose
-    layout Sort, AsRows and ProduceResults read.
+    ``scope`` is what ``*`` expands to (see :func:`_lower_single`);
+    ``writes`` says an updating clause runs below the clause (its LIMIT is
+    then exhaustive, see :class:`~.operators.Limit`).  Returns the pipeline
+    top plus the projection operator itself, whose layout Sort, AsRows and
+    ProduceResults read.
     """
-    layout = None
-    if base is None or not clause.star:
-        base = None
-        derived = ops.derive_projection(clause, sorted(scope), None)
-        aggregated = derived[2]
-        if not any(not item.alias and _has_slot(item.expression) for item in clause.items):
-            layout = derived
-    else:
-        aggregated = any(_contains_aggregate(item.expression) for item in clause.items)
-    projection_cls = ops.Aggregate if aggregated else ops.Project
-    projection = projection_cls(child, clause, frozenset(scope), base, layout)
+    layout = ops.derive_projection(clause, sorted(scope))
+    projection_cls = ops.Aggregate if layout[2] else ops.Project
+    projection = projection_cls(child, layout)
     _with_patterns(projection, lowered, clause.items)
     op: ops.PhysicalOperator = projection
     if clause.distinct:
@@ -319,16 +305,6 @@ def _lower_projection(
     if limit is not None:
         op = ops.Limit(op, limit, writes)
     return op, projection
-
-
-def _has_slot(obj: Any) -> bool:
-    """Whether the expression ``obj`` holds a :class:`~.ast_nodes.Slot`."""
-    cls = obj.__class__
-    if cls is ast.Slot:
-        return True
-    if cls is tuple or cls is list:
-        return any(map(_has_slot, obj))
-    return any(_has_slot(getattr(obj, name)) for name in ast.CHILD_FIELDS.get(cls, ()))
 
 
 def _reverse_elements(

@@ -658,13 +658,12 @@ class Unwind(PhysicalOperator):
 # ---------------------------------------------------------------------------
 
 def derive_projection(
-    clause: ast.ProjectionClause, in_scope: list[str], slots: Optional[tuple]
+    clause: ast.ProjectionClause, in_scope: list[str]
 ) -> tuple[list, list[str], bool, list[int]]:
     """Resolve a projection clause's items/keys/aggregation/grouping.
 
     ``in_scope`` is the sorted variable scope a ``RETURN *`` expands to
-    (ignored for non-star clauses); ``slots`` are the run's slot values,
-    which implicit column names render.
+    (ignored for non-star clauses).
     """
     items = list(clause.items)
     if clause.star:
@@ -675,7 +674,7 @@ def derive_projection(
         items = star_items + items
     if not items:
         raise CypherSyntaxError("projection requires at least one item")
-    keys = [item.output_name(slots) for item in items]
+    keys = [item.output_name() for item in items]
     aggregated = any(_contains_aggregate(item.expression) for item in items)
     grouping_indices = [
         i for i, item in enumerate(items) if not _contains_aggregate(item.expression)
@@ -686,38 +685,20 @@ def derive_projection(
 class _Projection(PhysicalOperator):
     """The operator that projects one WITH/RETURN clause's items.
 
-    ``layout`` is :func:`derive_projection`'s result, fixed at lowering
-    unless the run's slot values decide it: an implicit column name that
-    renders a slot, or a ``*`` over the keys of such a projection
-    (``base``) plus the variable names in ``scope``.
+    ``items``, ``keys``, ``aggregated`` and ``grouping`` are
+    :func:`derive_projection`'s result, fixed at lowering.
     """
 
     def __init__(
-        self,
-        child: PhysicalOperator,
-        clause: ast.ProjectionClause,
-        scope: frozenset[str],
-        base: Optional[_Projection],
-        layout: Optional[tuple[list, list[str], bool, list[int]]],
+        self, child: PhysicalOperator, layout: tuple[list, list[str], bool, list[int]]
     ) -> None:
         super().__init__((child,))
-        self.clause = clause
-        self.scope = scope
-        self.base = base
-        self.fixed = layout
-        #: each item's expression with its evaluator handler, when fixed
-        self.handlers = None if layout is None else resolve(i.expression for i in layout[0])
-
-    def layout(self, run: Any) -> tuple[list, list[str], bool, list[int]]:
-        if self.fixed is not None:
-            return self.fixed
-        scope = self.scope
-        if self.base is not None:
-            scope = scope.union(self.base.layout(run)[1])
-        return derive_projection(self.clause, sorted(scope), run.slots)
+        self.items, self.keys, self.aggregated, self.grouping = layout
+        #: each item's expression with its evaluator handler
+        self.handlers = resolve(item.expression for item in self.items)
 
     def describe(self, run: Any) -> str:
-        return ", ".join(self.layout(run)[1])
+        return ", ".join(self.keys)
 
 
 class Project(_Projection):
@@ -727,7 +708,7 @@ class Project(_Projection):
 
     def _rows(self, run: Any) -> Iterator[Any]:
         evaluator, state = run.evaluator, run.state
-        handlers = self.handlers or resolve(item.expression for item in self.layout(run)[0])
+        handlers = self.handlers
         rows_out, number = state.rows_out, self.number
         for row in self.children[0].open(run):
             entry = ([handler(evaluator, expr, row) for handler, expr in handlers], (row,))
@@ -750,11 +731,9 @@ class Aggregate(_Projection):
 
     def _rows(self, run: Any) -> Iterator[Any]:
         rows = list(self.children[0].open(run))
-        items, _, _, grouping = self.layout(run)
-        handlers = self.handlers or resolve(item.expression for item in items)
         charge = run.state.charge
         number = self.number
-        for entry in _project_grouped(run, rows, items, handlers, grouping):
+        for entry in _project_grouped(run, rows, self.items, self.handlers, self.grouping):
             charge(number)
             yield entry
 
@@ -797,14 +776,12 @@ class Sort(PhysicalOperator):
     ) -> None:
         super().__init__((child,))
         self.order_by = order_by
-        #: the Project/Aggregate feeding this sort (its items/keys/aggregated)
-        self.projection = projection
         self.top = top
         self.name = "TopK" if top is not None else "Sort"
-        #: how each ORDER BY item's values are obtained, unless the run's
-        #: slot values decide the projection's layout
-        fixed = projection.fixed
-        self.plan = None if fixed is None else _order_plan(order_by, *fixed[:3])
+        #: how each ORDER BY item's values are obtained, over the layout of
+        #: the Project/Aggregate feeding this sort
+        self.plan = _order_plan(
+            order_by, projection.items, projection.keys, projection.aggregated)
 
     def _top(self, run: Any) -> Optional[int]:
         return None if self.top is None else sum(run.bounds[i] for i in self.top)
@@ -815,10 +792,9 @@ class Sort(PhysicalOperator):
 
     def _rows(self, run: Any) -> Iterator[Any]:
         entries = list(self.children[0].open(run))
-        plan = self.plan or _order_plan(self.order_by, *self.projection.layout(run)[:3])
         state = run.state
         rows_out, number = state.rows_out, self.number
-        for entry in _order(run, entries, self.order_by, plan, self._top(run)):
+        for entry in _order(run, entries, self.order_by, self.plan, self._top(run)):
             rows_out[number] += 1
             state.rows += 1
             if state.rows > state.limit:
@@ -904,7 +880,7 @@ class AsRows(PhysicalOperator):
         self.projection = projection
 
     def _rows(self, run: Any) -> Iterator[Row]:
-        keys = self.projection.layout(run)[1]
+        keys = self.projection.keys
         charge = run.state.charge
         number = self.number
         for values, _env_rows in self.children[0].open(run):
@@ -969,12 +945,12 @@ class ProduceResults(PhysicalOperator):
         super().__init__((child,))
         self.projection = projection
 
-    def keys(self, run: Any) -> list[str]:
-        """The result's column names in ``run``."""
-        return list(self.projection.layout(run)[1]) if self.projection is not None else []
+    def keys(self) -> list[str]:
+        """The result's column names, in a list of the caller's own."""
+        return list(self.projection.keys) if self.projection is not None else []
 
     def describe(self, run: Any) -> str:
-        return ", ".join(self.keys(run))
+        return ", ".join(self.keys())
 
     def _rows(self, run: Any) -> Iterator[list[Any]]:
         child = self.children[0].open(run)
@@ -1009,9 +985,9 @@ class UnionAppend(PhysicalOperator):
         self.union_all = union_all
         self.detail = "ALL" if union_all else ""
 
-    def keys(self, run: Any) -> list[str]:
-        """The result's column names in ``run``: the first branch's."""
-        return self.children[0].keys(run)
+    def keys(self) -> list[str]:
+        """The result's column names: the first branch's."""
+        return self.children[0].keys()
 
     def _rows(self, run: Any) -> Iterator[list[Any]]:
         keys = None
@@ -1020,8 +996,8 @@ class UnionAppend(PhysicalOperator):
         number = self.number
         for branch in self.children:
             if keys is None:
-                keys = branch.keys(run)
-            elif branch.keys(run) != keys:
+                keys = branch.keys()
+            elif branch.keys() != keys:
                 raise CypherSyntaxError(
                     "all UNION sub-queries must return the same column names"
                 )

@@ -18,7 +18,7 @@ from . import ast_nodes as ast
 from .errors import CypherSyntaxError, UnsupportedWrite
 from .lexer import Token, tokenize
 
-__all__ = ["parse", "parse_expression", "parse_shape", "literal_shape", "LiteralForm"]
+__all__ = ["parse", "parse_expression", "parse_shape", "LiteralForm"]
 
 
 def parse(text: str) -> ast.Query:
@@ -39,8 +39,9 @@ def parse_shape(
     """Parse ``text``, already tokenized as ``tokens``, into its shape's tree:
     the literal at each token index in ``slots`` becomes that slot node.
 
-    Returns None when a token in ``slots`` was not parsed as a literal (it
-    was syntax, so the tree cannot serve other values).
+    Returns None when the tree cannot serve other values: a token in
+    ``slots`` was not parsed as a literal (it was syntax), or a slot would
+    name a column (an unaliased WITH/RETURN item holds it).
 
     Raises:
         CypherSyntaxError: exactly as :func:`parse` raises on ``text``.
@@ -48,7 +49,7 @@ def parse_shape(
     parser = _Parser(text, tokens, slots)
     query = parser.parse_query()
     parser.expect_end()
-    return query if parser.lifted == len(slots) else None
+    return query if parser.lifted == len(slots) and not parser.slot_named else None
 
 
 #: Each literal token kind and how :meth:`_Parser.parse_atom` converts its value.
@@ -58,91 +59,42 @@ _LITERAL_KINDS = {"STRING": str, "INT": int, "FLOAT": float}
 _SYNTAX_AFTER = frozenset({"DOLLAR", "STAR", "DOTDOT"})
 
 
-def literal_shape(tokens: list[Token]) -> tuple[tuple, tuple, list[tuple[int, int]]]:
-    """The shape key of a token stream and the literals lifted out of it.
-
-    The key is the stream with the value of every STRING/INT/FLOAT token
-    the parser turns into a literal masked out (its kind stays).  A token
-    the parser may read as syntax keeps its value in the key: a number
-    after ``$``, ``*`` or ``..``, and a string before ``:`` (a map key).
-    Every literal-valued token, TRUE/FALSE/NULL included, joins the group
-    of the first token whose value equals its own under ``==``, and the key
-    records each group, so texts of one key share the literals' equality
-    pattern.  A masked literal grouped with a kept one has its value fixed
-    by the key; it stays a literal of the tree and is not lifted.  The key
-    is sound only for text without backtick names, whose identifiers can
-    spell keywords and punctuation.
-
-    Returns ``(key, values, slots)``: the lifted literals' values in token
-    order and, for each, ``(token index, group)``.
-
-    Raises:
-        ValueError: when a number does not convert (past ``int()``'s digit
-            limit).
-    """
-    keyword_values = _Parser._KEYWORD_LITERALS
-    key: list = []
-    masked: list[tuple[int, object, int]] = []
-    groups: dict = {}
-    kept: set[int] = set()
-    previous = ""
-    for index, token in enumerate(tokens):
-        kind = token.kind
-        convert = _LITERAL_KINDS.get(kind)
-        if convert is not None:
-            value = convert(token.value)
-            group = groups.setdefault(value, index)
-            if previous in _SYNTAX_AFTER or kind == "STRING" and tokens[index + 1].kind == "COLON":
-                kept.add(group)
-                key.append((kind, token.value, group))
-            else:
-                masked.append((index, value, group))
-                key.append((kind, group))
-        elif kind == "KEYWORD" and token.value in keyword_values:
-            group = groups.setdefault(keyword_values[token.value], index)
-            kept.add(group)
-            key.append((token.raw, group))
-        else:
-            key.append(token.raw or token.value)
-        previous = kind
-    lifted = [entry for entry in masked if entry[2] not in kept]
-    return (
-        tuple(key),
-        tuple(value for _, value, _ in lifted),
-        [(index, group) for index, _, group in lifted],
-    )
-
-
 class LiteralForm:
-    """:func:`literal_shape`'s result for every text of one *form*: the
-    text between the literals that :data:`~.lexer.LITERAL_SPLIT` cuts out.
+    """How the texts of one *form* key their shapes.  A form is the text
+    between the literals that :data:`~.lexer.LITERAL_SPLIT` cuts out; a
+    text's shape key is its form with :meth:`fill`'s signature of its
+    literals.
 
-    Made once from a text's tokens and shape key (:meth:`of`), it gives
-    another text of the form its ``(key, values)`` from that text's literal
-    spellings alone (:meth:`fill`): the kept literals and the TRUE/FALSE/NULL
-    tokens are the first text's, and the equality groups are formed anew
-    from the new values, as :func:`literal_shape` forms them.
+    Made once from the form's first text's tokens (:meth:`of`), it records
+    each literal's kind and whether it stays in the key: a literal the
+    parser may read as syntax keeps its spelling there (a number after
+    ``$``, ``*`` or ``..``, and a string before ``:``, a map key).  Every
+    literal-valued token, TRUE/FALSE/NULL included, joins the group of the
+    first token whose value equals its own under ``==``, and the signature
+    records each group, so texts of one key share the literals' equality
+    pattern.  A literal grouped with a kept one has its value fixed by the
+    key; it stays a literal of the tree and is not lifted.
     """
 
-    __slots__ = ("key", "items")
+    __slots__ = ("items",)
 
-    def __init__(self, key: list, items: tuple) -> None:
-        self.key = key
+    def __init__(self, items: tuple) -> None:
         #: per literal-valued token, in token order, ``(index, literal
-        #: number, kind, kept)``; for TRUE/FALSE/NULL ``(index, -1, spelling,
+        #: number, kind, kept)``; for TRUE/FALSE/NULL ``(index, -1, None,
         #: value)``
         self.items = items
 
     @classmethod
-    def of(cls, tokens: list[Token], key: tuple, parts: list[str]) -> Optional[LiteralForm]:
+    def of(cls, tokens: list[Token], parts: list[str]) -> Optional[LiteralForm]:
         """The form of a text without backticks or backslashes, from its
-        ``tokens``, their shape ``key`` and the text's split ``parts``; None
-        unless the STRING/INT/FLOAT tokens are exactly the split's literals
-        (a comment can hold a quote or a digit, and `n.5` lexes as `n`, `.5`)."""
+        ``tokens`` and its split ``parts``; None unless the STRING/INT/FLOAT
+        tokens are exactly the split's literals (a comment can hold a quote
+        or a digit, and `n.5` lexes as `n`, `.5`)."""
         keyword_values = _Parser._KEYWORD_LITERALS
         literals = parts[1::2]
         items = []
         start = number = 0
+        previous = ""
         for index, token in enumerate(tokens):
             kind = token.kind
             if kind in _LITERAL_KINDS:
@@ -154,27 +106,32 @@ class LiteralForm:
                 if token.position != start or token.value != spelled:
                     return None
                 start += len(text)
-                items.append((index, number, kind, len(key[index]) == 3))
+                kept = previous in _SYNTAX_AFTER or (
+                    kind == "STRING" and tokens[index + 1].kind == "COLON")
+                items.append((index, number, kind, kept))
                 number += 1
             elif kind == "KEYWORD" and token.value in keyword_values:
-                items.append((index, -1, token.raw, keyword_values[token.value]))
+                items.append((index, -1, None, keyword_values[token.value]))
+            previous = kind
         if number != len(literals):
             return None
-        return cls(list(key), tuple(items))
+        return cls(tuple(items))
 
-    def fill(self, literals: list[str]) -> Optional[tuple[tuple, tuple]]:
-        """``(key, values)`` of :func:`literal_shape` for the text of this form
-        with ``literals``; None when a literal's kind differs from the first
-        text's, or a number does not convert (past ``int()``'s digit limit)."""
-        key = self.key.copy()
+    def fill(self, literals: list[str]) -> Optional[tuple[tuple, tuple, list]]:
+        """``(signature, values, lifted)`` for the text of this form with
+        ``literals``: the lifted literals' values in token order and, for
+        each, ``(token index, value, group)``.  None when a literal's kind
+        differs from the first text's, or a number does not convert (past
+        ``int()``'s digit limit)."""
+        signature = []
         groups: dict = {}
         kept: set[int] = set()
-        masked: list[tuple[object, int]] = []
+        masked: list[tuple[int, object, int]] = []
         for index, number, kind, keep in self.items:
-            if number < 0:  # TRUE/FALSE/NULL: kind is its spelling, keep its value
+            if number < 0:  # TRUE/FALSE/NULL, spelled in the form: keep its value
                 group = groups.setdefault(keep, index)
                 kept.add(group)
-                key[index] = (kind, group)
+                signature.append(group)
                 continue
             text = literals[number]
             if kind == "STRING":
@@ -192,11 +149,12 @@ class LiteralForm:
             group = groups.setdefault(value, index)
             if keep:
                 kept.add(group)
-                key[index] = (kind, spelled, group)
+                signature.append((kind, spelled, group))
             else:
-                masked.append((value, group))
-                key[index] = (kind, group)
-        return tuple(key), tuple(value for value, group in masked if group not in kept)
+                masked.append((index, value, group))
+                signature.append((kind, group))
+        lifted = [entry for entry in masked if entry[2] not in kept]
+        return tuple(signature), tuple([value for _, value, _ in lifted]), lifted
 
 
 def parse_expression(text: str) -> ast.Expr:
@@ -227,6 +185,8 @@ class _Parser:
         #: token index -> the slot node its literal becomes (parse_shape)
         self.slots = slots
         self.lifted = 0
+        #: whether a slot is in an implicit column name (parse_shape)
+        self.slot_named = False
 
     # ------------------------------------------------------------------
     # Cursor helpers
@@ -399,10 +359,13 @@ class _Parser:
         )
 
     def parse_return_item(self) -> ast.ReturnItem:
+        lifted = self.lifted
         expression = self.parse_expr()
         alias = None
         if self.accept_keyword("AS"):
             alias = self.parse_name()
+        elif self.lifted != lifted:
+            self.slot_named = True
         return ast.ReturnItem(expression=expression, alias=alias)
 
     def parse_order_item(self) -> ast.OrderItem:

@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 
 from ..embed.model import HashingEmbedding
+from ..nlp.similarity import counted_f1
 from ..nlp.tokenize import STOPWORDS, word_tokenize
 
 __all__ = ["RelevanceScorer"]
@@ -16,21 +17,6 @@ __all__ = ["RelevanceScorer"]
 def _norm(vector: np.ndarray) -> float:
     """``np.linalg.norm`` of a float vector, which is ``sqrt(v.dot(v))``."""
     return math.sqrt(vector.dot(vector))
-
-
-def _token_f1(candidate: list[str], reference: list[str], reference_counts: Counter) -> float:
-    """:func:`~repro.nlp.similarity.token_f1` of two token lists, given the
-    reference's counts."""
-    if not candidate and not reference:
-        return 1.0
-    if not candidate or not reference:
-        return 0.0
-    overlap = sum((Counter(candidate) & reference_counts).values())
-    if overlap == 0:
-        return 0.0
-    precision = overlap / len(candidate)
-    recall = overlap / len(reference)
-    return 2 * precision * recall / (precision + recall)
 
 
 class RelevanceScorer:
@@ -80,7 +66,7 @@ class RelevanceScorer:
                 lexical = sum(1 for t in query_content if t in present) / len(query_content)
             else:
                 lexical = 0.0
-            overlap_f1 = _token_f1(passage_tokens, query_tokens, query_counts)
+            overlap_f1 = counted_f1(passage_tokens, query_tokens, query_counts)
             blended = 0.45 * semantic + 0.40 * lexical + 0.15 * overlap_f1
             scores.append(round(10.0 * min(1.0, blended), 3))
         return scores

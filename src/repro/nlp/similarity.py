@@ -14,6 +14,7 @@ __all__ = [
     "levenshtein",
     "normalized_levenshtein",
     "token_f1",
+    "counted_f1",
 ]
 
 
@@ -79,13 +80,21 @@ def token_f1(candidate: str | Sequence[str], reference: str | Sequence[str]) -> 
     """Bag-of-words F1 (SQuAD-style), tokenising strings when needed."""
     cand_tokens = word_tokenize(candidate) if isinstance(candidate, str) else list(candidate)
     ref_tokens = word_tokenize(reference) if isinstance(reference, str) else list(reference)
-    if not cand_tokens and not ref_tokens:
+    return counted_f1(cand_tokens, ref_tokens, Counter(ref_tokens))
+
+
+def counted_f1(
+    candidate: Sequence[str], reference: Sequence[str], reference_counts: Counter
+) -> float:
+    """:func:`token_f1` of two token lists, given ``Counter(reference)``:
+    a caller that scores many candidates against one reference counts it once."""
+    if not candidate and not reference:
         return 1.0
-    if not cand_tokens or not ref_tokens:
+    if not candidate or not reference:
         return 0.0
-    overlap = sum((Counter(cand_tokens) & Counter(ref_tokens)).values())
+    overlap = sum((Counter(candidate) & reference_counts).values())
     if overlap == 0:
         return 0.0
-    precision = overlap / len(cand_tokens)
-    recall = overlap / len(ref_tokens)
+    precision = overlap / len(candidate)
+    recall = overlap / len(reference)
     return 2 * precision * recall / (precision + recall)

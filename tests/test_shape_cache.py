@@ -10,7 +10,7 @@ message carries its position) and the same charged rows.
 Texts: the parse-golden corpus and hand list, the seed-7
 ``cypher_replay_large`` texts in replay order, and hand pairs that differ
 only in a literal the parser may read as syntax or whose equality pattern
-decides how the tree compares.
+decides how the tree compares, or that spell one token stream two ways.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ def _deadline() -> Deadline:
     it bounds shortest-path searches, which charge no rows."""
     return Deadline(200.0, clock=itertools.count(0.0, 0.001).__next__)
 
-#: Pairs of texts of one token stream that differ in one literal.
+#: Pairs of texts of one token stream that differ in one literal, and
+#: texts of one token stream spelled two ways.
 PAIRS = [
     # hop bounds are syntax
     "MATCH (a:AS {asn: 2497})-[:PEERS_WITH*1..3]-(b:AS) RETURN count(b) AS n",
@@ -127,6 +128,13 @@ PAIRS = [
     # backtick names can spell keywords
     "UNWIND [1, 2] AS x RETURN count(*) AS c",
     "UNWIND [1, 2] AS x RETURN `count`(*) AS c",
+    # one token stream spelled two ways: whitespace, keyword case, a comment
+    "MATCH (a:AS)  WHERE a.asn = 2497 RETURN a.name AS name",
+    "MATCH (a:AS)\nWHERE a.asn = 15169 RETURN a.name AS name",
+    "match (a:AS) where a.asn = 2497 return a.name AS name",
+    "MATCH (a:AS) WHERE a.asn = 15169 RETURN a.name AS name",
+    "MATCH (a:AS) /* by asn */ WHERE a.asn = 2497 RETURN a.name AS name",
+    "MATCH (a:AS) // by asn\nWHERE a.asn = 15169 RETURN a.name AS name",
 ]
 
 
@@ -317,7 +325,7 @@ def test_concurrent_profiles_of_one_shape(small_store):
     texts = [
         f"MATCH (a:AS) WHERE a.asn > {index * 1000 + 7} "
         "OPTIONAL MATCH (a)-[:PEERS_WITH]->(b:AS) WHERE exists((b)-[:COUNTRY]->(:Country)) "
-        f"RETURN a.asn AS asn, count(b) AS peers, '{index}x', "
+        f"RETURN a.asn AS asn, count(b) AS peers, '{index}x' AS tag, "
         "size([(a)-[:ORIGINATE]->(p) | p]) AS prefixes "
         f"ORDER BY asn LIMIT {index % 5 + 1}"
         for index in range(16)
@@ -445,6 +453,32 @@ def test_shape_mate_is_not_tokenized(tiny_store, monkeypatch):
     assert engine.cache_stats()["shapes"] == 2
 
 
+def test_column_named_by_a_literal_parses_once(tiny_store, monkeypatch):
+    """A text whose implicit column name holds a literal is a shape of its
+    own.  Each later text of its form and equality pattern is tokenized and
+    parsed once, straight into its own tree, and names its column after its
+    own values."""
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(parser, "tokenize", counting("tokenize", tokenize))
+    monkeypatch.setattr(executor, "tokenize", counting("tokenize", tokenize))
+    monkeypatch.setattr(executor, "parse_shape", counting("parse", executor.parse_shape))
+    engine = CypherEngine(tiny_store)
+    assert engine.execute("RETURN 1+1").single()["1 + 1"] == 2
+    calls.clear()
+    for value in (2, 3):
+        result = engine.execute(f"RETURN {value}+{value}")
+        assert result.keys == [f"{value} + {value}"]
+        assert result.single()[f"{value} + {value}"] == 2 * value
+    assert calls == ["tokenize", "parse"] * 2
+
+
 def _entry_outcome(engine: CypherEngine, text: str) -> list:
     """What ``engine``'s query cache makes of ``text``: the error it raises,
     or the entry's slot values and its shape's tree, with their types."""
@@ -504,11 +538,11 @@ def corpus_texts(small_dataset, replay_texts) -> list[str]:
 
 @settings(max_examples=1000, deadline=None)
 @given(data=st.data())
-def test_form_path_matches_token_path(corpus_texts, data):
-    """A text run after another of its form gets the entry its own tokens
-    give it, or the error they raise.  The first text is a corpus or hand
-    text with some text perhaps spliced in anywhere; the second respells
-    some of its literals."""
+def test_warm_entry_matches_fresh_entry(corpus_texts, data):
+    """A text run after another of its form gets the entry a fresh engine
+    gives it, or the error it raises there.  The first text is a corpus or
+    hand text with some text perhaps spliced in anywhere; the second
+    respells some of its literals."""
     seed = data.draw(st.one_of(st.sampled_from(FORM_SEEDS + PAIRS),
                                st.sampled_from(corpus_texts)))
     if data.draw(st.booleans()):
