@@ -48,7 +48,7 @@ __all__ = [
 SITE_CATALOGUE = (
     "llm.text2cypher",   # simulated backbone, translation head
     "llm.answer",        # simulated backbone, synthesis head
-    "llm.rerank",        # simulated backbone, rerank head (once per rerank)
+    "llm.rerank",        # simulated backbone, rerank head (reranks of 2+ candidates)
     "llm.judge",         # simulated backbone, judge head (eval only)
     "graph.execute",     # CypherEngine.execute — the symbolic hot path
     "vector.search",     # VectorStore.search — the semantic hot path

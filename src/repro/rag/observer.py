@@ -21,6 +21,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -178,7 +179,7 @@ class MetricsRegistry(PipelineObserver):
     """
 
     def __init__(self) -> None:
-        self.stages: dict[str, StageStats] = {}
+        self.stages: defaultdict[str, StageStats] = defaultdict(StageStats)
         self.counters: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -186,11 +187,11 @@ class MetricsRegistry(PipelineObserver):
 
     def on_stage_end(self, stage: str, ctx: "QueryContext", elapsed_ms: float) -> None:
         with self._lock:
-            self.stages.setdefault(stage, StageStats()).record(elapsed_ms)
+            self.stages[stage].record(elapsed_ms)
 
     def on_error(self, stage: str, error: "PipelineError", ctx: "QueryContext") -> None:
         with self._lock:
-            self.stages.setdefault(stage, StageStats()).errors += 1
+            self.stages[stage].errors += 1
             self._increment_locked(f"error.{error.kind}", 1)
 
     # -- registry ----------------------------------------------------------

@@ -325,8 +325,10 @@ class RetrieverQueryEngine:
         ctx.source = chosen.source
 
     def _rerank(self, ctx: QueryContext) -> None:
-        """LLM re-scoring of the routed candidates — exactly once per query.
+        """LLM re-scoring of the routed candidates — one stage per query.
 
+        The reranker makes one call per rerank of two or more candidates,
+        none for zero or one, which passes through with its retrieval score.
         Reranking is the cheapest step to shed: on a blown deadline the
         candidates pass through untouched (recording
         ``rerank_skipped_deadline``), and transient reranker failures are

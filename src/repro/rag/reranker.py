@@ -4,7 +4,8 @@ Given candidates from the symbolic and semantic retrievers, every passage
 is scored against the query in one ``[TASK: rerank]`` call to the backbone
 LLM, as LlamaIndex's LLMReranker scores a batch of candidates in one
 prompt, and the best ``top_n`` survive into generation (paper §2: "improve
-context selection before generation").
+context selection before generation").  A single candidate has nothing to
+be selected or reordered against, so it passes through without a call.
 """
 
 from __future__ import annotations
@@ -39,9 +40,11 @@ class LLMReranker:
 
         Stable for ties (keeps original retrieval order), deduplicates
         identical node ids, and never scores more than ``max_candidates``.
-        One ``complete`` call scores every candidate, none when there are
-        none.  The scores come from the reply's ``metadata["scores"]``, or
-        else one whitespace-separated number per passage from its text.
+        One ``complete`` call scores every candidate when two or more are
+        left after the dedupe and the cap; none for zero or one, which
+        passes through as it came, with its retrieval score.  The scores
+        come from the reply's ``metadata["scores"]``, or else one
+        whitespace-separated number per passage from its text.
         """
         seen: set[str] = set()
         unique: list[NodeWithScore] = []
@@ -52,8 +55,8 @@ class LLMReranker:
             unique.append(candidate)
         unique = unique[: self.max_candidates]
 
-        if not unique:
-            return []
+        if len(unique) < 2:
+            return unique[: self.top_n]
         completion = self.llm.complete(
             self.prompt_builder(query, [candidate.node.text for candidate in unique])
         )

@@ -14,6 +14,7 @@ from repro.faults import FaultInjector, FaultPlan, activated
 from repro.graph import introspect_schema
 from repro.llm import ErrorModel, SimulatedLLM
 from repro.nlp import Gazetteer
+from repro.rag import observer as observer_module
 from repro.rag import (
     EmptyResult,
     ExecutionError,
@@ -402,6 +403,34 @@ class TestObservers:
         assert snapshot["counters"]["error.translation"] == 1
         metrics.reset()
         assert metrics.snapshot() == {"stages": {}, "counters": {}}
+
+    def test_metrics_registry_makes_one_stats_per_stage(self, monkeypatch):
+        made = []
+
+        class CountedStats(observer_module.StageStats):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(observer_module, "StageStats", CountedStats)
+        metrics = MetricsRegistry()
+        metrics.on_stage_end("symbolic", None, 2.0)
+        metrics.on_stage_end("symbolic", None, 1.0)
+        metrics.on_error("rerank", SymbolicTranslationError("x"), None)
+        metrics.on_stage_end("rerank", None, 0.5)
+        metrics.on_error("synthesis", PipelineError("y"), None)
+        assert len(made) == 3
+        assert metrics.snapshot() == {
+            "stages": {
+                "rerank": {"calls": 1, "errors": 1, "total_ms": 0.5, "mean_ms": 0.5,
+                           "min_ms": 0.5, "max_ms": 0.5},
+                "symbolic": {"calls": 2, "errors": 0, "total_ms": 3.0, "mean_ms": 1.5,
+                             "min_ms": 1.0, "max_ms": 2.0},
+                "synthesis": {"calls": 0, "errors": 1, "total_ms": 0.0, "mean_ms": 0.0,
+                              "min_ms": 0.0, "max_ms": 0.0},
+            },
+            "counters": {"error.pipeline_error": 1, "error.translation": 1},
+        }
 
     def test_kernel_reraises_unexpected_exceptions(self, symbolic, vector, reliable_llm):
         class BoomSynthesizer(ResponseSynthesizer):

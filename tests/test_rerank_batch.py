@@ -1,4 +1,4 @@
-"""One rerank call per ask, scoring every candidate with the per-passage scores.
+"""One rerank call per ask of two or more candidates, with the per-passage scores.
 
 ``LLMReranker`` sends all of an ask's candidates to the backbone in one
 ``[TASK: rerank]`` prompt, and the simulated head scores them with
@@ -7,6 +7,11 @@ is kept here as a reference oracle (``reference_*``): its prompt, parsed
 as the backbone parses sections, and its scorer.  Every (query, candidates)
 pair the small CypherEval sweep hands the reranker must get the oracle's
 scores bit for bit, and the oracle's ranking.
+
+A rerank left with one candidate after the dedupe and the cap makes no
+call: it has nothing to select or reorder.  ``AlwaysCallsReranker`` keeps
+the rule it replaced (a call for any non-empty list) as the oracle that
+skipping that call changes no answer, context or routing decision.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from repro.llm.simulated import _TASK_RE, _sections
 from repro.nlp.similarity import token_f1
 from repro.nlp.tokenize import STOPWORDS, word_tokenize
 from repro.rag import LLMReranker, NodeWithScore, TextNode
+from repro.rag.reranker import _score
 
 
 def reference_rerank_prompt(query: str, passage: str) -> str:
@@ -64,6 +70,35 @@ def reference_scores(embedding: HashingEmbedding, query: str, texts: list[str]) 
 
 def _bits(scores) -> list[str]:
     return [float(score).hex() for score in scores]
+
+
+def _unique_ids(candidates, cap: int) -> list[str]:
+    """Candidate node ids after the reranker's dedupe and ``max_candidates`` cap."""
+    return list({candidate.node.node_id: None for candidate in candidates})[:cap]
+
+
+class AlwaysCallsReranker(LLMReranker):
+    """The rule before one-candidate pass-through: any non-empty list makes a call."""
+
+    def rerank(self, query, candidates):
+        seen: set[str] = set()
+        unique = []
+        for candidate in candidates:
+            if candidate.node.node_id not in seen:
+                seen.add(candidate.node.node_id)
+                unique.append(candidate)
+        unique = unique[: self.max_candidates]
+        if not unique:
+            return []
+        completion = self.llm.complete(
+            self.prompt_builder(query, [candidate.node.text for candidate in unique]))
+        scores = completion.metadata.get("scores")
+        if scores is None:
+            scores = completion.text.split()
+        rescored = [NodeWithScore(node=candidate.node, score=_score(scores, index))
+                    for index, candidate in enumerate(unique)]
+        rescored.sort(key=lambda item: -item.score)
+        return rescored[: self.top_n]
 
 
 class CountingLLM(LLM):
@@ -107,8 +142,8 @@ def _candidates(texts):
 
 @pytest.fixture(scope="module")
 def sweep_reranks():
-    """(query, candidate texts, scores from the one call, reranked ids) of
-    every rerank the small CypherEval sweep makes."""
+    """(query, candidates, replies of its calls, reranked list) of every
+    rerank the small CypherEval sweep makes."""
     bot = ChatIYP(config=ChatIYPConfig(dataset_size="small"))
     counting = CountingLLM(bot.llm)
     reranker = bot.pipeline.reranker
@@ -120,7 +155,7 @@ def sweep_reranks():
         before = len(counting.prompts)
         reranked = rerank(query, candidates, *args, **kwargs)
         calls = counting.replies[before:]
-        seen.append((query, list(candidates), calls, [item.node.node_id for item in reranked]))
+        seen.append((query, list(candidates), calls, reranked))
         return reranked
 
     reranker.rerank = recorded
@@ -136,23 +171,92 @@ class TestSweepMatchesPerPassagePath:
         assert max(len(candidates) for _, candidates, _, _ in seen) >= 5
 
     def test_one_call_per_rerank(self, sweep_reranks):
-        _, seen = sweep_reranks
+        bot, seen = sweep_reranks
+        cap = bot.pipeline.reranker.max_candidates
         for _, candidates, calls, _ in seen:
-            assert len(calls) == (1 if candidates else 0)
+            assert len(calls) == (1 if len(_unique_ids(candidates, cap)) >= 2 else 0)
+        # both kinds of rerank occur on the sweep
+        assert {len(calls) for _, _, calls, _ in seen} == {0, 1}
 
     def test_scores_bitwise_equal_reference(self, sweep_reranks):
         bot, seen = sweep_reranks
         reranker = bot.pipeline.reranker
         for query, candidates, calls, reranked in seen:
+            ids = _unique_ids(candidates, reranker.max_candidates)
+            if len(ids) < 2:
+                # passed through: the first candidate itself, or nothing
+                assert len(reranked) == len(ids)
+                assert all(item is candidate for item, candidate in zip(reranked, candidates))
+                continue
             texts = list({c.node.node_id: c.node.text for c in candidates}.values())
             texts = texts[: reranker.max_candidates]
-            if not texts:
-                continue
             expected = reference_scores(bot.llm.embedding, query, texts)
             assert _bits(calls[0].metadata["scores"]) == _bits(expected)
-            ids = list({c.node.node_id: None for c in candidates})[: reranker.max_candidates]
             order = sorted(range(len(ids)), key=lambda index: -expected[index])
-            assert reranked == [ids[index] for index in order][: reranker.top_n]
+            assert [item.node.node_id for item in reranked] == [
+                ids[index] for index in order][: reranker.top_n]
+
+
+@pytest.fixture(scope="module")
+def sweep_pairs(small_dataset):
+    """Per question of the small seed-7 sweep: the default system's response
+    and the response of one whose reranker always calls, plus each system's
+    rerank call count."""
+    default = ChatIYP(dataset=small_dataset, config=ChatIYPConfig(dataset_size="small"))
+    always = ChatIYP(dataset=small_dataset, config=ChatIYPConfig(dataset_size="small"))
+    reranker = always.pipeline.reranker
+    always.pipeline.reranker = AlwaysCallsReranker(
+        reranker.llm, reranker.top_n, reranker.max_candidates,
+        prompt_builder=reranker.prompt_builder)
+    systems = (default, always)
+    calls = [0, 0]
+    for index, bot in enumerate(systems):
+        complete = bot.llm.complete
+
+        def counted(prompt, complete=complete, index=index):
+            reply = complete(prompt)
+            calls[index] += reply.metadata.get("task") == "rerank"
+            return reply
+
+        bot.llm.complete = counted
+    pairs = [tuple(bot.ask(question.question) for bot in systems)
+             for question in build_cyphereval(small_dataset, seed=7)]
+    return pairs, calls
+
+
+ROUTING_KEYS = ("route", "sparse", "fallback_used", "symbolic_error", "error_class", "degraded")
+
+
+def _visible(response) -> dict:
+    """Everything an ask shows but its timings."""
+    diagnostics = response.diagnostics
+    return {
+        "answer": response.answer,
+        "cypher": response.cypher,
+        "retrieval_source": response.retrieval_source,
+        "used_fallback": response.used_fallback,
+        "context_snippets": response.context_snippets,
+        "stages": sorted(diagnostics.get("stage_timings", {})),
+        **{key: diagnostics[key] for key in ROUTING_KEYS if key in diagnostics},
+    }
+
+
+class TestSkippedCallChangesNothing:
+    def test_sweep_matches_always_calling_reranker(self, sweep_pairs):
+        pairs, _ = sweep_pairs
+        assert len(pairs) >= 300
+        for default, always in pairs:
+            assert _visible(default) == _visible(always), default.question
+
+    def test_every_ask_times_a_rerank_stage(self, sweep_pairs):
+        pairs, _ = sweep_pairs
+        for default, _ in pairs:
+            assert "rerank" in default.diagnostics["stage_timings"]
+
+    def test_one_candidate_reranks_are_skipped(self, sweep_pairs):
+        pairs, (default_calls, always_calls) = sweep_pairs
+        assert always_calls == len(pairs)
+        assert 0 < default_calls < always_calls
 
 
 class TestOneCall:
@@ -173,6 +277,34 @@ class TestOneCall:
         reranker = LLMReranker(llm, prompt_builder=rerank_prompt)
         assert reranker.rerank("q", []) == []
         assert llm.prompts == []
+
+    def test_one_candidate_passes_through(self):
+        llm = CountingLLM(SimulatedLLM())
+        reranker = LLMReranker(llm, prompt_builder=rerank_prompt)
+        candidate = NodeWithScore(TextNode("n0", "AS2497 is a member of JPNAP"), 0.25)
+        reranked = reranker.rerank("Which IXPs is AS2497 a member of?", [candidate])
+        assert len(reranked) == 1 and reranked[0] is candidate
+        assert reranked[0].score == 0.25
+        assert llm.prompts == []
+
+    def test_one_id_twice_passes_through(self):
+        llm = CountingLLM(SimulatedLLM())
+        reranker = LLMReranker(llm, prompt_builder=rerank_prompt)
+        node = TextNode("same", "AS2497 is a member of JPNAP")
+        first, second = NodeWithScore(node, 1.0), NodeWithScore(node, 0.4)
+        reranked = reranker.rerank("q", [first, second])
+        assert len(reranked) == 1 and reranked[0] is first
+        assert llm.prompts == []
+
+    def test_two_candidates_make_one_call(self):
+        llm = CountingLLM(SimulatedLLM())
+        reranker = LLMReranker(llm, prompt_builder=rerank_prompt)
+        reranked = reranker.rerank(
+            "Which IXPs is AS2497 a member of?",
+            _candidates(["rain tomorrow", "AS2497 is a member of JPNAP Tokyo"]))
+        assert len(llm.prompts) == 1
+        assert [item.node.node_id for item in reranked] == ["n1", "n0"]
+        assert [item.score for item in reranked] == llm.replies[0].metadata["scores"][::-1]
 
     def test_one_call_after_dedup_and_cap(self):
         llm = CountingLLM(SimulatedLLM())
