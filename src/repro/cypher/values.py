@@ -22,7 +22,6 @@ __all__ = [
     "sort_keys",
     "is_truthy",
     "ensure_number",
-    "ensure_integer",
 ]
 
 #: the exact classes of Cypher numbers and strings (``bool`` is neither)
@@ -223,11 +222,4 @@ def ensure_number(value: Any, context: str) -> float | int:
     """Require a non-boolean number, raising :class:`CypherTypeError` otherwise."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CypherTypeError(f"{context} expects a number, got {value!r}")
-    return value
-
-
-def ensure_integer(value: Any, context: str) -> int:
-    """Require an integer, raising :class:`CypherTypeError` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CypherTypeError(f"{context} expects an integer, got {value!r}")
     return value

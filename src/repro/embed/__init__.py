@@ -1,7 +1,7 @@
 """Deterministic embeddings and the in-memory vector store."""
 
 from .model import ContextualEmbedding, HashingEmbedding, cosine_similarity
-from .vector_store import SearchHit, SearchHits, VectorEntry, VectorStore
+from .vector_store import VectorEntry, VectorStore
 
 __all__ = [
     "HashingEmbedding",
@@ -9,6 +9,4 @@ __all__ = [
     "cosine_similarity",
     "VectorStore",
     "VectorEntry",
-    "SearchHit",
-    "SearchHits",
 ]

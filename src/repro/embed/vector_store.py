@@ -13,7 +13,7 @@ from ..faults import fault_point
 from ..nlp.tokenize import word_tokenize
 from .model import HashingEmbedding
 
-__all__ = ["VectorEntry", "SearchHit", "SearchHits", "VectorStore"]
+__all__ = ["VectorEntry", "VectorStore"]
 
 #: unit roundoff of float32 (round to nearest)
 _F32_UNIT = 2.0**-24
@@ -30,50 +30,6 @@ class VectorEntry:
     entry_id: str
     text: str
     metadata: dict[str, Any]
-
-
-@dataclass(frozen=True)
-class SearchHit:
-    """One search result with its cosine score and its row in the index."""
-
-    entry_id: str
-    text: str
-    score: float
-    metadata: dict[str, Any]
-    row: int
-
-
-class SearchHits(Sequence[SearchHit]):
-    """The hits of one search, best first: their ``rows`` and ``scores`` as
-    lists, and a :class:`SearchHit` built each time one is read, so a
-    caller that only ranks them by row and score builds none.  Equal to
-    any sequence of equal hits."""
-
-    __slots__ = ("rows", "scores", "_entries")
-
-    def __init__(self, entries: Sequence[VectorEntry], rows: list[int], scores: list[float]):
-        self._entries, self.rows, self.scores = entries, rows, scores
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        row = self.rows[index]
-        entry = self._entries[row]
-        return SearchHit(entry.entry_id, entry.text, self.scores[index], dict(entry.metadata), row)
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 def _ordered_dot(
@@ -151,9 +107,11 @@ class VectorStore:
       k-th exact score, so its float32 score is at least the k-th float32
       score less ``2b``: no such row (tie group included) is left out.
 
-    Hits are ordered by descending exact score, ties by row, and cut at
-    ``min_score``: the first ``top_k`` rows of a full stable sort of the
-    exact scores of every row.
+    A search returns its hits as two lists, their rows and their exact
+    scores, best first: by descending score, ties by row, cut at
+    ``min_score``.  They are the first ``top_k`` rows of a full stable sort
+    of the exact scores of every row; :meth:`entries` maps a row to its
+    entry.
 
     The token store keeps each row's tokens for a lexical boost
     (:meth:`token_overlap`) as one sorted int64 array of ``row *
@@ -200,21 +158,24 @@ class VectorStore:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def search(self, query: str, top_k: int = 5, min_score: float = 0.0) -> SearchHits:
-        """Top-k entries by cosine similarity to ``query``.
+    def search(
+        self, query: str, top_k: int = 5, min_score: float = 0.0
+    ) -> tuple[list[int], list[float]]:
+        """The rows and cosine scores of the top-k entries for ``query``,
+        best first.
 
         Args:
             min_score: drop hits scoring at or below this threshold.
         """
         if top_k <= 0:
-            return SearchHits(self._entries, [], [])
+            return [], []
         # Fault-injection site: latency spikes and transient errors on the
         # semantic retrieval path (the fallback the chaos plans lean on
         # while the symbolic path is being failed).
         fault_point("vector.search")
         total = len(self._entries)
         if total == 0:
-            return SearchHits(self._entries, [], [])
+            return [], []
         vector = self.embedding.embed(query)  # rows are unit-norm already
         columns = np.flatnonzero(vector)
         weights = vector[columns]
@@ -229,7 +190,7 @@ class VectorStore:
         order = np.argsort(-scores, kind="stable")[:top_k]
         rows, scores = rows[order].tolist(), scores[order].tolist()
         kept = sum(score > min_score for score in scores)  # a prefix: scores descend
-        return SearchHits(self._entries, rows[:kept], scores[:kept])
+        return rows[:kept], scores[:kept]
 
     def token_overlap(self, tokens: Iterable[str], rows: Sequence[int]) -> list[int]:
         """For each of ``rows``, how many of the distinct ``tokens`` its text has."""

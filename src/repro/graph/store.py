@@ -417,24 +417,6 @@ class GraphStore:
             rels = list(dict(zip(map(_REL_ID, rels), rels)).values())
         return tuple(rels)
 
-    def typed_adjacency(
-        self, node_id: int, direction: str
-    ) -> Mapping[str, Sequence[Relationship]]:
-        """The node's relationships of one direction, by type: rel type ->
-        relationships in id order, with no empty sequence.
-
-        ``direction`` is ``"out"`` or ``"in"``; a self-loop is in both.
-        The map is new and probes each of the direction's types; its
-        sequences are the store's live lists: read them, never mutate them,
-        and do not hold them across writes.  To read every node's
-        relationships, walk :meth:`adjacency_index` once instead.
-        """
-        return {
-            rel_type: bucket
-            for rel_type, by_node in self.adjacency_index(direction).items()
-            if (bucket := by_node.get(node_id)) is not None
-        }
-
     def adjacency_index(
         self, direction: str
     ) -> Mapping[str, Mapping[int, Sequence[Relationship]]]:

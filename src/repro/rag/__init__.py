@@ -9,7 +9,7 @@ vector retrieval only when there is no text-to-Cypher retriever.
 """
 
 from .decompose import DecomposingQueryEngine, DecompositionPlan, QuestionDecomposer
-from .describe import DESCRIBED_LABELS, build_description_corpus, describe_node
+from .describe import DESCRIBED_LABELS, build_description_corpus
 from .errors import (
     CircuitOpen,
     DeadlineExceeded,
@@ -63,7 +63,6 @@ __all__ = [
     "DeadlineExceeded",
     "CircuitOpen",
     "classify_symbolic_failure",
-    "describe_node",
     "build_description_corpus",
     "DESCRIBED_LABELS",
 ]

@@ -11,12 +11,11 @@ from __future__ import annotations
 from functools import cache
 from itertools import islice
 from operator import attrgetter
-from typing import Callable, Sequence
 
-from ..graph.model import Node, Relationship
+from ..graph.model import Node
 from ..graph.store import GraphStore
 
-__all__ = ["describe_node", "build_description_corpus", "DESCRIBED_LABELS"]
+__all__ = ["build_description_corpus", "DESCRIBED_LABELS"]
 
 #: labels worth indexing (skip pure leaf-annotation nodes like Name/URL)
 DESCRIBED_LABELS = (
@@ -63,103 +62,55 @@ def _entity_name(node: Node) -> str:
     return f"node {node.node_id}"
 
 
-def describe_node(store: GraphStore, node: Node) -> str:
-    """One-sentence description of ``node`` with one-hop context.
-
-    One phrase per (direction, relationship type) with a phrase template,
-    in the order of each phrase's first relationship id, naming the first
-    :data:`_MAX_NEIGHBOURS_PER_PHRASE` neighbours in id order.  A self-loop
-    counts once, as outgoing.
-    """
-    def name(node_id: int) -> str:
-        return _entity_name(store.node(node_id))
-
-    node_id = node.node_id
-    outgoing = store.typed_adjacency(node_id, "out")
-    phrases = []
-    for direction, by_type in (("out", outgoing), ("in", store.typed_adjacency(node_id, "in"))):
-        for rel_type, rels in by_type.items():
-            phrase = _phrase(direction, rel_type, node_id, rels, rel_type in outgoing, name)
-            if phrase is not None:
-                phrases.append(phrase)
-    return _sentence(node, phrases, name)
-
-
-def _phrase(
-    direction: str,
-    rel_type: str,
-    node_id: int,
-    rels: Sequence[Relationship],
-    looped: bool,
-    name: Callable[[int], str],
-) -> tuple[int, str] | None:
-    """``(first relationship id, phrase)`` for one node's relationships of
-    one direction and type; None without a template, or when ``rels``
-    holds only self-loops described as outgoing.  ``looped`` says whether
-    the node also has outgoing relationships of the type, where a
-    self-loop in ``rels`` is described instead."""
-    template = _REL_PHRASES.get((direction, rel_type))
-    if template is None:
-        return None
-    if direction == "in" and looped and node_id in map(_START, rels):
-        # a self-loop sits in both lists of its type
-        rels = [rel for rel in rels if rel.start_id != node_id]
-        if not rels:
-            return None
-    names = []
-    for rel in islice(rels, _MAX_NEIGHBOURS_PER_PHRASE):
-        names.append(name(rel.end_id if direction == "out" else rel.start_id))
-    extra = len(rels) - len(names)
-    rendered = ", ".join(names) + (f" and {extra} more" if extra > 0 else "")
-    return rels[0].rel_id, template.format(rendered)
-
-
-def _sentence(node: Node, phrases: list[tuple[int, str]], name: Callable[[int], str]) -> str:
-    """The description of ``node``: its header, then ``phrases`` in order of
-    their first relationship id."""
-    label = sorted(node.labels)[0]
-    header = f"{name(node.node_id)} is a {label} node"
-    if "Country" in node.labels and "name" in node.properties:
-        header = (
-            f"{node.properties['name']} ({node.properties.get('country_code', '')}) "
-            "is a Country node"
-        )
-    if phrases:
-        return header + "; " + "; ".join(phrase for _, phrase in sorted(phrases))
-    return header
-
-
 def build_description_corpus(
     store: GraphStore,
     labels: tuple[str, ...] = DESCRIBED_LABELS,
 ) -> list[tuple[str, str, dict]]:
     """(id, description, metadata) triples for every node of ``labels``.
 
-    Each node's name is rendered once per corpus, however many
-    relationships name it.  The phrases come from one walk over the
-    store's adjacency index, each direction's relationship types in turn.
+    A description is the node's header, then one phrase per (direction,
+    relationship type) with a phrase template, in the order of each
+    phrase's first relationship id, naming the first
+    :data:`_MAX_NEIGHBOURS_PER_PHRASE` neighbours in id order.  A self-loop
+    counts once, as outgoing.  Each node's name is rendered once per
+    corpus, however many relationships name it.  The phrases come from one
+    walk over the store's adjacency index, each direction's relationship
+    types in turn.
     """
     name = cache(lambda node_id: _entity_name(store.node(node_id)))
     described = [(label, node) for label in labels for node in store.nodes_by_label(label)]
     phrases: dict[int, list[tuple[int, str]]] = {node.node_id: [] for _, node in described}
     outgoing = store.adjacency_index("out")
     for direction in ("out", "in"):
+        neighbour = attrgetter("end_id" if direction == "out" else "start_id")
         for rel_type, by_node in store.adjacency_index(direction).items():
-            if (direction, rel_type) not in _REL_PHRASES:
+            template = _REL_PHRASES.get((direction, rel_type))
+            if template is None:
                 continue
             looped = outgoing.get(rel_type, _NO_MAP) if direction == "in" else _NO_MAP
             for node_id, rels in by_node.items():
                 found = phrases.get(node_id)
                 if found is None:
                     continue
-                phrase = _phrase(direction, rel_type, node_id, rels, node_id in looped, name)
-                if phrase is not None:
-                    found.append(phrase)
-    return [
-        (
-            f"graph-node-{node.node_id}",
-            _sentence(node, phrases[node.node_id], name),
-            {"graph_node_id": node.node_id, "label": label},
+                if node_id in looped and node_id in map(_START, rels):
+                    # a self-loop sits in both lists of its type
+                    rels = [rel for rel in rels if rel.start_id != node_id]
+                    if not rels:
+                        continue
+                names = [name(neighbour(rel)) for rel in islice(rels, _MAX_NEIGHBOURS_PER_PHRASE)]
+                extra = len(rels) - len(names)
+                rendered = ", ".join(names) + (f" and {extra} more" if extra > 0 else "")
+                found.append((rels[0].rel_id, template.format(rendered)))
+    corpus = []
+    for label, node in described:
+        header = f"{name(node.node_id)} is a {sorted(node.labels)[0]} node"
+        if "Country" in node.labels and "name" in node.properties:
+            header = (
+                f"{node.properties['name']} ({node.properties.get('country_code', '')}) "
+                "is a Country node"
+            )
+        text = "; ".join([header, *(phrase for _, phrase in sorted(phrases[node.node_id]))])
+        corpus.append(
+            (f"graph-node-{node.node_id}", text, {"graph_node_id": node.node_id, "label": label})
         )
-        for label, node in described
-    ]
+    return corpus

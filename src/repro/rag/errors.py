@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from ..cypher import errors as cypher_errors
+
 if TYPE_CHECKING:  # pragma: no cover
     from .types import RetrievalResult
 
@@ -110,11 +112,6 @@ class CircuitOpen(PipelineError):
     kind = "circuit_open"
 
 
-#: engine errors raised before a query runs: ``CypherSyntaxError`` and its
-#: subclass ``UnsupportedWrite``
-_UNPARSABLE = ("CypherSyntaxError:", "UnsupportedWrite:")
-
-
 def classify_symbolic_failure(retrieval: "RetrievalResult") -> Optional[PipelineError]:
     """Map a symbolic :class:`RetrievalResult` onto the taxonomy.
 
@@ -125,14 +122,17 @@ def classify_symbolic_failure(retrieval: "RetrievalResult") -> Optional[Pipeline
     if retrieval.error == "translation_failed":
         return SymbolicTranslationError("the question could not be translated")
     if retrieval.error is not None:
-        # The retriever renders engine errors as "<TypeName>: <message>";
-        # two runtime types get their own taxonomy slots.
-        if retrieval.error.startswith("CypherDeadlineExceeded"):
+        # Two runtime types of engine error get their own taxonomy slots;
+        # one rejected before the query runs (a syntax error, or a write the
+        # engine does not run) is unparsable.  A result without the class
+        # counts as a plain execution failure.
+        failure = retrieval.error_type or Exception
+        if issubclass(failure, cypher_errors.CypherDeadlineExceeded):
             return DeadlineExceeded(retrieval.error)
-        if retrieval.error.startswith("ResourceExhausted"):
+        if issubclass(failure, cypher_errors.ResourceExhausted):
             return ResourceExhausted(retrieval.error, cypher=retrieval.cypher)
         error = ExecutionError(retrieval.error, cypher=retrieval.cypher)
-        error.unparsable = retrieval.error.startswith(_UNPARSABLE)
+        error.unparsable = issubclass(failure, cypher_errors.CypherSyntaxError)
         return error
     if retrieval.result is not None and not retrieval.result.records:
         # The message is part of the diagnostics contract; its wording

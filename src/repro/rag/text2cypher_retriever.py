@@ -90,6 +90,7 @@ class TextToCypherRetriever(Retriever):
                 source=self.name,
                 cypher=cypher,
                 error=f"{type(exc).__name__}: {exc}",
+                error_type=type(exc),
                 metadata=generation_meta,
             )
         return RetrievalResult(

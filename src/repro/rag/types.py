@@ -37,7 +37,9 @@ class RetrievalResult:
     ``source`` identifies the retriever ("text2cypher" / "vector").  For the
     symbolic path, ``cypher`` and ``result`` carry the executed query and
     its structured rows; ``error`` records why execution failed, which the
-    pipeline uses to decide on the semantic fallback.
+    pipeline uses to decide on the semantic fallback: ``"translation_failed"``,
+    or an engine exception rendered as ``"<TypeName>: <message>"``, whose
+    class ``error_type`` holds.
     """
 
     nodes: list[NodeWithScore] = field(default_factory=list)
@@ -45,6 +47,7 @@ class RetrievalResult:
     cypher: Optional[str] = None
     result: Optional[ResultSet] = None
     error: Optional[str] = None
+    error_type: Optional[type[Exception]] = None
     metadata: dict[str, Any] = field(default_factory=dict)
 
     @property

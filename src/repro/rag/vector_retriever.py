@@ -32,10 +32,11 @@ class VectorContextRetriever(Retriever):
     and is read-only afterwards: later graph writes do not refresh it.
     A retrieval runs on the calling thread, with no BLAS call: the index's
     float32 prefilter and float64 re-score (:class:`VectorStore`) give the
-    dense top candidates with scores whose bits depend on no thread count;
-    the lexical boost counts each candidate's distinctive tokens in the
-    index's token store, by the hit's row; and only the ``top_k`` best
-    boosted candidates become :class:`NodeWithScore` objects.
+    rows and scores of the dense top candidates, whose bits depend on no
+    thread count; the lexical boost counts each candidate's distinctive
+    tokens in the index's token store, by row; one sort ranks the boosted
+    scores, rounded to 6 digits, ties in hit order; and only the ``top_k``
+    best become :class:`NodeWithScore` objects.
     """
 
     #: fetch this many dense candidates per requested result before boosting
@@ -43,7 +44,6 @@ class VectorContextRetriever(Retriever):
     _LEXICAL_WEIGHT = 0.6
 
     def __init__(self, store: GraphStore, top_k: int = 8) -> None:
-        self.graph_store = store
         self.top_k = top_k
         self.vector_store = VectorStore(build_description_corpus(store))
 
@@ -55,32 +55,23 @@ class VectorContextRetriever(Retriever):
         # One bounded scan of the corpus: there is nothing to cut short, so
         # the deadline is not consulted.
         index = self.vector_store
-        hits = index.search(query, top_k=self.top_k * self._OVERSAMPLE, min_score=0.02)
+        rows, scores = index.search(query, top_k=self.top_k * self._OVERSAMPLE, min_score=0.02)
         distinctive = {
             token
             for token in word_tokenize(query)
             if token not in STOPWORDS and (len(token) > 3 or any(c.isdigit() for c in token))
         }
-        rows, scores = hits.rows, hits.scores
         if distinctive:
             overlaps = index.token_overlap(distinctive, rows)
             scores = [score + self._LEXICAL_WEIGHT * (overlap / len(distinctive))
                       for score, overlap in zip(scores, overlaps)]
-        # The best ``top_k`` by score rounded to 6 digits, ties in hit
-        # order.  Rounding keeps the order of unequal scores, so walking
-        # them best first, only the scores down to the last one tied with
-        # the ``top_k``-th are rounded.
-        ranked: list[tuple[float, int]] = []
-        for position in sorted(range(len(scores)), key=scores.__getitem__, reverse=True):
-            score = round(scores[position], 6)
-            if len(ranked) >= self.top_k and score < ranked[self.top_k - 1][0]:
-                break
-            ranked.append((score, position))
-        ranked.sort(key=lambda item: (-item[0], item[1]))
+        rounded = [round(score, 6) for score in scores]
+        # a stable sort: ties stay in hit order, also in reverse
+        ranked = sorted(range(len(rounded)), key=rounded.__getitem__, reverse=True)
         entries = index.entries()
         nodes = []
-        for score, position in ranked[: self.top_k]:
+        for position in ranked[: self.top_k]:
             entry = entries[rows[position]]
             node = TextNode(node_id=entry.entry_id, text=entry.text, metadata=dict(entry.metadata))
-            nodes.append(NodeWithScore(node=node, score=score))
+            nodes.append(NodeWithScore(node=node, score=rounded[position]))
         return RetrievalResult(nodes=nodes, source=self.name)

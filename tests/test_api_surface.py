@@ -25,7 +25,7 @@ PUBLIC_API = {
     "repro.iyp.queries": ["COOKBOOK", "run_cookbook_query", "cookbook_names"],
     "repro.embed": [
         "HashingEmbedding", "ContextualEmbedding", "cosine_similarity",
-        "VectorStore", "SearchHit",
+        "VectorStore", "VectorEntry",
     ],
     "repro.nlp": [
         "word_tokenize", "ngrams", "token_f1", "levenshtein",
@@ -39,8 +39,8 @@ PUBLIC_API = {
     "repro.rag": [
         "RetrieverQueryEngine", "PipelineResponse", "TextToCypherRetriever",
         "VectorContextRetriever", "LLMReranker", "ResponseSynthesizer",
-        "QuestionDecomposer", "DecomposingQueryEngine", "describe_node",
-        "build_description_corpus", "QueryContext",
+        "QuestionDecomposer", "DecomposingQueryEngine",
+        "build_description_corpus", "DESCRIBED_LABELS", "QueryContext",
         # observability + error taxonomy
         "PipelineObserver", "TracingObserver", "MetricsRegistry", "PipelineError",
         "SymbolicTranslationError", "ExecutionError", "EmptyResult",

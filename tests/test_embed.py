@@ -117,21 +117,22 @@ class TestVectorStore:
         )
 
     def test_top1_is_most_relevant(self, store):
-        hits = store.search("japanese network AS2497", top_k=1)
-        assert hits[0].entry_id == "a"
+        rows, _ = store.search("japanese network AS2497", top_k=1)
+        assert store.entries()[rows[0]].entry_id == "a"
 
     def test_top_k_bounded(self, store):
-        assert len(store.search("internet", top_k=2)) <= 2
+        rows, scores = store.search("internet", top_k=2)
+        assert len(rows) == len(scores) <= 2
 
     def test_min_score_cuts_noise(self, store):
-        hits = store.search("AS2497 network operator", top_k=5, min_score=0.3)
-        assert all(hit.score > 0.3 for hit in hits)
+        _, scores = store.search("AS2497 network operator", top_k=5, min_score=0.3)
+        assert all(score > 0.3 for score in scores)
 
     def test_len(self, store):
         assert len(store) == 3
 
     def test_empty_store_search(self):
-        assert VectorStore([]).search("anything") == []
+        assert VectorStore([]).search("anything") == ([], [])
 
     def test_add_batch(self):
         # The constructor is the one batch add: it indexes every triple.
@@ -154,6 +155,5 @@ class TestVectorStore:
         assert store.token_overlap(everything, rows) == list(map(len, token_sets))
 
     def test_scores_sorted_descending(self, store):
-        hits = store.search("internet network exchange", top_k=3)
-        scores = [hit.score for hit in hits]
+        _, scores = store.search("internet network exchange", top_k=3)
         assert scores == sorted(scores, reverse=True)

@@ -17,12 +17,7 @@ from hypothesis import strategies as st
 from repro.cypher import CypherEngine
 from repro.embed import vector_store
 from repro.embed.model import HashingEmbedding
-from repro.embed.vector_store import (
-    SearchHit,
-    VectorStore,
-    _float32_margin,
-    _float32_scores,
-)
+from repro.embed.vector_store import VectorStore, _float32_margin, _float32_scores
 from repro.graph import GraphStore
 
 
@@ -172,23 +167,27 @@ def _exact_score(row, vector):
 
 
 def _reference_search(store, query, top_k, min_score=0.0):
-    """Exact scores of every row and a full stable sort, kept as an oracle."""
-    matrix, entries = store._matrix, store.entries()
+    """Exact scores of every row and a full stable sort, kept as an oracle:
+    the hits' rows and scores, best first."""
+    matrix = store._matrix
     if top_k <= 0 or matrix.shape[0] == 0:
-        return []
+        return [], []
     vector = store.embedding.embed(query)
-    scores = [_exact_score(row, vector) for row in matrix]
-    hits = []
-    for index in sorted(range(len(scores)), key=lambda row: -scores[row]):
-        entry = entries[index]
-        if scores[index] <= min_score:
+    every = [_exact_score(row, vector) for row in matrix]
+    rows, scores = [], []
+    for row in sorted(range(len(every)), key=lambda row: -every[row]):
+        if every[row] <= min_score or len(rows) >= top_k:
             break
-        hits.append(
-            SearchHit(entry.entry_id, entry.text, scores[index], dict(entry.metadata), index)
-        )
-        if len(hits) >= top_k:
-            break
-    return hits
+        rows.append(row)
+        scores.append(every[row])
+    return rows, scores
+
+
+def _cut(hits, min_score, top_k):
+    """The first ``top_k`` of ``hits`` (rows, scores) scoring above ``min_score``."""
+    rows, scores = hits
+    kept = min(top_k, sum(score > min_score for score in scores))
+    return rows[:kept], scores[:kept]
 
 
 class TestVectorTopK:
@@ -262,14 +261,15 @@ class TestFloat32Prefilter:
         store = VectorStore([(f"e{i}", text, {"i": i}) for i, text in enumerate(texts)],
                             HashingEmbedding(dim=dim))
         ranked = _reference_search(store, query, len(texts), min_score=-2.0)
+        scores = ranked[1]
         # min_score cuts: none, the retriever's, and exactly at a score
         # (ties of that score are cut with it)
-        cuts = [-2.0, 0.0, 0.02] + [hit.score for hit in ranked[:: max(1, len(ranked) // 3)]]
+        cuts = [-2.0, 0.0, 0.02] + scores[:: max(1, len(scores) // 3)]
         for min_score in cuts:
-            kept = [hit for hit in ranked if hit.score > min_score]
             # every cut: inside and at the edges of tie groups, and past the end
             for top_k in range(1, len(texts) + 2):
-                assert store.search(query, top_k=top_k, min_score=min_score) == kept[:top_k]
+                expected = _cut(ranked, min_score, top_k)
+                assert store.search(query, top_k=top_k, min_score=min_score) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from([64, 256]), st.integers(0, 2**32 - 1),
@@ -291,10 +291,10 @@ class TestFloat32Prefilter:
         store._matrix = matrix / norms[:, None]
         store._transposed = np.ascontiguousarray(store._matrix.T, dtype=np.float32)
         ranked = _reference_search(store, query, 40, min_score=-2.0)
-        for min_score in (-2.0, 0.0, ranked[len(ranked) // 2].score):
-            kept = [hit for hit in ranked if hit.score > min_score]
+        for min_score in (-2.0, 0.0, ranked[1][len(ranked[1]) // 2]):
             for top_k in range(1, 42):
-                assert store.search(query, top_k=top_k, min_score=min_score) == kept[:top_k]
+                expected = _cut(ranked, min_score, top_k)
+                assert store.search(query, top_k=top_k, min_score=min_score) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([64, 256]), st.integers(0, 2**32 - 1), st.floats(0.05, 1.0))

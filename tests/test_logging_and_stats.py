@@ -53,14 +53,24 @@ class TestBootstrapCi:
 
 
 class TestPipelineLogging:
-    def test_fallback_logged(self, chatiyp_small, caplog):
+    @pytest.fixture(scope="class")
+    def uncached_bot(self, small_dataset):
+        """A bot of its own without an answer cache, so every ask runs the
+        pipeline (the shared bot may already hold an answer from another
+        test)."""
+        from repro import ChatIYP, ChatIYPConfig
+
+        config = ChatIYPConfig(dataset_size="small", answer_cache_size=0)
+        return ChatIYP(dataset=small_dataset, config=config)
+
+    def test_fallback_logged(self, uncached_bot, caplog):
         with caplog.at_level(logging.DEBUG, logger="repro.rag.pipeline"):
-            chatiyp_small.ask("tell me an interesting story please")
+            uncached_bot.ask("tell me an interesting story please")
         assert any("falling back" in record.message for record in caplog.records)
 
-    def test_generated_cypher_logged(self, chatiyp_small, caplog):
+    def test_generated_cypher_logged(self, uncached_bot, caplog):
         with caplog.at_level(logging.DEBUG, logger="repro.rag.text2cypher_retriever"):
-            chatiyp_small.ask("Which country is AS2497 registered in?")
+            uncached_bot.ask("Which country is AS2497 registered in?")
         assert any("generated cypher" in record.message for record in caplog.records)
 
     def test_silent_at_default_level(self, chatiyp_small, caplog):

@@ -275,7 +275,7 @@ class TestVectorStoreConcurrency:
     def test_concurrent_searches_agree(self):
         store = VectorStore([(f"seed-{i}", f"entry about topic {i}", {}) for i in range(64)])
         expected = store.search("entry about topic 3", top_k=5)
-        assert expected, "indexed corpus must keep matching"
+        assert expected[0], "indexed corpus must keep matching"
         results = []
 
         def reader():
@@ -333,16 +333,16 @@ class TestTokenSetCache:
                 if token not in STOPWORDS
                 and (len(token) > 3 or any(c.isdigit() for c in token))
             }
-            hits = retriever.vector_store.search(
+            rows, scores = retriever.vector_store.search(
                 query, top_k=retriever.top_k * retriever._OVERSAMPLE, min_score=0.02
             )
             recomputed = []
-            for hit in hits:
-                score = hit.score
+            for row, score in zip(rows, scores):
+                entry = index.entries()[row]
                 if distinctive:
-                    overlap = len(distinctive & set(word_tokenize(hit.text))) / len(distinctive)
+                    overlap = len(distinctive & set(word_tokenize(entry.text))) / len(distinctive)
                     score += retriever._LEXICAL_WEIGHT * overlap
-                recomputed.append((hit.entry_id, round(score, 6)))
+                recomputed.append((entry.entry_id, round(score, 6)))
             recomputed.sort(key=lambda pair: -pair[1])
             expected = recomputed[: retriever.top_k]
             actual = [(item.node.node_id, item.score) for item in result.nodes]

@@ -19,7 +19,6 @@ from repro.rag import (
     TextToCypherRetriever,
     VectorContextRetriever,
     build_description_corpus,
-    describe_node,
 )
 from repro.core.prompts import answer_prompt, rerank_prompt, text2cypher_prompt
 
@@ -50,16 +49,23 @@ def vector(small_store):
     return VectorContextRetriever(small_store, top_k=5)
 
 
+@pytest.fixture(scope="module")
+def descriptions(small_store):
+    """Graph node id -> its description in the default corpus."""
+    return {
+        metadata["graph_node_id"]: text
+        for _, text, metadata in build_description_corpus(small_store)
+    }
+
+
 class TestDescribe:
-    def test_describe_as_node(self, small_dataset):
-        node = small_dataset.as_nodes[2497]
-        text = describe_node(small_dataset.store, node)
+    def test_describe_as_node(self, small_dataset, descriptions):
+        text = descriptions[small_dataset.as_nodes[2497].node_id]
         assert "AS2497" in text
         assert "registered in" in text
 
-    def test_describe_country_node(self, small_dataset):
-        node = small_dataset.country_nodes["JP"]
-        text = describe_node(small_dataset.store, node)
+    def test_describe_country_node(self, small_dataset, descriptions):
+        text = descriptions[small_dataset.country_nodes["JP"].node_id]
         assert "Japan" in text
 
     def test_corpus_covers_interesting_labels(self, small_store):
@@ -72,12 +78,9 @@ class TestDescribe:
         ids = [entry_id for entry_id, _, _ in corpus]
         assert len(ids) == len(set(ids))
 
-    def test_neighbour_overflow_summarised(self, small_dataset):
+    def test_neighbour_overflow_summarised(self, small_dataset, descriptions):
         # Some node has >4 neighbours of a kind -> "and N more" phrasing.
-        texts = [
-            describe_node(small_dataset.store, node)
-            for node in small_dataset.store.nodes_by_label("AS")
-        ]
+        texts = [descriptions[node.node_id] for node in small_dataset.store.nodes_by_label("AS")]
         assert any("and" in text and "more" in text for text in texts)
 
 

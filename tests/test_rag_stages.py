@@ -9,8 +9,11 @@ import threading
 import pytest
 
 from repro.core.prompts import answer_prompt, rerank_prompt, text2cypher_prompt
-from repro.cypher import CypherEngine
+from repro.cypher import CypherEngine, CypherRuntimeError, CypherSyntaxError, UnsupportedWrite
+from repro.cypher.errors import CypherDeadlineExceeded
+from repro.cypher.errors import ResourceExhausted as CypherResourceExhausted
 from repro.faults import FaultInjector, FaultPlan, activated
+from repro.faults.errors import InjectedCypherError
 from repro.graph import introspect_schema
 from repro.llm import ErrorModel, SimulatedLLM
 from repro.nlp import Gazetteer
@@ -306,10 +309,40 @@ class TestErrorTaxonomy:
                 source="text2cypher",
                 cypher="MATCH (broken",
                 error="CypherSyntaxError: boom",
+                error_type=CypherSyntaxError,
             )
         )
         assert isinstance(error, ExecutionError)
         assert error.cypher == "MATCH (broken"
+        assert error.unparsable
+
+    @pytest.mark.parametrize("error_type, kind, unparsable", [
+        (CypherRuntimeError, "execution", False),
+        (InjectedCypherError, "execution", False),
+        (UnsupportedWrite, "execution", True),
+        (CypherResourceExhausted, "resource_exhausted", False),
+        (CypherDeadlineExceeded, "deadline", None),
+    ])
+    def test_classify_follows_the_exception_class(self, error_type, kind, unparsable):
+        # The class decides, not the text: a message naming another class
+        # changes nothing, and the text is passed on unchanged.
+        message = "CypherSyntaxError: ResourceExhausted: CypherDeadlineExceeded"
+        error = classify_symbolic_failure(RetrievalResult(
+            source="text2cypher", cypher="MATCH (n) RETURN n", error=message,
+            error_type=error_type,
+        ))
+        assert error.kind == kind and str(error) == message
+        assert getattr(error, "unparsable", None) is unparsable
+
+    def test_retriever_passes_the_exception_class(self, symbolic, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise CypherResourceExhausted("row budget 3 exceeded")
+
+        monkeypatch.setattr(symbolic.engine, "execute", exhausted)
+        raw = symbolic.retrieve("Which country is AS2497 registered in?")
+        assert raw.error == "ResourceExhausted: row budget 3 exceeded"
+        assert raw.error_type is CypherResourceExhausted
+        assert classify_symbolic_failure(raw).kind == "resource_exhausted"
 
     def test_classify_clean_result_is_none(self, symbolic):
         raw = symbolic.retrieve("Which country is AS2497 registered in?")

@@ -8,10 +8,10 @@ embeds the query with ``embed``, and rankings assume both sides agree.
 ``tobytes`` is compared rather than ``np.array_equal``, which equates -0.0
 and 0.0.
 
-The per-relationship ``describe_node`` and ``introspect_schema`` the
-typed-bucket code replaced are kept here as reference oracles and compared
-with it on hand-built and seeded random graphs; the batch embedding's edge
-cases are each compared with a per-text ``embed``.
+A per-relationship node description and ``introspect_schema``, the
+renderings the adjacency-index walks replaced, are kept here as reference
+oracles and compared with them on hand-built and seeded random graphs; the
+batch embedding's edge cases are each compared with a per-text ``embed``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.embed import model as embed_model
 from repro.graph import GraphStore, introspect_schema
 from repro.graph.schema import GraphSchema, SchemaRelationship
 from repro.iyp import IYPConfig, generate_iyp
-from repro.rag import build_description_corpus, describe_node
+from repro.rag import build_description_corpus
 from repro.rag.describe import _MAX_NEIGHBOURS_PER_PHRASE, _REL_PHRASES, _entity_name
 
 #: size -> sha256 of (matrix bytes, entry ids, descriptions, schema text)
@@ -94,13 +94,13 @@ def test_every_row_is_embed_of_its_text(build):
 
 
 # ----------------------------------------------------------------------
-# Reference oracles: the per-relationship renderings the typed-bucket
-# code replaced, kept to check it on hand-built graphs.
+# Reference oracles: the per-relationship renderings the adjacency-index
+# walks replaced, kept to check them on hand-built graphs.
 # ----------------------------------------------------------------------
 
 
 def reference_describe_node(store, node) -> str:
-    """``describe_node`` as one walk over the node's relationships in id order."""
+    """A node's corpus description as one walk over its relationships in id order."""
     label = sorted(node.labels)[0]
     header = f"{_entity_name(node)} is a {label} node"
     if "Country" in node.labels and "name" in node.properties:
@@ -224,23 +224,35 @@ ORACLE_STORES = [("hand", _hand_store)] + [
 ]
 
 
+def corpus_descriptions(store) -> dict[int, str]:
+    """Node id -> description, from one corpus over every label of ``store``;
+    a node listed under several labels must get one text."""
+    labels = tuple(sorted({label for node in store.all_nodes() for label in node.labels}))
+    texts: dict[int, str] = {}
+    for _, text, metadata in build_description_corpus(store, labels=labels):
+        assert texts.setdefault(metadata["graph_node_id"], text) == text
+    return texts
+
+
 @pytest.mark.parametrize("make", [make for _, make in ORACLE_STORES],
                          ids=[name for name, _ in ORACLE_STORES])
 def test_describe_node_matches_reference(make):
     store = make()
+    texts = corpus_descriptions(store)
+    assert sorted(texts) == sorted(node.node_id for node in store.all_nodes())
     for node in store.all_nodes():
-        assert describe_node(store, node) == reference_describe_node(store, node)
+        assert texts[node.node_id] == reference_describe_node(store, node)
 
 
 def test_hand_store_descriptions_cover_the_edge_cases():
     store = _hand_store()
-    iij, _, _, both = (store.node(node_id) for node_id in range(4))
+    texts = corpus_descriptions(store)
     # the self-loop counts once, as outgoing; unknown types get no phrase
-    assert describe_node(store, iij) == (
+    assert texts[0] == (
         "AS2497 (IIJ) is a AS node; peers with AS2497 (IIJ); registered in Japan;"
         " peers with AS15169; depended on by AS15169"
     )
-    assert "and 2 more" in describe_node(store, both)
+    assert "and 2 more" in texts[3]
 
 
 @pytest.mark.parametrize("make", [make for _, make in ORACLE_STORES],
@@ -270,7 +282,7 @@ def _assert_rows_are_embed(texts: list[str]) -> VectorStore:
 def test_empty_corpus():
     index = _assert_rows_are_embed([])
     assert index._matrix.shape == (0, 256)
-    assert index.search("anything at all") == []
+    assert index.search("anything at all") == ([], [])
 
 
 def test_document_without_word_tokens_stays_zero():

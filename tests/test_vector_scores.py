@@ -40,8 +40,8 @@ def score_digest() -> dict:
     questions = [item.question for item in build_cyphereval(dataset, seed=7)]
     digest, hits = hashlib.sha256(), 0
     for question in questions:
-        for hit in index.search(question, top_k=32, min_score=0.02):
-            digest.update(f"{hit.row} {hit.score.hex()}\n".encode())
+        for row, score in zip(*index.search(question, top_k=32, min_score=0.02)):
+            digest.update(f"{row} {score.hex()}\n".encode())
             hits += 1
     return {"questions": len(questions), "hits": hits, "sha256": digest.hexdigest()}
 
