@@ -35,8 +35,9 @@ The two trees are timed against each other in one process by
 
 ``--src`` defaults to this checkout's ``src``.  ``--scale N`` measures
 on ``IYPConfig.large`` with every entity count multiplied by ``N``
-(``ENTITY_COUNTS``) instead of the medium graph, in ``ROUNDS_AT_SCALE``
-rounds, since one pass there builds a system for several seconds.
+(``same_run.ENTITY_COUNTS``) instead of the medium graph, in
+``ROUNDS_AT_SCALE`` rounds, since one pass there builds a system for
+several seconds.
 ``--smoke`` runs one round on the small graph; ``test_ask_smoke`` below
 runs it on this tree against itself, so the paper-claims CI job keeps
 the script working.
@@ -44,7 +45,6 @@ the script working.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import json
 import re
@@ -71,21 +71,6 @@ SERVED = {
     "coalesce_inflight": True,
 }
 _TASK_RE = re.compile(r"\[TASK:\s*(\w+)\]")
-#: the ``IYPConfig`` fields ``--scale`` multiplies: every entity count.  The
-#: tier-1 clique and the ASes drawn per country keep their large values;
-#: ``--scale 4`` builds 92,124 nodes and 223,751 relationships.
-ENTITY_COUNTS = ("n_ases", "n_prefixes", "n_ips", "n_domains", "n_hostnames",
-                 "n_organizations", "n_probes")
-
-
-def graph_config(iyp, size: str, scale: int | None):
-    """The tree's ``IYPConfig`` of ``size``; with ``scale``, the large preset
-    with each of its ``ENTITY_COUNTS`` multiplied by ``scale``."""
-    config = getattr(iyp.IYPConfig, size)(seed=DATASET_SEED)
-    if scale is None:
-        return config
-    return dataclasses.replace(
-        config, **{name: getattr(config, name) * scale for name in ENTITY_COUNTS})
 
 
 def passes(module, size: str, calls: Counter, extras: defaultdict,
@@ -97,7 +82,7 @@ def passes(module, size: str, calls: Counter, extras: defaultdict,
     the ``ask`` passes append their CPU milliseconds per ask to
     ``extras["cpu"]``."""
     iyp, core, cyphereval = module("iyp"), module("core"), module("eval.cyphereval")
-    dataset = iyp.generate_iyp(graph_config(iyp, size, scale))
+    dataset = iyp.generate_iyp(same_run.graph_config(iyp, size, DATASET_SEED, scale))
     questions = [item.question for item in cyphereval.build_cyphereval(dataset, seed=GOLD_SEED)]
     config = core.ChatIYPConfig(dataset_size=size, **SERVED)
 

@@ -1,7 +1,11 @@
 """Rule-based planner for MATCH clauses.
 
 Per pattern part, the planner picks the anchor end and its access path from
-:class:`~repro.graph.store.GraphStatistics`.  Each end ranks, best first:
+:class:`~repro.graph.store.GraphStatistics`, a snapshot the store derives
+once per graph version, so planning reads counts and never walks the graph.
+Its edge counts come from groups of relationships by (type, start-label
+set, end-label set), so an endpoint with several labels counts once under
+each of them.  Each end ranks, best first:
 
 1. a **bound** variable;
 2. an **exact lookup**: an inline property whose value reads only variables

@@ -8,7 +8,7 @@ that description from a live store.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .store import GraphStore
@@ -71,41 +71,36 @@ class GraphSchema:
 
 
 def introspect_schema(store: GraphStore) -> GraphSchema:
-    """Build a :class:`GraphSchema` by scanning ``store``.
+    """Build a :class:`GraphSchema` of ``store``.
 
-    Relationship patterns are aggregated per (start label, type, end label)
-    triple; nodes with several labels contribute one pattern per label pair.
+    Label and pattern counts come from :meth:`GraphStore.statistics`, whose
+    per (start label, type, end label) counts give nodes with several labels
+    one pattern per label pair.  Property keys are collected here, from the
+    entities as they are now, so a ``SET`` shows up in them.
     """
-    schema = GraphSchema()
+    stats = store.statistics()
+    schema = GraphSchema(node_labels=dict(stats.label_counts))
     label_property_keys: dict[str, set[str]] = defaultdict(set)
     for node in store.all_nodes():
         for label in node.labels:
-            schema.node_labels[label] = schema.node_labels.get(label, 0) + 1
             label_property_keys[label].update(node.properties)
     schema.node_properties = {
         label: tuple(sorted(keys)) for label, keys in label_property_keys.items()
     }
 
-    # One pass groups the relationships by (start labels, type, end labels);
-    # only then is each group expanded to its label pairs.
-    groups: dict[tuple[frozenset[str], str, frozenset[str]], list] = {}
+    # The keys of relationships with properties, grouped by (start labels,
+    # type, end labels); only then is each group expanded to its label pairs.
+    groups: dict[tuple[frozenset[str], str, frozenset[str]], set[str]] = defaultdict(set)
     node = store.node
     for rel in store.all_relationships():
-        key = (node(rel.start_id).labels, rel.rel_type, node(rel.end_id).labels)
-        group = groups.get(key)
-        if group is None:
-            groups[key] = group = [0, set()]
-        group[0] += 1
         if rel.properties:
-            group[1].update(rel.properties)
-    pattern_counts: Counter[tuple[str, str, str]] = Counter()
+            key = (node(rel.start_id).labels, rel.rel_type, node(rel.end_id).labels)
+            groups[key].update(rel.properties)
     pattern_props: dict[tuple[str, str, str], set[str]] = defaultdict(set)
-    for (start_labels, rel_type, end_labels), (count, keys) in groups.items():
+    for (start_labels, rel_type, end_labels), keys in groups.items():
         for start_label in start_labels:
             for end_label in end_labels:
-                pattern = (start_label, rel_type, end_label)
-                pattern_counts[pattern] += count
-                pattern_props[pattern].update(keys)
+                pattern_props[(start_label, rel_type, end_label)].update(keys)
     schema.relationships = [
         SchemaRelationship(
             start_label=start,
@@ -114,6 +109,6 @@ def introspect_schema(store: GraphStore) -> GraphSchema:
             count=count,
             property_keys=tuple(sorted(pattern_props[(start, rel_type, end)])),
         )
-        for (start, rel_type, end), count in sorted(pattern_counts.items())
+        for (start, rel_type, end), count in sorted(stats.rel_triple_counts.items())
     ]
     return schema

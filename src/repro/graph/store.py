@@ -2,10 +2,11 @@
 
 ``GraphStore`` owns all nodes and relationships, maintains label and
 adjacency indexes, and offers the low-level scan/expand primitives the
-Cypher executor is built on.  It is deliberately single-threaded and
-in-memory: IYP-scale synthetic graphs (tens of thousands of nodes) fit
-comfortably, and determinism matters more than concurrency for
-reproduction.
+Cypher executor is built on.  It is in-memory: IYP-scale synthetic graphs
+(tens of thousands of nodes) fit comfortably.  Writes come from one thread
+at a time; reads may come from many (server threads share one store), and
+the one read that updates the store's own state, :meth:`GraphStore.statistics`,
+takes a lock to do so.
 
 The store is append-only: IYP is published as periodic dumps, so a graph
 is built once and then read.  Nodes and relationships are created, never
@@ -22,13 +23,21 @@ ids: a SET can add a lower id, so inserts go through :func:`bisect.insort`,
 and a SET that empties a value bucket drops it.  Nodes with equal labels
 share one ``frozenset``, and entities without properties share one
 read-only empty map (:data:`~.model.EMPTY_PROPERTIES`).
+
+The write path keeps only what reads need: the tables, the label lists and
+the adjacency maps.  Planner statistics are derived on demand, once per
+graph version: :meth:`GraphStore.statistics` groups the relationships
+created since its last fold by (type, start-label set, end-label set) and
+adds each group's count to copies of the last snapshot's counts, under each
+of its labels.  Because the store is append-only and labels never change,
+a folded relationship is never revisited, and a ``SET`` folds nothing.
 """
 
 from __future__ import annotations
 
 import gc
+import threading
 from bisect import insort
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -116,8 +125,14 @@ class EntityNotFound(GraphError, KeyError):
 class GraphStatistics:
     """Snapshot of store-level statistics for query planning.
 
-    ``version`` increments on every mutation, so anything derived from
-    the graph can be keyed on it and rebuilt only when the graph changed.
+    ``version`` is the store's ``stats_version`` the snapshot was taken at.
+    It increments on every mutation, so anything derived from the graph can
+    be keyed on it and rebuilt only when the graph changed.
+
+    The relationship counts are derived from groups of relationships with
+    equal (type, start-label set, end-label set), so multi-label endpoints
+    stay exact: an ``X`` edge into an ``A:B`` node counts once for ``X``,
+    once under ``A`` and once under ``B``.
     """
 
     version: int
@@ -133,6 +148,11 @@ class GraphStatistics:
     rel_endpoint_counts: Mapping[tuple[str, str, str], int] = field(
         default_factory=dict
     )
+    # (start label, rel_type, end label) -> edges of that type from a node
+    # carrying the start label to one carrying the end label.  An edge
+    # between multi-label nodes counts under each of its label pairs, so
+    # these do not sum to the type's or an endpoint's count.
+    rel_triple_counts: Mapping[tuple[str, str, str], int] = field(default_factory=dict)
 
     def label_count(self, label: str) -> int:
         """Number of nodes carrying ``label`` (0 when unknown)."""
@@ -160,6 +180,10 @@ class GraphStatistics:
 class GraphStore:
     """Append-only in-memory property graph with label and adjacency indexes.
 
+    A write maintains the tables, the label lists and the adjacency maps and
+    counts nothing; :meth:`statistics` derives the planner's counts once per
+    graph version (see the module docstring).
+
     Example::
 
         store = GraphStore()
@@ -182,10 +206,10 @@ class GraphStore:
         # direction's types.
         self._outgoing: dict[str, dict[int, list[Relationship]]] = {}
         self._incoming: dict[str, dict[int, list[Relationship]]] = {}
-        # rel type -> relationship count (for planner statistics)
-        self._rel_type_counts: Counter[str] = Counter()
-        # (rel type, "out"|"in", endpoint label) -> edge count
-        self._rel_endpoint_counts: Counter[tuple[str, str, str]] = Counter()
+        # relationships counted in the statistics snapshot: the first _folded
+        self._folded = 0
+        # serialises the fold: server threads share one store
+        self._stats_lock = threading.Lock()
         # (label, property key) -> value -> sorted node ids, built on
         # request; no empty value buckets
         self._property_index: dict[tuple[str, str], dict[Any, list[int]]] = {}
@@ -231,11 +255,9 @@ class GraphStore:
         properties: Mapping[str, Any] | None = None,
     ) -> Relationship:
         """Create a directed relationship ``start -[type]-> end``."""
-        start = _get(self._nodes, start_id)
-        if start is None:
+        if _get(self._nodes, start_id) is None:
             raise EntityNotFound(f"start node {start_id} does not exist")
-        end = _get(self._nodes, end_id)
-        if end is None:
+        if _get(self._nodes, end_id) is None:
             raise EntityNotFound(f"end node {end_id} does not exist")
         rel = Relationship(len(self._relationships), rel_type, start_id, end_id, properties)
         self._relationships.append(rel)
@@ -247,11 +269,6 @@ class GraphStore:
                 by_node[node_id] = [rel]
             else:
                 bucket.append(rel)
-        self._rel_type_counts[rel_type] += 1
-        for label in start.labels:
-            self._rel_endpoint_counts[(rel_type, "out", label)] += 1
-        for label in end.labels:
-            self._rel_endpoint_counts[(rel_type, "in", label)] += 1
         self._touch()
         return rel
 
@@ -326,7 +343,7 @@ class GraphStore:
 
     def relationship_types(self) -> list[str]:
         """All relationship types present, sorted."""
-        return sorted(self._rel_type_counts)
+        return sorted(self._outgoing)
 
     @property
     def stats_version(self) -> int:
@@ -336,23 +353,75 @@ class GraphStore:
         return self._stats_version
 
     def statistics(self) -> GraphStatistics:
-        """Current graph statistics (label/type/endpoint cardinalities, index catalog).
+        """Current graph statistics (label/type/endpoint/triple cardinalities,
+        index catalog).
 
-        The snapshot is cached and rebuilt only after a mutation, so the
-        query planner can call this on every query for free.
+        The snapshot is cached and derived again only after a mutation, so
+        the query planner can call this on every query for free.  A new
+        snapshot folds only the relationships created since the last one
+        (none after a ``SET``); the fold runs under a lock, so concurrent
+        readers never count a relationship twice.
         """
-        if self._stats_cache is not None and self._stats_cache.version == self._stats_version:
+        cache = self._stats_cache
+        if cache is not None and cache.version == self._stats_version:
+            return cache
+        with self._stats_lock:
+            # The version is read before the tables: a write changes the
+            # tables before it bumps the version, so they hold at least what
+            # the version counts.
+            version = self._stats_version
+            cache = self._stats_cache
+            if cache is not None and cache.version == version:
+                return cache
+            end = len(self._relationships)
+            counts = (
+                (cache.rel_type_counts, cache.rel_endpoint_counts, cache.rel_triple_counts)
+                if cache is not None else ({}, {}, {})
+            )
+            if end > self._folded:
+                counts = self._fold_relationships(self._relationships[self._folded:end], counts)
+                self._folded = end
+            rel_type_counts, endpoint_counts, triple_counts = counts
+            self._stats_cache = GraphStatistics(
+                version=version,
+                node_count=len(self._nodes),
+                relationship_count=end,
+                label_counts={label: len(members) for label, members in self._label_index.items()},
+                rel_type_counts=rel_type_counts,
+                indexes=frozenset(self._property_index),
+                rel_endpoint_counts=endpoint_counts,
+                rel_triple_counts=triple_counts,
+            )
             return self._stats_cache
-        self._stats_cache = GraphStatistics(
-            version=self._stats_version,
-            node_count=len(self._nodes),
-            relationship_count=len(self._relationships),
-            label_counts={label: len(members) for label, members in self._label_index.items()},
-            rel_type_counts=dict(self._rel_type_counts),
-            indexes=frozenset(self._property_index),
-            rel_endpoint_counts=dict(self._rel_endpoint_counts),
-        )
-        return self._stats_cache
+
+    def _fold_relationships(
+        self, rels: Sequence[Relationship], counts: tuple[Mapping, Mapping, Mapping]
+    ) -> tuple[dict, dict, dict]:
+        """``counts`` (per type, per (type, direction, endpoint label) and per
+        (start label, type, end label)) plus ``rels``, none counted before, as
+        new dicts.
+
+        ``rels`` are grouped by (type, start-label set, end-label set) first,
+        and each group is then added under each of its labels, so an endpoint
+        with several labels counts once under each.
+        """
+        nodes = self._nodes
+        groups: dict[tuple[str, frozenset[str], frozenset[str]], int] = {}
+        for rel in rels:
+            key = (rel.rel_type, nodes[rel.start_id].labels, nodes[rel.end_id].labels)
+            groups[key] = groups.get(key, 0) + 1
+        type_counts, endpoint_counts, triple_counts = map(dict, counts)
+        for (rel_type, starts, ends), count in groups.items():
+            type_counts[rel_type] = type_counts.get(rel_type, 0) + count
+            for direction, labels in (("out", starts), ("in", ends)):
+                for label in labels:
+                    key = (rel_type, direction, label)
+                    endpoint_counts[key] = endpoint_counts.get(key, 0) + count
+            for start in starts:
+                for end in ends:
+                    key = (start, rel_type, end)
+                    triple_counts[key] = triple_counts.get(key, 0) + count
+        return type_counts, endpoint_counts, triple_counts
 
     # ------------------------------------------------------------------
     # Scans (the executor's access paths)

@@ -74,6 +74,19 @@ class TestGraphStatistics:
         assert stats.endpoint_count("COUNTRY", "in", "Country") == 2
         assert stats.endpoint_count("COUNTRY", "in", "AS") == 0
 
+    def test_multi_label_endpoint_counts_once_per_label(self):
+        store = GraphStore()
+        start = store.create_node(["C"])
+        both = store.create_node(["A", "B"])
+        store.create_relationship(start.node_id, "X", both.node_id)
+        stats = store.statistics()
+        assert stats.rel_type_count("X") == 1
+        assert stats.endpoint_count("X", "in", "A") == stats.rel_type_count("X")
+        assert stats.endpoint_count("X", "in", "B") == stats.rel_type_count("X")
+        assert stats.endpoint_count("X", "out", "C") == 1
+        # one edge, one count per label pair: a sum over the pairs over-counts
+        assert stats.rel_triple_counts == {("C", "X", "A"): 1, ("C", "X", "B"): 1}
+
     def test_version_bumps_on_mutation(self, tiny_store):
         before = tiny_store.statistics().version
         tiny_store.create_node(["AS"], {"asn": 64512})

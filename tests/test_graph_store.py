@@ -4,6 +4,9 @@ import copy
 import io
 import json
 import pickle
+import threading
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -384,6 +387,7 @@ _steps = st.lists(
         ),
         st.tuples(st.just("loop"), st.integers(0, 99), st.sampled_from(_REL_TYPES)),
         st.tuples(st.just("set"), st.integers(0, 99), st.sampled_from(_VALUES)),
+        st.tuples(st.just("rel_set"), st.integers(0, 99), st.sampled_from(_VALUES)),
         st.tuples(st.just("index"), st.sampled_from(["A", "B"])),
     ),
     max_size=40,
@@ -408,6 +412,9 @@ def _apply(store, step):
     elif kind == "set" and node_ids:
         pick, value = args
         store.set_node_property(node_ids[pick % len(node_ids)], "k", value)
+    elif kind == "rel_set" and store.relationship_count:
+        pick, value = args
+        store.set_relationship_property(pick % store.relationship_count, "w", value)
     elif kind == "index":
         store.create_property_index(args[0], "k")
 
@@ -480,3 +487,104 @@ class TestIdOrderInvariant:
         for step in steps:
             _apply(store, step)
             _check_against_reference(store)
+
+
+def _recount(store, indexes):
+    """The statistics a store should report, recounted from its scans;
+    ``indexes`` is the catalog of the property indexes built on it."""
+    nodes, rels = list(store.all_nodes()), list(store.all_relationships())
+    labels = {node.node_id: node.labels for node in nodes}
+    endpoints, triples = Counter(), Counter()
+    for rel in rels:
+        starts, ends = labels[rel.start_id], labels[rel.end_id]
+        endpoints.update((rel.rel_type, "out", label) for label in starts)
+        endpoints.update((rel.rel_type, "in", label) for label in ends)
+        triples.update((start, rel.rel_type, end) for start in starts for end in ends)
+    return {
+        "node_count": len(nodes),
+        "relationship_count": len(rels),
+        "label_counts": Counter(label for node in nodes for label in node.labels),
+        "rel_type_counts": Counter(rel.rel_type for rel in rels),
+        "rel_endpoint_counts": endpoints,
+        "rel_triple_counts": triples,
+        "indexes": frozenset(indexes),
+    }
+
+
+def _observed(stats):
+    return {name: getattr(stats, name) for name in (
+        "node_count", "relationship_count", "label_counts", "rel_type_counts",
+        "rel_endpoint_counts", "rel_triple_counts", "indexes")}
+
+
+def _spy_on_fold(store, delay=0.0):
+    """Record the ids of the relationships each fold counts, optionally
+    sleeping first so a concurrent reader can arrive mid-fold."""
+    folded = []
+    fold = store._fold_relationships
+
+    def spy(rels, counts):
+        time.sleep(delay)
+        folded.extend(rel.rel_id for rel in rels)
+        return fold(rels, counts)
+
+    store._fold_relationships = spy
+    return folded
+
+
+class TestDerivedStatistics:
+    """``statistics()`` derives its counts from the relationships created since
+    its last fold; after any sequence of writes they equal a brute-force recount."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(steps=_steps)
+    def test_statistics_match_recount(self, steps):
+        store = GraphStore()
+        store.create_property_index("A", "k")
+        indexes = {("A", "k")}
+        folded = _spy_on_fold(store)
+        store.statistics()
+        for step in steps:
+            created = store.relationship_count
+            _apply(store, step)
+            if step[0] == "index":
+                indexes.add((step[1], "k"))
+            stats = store.statistics()
+            assert stats.version == store.stats_version
+            assert _observed(stats) == _recount(store, indexes)
+            assert store.relationship_types() == sorted(stats.rel_type_counts)
+            # a create folds only the new relationship; a SET folds none
+            assert folded == list(range(created, store.relationship_count))
+            folded.clear()
+
+    def test_set_reuses_counts(self, store):
+        a = store.create_node(["A"])
+        rel = store.create_relationship(a.node_id, "X", a.node_id)
+        before = store.statistics()
+        store.set_relationship_property(rel.rel_id, "w", 1)
+        after = store.statistics()
+        assert after.version > before.version
+        assert after.rel_endpoint_counts is before.rel_endpoint_counts
+
+    def test_concurrent_readers_fold_once(self, store):
+        nodes = [store.create_node(labels).node_id for labels in _LABEL_SETS]
+        store.statistics()
+        folded = _spy_on_fold(store, delay=0.02)
+        for i in range(60):
+            store.create_relationship(nodes[i % 3], _REL_TYPES[i % 2], nodes[i // 3 % 3])
+        barrier = threading.Barrier(2)
+        snapshots = []
+
+        def read():
+            barrier.wait()
+            snapshots.append(store.statistics())
+
+        threads = [threading.Thread(target=read) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        first, second = snapshots
+        assert first == second
+        assert _observed(first) == _recount(store, ())
+        assert folded == list(range(60))
