@@ -59,7 +59,7 @@ from .functions import compare_once
 from .lowering import LoweredQuery, lower_query
 from .operators import RuntimeState, profile_tree, render_profile
 from .lexer import LITERAL_SPLIT, tokenize
-from .parser import LiteralForm, parse_shape
+from .parser import MAX_EXPRESSION_DEPTH, LiteralForm, parse_shape
 from .planner import (
     AnchorPlan,
     Filters,
@@ -408,6 +408,8 @@ class CypherEngine:
         run raises a copy of it.  The run reads the deadline and evaluates
         its SKIP/LIMIT counts before raising that error.
         """
+        if params:
+            _check_parameter_depth(params)
         shape = entry.shape
         version, plans, lowered = shape.plans
         if version != self.store.stats_version:
@@ -478,6 +480,24 @@ class CypherEngine:
         """
         run = self._start(self._entry(query), params)
         return render_profile(profile_tree(run.root, run))
+
+
+def _check_parameter_depth(params: dict[str, Any]) -> None:
+    """Raise when a parameter's lists and maps nest deeper than a literal
+    may: past MAX_EXPRESSION_DEPTH levels, a scalar or an empty list or map
+    counting as one.  A value decoded from a client's JSON can nest far
+    past what rendering and comparison recurse through."""
+    for name, value in params.items():
+        stack = [(value, 1)]
+        while stack:
+            value, depth = stack.pop()
+            if depth > MAX_EXPRESSION_DEPTH:
+                raise CypherRuntimeError(f"parameter ${name} nested too deeply")
+            if isinstance(value, dict):
+                value = value.values()
+            elif not isinstance(value, list):
+                continue
+            stack.extend([(item, depth + 1) for item in value])
 
 
 # ---------------------------------------------------------------------------

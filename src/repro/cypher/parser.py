@@ -18,7 +18,15 @@ from . import ast_nodes as ast
 from .errors import CypherSyntaxError, UnsupportedWrite
 from .lexer import Token, tokenize
 
-__all__ = ["parse", "parse_expression", "parse_shape", "LiteralForm"]
+__all__ = ["parse", "parse_expression", "parse_shape", "LiteralForm", "MAX_EXPRESSION_DEPTH"]
+
+#: The deepest expression the parser accepts, in levels: every bracket,
+#: parenthesis, argument list, operator and property access on the way down
+#: to the innermost operand is one.  Nesting and operator chains count alike
+#: (``[[1]]`` and ``1 + 1 + 1`` are both three deep).  The parser, lowering,
+#: evaluation and rendering all recurse once or more per level; this keeps
+#: them well inside Python's recursion limit, even in a server thread.
+MAX_EXPRESSION_DEPTH = 48
 
 
 def parse(text: str) -> ast.Query:
@@ -187,6 +195,8 @@ class _Parser:
         self.lifted = 0
         #: whether a slot is in an implicit column name (parse_shape)
         self.slot_named = False
+        #: expressions open around the cursor (parse_expr)
+        self.depth = 0
 
     # ------------------------------------------------------------------
     # Cursor helpers
@@ -604,10 +614,41 @@ class _Parser:
             token = self.current
         return ast.BooleanOp(op=op, operands=tuple(operands))
 
-    def parse_or(self) -> ast.Expr:
-        return self._parse_boolean("OR", self.parse_xor)
+    def parse_expr(self) -> ast.Expr:
+        """An expression.  Every nested expression starts here (below, only
+        precedence climbing recurses, a bounded step), so ``depth`` bounds
+        the parser's recursion.  Operator chains are built in loops, so the
+        finished tree's depth is checked too, once per outermost expression.
+        """
+        self.depth += 1
+        if self.depth > MAX_EXPRESSION_DEPTH:
+            raise self.error("expression nested too deeply")
+        expr = self._parse_boolean("OR", self.parse_xor)
+        self.depth -= 1
+        if not self.depth:
+            self._check_tree_depth(expr)
+        return expr
 
-    parse_expr = parse_or
+    def _check_tree_depth(self, expr: ast.Expr) -> None:
+        """Raise when ``expr``'s tree is deeper than MAX_EXPRESSION_DEPTH."""
+        level, depth = [expr], 1
+        while True:
+            below = []
+            # A tuple's items are at its depth: they join the level being read.
+            for node in level:
+                if node.__class__ is tuple:
+                    level.extend(node)
+                    continue
+                for name in ast.CHILD_FIELDS.get(node.__class__, ()):
+                    child = getattr(node, name)
+                    if child:  # a node; not None or an empty tuple
+                        below.append(child)
+            if not below:
+                return
+            depth += 1
+            if depth > MAX_EXPRESSION_DEPTH:
+                raise self.error("expression nested too deeply")
+            level = below
 
     def parse_xor(self) -> ast.Expr:
         return self._parse_boolean("XOR", self.parse_and)
@@ -616,11 +657,14 @@ class _Parser:
         return self._parse_boolean("AND", self.parse_not)
 
     def parse_not(self) -> ast.Expr:
-        token = self.current
-        if token.value == "NOT" and token.kind == "KEYWORD":
+        negations = 0
+        while self.current.value == "NOT" and self.current.kind == "KEYWORD":
             self.advance()
-            return ast.NotOp(operand=self.parse_not())
-        return self.parse_comparison()
+            negations += 1
+        expr = self.parse_comparison()
+        for _ in range(negations):
+            expr = ast.NotOp(operand=expr)
+        return expr
 
     _COMPARISON_OPS = {"EQ": "=", "NEQ": "<>", "LT": "<", "GT": ">",
                        "LTE": "<=", "GTE": ">=", "REGEQ": "=~"}
@@ -680,18 +724,23 @@ class _Parser:
         return left
 
     def parse_power(self) -> ast.Expr:
-        left = self.parse_unary()
-        if self.current.kind == "CARET":
-            self.advance()
-            # right-associative
-            return ast.BinaryOp(op="^", left=left, right=self.parse_power())
-        return left
+        operands = [self.parse_unary()]
+        while self.accept("CARET"):
+            operands.append(self.parse_unary())
+        # right-associative
+        expr = operands.pop()
+        while operands:
+            expr = ast.BinaryOp(op="^", left=operands.pop(), right=expr)
+        return expr
 
     def parse_unary(self) -> ast.Expr:
-        if self.current.kind in ("MINUS", "PLUS"):
-            op = self.advance().value
-            return ast.UnaryOp(op=op, operand=self.parse_unary())
-        return self.parse_postfix()
+        signs = []
+        while self.current.kind in ("MINUS", "PLUS"):
+            signs.append(self.advance().value)
+        expr = self.parse_postfix()
+        for op in reversed(signs):
+            expr = ast.UnaryOp(op=op, operand=expr)
+        return expr
 
     def parse_postfix(self) -> ast.Expr:
         expr = self.parse_atom()
@@ -888,7 +937,7 @@ class _Parser:
         self.expect("LPAREN", "'('")
         variable = self.parse_name()
         self.expect_keyword("IN")
-        source = self.parse_or()
+        source = self.parse_expr()
         self.expect_keyword("WHERE")
         predicate = self.parse_expr()
         self.expect("RPAREN", "')'")
@@ -903,7 +952,7 @@ class _Parser:
         self.expect("COMMA", "','")
         variable = self.parse_name()
         self.expect_keyword("IN")
-        source = self.parse_or()
+        source = self.parse_expr()
         self.expect("PIPE", "'|'")
         expression = self.parse_expr()
         self.expect("RPAREN", "')'")
@@ -935,7 +984,7 @@ class _Parser:
         if self.current.kind == "IDENT" and following.is_keyword("IN"):
             variable = self.advance().value
             self.advance()  # IN
-            source = self.parse_or()
+            source = self.parse_expr()
             predicate = None
             projection = None
             if self.accept_keyword("WHERE"):

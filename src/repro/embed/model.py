@@ -225,31 +225,30 @@ class HashingEmbedding:
         return cosine_similarity(self.embed(left), self.embed(right))
 
 
+#: each token vector blends in the mean of its ±``CONTEXT_WINDOW`` neighbours
+CONTEXT_WINDOW = 2
+#: the neighbourhood mean's share of a contextual token vector
+CONTEXT_WEIGHT = 0.35
+#: the weight of the "language" component every token vector shares
+COMMON_WEIGHT = 1.15
+
+
 class ContextualEmbedding:
-    """Per-token embeddings blended with a ±``window`` neighbourhood.
+    """Per-token embeddings blended with a ±``CONTEXT_WINDOW`` neighbourhood.
 
     The blending makes two occurrences of the same word embed differently
     in different sentences — a cheap, deterministic analogue of contextual
     (BERT-style) token representations.
 
-    ``common_weight`` adds a shared "language" component to every token
+    ``COMMON_WEIGHT`` adds a shared "language" component to every token
     vector, emulating the well-documented anisotropy of BERT embeddings:
     any two fluent-English tokens are fairly similar, which floors
     BERTScore for unrelated-but-fluent answers and produces the ceiling
     effect the poster reports.
     """
 
-    def __init__(
-        self,
-        dim: int = 128,
-        window: int = 2,
-        context_weight: float = 0.35,
-        common_weight: float = 1.15,
-    ):
+    def __init__(self, dim: int = 128):
         self.dim = dim
-        self.window = window
-        self.context_weight = context_weight
-        self.common_weight = common_weight
         common = np.zeros(dim, dtype=np.float64)
         index, sign = _stable_bucket("__language__", dim, "common")
         common[index] = sign
@@ -265,11 +264,11 @@ class ContextualEmbedding:
         static = np.stack([self._token_vector(token) for token in tokens])
         contextual = np.array(static)
         for i in range(len(tokens)):
-            lo = max(0, i - self.window)
-            hi = min(len(tokens), i + self.window + 1)
+            lo = max(0, i - CONTEXT_WINDOW)
+            hi = min(len(tokens), i + CONTEXT_WINDOW + 1)
             neighbourhood = static[lo:hi].mean(axis=0)
-            contextual[i] = (1 - self.context_weight) * static[i] + (
-                self.context_weight * neighbourhood
+            contextual[i] = (1 - CONTEXT_WEIGHT) * static[i] + (
+                CONTEXT_WEIGHT * neighbourhood
             )
         norms = np.linalg.norm(contextual, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
@@ -285,4 +284,4 @@ class ContextualEmbedding:
         norm = np.linalg.norm(vector)
         if norm > 0:
             vector /= norm
-        return vector + self.common_weight * self._common
+        return vector + COMMON_WEIGHT * self._common

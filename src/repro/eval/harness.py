@@ -109,14 +109,13 @@ class EvaluationHarness:
         chatiyp: ChatIYP,
         questions: Optional[list[EvalQuestion]] = None,
         reference_seed: int = REFERENCE_SEED,
-        bertscore_rescale: bool = False,
     ) -> None:
         self.chatiyp = chatiyp
         self.questions = questions if questions is not None else build_cyphereval(
             chatiyp.dataset
         )
         self.validation = ValidationModel(chatiyp.store, seed=reference_seed)
-        self.bert_scorer = BertScorer(rescale_with_baseline=bertscore_rescale)
+        self.bert_scorer = BertScorer()
         self.geval = GEvalMetric(chatiyp.llm)
 
     def run(

@@ -36,7 +36,10 @@ Serving hardening: every ``/ask`` passes an
 :class:`~repro.serving.AdmissionController` — at most ``max_concurrency``
 requests run at once, a bounded queue absorbs bursts, and everything
 beyond that is shed immediately with ``503`` + ``Retry-After``.  Bodies
-over 64 KiB are refused with ``413``.
+over 64 KiB are refused with ``413``.  Every GET and POST gets a JSON answer:
+an exception no route foresaw answers ``500`` (``"internal error: <class
+name>"``, counted as ``server.internal_error``) rather than closing the
+connection.
 
 ``/ask_batch`` shares the same admission slots rather than bypassing
 them: a batch blocks for exactly **one** slot like any ``/ask`` (shedding
@@ -53,10 +56,12 @@ a shell::
 from __future__ import annotations
 
 import json
+import logging
 import sys
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..core.chatiyp import ChatIYP
 from ..cypher import CypherError, CypherSyntaxError, render_value
@@ -68,9 +73,12 @@ __all__ = ["make_server", "ChatIYPRequestHandler", "serve"]
 
 _MAX_BODY = 64 * 1024
 
+logger = logging.getLogger(__name__)
+
 
 class _ChatIYPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer tuned for bursty clients.
+    """ThreadingHTTPServer tuned for bursty clients, holding the settings
+    every request reads.
 
     The stdlib default listen backlog (5) drops connections under
     concurrent load before admission control can shed them politely;
@@ -81,189 +89,160 @@ class _ChatIYPServer(ThreadingHTTPServer):
     request_queue_size = 128
     daemon_threads = True
 
+    def __init__(
+        self,
+        address: tuple[str, int],
+        chatiyp: ChatIYP,
+        *,
+        deadline_ms: Optional[float],
+        max_batch_size: int,
+        admission: Optional[AdmissionController],
+        verbose: bool,
+    ) -> None:
+        super().__init__(address, ChatIYPRequestHandler)
+        self.chatiyp = chatiyp
+        self.deadline_ms = deadline_ms
+        self.max_batch_size = max_batch_size
+        self.admission = admission
+        self.verbose = verbose
+        #: exceptions that escaped a handler: each closed a connection
+        #: without a reply
+        self.escaped_errors = 0
+        self._escaped_lock = threading.Lock()
+
+    def handle_error(self, request, client_address) -> None:
+        with self._escaped_lock:
+            self.escaped_errors += 1
+        super().handle_error(request, client_address)
+
+
+class _Reply(Exception):
+    """A request's answer other than 200: its status and error text."""
+
+    def __init__(self, status: int, error: str, headers: Optional[dict] = None) -> None:
+        super().__init__(error)
+        self.status = status
+        self.error = error
+        self.headers = headers or {}
+
+
+def _bad_budget(value) -> bool:
+    """True when ``value`` is not a usable ``deadline_ms`` (None is ok).
+
+    JSON ``NaN`` and ``Infinity`` parse to floats and an integer may
+    exceed the float range; none of these is a budget.
+    """
+    return value is not None and (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not 0 < value <= sys.float_info.max
+    )
+
 
 class ChatIYPRequestHandler(BaseHTTPRequestHandler):
-    """Routes requests to the ChatIYP instance attached to the server."""
+    """Routes requests to the ChatIYP instance attached to the server.
+
+    Every request takes one path: :meth:`_respond` looks the route up,
+    POST routes decode their body in :meth:`_read_body` (``/ask`` and
+    ``/ask_batch`` inside an admission slot, :meth:`_admitted`), and
+    whatever the route returns or raises becomes one JSON response.
+    """
 
     server_version = "ChatIYP/1.0"
+    server: _ChatIYPServer
 
     @property
     def chatiyp(self) -> ChatIYP:
-        return self.server.chatiyp  # type: ignore[attr-defined]
-
-    # -- helpers ----------------------------------------------------------
-
-    def _send_json(
-        self, payload: dict, status: int = 200, headers: Optional[dict] = None
-    ) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, str(value))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _metrics_increment(self, counter: str) -> None:
-        metrics = getattr(self.chatiyp, "metrics", None)
-        if metrics is not None:
-            metrics.increment(counter)
+        return self.server.chatiyp
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if getattr(self.server, "verbose", False):  # type: ignore[attr-defined]
+        if self.server.verbose:
             super().log_message(format, *args)
 
-    # -- routes -----------------------------------------------------------
+    # -- the request path -------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802
-        if self.path == "/health":
-            store = self.chatiyp.store
-            self._send_json(
-                {
-                    "status": "ok",
-                    "model": self.chatiyp.llm.model_name,
-                    "nodes": store.node_count,
-                    "relationships": store.relationship_count,
-                }
-            )
-            return
-        if self.path == "/metrics":
-            metrics = getattr(self.chatiyp, "metrics", None)
-            payload = (
-                metrics.snapshot()
-                if metrics is not None
-                else {"stages": {}, "counters": {}}
-            )
-            serving = {}
-            snapshot = getattr(self.chatiyp, "serving_snapshot", None)
-            if callable(snapshot):
-                serving.update(snapshot())
-            admission = getattr(self.server, "admission", None)
-            serving["admission"] = (
-                admission.snapshot() if admission is not None else None
-            )
-            payload["serving"] = serving
-            self._send_json(payload)
-            return
-        if self.path == "/schema":
-            self._send_json({"schema": self.chatiyp.schema})
-            return
-        if self.path == "/cookbook":
-            self._send_json(
-                {
-                    "queries": [
-                        {
-                            "name": query.name,
-                            "description": query.description,
-                            "parameters": list(query.parameters),
-                            "cypher": query.cypher,
-                        }
-                        for query in COOKBOOK.values()
-                    ]
-                }
-            )
-            return
-        self._send_json({"error": "not found"}, status=404)
+        self._respond(self._GET_ROUTES.get(self.path))
 
-    def _read_json_body(self) -> dict | None:
+    def do_POST(self) -> None:  # noqa: N802
+        self._respond(self._POST_ROUTES.get(self.path))
+
+    def _respond(self, route) -> None:
+        """Run ``route`` and write what it returns, or what it raised, as
+        one JSON response: the only place a request becomes a status."""
+        status, headers = 200, {}
+        try:
+            if route is None:
+                raise _Reply(404, "not found")
+            body = json.dumps(route(self))
+        except Exception as exc:  # noqa: BLE001 - every request gets an answer
+            status, headers, error = self._failure(exc)
+            body = json.dumps({"error": error})
+        encoded = body.encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(encoded)))
+        for name, value in headers.items():
+            self.send_header(name, str(value))
+        self.end_headers()
+        self.wfile.write(encoded)
+
+    def _failure(self, exc: Exception) -> tuple[int, dict, str]:
+        """The status, headers and error text ``exc`` answers with; an
+        exception no route foresaw is logged with its traceback."""
+        if isinstance(exc, _Reply):
+            return exc.status, exc.headers, exc.error
+        if isinstance(exc, CypherSyntaxError):
+            return 400, {}, f"syntax error: {exc}"
+        if isinstance(exc, CypherError):
+            return 400, {}, f"query failed: {type(exc).__name__}: {exc}"
+        logger.exception("%s %s: internal error", self.command, self.path)
+        self.chatiyp.metrics.increment("server.internal_error")
+        return 500, {}, f"internal error: {type(exc).__name__}"
+
+    @contextmanager
+    def _admitted(self) -> Iterator[None]:
+        """Hold an admission slot, or shed with 503 + Retry-After.
+
+        The slot goes back when the route returns or raises, before
+        :meth:`_respond` writes the response: a client acting on the reply
+        at once (the tests poll the admission snapshot) never sees it held.
+        """
+        admission = self.server.admission
+        if admission is None:
+            yield
+            return
+        with admission.slot() as admitted:
+            if not admitted:
+                self.chatiyp.metrics.increment("server.shed")
+                raise _Reply(
+                    503, "server overloaded; retry later",
+                    {"Retry-After": max(1, round(admission.retry_after_s))},
+                )
+            yield
+
+    def _read_body(self) -> dict:
+        """The request body, which must be a JSON object of at most 64 KiB."""
         header = self.headers.get("Content-Length", "")
         length = int(header) if header.isdecimal() else 0
         if length > _MAX_BODY:
-            self._send_json(
-                {"error": f"request body exceeds {_MAX_BODY} bytes"}, status=413
-            )
-            return None
+            raise _Reply(413, f"request body exceeds {_MAX_BODY} bytes")
         if length <= 0:
-            self._send_json({"error": "bad request body"}, status=400)
-            return None
+            raise _Reply(400, "bad request body")
         try:
             payload = json.loads(self.rfile.read(length))
-        except json.JSONDecodeError:
-            self._send_json({"error": "body must be valid JSON"}, status=400)
-            return None
+        # not UTF-8 (UnicodeDecodeError is a ValueError) or nested past
+        # the decoder's recursion limit
+        except (ValueError, RecursionError):
+            raise _Reply(400, "body must be valid JSON") from None
         if not isinstance(payload, dict):
-            self._send_json({"error": "body must be a JSON object"}, status=400)
-            return None
+            raise _Reply(400, "body must be a JSON object")
         return payload
 
-    def do_POST(self) -> None:  # noqa: N802
-        if self.path == "/ask":
-            self._handle_ask()
-            return
-        if self.path == "/ask_batch":
-            self._handle_ask_batch()
-            return
-        if self.path == "/cypher":
-            self._handle_cypher()
-            return
-        self._send_json({"error": "not found"}, status=404)
-
-    def _shed(self, retry_after_s: float) -> None:
-        """Refuse the request with 503 + Retry-After (load shedding)."""
-        self._metrics_increment("server.shed")
-        self._send_json(
-            {"error": "server overloaded; retry later"},
-            status=503,
-            headers={"Retry-After": max(1, round(retry_after_s))},
-        )
-
-    def _handle_ask(self) -> None:
-        admission: Optional[AdmissionController] = getattr(
-            self.server, "admission", None
-        )
-        if admission is not None and not admission.acquire():
-            self._shed(admission.retry_after_s)
-            return
-        try:
-            payload = self._read_json_body()
-            if payload is None:
-                return
-            question = payload.get("question")
-            if not isinstance(question, str) or not question.strip():
-                self._send_json(
-                    {"error": "'question' must be a non-empty string"}, status=400
-                )
-                return
-            deadline_ms = payload.get("deadline_ms")
-            if self._bad_budget(deadline_ms):
-                self._send_json(
-                    {"error": "'deadline_ms' must be a positive number"}, status=400
-                )
-                return
-            body = self.chatiyp.ask(
-                question, deadline_ms=self._capped(deadline_ms)
-            ).to_dict()
-        finally:
-            # Slot goes back before the success response is written: a
-            # client acting on the reply immediately (the tests poll the
-            # admission snapshot) must never observe it still held.
-            if admission is not None:
-                admission.release()
-        self._send_json(body)
-
-    @staticmethod
-    def _bad_budget(value) -> bool:
-        """True when ``value`` is not a usable ``deadline_ms`` (None is ok).
-
-        JSON ``NaN`` and ``Infinity`` parse to floats and an integer may
-        exceed the float range; none of these is a budget.
-        """
-        return value is not None and (
-            not isinstance(value, (int, float))
-            or isinstance(value, bool)
-            or not 0 < value <= sys.float_info.max
-        )
-
-    def _capped(self, budget):
-        """A client budget capped at the server default (None = not set)."""
-        default = getattr(self.server, "deadline_ms", None)
-        if budget is None:
-            return default
-        return budget if default is None else min(budget, default)
-
-    def _parse_batch_item(self, item, default_budget):
-        """Normalize one batch element to ``(question, budget, error)``."""
+    def _parse_question(self, item, default_budget):
+        """Normalize one question (an ``/ask`` body or an ``/ask_batch``
+        element) to ``(question, budget, error)``; the budget is capped at
+        the server default."""
         if isinstance(item, str):
             question, budget = item, default_budget
         elif isinstance(item, dict):
@@ -273,42 +252,70 @@ class ChatIYPRequestHandler(BaseHTTPRequestHandler):
             return None, None, "item must be a string or an object"
         if not isinstance(question, str) or not question.strip():
             return None, None, "'question' must be a non-empty string"
-        if self._bad_budget(budget):
+        if _bad_budget(budget):
             return None, None, "'deadline_ms' must be a positive number"
-        return question, self._capped(budget), None
+        cap = self.server.deadline_ms
+        if budget is None or cap is not None and budget > cap:
+            budget = cap
+        return question, budget, None
 
-    def _handle_ask_batch(self) -> None:
-        admission: Optional[AdmissionController] = getattr(
-            self.server, "admission", None
-        )
-        # A batch is admitted like a single /ask: block for one slot (shed
-        # with 503 when none arrives) and answer its questions serially.
-        if admission is not None and not admission.acquire():
-            self._shed(admission.retry_after_s)
-            return
-        try:
-            payload = self._read_json_body()
-            if payload is None:
-                return
+    # -- routes -----------------------------------------------------------
+
+    def _health(self) -> dict:
+        store = self.chatiyp.store
+        return {
+            "status": "ok",
+            "model": self.chatiyp.llm.model_name,
+            "nodes": store.node_count,
+            "relationships": store.relationship_count,
+        }
+
+    def _metrics(self) -> dict:
+        payload = self.chatiyp.metrics.snapshot()
+        admission = self.server.admission
+        payload["serving"] = {
+            **self.chatiyp.serving_snapshot(),
+            "admission": admission.snapshot() if admission is not None else None,
+        }
+        return payload
+
+    def _schema(self) -> dict:
+        return {"schema": self.chatiyp.schema}
+
+    def _cookbook(self) -> dict:
+        return {
+            "queries": [
+                {
+                    "name": query.name,
+                    "description": query.description,
+                    "parameters": list(query.parameters),
+                    "cypher": query.cypher,
+                }
+                for query in COOKBOOK.values()
+            ]
+        }
+
+    def _ask(self) -> dict:
+        with self._admitted():
+            question, budget, error = self._parse_question(self._read_body(), None)
+            if error is not None:
+                raise _Reply(400, error)
+            return self.chatiyp.ask(question, deadline_ms=budget).to_dict()
+
+    def _ask_batch(self) -> dict:
+        # A batch is admitted like a single /ask: one slot (shed with 503
+        # when none arrives), its questions answered serially in it.
+        with self._admitted():
+            payload = self._read_body()
             items = payload.get("questions")
             if not isinstance(items, list) or not items:
-                self._send_json(
-                    {"error": "'questions' must be a non-empty list"}, status=400
-                )
-                return
-            max_batch = getattr(self.server, "max_batch_size", 16)
-            if len(items) > max_batch:
-                self._send_json(
-                    {"error": f"batch exceeds {max_batch} questions"}, status=400
-                )
-                return
+                raise _Reply(400, "'questions' must be a non-empty list")
+            if len(items) > self.server.max_batch_size:
+                raise _Reply(400, f"batch exceeds {self.server.max_batch_size} questions")
             default_budget = payload.get("deadline_ms")
-            if self._bad_budget(default_budget):
-                self._send_json(
-                    {"error": "'deadline_ms' must be a positive number"}, status=400
-                )
-                return
-            parsed = [self._parse_batch_item(item, default_budget) for item in items]
+            if _bad_budget(default_budget):
+                raise _Reply(400, "'deadline_ms' must be a positive number")
+            parsed = [self._parse_question(item, default_budget) for item in items]
             runnable = [
                 (index, question, budget)
                 for index, (question, budget, error) in enumerate(parsed)
@@ -322,59 +329,42 @@ class ChatIYPRequestHandler(BaseHTTPRequestHandler):
                 if runnable
                 else []
             )
-            results: list[dict] = [
-                {"ok": False, "error": error} for _, _, error in parsed
-            ]
-            for (index, _, _), outcome in zip(runnable, outcomes):
-                if outcome.ok:
-                    results[index] = {"ok": True, "response": outcome.value.to_dict()}
-                else:
-                    results[index] = {"ok": False, "error": str(outcome.error)}
-            body = {"results": results, "count": len(results)}
-        finally:
-            # As in _handle_ask: return the slot before the response goes
-            # out, so the client never races the handler for it.
-            if admission is not None:
-                admission.release()
-        self._send_json(body)
+        results: list[dict] = [{"ok": False, "error": error} for _, _, error in parsed]
+        for (index, _, _), outcome in zip(runnable, outcomes):
+            if outcome.ok:
+                results[index] = {"ok": True, "response": outcome.value.to_dict()}
+            else:
+                results[index] = {"ok": False, "error": str(outcome.error)}
+        return {"results": results, "count": len(results)}
 
-    def _handle_cypher(self) -> None:
-        payload = self._read_json_body()
-        if payload is None:
-            return
+    def _cypher(self) -> dict:
+        payload = self._read_body()
         query = payload.get("query")
         params = payload.get("params")
         if not isinstance(query, str) or not query.strip():
-            self._send_json({"error": "'query' must be a non-empty string"}, status=400)
-            return
+            raise _Reply(400, "'query' must be a non-empty string")
         if params is not None and not isinstance(params, dict):
-            self._send_json({"error": "'params' must be an object"}, status=400)
-            return
+            raise _Reply(400, "'params' must be an object")
         engine = self.chatiyp.engine
-        try:
-            if not engine.is_read_only(query):
-                self._send_json(
-                    {"error": "write queries are not allowed over the API"}, status=403
-                )
-                return
-            deadline_ms = getattr(self.server, "deadline_ms", None)
-            result = engine.execute(
-                query,
-                params,
-                deadline=Deadline.start(deadline_ms) if deadline_ms else None,
-                row_budget=derived_row_budget(engine.store),
-            )
-        except CypherSyntaxError as exc:
-            self._send_json({"error": f"syntax error: {exc}"}, status=400)
-            return
-        except CypherError as exc:
-            self._send_json({"error": f"query failed: {type(exc).__name__}: {exc}"}, status=400)
-            return
+        if not engine.is_read_only(query):
+            raise _Reply(403, "write queries are not allowed over the API")
+        deadline_ms = self.server.deadline_ms
+        result = engine.execute(
+            query,
+            params,
+            deadline=Deadline.start(deadline_ms) if deadline_ms else None,
+            row_budget=derived_row_budget(engine.store),
+        )
         rows = [
             {key: render_value(value) for key, value in record.to_dict().items()}
             for record in result.records[:200]
         ]
-        self._send_json({"keys": result.keys, "rows": rows, "row_count": len(result)})
+        return {"keys": result.keys, "rows": rows, "row_count": len(result)}
+
+    _GET_ROUTES = {
+        "/health": _health, "/metrics": _metrics, "/schema": _schema, "/cookbook": _cookbook,
+    }
+    _POST_ROUTES = {"/ask": _ask, "/ask_batch": _ask_batch, "/cypher": _cypher}
 
 
 def make_server(
@@ -401,12 +391,7 @@ def make_server(
     deadline of every ``/cypher`` query; ``max_batch_size`` caps the
     questions one ``/ask_batch`` request may carry.
     """
-    server = _ChatIYPServer((host, port), ChatIYPRequestHandler)
-    server.chatiyp = chatiyp  # type: ignore[attr-defined]
-    server.verbose = verbose  # type: ignore[attr-defined]
-    server.deadline_ms = deadline_ms  # type: ignore[attr-defined]
-    server.max_batch_size = max_batch_size  # type: ignore[attr-defined]
-    server.admission = (  # type: ignore[attr-defined]
+    admission = (
         AdmissionController(
             max_concurrency=max_concurrency,
             max_queue_depth=max_queue_depth,
@@ -416,7 +401,10 @@ def make_server(
         if max_concurrency > 0
         else None
     )
-    return server
+    return _ChatIYPServer(
+        (host, port), chatiyp, deadline_ms=deadline_ms, max_batch_size=max_batch_size,
+        admission=admission, verbose=verbose,
+    )
 
 
 def serve(

@@ -31,6 +31,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["RetryPolicy"]
 
+#: growth of the backoff per failed try
+BACKOFF_MULTIPLIER = 2.0
+#: the longest backoff, before jitter and the deadline cap
+MAX_BACKOFF_MS = 1_000.0
+
 
 class RetryPolicy:
     """Bounded retry loop with full-jitter exponential backoff."""
@@ -39,8 +44,6 @@ class RetryPolicy:
         self,
         attempts: int = 2,
         backoff_ms: float = 25.0,
-        multiplier: float = 2.0,
-        max_backoff_ms: float = 1_000.0,
         jitter: float = 0.5,
         seed: int = 0,
         sleep: Callable[[float], None] = time.sleep,
@@ -50,8 +53,6 @@ class RetryPolicy:
             raise ValueError("attempts must be >= 1")
         self.attempts = attempts
         self.backoff_ms = backoff_ms
-        self.multiplier = multiplier
-        self.max_backoff_ms = max_backoff_ms
         self.jitter = jitter
         self._sleep = sleep
         self._rng = random.Random(seed)
@@ -71,7 +72,7 @@ class RetryPolicy:
         return self._deadline_capped
 
     def _backoff_for(self, attempt: int, deadline: Optional["Deadline"]) -> float:
-        base = min(self.backoff_ms * (self.multiplier ** attempt), self.max_backoff_ms)
+        base = min(self.backoff_ms * (BACKOFF_MULTIPLIER ** attempt), MAX_BACKOFF_MS)
         with self._rng_lock:
             factor = 1.0 + self.jitter * (2.0 * self._rng.random() - 1.0)
         backoff = base * max(0.0, factor)

@@ -48,6 +48,7 @@ def batch_server(batch_bot):
     )
     yield server, port
     server.shutdown()
+    assert server.escaped_errors == 0
 
 
 class TestAskBatchSchema:

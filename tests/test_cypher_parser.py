@@ -4,7 +4,7 @@ import pytest
 
 from repro.cypher import ast_nodes as ast
 from repro.cypher.errors import CypherSyntaxError
-from repro.cypher.parser import parse, parse_expression
+from repro.cypher.parser import MAX_EXPRESSION_DEPTH, parse, parse_expression
 
 
 def single(query):
@@ -307,3 +307,51 @@ class TestParserErrors:
 
     def test_semicolon_terminator_allowed(self):
         parse("RETURN 1;")
+
+
+class TestExpressionDepth:
+    """Nesting and operator chains count alike against MAX_EXPRESSION_DEPTH;
+    each shape below is ``depth`` levels deep."""
+
+    SHAPES = {
+        "list": lambda depth: "[" * (depth - 1) + "1" + "]" * (depth - 1),
+        "parentheses": lambda depth: "(" * (depth - 1) + "1" + ")" * (depth - 1),
+        "function": lambda depth: "abs(" * (depth - 1) + "1" + ")" * (depth - 1),
+        "map": lambda depth: "{a: " * (depth - 1) + "1" + "}" * (depth - 1),
+        "sum": lambda depth: " + ".join(["1"] * depth),
+        "power": lambda depth: " ^ ".join(["1"] * depth),
+        "not": lambda depth: "NOT " * (depth - 1) + "true",
+        "negation": lambda depth: "- " * (depth - 1) + "1",
+        "property": lambda depth: "m" + ".a" * (depth - 1),
+        "is_null": lambda depth: "1" + " IS NULL" * (depth - 1),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_bound_parses_and_one_past_is_syntax_error(self, shape):
+        make = self.SHAPES[shape]
+        parse_expression(make(MAX_EXPRESSION_DEPTH))
+        with pytest.raises(CypherSyntaxError, match="expression nested too deeply"):
+            parse_expression(make(MAX_EXPRESSION_DEPTH + 1))
+
+    def test_far_past_the_bound_is_syntax_error_not_recursion_error(self):
+        for text in ("RETURN " + "[" * 5000 + "1" + "]" * 5000,
+                     "RETURN " + " + ".join(["1"] * 5000),
+                     "RETURN " + "NOT " * 5000 + "true",
+                     "RETURN " + "- " * 5000 + "1",
+                     "RETURN " + " ^ ".join(["1"] * 5000)):
+            with pytest.raises(CypherSyntaxError, match="expression nested too deeply"):
+                parse(text)
+
+    def test_depth_is_counted_per_expression(self):
+        # Sibling expressions at the bound do not add up.
+        deep = self.SHAPES["sum"](MAX_EXPRESSION_DEPTH)
+        shallower = self.SHAPES["sum"](MAX_EXPRESSION_DEPTH - 1)
+        parse(f"WITH {deep} AS a WHERE {shallower} > 0 RETURN [{shallower}] AS b, {deep} AS c")
+
+    def test_chain_below_nesting_counts_both(self):
+        # A chain inside a nested list is as deep as the two together.
+        half = MAX_EXPRESSION_DEPTH // 2
+        chain = " + ".join(["1"] * (MAX_EXPRESSION_DEPTH - half))
+        parse_expression("[" * half + chain + "]" * half)
+        with pytest.raises(CypherSyntaxError, match="expression nested too deeply"):
+            parse_expression("[" * half + chain + " + 1" + "]" * half)

@@ -15,6 +15,7 @@ def server_port(chatiyp_small):
     server, port = start_background(chatiyp_small)
     yield port
     server.shutdown()
+    assert server.escaped_errors == 0
 
 
 def _get(port, path):

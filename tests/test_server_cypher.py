@@ -9,6 +9,7 @@ import pytest
 
 from repro.cypher import CypherSyntaxError, executor, is_read_only, parser
 from repro.cypher.lexer import tokenize
+from repro.cypher.parser import MAX_EXPRESSION_DEPTH
 from repro.server import start_background
 
 
@@ -17,6 +18,12 @@ def port(chatiyp_small):
     server, port = start_background(chatiyp_small)
     yield port
     server.shutdown()
+    assert server.escaped_errors == 0
+
+
+def nested_list(depth):
+    """A list literal ``depth`` levels deep, counting the innermost 1."""
+    return "[" * (depth - 1) + "1" + "]" * (depth - 1)
 
 
 def get(port, path):
@@ -96,11 +103,40 @@ class TestCypherEndpoint:
         # past int()'s 4,300-digit limit
         pytest.param("RETURN " + "9" * 5000 + " AS x", id="long_int"),
         pytest.param("MATCH (a)-[*" + "9" * 5000 + "]-(b) RETURN a", id="long_hops"),
+        # nested past the parser's depth bound
+        pytest.param("RETURN " + nested_list(101) + " AS x", id="deep_list"),
+        pytest.param("RETURN " + "(" * 100 + "1" + ")" * 100 + " AS x", id="deep_parentheses"),
+        pytest.param("RETURN " + " + ".join(["1"] * 1000) + " AS x", id="long_sum"),
     ])
     def test_malformed_literal_is_400(self, port, query):
         status, payload = post(port, "/cypher", {"query": query})
         assert status == 400
         assert "syntax" in payload["error"]
+
+    @pytest.mark.parametrize("expression, rendered", [
+        (nested_list(MAX_EXPRESSION_DEPTH), nested_list(MAX_EXPRESSION_DEPTH)),
+        (" + ".join(["1"] * MAX_EXPRESSION_DEPTH), str(MAX_EXPRESSION_DEPTH)),
+    ], ids=["list", "sum"])
+    def test_expression_at_depth_bound_runs(self, port, expression, rendered):
+        # Parsed, lowered, evaluated and rendered in the server's thread.
+        for query in (f"RETURN {expression} AS x", f"RETURN {expression}"):
+            status, payload = post(port, "/cypher", {"query": query})
+            assert status == 200, payload
+            assert list(payload["rows"][0].values()) == [rendered]
+
+    def test_parameter_depth_bound(self, port):
+        query = {"query": "RETURN $p AS x"}
+        at_bound = json.loads(nested_list(MAX_EXPRESSION_DEPTH))
+        status, payload = post(port, "/cypher", {**query, "params": {"p": at_bound}})
+        assert status == 200, payload
+        assert payload["rows"] == [{"x": nested_list(MAX_EXPRESSION_DEPTH)}]
+        for past in (json.loads(nested_list(MAX_EXPRESSION_DEPTH + 1)),
+                     {"k": at_bound}, json.loads(nested_list(400))):
+            status, payload = post(port, "/cypher", {**query, "params": {"p": past}})
+            assert status == 400
+            assert payload["error"] == (
+                "query failed: CypherRuntimeError: parameter $p nested too deeply"
+            )
 
     def test_new_query_is_tokenized_once(self, port, monkeypatch):
         calls = []
@@ -198,6 +234,7 @@ class TestCypherDeadline:
         server, port = start_background(chatiyp_small, deadline_ms=200.0)
         yield port
         server.shutdown()
+        assert server.escaped_errors == 0
 
     def test_runaway_query_stops_at_server_deadline(self, deadline_port):
         started = time.monotonic()

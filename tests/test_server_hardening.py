@@ -68,6 +68,7 @@ class TestClientBudgetCap:
         server, port = start_background(bot, deadline_ms=100.0)
         yield port
         server.shutdown()
+        assert server.escaped_errors == 0
 
     @pytest.mark.parametrize(
         "path, body",
@@ -115,6 +116,7 @@ def hardened_port(hardened_bot):
     )
     yield port
     server.shutdown()
+    assert server.escaped_errors == 0
 
 
 class TestErrorPaths:
@@ -148,6 +150,18 @@ class TestErrorPaths:
         assert head.split(b"\r\n")[0].split()[1] == b"400"
         assert json.loads(body) == {"error": "bad request body"}
 
+    @pytest.mark.parametrize("path", ["/ask", "/ask_batch", "/cypher"])
+    @pytest.mark.parametrize("raw", [
+        b'{"question": "\xff\xfe"}',
+        b"\xff\xfe\xfd",
+        b"[" * 5000,
+        b'{"question": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+    ], ids=["not_utf8", "not_utf8_or_utf16", "deep_unclosed", "deep_closed"])
+    def test_undecodable_body_is_400(self, hardened_port, path, raw):
+        status, payload, _ = _post(hardened_port, path, raw=raw)
+        assert status == 400
+        assert payload == {"error": "body must be valid JSON"}
+
     def test_write_cypher_is_403(self, hardened_port):
         status, payload, _ = _post(
             hardened_port, "/cypher", {"query": "CREATE (n:AS {asn: 1}) RETURN n"}
@@ -162,6 +176,22 @@ class TestErrorPaths:
             )
             assert status == 400, bad
             assert "deadline_ms" in payload["error"]
+
+
+class TestUnforeseenError:
+    def test_plain_runtime_error_is_500(self, hardened_port, hardened_bot, monkeypatch):
+        def broken_ask(question, **kwargs):
+            raise RuntimeError("no route foresaw this")
+
+        monkeypatch.setattr(hardened_bot, "ask", broken_ask)
+        before = hardened_bot.metrics.snapshot()["counters"].get("server.internal_error", 0)
+        status, payload, headers = _post(hardened_port, "/ask", {"question": "Who is AS2497?"})
+        assert status == 500
+        assert headers["Content-Type"] == "application/json"
+        assert payload == {"error": "internal error: RuntimeError"}
+        _, metrics, _ = _get(hardened_port, "/metrics")
+        assert metrics["serving"]["admission"]["active"] == 0
+        assert metrics["counters"]["server.internal_error"] == before + 1
 
 
 class TestMetricsServingSection:
